@@ -1,3 +1,4 @@
+// The manifest lists hot function `gone_fn`, defined nowhere here. //~ hot-path-alloc
 //! Fixture: every line carrying a `//~` marker naming a lint must be
 //! flagged with exactly that lint, and no unmarked line may be
 //! flagged. The self-test (`tests/fixtures_selftest.rs`) parses the

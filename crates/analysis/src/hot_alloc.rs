@@ -3,6 +3,10 @@
 //! `push_chunk`, the engine worker loop). Their bodies must not
 //! allocate — allocation there is a per-request cost the scratch-reuse
 //! architecture exists to avoid.
+//!
+//! A listed function that no longer exists in its file is itself a
+//! finding (anchored at line 1): a renamed or deleted hot function must
+//! not silently drop out of the check, so the manifest cannot rot.
 
 use crate::lexer::Tok;
 use crate::manifest::HotPath;
@@ -27,7 +31,21 @@ const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
 /// Scans the manifest-listed hot functions of one file.
 pub fn run(file: &SourceFile, hot: &HotPath, out: &mut Vec<Violation>) {
-    for (start, end, name) in hot_bodies(file, &hot.functions) {
+    let bodies = hot_bodies(file, &hot.functions);
+    for name in &hot.functions {
+        if !bodies.iter().any(|(_, _, found)| found == name) {
+            out.push(Violation {
+                lint: Lint::HotPathAlloc,
+                file: file.rel_path.clone(),
+                line: 1,
+                message: format!(
+                    "the manifest lists hot function `{name}`, which has no body in this \
+                     file: drop or rename the stale manifest entry"
+                ),
+            });
+        }
+    }
+    for (start, end, name) in bodies {
         scan_body(file, start, end, name, out);
     }
 }

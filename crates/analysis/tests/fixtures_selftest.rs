@@ -13,13 +13,15 @@ const CLEAN: &str = include_str!("../fixtures/clean.rs");
 const SUPPRESSED: &str = include_str!("../fixtures/suppressed.rs");
 
 /// A manifest aimed at the fixture files: the whole `fixtures/` prefix
-/// is a no-panic zone and a lock scope, and both `hot_fn`s are hot.
+/// is a no-panic zone and a lock scope, and both `hot_fn`s are hot. The
+/// violations fixture also lists `gone_fn`, which it never defines: a
+/// stale entry.
 fn fixture_manifest() -> Manifest {
     Manifest::from_json(
         r#"{
             "no_panic_zones": ["fixtures"],
             "hot_paths": [
-                {"file": "fixtures/violations.rs", "functions": ["hot_fn"]},
+                {"file": "fixtures/violations.rs", "functions": ["hot_fn", "gone_fn"]},
                 {"file": "fixtures/clean.rs", "functions": ["hot_fn"]}
             ],
             "lock_scopes": [

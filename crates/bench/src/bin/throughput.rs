@@ -33,13 +33,11 @@
 //!   count; written to `BENCH_PR5.json`.
 //!
 //! * **roofline mode** (`--roofline`) — per-kernel roofline analysis:
-//!   scalar `forward` vs the retained staged PR-2 pipeline
-//!   (`Softermax::forward_into_staged`, the `vectorized` column) vs the
-//!   fused SIMD pipeline (`forward_into`, the `fused` column). Before any
-//!   kernel is timed the harness measures the machine's ceilings — a
-//!   STREAM-style triad sweep for sustainable memory bandwidth, a
-//!   TSC-vs-monotonic-clock calibration so nanoseconds convert to cycles,
-//!   and the per-element cost of libm `exp`/`exp2` (the float reference
+//!   scalar `forward` vs the fused SIMD pipeline (`forward_into`, the
+//!   `fused` column). Before any kernel is timed the harness measures
+//!   the machine's ceilings — a STREAM-style triad sweep for sustainable
+//!   memory bandwidth, a TSC-vs-monotonic-clock calibration so
+//!   nanoseconds convert to cycles, and the per-element cost of libm `exp`/`exp2` (the float reference
 //!   kernels' compute ceiling). Each kernel × row-length cell then gets
 //!   elems/cycle, an analytic bytes-swept-per-element model, the achieved
 //!   fraction of the memory ceiling, and a bound classification
@@ -110,7 +108,7 @@
 //!   --batch            compare per-row vs batched vs threaded serving paths
 //!   --stream           compare materialized vs tiled-streamed attention heads
 //!   --concurrent       sweep client count x shard count through the submission API
-//!   --roofline         scalar vs staged vs fused per kernel, against measured ceilings
+//!   --roofline         scalar vs fused per kernel, against measured ceilings
 //!   --chaos            deterministic fault injection: availability, goodput, recovery
 //!   --open-loop        open-loop saturation sweep, skew speedup, priority latency
 //!   --remote           load a softermax-server process over the wire protocol
@@ -142,7 +140,7 @@ use softermax_bench::{attention_scores, print_header, print_row, registry};
 use softermax_serve::fault::{silence_injected_panics, FaultPlan, FaultyKernel};
 use softermax_serve::traffic::synthetic_matrix;
 use softermax_serve::{
-    Admission, BatchEngine, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission,
+    Admission, BatchEngine, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket,
 };
 use softermax_transformer::attention::{
     attention_head_materialized, attention_head_streamed, head_scratch_estimates, KernelSoftmax,
@@ -554,9 +552,9 @@ fn measure_best<O>(
     best.expect("at least one attempt runs")
 }
 
-/// The PR-6 roofline analysis: scalar `forward` vs the retained staged
-/// PR-2 pipeline vs the fused SIMD pipeline, each cell placed against
-/// the machine's measured memory-bandwidth and float-exp ceilings.
+/// The roofline analysis: scalar `forward` vs the fused SIMD
+/// pipeline, each cell placed against the machine's measured
+/// memory-bandwidth and float-exp ceilings.
 fn roofline_harness(
     warmup: Duration,
     budget: Duration,
@@ -565,7 +563,6 @@ fn roofline_harness(
     smoke: bool,
     out_path: &str,
 ) {
-    let sm = softermax::Softermax::new(softermax::SoftermaxConfig::paper());
     let attempts = if smoke { 1 } else { 3 };
 
     // The machine's ceilings, measured before any kernel is timed.
@@ -574,7 +571,7 @@ fn roofline_harness(
     let (exp_ns_per_elem, exp2_ns_per_elem) = measure_float_exp_ns(warmup, budget);
     let bytes_per_cycle = tsc_per_ns.map(|t| triad_bytes_per_s / 1e9 / t);
     println!(
-        "# Per-kernel roofline: scalar vs staged (PR-2) vs fused SIMD, lane path {}\n",
+        "# Per-kernel roofline: scalar vs fused SIMD, lane path {}\n",
         softermax_fixed::lane::path_label()
     );
     println!(
@@ -590,9 +587,8 @@ fn roofline_harness(
         "kernel",
         "len",
         "scalar ns/row",
-        "staged ns/row",
         "fused ns/row",
-        "fused vs staged",
+        "fused vs scalar",
         "fused elems/cyc",
         "B/elem",
         "% mem ceiling",
@@ -602,16 +598,12 @@ fn roofline_harness(
     let registry = registry();
     let mut entries: Vec<serde_json::Value> = Vec::new();
     for kernel in &registry {
-        let is_softermax = kernel.name() == "softermax";
         for &len in &ROW_LENS {
             let row = attention_scores(len, 2.5, 42);
             let mut scratch = ScratchBuffers::default();
             let mut probs = vec![0.0f64; len];
 
-            // Guard before timing: scalar, staged and fused must agree
-            // bit-for-bit (the staged pipeline only exists for the
-            // softermax kernel; elsewhere `forward_into` is the one
-            // vectorized path and fills both columns).
+            // Guard before timing: scalar and fused must agree bit-for-bit.
             let want = kernel.forward(&row).expect("non-empty row");
             kernel
                 .forward_into(&row, &mut probs, &mut scratch)
@@ -622,14 +614,6 @@ fn roofline_harness(
                 "{} forward_into diverged from forward at len {len}",
                 kernel.name()
             );
-            if is_softermax {
-                sm.forward_into_staged(&row, &mut probs, &mut scratch)
-                    .expect("non-empty row");
-                assert_eq!(
-                    probs, want,
-                    "softermax forward_into_staged diverged from forward at len {len}"
-                );
-            }
 
             let scalar = measure_best(attempts, warmup, budget, || {
                 black_box(kernel.forward(black_box(&row)).expect("non-empty row"))
@@ -639,14 +623,6 @@ fn roofline_harness(
                     .forward_into(black_box(&row), black_box(&mut probs), &mut scratch)
                     .expect("non-empty row");
             });
-            let staged = if is_softermax {
-                measure_best(attempts, warmup, budget, || {
-                    sm.forward_into_staged(black_box(&row), black_box(&mut probs), &mut scratch)
-                        .expect("non-empty row");
-                })
-            } else {
-                fused
-            };
 
             let fused_ns_per_elem = fused.ns_per_iter / len as f64;
             let elems_per_cycle = tsc_per_ns.map(|t| 1.0 / (fused_ns_per_elem * t));
@@ -671,14 +647,13 @@ fn roofline_harness(
                 "fixed-compute-bound"
             };
 
-            let fused_vs_staged = staged.ns_per_iter / fused.ns_per_iter;
+            let fused_vs_scalar = scalar.ns_per_iter / fused.ns_per_iter;
             print_row(&[
                 kernel.name().to_string(),
                 len.to_string(),
                 format!("{:.0}", scalar.ns_per_iter),
-                format!("{:.0}", staged.ns_per_iter),
                 format!("{:.0}", fused.ns_per_iter),
-                softermax_bench::fmt_ratio(fused_vs_staged),
+                softermax_bench::fmt_ratio(fused_vs_scalar),
                 elems_per_cycle.map_or("n/a".to_string(), |e| format!("{e:.3}")),
                 format!("{bytes_per_elem:.0}"),
                 format!("{:.1}", pct_of_mem_ceiling * 100.0),
@@ -688,11 +663,8 @@ fn roofline_harness(
                 "kernel": kernel.name(),
                 "row_len": len,
                 "scalar_ns_per_row": scalar.ns_per_iter,
-                "vectorized_ns_per_row": staged.ns_per_iter,
                 "fused_ns_per_row": fused.ns_per_iter,
-                "has_separate_fused_path": is_softermax,
-                "fused_speedup_vs_vectorized": fused_vs_staged,
-                "fused_speedup_vs_scalar": scalar.ns_per_iter / fused.ns_per_iter,
+                "fused_speedup_vs_scalar": fused_vs_scalar,
                 "fused_melem_per_s": fused.elements_per_sec(len as u64) / 1e6,
                 "fused_elems_per_cycle": elems_per_cycle,
                 "fused_bytes_per_elem": bytes_per_elem,
@@ -708,7 +680,7 @@ fn roofline_harness(
 
     let report = serde_json::json!({
         "benchmark": "softmax_roofline",
-        "description": "scalar SoftmaxKernel::forward vs the retained staged PR-2 pipeline (Softermax::forward_into_staged) vs the fused SIMD pipeline (forward_into), per kernel and row length, against measured memory-bandwidth and libm-exp ceilings",
+        "description": "scalar SoftmaxKernel::forward vs the fused SIMD pipeline (forward_into), per kernel and row length, against measured memory-bandwidth and libm-exp ceilings",
         "row_lens": ROW_LENS.to_vec(),
         "warmup_ms": warmup_ms,
         "measure_ms": measure_ms,
@@ -879,11 +851,15 @@ fn batch_harness(
                 "{} forward_batch_into diverged from per-row forward at len {len}",
                 kernel.name()
             );
-            engine
-                .forward_matrix_into(kernel, &matrix, len, &mut probs)
+            let served = engine
+                .submit_request(
+                    Submission::new(kernel, matrix.clone(), len),
+                    Admission::Block,
+                )
+                .and_then(Ticket::wait)
                 .expect("valid matrix");
             assert_eq!(
-                probs,
+                served,
                 want,
                 "{} BatchEngine diverged from per-row forward at len {len}",
                 kernel.name()
@@ -915,10 +891,16 @@ fn batch_harness(
                     )
                     .expect("valid matrix");
             });
+            // A submission owns its matrix, so each timed call includes
+            // one input copy.
             let threaded = measure(warmup, budget, || {
-                engine
-                    .forward_matrix_into(kernel, black_box(&matrix), len, black_box(&mut probs))
-                    .expect("valid matrix");
+                let submission = Submission::new(kernel, black_box(matrix.clone()), len);
+                black_box(
+                    engine
+                        .submit_request(submission, Admission::Block)
+                        .and_then(Ticket::wait)
+                        .expect("valid matrix"),
+                );
             });
 
             let rows_per_s = |ns_per_matrix: f64| n_rows as f64 / ns_per_matrix * 1e9;

@@ -410,10 +410,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
         for engine in &engines {
             let t = engine.config().threads;
-            let mut served = vec![0.0; matrix.len()];
+            let mut served = Vec::new();
             for _ in 0..repeat {
-                engine
-                    .forward_matrix_into(kernel, &matrix, len, &mut served)
+                served = engine
+                    .submit_request(
+                        Submission::new(kernel, matrix.clone(), len),
+                        Admission::Block,
+                    )
+                    .and_then(Ticket::wait)
                     .map_err(|e| e.to_string())?;
             }
             if served != sequential {
@@ -454,11 +458,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 // served in `chunk`-score pushes, exactly as a QK^T tiler
                 // would hand them over.
                 let chunk = stream_chunk.unwrap_or_else(|| engine.config().vector_width.max(1));
-                let mut streamed = vec![0.0; matrix.len()];
+                let mut streamed = Vec::new();
                 let stream_start = std::time::Instant::now();
                 for _ in 0..repeat {
-                    engine
-                        .forward_matrix_streamed_into(kernel, &matrix, len, chunk, &mut streamed)
+                    streamed = engine
+                        .submit_request(
+                            Submission::new(kernel, matrix.clone(), len).streamed(chunk),
+                            Admission::Block,
+                        )
+                        .and_then(Ticket::wait)
                         .map_err(|e| e.to_string())?;
                 }
                 let stream_rows_per_s =

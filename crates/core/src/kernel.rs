@@ -197,15 +197,9 @@ pub struct ScratchBuffers {
     /// unnormed exponentials (pass 2); other kernels use it for quantized
     /// input scores.
     pub lanes_a: Vec<i64>,
-    /// Slice-length staging lanes (max candidates, exponentials) — staged
-    /// reference pipeline only.
-    pub lanes_b: Vec<i64>,
-    /// Row-length result lanes (unnormed exponentials) — staged reference
-    /// pipeline and the fp16 kernel.
+    /// Row-length result lanes: the fp16 kernel's exponentials, as Half
+    /// bits.
     pub lanes_c: Vec<i64>,
-    /// Slice-length staging lanes (differences, ceiled candidates) —
-    /// staged reference pipeline only.
-    pub lanes_d: Vec<i64>,
     /// Per-slice `(raw value, end index)` runs (reference maxima).
     pub runs: Vec<(i64, usize)>,
 }

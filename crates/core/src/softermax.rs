@@ -148,10 +148,9 @@ impl Softermax {
     /// unnormed numerators. The Normalization unit then reads those lanes
     /// back once. Every per-element operation chains the identical
     /// fixed-point primitives of the scalar path, so the result is
-    /// **bit-exact** with [`Softermax::forward`] (and with the retained
-    /// staged pipeline, [`Softermax::forward_into_staged`]); the property
-    /// tests in `tests/vector_parity.rs` hold every configuration to that
-    /// contract.
+    /// **bit-exact** with the scalar oracle [`Softermax::forward`]; the
+    /// property tests in `tests/vector_parity.rs` hold every configuration
+    /// to that contract.
     ///
     /// # Errors
     ///
@@ -174,36 +173,6 @@ impl Softermax {
         }
         self.quantize_fused_lanes(row, &mut scratch.lanes_a);
         self.forward_lanes_row_fused(0, row.len(), out, scratch)
-    }
-
-    /// The PR-2 staged vectorized pipeline, retained as a second reference
-    /// implementation: separate quantize, requantize, ceil-map, max,
-    /// subtract, `2^x` and accumulate sweeps over per-stage lane buffers.
-    ///
-    /// Bit-exact with both [`Softermax::forward`] and the fused
-    /// [`Softermax::forward_into`] (the parity proptests assert all three
-    /// agree); the roofline harness benches it as the `vectorized` column
-    /// that the fused pipeline is measured against.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Softermax::forward_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != row.len()`.
-    pub fn forward_into_staged(
-        &self,
-        row: &[f64],
-        out: &mut [f64],
-        scratch: &mut ScratchBuffers,
-    ) -> Result<()> {
-        assert_eq!(out.len(), row.len(), "output buffer length mismatch");
-        if row.is_empty() {
-            return Err(SoftmaxError::EmptyInput);
-        }
-        self.quantize_lanes(row, scratch);
-        self.forward_lanes_row(0, row.len(), out, scratch)
     }
 
     /// Matrix-at-a-time [`Softermax::forward_into`]: `rows` is a flattened
@@ -250,31 +219,6 @@ impl Softermax {
         Ok(())
     }
 
-    /// Stage 0 of the vectorized pipeline for an arbitrary lane buffer:
-    /// quantizes `values` into raw input-format lanes (replacing the
-    /// buffer's contents), applying the optional base-e pre-scale
-    /// (bit-exact with `Fixed::mul_into`).
-    fn quantize_into_lanes(&self, values: &[f64], lanes: &mut Vec<i64>) {
-        let cfg = &self.config;
-        vecops::quantize_raw_into(values, cfg.input_format, Rounding::Nearest, lanes);
-        if cfg.base == Base::E {
-            let mant = self.log2_e.raw();
-            let shift = self.log2_e.format().frac_bits();
-            for lane in lanes {
-                let prod = *lane as i128 * mant as i128;
-                *lane = cfg
-                    .input_format
-                    .saturate_raw(Rounding::Nearest.apply_shift(prod, shift));
-            }
-        }
-    }
-
-    /// Stage 0 of the vectorized pipeline: quantizes `values` into raw
-    /// input-format lanes in `scratch.lanes_a`.
-    fn quantize_lanes(&self, values: &[f64], scratch: &mut ScratchBuffers) {
-        self.quantize_into_lanes(values, &mut scratch.lanes_a);
-    }
-
     /// The base-e pre-scale as a `(mantissa raw, fraction shift)` plan for
     /// the fused stage-0 pass (`None` in base-2 mode, where the scalar
     /// pre-scale is a same-format requantize, i.e. the identity).
@@ -287,10 +231,9 @@ impl Softermax {
 
     /// Fused stage 0: quantize → optional base-e pre-scale → requantize
     /// into **max-format** candidate lanes, one sweep over `values`
-    /// (replacing `lanes`). Bit-exact with [`Softermax::quantize_into_lanes`]
-    /// followed by the staged pipeline's max-format requantization, which
-    /// is the only consumer of the input-format lanes — so the fused
-    /// pipeline skips materializing them entirely.
+    /// (replacing `lanes`). Bit-exact with the scalar path's
+    /// [`Fixed::from_f64`] → pre-scale → max-format requantize chain; the
+    /// input-format values are never materialized.
     fn quantize_fused_lanes(&self, values: &[f64], lanes: &mut Vec<i64>) {
         vecops::fused_quantize_into(
             values,
@@ -311,7 +254,7 @@ impl Softermax {
     ///
     /// Shared verbatim by the one-shot, batched and streaming fused
     /// datapaths, so they cannot drift from each other; bit-exact with the
-    /// staged [`Softermax::slice_stages`] per element.
+    /// scalar accumulator per element.
     fn fused_slice_stages(
         &self,
         lanes: &mut [i64],
@@ -381,7 +324,7 @@ impl Softermax {
 
     /// Stage 3 — the Reduction unit: merges one slice's `(max, sum)` into
     /// the running row state, renormalizing whichever side has the smaller
-    /// max. Shared by the staged and fused slice pipelines.
+    /// max. Called once per slice by [`Softermax::fused_slice_stages`].
     fn merge_running(
         &self,
         running: &mut Option<(Fixed, Fixed)>,
@@ -406,64 +349,6 @@ impl Softermax {
                 *running = Some((new_max, new_sum));
             }
         }
-    }
-
-    /// Stages 1–3 of the vectorized pipeline for **one hardware slice** of
-    /// quantized input lanes `xs`: the IntMax unit (slice reference max),
-    /// the Power-of-Two unit plus wide summation tree, and the Reduction
-    /// unit merging `(max, sum)` into the running row state. The slice's
-    /// unnormed numerator lanes are appended to `unnormed`; the returned
-    /// value is the slice's reference max (raw, max format).
-    ///
-    /// This is the one implementation both the one-shot/batch path
-    /// ([`Softermax::forward_into`]) and the streaming session
-    /// ([`SoftermaxStream`]) run, so chunked streaming cannot drift from
-    /// the one-shot pipeline.
-    fn slice_stages(
-        &self,
-        xs: &[i64],
-        lanes_b: &mut Vec<i64>,
-        lanes_d: &mut Vec<i64>,
-        unnormed: &mut Vec<i64>,
-        running: &mut Option<(Fixed, Fixed)>,
-    ) -> i64 {
-        let cfg = &self.config;
-        let (wide_fmt, sum_shift) = (self.wide_fmt, self.sum_shift);
-
-        // Stage 1 — IntMax unit: max-format candidates, slice max.
-        vecops::requantize_raw_into(
-            xs,
-            cfg.input_format,
-            cfg.max_format,
-            Rounding::Nearest,
-            lanes_b,
-        );
-        let local_max_raw = match cfg.max_mode {
-            MaxMode::Integer => {
-                lanes_d.clear();
-                lanes_d.extend(
-                    lanes_b
-                        .iter()
-                        .map(|&r| Fixed::from_raw_saturating(r, cfg.max_format).ceil().raw()),
-                );
-                vecops::max_reduce(lanes_d).expect("slice is non-empty")
-            }
-            MaxMode::Float => vecops::max_reduce(lanes_b).expect("slice is non-empty"),
-        };
-        let local_max = Fixed::from_raw_saturating(local_max_raw, cfg.max_format);
-
-        // Stage 2 — Power-of-Two unit: u_i = 2^(x_i - local_max), then
-        // the wide summation tree.
-        vecops::sub_scalar_saturating(lanes_b, local_max_raw, cfg.max_format, lanes_d);
-        self.pow2.eval_raw_slice(lanes_d, cfg.max_format, lanes_b);
-        let local_sum_wide = vecops::shift_accumulate(lanes_b, sum_shift, wide_fmt, 0);
-        let local_sum = Fixed::from_raw_saturating(local_sum_wide, wide_fmt)
-            .requantize(cfg.pow_sum_format, Rounding::Nearest);
-
-        // Stage 3 — Reduction unit: merge with the running row state.
-        self.merge_running(running, local_max, local_sum);
-        unnormed.extend_from_slice(lanes_b);
-        local_max_raw
     }
 
     /// The Normalization unit over a completed row: one reciprocal of the
@@ -514,50 +399,6 @@ impl Softermax {
             begin = end;
         }
         Ok(())
-    }
-
-    /// Stages 1–3 plus the Normalization unit for one row whose quantized
-    /// lanes occupy `scratch.lanes_a[lane_start..lane_start + len]`.
-    fn forward_lanes_row(
-        &self,
-        lane_start: usize,
-        len: usize,
-        out: &mut [f64],
-        scratch: &mut ScratchBuffers,
-    ) -> Result<()> {
-        let mut running: Option<(Fixed, Fixed)> = None;
-        scratch.lanes_c.clear();
-        scratch.runs.clear();
-
-        let mut start = 0;
-        while start < len {
-            let end = (start + self.config.slice_width).min(len);
-            let ScratchBuffers {
-                lanes_a,
-                lanes_b,
-                lanes_c,
-                lanes_d,
-                runs,
-            } = scratch;
-            let local_max_raw = self.slice_stages(
-                &lanes_a[lane_start + start..lane_start + end],
-                lanes_b,
-                lanes_d,
-                lanes_c,
-                &mut running,
-            );
-            runs.push((local_max_raw, end));
-            start = end;
-        }
-
-        let (global_max, running_sum) = running.expect("row is non-empty");
-        self.normalization_pass(
-            &scratch.runs,
-            &scratch.lanes_c,
-            global_max,
-            running_sum,
-            out,
-        )
     }
 
     /// Starts a reusable chunk-streaming session over the vectorized
@@ -958,7 +799,7 @@ softermax_fixed::lane_envelope! {
     /// sum — the subtract, Power-of-Two and summation-tree stages in a
     /// single sweep.
     ///
-    /// Per element this chains exactly the staged primitives: a
+    /// Per element this chains exactly the bulk primitives: a
     /// saturating max-format subtraction (`vecops::sub_scalar_saturating`),
     /// the Power-of-Two unit (`Pow2Unit::eval_one_raw`, via its fast
     /// bit-identical twin), and the sequential saturating wide

@@ -35,12 +35,11 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// any [`SoftmaxKernel`].
 ///
 /// One engine is built once and serves many matrices (and many kernels)
-/// **concurrently**: callers enqueue jobs — blocking dispatches through
-/// [`BatchEngine::forward_matrix_into`], or ticketed submissions through
-/// [`BatchEngine::submit`](crate::Submission) — onto one shared intake
-/// queue, and every worker pulls chunks from the front job, flowing to
-/// the next job the moment the current one's chunk list runs dry. A
-/// single small matrix therefore never parks the pool.
+/// **concurrently**: callers enqueue ticketed submissions
+/// ([`BatchEngine::submit_request`]) onto one shared intake queue, and
+/// every worker pulls chunks from the front job, flowing to the next job
+/// the moment the current one's chunk list runs dry. A single small
+/// matrix therefore never parks the pool.
 ///
 /// Admission is bounded by [`ServeConfig::queue_depth`]: a full engine
 /// rejects non-blocking submissions with [`SoftmaxError::QueueFull`] and
@@ -275,151 +274,8 @@ impl BatchEngine {
         }
     }
 
-    /// Row-wise softmax of a flattened row-major matrix, into a fresh
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`BatchEngine::forward_matrix_into`].
-    pub fn forward_matrix(
-        &self,
-        kernel: &Arc<dyn SoftmaxKernel>,
-        rows: &[f64],
-        row_len: usize,
-    ) -> Result<Vec<f64>> {
-        let mut out = vec![0.0; rows.len()];
-        self.forward_matrix_into(kernel, rows, row_len, &mut out)?;
-        Ok(out)
-    }
-
-    /// Row-wise softmax of a flattened row-major matrix into a
-    /// caller-provided buffer, fanned out across the worker pool.
-    ///
-    /// Blocks until every chunk is done (or the batch is cancelled by the
-    /// first failing row). An empty matrix is a valid no-op. Takes one
-    /// admission slot like any other request: when the engine is at
-    /// [`ServeConfig::queue_depth`], the call blocks until a slot frees
-    /// (at most [`ServeConfig::admission_timeout`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SoftmaxError::EmptyInput`] when `row_len == 0` and the matrix is
-    /// non-empty; [`SoftmaxError::QueueFull`] when no admission slot
-    /// freed within the timeout; [`SoftmaxError::EngineShutdown`] when
-    /// the engine shut down or lost its last worker; plus the first
-    /// per-row kernel error observed (remaining chunks are cancelled, so
-    /// `out` is unspecified after an error).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != rows.len()` or `rows.len()` is not a
-    /// multiple of `row_len`.
-    pub fn forward_matrix_into(
-        &self,
-        kernel: &Arc<dyn SoftmaxKernel>,
-        rows: &[f64],
-        row_len: usize,
-        out: &mut [f64],
-    ) -> Result<()> {
-        self.dispatch(kernel, rows, row_len, out, None)
-    }
-
-    /// Row-wise softmax of a flattened row-major matrix through the
-    /// **chunked-streaming** path, into a fresh buffer.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`BatchEngine::forward_matrix_streamed_into`].
-    pub fn forward_matrix_streamed(
-        &self,
-        kernel: &Arc<dyn SoftmaxKernel>,
-        rows: &[f64],
-        row_len: usize,
-        chunk: usize,
-    ) -> Result<Vec<f64>> {
-        let mut out = vec![0.0; rows.len()];
-        self.forward_matrix_streamed_into(kernel, rows, row_len, chunk, &mut out)?;
-        Ok(out)
-    }
-
-    /// Row-wise softmax of a flattened row-major matrix through the
-    /// **chunked-streaming** path: workers serve every row of the job's
-    /// chunks through a [`StreamSession`](softermax::StreamSession) by
-    /// `reset` → `push_chunk` (`chunk`-score pieces, as a QK^T tiler
-    /// would produce them) → `finish_into`. Output is **bit-identical**
-    /// to [`BatchEngine::forward_matrix_into`] and to sequential
-    /// execution, by the session contract.
-    ///
-    /// # Errors
-    ///
-    /// [`SoftmaxError::InvalidConfig`] when `chunk == 0`, plus exactly the
-    /// errors of [`BatchEngine::forward_matrix_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != rows.len()` or `rows.len()` is not a
-    /// multiple of `row_len`.
-    pub fn forward_matrix_streamed_into(
-        &self,
-        kernel: &Arc<dyn SoftmaxKernel>,
-        rows: &[f64],
-        row_len: usize,
-        chunk: usize,
-        out: &mut [f64],
-    ) -> Result<()> {
-        if chunk == 0 {
-            return Err(SoftmaxError::InvalidConfig(
-                "streaming chunk must be positive".to_string(),
-            ));
-        }
-        self.dispatch(kernel, rows, row_len, out, Some(chunk))
-    }
-
-    fn dispatch(
-        &self,
-        kernel: &Arc<dyn SoftmaxKernel>,
-        rows: &[f64],
-        row_len: usize,
-        out: &mut [f64],
-        stream_chunk: Option<usize>,
-    ) -> Result<()> {
-        let started = Instant::now();
-        let n_rows = check_batch_geometry(rows.len(), row_len, out.len())?;
-        if n_rows == 0 {
-            self.shared
-                .record(kernel.name(), Outcome::Success, 0, 0, 0, 0);
-            return Ok(());
-        }
-        let job = Arc::new(Job::borrowed(
-            Arc::clone(kernel),
-            rows,
-            out,
-            row_len,
-            self.config.chunk_rows,
-            stream_chunk,
-            started,
-        ));
-        match self.shared.reserve_blocking(
-            n_rows,
-            (n_rows * row_len) as u64,
-            started + self.config.admission_timeout,
-            None,
-        ) {
-            Reserve::Reserved => {}
-            Reserve::TimedOut => return Err(SoftmaxError::QueueFull),
-            Reserve::Shutdown => return Err(SoftmaxError::EngineShutdown),
-            // No deadline was passed, so expiry cannot happen here.
-            Reserve::Expired => return Err(SoftmaxError::DeadlineExceeded),
-        }
-        self.shared.enqueue(Arc::clone(&job));
-        // The input/output borrows must outlive every worker access:
-        // block until the job completes, which happens only after the
-        // last chunk's worker is done touching the buffers.
-        job.wait_outcome()
-    }
-
-    /// Builds and enqueues an owned-buffer job, the common path behind
-    /// the public submission API ([`crate::Submission`]). `admit`
+    /// Builds and enqueues a job, the one path behind the public
+    /// submission API ([`crate::Submission`]). `admit`
     /// selects the behaviour at a full queue: fail fast handing the
     /// input buffer back as [`EnqueueError::Full`] (so the router can
     /// retry elsewhere), or block for a slot until a wait deadline.
@@ -452,15 +308,23 @@ impl BatchEngine {
             self.shared.record_admission_expired(kernel.name());
             return Err(EnqueueError::Fatal(SoftmaxError::DeadlineExceeded));
         }
+        let job = |rows| {
+            Arc::new(Job::new(
+                Arc::clone(kernel),
+                rows,
+                row_len,
+                self.config.chunk_rows,
+                stream_chunk,
+                deadline,
+                priority,
+                started,
+            ))
+        };
         if n_rows == 0 {
             // Nothing to schedule: a pre-completed ticket, still counted.
             self.shared
                 .record(kernel.name(), Outcome::Success, 0, 0, 0, 0);
-            return Ok(Ticket::new(Arc::new(Job::completed(
-                Arc::clone(kernel),
-                row_len,
-                started,
-            ))));
+            return Ok(Ticket::new(job(rows)));
         }
         match admit {
             AdmitMode::NonBlocking => {
@@ -487,16 +351,7 @@ impl BatchEngine {
                 }
             }
         }
-        let job = Arc::new(Job::owned(
-            Arc::clone(kernel),
-            rows,
-            row_len,
-            self.config.chunk_rows,
-            stream_chunk,
-            deadline,
-            priority,
-            started,
-        ));
+        let job = job(rows);
         self.shared.enqueue(Arc::clone(&job));
         Ok(Ticket::new(job))
     }
@@ -978,29 +833,25 @@ impl Shared {
     }
 }
 
-/// One admitted matrix: the kernel, the input/output buffer views, the
-/// chunk list and the completion/error protocol.
+/// One admitted matrix: the kernel, the owned input rows, one output
+/// segment per chunk, the chunk list and the completion/error protocol.
 ///
-/// The raw pointers make `Job` `Send`/`Sync` by hand; the safety argument
-/// is structural:
-///
-/// * chunks are disjoint row ranges, so no two workers ever touch the
-///   same output element, and the input is only read;
-/// * for borrowed jobs, [`BatchEngine::forward_matrix_into`] keeps the
-///   underlying borrows alive and blocked until the job completes, which
-///   the finishing worker signals only *after* the last buffer access;
-/// * for owned jobs, the buffers live inside the job itself (`owned`),
-///   are never reallocated while workers run (the output is only taken
-///   by the ticket after completion), and drop with the last `Arc`.
+/// Workers only read the input (`&input[rows]` per chunk) and write each
+/// chunk's own segment, so no two workers ever share an output element.
+/// The segments are allocated here, at submission: a worker moves its
+/// chunk's segment out for the duration of the chunk and puts it back,
+/// never allocating on the serving path.
 pub(crate) struct Job {
     kernel: Arc<dyn SoftmaxKernel>,
-    rows: *const f64,
-    out: *mut f64,
+    input: Vec<f64>,
     row_len: usize,
     n_rows: usize,
+    chunk_rows: usize,
     n_chunks: usize,
     /// Chunks not yet taken, served front-to-back by any worker.
     chunks: Mutex<VecDeque<Chunk>>,
+    /// Output segment `i` holds the probabilities of chunk `i`'s rows.
+    segments: Mutex<Vec<Vec<f64>>>,
     /// `Some(scores_per_push)` routes the job through the
     /// chunked-streaming path instead of the batch path.
     stream_chunk: Option<usize>,
@@ -1022,17 +873,6 @@ pub(crate) struct Job {
     /// Submission time: end-to-end latency is measured from here to the
     /// last chunk's completion.
     started: Instant,
-    /// Present on ticketed submissions: the job owns its buffers.
-    owned: Option<OwnedBuffers>,
-}
-
-struct OwnedBuffers {
-    /// Keeps the input alive for the raw `rows` pointer; never touched
-    /// again after construction.
-    _input: Vec<f64>,
-    /// The output the ticket collects; workers write through the raw
-    /// `out` pointer, the mutex only coordinates the final take.
-    output: Mutex<Vec<f64>>,
 }
 
 struct JobState {
@@ -1042,12 +882,6 @@ struct JobState {
     /// First per-row error observed (sticky).
     error: Option<SoftmaxError>,
 }
-
-// SAFETY: see the struct documentation — disjoint chunk writes, read-only
-// input, and buffer lifetimes pinned by either the blocked dispatcher
-// (borrowed jobs) or the job itself (owned jobs).
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
 
 fn chunk_list(n_rows: usize, chunk_rows: usize) -> VecDeque<Chunk> {
     let mut chunks = VecDeque::with_capacity(n_rows.div_ceil(chunk_rows));
@@ -1067,37 +901,10 @@ impl Job {
         (self.n_rows * self.row_len) as u64
     }
 
-    /// A job over caller-borrowed buffers; the dispatcher must block
-    /// until completion before the borrows end.
-    fn borrowed(
-        kernel: Arc<dyn SoftmaxKernel>,
-        rows: &[f64],
-        out: &mut [f64],
-        row_len: usize,
-        chunk_rows: usize,
-        stream_chunk: Option<usize>,
-        started: Instant,
-    ) -> Self {
-        let n_rows = rows.len() / row_len;
-        Self::assemble(
-            kernel,
-            rows.as_ptr(),
-            out.as_mut_ptr(),
-            row_len,
-            n_rows,
-            chunk_list(n_rows, chunk_rows),
-            stream_chunk,
-            None,
-            Priority::Interactive,
-            started,
-            None,
-        )
-    }
-
-    /// A job owning its buffers: the submission path, where many jobs
-    /// from many callers are safely in flight at once.
+    /// A job over a validated matrix (a whole number of `row_len` rows).
+    /// A zero-row job is complete before it is ever queued.
     #[allow(clippy::too_many_arguments)]
-    fn owned(
+    fn new(
         kernel: Arc<dyn SoftmaxKernel>,
         input: Vec<f64>,
         row_len: usize,
@@ -1107,73 +914,22 @@ impl Job {
         priority: Priority,
         started: Instant,
     ) -> Self {
-        let n_rows = input.len() / row_len;
-        let mut output = vec![0.0; input.len()];
-        // Heap allocations are stable across the moves below, so the raw
-        // views stay valid for the job's whole life.
-        let rows_ptr = input.as_ptr();
-        let out_ptr = output.as_mut_ptr();
-        Self::assemble(
-            kernel,
-            rows_ptr,
-            out_ptr,
-            row_len,
-            n_rows,
-            chunk_list(n_rows, chunk_rows),
-            stream_chunk,
-            deadline,
-            priority,
-            started,
-            Some(OwnedBuffers {
-                _input: input,
-                output: Mutex::new(output),
-            }),
-        )
-    }
-
-    /// A zero-row submission: complete before it is ever queued.
-    fn completed(kernel: Arc<dyn SoftmaxKernel>, row_len: usize, started: Instant) -> Self {
-        Self::assemble(
-            kernel,
-            std::ptr::null(),
-            std::ptr::null_mut(),
-            row_len,
-            0,
-            VecDeque::new(),
-            None,
-            None,
-            Priority::Interactive,
-            started,
-            Some(OwnedBuffers {
-                _input: Vec::new(),
-                output: Mutex::new(Vec::new()),
-            }),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        kernel: Arc<dyn SoftmaxKernel>,
-        rows: *const f64,
-        out: *mut f64,
-        row_len: usize,
-        n_rows: usize,
-        chunks: VecDeque<Chunk>,
-        stream_chunk: Option<usize>,
-        deadline: Option<Instant>,
-        priority: Priority,
-        started: Instant,
-        owned: Option<OwnedBuffers>,
-    ) -> Self {
+        let n_rows = input.len().checked_div(row_len).unwrap_or(0);
+        let chunks = chunk_list(n_rows, chunk_rows);
+        let segments = chunks
+            .iter()
+            .map(|c| vec![0.0; c.len() * row_len])
+            .collect();
         let n_chunks = chunks.len();
         Self {
             kernel,
-            rows,
-            out,
+            input,
             row_len,
             n_rows,
+            chunk_rows,
             n_chunks,
             chunks: Mutex::new(chunks),
+            segments: Mutex::new(segments),
             stream_chunk,
             deadline,
             priority,
@@ -1187,7 +943,6 @@ impl Job {
             busy_ns: AtomicU64::new(0),
             rows_done: AtomicU64::new(0),
             started,
-            owned,
         }
     }
 
@@ -1250,28 +1005,41 @@ impl Job {
         lock(&self.state).complete
     }
 
-    /// Takes the owned output buffer. Only meaningful on a completed
-    /// owned job (the ticket's contract).
+    /// Takes the output, concatenating the segments in row order (a
+    /// one-chunk job's segment is moved out, not copied). Only
+    /// meaningful once on a completed job (the ticket's contract).
     pub(crate) fn take_output(&self) -> Vec<f64> {
-        let owned = self.owned.as_ref().expect("ticket jobs own their buffers");
-        std::mem::take(&mut *lock(&owned.output))
+        match lock(&self.segments).as_mut_slice() {
+            [only] => std::mem::take(only),
+            all => all.concat(),
+        }
+    }
+
+    /// Lends a chunk its input rows and moves its output segment out of
+    /// the job; [`Job::give_back`] returns the segment when the chunk is
+    /// done. Neither allocates.
+    fn lend(&self, chunk: &Chunk) -> (&[f64], Vec<f64>) {
+        let rows = &self.input[chunk.start * self.row_len..chunk.end * self.row_len];
+        let index = chunk.start / self.chunk_rows;
+        let out = std::mem::take(&mut lock(&self.segments)[index]);
+        (rows, out)
+    }
+
+    fn give_back(&self, chunk: &Chunk, out: Vec<f64>) {
+        let index = chunk.start / self.chunk_rows;
+        lock(&self.segments)[index] = out;
     }
 
     /// Runs one chunk through the kernel's batch path. A kernel panic
     /// unwinds into the worker's supervisor, which fails the job,
     /// retires this chunk, and respawns the worker.
     fn run_chunk(&self, chunk: &Chunk, scratch: &mut BatchScratch) {
-        let elems = chunk.len() * self.row_len;
-        let offset = chunk.start * self.row_len;
-        // SAFETY: `chunk` is a row range validated against the matrix
-        // geometry, disjoint from every other chunk; the buffers outlive
-        // the job (see the struct documentation).
-        let rows = unsafe { std::slice::from_raw_parts(self.rows.add(offset), elems) };
-        let out = unsafe { std::slice::from_raw_parts_mut(self.out.add(offset), elems) };
-        match self
+        let (rows, mut out) = self.lend(chunk);
+        let result = self
             .kernel
-            .forward_batch_into(rows, self.row_len, out, scratch)
-        {
+            .forward_batch_into(rows, self.row_len, &mut out, scratch);
+        self.give_back(chunk, out);
+        match result {
             Ok(()) => {
                 self.rows_done
                     .fetch_add(chunk.len() as u64, Ordering::Relaxed);
@@ -1289,13 +1057,9 @@ impl Job {
         session: &mut dyn StreamSession,
         chunk_elems: usize,
     ) {
-        let elems = chunk.len() * self.row_len;
-        let offset = chunk.start * self.row_len;
-        // SAFETY: as in `run_chunk` — disjoint validated row ranges, and
-        // the buffers outlive the job.
-        let rows = unsafe { std::slice::from_raw_parts(self.rows.add(offset), elems) };
-        let out = unsafe { std::slice::from_raw_parts_mut(self.out.add(offset), elems) };
+        let (rows, mut out) = self.lend(chunk);
         let mut completed = 0u64;
+        let mut error = None;
         for (row, out_row) in rows
             .chunks_exact(self.row_len)
             .zip(out.chunks_exact_mut(self.row_len))
@@ -1305,13 +1069,16 @@ impl Job {
                 session.push_chunk(piece);
             }
             if let Err(e) = session.finish_into(out_row) {
-                self.rows_done.fetch_add(completed, Ordering::Relaxed);
-                self.fail(e);
-                return;
+                error = Some(e);
+                break;
             }
             completed += 1;
         }
+        self.give_back(chunk, out);
         self.rows_done.fetch_add(completed, Ordering::Relaxed);
+        if let Some(e) = error {
+            self.fail(e);
+        }
     }
 
     fn fail(&self, e: SoftmaxError) {
@@ -1733,10 +1500,25 @@ fn supervised_worker(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Admission, Submission};
     use softermax::KernelRegistry;
 
     fn engine(threads: usize) -> BatchEngine {
         BatchEngine::with_threads(threads).expect("valid config")
+    }
+
+    fn serve(
+        engine: &BatchEngine,
+        kernel: &Arc<dyn SoftmaxKernel>,
+        rows: &[f64],
+        row_len: usize,
+        stream_chunk: Option<usize>,
+    ) -> Result<Vec<f64>> {
+        let mut submission = Submission::new(kernel, rows.to_vec(), row_len);
+        if let Some(chunk) = stream_chunk {
+            submission = submission.streamed(chunk);
+        }
+        engine.submit_request(submission, Admission::Block)?.wait()
     }
 
     #[test]
@@ -1750,7 +1532,7 @@ mod tests {
         let kernel = registry.get("softermax").expect("built-in");
         let rows: Vec<f64> = (0..37 * 5).map(|i| f64::from(i % 13) / 2.0 - 3.0).collect();
         let engine = engine(3);
-        let got = engine.forward_matrix(&kernel, &rows, 5).expect("serve");
+        let got = serve(&engine, &kernel, &rows, 5, None).expect("serve");
         for (row, got_row) in rows.chunks_exact(5).zip(got.chunks_exact(5)) {
             assert_eq!(got_row.to_vec(), kernel.forward(row).expect("row"));
         }
@@ -1762,9 +1544,7 @@ mod tests {
             .get("reference-e")
             .expect("built-in");
         let engine = engine(2);
-        engine
-            .forward_matrix_into(&kernel, &[], 0, &mut [])
-            .expect("empty matrix is fine");
+        serve(&engine, &kernel, &[], 0, None).expect("empty matrix is fine");
         let stats = engine.stats();
         let s = stats.kernel("reference-e").expect("recorded");
         // No-ops are visible, but apart: they must not dilute the
@@ -1782,11 +1562,7 @@ mod tests {
             .get("reference-e")
             .expect("built-in");
         let engine = engine(2);
-        let rows = [1.0, 2.0];
-        let mut out = [0.0, 0.0];
-        assert!(engine
-            .forward_matrix_into(&kernel, &rows, 0, &mut out)
-            .is_err());
+        assert!(serve(&engine, &kernel, &[1.0, 2.0], 0, None).is_err());
     }
 
     #[test]
@@ -1796,7 +1572,7 @@ mod tests {
         let rows: Vec<f64> = (0..64 * 8).map(|i| f64::from(i % 7) - 3.0).collect();
         for name in ["softermax", "reference-2", "softermax"] {
             let kernel = registry.get(name).expect("built-in");
-            engine.forward_matrix(&kernel, &rows, 8).expect("serve");
+            serve(&engine, &kernel, &rows, 8, None).expect("serve");
         }
         let stats = engine.stats();
         let sm = stats.kernel("softermax").expect("served");
@@ -1820,11 +1596,10 @@ mod tests {
         let engine = engine(3);
         for name in ["softermax", "online-intmax", "reference-e", "fp16"] {
             let kernel = registry.get(name).expect("built-in");
-            let batch = engine.forward_matrix(&kernel, &rows, 6).expect("serve");
+            let batch = serve(&engine, &kernel, &rows, 6, None).expect("serve");
             for chunk in [1, 4, 6, 64] {
-                let streamed = engine
-                    .forward_matrix_streamed(&kernel, &rows, 6, chunk)
-                    .expect("streamed serve");
+                let streamed =
+                    serve(&engine, &kernel, &rows, 6, Some(chunk)).expect("streamed serve");
                 assert_eq!(streamed, batch, "{name} chunk {chunk}");
             }
         }
@@ -1834,13 +1609,9 @@ mod tests {
     fn streamed_dispatch_rejects_zero_chunk_and_accepts_empty_matrix() {
         let kernel = KernelRegistry::global().get("online-2").expect("built-in");
         let engine = engine(2);
-        assert!(engine
-            .forward_matrix_streamed(&kernel, &[1.0, 2.0], 2, 0)
-            .is_err());
+        assert!(serve(&engine, &kernel, &[1.0, 2.0], 2, Some(0)).is_err());
         assert_eq!(
-            engine
-                .forward_matrix_streamed(&kernel, &[], 4, 8)
-                .expect("empty matrix"),
+            serve(&engine, &kernel, &[], 4, Some(8)).expect("empty matrix"),
             Vec::<f64>::new()
         );
     }
@@ -1851,9 +1622,7 @@ mod tests {
         let engine = engine(8);
         // One row, one chunk: at most one worker is woken, the other
         // seven must stay parked (and the engine must still complete).
-        let got = engine
-            .forward_matrix(&kernel, &[1.0, 2.0, 3.0], 3)
-            .expect("serve");
+        let got = serve(&engine, &kernel, &[1.0, 2.0, 3.0], 3, None).expect("serve");
         assert_eq!(got, kernel.forward(&[1.0, 2.0, 3.0]).expect("row"));
     }
 
@@ -1862,7 +1631,7 @@ mod tests {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
         let engine = engine(2);
         let rows: Vec<f64> = (0..16 * 4).map(|i| f64::from(i % 5) - 2.0).collect();
-        engine.forward_matrix(&kernel, &rows, 4).expect("serve");
+        serve(&engine, &kernel, &rows, 4, None).expect("serve");
         assert_eq!(engine.load_rows(), 0);
         assert_eq!(engine.inflight(), 0);
     }

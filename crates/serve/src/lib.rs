@@ -123,9 +123,7 @@
 //!
 //! [`PeConfig::n_lanes`]: softermax_hw::pe::PeConfig
 
-// Unsafe is audited (docs/UNSAFE_INVENTORY.md); inside `unsafe fn`,
-// each unsafe operation still needs its own explicit block.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod config;
 mod engine;

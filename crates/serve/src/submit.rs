@@ -2,19 +2,16 @@
 //! admission with backpressure, and [`Ticket`]s that let many matrices
 //! from many callers be safely in flight on one engine at once.
 //!
-//! The blocking dispatch API ([`forward_matrix_into`]) borrows the
-//! caller's buffers and therefore must block until the batch completes.
-//! A [`Submission`] instead *owns* its score matrix: [`submit`] hands it
-//! to the engine and immediately returns a [`Ticket`], so a client can
-//! keep several requests in flight (or several client threads can share
-//! one engine) and collect each result with [`Ticket::wait`] or poll it
-//! with [`Ticket::try_poll`]. Admission is bounded by
+//! A [`Submission`] *owns* its score matrix: [`submit`] hands it to the
+//! engine and immediately returns a [`Ticket`], so a client can keep
+//! several requests in flight (or several client threads can share one
+//! engine) and collect each result with [`Ticket::wait`] or poll it with
+//! [`Ticket::try_poll`]. Admission is bounded by
 //! [`ServeConfig::queue_depth`](crate::ServeConfig): [`submit`] rejects
 //! on a full engine with [`SoftmaxError::QueueFull`], while
 //! [`submit_wait`] blocks for a slot — backpressure instead of unbounded
 //! queueing.
 //!
-//! [`forward_matrix_into`]: crate::BatchEngine::forward_matrix_into
 //! [`submit`]: crate::BatchEngine::submit
 //! [`submit_wait`]: crate::BatchEngine::submit_wait
 //! [`SoftmaxError::QueueFull`]: softermax::SoftmaxError::QueueFull

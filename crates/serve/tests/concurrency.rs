@@ -71,8 +71,12 @@ proptest! {
         policy_index in 0usize..3,
         stealing in any::<bool>(),
         stream_chunk in 1usize..10,
+        chunk_pick in 0usize..3,
         salt in 0usize..1000,
     ) {
+        // One-row chunks gather several output segments per job, 3-row
+        // chunks leave an uneven tail, 32 (the default) is one chunk.
+        let chunk_rows = [1, 3, 32][chunk_pick];
         let policy = [
             RoutePolicy::RoundRobin,
             RoutePolicy::LeastLoaded,
@@ -106,11 +110,11 @@ proptest! {
             })
             .collect();
 
-        // A deliberately tight engine: 2-row chunks so several chunks
+        // A deliberately tight engine: small chunks so several chunks
         // interleave, and a queue depth the clients can collectively
         // exceed, so blocking admission is exercised too.
         let config = ServeConfig::new(2)
-            .with_chunk_rows(2)
+            .with_chunk_rows(chunk_rows)
             .with_queue_depth(4)
             .with_work_stealing(stealing);
         let router = ShardedRouter::new(n_shards, config, policy).expect("valid config");
@@ -158,7 +162,7 @@ proptest! {
                 prop_assert_eq!(
                     bits(out),
                     bits(&plan.want),
-                    "client {} request {} ({}, {:?}, {:?}) diverged at {} shard(s), {:?}, stealing {}",
+                    "client {} request {} ({}, {:?}, {:?}) diverged at {} shard(s), {:?}, stealing {}, {}-row chunks",
                     client,
                     request,
                     plan.kernel.name(),
@@ -166,7 +170,8 @@ proptest! {
                     plan.priority,
                     n_shards,
                     policy,
-                    stealing
+                    stealing,
+                    chunk_rows
                 );
             }
         }

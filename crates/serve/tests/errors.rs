@@ -1,6 +1,6 @@
 //! Error propagation through the serving layer: a failing row anywhere in
-//! a batch fails the whole dispatch, at every thread count, without
-//! wedging the engine.
+//! a multi-chunk job fails the whole request, at every thread count,
+//! without wedging the engine.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use softermax::kernel::{
     StreamingClass,
 };
 use softermax::{reference, Result, SoftmaxError};
-use softermax_serve::{BatchEngine, ServeConfig};
+use softermax_serve::{Admission, BatchEngine, ServeConfig, Submission};
 
 /// A kernel that rejects rows containing NaN with an error (the built-in
 /// kernels saturate or propagate NaN instead of erroring, so engine error
@@ -55,6 +55,22 @@ impl SoftmaxKernel for NanRejectingKernel {
     }
 }
 
+/// Serves `matrix` through the submission API (blocking admission),
+/// on the batch path or, with `stream_chunk`, the streamed path.
+fn serve(
+    engine: &BatchEngine,
+    kernel: &Arc<dyn SoftmaxKernel>,
+    matrix: &[f64],
+    row_len: usize,
+    stream_chunk: Option<usize>,
+) -> Result<Vec<f64>> {
+    let mut submission = Submission::new(kernel, matrix.to_vec(), row_len);
+    if let Some(chunk) = stream_chunk {
+        submission = submission.streamed(chunk);
+    }
+    engine.submit_request(submission, Admission::Block)?.wait()
+}
+
 #[test]
 fn a_failing_row_fails_the_batch_and_the_engine_survives() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
@@ -64,18 +80,15 @@ fn a_failing_row_fails_the_batch_and_the_engine_survives() {
         // 16 rows of 4; a NaN in row 11 (an arbitrary mid-batch chunk).
         let mut matrix = vec![0.5f64; 16 * 4];
         matrix[11 * 4 + 2] = f64::NAN;
-        let err = engine
-            .forward_matrix(&kernel, &matrix, 4)
-            .expect_err("NaN row must fail the batch");
+        let err =
+            serve(&engine, &kernel, &matrix, 4, None).expect_err("NaN row must fail the batch");
         assert!(matches!(err, SoftmaxError::InvalidConfig(_)), "{err:?}");
 
         // The engine is not wedged: a clean batch on the same pool works,
         // and the failed batch was accounted as a *failure* — it must not
         // inflate the success counters the throughput rates divide over.
         let clean = vec![0.25f64; 8 * 4];
-        let probs = engine
-            .forward_matrix(&kernel, &clean, 4)
-            .expect("clean batch");
+        let probs = serve(&engine, &kernel, &clean, 4, None).expect("clean batch");
         assert_eq!(probs.len(), clean.len());
         let stats = engine.stats();
         let s = stats.kernel("nan-rejecting").expect("recorded");
@@ -102,16 +115,13 @@ fn a_failing_row_fails_the_streamed_dispatch_too() {
             BatchEngine::new(ServeConfig::new(threads).with_chunk_rows(2)).expect("valid config");
         let mut matrix = vec![0.5f64; 16 * 4];
         matrix[11 * 4 + 2] = f64::NAN;
-        let err = engine
-            .forward_matrix_streamed(&kernel, &matrix, 4, 3)
+        let err = serve(&engine, &kernel, &matrix, 4, Some(3))
             .expect_err("NaN row must fail the streamed batch");
         assert!(matches!(err, SoftmaxError::InvalidConfig(_)), "{err:?}");
 
         // The engine (and the per-worker sessions) are not wedged.
         let clean = vec![0.25f64; 8 * 4];
-        let probs = engine
-            .forward_matrix_streamed(&kernel, &clean, 4, 3)
-            .expect("clean streamed batch");
+        let probs = serve(&engine, &kernel, &clean, 4, Some(3)).expect("clean streamed batch");
         assert_eq!(probs.len(), clean.len());
     }
 }
@@ -125,9 +135,7 @@ fn batch_path_credits_chunks_completed_before_the_error() {
     let engine = BatchEngine::new(ServeConfig::new(1).with_chunk_rows(2)).expect("valid config");
     let mut matrix = vec![0.5f64; 16 * 4];
     matrix[11 * 4 + 2] = f64::NAN;
-    engine
-        .forward_matrix(&kernel, &matrix, 4)
-        .expect_err("NaN row must fail the batch");
+    serve(&engine, &kernel, &matrix, 4, None).expect_err("NaN row must fail the batch");
     let stats = engine.stats();
     let s = stats.kernel("nan-rejecting").expect("recorded");
     assert_eq!(s.batches, 0);
@@ -139,15 +147,14 @@ fn batch_path_credits_chunks_completed_before_the_error() {
 #[test]
 fn streamed_path_credits_rows_completed_before_the_error() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
-    // One worker, one 16-row chunk, NaN in row 11: the streamed path
-    // serves row by row, so exactly rows 0..11 complete before the error
-    // — per-row credit the chunk-granular batch path cannot give.
-    let engine = BatchEngine::new(ServeConfig::new(1).with_chunk_rows(16)).expect("valid config");
+    // One worker, 4-row chunks, NaN in row 11: chunks 0..2 (rows 0..8)
+    // complete, and the streamed path serves chunk 2 row by row, so rows
+    // 8..11 complete before the error too — exactly 11 rows, per-row
+    // credit the chunk-granular batch path (8 rows here) cannot give.
+    let engine = BatchEngine::new(ServeConfig::new(1).with_chunk_rows(4)).expect("valid config");
     let mut matrix = vec![0.5f64; 16 * 4];
     matrix[11 * 4 + 2] = f64::NAN;
-    engine
-        .forward_matrix_streamed(&kernel, &matrix, 4, 3)
-        .expect_err("NaN row must fail the streamed batch");
+    serve(&engine, &kernel, &matrix, 4, Some(3)).expect_err("NaN row must fail the streamed batch");
     let stats = engine.stats();
     let s = stats.kernel("nan-rejecting").expect("recorded");
     assert_eq!(s.failed_batches, 1);
@@ -159,16 +166,16 @@ fn empty_rows_error_at_the_dispatch_boundary() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
     let engine = BatchEngine::with_threads(2).expect("valid config");
     assert!(matches!(
-        engine.forward_matrix(&kernel, &[1.0, 2.0, 3.0], 0),
+        serve(&engine, &kernel, &[1.0, 2.0, 3.0], 0, None),
         Err(SoftmaxError::EmptyInput)
     ));
     assert!(matches!(
-        engine.forward_matrix_streamed(&kernel, &[1.0, 2.0, 3.0], 0, 4),
+        serve(&engine, &kernel, &[1.0, 2.0, 3.0], 0, Some(4)),
         Err(SoftmaxError::EmptyInput)
     ));
     // A zero streaming chunk is a config error, not a panic.
     assert!(matches!(
-        engine.forward_matrix_streamed(&kernel, &[1.0, 2.0, 3.0], 3, 0),
+        serve(&engine, &kernel, &[1.0, 2.0, 3.0], 3, Some(0)),
         Err(SoftmaxError::InvalidConfig(_))
     ));
 }

@@ -296,7 +296,9 @@ fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
     let gate = Arc::new(Gate::default());
     let order = Arc::new(Mutex::new(Vec::new()));
     let gated: Arc<dyn SoftmaxKernel> = Arc::new(OrderKernel::new(&gate, &order));
-    let config = ServeConfig::new(1).with_chunk_rows(4).with_queue_depth(16);
+    // One-row chunks: each stolen 3-row job is served as three chunks on
+    // the thief, whose output segments are gathered in row order.
+    let config = ServeConfig::new(1).with_chunk_rows(1).with_queue_depth(16);
     let router = ShardedRouter::new(2, config, RoutePolicy::RoundRobin).expect("valid config");
 
     // Pin shard 0's lone worker, then backlog shard 0 directly: every
