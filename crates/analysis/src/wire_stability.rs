@@ -1,8 +1,8 @@
-//! wire-stability: the protocol's frame tags and error codes are
-//! extracted from `crates/wire` *source* and cross-checked against the
-//! golden tables in `docs/PROTOCOL.md`. A tag or code can then only
-//! change with a matching (reviewed) doc edit — the wire format cannot
-//! drift silently.
+//! wire-stability: the protocol's frame tags, binary kind bytes and
+//! error codes are extracted from `crates/wire` *source* and
+//! cross-checked against the golden tables in `docs/PROTOCOL.md`. A
+//! tag, kind or code can then only change with a matching (reviewed)
+//! doc edit — the wire format cannot drift silently.
 
 use crate::lexer::{Tok, Token};
 use crate::scan::SourceFile;
@@ -53,8 +53,45 @@ pub fn run(frame: &SourceFile, protocol_md: &str, out: &mut Vec<Violation>) {
         }
     }
 
+    // --- Kind bytes: `mod kind { const NAME: u8 = 0xNN; ... }` ---
+    // Both directions, like the error codes: every const must have the
+    // same byte for the same frame in the kind table, and every table
+    // row must be a const.
+    let kinds = kind_bytes(&frame.tokens);
+    let doc_kinds = table_kinds(protocol_md);
+    for (tag, value, line) in &kinds {
+        if !doc_kinds.contains(&(*value, tag.clone())) {
+            push(
+                *line,
+                format!(
+                    "kind byte 0x{value:02X} of frame \"{tag}\" does not match the \
+                     docs/PROTOCOL.md kind table"
+                ),
+            );
+        }
+    }
+    for (value, tag) in &doc_kinds {
+        if !kinds.iter().any(|(t, v, _)| v == value && t == tag) {
+            push(
+                1,
+                format!(
+                    "docs/PROTOCOL.md documents kind 0x{value:02X} for \"{tag}\", which \
+                     `mod kind` does not define"
+                ),
+            );
+        }
+    }
+
     // --- Frame tags: the string literals returned by `fn tag` ---
     let tags = tag_strings(&frame.tokens);
+    for (tag, _, line) in &kinds {
+        if !tags.iter().any(|(t, _)| t == tag) {
+            push(
+                *line,
+                format!("kind const for \"{tag}\" names no frame tag returned by `fn tag`"),
+            );
+        }
+    }
     if tags.is_empty() {
         push(
             1,
@@ -64,6 +101,11 @@ pub fn run(frame: &SourceFile, protocol_md: &str, out: &mut Vec<Violation>) {
         );
     }
     for (tag, line) in &tags {
+        // Binary frames are documented by the kind table (checked
+        // above); JSON frames need a body example.
+        if kinds.iter().any(|(t, _, _)| t == tag) {
+            continue;
+        }
         let needle = format!("\"type\":\"{tag}\"");
         if !protocol_md.contains(&needle) {
             push(
@@ -94,6 +136,56 @@ fn error_codes(toks: &[Token]) -> Vec<(String, u16, u32)> {
             i += 3;
         } else {
             i += 1;
+        }
+    }
+    out
+}
+
+/// `(tag, byte, line)` triples from the `const NAME: u8 = N;` items of
+/// `mod kind`; the tag is the lowercased const name.
+fn kind_bytes(toks: &[Token]) -> Vec<(String, u8, u32)> {
+    let Some((start, end)) = item_body(toks, "mod", "kind") else {
+        return Vec::new();
+    };
+    toks[start..end]
+        .windows(6)
+        .filter_map(|w| match (&w[0].tok, &w[1].tok, &w[3].tok, &w[5].tok) {
+            (Tok::Ident(kw), Tok::Ident(name), Tok::Ident(ty), Tok::Num(num))
+                if kw == "const" && ty == "u8" && w[2].is_punct(':') && w[4].is_punct('=') =>
+            {
+                parse_u8(num).map(|v| (name.to_lowercase(), v, w[1].line))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// A `u8` literal: decimal or `0x` hex, `_` separators and a `u8`
+/// suffix allowed.
+fn parse_u8(lit: &str) -> Option<u8> {
+    let digits: String = lit.trim_end_matches("u8").replace('_', "");
+    match digits.strip_prefix("0x") {
+        Some(hex) => u8::from_str_radix(hex, 16).ok(),
+        None => digits.parse().ok(),
+    }
+}
+
+/// `(byte, tag)` rows of the kind table: ``| `0xNN` | `tag` | … |``.
+fn table_kinds(protocol_md: &str) -> Vec<(u8, String)> {
+    let mut out = Vec::new();
+    for line in protocol_md.lines() {
+        let mut cells = line.trim().split('|').map(|c| c.trim().trim_matches('`'));
+        if cells.next() != Some("") {
+            continue;
+        }
+        let (Some(kind), Some(tag)) = (cells.next(), cells.next()) else {
+            continue;
+        };
+        if let Some(v) = kind
+            .strip_prefix("0x")
+            .and_then(|h| u8::from_str_radix(h, 16).ok())
+        {
+            out.push((v, tag.to_owned()));
         }
     }
     out

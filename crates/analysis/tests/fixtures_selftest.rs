@@ -11,6 +11,8 @@ use softermax_analysis::{analyze_sources, Lint};
 const VIOLATIONS: &str = include_str!("../fixtures/violations.rs");
 const CLEAN: &str = include_str!("../fixtures/clean.rs");
 const SUPPRESSED: &str = include_str!("../fixtures/suppressed.rs");
+const WIRE_FRAME: &str = include_str!("../fixtures/wire_frame.rs");
+const WIRE_PROTOCOL: &str = include_str!("../fixtures/wire_protocol.md");
 
 /// A manifest aimed at the fixture files: the whole `fixtures/` prefix
 /// is a no-panic zone and a lock scope, and both `hot_fn`s are hot. The
@@ -182,6 +184,31 @@ impl Frame {
     assert!(msgs.iter().any(|m| m.contains("`Internal = 9`")));
     assert!(msgs.iter().any(|m| m.contains("error code 7")));
     assert!(msgs.iter().any(|m| m.contains("\"submit\"")));
+}
+
+#[test]
+fn wire_fixture_flags_exactly_the_kind_drift() {
+    // Analyzed under the real frame.rs path, against the fixture's own
+    // protocol document.
+    let sources = vec![("crates/wire/src/frame.rs".to_owned(), WIRE_FRAME.to_owned())];
+    let analysis = analyze_sources(&sources, &fixture_manifest(), Some(WIRE_PROTOCOL));
+    let mut actual: Vec<(u32, String)> = analysis
+        .violations
+        .iter()
+        .map(|v| (v.line, v.lint.name().to_owned()))
+        .collect();
+    actual.sort();
+    assert_eq!(
+        actual,
+        expected_markers(WIRE_FRAME),
+        "findings:\n{}",
+        analysis
+            .violations
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
 
 #[test]

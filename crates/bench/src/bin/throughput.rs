@@ -2503,8 +2503,8 @@ fn serve_pool(
 }
 
 /// Request geometry of remote mode: big enough that each frame carries
-/// real work, small enough that JSON framing stays a measurable (not
-/// dominant) fraction and smoke runs finish fast.
+/// real work, small enough that per-frame wire and server costs stay a
+/// measurable fraction and smoke runs finish fast.
 const REMOTE_ROWS: usize = 16;
 const REMOTE_LEN: usize = 128;
 const REMOTE_ROWS_SMOKE: usize = 4;

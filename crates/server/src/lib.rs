@@ -559,7 +559,7 @@ fn reader_loop(
                 let received_at = Instant::now();
                 window.acquire();
                 if tx
-                    .send(handle_submit(shared, request, received_at, window))
+                    .send(handle_submit(shared, request, received_at))
                     .is_err()
                 {
                     break;
@@ -625,12 +625,7 @@ fn reader_loop(
 /// deadline budget, and submits. Returns the writer message carrying
 /// either the in-flight ticket or an immediate error reply; the window
 /// slot the reader acquired travels with it either way.
-fn handle_submit(
-    shared: &Arc<Shared>,
-    request: SubmitRequest,
-    received_at: Instant,
-    _window: &Arc<Window>,
-) -> WriterMsg {
+fn handle_submit(shared: &Arc<Shared>, request: SubmitRequest, received_at: Instant) -> WriterMsg {
     let id = request.id;
     let reply_err = |err: WireError| WriterMsg::Frame {
         frame: Frame::SubmitReply(SubmitReply {

@@ -12,7 +12,7 @@ use softermax::kernel::{KernelRegistry, ScratchBuffers};
 use softermax_client::{Client, ClientConfig, Endpoint};
 use softermax_server::{Bind, Server, ServerConfig};
 use softermax_wire::{
-    encode_frame, read_frame, ErrorCode, Frame, Hello, SubmitRequest, WirePriority,
+    encode_frame, read_frame, ErrorCode, Frame, Hello, SubmitReply, SubmitRequest, WirePriority,
     MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 
@@ -309,6 +309,62 @@ fn oversized_declaration_cannot_kill_the_server() {
     let req = SubmitRequest::build(0, "reference-e", &scores, 8).expect("build");
     let got = client.call(req).expect("call").expect("result");
     assert_bits_equal("reference-e", "tcp", &got, &want);
+    server.begin_shutdown();
+    let _ = server.run();
+}
+
+/// A binary submit smuggling a NaN bit pattern is a well-framed but
+/// bogus body: the server answers a typed `error` frame, and the *same*
+/// connection then serves a valid submit bit-exactly.
+#[test]
+fn nan_submit_is_refused_and_the_connection_survives() {
+    let (server, tcp, _unix, _path) = start_server(ServerConfig::default(), "nan");
+    let Endpoint::Tcp(addr) = &tcp else {
+        unreachable!()
+    };
+    let mut raw = TcpStream::connect(addr.as_str()).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let hello = encode_frame(&Frame::Hello(Hello {
+        max_version: PROTOCOL_VERSION,
+        client: "nan-smuggler".to_string(),
+    }))
+    .expect("encode hello");
+    raw.write_all(&hello).expect("send hello");
+    match read_frame(&mut raw).expect("hello ack") {
+        Frame::HelloAck(_) => {}
+        other => panic!("expected hello ack, got {other:?}"),
+    }
+
+    let row_len = 8;
+    let scores = test_scores(2, row_len);
+    let want = ground_truth("softermax", &scores, row_len);
+    let valid = encode_frame(&Frame::Submit(
+        SubmitRequest::build(5, "softermax", &scores, row_len).expect("build"),
+    ))
+    .expect("encode submit");
+    // Overwrite the third-from-last score with a NaN bit pattern.
+    let mut poisoned = valid.clone();
+    let at = poisoned.len() - 3 * 8;
+    poisoned[at..at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+    raw.write_all(&poisoned).expect("send poisoned submit");
+    match read_frame(&mut raw).expect("error frame") {
+        Frame::Error(e) => {
+            assert_eq!(e.code, ErrorCode::Protocol, "got {e}");
+            assert!(e.message.contains("finite"), "got {e}");
+        }
+        other => panic!("expected error frame, got {other:?}"),
+    }
+
+    raw.write_all(&valid).expect("send valid submit");
+    match read_frame(&mut raw).expect("submit reply") {
+        Frame::SubmitReply(SubmitReply { id, result }) => {
+            assert_eq!(id, 5);
+            let got = softermax_wire::types::scores_to_f64(&result.expect("result"));
+            assert_bits_equal("softermax", "tcp", &got, &want);
+        }
+        other => panic!("expected submit reply, got {other:?}"),
+    }
     server.begin_shutdown();
     let _ = server.run();
 }

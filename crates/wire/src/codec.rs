@@ -1,28 +1,27 @@
 //! Length-prefixed framing over any `Read`/`Write` stream.
 //!
-//! One frame on the wire is a fixed 10-byte header followed by a JSON
-//! body (rendered through the serde shim):
+//! One frame on the wire is a fixed 10-byte header followed by a body:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic "SMAX" (0x53 0x4D 0x41 0x58)
-//! 4       2     protocol version, big-endian u16 (currently 1)
+//! 4       2     protocol version, big-endian u16 (currently 2)
 //! 6       4     body length in bytes, big-endian u32
-//! 10      len   body: one JSON object, UTF-8
+//! 10      len   body: binary data plane (first byte a kind byte) or
+//!               one JSON control object (first byte `{`)
 //! ```
 //!
-//! Decoding is total and order-hardened: the magic is checked before
-//! the version, the version before the length, and the length against
-//! the cap **before a single body byte is read** — a malicious header
-//! declaring a multi-gigabyte body costs the server 10 bytes of reads,
-//! not an allocation. Every failure is a typed [`FrameError`]; no input
-//! can panic the decoder, and a short read is never surfaced as a
-//! successfully decoded frame.
+//! The body codecs live with the frames in [`crate::frame`]; this
+//! module owns the header. Decoding is total and order-hardened: the
+//! magic is checked before the version, the version before the length,
+//! and the length against the cap **before a single body byte is
+//! read** — a malicious header declaring a multi-gigabyte body costs
+//! the server 10 bytes of reads, not an allocation. Every failure is a
+//! typed [`FrameError`]; no input can panic the decoder, and a short
+//! read is never surfaced as a successfully decoded frame.
 
 use std::fmt;
 use std::io::{self, Read, Write};
-
-use serde::{Deserialize, Serialize};
 
 use crate::frame::Frame;
 
@@ -32,7 +31,7 @@ pub const MAGIC: [u8; 4] = *b"SMAX";
 /// The protocol version this build speaks (and the only one it
 /// accepts; negotiation happens in `Hello`/`HelloAck` bodies, the
 /// header version is the framing layer's own).
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Hard cap on a frame body: 32 MiB. Large enough for a
 /// `MAX_DIM`-score request row with headroom, small enough that a
@@ -71,11 +70,15 @@ pub enum FrameError {
         /// The cap it exceeded.
         cap: u32,
     },
-    /// The body was not valid UTF-8.
+    /// A JSON control body was not valid UTF-8.
     BadUtf8,
-    /// The body was not valid JSON.
+    /// A JSON control body was not valid JSON.
     BadJson(String),
-    /// The body was valid JSON but not a known frame shape.
+    /// The body was not a valid frame: an unknown binary kind byte, a
+    /// binary field out of range or disagreeing with the body length, a
+    /// non-finite score, a binary string that is not UTF-8, or valid
+    /// JSON of no known control-frame shape. Encode-side, a field too
+    /// long for its binary length prefix.
     BadShape(String),
     /// Encode-side: the frame's body would exceed the cap.
     TooLarge {
@@ -94,7 +97,10 @@ impl FrameError {
         // After a bad magic, truncation, or I/O error the byte stream
         // position is unknowable; bad bodies arrive length-prefixed, so
         // the next frame boundary is still trustworthy.
-        !matches!(self, FrameError::BadJson(_) | FrameError::BadShape(_))
+        !matches!(
+            self,
+            FrameError::BadUtf8 | FrameError::BadJson(_) | FrameError::BadShape(_)
+        )
     }
 }
 
@@ -141,26 +147,35 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, FrameError> {
     encode_frame_capped(frame, MAX_FRAME_BYTES)
 }
 
-/// Encodes a frame against an explicit body cap.
+/// Encodes a frame against an explicit body cap. The body is written
+/// straight into the returned buffer behind a placeholder header, which
+/// is filled in once the body length is known.
 ///
 /// # Errors
 ///
-/// Returns [`FrameError::TooLarge`] when the body exceeds `cap`.
+/// Returns [`FrameError::TooLarge`] when the body exceeds `cap`, or
+/// [`FrameError::BadShape`] when a field does not fit its binary length
+/// prefix.
 pub fn encode_frame_capped(frame: &Frame, cap: u32) -> Result<Vec<u8>, FrameError> {
-    let body = frame.to_value().to_json();
-    if body.len() > cap as usize {
-        return Err(FrameError::TooLarge {
-            body: body.len(),
-            cap,
-        });
+    let mut out = vec![0; HEADER_BYTES];
+    frame.encode_body(&mut out)?;
+    let body = out.len() - HEADER_BYTES;
+    let len = u32::try_from(body)
+        .ok()
+        .filter(|&len| len <= cap)
+        .ok_or(FrameError::TooLarge { body, cap })?;
+    if let Some(slot) = out.first_chunk_mut::<HEADER_BYTES>() {
+        *slot = encode_header(len);
     }
-    let mut out = Vec::with_capacity(HEADER_BYTES + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
-    #[allow(clippy::cast_possible_truncation)] // body.len() <= cap: u32
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(body.as_bytes());
     Ok(out)
+}
+
+/// The 10 header bytes for a body of `len` bytes.
+fn encode_header(len: u32) -> [u8; HEADER_BYTES] {
+    let [m0, m1, m2, m3] = MAGIC;
+    let [v0, v1] = PROTOCOL_VERSION.to_be_bytes();
+    let [l0, l1, l2, l3] = len.to_be_bytes();
+    [m0, m1, m2, m3, v0, v1, l0, l1, l2, l3]
 }
 
 /// Encodes and writes one frame, returning the bytes put on the wire
@@ -194,8 +209,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
 /// [`FrameError::VersionMismatch`], or [`FrameError::Oversized`] on a
 /// hostile or desynced header (the body is not read);
 /// [`FrameError::BadUtf8`] / [`FrameError::BadJson`] /
-/// [`FrameError::BadShape`] on an undecodable body; [`FrameError::Io`]
-/// on transport failure.
+/// [`FrameError::BadShape`] on an undecodable body (non-fatal: the next
+/// frame boundary is known); [`FrameError::Io`] on transport failure.
 pub fn read_frame_capped<R: Read>(r: &mut R, cap: u32) -> Result<Frame, FrameError> {
     let mut header = [0u8; HEADER_BYTES];
     match fill(r, &mut header)? {
@@ -226,10 +241,7 @@ pub fn read_frame_capped<R: Read>(r: &mut R, cap: u32) -> Result<Frame, FrameErr
     if fill(r, &mut body)? < body.len() {
         return Err(FrameError::Truncated);
     }
-    let text = String::from_utf8(body).map_err(|_| FrameError::BadUtf8)?;
-    let value =
-        serde_json::from_str_value(&text).map_err(|e| FrameError::BadJson(e.to_string()))?;
-    Frame::from_value(&value).map_err(|e| FrameError::BadShape(e.to_string()))
+    Frame::decode_body(&body)
 }
 
 /// Reads until `buf` is full or EOF; returns the bytes read. Unlike
@@ -252,25 +264,94 @@ fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{SubmitReply, SubmitRequest, WireError};
+    use crate::frame::{SubmitReply, SubmitRequest, WireError, WirePriority};
+    use crate::ErrorCode;
 
     fn round_trip(frame: &Frame) -> Frame {
         let bytes = encode_frame(frame).expect("encodes");
         read_frame(&mut &bytes[..]).expect("decodes")
     }
 
+    /// The bytes of the hex dump in the first `text` block after
+    /// `marker` in docs/PROTOCOL.md: on each line, the hex pairs before
+    /// the first double space (the rest of the line is commentary).
+    fn doc_hex(marker: &str) -> Vec<u8> {
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let (_, after) = doc.split_once(marker).expect("marker in PROTOCOL.md");
+        let (_, block) = after.split_once("```text\n").expect("hex block");
+        let (block, _) = block.split_once("```").expect("closed hex block");
+        block
+            .lines()
+            .flat_map(|line| line.split("  ").next().unwrap_or("").split_whitespace())
+            .map(|pair| u8::from_str_radix(pair, 16).expect("hex byte"))
+            .collect()
+    }
+
+    fn assert_golden(marker: &str, frame: &Frame) {
+        let want = doc_hex(marker);
+        assert_eq!(encode_frame(frame).unwrap(), want, "{marker}");
+        assert_eq!(&read_frame(&mut &want[..]).unwrap(), frame, "{marker}");
+    }
+
+    /// A valid header wrapped around an arbitrary body.
+    fn craft(body: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
+        #[allow(clippy::cast_possible_truncation)]
+        bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    fn decode_err(bytes: &[u8]) -> FrameError {
+        read_frame(&mut &bytes[..]).expect_err("must not decode")
+    }
+
     #[test]
-    fn golden_header_bytes_pin_the_v1_layout() {
+    fn golden_header_bytes_pin_the_v2_layout() {
         // This is the byte-for-byte layout documented in
         // docs/PROTOCOL.md; if this test changes, that file must too.
         let bytes = encode_frame(&Frame::Health).unwrap();
         let body = br#"{"type":"health"}"#;
         let mut want = Vec::new();
         want.extend_from_slice(b"SMAX");
-        want.extend_from_slice(&[0x00, 0x01]); // version 1, big-endian
+        want.extend_from_slice(&[0x00, 0x02]); // version 2, big-endian
         want.extend_from_slice(&[0x00, 0x00, 0x00, 0x11]); // 17-byte body
         want.extend_from_slice(body);
         assert_eq!(bytes, want);
+        assert_eq!(doc_hex("Worked example: `health`"), want);
+    }
+
+    #[test]
+    fn golden_binary_frames_match_the_protocol_doc() {
+        let submit = SubmitRequest::build(7, "softermax", &[1.5, -2.25], 2)
+            .unwrap()
+            .streamed(2)
+            .unwrap()
+            .with_deadline_ms(250)
+            .unwrap()
+            .with_priority(WirePriority::Batch);
+        assert_golden("Worked example: `submit`", &Frame::Submit(submit));
+        let ok = SubmitReply {
+            id: 7,
+            result: Ok(crate::types::scores_from_f64(&[0.25, 0.75]).unwrap()),
+        };
+        assert_golden(
+            "Worked example: `submit_reply`, ok",
+            &Frame::SubmitReply(ok),
+        );
+        let err = SubmitReply {
+            id: 8,
+            result: Err(WireError::new(
+                ErrorCode::DeadlineExceeded,
+                "deadline exceeded",
+            )),
+        };
+        assert_golden(
+            "Worked example: `submit_reply`, error",
+            &Frame::SubmitReply(err),
+        );
     }
 
     #[test]
@@ -289,6 +370,10 @@ mod tests {
                 assert_eq!(x.get().to_bits(), y.get().to_bits());
             }
         }
+        // Frame bytes are the payload plus a fixed overhead: header,
+        // 28 B of fields, and the kernel name.
+        let bytes = encode_frame(&sent).unwrap();
+        assert_eq!(bytes.len(), HEADER_BYTES + 28 + "softermax".len() + 4 * 8);
     }
 
     #[test]
@@ -327,14 +412,21 @@ mod tests {
             Err(FrameError::BadMagic(_))
         ));
         let mut bytes = encode_frame(&Frame::Stats).unwrap();
-        bytes[4] = 0x7f; // version 0x7f01
+        bytes[4] = 0x7f; // version 0x7f02
         match read_frame(&mut &bytes[..]) {
             Err(FrameError::VersionMismatch { got, want }) => {
-                assert_eq!(got, 0x7f01);
+                assert_eq!(got, 0x7f02);
                 assert_eq!(want, PROTOCOL_VERSION);
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
+        // A v1 peer is refused by the header alone.
+        let mut bytes = encode_frame(&Frame::Stats).unwrap();
+        bytes[5] = 0x01;
+        assert!(matches!(
+            read_frame(&mut &bytes[..]),
+            Err(FrameError::VersionMismatch { got: 1, .. })
+        ));
     }
 
     #[test]
@@ -373,38 +465,28 @@ mod tests {
 
     #[test]
     fn garbage_bodies_are_typed_not_panics() {
-        let craft = |body: &[u8]| {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&MAGIC);
-            bytes.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
-            #[allow(clippy::cast_possible_truncation)]
-            bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            bytes.extend_from_slice(body);
-            bytes
-        };
         let non_utf8 = craft(&[0xff, 0xfe, 0x80]);
-        assert!(matches!(
-            read_frame(&mut &non_utf8[..]),
-            Err(FrameError::BadUtf8)
-        ));
+        assert!(matches!(decode_err(&non_utf8), FrameError::BadUtf8));
         let non_json = craft(b"{not json!");
-        assert!(matches!(
-            read_frame(&mut &non_json[..]),
-            Err(FrameError::BadJson(_))
-        ));
+        assert!(matches!(decode_err(&non_json), FrameError::BadJson(_)));
         let wrong_shape = craft(br#"{"type":"no_such_frame"}"#);
-        assert!(matches!(
-            read_frame(&mut &wrong_shape[..]),
-            Err(FrameError::BadShape(_))
-        ));
-        // Valid JSON, valid tag, hostile payload (NaN smuggled as null).
-        let nan_scores = craft(
-            br#"{"type":"submit","id":1,"kernel":"k","n_rows":1,"row_len":1,"scores":[null],"stream_chunk":null,"deadline_ms":null,"priority":"interactive"}"#,
+        assert!(matches!(decode_err(&wrong_shape), FrameError::BadShape(_)));
+        // A JSON body cannot carry the data plane.
+        let v1_submit = craft(
+            br#"{"type":"submit","id":1,"kernel":"k","n_rows":1,"row_len":1,"scores":[0.5],"stream_chunk":null,"deadline_ms":null,"priority":"interactive"}"#,
         );
-        assert!(matches!(
-            read_frame(&mut &nan_scores[..]),
-            Err(FrameError::BadShape(_))
-        ));
+        assert!(matches!(decode_err(&v1_submit), FrameError::BadShape(_)));
+        // A valid binary submit with a NaN smuggled into its scores.
+        let mut nan = encode_frame(&Frame::Submit(
+            SubmitRequest::build(1, "k", &[0.5], 1).unwrap(),
+        ))
+        .unwrap();
+        let at = nan.len() - 8;
+        nan[at..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        match decode_err(&nan) {
+            FrameError::BadShape(msg) => assert!(msg.contains("finite"), "{msg}"),
+            other => panic!("expected BadShape, got {other:?}"),
+        }
     }
 
     #[test]
@@ -416,6 +498,12 @@ mod tests {
             Err(FrameError::TooLarge { .. })
         ));
         assert!(encode_frame(&frame).is_ok());
+        // A kernel name past its u16 length prefix is a typed error too.
+        let long = SubmitRequest::build(1, "k".repeat(70_000), &[0.5], 1).unwrap();
+        assert!(matches!(
+            encode_frame(&Frame::Submit(long)),
+            Err(FrameError::BadShape(_))
+        ));
     }
 
     #[test]
@@ -423,7 +511,39 @@ mod tests {
         assert!(FrameError::Truncated.is_fatal());
         assert!(FrameError::BadMagic(*b"nope").is_fatal());
         assert!(FrameError::Closed.is_fatal());
+        assert!(FrameError::Oversized {
+            declared: u32::MAX,
+            cap: MAX_FRAME_BYTES
+        }
+        .is_fatal());
+        // A well-framed but bogus body is never fatal: its length
+        // prefix already located the next frame.
+        assert!(!FrameError::BadUtf8.is_fatal());
         assert!(!FrameError::BadJson("x".into()).is_fatal());
         assert!(!FrameError::BadShape("x".into()).is_fatal());
+        // Every binary-body failure decodes to that same class.
+        let good = encode_frame(&Frame::Submit(
+            SubmitRequest::build(1, "ab", &[0.5, 0.25], 2).unwrap(),
+        ))
+        .unwrap();
+        let corrupt = |at: usize, bytes: &[u8]| {
+            let mut frame = good.clone();
+            frame[HEADER_BYTES + at..HEADER_BYTES + at + bytes.len()].copy_from_slice(bytes);
+            frame
+        };
+        let cases = [
+            ("unknown kind", corrupt(0, &[0x03])),
+            ("dims mismatch", corrupt(10, &3u32.to_le_bytes())),
+            (
+                "non-finite score",
+                corrupt(30, &f64::INFINITY.to_le_bytes()),
+            ),
+            ("kernel not UTF-8", corrupt(28, &[0xC3, 0x28])),
+        ];
+        for (what, frame) in cases {
+            let err = decode_err(&frame);
+            assert!(matches!(err, FrameError::BadShape(_)), "{what}: {err:?}");
+            assert!(!err.is_fatal(), "{what}");
+        }
     }
 }

@@ -1,20 +1,51 @@
 //! The protocol's frame vocabulary: version negotiation, the
-//! submit/reply data plane, and the control plane.
+//! submit/reply data plane, and the control plane — and each frame's
+//! body codec.
 //!
-//! Every frame body is a JSON object with a `"type"` tag; the
-//! [`Serialize`]/[`Deserialize`] impls here are written by hand (not
-//! derived) so the emitted field set and order are an explicit,
-//! reviewable contract — `docs/PROTOCOL.md` pins them, and a golden
-//! test in [`crate::codec`] holds the exact bytes. v2 frames must stay
-//! additive: decoders ignore unknown fields, and an unknown `"type"`
-//! is a typed shape error, not a panic.
+//! Bodies come in two classes, told apart by their first byte:
+//!
+//! * **Data plane** (`Submit`, `SubmitReply`): a fixed little-endian
+//!   binary layout whose first byte is the frame's [`kind`] byte,
+//!   followed by the score matrix as raw `f64` words. Encoding writes
+//!   straight into the frame buffer; decoding reads byte slices, checks
+//!   every dimension through the `try_from` newtypes and the declared
+//!   shape against the exact remaining body length *before* allocating,
+//!   and rejects NaN/±∞ bit patterns in one bulk pass.
+//! * **Control plane** (everything else): one JSON object with a
+//!   `"type"` tag, written by hand (not derived) so the field set and
+//!   order are an explicit contract. Decoders ignore unknown fields, and
+//!   an unknown `"type"` is a typed shape error.
+//!
+//! `docs/PROTOCOL.md` pins both byte for byte; golden tests in
+//! [`crate::codec`] hold its worked examples.
 
 use std::fmt;
 
 use serde::{field, DeError, Deserialize, Serialize, Value};
 use softermax::SoftmaxError;
 
-use crate::types::{BoundsError, BudgetMs, ChunkLen, RowCount, RowLen, Score};
+use crate::codec::FrameError;
+use crate::types::{
+    put_scores, scores_from_le_bytes, BoundsError, BudgetMs, ChunkLen, RowCount, RowLen, Score,
+};
+
+/// The first body byte of each binary data-plane frame. The values are
+/// protocol: `docs/PROTOCOL.md` has the matching kind table, and the
+/// `wire-stability` lint cross-checks the two in both directions.
+pub mod kind {
+    /// [`Frame::Submit`](super::Frame::Submit).
+    pub const SUBMIT: u8 = 0x01;
+    /// [`Frame::SubmitReply`](super::Frame::SubmitReply).
+    pub const SUBMIT_REPLY: u8 = 0x02;
+
+    /// Whether a first body byte lies in the binary kind space: every
+    /// byte below 0x20 except the JSON whitespace bytes `\t`, `\n` and
+    /// `\r`. No JSON text can start with one, so a body is binary or
+    /// JSON by its first byte alone.
+    pub(crate) fn is_binary(first: u8) -> bool {
+        first < 0x20 && !matches!(first, b'\t' | b'\n' | b'\r')
+    }
+}
 
 /// Stable numeric codes for every error a reply can carry. Codes are
 /// part of the protocol: they never change meaning, and new ones are
@@ -158,7 +189,7 @@ impl Deserialize for WireError {
 }
 
 /// The scheduling class of a wire submission, mirroring the serving
-/// layer's `Priority` (encoded as `"interactive"` / `"batch"`).
+/// layer's `Priority` (one byte on the wire: 0 interactive, 1 batch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WirePriority {
     /// Latency-sensitive traffic (the default, as in-process).
@@ -166,29 +197,6 @@ pub enum WirePriority {
     Interactive,
     /// Throughput traffic, dequeued behind interactive work.
     Batch,
-}
-
-impl Serialize for WirePriority {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                WirePriority::Interactive => "interactive",
-                WirePriority::Batch => "batch",
-            }
-            .into(),
-        )
-    }
-}
-
-impl Deserialize for WirePriority {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.as_str() {
-            Some("interactive") => Ok(WirePriority::Interactive),
-            Some("batch") => Ok(WirePriority::Batch),
-            Some(other) => Err(DeError::new(format!("unknown priority '{other}'"))),
-            None => Err(DeError::expected("priority string", v)),
-        }
-    }
 }
 
 /// Client's opening frame: the highest protocol version it speaks and a
@@ -301,20 +309,64 @@ impl SubmitRequest {
         self
     }
 
-    /// Checks the `scores.len() == n_rows × row_len` invariant — run on
-    /// every decode so a hand-crafted frame cannot smuggle a mismatched
-    /// payload past the newtype bounds.
-    fn check_shape(&self) -> Result<(), DeError> {
-        let want = u64::from(self.n_rows.get()) * u64::from(self.row_len.get());
-        if self.scores.len() as u64 != want {
-            return Err(DeError::new(format!(
-                "scores length {} != n_rows {} x row_len {}",
-                self.scores.len(),
-                self.n_rows.get(),
-                self.row_len.get()
-            )));
-        }
+    /// `kind | id | priority | n_rows | row_len | stream_chunk |
+    /// deadline_ms | kernel_len | kernel | scores`, little-endian; an
+    /// absent chunk or deadline is 0 (both newtypes start at 1).
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        let kernel_len = u16::try_from(self.kernel.len()).map_err(|_| {
+            shape(format!(
+                "kernel name of {} B exceeds {} B",
+                self.kernel.len(),
+                u16::MAX
+            ))
+        })?;
+        out.reserve(SUBMIT_FIXED_BYTES + self.kernel.len() + 8 * self.scores.len());
+        out.push(kind::SUBMIT);
+        out.extend_from_slice(&self.id.to_le_bytes());
+        out.push(match self.priority {
+            WirePriority::Interactive => 0,
+            WirePriority::Batch => 1,
+        });
+        out.extend_from_slice(&self.n_rows.get().to_le_bytes());
+        out.extend_from_slice(&self.row_len.get().to_le_bytes());
+        out.extend_from_slice(&self.stream_chunk.map_or(0, ChunkLen::get).to_le_bytes());
+        out.extend_from_slice(&self.deadline_ms.map_or(0, BudgetMs::get).to_le_bytes());
+        out.extend_from_slice(&kernel_len.to_le_bytes());
+        out.extend_from_slice(self.kernel.as_bytes());
+        put_scores(&self.scores, out);
         Ok(())
+    }
+
+    fn decode_body(body: &[u8]) -> Result<Self, FrameError> {
+        let mut c = Cursor(body);
+        c.u8("kind")?;
+        let id = c.u64("id")?;
+        let priority = match c.u8("priority")? {
+            0 => WirePriority::Interactive,
+            1 => WirePriority::Batch,
+            other => return Err(shape(format!("unknown priority byte {other}"))),
+        };
+        let n_rows = RowCount::try_from(u64::from(c.u32("n_rows")?)).map_err(bounds)?;
+        let row_len = RowLen::try_from(u64::from(c.u32("row_len")?)).map_err(bounds)?;
+        let stream_chunk = optional(c.u32("stream_chunk")?, ChunkLen::try_from)?;
+        let deadline_ms = optional(c.u32("deadline_ms")?, BudgetMs::try_from)?;
+        let kernel_len = c.u16("kernel_len")?;
+        let kernel = c.take(usize::from(kernel_len), "kernel")?;
+        let kernel = std::str::from_utf8(kernel).map_err(|_| shape("kernel name is not UTF-8"))?;
+        // Both dimensions are at most 2^20 after their newtype checks,
+        // so the byte count (at most 2^43) cannot overflow a u64.
+        let score_bytes = u64::from(n_rows.get()) * u64::from(row_len.get()) * 8;
+        let scores = c.rest_exactly(score_bytes, "scores")?;
+        Ok(Self {
+            id,
+            kernel: kernel.to_owned(),
+            n_rows,
+            row_len,
+            scores: scores_from_le_bytes(scores).map_err(bounds)?,
+            stream_chunk,
+            deadline_ms,
+            priority,
+        })
     }
 }
 
@@ -326,6 +378,144 @@ pub struct SubmitReply {
     pub id: u64,
     /// The probabilities, or why there are none.
     pub result: Result<Vec<Score>, WireError>,
+}
+
+/// `SubmitReply` status byte: the scores tail follows.
+const STATUS_OK: u8 = 0;
+/// `SubmitReply` status byte: the error tail follows.
+const STATUS_ERROR: u8 = 1;
+
+/// Bytes of a binary `Submit` body before the kernel name.
+const SUBMIT_FIXED_BYTES: usize = 1 + 8 + 1 + 4 * 4 + 2;
+
+impl SubmitReply {
+    /// `kind | id | status`, then `count | count × f64` (ok) or
+    /// `code | msg_len | message` (error), little-endian.
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        out.push(kind::SUBMIT_REPLY);
+        out.extend_from_slice(&self.id.to_le_bytes());
+        match &self.result {
+            Ok(scores) => {
+                let count = u32::try_from(scores.len())
+                    .map_err(|_| shape(format!("{} reply scores exceed u32", scores.len())))?;
+                out.reserve(4 + 8 * scores.len());
+                out.push(STATUS_OK);
+                out.extend_from_slice(&count.to_le_bytes());
+                put_scores(scores, out);
+            }
+            Err(e) => {
+                let len = u32::try_from(e.message.len()).map_err(|_| {
+                    shape(format!(
+                        "error message of {} B exceeds u32",
+                        e.message.len()
+                    ))
+                })?;
+                out.push(STATUS_ERROR);
+                out.extend_from_slice(&e.code.as_u16().to_le_bytes());
+                out.extend_from_slice(&len.to_le_bytes());
+                out.extend_from_slice(e.message.as_bytes());
+            }
+        }
+        Ok(())
+    }
+
+    fn decode_body(body: &[u8]) -> Result<Self, FrameError> {
+        let mut c = Cursor(body);
+        c.u8("kind")?;
+        let id = c.u64("id")?;
+        let result = match c.u8("status")? {
+            STATUS_OK => {
+                let count = c.u32("count")?;
+                let scores = c.rest_exactly(u64::from(count) * 8, "scores")?;
+                Ok(scores_from_le_bytes(scores).map_err(bounds)?)
+            }
+            STATUS_ERROR => {
+                let code = ErrorCode::from_u16(c.u16("code")?);
+                let len = c.u32("msg_len")?;
+                let message = c.rest_exactly(u64::from(len), "message")?;
+                let message = std::str::from_utf8(message)
+                    .map_err(|_| shape("error message is not UTF-8"))?;
+                Err(WireError::new(code, message))
+            }
+            other => return Err(shape(format!("unknown submit_reply status {other}"))),
+        };
+        Ok(Self { id, result })
+    }
+}
+
+/// A forward-only reader over a binary body. Every read is
+/// bounds-checked: a body that ends early is a typed shape error naming
+/// the field, never a panic.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn array<const N: usize>(&mut self, field: &str) -> Result<[u8; N], FrameError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or_else(|| shape(format!("body ends inside field '{field}'")))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self, field: &str) -> Result<u8, FrameError> {
+        self.array::<1>(field).map(|[b]| b)
+    }
+
+    fn u16(&mut self, field: &str) -> Result<u16, FrameError> {
+        self.array(field).map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self, field: &str) -> Result<u32, FrameError> {
+        self.array(field).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, field: &str) -> Result<u64, FrameError> {
+        self.array(field).map(u64::from_le_bytes)
+    }
+
+    fn take(&mut self, n: usize, field: &str) -> Result<&'a [u8], FrameError> {
+        let (head, rest) = self
+            .0
+            .split_at_checked(n)
+            .ok_or_else(|| shape(format!("body ends inside field '{field}'")))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// The rest of the body, which the header fields declared to be
+    /// exactly `want` bytes: a short or a long body is a typed error,
+    /// checked before anything is allocated for it.
+    fn rest_exactly(self, want: u64, field: &str) -> Result<&'a [u8], FrameError> {
+        if self.0.len() as u64 == want {
+            Ok(self.0)
+        } else {
+            Err(shape(format!(
+                "declared '{field}' needs {want} B but the body carries {} B",
+                self.0.len()
+            )))
+        }
+    }
+}
+
+fn shape(msg: impl Into<String>) -> FrameError {
+    FrameError::BadShape(msg.into())
+}
+
+fn bounds(e: BoundsError) -> FrameError {
+    shape(e.to_string())
+}
+
+/// A 0-means-absent wire field through its newtype's range check.
+fn optional<T>(
+    raw: u32,
+    check: impl FnOnce(u64) -> Result<T, BoundsError>,
+) -> Result<Option<T>, FrameError> {
+    if raw == 0 {
+        Ok(None)
+    } else {
+        check(u64::from(raw)).map(Some).map_err(bounds)
+    }
 }
 
 /// One protocol frame. Request frames flow client→server; `*Reply`,
@@ -366,7 +556,8 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// The frame's `"type"` tag.
+    /// The frame's name: the `"type"` tag of a JSON control body, the
+    /// kind-table name of a binary data-plane body.
     #[must_use]
     pub fn tag(&self) -> &'static str {
         match self {
@@ -385,71 +576,59 @@ impl Frame {
             Frame::Error(_) => "error",
         }
     }
-}
 
-fn tagged(tag: &str, mut fields: Vec<(String, Value)>) -> Value {
-    let mut all = vec![("type".to_string(), Value::Str(tag.into()))];
-    all.append(&mut fields);
-    Value::Object(all)
-}
-
-impl Serialize for Frame {
-    fn to_value(&self) -> Value {
-        match self {
-            Frame::Hello(h) => tagged(
-                self.tag(),
-                vec![
-                    ("max_version".into(), h.max_version.to_value()),
-                    ("client".into(), h.client.to_value()),
-                ],
-            ),
-            Frame::HelloAck(h) => tagged(
-                self.tag(),
-                vec![
-                    ("version".into(), h.version.to_value()),
-                    ("server".into(), h.server.to_value()),
-                    ("max_frame_bytes".into(), h.max_frame_bytes.to_value()),
-                ],
-            ),
-            Frame::Submit(s) => tagged(
-                self.tag(),
-                vec![
-                    ("id".into(), s.id.to_value()),
-                    ("kernel".into(), s.kernel.to_value()),
-                    ("n_rows".into(), s.n_rows.to_value()),
-                    ("row_len".into(), s.row_len.to_value()),
-                    ("scores".into(), s.scores.to_value()),
-                    ("stream_chunk".into(), s.stream_chunk.to_value()),
-                    ("deadline_ms".into(), s.deadline_ms.to_value()),
-                    ("priority".into(), s.priority.to_value()),
-                ],
-            ),
-            Frame::SubmitReply(r) => {
-                let mut fields = vec![("id".into(), r.id.to_value())];
-                match &r.result {
-                    Ok(scores) => fields.push(("scores".into(), scores.to_value())),
-                    Err(e) => fields.push(("error".into(), e.to_value())),
-                }
-                tagged(self.tag(), fields)
-            }
+    /// Appends the frame's body to `out`: the binary layout for the
+    /// data plane, a tagged JSON object for the control plane.
+    pub(crate) fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        let fields = match self {
+            Frame::Submit(s) => return s.encode_body(out),
+            Frame::SubmitReply(r) => return r.encode_body(out),
+            Frame::Hello(h) => vec![
+                ("max_version".into(), h.max_version.to_value()),
+                ("client".into(), h.client.to_value()),
+            ],
+            Frame::HelloAck(h) => vec![
+                ("version".into(), h.version.to_value()),
+                ("server".into(), h.server.to_value()),
+                ("max_frame_bytes".into(), h.max_frame_bytes.to_value()),
+            ],
             Frame::Health
             | Frame::Stats
             | Frame::ListKernels
             | Frame::Shutdown
-            | Frame::ShutdownAck => tagged(self.tag(), vec![]),
+            | Frame::ShutdownAck => vec![],
             Frame::HealthReply(body) | Frame::StatsReply(body) => {
-                tagged(self.tag(), vec![("body".into(), body.clone())])
+                vec![("body".into(), body.clone())]
             }
-            Frame::KernelsReply(kernels) => {
-                tagged(self.tag(), vec![("kernels".into(), kernels.to_value())])
+            Frame::KernelsReply(kernels) => vec![("kernels".into(), kernels.to_value())],
+            Frame::Error(e) => vec![("error".into(), e.to_value())],
+        };
+        let mut all = vec![("type".to_string(), Value::Str(self.tag().into()))];
+        all.extend(fields);
+        out.extend_from_slice(Value::Object(all).to_json().as_bytes());
+        Ok(())
+    }
+
+    /// Decodes one complete body, dispatching on its first byte.
+    pub(crate) fn decode_body(body: &[u8]) -> Result<Self, FrameError> {
+        match body.first().copied() {
+            Some(kind::SUBMIT) => SubmitRequest::decode_body(body).map(Frame::Submit),
+            Some(kind::SUBMIT_REPLY) => SubmitReply::decode_body(body).map(Frame::SubmitReply),
+            Some(b) if kind::is_binary(b) => {
+                Err(shape(format!("unknown binary frame kind 0x{b:02x}")))
             }
-            Frame::Error(e) => tagged(self.tag(), vec![("error".into(), e.to_value())]),
+            _ => {
+                let text = std::str::from_utf8(body).map_err(|_| FrameError::BadUtf8)?;
+                let value = serde_json::from_str_value(text)
+                    .map_err(|e| FrameError::BadJson(e.to_string()))?;
+                Self::from_json(&value).map_err(|e| FrameError::BadShape(e.to_string()))
+            }
         }
     }
-}
 
-impl Deserialize for Frame {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
+    /// Decodes a JSON control body. The data-plane tags are unknown
+    /// here: `submit` and `submit_reply` only exist as binary bodies.
+    fn from_json(v: &Value) -> Result<Self, DeError> {
         let tag = v
             .get("type")
             .ok_or_else(|| DeError::new("frame object has no 'type' tag"))?
@@ -465,35 +644,6 @@ impl Deserialize for Frame {
                 server: field(v, "server")?,
                 max_frame_bytes: field(v, "max_frame_bytes")?,
             })),
-            "submit" => {
-                let req = SubmitRequest {
-                    id: field(v, "id")?,
-                    kernel: field(v, "kernel")?,
-                    n_rows: field(v, "n_rows")?,
-                    row_len: field(v, "row_len")?,
-                    scores: field(v, "scores")?,
-                    stream_chunk: opt_field(v, "stream_chunk")?,
-                    deadline_ms: opt_field(v, "deadline_ms")?,
-                    priority: field(v, "priority")?,
-                };
-                req.check_shape()?;
-                Ok(Frame::Submit(req))
-            }
-            "submit_reply" => {
-                let id = field(v, "id")?;
-                let result = match (v.get("scores"), v.get("error")) {
-                    (Some(s), None) => Ok(Vec::<Score>::from_value(s)
-                        .map_err(|e| DeError::new(format!("field 'scores': {e}")))?),
-                    (None, Some(e)) => Err(WireError::from_value(e)
-                        .map_err(|err| DeError::new(format!("field 'error': {err}")))?),
-                    _ => {
-                        return Err(DeError::new(
-                            "submit_reply needs exactly one of 'scores' or 'error'",
-                        ))
-                    }
-                };
-                Ok(Frame::SubmitReply(SubmitReply { id, result }))
-            }
             "health" => Ok(Frame::Health),
             "health_reply" => Ok(Frame::HealthReply(field(v, "body")?)),
             "stats" => Ok(Frame::Stats),
@@ -508,21 +658,22 @@ impl Deserialize for Frame {
     }
 }
 
-/// Like [`field`], but a missing key decodes as `None` (the shim's
-/// `Option` impl only maps an explicit `null`) — this is what keeps v2
-/// field additions backward-decodable.
-fn opt_field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, DeError> {
-    match v.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(f) => T::from_value(f)
-            .map(Some)
-            .map_err(|e| DeError::new(format!("field '{name}': {e}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn body(frame: &Frame) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame.encode_body(&mut out).unwrap();
+        out
+    }
+
+    fn shape_error(body: &[u8]) -> String {
+        match Frame::decode_body(body) {
+            Err(FrameError::BadShape(msg)) => msg,
+            other => panic!("expected BadShape, got {other:?}"),
+        }
+    }
 
     #[test]
     fn error_codes_are_stable() {
@@ -581,62 +732,68 @@ mod tests {
 
     #[test]
     fn decode_rejects_mismatched_scores_length() {
-        let good = Frame::Submit(SubmitRequest::build(7, "k", &[1.0, 2.0], 2).unwrap());
-        let mut v = good.to_value();
-        // Corrupt n_rows so the declared shape no longer matches.
-        if let Value::Object(fields) = &mut v {
-            for (k, val) in fields.iter_mut() {
-                if k == "n_rows" {
-                    *val = Value::Int(5);
-                }
-            }
-        }
-        let err = Frame::from_value(&v).unwrap_err();
-        assert!(err.to_string().contains("scores length"), "{err}");
+        let good = body(&Frame::Submit(
+            SubmitRequest::build(7, "k", &[1.0, 2.0], 2).unwrap(),
+        ));
+        // Corrupt n_rows (body offset 10) so the declared shape no
+        // longer matches the score bytes that follow.
+        let mut bad = good.clone();
+        bad[10] = 5;
+        assert!(shape_error(&bad).contains("needs 80 B"), "{bad:?}");
+        // A trailing byte or a missing one is the same error.
+        let mut long = good.clone();
+        long.push(0);
+        assert!(shape_error(&long).contains("carries 17 B"));
+        assert!(shape_error(&good[..good.len() - 1]).contains("carries 15 B"));
     }
 
     #[test]
     fn submit_reply_needs_exactly_one_arm() {
-        let both = Value::Object(vec![
-            ("type".into(), Value::Str("submit_reply".into())),
-            ("id".into(), Value::Int(1)),
-            ("scores".into(), Value::Array(vec![])),
-            ("error".into(), WireError::protocol("x").to_value()),
-        ]);
-        assert!(Frame::from_value(&both).is_err());
-        let neither = Value::Object(vec![
-            ("type".into(), Value::Str("submit_reply".into())),
-            ("id".into(), Value::Int(1)),
-        ]);
-        assert!(Frame::from_value(&neither).is_err());
+        let ok = body(&Frame::SubmitReply(SubmitReply {
+            id: 1,
+            result: Ok(crate::types::scores_from_f64(&[0.5]).unwrap()),
+        }));
+        // The status byte (offset 9) picks exactly one tail: an unknown
+        // status is rejected, and an ok tail read as an error tail (or
+        // the reverse) cannot line up with the body length.
+        let mut neither = ok.clone();
+        neither[9] = 2;
+        assert!(shape_error(&neither).contains("status 2"));
+        let mut as_error = ok.clone();
+        as_error[9] = STATUS_ERROR;
+        assert!(Frame::decode_body(&as_error).is_err());
+        let mut both = ok;
+        both.extend(body(&Frame::SubmitReply(SubmitReply {
+            id: 1,
+            result: Err(WireError::protocol("x")),
+        })));
+        assert!(shape_error(&both).contains("declared 'scores'"));
     }
 
     #[test]
-    fn unknown_fields_are_ignored_for_additive_v2() {
-        let mut v = Frame::Health.to_value();
-        if let Value::Object(fields) = &mut v {
-            fields.push(("future_field".into(), Value::Int(42)));
-        }
-        assert_eq!(Frame::from_value(&v).unwrap(), Frame::Health);
-        // An absent optional field decodes as None, so a v1 peer can
-        // read a sender that omits instead of nulling.
-        let mut submit = Frame::Submit(SubmitRequest::build(1, "k", &[0.5], 1).unwrap()).to_value();
-        if let Value::Object(fields) = &mut submit {
-            fields.retain(|(k, _)| k != "stream_chunk" && k != "deadline_ms");
-        }
-        match Frame::from_value(&submit).unwrap() {
-            Frame::Submit(req) => {
-                assert_eq!(req.stream_chunk, None);
-                assert_eq!(req.deadline_ms, None);
-            }
-            other => panic!("expected submit, got {other:?}"),
-        }
+    fn unknown_control_fields_are_ignored() {
+        let v = serde_json::from_str_value(r#"{"type":"health","future_field":42}"#).unwrap();
+        assert_eq!(Frame::from_json(&v).unwrap(), Frame::Health);
     }
 
     #[test]
     fn unknown_frame_type_is_a_typed_error() {
         let v = Value::Object(vec![("type".into(), Value::Str("warp_core".into()))]);
-        let err = Frame::from_value(&v).unwrap_err();
+        let err = Frame::from_json(&v).unwrap_err();
         assert!(err.to_string().contains("unknown frame type"), "{err}");
+        // The data plane is binary only: a JSON `submit` is no frame.
+        let v = Value::Object(vec![("type".into(), Value::Str("submit".into()))]);
+        assert!(Frame::from_json(&v).is_err());
+        // So is an unassigned kind byte.
+        assert!(shape_error(&[0x03, 0, 0]).contains("kind 0x03"));
+    }
+
+    #[test]
+    fn kind_bytes_cannot_start_a_json_body() {
+        assert!(kind::is_binary(kind::SUBMIT));
+        assert!(kind::is_binary(kind::SUBMIT_REPLY));
+        for json_start in [b'{', b' ', b'\t', b'\n', b'\r'] {
+            assert!(!kind::is_binary(json_start));
+        }
     }
 }

@@ -17,23 +17,25 @@
 //! * [`types`] — `try_from` newtypes for every numeric field
 //!   ([`RowLen`], [`RowCount`], [`ChunkLen`], [`BudgetMs`], [`Score`]).
 //!   Invalid states (NaN scores, zero-length rows, matrices larger than
-//!   a frame can carry) are not representable: construction and
-//!   deserialization both go through the same range checks.
-//! * [`frame`] — the [`Frame`] enum: `Hello`/`HelloAck` version
-//!   negotiation, `Submit`/`SubmitReply` data plane (the full
-//!   [`SoftmaxError`](softermax::SoftmaxError) taxonomy maps onto
-//!   stable numeric [`ErrorCode`]s), and the `Health`/`Stats`/
-//!   `ListKernels` control plane.
+//!   a frame can carry) are not representable: construction and decode
+//!   both go through the same range checks.
+//! * [`frame`] — the [`Frame`] enum and each frame's body codec:
+//!   `Hello`/`HelloAck` version negotiation, the `Submit`/`SubmitReply`
+//!   data plane (the full [`SoftmaxError`](softermax::SoftmaxError)
+//!   taxonomy maps onto stable numeric [`ErrorCode`]s), and the
+//!   `Health`/`Stats`/`ListKernels` control plane. Data-plane bodies are
+//!   fixed little-endian binary with the scores as raw `f64` words
+//!   (their first byte is a [`frame::kind`] byte); control bodies are
+//!   JSON rendered through the serde shim.
 //! * [`codec`] — length-prefixed framing: a fixed 10-byte header
-//!   (magic, protocol version, body length) followed by a JSON body
-//!   rendered through the serde shim. Decoding is total: truncated,
-//!   oversized, garbage, and version-mismatched input all come back as
-//!   typed [`FrameError`]s, never a panic and never a partial read
-//!   treated as success.
+//!   (magic, protocol version, body length) followed by the body.
+//!   Decoding is total: truncated, oversized, garbage, and
+//!   version-mismatched input all come back as typed [`FrameError`]s,
+//!   never a panic and never a partial read treated as success.
 //!
-//! The v1 frame layout is pinned byte-for-byte in `docs/PROTOCOL.md`;
-//! [`codec::tests`] hold a golden encoding so the documented bytes and
-//! the implementation cannot drift apart silently.
+//! The v2 frame layout is pinned byte-for-byte in `docs/PROTOCOL.md`;
+//! [`codec::tests`] decode that document's worked hex examples, so the
+//! documented bytes and the implementation cannot drift apart silently.
 
 // No unsafe code in this crate, enforced by the compiler; the
 // workspace-wide unsafe audit lives in `softermax-analysis`.

@@ -1,22 +1,20 @@
 //! `try_from` newtypes for every numeric wire field.
 //!
-//! The idiom (after the newtype-serde pattern in SNIPPETS.md): the only
-//! way to construct one of these — in code via `TryFrom`, or off the
-//! wire via `Deserialize` — runs the same range check, so a decoded
-//! frame can never hold a NaN score, a zero row length, or a dimension
-//! large enough to overflow the frame cap. Server and client both lean
-//! on this: by the time a `SubmitRequest` exists as a value, its fields
-//! are known-good.
+//! The idiom (after the newtype pattern in SNIPPETS.md): the only way to
+//! construct one of these — in code via `TryFrom`, or off the wire by
+//! the binary body decoder, which calls the same `try_from` — runs the
+//! same range check, so a decoded frame can never hold a NaN score, a
+//! zero row length, or a dimension large enough to overflow the frame
+//! cap. Server and client both lean on this: by the time a
+//! `SubmitRequest` exists as a value, its fields are known-good.
 
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
-use serde::{DeError, Deserialize, Serialize, Value};
-
 /// Upper bound on `row_len`, `n_rows`, and `stream_chunk`. Generous
 /// (a 2^20 × 2^20 request would never fit a frame anyway — the byte
-/// cap binds first), but it keeps `n_rows × row_len` inside `u64`
+/// cap binds first), but it keeps `n_rows × row_len × 8` inside `u64`
 /// by construction.
 pub const MAX_DIM: u32 = 1 << 20;
 
@@ -84,19 +82,6 @@ macro_rules! bounded_u32 {
                 Self::try_from(v as u64)
             }
         }
-
-        impl Serialize for $name {
-            fn to_value(&self) -> Value {
-                self.0.to_value()
-            }
-        }
-
-        impl Deserialize for $name {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let raw = u64::from_value(v)?;
-                Self::try_from(raw).map_err(|e| DeError::new(e.to_string()))
-            }
-        }
     };
 }
 
@@ -130,8 +115,7 @@ impl BudgetMs {
 }
 
 /// One finite score or probability. NaN and ±∞ are rejected at
-/// construction and unrepresentable on the wire (the serde shim renders
-/// non-finite floats as `null`, which fails this type's deserializer),
+/// construction and at decode (a bulk pass over the raw bit patterns),
 /// so a decoded matrix is always arithmetic-safe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Score(f64);
@@ -156,26 +140,6 @@ impl TryFrom<f64> for Score {
     }
 }
 
-impl Serialize for Score {
-    fn to_value(&self) -> Value {
-        Value::Float(self.0)
-    }
-}
-
-impl Deserialize for Score {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let raw = match v {
-            Value::Float(f) => *f,
-            #[allow(clippy::cast_precision_loss)] // accepting lexical integers
-            Value::Int(i) => *i as f64,
-            #[allow(clippy::cast_precision_loss)]
-            Value::UInt(u) => *u as f64,
-            other => return Err(DeError::expected("finite number", other)),
-        };
-        Self::try_from(raw).map_err(|e| DeError::new(e.to_string()))
-    }
-}
-
 /// Converts a caller's raw `f64` slice into validated wire scores.
 ///
 /// # Errors
@@ -192,9 +156,44 @@ pub fn scores_to_f64(scores: &[Score]) -> Vec<f64> {
     scores.iter().map(|s| s.get()).collect()
 }
 
+/// The exponent field of an IEEE-754 double; all ones is NaN or ±∞.
+const F64_EXPONENT: u64 = 0x7FF0_0000_0000_0000;
+
+/// Appends each score as its 8 little-endian bytes.
+pub(crate) fn put_scores(scores: &[Score], out: &mut Vec<u8>) {
+    for s in scores {
+        out.extend_from_slice(&s.0.to_le_bytes());
+    }
+}
+
+/// Decodes a block of little-endian `f64` words into validated scores.
+/// One bulk pass over the raw bits rejects NaN and ±∞ before anything
+/// is allocated.
+pub(crate) fn scores_from_le_bytes(bytes: &[u8]) -> Result<Vec<Score>, BoundsError> {
+    let (words, tail) = bytes.as_chunks::<8>();
+    if !tail.is_empty() {
+        return Err(BoundsError::new(format!(
+            "score block of {} B is not a whole number of f64s",
+            bytes.len()
+        )));
+    }
+    let non_finite = |w: &[u8; 8]| u64::from_le_bytes(*w) & F64_EXPONENT == F64_EXPONENT;
+    if let Some((i, w)) = words.iter().enumerate().find(|(_, w)| non_finite(w)) {
+        return Err(BoundsError::new(format!(
+            "score {i} must be finite, got {}",
+            f64::from_le_bytes(*w)
+        )));
+    }
+    Ok(words
+        .iter()
+        .map(|w| Score(f64::from_le_bytes(*w)))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{encode_frame, read_frame, Frame, FrameError, SubmitRequest, HEADER_BYTES};
 
     #[test]
     fn bounds_are_enforced_at_construction() {
@@ -215,13 +214,25 @@ mod tests {
 
     #[test]
     fn deserialization_runs_the_same_checks() {
-        assert!(RowLen::from_value(&Value::Int(0)).is_err());
-        assert!(RowLen::from_value(&Value::Int(-4)).is_err());
-        assert_eq!(
-            RowLen::from_value(&Value::Int(7)).unwrap(),
-            RowLen::try_from(7u64).unwrap()
-        );
-        assert!(RowLen::from_value(&Value::Str("7".into())).is_err());
+        // Overwrite one u32 field of a valid binary submit (offsets
+        // within the body) and decode: the newtype's range check fires.
+        let good = encode_frame(&Frame::Submit(
+            SubmitRequest::build(1, "k", &[0.5, 0.25], 2).unwrap(),
+        ))
+        .unwrap();
+        let decode_with = |body_offset: usize, value: u32| {
+            let mut bytes = good.clone();
+            let at = HEADER_BYTES + body_offset;
+            bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            match read_frame(&mut &bytes[..]) {
+                Err(FrameError::BadShape(msg)) => msg,
+                other => panic!("expected BadShape, got {other:?}"),
+            }
+        };
+        assert!(decode_with(14, 0).contains("row_len"));
+        assert!(decode_with(10, MAX_DIM + 1).contains("n_rows"));
+        assert!(decode_with(18, MAX_DIM + 1).contains("stream_chunk"));
+        assert!(decode_with(22, MAX_BUDGET_MS + 1).contains("deadline_ms"));
     }
 
     #[test]
@@ -233,18 +244,33 @@ mod tests {
             Score::try_from(-0.0).unwrap().get().to_bits(),
             (-0.0f64).to_bits()
         );
-        // Non-finite floats render as JSON null, which the deserializer
-        // rejects — NaN cannot cross the wire even maliciously.
-        assert!(Score::from_value(&Value::Null).is_err());
-        assert!(Score::from_value(&Value::Float(f64::NAN)).is_err());
+        // Every NaN payload and both infinities fail the bulk bit check
+        // at decode — NaN cannot cross the wire even maliciously.
+        for bad in [
+            f64::NAN.to_bits(),
+            0xFFF8_0000_0000_0001,
+            0x7FF0_0000_0000_0001,
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+        ] {
+            let mut bytes = Vec::new();
+            put_scores(&scores_from_f64(&[1.0]).unwrap(), &mut bytes);
+            bytes.extend_from_slice(&bad.to_le_bytes());
+            let err = scores_from_le_bytes(&bytes).unwrap_err();
+            assert!(err.to_string().starts_with("score 1 "), "{err}");
+        }
+        assert!(scores_from_le_bytes(&[0; 7]).is_err());
     }
 
     #[test]
     fn score_round_trip_is_bit_exact() {
-        for v in [0.0, -0.0, 1.5, -31.999_999_999, 1e-300, 123_456.75] {
-            let s = Score::try_from(v).unwrap();
-            let back = Score::from_value(&s.to_value()).unwrap();
-            assert_eq!(back.get().to_bits(), v.to_bits());
+        let raw = [0.0, -0.0, 1.5, -31.999_999_999, 1e-300, 123_456.75, 5e-324];
+        let mut bytes = Vec::new();
+        put_scores(&scores_from_f64(&raw).unwrap(), &mut bytes);
+        assert_eq!(bytes.len(), 8 * raw.len());
+        let back = scores_from_le_bytes(&bytes).unwrap();
+        for (b, v) in back.iter().zip(raw) {
+            assert_eq!(b.get().to_bits(), v.to_bits());
         }
     }
 

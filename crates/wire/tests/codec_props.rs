@@ -1,16 +1,36 @@
 //! Property tests for the wire codec: every frame type round-trips
 //! bit-exactly, and truncated / oversized / garbage / version-mismatched
-//! input always comes back as a typed [`FrameError`] — never a panic,
-//! never a partial read surfaced as success.
+//! input — and a valid binary `submit` with one field corrupted — always
+//! comes back as a typed [`FrameError`]: never a panic, never a partial
+//! read surfaced as success.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::strategy::boxed;
 
+use softermax_wire::frame::kind;
 use softermax_wire::{
     encode_frame, read_frame, ErrorCode, Frame, FrameError, Hello, HelloAck, SubmitReply,
-    SubmitRequest, WireError, WirePriority, HEADER_BYTES, MAGIC, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    SubmitRequest, WireError, WirePriority, HEADER_BYTES, MAGIC, MAX_DIM, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
 };
+
+/// Body offsets of the binary `submit` fields (docs/PROTOCOL.md).
+const N_ROWS_AT: usize = 10;
+const ROW_LEN_AT: usize = 14;
+const KERNEL_LEN_AT: usize = 26;
+const KERNEL_AT: usize = 28;
+
+/// A valid header wrapped around an arbitrary body.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(HEADER_BYTES + body.len());
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
+    #[allow(clippy::cast_possible_truncation)]
+    bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    bytes.extend_from_slice(body);
+    bytes
+}
 
 /// A strategy over every frame variant the protocol defines, with
 /// randomized payloads (shapes, scores, optional fields, error codes).
@@ -133,23 +153,94 @@ proptest! {
     }
 
     /// Arbitrary garbage bytes never panic the decoder; when they do
-    /// decode (the generator dodges the magic, so they should not),
-    /// re-encoding must reproduce a valid frame.
+    /// decode, re-encoding must reproduce a valid frame.
     #[test]
     fn garbage_never_panics(bytes in vec(0u64..256, 0..256)) {
         #[allow(clippy::cast_possible_truncation)]
         let mut bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-        // Half the cases get a valid magic prefix so the deeper
-        // header/body paths are fuzzed too, not just the magic check.
-        if bytes.first().copied().unwrap_or(0) % 2 == 0 && bytes.len() >= 4 {
+        let selector = bytes.first().copied().unwrap_or(0);
+        // A third of the cases get a valid magic prefix so the header
+        // paths are fuzzed too, not just the magic check; another third
+        // get a whole valid header and a binary kind byte in front of
+        // random bytes, so the binary body decoders are fuzzed past the
+        // kind dispatch.
+        let binary = selector % 3 == 1;
+        if selector % 3 == 0 && bytes.len() >= 4 {
             bytes[..4].copy_from_slice(&MAGIC);
+        } else if binary {
+            let kind = if selector % 2 == 0 { kind::SUBMIT } else { kind::SUBMIT_REPLY };
+            let mut body = vec![kind];
+            body.extend(bytes.iter().skip(1));
+            bytes = framed(&body);
         }
         match read_frame(&mut &bytes[..]) {
             Ok(frame) => {
-                // Vanishingly unlikely, but must still be coherent.
+                // Rare, but must still be coherent.
                 prop_assert!(encode_frame(&frame).is_ok());
             }
-            Err(_typed) => {}
+            Err(e) => {
+                // A well-framed binary body can only fail as a bad body.
+                if binary {
+                    prop_assert!(matches!(e, FrameError::BadShape(_)), "{e:?}");
+                }
+            }
+        }
+    }
+
+    /// Corrupting one field of a valid binary `submit` yields a typed,
+    /// non-fatal shape error — never a panic, never a partial decode.
+    #[test]
+    fn corrupted_binary_submits_are_typed_errors(
+        req in any_submit(),
+        which in 0u64..4,
+        pick in 0u64..u64::MAX,
+    ) {
+        let bytes = encode_frame(&Frame::Submit(req.clone())).expect("encodable");
+        let body = &bytes[HEADER_BYTES..];
+        let put_u32 = |body: &mut Vec<u8>, at: usize, v: u32| {
+            body[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        };
+        let mut bad = body.to_vec();
+        #[allow(clippy::cast_possible_truncation)]
+        match which {
+            // Dims that disagree with the body length.
+            0 => put_u32(&mut bad, N_ROWS_AT, req.n_rows.get() + 1 + (pick % 5) as u32),
+            // n_rows × row_len × 8 far past any u32 byte count, with
+            // both dims still inside their newtype range.
+            1 => {
+                let big = MAX_DIM - (pick % 1024) as u32;
+                put_u32(&mut bad, N_ROWS_AT, big);
+                put_u32(&mut bad, ROW_LEN_AT, big);
+            }
+            // NaN (any payload) or ±∞ bits at a random score index.
+            2 => {
+                if req.scores.is_empty() {
+                    return;
+                }
+                let i = (pick % req.scores.len() as u64) as usize;
+                let bits = match pick % 3 {
+                    0 => 0x7FF0_0000_0000_0000 | (pick >> 12).max(1),
+                    1 => f64::INFINITY.to_bits(),
+                    _ => f64::NEG_INFINITY.to_bits(),
+                };
+                let at = KERNEL_AT + req.kernel.len() + 8 * i;
+                bad[at..at + 8].copy_from_slice(&bits.to_le_bytes());
+            }
+            // A truncated kernel name: the body ends inside it, or its
+            // length prefix claims more bytes than the name has.
+            _ => {
+                let cut = (pick % req.kernel.len() as u64) as usize;
+                if pick % 2 == 0 {
+                    bad.truncate(KERNEL_AT + cut);
+                } else {
+                    let claimed = (req.kernel.len() + 1 + cut) as u16;
+                    bad[KERNEL_LEN_AT..KERNEL_AT].copy_from_slice(&claimed.to_le_bytes());
+                }
+            }
+        }
+        match read_frame(&mut &framed(&bad)[..]) {
+            Err(e @ FrameError::BadShape(_)) => prop_assert!(!e.is_fatal()),
+            other => panic!("corruption {which}: expected BadShape, got {other:?}"),
         }
     }
 
