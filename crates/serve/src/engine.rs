@@ -15,7 +15,7 @@ use softermax::{Result, SoftmaxError};
 
 use crate::config::ServeConfig;
 use crate::health::{Breaker, BreakerState};
-use crate::stats::{EngineStats, KernelServeStats};
+use crate::stats::{nearest_rank_p99, EngineStats, KernelServeStats, LatencyRing, LATENCY_WINDOW};
 use crate::submit::{Priority, Ticket};
 
 /// A contiguous range of matrix rows: the unit of scheduling.
@@ -238,23 +238,18 @@ impl BatchEngine {
         self.shared.backlog.load(Ordering::Relaxed)
     }
 
-    /// p99 end-to-end latency over the engine's recent completion
-    /// window, merged across kernels (0 with no history yet) — the
-    /// congestion signal behind
-    /// [`RoutePolicy::Adaptive`](crate::RoutePolicy).
+    /// Nearest-rank p99 end-to-end latency over the shard's newest
+    /// [`LATENCY_WINDOW`] successful batches, all kernels (0 with no
+    /// history yet) — the congestion signal behind
+    /// [`RoutePolicy::Adaptive`](crate::RoutePolicy). Failed, expired
+    /// and zero-row batches are not in it. Allocation-free: the stats
+    /// lock is held only to copy the ring onto the stack, and the p99
+    /// is one selection over the copy.
     #[must_use]
     pub fn recent_p99_ns(&self) -> u64 {
-        let mut all: Vec<u64> = {
-            let stats = lock(&self.shared.stats);
-            stats.values().flat_map(|s| s.latency.samples()).collect()
-        };
-        if all.is_empty() {
-            return 0;
-        }
-        all.sort_unstable();
-        // Nearest-rank p99, matching `LatencyWindow::percentile`.
-        let rank = (all.len() * 99).div_ceil(100).max(1);
-        all[rank - 1]
+        let mut scratch = [0; LATENCY_WINDOW];
+        let n = lock(&self.shared.stats).recent.copy_into(&mut scratch);
+        nearest_rank_p99(&mut scratch[..n])
     }
 
     /// Wires a set of sibling engines (the shards of one router) into
@@ -359,12 +354,15 @@ impl BatchEngine {
     /// A snapshot of the per-kernel serving counters.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        EngineStats::from_map(lock(&self.shared.stats).clone())
+        EngineStats::from_map(lock(&self.shared.stats).per_kernel.clone())
     }
 
-    /// Clears the per-kernel serving counters.
+    /// Clears the per-kernel serving counters and the recent-latency
+    /// ring behind [`BatchEngine::recent_p99_ns`].
     pub fn reset_stats(&self) {
-        lock(&self.shared.stats).clear();
+        let mut stats = lock(&self.shared.stats);
+        stats.per_kernel.clear();
+        stats.recent.clear();
     }
 }
 
@@ -438,6 +436,15 @@ enum Reserve {
     Shutdown,
 }
 
+/// The serving counters behind the `stats` lock: the per-kernel
+/// report counters, and the shard-wide ring of the newest successful
+/// batch latencies the adaptive router reads every refresh.
+#[derive(Default)]
+struct StatsState {
+    per_kernel: BTreeMap<String, KernelServeStats>,
+    recent: LatencyRing,
+}
+
 /// State shared between the engine handle and its workers: the intake
 /// queue with its admission bound, the serving counters, and the health
 /// machinery (breaker, respawn budget).
@@ -447,7 +454,7 @@ struct Shared {
     work: Condvar,
     /// Submitters wait here for admission slots.
     slot: Condvar,
-    stats: Mutex<BTreeMap<String, KernelServeStats>>,
+    stats: Mutex<StatsState>,
     breaker: Mutex<Breaker>,
     /// Rows admitted and not yet completed (the router's load signal).
     load_rows: AtomicU64,
@@ -580,7 +587,7 @@ impl Shared {
             }),
             work: Condvar::new(),
             slot: Condvar::new(),
-            stats: Mutex::new(BTreeMap::new()),
+            stats: Mutex::new(StatsState::default()),
             breaker: Mutex::new(Breaker::new(config.breaker.clone())),
             load_rows: AtomicU64::new(0),
             load_cost: AtomicU64::new(0),
@@ -791,8 +798,12 @@ impl Shared {
         wall_ns: u64,
     ) {
         {
-            let mut stats = lock(&self.stats);
-            let entry = stats.entry(kernel.to_string()).or_default();
+            let mut guard = lock(&self.stats);
+            let stats = &mut *guard;
+            let entry = match stats.per_kernel.get_mut(kernel) {
+                Some(entry) => entry,
+                None => kernel_entry(&mut stats.per_kernel, kernel),
+            };
             entry.busy_ns += busy_ns;
             match outcome {
                 Outcome::Failed => {
@@ -812,6 +823,7 @@ impl Shared {
                     entry.elements += elements;
                     entry.wall_ns += wall_ns;
                     entry.latency.push(wall_ns);
+                    stats.recent.push(wall_ns);
                 }
             }
         }
@@ -826,11 +838,18 @@ impl Shared {
     /// stale deadline is the client's lateness, not shard trouble.
     fn record_admission_expired(&self, kernel: &str) {
         let mut stats = lock(&self.stats);
-        stats
-            .entry(kernel.to_string())
-            .or_default()
-            .expired_requests += 1;
+        kernel_entry(&mut stats.per_kernel, kernel).expired_requests += 1;
     }
+}
+
+/// A kernel's stats entry, inserted under an owned key when absent.
+/// The key allocates on every call, so `record` looks up by `&str`
+/// first and comes here only on a kernel's first completion.
+fn kernel_entry<'a>(
+    per_kernel: &'a mut BTreeMap<String, KernelServeStats>,
+    kernel: &str,
+) -> &'a mut KernelServeStats {
+    per_kernel.entry(kernel.to_owned()).or_default()
 }
 
 /// One admitted matrix: the kernel, the owned input rows, one output
@@ -1587,6 +1606,37 @@ mod tests {
         assert_eq!(stats.total().rows, 192);
         engine.reset_stats();
         assert!(engine.stats().is_empty());
+    }
+
+    #[test]
+    fn recent_p99_spans_kernels_and_counts_only_real_successes() {
+        let kernel = KernelRegistry::global().get("softermax").expect("built-in");
+        let engine = engine(1);
+        assert_eq!(engine.recent_p99_ns(), 0, "no history yet");
+        serve(&engine, &kernel, &[1.0, 2.0, 3.0], 3, None).expect("serve");
+        assert!(engine.recent_p99_ns() > 0, "a served batch feeds the ring");
+        engine.reset_stats();
+        assert_eq!(engine.recent_p99_ns(), 0, "reset clears the ring");
+
+        // Exact wall times through the accounting entry point: only
+        // non-empty successes, of any kernel, may reach the ring.
+        let shared = &engine.shared;
+        shared.record("a", Outcome::Success, 4, 16, 1, 100);
+        shared.record("b", Outcome::Success, 4, 16, 1, 300);
+        shared.record("a", Outcome::Failed, 2, 8, 1, 90_000);
+        shared.record("b", Outcome::Expired, 0, 0, 0, 80_000);
+        shared.record("a", Outcome::Success, 0, 0, 0, 70_000);
+        shared.record_admission_expired("c");
+        assert_eq!(engine.recent_p99_ns(), 300);
+        for _ in 0..98 {
+            shared.record("c", Outcome::Success, 1, 4, 1, 200);
+        }
+        // 100 samples: the p99 is the 99th smallest, one below the max.
+        assert_eq!(engine.recent_p99_ns(), 200);
+        shared.record("a", Outcome::Success, 1, 4, 1, 500);
+        assert_eq!(engine.recent_p99_ns(), 300);
+        engine.reset_stats();
+        assert_eq!(engine.recent_p99_ns(), 0);
     }
 
     #[test]

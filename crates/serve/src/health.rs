@@ -7,7 +7,7 @@
 //!
 //! * **Closed** — traffic flows; the breaker records each finished
 //!   request into a bounded outcome window and the successes' wall times
-//!   into a [`LatencyWindow`]. When the window holds at least
+//!   into a [`LatencyRing`]. When the window holds at least
 //!   [`BreakerConfig::min_samples`] outcomes and the failure share
 //!   reaches [`BreakerConfig::failure_pct`] — or the success-latency p99
 //!   exceeds [`BreakerConfig::latency_budget`] — the breaker *trips*.
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use softermax::{Result, SoftmaxError};
 
-use crate::stats::LatencyWindow;
+use crate::stats::LatencyRing;
 
 /// Circuit-breaker tuning knobs, part of
 /// [`ServeConfig`](crate::ServeConfig).
@@ -131,7 +131,7 @@ pub(crate) struct Breaker {
     /// Recent finished-request outcomes, `true` = failure.
     outcomes: VecDeque<bool>,
     /// Wall times of recent successes (since the last trip).
-    latency: LatencyWindow,
+    latency: LatencyRing,
     state: BreakerState,
     /// When the breaker last opened (meaningful while `Open`).
     opened_at: Instant,
@@ -146,7 +146,7 @@ impl Breaker {
         Self {
             cfg,
             outcomes: VecDeque::new(),
-            latency: LatencyWindow::default(),
+            latency: LatencyRing::default(),
             state: BreakerState::Closed,
             opened_at: Instant::now(),
             consecutive_trips: 0,
@@ -240,7 +240,7 @@ impl Breaker {
                 if let Some(budget) = self.cfg.latency_budget {
                     let budget_ns = u64::try_from(budget.as_nanos()).unwrap_or(u64::MAX);
                     if self.latency.len() >= self.cfg.min_samples
-                        && self.latency.percentile_ns(0.99) > budget_ns
+                        && self.latency.p99_ns() > budget_ns
                     {
                         self.trip(now);
                     }
@@ -255,7 +255,7 @@ impl Breaker {
         self.trips += 1;
         self.consecutive_trips += 1;
         self.outcomes.clear();
-        self.latency = LatencyWindow::default();
+        self.latency.clear();
         self.probe_inflight = false;
     }
 

@@ -85,8 +85,9 @@
 //!   executes entirely on one shard), expired jobs are left for the
 //!   victim to account, and an unhealthy shard never steals.
 //! * **Adaptive routing** — [`RoutePolicy::Adaptive`] scores shards by
-//!   live load × recent p99 latency (EWMA'd, cached), shedding traffic
-//!   from slow shards before their queues grow.
+//!   live load × recent p99 latency (nearest-rank p99 over the shard's
+//!   newest 4,096 successful batches, all kernels; EWMA'd, cached),
+//!   shedding traffic from slow shards before their queues grow.
 //!
 //! # Determinism
 //!

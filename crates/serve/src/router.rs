@@ -13,11 +13,12 @@
 //! * [`RoutePolicy::Adaptive`] — score each shard by live
 //!   element-weighted cost ([`BatchEngine::load_cost`], rows × row
 //!   length, so long-row jobs count for what they hold) *times* its
-//!   recent p99 latency ([`BatchEngine::recent_p99_ns`], EWMA'd and
-//!   refreshed on a short interval so route decisions do not lock every
-//!   shard's stats per submit), so a shard that is slow — congested,
-//!   degraded, or serving bigger requests — sheds traffic even when its
-//!   instantaneous row count looks ordinary.
+//!   recent p99 latency ([`BatchEngine::recent_p99_ns`]: nearest-rank
+//!   p99 over the shard's newest 4,096 successful batches, all kernels;
+//!   EWMA'd and refreshed on a short interval so route decisions do not
+//!   lock every shard's stats per submit), so a shard that is slow —
+//!   congested, degraded, or serving bigger requests — sheds traffic
+//!   even when its instantaneous row count looks ordinary.
 //!
 //! Routing is one half of the scheduler; **work stealing** is the
 //! other. When [`ServeConfig::work_stealing`] is on (the default) and
@@ -77,8 +78,9 @@ pub enum RoutePolicy {
     /// Route to the shard with the fewest in-flight rows.
     LeastLoaded,
     /// Route to the shard with the best *congestion score*: in-flight
-    /// rows weighted by the shard's recent p99 latency (EWMA'd, cached
-    /// for [`ADAPTIVE_REFRESH`]). With no latency history yet this
+    /// element cost weighted by the shard's recent p99 latency
+    /// ([`BatchEngine::recent_p99_ns`], EWMA'd, cached for
+    /// [`ADAPTIVE_REFRESH`]). With no latency history yet this
     /// degenerates to [`RoutePolicy::LeastLoaded`].
     Adaptive,
 }
@@ -292,7 +294,8 @@ impl ShardedRouter {
     }
 
     /// The per-shard EWMA'd p99s, refreshing them from the engines'
-    /// stats at most once per [`ADAPTIVE_REFRESH`].
+    /// recent-latency rings at most once per [`ADAPTIVE_REFRESH`] (one
+    /// allocation-free copy and selection per shard).
     fn adaptive_p99s(&self) -> Vec<f64> {
         let mut state = self.adaptive.lock().unwrap_or_else(PoisonError::into_inner);
         let now = Instant::now();
@@ -584,6 +587,49 @@ mod tests {
                 .expect("served")
                 .batches,
             6
+        );
+    }
+
+    #[test]
+    fn adaptive_routes_to_the_lower_p99_shard_at_equal_load() {
+        use crate::fault::{FaultKind, FaultPlan, FaultyKernel};
+        use crate::Admission;
+
+        let fast = KernelRegistry::global().get("softermax").expect("built-in");
+        // Every forward call stalls 20 ms: shard 0's p99 is at least
+        // that, orders of magnitude above a 4-element softermax row.
+        let plan = FaultPlan::new(0, 1.0)
+            .with_kinds(vec![FaultKind::Delay])
+            .with_delay(Duration::from_millis(20));
+        let slow: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&fast, plan));
+        // Stealing off: placement is what this test checks.
+        let config = tiny_config().with_work_stealing(false);
+        let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
+        let row = vec![1.0, 2.0, 3.0, 4.0];
+        for (index, kernel) in [(0, &slow), (0, &slow), (1, &fast), (1, &fast)] {
+            let submission = Submission::new(kernel, row.clone(), 4);
+            router
+                .shard(index)
+                .submit_request(submission, Admission::Block)
+                .expect("admit")
+                .wait()
+                .expect("serve");
+        }
+        // Both shards idle (equal, zero load): only the p99 differs, and
+        // the slow shard is the one an index tie-break would pick.
+        assert!(router.shard(0).recent_p99_ns() > router.shard(1).recent_p99_ns());
+        for _ in 0..4 {
+            router
+                .submit_wait(&fast, row.clone(), 4)
+                .expect("submit")
+                .wait()
+                .expect("serve");
+        }
+        let batches = |index: usize| router.shard(index).stats().total().batches;
+        assert_eq!(
+            (batches(0), batches(1)),
+            (2, 6),
+            "adaptive must avoid the slow shard"
         );
     }
 
