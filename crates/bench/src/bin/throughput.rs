@@ -784,9 +784,9 @@ fn fused_bytes_per_elem(kernel: &str) -> f64 {
         "reference-e" | "reference-2" => 40.0,
         // One online pass (r + w) plus the normalization pass (r + w).
         "online-e" | "online-2" | "online-intmax" => 32.0,
-        // Quantize to binary16 bit lanes (r + w), online max/sum over the
-        // lanes (r), exponentials (r + w), normalize (r + w).
-        "fp16" => 56.0,
+        // Quantize to binary16 bit lanes + max (r + w), exponential lanes
+        // + sum (r + w), divide (r + w).
+        "fp16" => 48.0,
         // Max pass (r), LUT exponentials staged in the output (r + w),
         // integer divide pass (r + w).
         "lut8" => 40.0,

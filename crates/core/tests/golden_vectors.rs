@@ -13,7 +13,7 @@
 //! is debuggable without bisecting the whole sweep.
 
 use softermax::baselines::LutSoftmax;
-use softermax::kernel::{KernelRegistry, ScratchBuffers};
+use softermax::kernel::{BatchScratch, KernelRegistry, ScratchBuffers};
 use softermax::pow2::Pow2Unit;
 use softermax::recip::{apply_reciprocal, RecipUnit};
 use softermax::{Softermax, SoftermaxConfig};
@@ -162,6 +162,93 @@ fn fp16_kernel_matches_golden() {
     assert_eq!(out, vec![0.25; 4]);
 }
 
+/// Hashes one row through every fp16 entry point: the allocating
+/// `forward`, `forward_into`, a two-row `forward_batch_into` (the row and
+/// its reverse) and a `stream_session` fed in `chunk`-sized pieces.
+fn fnv_fp16_row(h: u64, row: &[f64], chunk: usize, scratch: &mut BatchScratch) -> u64 {
+    let kernel = KernelRegistry::global().get("fp16").expect("built-in");
+    let mut h = h;
+    let mut hash = |out: &[f64]| {
+        for p in out {
+            h = fnv(h, p.to_bits() as i64);
+        }
+    };
+    hash(&kernel.forward(row).expect("non-empty row"));
+
+    let mut out = vec![0.0; row.len()];
+    kernel
+        .forward_into(row, &mut out, &mut scratch.row)
+        .expect("non-empty row");
+    hash(&out);
+
+    let mut matrix = row.to_vec();
+    matrix.extend(row.iter().rev());
+    let mut batch_out = vec![0.0; matrix.len()];
+    kernel
+        .forward_batch_into(&matrix, row.len(), &mut batch_out, scratch)
+        .expect("non-empty rows");
+    hash(&batch_out);
+
+    let mut session = kernel.stream_session();
+    session.reset(row.len());
+    for piece in row.chunks(chunk) {
+        session.push_chunk(piece);
+    }
+    session.finish_into(&mut out).expect("non-empty row");
+    hash(&out);
+    h
+}
+
+#[test]
+fn fp16_kernel_long_rows_match_golden() {
+    // Pins the binary16 datapath on the rows where its numerics are most
+    // fragile, through every entry point, so the emulation in
+    // `softermax-fp16` can be rewritten without a joint drift of the
+    // kernel and everything compared against it.
+    let mut scratch = BatchScratch::default();
+    let mut h = FNV_SEED;
+
+    // The `local-long` serving shape: 4096 scores at scale 12.
+    h = fnv_fp16_row(h, &golden_row(4096, 12.0), 1000, &mut scratch);
+
+    // A flat row whose FP16 sum sticks at 2048 (ULP 2 swallows each 1.0).
+    let flat = vec![0.0; 3000];
+    h = fnv_fp16_row(h, &flat, 512, &mut scratch);
+    let p = softermax_fp16::softmax::softmax_fp16(&flat).expect("non-empty row");
+    assert!(
+        p.iter().all(|&v| v == 1.0 / 2048.0),
+        "sum must stick at 2048"
+    );
+
+    // A ramp spanning 20 > 17.3, so `exp` underflows to +0 at the low end
+    // and many outputs are binary16 subnormals (< 2^-14).
+    let ramp: Vec<f64> = (0..2000).map(|i| -f64::from(i) / 100.0).collect();
+    h = fnv_fp16_row(h, &ramp, 333, &mut scratch);
+    let p = softermax_fp16::softmax::softmax_fp16(&ramp).expect("non-empty row");
+    assert!(
+        p.iter().any(|&v| v > 0.0 && v < 2f64.powi(-14)),
+        "no subnormal output"
+    );
+    assert_eq!(
+        *p.last().expect("non-empty"),
+        0.0,
+        "exp must underflow to +0"
+    );
+
+    // Signed zeros, infinities and NaN, alone and mixed.
+    for row in [
+        &[0.0, -0.0, 1.0, -0.0][..],
+        &[-0.0, 0.0][..],
+        &[f64::NEG_INFINITY, 2.0, 1.0][..],
+        &[f64::INFINITY, 2.0][..],
+        &[1.0, f64::NAN, 3.0][..],
+        &[70_000.0, -70_000.0, 1e-9][..],
+    ] {
+        h = fnv_fp16_row(h, row, 2, &mut scratch);
+    }
+    assert_eq!(h, GOLDEN_FP16_LONG, "fp16 long-row output drifted");
+}
+
 #[test]
 fn lut8_kernel_matches_golden() {
     // The 256-entry integer-LUT baseline through its raw-lane path: the
@@ -199,3 +286,7 @@ const GOLDEN_SOFTERMAX_ROW: u64 = 0xb39e_7190_f725_c8c5;
 // baseline datapaths from here on.
 const GOLDEN_FP16: u64 = 0xfc26_139d_2c8d_f865;
 const GOLDEN_LUT8: u64 = 0x948d_c3ef_7515_358c;
+// Captured from the tree just before the binary16 emulation moved to
+// bit-level conversions and a table `exp`, with the log2/powi
+// conversions and libm `exp` per element.
+const GOLDEN_FP16_LONG: u64 = 0x1c09_2a6b_dffe_dd6f;

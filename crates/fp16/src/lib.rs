@@ -16,6 +16,14 @@
 //! inside the modelling tolerance of this reproduction, and noted here
 //! for honesty.
 //!
+//! The emulation works on bits. [`Half::from_f64`] rounds to nearest even
+//! with integer shifts of the `f64` bit pattern, [`Half::to_f64`] builds
+//! the `f64` directly, and [`Half::exp`] reads non-positive inputs from a
+//! table of the correctly rounded `f64` expression, built once on first
+//! use. Results are bit-identical to the plain `log2`/`powi` conversions
+//! and per-call `exp`, which the unit tests keep as an oracle; the
+//! double-rounding caveat above is unchanged.
+//!
 //! # Example
 //!
 //! ```

@@ -50,9 +50,11 @@ pub fn softmax_fp16(scores: &[f64]) -> Option<Vec<f64>> {
 /// converted scores, `exps` for the exponentials), so a caller amortizing
 /// the buffers across rows performs no per-row heap allocations.
 ///
-/// The arithmetic — conversion, comparator-tree max, exponential pass,
-/// sequential FP16 accumulation, division pass — is operation-for-operation
-/// identical to [`softmax_fp16`], so the two are **bit-identical**.
+/// The five passes of [`softmax_fp16`] are fused into three sweeps:
+/// conversion + comparator-tree max, exponentials + sequential FP16
+/// accumulation, division. Every comparison and every addition happens in
+/// the same order as in [`softmax_fp16`], so the two are
+/// **bit-identical**, NaN, signed zeros and a sticking sum included.
 ///
 /// Returns `None` for an empty row (like [`softmax_fp16`]).
 ///
@@ -78,34 +80,28 @@ pub fn softmax_fp16_into(
     exps: &mut Vec<i64>,
 ) -> Option<()> {
     assert_eq!(out.len(), scores.len(), "output buffer length mismatch");
-    if scores.is_empty() {
-        return None;
-    }
+    let (&first, rest) = scores.split_first()?;
+
+    // Sweep 1: conversion and explicit max (FP comparator tree).
+    let mut max = Half::from_f64(first);
     xs.clear();
-    xs.extend(
-        scores
-            .iter()
-            .map(|&v| i64::from(Half::from_f64(v).to_bits())),
-    );
+    xs.push(i64::from(max.to_bits()));
+    xs.extend(rest.iter().map(|&v| {
+        let x = Half::from_f64(v);
+        max = max.max(x);
+        i64::from(x.to_bits())
+    }));
 
-    // Pass 1: explicit max (FP comparator tree).
-    let mut max = Half::from_bits(xs[0] as u16);
-    for &x in &xs[1..] {
-        max = max.max(Half::from_bits(x as u16));
-    }
-
-    // Pass 2: exponentials and their FP16 sum.
-    exps.clear();
-    exps.extend(
-        xs.iter()
-            .map(|&x| i64::from((Half::from_bits(x as u16) - max).exp().to_bits())),
-    );
+    // Sweep 2: exponentials and their FP16 sum.
     let mut sum = Half::ZERO;
-    for &e in exps.iter() {
-        sum = sum + Half::from_bits(e as u16);
-    }
+    exps.clear();
+    exps.extend(xs.iter().map(|&x| {
+        let e = (Half::from_bits(x as u16) - max).exp();
+        sum = sum + e;
+        i64::from(e.to_bits())
+    }));
 
-    // Pass 3: FP16 division.
+    // Sweep 3: FP16 division.
     for (o, &e) in out.iter_mut().zip(exps.iter()) {
         *o = (Half::from_bits(e as u16) / sum).to_f64();
     }
