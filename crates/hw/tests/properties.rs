@@ -3,10 +3,12 @@
 //! configuration, not just the paper's.
 
 use proptest::prelude::*;
-use softermax::SoftermaxConfig;
+use softermax::{Softermax, SoftermaxConfig};
+use softermax_fixed::{Fixed, QFormat, Rounding};
 use softermax_hw::accel::Accelerator;
 use softermax_hw::component::ComponentKind;
 use softermax_hw::pe::PeConfig;
+use softermax_hw::sim::UnnormedSim;
 use softermax_hw::tech::TechParams;
 use softermax_hw::units::{
     BaselineNormalizationUnit, BaselineUnnormedUnit, NormalizationUnit, UnnormedSoftmaxUnit,
@@ -117,5 +119,91 @@ proptest! {
             prop_assert!(e.writeback_pj > 0.0);
             prop_assert!((0.0..1.0).contains(&e.softmax_fraction()));
         }
+    }
+}
+
+/// Integer-max, base-2 configurations the Figure-4 datapath implements:
+/// the paper's Table I formats plus two other format sets (a finer input
+/// grid with a wider sum, and an integer-only input), any slice width
+/// from 1 to 64.
+fn arb_fig4_config() -> impl Strategy<Value = SoftermaxConfig> {
+    (1usize..=64, 0usize..3).prop_map(|(width, format_set)| {
+        let builder = SoftermaxConfig::builder().slice_width(width);
+        let builder = match format_set {
+            0 => builder,
+            1 => builder
+                .input_format(QFormat::signed(5, 3))
+                .max_format(QFormat::signed(6, 3))
+                .unnormed_format(QFormat::unsigned(2, 12))
+                .pow_sum_format(QFormat::unsigned(8, 8))
+                .recip_format(QFormat::unsigned(1, 9))
+                .output_format(QFormat::unsigned(1, 9)),
+            _ => builder
+                .input_format(QFormat::signed(8, 0))
+                .max_format(QFormat::signed(8, 0))
+                .unnormed_format(QFormat::unsigned(1, 15))
+                .pow_sum_format(QFormat::unsigned(12, 4))
+                .recip_format(QFormat::unsigned(1, 7))
+                .output_format(QFormat::unsigned(2, 6)),
+        };
+        builder.build().expect("format set is valid")
+    })
+}
+
+proptest! {
+    /// The functional datapath simulation is the Softermax algorithm: its
+    /// probabilities, power sum and global max equal
+    /// `Softermax::forward_fixed` bit for bit, and its event counters
+    /// agree with its own trace — one slice per `slice_width` elements,
+    /// one renormalization shift per slice that raised the running max,
+    /// one numerator shift per element whose slice max sits below the
+    /// global max.
+    ///
+    /// Rows span the input format's lower rail (saturating below it) up
+    /// to the largest integer the max format holds, so every IntMax
+    /// output is an integer.
+    #[test]
+    fn unnormed_sim_matches_forward_fixed(
+        unit_row in proptest::collection::vec(0.0f64..1.0, 1..300),
+        cfg in arb_fig4_config(),
+    ) {
+        let lo = cfg.input_format.min_value() * 1.25;
+        let hi = cfg.max_format.max_value().floor();
+        let row: Vec<Fixed> = unit_row
+            .iter()
+            .map(|&u| Fixed::from_f64(lo + u * (hi - lo), cfg.input_format, Rounding::Nearest))
+            .collect();
+        let want = Softermax::new(cfg.clone())
+            .forward_fixed(&row)
+            .expect("non-empty row");
+
+        let mut sim = UnnormedSim::new(cfg.clone());
+        sim.run_row(&row);
+        let trace = sim.trace().to_vec();
+        let got = sim.normalize().expect("non-empty row");
+
+        prop_assert_eq!(got.global_max.raw(), want.global_max.raw());
+        prop_assert_eq!(got.pow_sum.raw(), want.pow_sum.raw());
+        prop_assert_eq!(got.probs.len(), want.probs.len());
+        for (i, (a, b)) in got.probs.iter().zip(&want.probs).enumerate() {
+            prop_assert_eq!(a.raw(), b.raw(), "prob {}", i);
+        }
+
+        let width = cfg.slice_width;
+        prop_assert_eq!(got.events.slices, row.len().div_ceil(width) as u64);
+        prop_assert_eq!(got.events.elements, row.len() as u64);
+        prop_assert_eq!(trace.len(), row.chunks(width).len());
+        let rises = trace
+            .windows(2)
+            .filter(|w| w[1].running_max > w[0].running_max)
+            .count() as u64;
+        prop_assert_eq!(got.events.renorm_shifts, rises);
+        let shifted: usize = row
+            .chunks(width)
+            .zip(&trace)
+            .filter(|(_, t)| t.local_max < got.global_max)
+            .map(|(chunk, _)| chunk.len())
+            .sum();
+        prop_assert_eq!(got.numerator_shifts, shifted as u64);
     }
 }
