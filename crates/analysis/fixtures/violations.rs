@@ -62,6 +62,15 @@ fn undocumented_unsafe(p: *const u32) -> u32 {
     unsafe { *p } //~ unsafe-audit
 }
 
+// A documented site still cannot hide in a macro: it expands into the
+// caller's crate, past that crate's `forbid(unsafe_code)`.
+macro_rules! deref_in_caller {
+    ($p:expr) => {
+        // SAFETY: every caller passes a valid, aligned pointer.
+        unsafe { *$p } //~ unsafe-audit
+    };
+}
+
 fn bad_suppressions(r: Result<u32, ()>) {
     // analysis:allow(panic-surface) //~ bad-suppression
     // analysis:allow(made-up-lint): the lint name does not exist //~ bad-suppression

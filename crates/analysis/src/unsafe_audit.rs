@@ -2,6 +2,11 @@
 //! carry a `// SAFETY:` comment within the preceding few lines, and
 //! every site is recorded for `docs/UNSAFE_INVENTORY.md` so new unsafe
 //! cannot land without a visible diff.
+//!
+//! An `unsafe` token inside a `macro_rules!` body is a finding whatever
+//! its comment says: the macro expands it into the *calling* crate,
+//! where that crate's `#![forbid(unsafe_code)]` does not fire inside an
+//! external macro's expansion.
 
 use crate::items::ItemTracker;
 use crate::scan::SourceFile;
@@ -29,6 +34,7 @@ pub struct UnsafeSite {
 /// Scans one file for `unsafe` sites; appends to `sites` (for the
 /// inventory) and to `out` (for missing rationales).
 pub fn run(file: &SourceFile, sites: &mut Vec<UnsafeSite>, out: &mut Vec<Violation>) {
+    let macros = macro_bodies(file);
     let mut tracker = ItemTracker::new();
     for (i, token) in file.tokens.iter().enumerate() {
         if token.ident() != Some("unsafe") {
@@ -81,6 +87,20 @@ pub fn run(file: &SourceFile, sites: &mut Vec<UnsafeSite>, out: &mut Vec<Violati
                 ),
             });
         }
+        if let Some((_, _, name)) = macros
+            .iter()
+            .find(|(start, end, _)| (*start..*end).contains(&i))
+        {
+            out.push(Violation {
+                lint: Lint::UnsafeAudit,
+                file: file.rel_path.clone(),
+                line,
+                message: format!(
+                    "unsafe {kind} inside `macro_rules! {name}` expands into its callers, \
+                     where `#![forbid(unsafe_code)]` cannot see it"
+                ),
+            });
+        }
         sites.push(UnsafeSite {
             file: file.rel_path.clone(),
             line,
@@ -90,4 +110,34 @@ pub fn run(file: &SourceFile, sites: &mut Vec<UnsafeSite>, out: &mut Vec<Violati
         });
         tracker.observe(token);
     }
+}
+
+/// `(first body token, one past the closing delimiter, macro name)` for
+/// every `macro_rules! name { ... }` definition in the file.
+fn macro_bodies(file: &SourceFile) -> Vec<(usize, usize, &str)> {
+    let toks = &file.tokens;
+    let mut bodies = Vec::new();
+    for i in 0..toks.len() {
+        if toks[i].ident() != Some("macro_rules")
+            || !toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
+        {
+            continue;
+        }
+        let Some(name) = toks.get(i + 2).and_then(|t| t.ident()) else {
+            continue;
+        };
+        let mut depth = 0usize;
+        for (j, t) in toks.iter().enumerate().skip(i + 3) {
+            if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
+                depth += 1;
+            } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    bodies.push((i + 3, j + 1, name));
+                    break;
+                }
+            }
+        }
+    }
+    bodies
 }

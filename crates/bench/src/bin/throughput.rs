@@ -100,8 +100,8 @@
 //! flaky).
 //!
 //! Every report additionally records host metadata (CPU model, core
-//! count, the runtime-selected SIMD lane path, rustc version, feature
-//! flags) under a `"host"` key — see `softermax_bench::host_metadata`.
+//! count, lane width, rustc version) under a `"host"` key — see
+//! `softermax_bench::host_metadata`.
 //!
 //! ```text
 //! usage: throughput [--batch | --stream | --concurrent | --roofline | --chaos | --open-loop | --remote] [--threads N] [--smoke] [--out PATH]
@@ -570,10 +570,7 @@ fn roofline_harness(
     let tsc_per_ns = tsc_per_ns();
     let (exp_ns_per_elem, exp2_ns_per_elem) = measure_float_exp_ns(warmup, budget);
     let bytes_per_cycle = tsc_per_ns.map(|t| triad_bytes_per_s / 1e9 / t);
-    println!(
-        "# Per-kernel roofline: scalar vs fused SIMD, lane path {}\n",
-        softermax_fixed::lane::path_label()
-    );
+    println!("# Per-kernel roofline: scalar vs fused SIMD\n");
     println!(
         "measured ceilings: triad {:.2} GB/s{}, libm exp {exp_ns_per_elem:.2} ns/elem, \
          exp2 {exp2_ns_per_elem:.2} ns/elem\n",
@@ -2866,9 +2863,8 @@ fn remote_harness(smoke: bool, endpoint_specs: &[String], shutdown_server: bool,
 }
 
 /// Writes one benchmark report, stamping the host/toolchain metadata
-/// (CPU model, core count, selected SIMD lane path, rustc version,
-/// feature flags) under a `"host"` key — every mode's existing fields
-/// are untouched.
+/// (CPU model, core count, lane width, rustc version) under a `"host"`
+/// key — every mode's existing fields are untouched.
 fn write_report(out_path: &str, report: &serde_json::Value) {
     let mut report = report.clone();
     match &mut report {

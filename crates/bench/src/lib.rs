@@ -127,7 +127,7 @@ pub fn measure_fidelity(
 }
 
 /// Host and build metadata stamped into every benchmark report: numbers
-/// without the machine, SIMD path and toolchain they came from are not
+/// without the machine, lane width and toolchain they came from are not
 /// comparable across runs. Additive — harnesses merge this under a
 /// `"host"` key next to their existing fields.
 #[must_use]
@@ -135,13 +135,8 @@ pub fn host_metadata() -> serde_json::Value {
     serde_json::json!({
         "cpu_model": cpu_model(),
         "cores": std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get),
-        "lane_path": softermax_fixed::lane::path_label(),
-        "simd_impl": softermax_fixed::lane::simd_impl(),
         "lanes": softermax_fixed::vecops::LANES,
         "rustc": env!("BENCH_RUSTC_VERSION"),
-        "features": {
-            "portable_simd": cfg!(feature = "portable-simd"),
-        },
         "os": std::env::consts::OS,
         "arch": std::env::consts::ARCH,
     })

@@ -183,13 +183,8 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 
 fn cmd_kernels() {
     let registry = KernelRegistry::global();
-    // Which fixed-point lane implementation the integer kernels will run
-    // on in this process (ISA detection + SOFTERMAX_LANES override).
-    println!(
-        "lane path: {} ({} x i64 lanes)\n",
-        softermax_fixed::lane::path_label(),
-        softermax_fixed::vecops::LANES,
-    );
+    // Lane-block width of the fixed-point kernels' vectorized loops.
+    println!("lanes: {} x i64\n", softermax_fixed::vecops::LANES);
     println!(
         "{:<16} {:<8} {:<18} {:<8} {:<7} {:<10} aliases",
         "name", "base", "normalization", "bits", "passes", "streaming"

@@ -63,7 +63,9 @@ pub use kernel::{
     check_batch_geometry, BatchScratch, BufferedSession, KernelDescriptor, KernelRegistry,
     ScratchBuffers, SoftmaxKernel, StreamSession, StreamingClass,
 };
-pub use softermax::{Softermax, SoftermaxAccumulator, SoftermaxRowOutput, SoftermaxStream};
+pub use softermax::{
+    SliceRecord, Softermax, SoftermaxAccumulator, SoftermaxRowOutput, SoftermaxStream,
+};
 
 /// Result alias for fallible softmax operations.
 pub type Result<T> = std::result::Result<T, SoftmaxError>;

@@ -7,6 +7,8 @@
 //! unit), and a final pass renormalizes every stored numerator and divides
 //! by the accumulated sum (the Normalization unit).
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use softermax_fixed::{floor_shift, lane, vecops, Fixed, QFormat, Rounding};
 
@@ -98,12 +100,14 @@ impl Softermax {
     /// Starts a streaming accumulation (one attention row).
     #[must_use]
     pub fn accumulator(&self) -> SoftermaxAccumulator<'_> {
-        SoftermaxAccumulator {
-            sm: self,
-            running_max: None,
-            running_sum: Fixed::zero(self.config.pow_sum_format),
-            entries: Vec::new(),
-        }
+        SoftermaxAccumulator::over(Cow::Borrowed(self))
+    }
+
+    /// [`Softermax::accumulator`] that owns the operator, for callers that
+    /// keep one row's accumulation without keeping the operator around.
+    #[must_use]
+    pub fn into_accumulator(self) -> SoftermaxAccumulator<'static> {
+        SoftermaxAccumulator::over(Cow::Owned(self))
     }
 
     /// Softmax over real-valued scores: quantize to the input format, run
@@ -324,31 +328,35 @@ impl Softermax {
 
     /// Stage 3 — the Reduction unit: merges one slice's `(max, sum)` into
     /// the running row state, renormalizing whichever side has the smaller
-    /// max. Called once per slice by [`Softermax::fused_slice_stages`].
+    /// max. Called once per slice by both the scalar accumulator and
+    /// [`Softermax::fused_slice_stages`]. Returns the right shift applied
+    /// to the stale running sum (0 for a row's first slice and for a slice
+    /// that does not raise the running max).
     fn merge_running(
         &self,
         running: &mut Option<(Fixed, Fixed)>,
         local_max: Fixed,
         local_sum: Fixed,
-    ) {
-        match *running {
-            None => *running = Some((local_max, local_sum)),
-            Some((prev_max, prev_sum)) => {
-                let new_max = prev_max.max(local_max);
-                let d_prev = new_max
-                    .saturating_sub(prev_max)
-                    .expect("max-format subtraction");
-                let d_local = new_max
-                    .saturating_sub(local_max)
-                    .expect("max-format subtraction");
-                let prev_renorm = self.renorm_down(prev_sum, d_prev);
-                let local_renorm = self.renorm_down(local_sum, d_local);
-                let new_sum = prev_renorm
-                    .saturating_add(local_renorm)
-                    .expect("pow-sum addition");
-                *running = Some((new_max, new_sum));
-            }
-        }
+    ) -> u32 {
+        let Some((prev_max, prev_sum)) = *running else {
+            *running = Some((local_max, local_sum));
+            return 0;
+        };
+        let new_max = prev_max.max(local_max);
+        let d_prev = new_max
+            .saturating_sub(prev_max)
+            .expect("max-format subtraction");
+        let d_local = new_max
+            .saturating_sub(local_max)
+            .expect("max-format subtraction");
+        let (prev_shift, prev_factor) = self.renorm_plan(d_prev);
+        let prev_renorm = apply_renorm(prev_sum, prev_shift, prev_factor);
+        let local_renorm = self.renorm_down(local_sum, d_local);
+        let new_sum = prev_renorm
+            .saturating_add(local_renorm)
+            .expect("pow-sum addition");
+        *running = Some((new_max, new_sum));
+        prev_shift
     }
 
     /// The Normalization unit over a completed row: one reciprocal of the
@@ -495,21 +503,54 @@ impl SoftermaxRowOutput {
     }
 }
 
+/// What one hardware slice did to the row state: the per-slice record
+/// returned by [`SoftermaxAccumulator::push_slice`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SliceRecord {
+    /// The IntMax unit's output for the slice (max format).
+    pub local_max: Fixed,
+    /// The slice sum leaving the summation tree (pow-sum format).
+    pub local_sum: Fixed,
+    /// Running maximum after the merge.
+    pub running_max: Fixed,
+    /// Running sum after the merge.
+    pub running_sum: Fixed,
+    /// Right shift the Reduction unit applied to the stale running sum
+    /// (0 for a row's first slice and for a slice that does not raise the
+    /// running max).
+    pub renorm_shift: u32,
+}
+
 /// Streaming state for one softmax row, mirroring the hardware:
 /// slice-sized chunks update a running max and a shift-renormalized
 /// running sum; `finalize` performs the Normalization-unit pass.
 ///
-/// Obtain one from [`Softermax::accumulator`].
+/// Obtain one from [`Softermax::accumulator`] (borrowing the operator) or
+/// [`Softermax::into_accumulator`] (owning it).
 #[derive(Debug, Clone)]
 pub struct SoftermaxAccumulator<'a> {
-    sm: &'a Softermax,
-    running_max: Option<Fixed>,
-    running_sum: Fixed,
+    sm: Cow<'a, Softermax>,
+    /// Running `(max, renormalized sum)` of the Reduction unit.
+    running: Option<(Fixed, Fixed)>,
     /// (unnormed exponential, the local max it was computed against)
     entries: Vec<(Fixed, Fixed)>,
 }
 
-impl SoftermaxAccumulator<'_> {
+impl<'a> SoftermaxAccumulator<'a> {
+    fn over(sm: Cow<'a, Softermax>) -> Self {
+        Self {
+            sm,
+            running: None,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The configuration of the operator being accumulated.
+    #[must_use]
+    pub fn config(&self) -> &SoftermaxConfig {
+        &self.sm.config
+    }
+
     /// Number of elements absorbed so far.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -525,13 +566,14 @@ impl SoftermaxAccumulator<'_> {
     /// The current running maximum, if any element has been seen.
     #[must_use]
     pub fn running_max(&self) -> Option<Fixed> {
-        self.running_max
+        self.running.map(|(max, _)| max)
     }
 
     /// The current renormalized running sum.
     #[must_use]
     pub fn running_sum(&self) -> Fixed {
-        self.running_sum
+        self.running
+            .map_or(Fixed::zero(self.sm.config.pow_sum_format), |(_, sum)| sum)
     }
 
     /// Absorbs values, chunking them into hardware slices of the
@@ -552,12 +594,13 @@ impl SoftermaxAccumulator<'_> {
     }
 
     /// Absorbs exactly one hardware slice (at most `slice_width` elements;
-    /// shorter slices model a row tail).
+    /// shorter slices model a row tail) and reports what it did to the
+    /// row state.
     ///
     /// # Panics
     ///
     /// Panics if `slice` is empty or longer than the configured width.
-    pub fn push_slice(&mut self, slice: &[Fixed]) {
+    pub fn push_slice(&mut self, slice: &[Fixed]) -> SliceRecord {
         assert!(!slice.is_empty(), "hardware slice cannot be empty");
         assert!(
             slice.len() <= self.sm.config.slice_width,
@@ -580,8 +623,7 @@ impl SoftermaxAccumulator<'_> {
         // Stage 2 — Power-of-Two unit: u_i = 2^(x_i - local_max).
         // The subtraction happens in the max format (both operands live
         // there), and the result is never positive.
-        let mut local_sum_wide = Fixed::zero(wide_sum_format(cfg.unnormed_format));
-        let mut slice_entries = Vec::with_capacity(xs.len());
+        let mut local_sum_wide = Fixed::zero(self.sm.wide_fmt);
         for &x in &xs {
             let xm = x.requantize(cfg.max_format, Rounding::Nearest);
             let diff = xm
@@ -591,34 +633,23 @@ impl SoftermaxAccumulator<'_> {
             local_sum_wide = local_sum_wide
                 .saturating_add(u.requantize(local_sum_wide.format(), Rounding::Floor))
                 .expect("wide accumulator addition");
-            slice_entries.push((u, local_max));
+            self.entries.push((u, local_max));
         }
         let local_sum = local_sum_wide.requantize(cfg.pow_sum_format, Rounding::Nearest);
 
         // Stage 3 — Reduction unit: merge with the running row state,
         // renormalizing whichever side has the smaller max.
-        match self.running_max {
-            None => {
-                self.running_max = Some(local_max);
-                self.running_sum = local_sum;
-            }
-            Some(prev_max) => {
-                let new_max = prev_max.max(local_max);
-                let d_prev = new_max
-                    .saturating_sub(prev_max)
-                    .expect("max-format subtraction");
-                let d_local = new_max
-                    .saturating_sub(local_max)
-                    .expect("max-format subtraction");
-                let prev_renorm = self.sm.renorm_down(self.running_sum, d_prev);
-                let local_renorm = self.sm.renorm_down(local_sum, d_local);
-                self.running_sum = prev_renorm
-                    .saturating_add(local_renorm)
-                    .expect("pow-sum addition");
-                self.running_max = Some(new_max);
-            }
+        let renorm_shift = self
+            .sm
+            .merge_running(&mut self.running, local_max, local_sum);
+        let (running_max, running_sum) = self.running.expect("slice was just merged");
+        SliceRecord {
+            local_max,
+            local_sum,
+            running_max,
+            running_sum,
+            renorm_shift,
         }
-        self.entries.extend(slice_entries);
     }
 
     /// Runs the Normalization-unit pass: reciprocal of the accumulated sum,
@@ -630,8 +661,8 @@ impl SoftermaxAccumulator<'_> {
     /// [`SoftmaxError::DivisionByZero`] if the power sum is zero.
     pub fn finalize(self) -> Result<SoftermaxRowOutput> {
         let cfg = &self.sm.config;
-        let global_max = self.running_max.ok_or(SoftmaxError::EmptyInput)?;
-        let recip = self.sm.recip.reciprocal(self.running_sum)?;
+        let (global_max, pow_sum) = self.running.ok_or(SoftmaxError::EmptyInput)?;
+        let recip = self.sm.recip.reciprocal(pow_sum)?;
         let mut probs = Vec::with_capacity(self.entries.len());
         for (u, ref_max) in &self.entries {
             let d = global_max
@@ -643,7 +674,7 @@ impl SoftermaxAccumulator<'_> {
         Ok(SoftermaxRowOutput {
             probs,
             global_max,
-            pow_sum: self.running_sum,
+            pow_sum,
             recip,
         })
     }
@@ -792,53 +823,51 @@ impl SoftermaxStream<'_> {
     }
 }
 
-softermax_fixed::lane_envelope! {
-    /// Pass 2 of the fused pipeline for one slice: rewrites max-format
-    /// candidate lanes **in place** as unnormed numerator lanes
-    /// `u_i = 2^(x_i - local_max)` and returns the slice's wide running
-    /// sum — the subtract, Power-of-Two and summation-tree stages in a
-    /// single sweep.
-    ///
-    /// Per element this chains exactly the bulk primitives: a
-    /// saturating max-format subtraction (`vecops::sub_scalar_saturating`),
-    /// the Power-of-Two unit (`Pow2Unit::eval_one_raw`, via its fast
-    /// bit-identical twin), and the sequential saturating wide
-    /// accumulation (`vecops::shift_accumulate`) — the per-step saturation
-    /// of the summation tree is order-sensitive, so the adds stay
-    /// sequential while the subtract and term staging run as lane blocks.
-    fn fused_pow2_sum_pass(
-        lanes: &mut [i64],
-        local_max_raw: i64,
-        max_format: QFormat,
-        pow2: &Pow2Unit,
-        plan: &LpwPlan<'_>,
-        sum_shift: u32,
-        wide_fmt: QFormat,
-    ) -> i64 {
-        let in_frac = max_format.frac_bits();
-        let (lo, hi) = (max_format.min_raw(), max_format.max_raw());
-        let (wlo, whi) = (wide_fmt.min_raw(), wide_fmt.max_raw());
-        let mut acc = 0i64;
-        let mut chunks = lanes.chunks_exact_mut(lane::LANES);
-        for chunk in chunks.by_ref() {
-            let d = lane::sub_clamp(lane::load(chunk), local_max_raw, lo, hi);
-            let u: lane::Block =
-                std::array::from_fn(|i| pow2.eval_one_raw_fast(plan, d[i], in_frac));
-            chunk.copy_from_slice(&u);
-            let terms = lane::shr_clamp(u, sum_shift, wlo, whi);
-            for t in terms {
-                acc = wide_fmt.saturate_raw(acc.saturating_add(t));
-            }
+/// Pass 2 of the fused pipeline for one slice: rewrites max-format
+/// candidate lanes **in place** as unnormed numerator lanes
+/// `u_i = 2^(x_i - local_max)` and returns the slice's wide running
+/// sum — the subtract, Power-of-Two and summation-tree stages in a
+/// single sweep.
+///
+/// Per element this is stage 2 of [`SoftermaxAccumulator::push_slice`]
+/// on raw lanes: a saturating max-format subtraction, the Power-of-Two
+/// unit (`Pow2Unit::eval_one_raw_fast`, the bit-identical twin of
+/// `Pow2Unit::eval`), and a floor-narrowed saturating add into the wide
+/// sum. The per-step saturation of the summation tree is
+/// order-sensitive, so the adds stay sequential while the subtract and
+/// term staging run as lane blocks. `tests/vector_parity.rs` holds the
+/// whole pass bit-exact with the scalar accumulator.
+fn fused_pow2_sum_pass(
+    lanes: &mut [i64],
+    local_max_raw: i64,
+    max_format: QFormat,
+    pow2: &Pow2Unit,
+    plan: &LpwPlan<'_>,
+    sum_shift: u32,
+    wide_fmt: QFormat,
+) -> i64 {
+    let in_frac = max_format.frac_bits();
+    let (lo, hi) = (max_format.min_raw(), max_format.max_raw());
+    let (wlo, whi) = (wide_fmt.min_raw(), wide_fmt.max_raw());
+    let mut acc = 0i64;
+    let mut chunks = lanes.chunks_exact_mut(lane::LANES);
+    for chunk in chunks.by_ref() {
+        let d = lane::sub_clamp(lane::load(chunk), local_max_raw, lo, hi);
+        let u: lane::Block = std::array::from_fn(|i| pow2.eval_one_raw_fast(plan, d[i], in_frac));
+        chunk.copy_from_slice(&u);
+        let terms = lane::shr_clamp(u, sum_shift, wlo, whi);
+        for t in terms {
+            acc = wide_fmt.saturate_raw(acc.saturating_add(t));
         }
-        for x in chunks.into_remainder() {
-            let d = max_format.saturate_raw(x.saturating_sub(local_max_raw));
-            let u = pow2.eval_one_raw_fast(plan, d, in_frac);
-            *x = u;
-            let term = wide_fmt.saturate_raw(floor_shift(u as i128, sum_shift));
-            acc = wide_fmt.saturate_raw(acc.saturating_add(term));
-        }
-        acc
     }
+    for x in chunks.into_remainder() {
+        let d = max_format.saturate_raw(x.saturating_sub(local_max_raw));
+        let u = pow2.eval_one_raw_fast(plan, d, in_frac);
+        *x = u;
+        let term = wide_fmt.saturate_raw(floor_shift(u as i128, sum_shift));
+        acc = wide_fmt.saturate_raw(acc.saturating_add(term));
+    }
+    acc
 }
 
 /// Applies a renormalization plan from [`Softermax::renorm_plan`] to one

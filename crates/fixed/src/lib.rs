@@ -36,10 +36,9 @@
 //! assert_eq!(y.to_f64(), 0.0); // negative values saturate to 0 in unsigned
 //! ```
 
-// Unsafe is audited (docs/UNSAFE_INVENTORY.md); inside `unsafe fn`,
-// each unsafe operation still needs its own explicit block.
-#![deny(unsafe_op_in_unsafe_fn)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
+// No unsafe code in this crate, enforced by the compiler; the
+// workspace-wide unsafe audit lives in `softermax-analysis`.
+#![forbid(unsafe_code)]
 
 mod error;
 pub mod lane;

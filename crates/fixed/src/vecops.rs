@@ -7,37 +7,26 @@
 //!   [`requantize_slice`] and their allocation-free `_into` variants) for
 //!   callers that want format-carrying values;
 //! * **raw-lane** operations ([`quantize_raw_into`], [`requantize_raw_into`],
-//!   [`dequantize_raw`], [`max_reduce`], [`sub_scalar_saturating`],
-//!   [`shift_accumulate`]) on bare `i64` encodings that all share one
-//!   [`QFormat`], carried by the caller. This is the layout a SIMD datapath
-//!   wants: a dense `&[i64]` of lanes plus one format descriptor, instead of
-//!   an array of `(raw, format)` structs.
+//!   [`fused_quantize_into`], [`max_reduce`], [`max_reduce_ceil`]) on bare
+//!   `i64` encodings that all share one [`QFormat`], carried by the caller.
+//!   This is the layout a SIMD datapath wants: a dense `&[i64]` of lanes
+//!   plus one format descriptor, instead of an array of `(raw, format)`
+//!   structs.
 //!
 //! Every raw operation processes [`LANES`]-wide blocks from the
-//! [`crate::lane`] layer with a scalar tail: with the `portable-simd`
-//! feature the block ops are `std::simd` lanes, otherwise hand-unrolled
-//! loops that auto-vectorize inside the [`crate::lane_envelope!`]
-//! multiversioning wrappers. All operations are **bit-exact** with their
-//! scalar [`Fixed`] counterparts — the property tests in
-//! `tests/properties.rs` hold every path (including saturation and
-//! tail-chunk edges) to that contract.
+//! [`crate::lane`] layer (hand-unrolled loops that auto-vectorize) with a
+//! scalar tail. All operations are **bit-exact** with their scalar
+//! [`Fixed`] counterparts — the property tests in `tests/properties.rs`
+//! hold them (including saturation and tail-chunk edges) to that
+//! contract.
 //!
 //! # The `_into` output contract
 //!
-//! Raw-lane operations come in exactly two output shapes, chosen by the
-//! parameter type:
-//!
-//! * **`out: &mut Vec<i64>`** — the operation *clears* the vector and
-//!   extends it with one output lane per input lane, reusing capacity.
-//!   Callers never pre-size these.
-//! * **`out: &mut [f64]`** (or any pre-sized slice) — the caller sizes the
-//!   buffer, exactly one geometry check happens *up front* at the pipeline
-//!   entry point (e.g. `forward_into`'s `assert_eq!`), and the operation
-//!   itself only `debug_assert!`s the lengths: release builds drop the
-//!   per-call panic from the hot loop. Violating the contract in release
-//!   truncates the operation to the shorter length instead of panicking.
+//! Raw-lane operations that produce lanes take **`out: &mut Vec<i64>`**:
+//! the operation *clears* the vector and extends it with one output lane
+//! per input lane, reusing capacity. Callers never pre-size these.
 
-use crate::{clamp_i128, lane, lane_envelope, nearest_shift, Fixed, QFormat, Rounding};
+use crate::{clamp_i128, lane, nearest_shift, Fixed, QFormat, Rounding};
 
 /// Chunk width of the vectorized loops (lanes per iteration); re-exported
 /// from [`crate::lane`].
@@ -162,30 +151,6 @@ pub fn quantize_raw_into(values: &[f64], format: QFormat, rounding: Rounding, ou
     }
 }
 
-lane_envelope! {
-    /// Converts raw `format` encodings to reals, writing into the
-    /// caller-provided pre-sized slice (see the module-level `_into`
-    /// contract: the lengths are `debug_assert!`ed here; the up-front
-    /// geometry check lives at the pipeline entry point). Bit-exact with
-    /// [`Fixed::to_f64`] per element.
-    pub fn dequantize_raw(raws: &[i64], format: QFormat, out: &mut [f64]) {
-        debug_assert_eq!(raws.len(), out.len(), "lane count mismatch");
-        let res = format.resolution();
-        let mut in_chunks = raws.chunks_exact(LANES);
-        let mut out_chunks = out.chunks_exact_mut(LANES);
-        for (rc, oc) in in_chunks.by_ref().zip(out_chunks.by_ref()) {
-            lane::to_f64_scaled(lane::load(rc), res, oc);
-        }
-        for (&r, o) in in_chunks
-            .remainder()
-            .iter()
-            .zip(out_chunks.into_remainder())
-        {
-            *o = r as f64 * res;
-        }
-    }
-}
-
 /// One lane of [`requantize_raw_into`]; bit-exact with [`Fixed::requantize`].
 ///
 /// Public so fused downstream pipelines can chain the exact per-element
@@ -226,27 +191,25 @@ pub fn requantize_raw_into(
     }
 }
 
-lane_envelope! {
-    /// Maximum raw encoding of a lane slice (`None` when empty).
-    ///
-    /// Within one format the raw ordering is the mathematical ordering, so
-    /// this matches a fold over [`Fixed::max`].
-    #[must_use]
-    pub fn max_reduce(raws: &[i64]) -> Option<i64> {
-        if raws.is_empty() {
-            return None;
-        }
-        let mut chunks = raws.chunks_exact(LANES);
-        let mut acc: lane::Block = [i64::MIN; LANES];
-        for chunk in chunks.by_ref() {
-            acc = lane::max(acc, lane::load(chunk));
-        }
-        let mut best = lane::hmax(acc);
-        for &r in chunks.remainder() {
-            best = best.max(r);
-        }
-        Some(best)
+/// Maximum raw encoding of a lane slice (`None` when empty).
+///
+/// Within one format the raw ordering is the mathematical ordering, so
+/// this matches a fold over [`Fixed::max`].
+#[must_use]
+pub fn max_reduce(raws: &[i64]) -> Option<i64> {
+    if raws.is_empty() {
+        return None;
     }
+    let mut chunks = raws.chunks_exact(LANES);
+    let mut acc: lane::Block = [i64::MIN; LANES];
+    for chunk in chunks.by_ref() {
+        acc = lane::max(acc, lane::load(chunk));
+    }
+    let mut best = lane::hmax(acc);
+    for &r in chunks.remainder() {
+        best = best.max(r);
+    }
+    Some(best)
 }
 
 /// One lane of [`max_reduce_ceil`]; bit-exact with [`Fixed::ceil`] on a
@@ -259,48 +222,26 @@ pub fn ceil_one_raw(raw: i64, format: QFormat) -> i64 {
     format.saturate_raw(int_steps.saturating_mul(1i64 << frac))
 }
 
-lane_envelope! {
-    /// Maximum of the [`Fixed::ceil`]ed lane encodings (`None` when
-    /// empty): the IntMax unit's slice reduction, fused so the ceiled
-    /// candidates are never materialized. Bit-exact with mapping
-    /// [`Fixed::ceil`] over the lanes and folding [`Fixed::max`].
-    #[must_use]
-    pub fn max_reduce_ceil(raws: &[i64], format: QFormat) -> Option<i64> {
-        if raws.is_empty() {
-            return None;
-        }
-        let mut chunks = raws.chunks_exact(LANES);
-        let mut acc: lane::Block = [i64::MIN; LANES];
-        for chunk in chunks.by_ref() {
-            let ceiled: lane::Block =
-                std::array::from_fn(|i| ceil_one_raw(chunk[i], format));
-            acc = lane::max(acc, ceiled);
-        }
-        let mut best = lane::hmax(acc);
-        for &r in chunks.remainder() {
-            best = best.max(ceil_one_raw(r, format));
-        }
-        Some(best)
+/// Maximum of the [`Fixed::ceil`]ed lane encodings (`None` when
+/// empty): the IntMax unit's slice reduction, fused so the ceiled
+/// candidates are never materialized. Bit-exact with mapping
+/// [`Fixed::ceil`] over the lanes and folding [`Fixed::max`].
+#[must_use]
+pub fn max_reduce_ceil(raws: &[i64], format: QFormat) -> Option<i64> {
+    if raws.is_empty() {
+        return None;
     }
-}
-
-lane_envelope! {
-    /// Subtracts `scalar` from every lane with saturation into `format`,
-    /// writing into `out` (cleared first). Bit-exact with
-    /// [`Fixed::saturating_sub`] per element (all operands share `format`).
-    pub fn sub_scalar_saturating(raws: &[i64], scalar: i64, format: QFormat, out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(raws.len());
-        let (lo, hi) = (format.min_raw(), format.max_raw());
-        let mut chunks = raws.chunks_exact(LANES);
-        for chunk in chunks.by_ref() {
-            let lanes = lane::sub_clamp(lane::load(chunk), scalar, lo, hi);
-            out.extend_from_slice(&lanes);
-        }
-        for &r in chunks.remainder() {
-            out.push(format.saturate_raw(r.saturating_sub(scalar)));
-        }
+    let mut chunks = raws.chunks_exact(LANES);
+    let mut acc: lane::Block = [i64::MIN; LANES];
+    for chunk in chunks.by_ref() {
+        let ceiled: lane::Block = std::array::from_fn(|i| ceil_one_raw(chunk[i], format));
+        acc = lane::max(acc, ceiled);
     }
+    let mut best = lane::hmax(acc);
+    for &r in chunks.remainder() {
+        best = best.max(ceil_one_raw(r, format));
+    }
+    Some(best)
 }
 
 /// One lane of [`fused_quantize_into`]: quantize → optional pre-scale
@@ -334,63 +275,40 @@ pub fn fused_quantize_one(
     dst.saturate_raw(shifted)
 }
 
-lane_envelope! {
-    /// Fused stage-0 pass of a quantized softmax pipeline: for every real
-    /// input, quantize into `input` format, apply the optional fixed-point
-    /// pre-scale `prescale = (mantissa_raw, frac_shift)` (a
-    /// round-to-nearest multiply saturating in `input` — the base-e
-    /// `log2(e)` scaling), and requantize into `dst` format — one sweep,
-    /// one output write per element, appended to `out` (cleared first).
-    ///
-    /// Bit-exact per element with the three-pass staged equivalent
-    /// ([`quantize_raw_into`], the scalar pre-scale, then
-    /// [`requantize_raw_into`]).
-    pub fn fused_quantize_into(
-        values: &[f64],
-        input: QFormat,
-        rounding: Rounding,
-        prescale: Option<(i64, u32)>,
-        dst: QFormat,
-        out: &mut Vec<i64>,
-    ) {
-        out.clear();
-        out.reserve(values.len());
-        let inv_res = res_recip(input);
-        let in_frac = input.frac_bits();
-        let mut chunks = values.chunks_exact(LANES);
-        for chunk in chunks.by_ref() {
-            let lanes: lane::Block = std::array::from_fn(|i| {
-                fused_quantize_one(chunk[i], input, rounding, inv_res, in_frac, prescale, dst)
-            });
-            out.extend_from_slice(&lanes);
-        }
-        for &v in chunks.remainder() {
-            out.push(fused_quantize_one(
-                v, input, rounding, inv_res, in_frac, prescale, dst,
-            ));
-        }
-    }
-}
-
-/// Accumulates `shift_down`-truncated lanes into a running sum that
-/// saturates into `format` after every addition: the summation tree of the
-/// Unnormed Softmax unit. Starting from `init`, each lane contributes
-/// `raw >> shift_down` (floor semantics), exactly like
-/// `acc.saturating_add(x.requantize(wide, Rounding::Floor))` does in the
-/// scalar pipeline when the wide format is `shift_down` fraction bits
-/// narrower than the lane format.
+/// Fused stage-0 pass of a quantized softmax pipeline: for every real
+/// input, quantize into `input` format, apply the optional fixed-point
+/// pre-scale `prescale = (mantissa_raw, frac_shift)` (a
+/// round-to-nearest multiply saturating in `input` — the base-e
+/// `log2(e)` scaling), and requantize into `dst` format — one sweep,
+/// one output write per element, appended to `out` (cleared first).
 ///
-/// The per-step saturation makes this an inherently sequential reduction
-/// (a plain loop, not a chunked one): reassociating it would change where
-/// saturation bites.
-#[must_use]
-pub fn shift_accumulate(raws: &[i64], shift_down: u32, format: QFormat, init: i64) -> i64 {
-    let mut acc = init;
-    for &r in raws {
-        let term = format.saturate_raw(Rounding::Floor.apply_shift(r as i128, shift_down));
-        acc = format.saturate_raw(acc.saturating_add(term));
+/// Bit-exact per element with the three-pass staged equivalent
+/// ([`quantize_raw_into`], the scalar pre-scale, then
+/// [`requantize_raw_into`]).
+pub fn fused_quantize_into(
+    values: &[f64],
+    input: QFormat,
+    rounding: Rounding,
+    prescale: Option<(i64, u32)>,
+    dst: QFormat,
+    out: &mut Vec<i64>,
+) {
+    out.clear();
+    out.reserve(values.len());
+    let inv_res = res_recip(input);
+    let in_frac = input.frac_bits();
+    let mut chunks = values.chunks_exact(LANES);
+    for chunk in chunks.by_ref() {
+        let lanes: lane::Block = std::array::from_fn(|i| {
+            fused_quantize_one(chunk[i], input, rounding, inv_res, in_frac, prescale, dst)
+        });
+        out.extend_from_slice(&lanes);
     }
-    acc
+    for &v in chunks.remainder() {
+        out.push(fused_quantize_one(
+            v, input, rounding, inv_res, in_frac, prescale, dst,
+        ));
+    }
 }
 
 #[cfg(test)]
@@ -418,7 +336,6 @@ mod tests {
         assert!(quantize_slice(&[], formats::INPUT, Rounding::Nearest).is_empty());
         assert!(dequantize_slice(&[]).is_empty());
         assert_eq!(max_reduce(&[]), None);
-        assert_eq!(shift_accumulate(&[], 2, formats::POW_SUM, 7), 7);
     }
 
     #[test]
@@ -468,37 +385,8 @@ mod tests {
     }
 
     #[test]
-    fn dequantize_raw_writes_in_place() {
-        let raws = vec![0i64, 1, -1, 127, -128];
-        let mut out = vec![0.0; raws.len()];
-        dequantize_raw(&raws, formats::INPUT, &mut out);
-        assert_eq!(out, vec![0.0, 0.25, -0.25, 31.75, -32.0]);
-    }
-
-    #[test]
     fn max_reduce_matches_iterator_max() {
         let raws: Vec<i64> = (0..37).map(|i| (i * 31 % 19) - 9).collect();
         assert_eq!(max_reduce(&raws), raws.iter().copied().max());
-    }
-
-    #[test]
-    fn sub_scalar_saturates_at_rails() {
-        let fmt = formats::INPUT; // raw range [-128, 127]
-        let mut out = Vec::new();
-        sub_scalar_saturating(&[-120, 0, 120], 50, fmt, &mut out);
-        assert_eq!(out, vec![-128, -50, 70]);
-    }
-
-    #[test]
-    fn shift_accumulate_matches_scalar_sequence() {
-        let fmt = formats::POW_SUM;
-        let raws = vec![40_000i64, 65_535, 1, 0, 513];
-        let got = shift_accumulate(&raws, 9, fmt, 0);
-        let mut want = Fixed::zero(fmt);
-        for &r in &raws {
-            let term = Fixed::from_raw_saturating(Rounding::Floor.apply_shift(r as i128, 9), fmt);
-            want = want.saturating_add(term).unwrap();
-        }
-        assert_eq!(got, want.raw());
     }
 }

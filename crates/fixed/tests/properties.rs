@@ -157,21 +157,6 @@ proptest! {
         }
     }
 
-    /// Vectorized dequantization is bit-exact with `Fixed::to_f64`.
-    #[test]
-    fn vecops_dequantize_matches_scalar(
-        raws in proptest::collection::vec(-40_000i64..40_000, 1..40),
-        fmt in arb_format(),
-    ) {
-        let raws: Vec<i64> = raws.iter().map(|&r| fmt.saturate_raw(r)).collect();
-        let mut out = vec![0.0; raws.len()];
-        vecops::dequantize_raw(&raws, fmt, &mut out);
-        for (&raw, &got) in raws.iter().zip(&out) {
-            let want = Fixed::from_raw_saturating(raw, fmt).to_f64();
-            prop_assert_eq!(got.to_bits(), want.to_bits());
-        }
-    }
-
     /// Vectorized requantization is bit-exact with `Fixed::requantize`,
     /// including cross-signedness saturation.
     #[test]
@@ -204,46 +189,6 @@ proptest! {
             .max()
             .unwrap();
         prop_assert_eq!(vecops::max_reduce(&raws), Some(want.raw()));
-    }
-
-    /// sub_scalar_saturating equals per-element `Fixed::saturating_sub`.
-    #[test]
-    fn vecops_sub_scalar_matches_scalar(
-        raws in proptest::collection::vec(-200i64..200, 1..40),
-        scalar in -200i64..200,
-        fmt in arb_format(),
-    ) {
-        let raws: Vec<i64> = raws.iter().map(|&x| fmt.saturate_raw(x)).collect();
-        let scalar = fmt.saturate_raw(scalar);
-        let s = Fixed::from_raw_saturating(scalar, fmt);
-        let mut out = Vec::new();
-        vecops::sub_scalar_saturating(&raws, scalar, fmt, &mut out);
-        for (&raw, &got) in raws.iter().zip(&out) {
-            let want = Fixed::from_raw_saturating(raw, fmt)
-                .saturating_sub(s)
-                .unwrap()
-                .raw();
-            prop_assert_eq!(got, want);
-        }
-    }
-
-    /// shift_accumulate equals the scalar requantize-and-saturating-add
-    /// summation sequence of the slice pipeline.
-    #[test]
-    fn vecops_shift_accumulate_matches_scalar(
-        raws in proptest::collection::vec(0i64..70_000, 1..40),
-        shift in 0u32..10,
-    ) {
-        let src = formats::UNNORMED;
-        let fmt = QFormat::unsigned(10, 15 - shift.min(15));
-        let raws: Vec<i64> = raws.iter().map(|&x| src.saturate_raw(x)).collect();
-        let got = vecops::shift_accumulate(&raws, shift, fmt, 0);
-        let mut want = Fixed::zero(fmt);
-        for &r in &raws {
-            let term = Fixed::from_raw_saturating(r, src).requantize(fmt, Rounding::Floor);
-            want = want.saturating_add(term).unwrap();
-        }
-        prop_assert_eq!(got, want.raw());
     }
 }
 

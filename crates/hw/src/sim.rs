@@ -5,30 +5,31 @@
 //! Normalization unit operating on real [`Fixed`] data, recording a
 //! per-slice trace and per-component event counts.
 //!
-//! Two things fall out of this that the closed-form cost model cannot
-//! give:
-//!
-//! 1. **Bit-accuracy cross-checks** — integration tests assert the sim's
-//!    outputs equal `softermax::SoftermaxAccumulator`'s bit for bit, so
-//!    the costed hardware and the evaluated algorithm are provably the
-//!    same machine.
-//! 2. **Data-dependent energy** — the running-sum renormalization shifter
-//!    only fires when a slice actually raises the row maximum. The
-//!    closed-form model charges it every slice (worst case);
-//!    [`UnnormedSim::renorm_events`] counts real occurrences, enabling an
-//!    activity-based energy refinement.
+//! The simulation does not re-implement the datapath: it drives the
+//! algorithm's own [`SoftermaxAccumulator`] one slice per cycle and
+//! derives its trace and event counts from the per-slice record that
+//! [`SoftermaxAccumulator::push_slice`] returns. The costed hardware and
+//! the evaluated algorithm are therefore the same machine by
+//! construction. What the closed-form cost model cannot give, and this
+//! module adds, is **data-dependent energy**: the running-sum
+//! renormalization shifter only fires when a slice actually raises the
+//! row maximum. The closed-form model charges it every slice (worst
+//! case); [`UnnormedSim::renorm_events`] counts real occurrences, enabling
+//! an activity-based energy refinement.
 
 use serde::{Deserialize, Serialize};
-use softermax::pow2::Pow2Unit;
-use softermax::recip::{apply_reciprocal, RecipUnit};
-use softermax::{Result, SoftermaxConfig, SoftmaxError};
-use softermax_fixed::{Fixed, Rounding};
+use softermax::{Softermax, SoftermaxAccumulator, SoftermaxConfig, SoftmaxError};
+use softermax_fixed::Fixed;
+#[cfg(test)]
+use softermax_fixed::Rounding;
 
 /// Per-slice architectural trace of the Unnormed Softmax unit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SliceTrace {
     /// Cycle index (one slice per cycle).
     pub cycle: u64,
+    /// Elements in this slice (the datapath width, or fewer for a tail).
+    pub elements: u64,
     /// The IntMax unit's output for this slice.
     pub local_max: Fixed,
     /// The slice-local sum leaving the summation tree (pow-sum format).
@@ -56,17 +57,13 @@ pub struct UnnormedEvents {
 
 /// Functional model of the Unnormed Softmax unit (paper Figure 4a).
 #[derive(Debug, Clone)]
-pub struct UnnormedSim {
-    cfg: SoftermaxConfig,
-    pow2: Pow2Unit,
-    running_max: Option<Fixed>,
-    running_sum: Fixed,
-    stored: Vec<(Fixed, Fixed)>,
+pub struct UnnormedSim<'a> {
+    acc: SoftermaxAccumulator<'a>,
     trace: Vec<SliceTrace>,
     events: UnnormedEvents,
 }
 
-impl UnnormedSim {
+impl UnnormedSim<'static> {
     /// Builds the simulator for a pipeline configuration.
     ///
     /// Only the base-2, integer-max configuration is synthesizable as the
@@ -78,24 +75,27 @@ impl UnnormedSim {
     /// extra hardware the Figure-4 datapath does not have).
     #[must_use]
     pub fn new(cfg: SoftermaxConfig) -> Self {
-        assert_eq!(
-            cfg.max_mode,
-            softermax::MaxMode::Integer,
-            "the Figure-4 datapath implements the integer max only"
-        );
-        assert_eq!(
-            cfg.base,
-            softermax::Base::Two,
-            "the Figure-4 datapath implements base 2 only"
-        );
-        let pow2 = Pow2Unit::new(cfg.pow2_segments, cfg.unnormed_format);
-        let running_sum = Fixed::zero(cfg.pow_sum_format);
+        assert_figure4(&cfg);
+        Self::observe(Softermax::new(cfg).into_accumulator())
+    }
+}
+
+impl<'a> UnnormedSim<'a> {
+    /// Builds the simulator over an existing operator (no unit tables are
+    /// rebuilt).
+    ///
+    /// # Panics
+    ///
+    /// As [`UnnormedSim::new`], for the operator's configuration.
+    #[must_use]
+    pub fn with_softermax(sm: &'a Softermax) -> Self {
+        assert_figure4(sm.config());
+        Self::observe(sm.accumulator())
+    }
+
+    fn observe(acc: SoftermaxAccumulator<'a>) -> Self {
         Self {
-            cfg,
-            pow2,
-            running_max: None,
-            running_sum,
-            stored: Vec::new(),
+            acc,
             trace: Vec::new(),
             events: UnnormedEvents::default(),
         }
@@ -104,7 +104,7 @@ impl UnnormedSim {
     /// The configuration in effect.
     #[must_use]
     pub fn config(&self) -> &SoftermaxConfig {
-        &self.cfg
+        self.acc.config()
     }
 
     /// The per-slice trace so far.
@@ -132,82 +132,28 @@ impl UnnormedSim {
     ///
     /// Panics if the slice is empty or wider than the datapath.
     pub fn step_slice(&mut self, xs: &[Fixed]) {
-        assert!(!xs.is_empty(), "empty slice");
-        assert!(
-            xs.len() <= self.cfg.slice_width,
-            "slice wider than the datapath"
-        );
-
-        // IntMax unit: parallel ceil, comparator tree.
-        let local_max = xs
-            .iter()
-            .map(|x| x.requantize(self.cfg.max_format, Rounding::Nearest).ceil())
-            .max()
-            .expect("non-empty slice");
-
-        // Power-of-two lanes + summation tree (wide, then pow-sum format).
-        let wide_fmt =
-            softermax_fixed::QFormat::unsigned(8, self.cfg.unnormed_format.frac_bits().min(24));
-        let mut local_sum_wide = Fixed::zero(wide_fmt);
-        for &x in xs {
-            let xm = x.requantize(self.cfg.max_format, Rounding::Nearest);
-            let diff = xm.saturating_sub(local_max).expect("same format");
-            let u = self.pow2.eval(diff);
-            local_sum_wide = local_sum_wide
-                .saturating_add(u.requantize(wide_fmt, Rounding::Floor))
-                .expect("wide sum");
-            self.stored.push((u, local_max));
-        }
-        let local_sum = local_sum_wide.requantize(self.cfg.pow_sum_format, Rounding::Nearest);
-
-        // Reduction unit: compare with the row max, renormalize via shift.
-        let (renormalized, shift, new_max, new_sum) = match self.running_max {
-            None => (false, 0u32, local_max, local_sum),
-            Some(prev) => {
-                if local_max > prev {
-                    // Stale running sum shifts right by the integer delta.
-                    let delta = local_max
-                        .saturating_sub(prev)
-                        .expect("same format")
-                        .floor_int() as u32;
-                    let renormed = self.running_sum.shr(delta, Rounding::Floor);
-                    let merged = renormed.saturating_add(local_sum).expect("pow sum");
-                    (true, delta, local_max, merged)
-                } else {
-                    // Local sum shifts instead (no row-state renorm event).
-                    let delta = prev
-                        .saturating_sub(local_max)
-                        .expect("same format")
-                        .floor_int() as u32;
-                    let local_renormed = local_sum.shr(delta, Rounding::Floor);
-                    let merged = self
-                        .running_sum
-                        .saturating_add(local_renormed)
-                        .expect("pow sum");
-                    (false, 0, prev, merged)
-                }
-            }
-        };
-        self.running_max = Some(new_max);
-        self.running_sum = new_sum;
+        let prev_max = self.acc.running_max();
+        let record = self.acc.push_slice(xs);
+        let renormalized = prev_max.is_some_and(|prev| record.running_max > prev);
 
         self.events.elements += xs.len() as u64;
         self.events.slices += 1;
         self.events.renorm_shifts += u64::from(renormalized);
         self.trace.push(SliceTrace {
             cycle: self.events.slices - 1,
-            local_max,
-            local_sum,
-            running_max: new_max,
-            running_sum: new_sum,
+            elements: xs.len() as u64,
+            local_max: record.local_max,
+            local_sum: record.local_sum,
+            running_max: record.running_max,
+            running_sum: record.running_sum,
             renormalized,
-            renorm_shift: shift,
+            renorm_shift: record.renorm_shift,
         });
     }
 
     /// Streams a full row through the datapath, one slice per cycle.
     pub fn run_row(&mut self, row: &[Fixed]) {
-        for chunk in row.chunks(self.cfg.slice_width) {
+        for chunk in row.chunks(self.config().slice_width) {
             self.step_slice(chunk);
         }
     }
@@ -219,29 +165,38 @@ impl UnnormedSim {
     ///
     /// Returns [`SoftmaxError::EmptyInput`] if nothing was streamed and
     /// [`SoftmaxError::DivisionByZero`] if the power sum is zero.
-    pub fn normalize(self) -> Result<NormalizationResult> {
-        let global_max = self.running_max.ok_or(SoftmaxError::EmptyInput)?;
-        let recip_unit = RecipUnit::new(self.cfg.recip_segments, self.cfg.recip_format);
-        let recip = recip_unit.reciprocal(self.running_sum)?;
-        let mut probs = Vec::with_capacity(self.stored.len());
-        let mut numerator_shifts = 0u64;
-        for (u, ref_max) in &self.stored {
-            let delta = global_max
-                .saturating_sub(*ref_max)
-                .expect("same format")
-                .floor_int() as u32;
-            numerator_shifts += u64::from(delta > 0);
-            let numer = u.shr(delta, Rounding::Floor);
-            probs.push(apply_reciprocal(numer, recip, self.cfg.output_format));
-        }
+    pub fn normalize(self) -> Result<NormalizationResult, SoftmaxError> {
+        let out = self.acc.finalize()?;
+        // Under the integer max, a numerator needs a renormalization
+        // shift exactly when its slice max sits below the global max.
+        let numerator_shifts = self
+            .trace
+            .iter()
+            .filter(|t| t.local_max < out.global_max)
+            .map(|t| t.elements)
+            .sum();
         Ok(NormalizationResult {
-            probs,
-            pow_sum: self.running_sum,
-            global_max,
+            probs: out.probs,
+            pow_sum: out.pow_sum,
+            global_max: out.global_max,
             events: self.events,
             numerator_shifts,
         })
     }
+}
+
+/// The Figure-4 datapath implements the base-2, integer-max Softermax only.
+fn assert_figure4(cfg: &SoftermaxConfig) {
+    assert_eq!(
+        cfg.max_mode,
+        softermax::MaxMode::Integer,
+        "the Figure-4 datapath implements the integer max only"
+    );
+    assert_eq!(
+        cfg.base,
+        softermax::Base::Two,
+        "the Figure-4 datapath implements base 2 only"
+    );
 }
 
 /// Output of the Normalization unit plus the whole row's event record.

@@ -207,3 +207,36 @@ proptest! {
         prop_assert_eq!(got.numerator_shifts, shifted as u64);
     }
 }
+
+proptest! {
+    /// Over the whole input range, saturating rows included, the
+    /// simulation is the algorithm: where the IntMax unit saturates to a
+    /// non-integer maximum (scores above the paper's Q(6,2) ceiling of
+    /// 31), its probabilities, power sum and global max still equal
+    /// `Softermax::forward_fixed` bit for bit.
+    #[test]
+    fn unnormed_sim_matches_forward_fixed_on_saturating_rows(
+        unit_row in proptest::collection::vec(0.0f64..1.0, 1..300),
+        cfg in arb_fig4_config(),
+    ) {
+        let lo = cfg.input_format.min_value() * 1.25;
+        let hi = cfg.input_format.max_value() * 1.25;
+        let row: Vec<Fixed> = unit_row
+            .iter()
+            .map(|&u| Fixed::from_f64(lo + u * (hi - lo), cfg.input_format, Rounding::Nearest))
+            .collect();
+        let sm = Softermax::new(cfg.clone());
+        let want = sm.forward_fixed(&row).expect("non-empty row");
+
+        let mut sim = UnnormedSim::with_softermax(&sm);
+        sim.run_row(&row);
+        let got = sim.normalize().expect("non-empty row");
+
+        prop_assert_eq!(got.global_max.raw(), want.global_max.raw());
+        prop_assert_eq!(got.pow_sum.raw(), want.pow_sum.raw());
+        let got_probs: Vec<i64> = got.probs.iter().map(|p| p.raw()).collect();
+        let want_probs: Vec<i64> = want.probs.iter().map(|p| p.raw()).collect();
+        prop_assert_eq!(got_probs, want_probs);
+        prop_assert_eq!(got.events.slices, row.len().div_ceil(cfg.slice_width) as u64);
+    }
+}

@@ -27,7 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|&v| Fixed::from_f64(v, cfg.input_format, Rounding::Nearest))
         .collect();
 
-    let mut sim = UnnormedSim::new(cfg.clone());
+    let sm = Softermax::new(cfg.clone());
+    let mut sim = UnnormedSim::with_softermax(&sm);
     sim.run_row(&quantized);
 
     println!("cycle | local_max | local_sum | run_max | run_sum | renorm (shift)");
@@ -65,7 +66,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // And the result is bit-identical to the software pipeline.
     let result = sim.normalize()?;
-    let sm = Softermax::new(cfg);
     let want = sm.forward_fixed(&quantized)?;
     assert_eq!(
         result.probs.iter().map(Fixed::raw).collect::<Vec<_>>(),
