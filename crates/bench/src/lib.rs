@@ -127,7 +127,7 @@ pub fn measure_fidelity(
 }
 
 /// Host and build metadata stamped into every benchmark report: numbers
-/// without the machine, lane width and toolchain they came from are not
+/// without the machine and toolchain they came from are not
 /// comparable across runs. Additive — harnesses merge this under a
 /// `"host"` key next to their existing fields.
 #[must_use]
@@ -135,7 +135,6 @@ pub fn host_metadata() -> serde_json::Value {
     serde_json::json!({
         "cpu_model": cpu_model(),
         "cores": std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get),
-        "lanes": softermax_fixed::vecops::LANES,
         "rustc": env!("BENCH_RUSTC_VERSION"),
         "os": std::env::consts::OS,
         "arch": std::env::consts::ARCH,

@@ -183,8 +183,6 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 
 fn cmd_kernels() {
     let registry = KernelRegistry::global();
-    // Lane-block width of the fixed-point kernels' vectorized loops.
-    println!("lanes: {} x i64\n", softermax_fixed::vecops::LANES);
     println!(
         "{:<16} {:<8} {:<18} {:<8} {:<7} {:<10} aliases",
         "name", "base", "normalization", "bits", "passes", "streaming"

@@ -3,6 +3,9 @@ use softermax_fixed::{formats, QFormat};
 
 use crate::{Result, SoftmaxError};
 
+/// Most entries the tables compiled by `Softermax::new` may hold together.
+const MAX_COMPILED_TABLE_ENTRIES: i64 = 65_536;
+
 /// Which exponential base the pipeline uses.
 ///
 /// `Two` is the Softermax co-design choice; `E` models the conventional
@@ -107,8 +110,10 @@ impl SoftermaxConfig {
     /// # Errors
     ///
     /// Returns [`SoftmaxError::InvalidConfig`] when segment counts are not
-    /// powers of two, the slice width is zero, or the max format cannot
-    /// hold the input range.
+    /// powers of two, the slice width is zero, the max format cannot hold
+    /// the input range, or the tables `Softermax::new` compiles the
+    /// configuration into would exceed 65,536 entries (for example a
+    /// `Q(6,16)` max format).
     pub fn validate(&self) -> Result<()> {
         if !self.pow2_segments.is_power_of_two() {
             return Err(SoftmaxError::InvalidConfig(format!(
@@ -139,7 +144,33 @@ impl SoftermaxConfig {
                 self.max_format, self.input_format
             )));
         }
+        let entries = self.compiled_table_entries();
+        if entries > MAX_COMPILED_TABLE_ENTRIES {
+            return Err(SoftmaxError::InvalidConfig(format!(
+                "max format {} compiles to {entries} table entries, above the limit of \
+                 {MAX_COMPILED_TABLE_ENTRIES}",
+                self.max_format
+            )));
+        }
         Ok(())
+    }
+
+    /// `K`, the last index of the compiled Power-of-Two table: the table
+    /// holds the unit's output at every `d = −k` of the max format down
+    /// to `−K`. Below `−(unnormed bits << max fraction bits)` the integer
+    /// part shifts the whole LPW output (below `2^unnormed bits`) out, so
+    /// every output there is 0; and `d` saturates at the max format's
+    /// minimum.
+    pub(crate) fn pow2_table_last(&self) -> i64 {
+        let zero_from = i64::from(self.unnormed_format.total_bits()) << self.max_format.frac_bits();
+        zero_from.min(-self.max_format.min_raw())
+    }
+
+    /// Entries of the compiled tables: the Power-of-Two table over
+    /// `[0, K]` plus one renormalization factor per fractional pattern of
+    /// the max format.
+    fn compiled_table_entries(&self) -> i64 {
+        self.pow2_table_last() + 1 + (1i64 << self.max_format.frac_bits())
     }
 }
 
@@ -303,6 +334,30 @@ mod tests {
             c.build(),
             Err(SoftmaxError::InvalidConfig(msg)) if msg.contains("signed")
         ));
+    }
+
+    #[test]
+    fn validation_bounds_the_compiled_tables() {
+        // Q(6,16): K = 16 << 16 and 2^16 renorm factors.
+        let c = SoftermaxConfig::builder()
+            .max_format(QFormat::signed(6, 16))
+            .build();
+        assert!(matches!(
+            c,
+            Err(SoftmaxError::InvalidConfig(msg)) if msg.contains("1114113 table entries")
+        ));
+        // The paper config compiles to 65 + 4 entries.
+        assert_eq!(SoftermaxConfig::paper().compiled_table_entries(), 69);
+        // Largest max fraction that still fits beside a UQ(1,15) unnormed
+        // format: K = 16 << 11 = 32768, plus 2048 factors.
+        assert!(SoftermaxConfig::builder()
+            .max_format(QFormat::signed(6, 11))
+            .build()
+            .is_ok());
+        assert!(SoftermaxConfig::builder()
+            .max_format(QFormat::signed(6, 12))
+            .build()
+            .is_err());
     }
 
     #[test]

@@ -192,10 +192,10 @@ impl KernelDescriptor {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ScratchBuffers {
-    /// Row-length lanes. The fused Softermax pipeline writes max-format
-    /// candidates here (stage 0) and rewrites them **in place** as
-    /// unnormed exponentials (pass 2); other kernels use it for quantized
-    /// input scores.
+    /// Row-length lanes. The compiled Softermax datapath writes
+    /// max-format lanes here (stage 0) and rewrites them **in place** as
+    /// unnormed exponentials (the slice stages); other kernels use it for
+    /// quantized input scores.
     pub lanes_a: Vec<i64>,
     /// Row-length result lanes: the fp16 kernel's exponentials, as Half
     /// bits.

@@ -304,26 +304,6 @@ impl LpwPlan<'_> {
         let prod_raw = entry.saturate_raw(Rounding::Floor.apply_shift(prod, self.rem_bits));
         entry.saturate_raw(prod_raw.saturating_add(self.table.c[idx].raw()))
     }
-
-    /// [`LpwPlan::eval_raw`] routed through the shift-based fast floor
-    /// helper instead of the euclidean-division reference — bit-identical
-    /// (`softermax_fixed::floor_shift`'s contract), used by the fused
-    /// pipeline's hot loop.
-    #[inline(always)]
-    #[must_use]
-    pub(crate) fn eval_raw_fast(&self, raw: i64) -> i64 {
-        let frac_raw = self.in_format.saturate_raw(raw & self.frac_mask);
-        if !self.has_position_bits {
-            let idx = ((frac_raw << self.widen) & self.n_mask) as usize;
-            return self.table.c[idx].raw();
-        }
-        let idx = ((frac_raw >> self.rem_bits) & self.n_mask) as usize;
-        let u_raw = frac_raw & ((1i64 << self.rem_bits) - 1);
-        let prod = self.table.m[idx].raw() as i128 * u_raw as i128;
-        let entry = self.table.entry_format;
-        let prod_raw = entry.saturate_raw(softermax_fixed::floor_shift(prod, self.rem_bits));
-        entry.saturate_raw(prod_raw.saturating_add(self.table.c[idx].raw()))
-    }
 }
 
 /// The paper's power-of-two table: `2^t` on `[0,1)` (values in `[1,2)`).
@@ -525,34 +505,5 @@ mod tests {
         );
         assert!(q.slopes().iter().all(|m| m.to_f64() < 0.0));
         assert!(q.offsets().iter().all(|c| c.to_f64() > 0.5));
-    }
-
-    #[test]
-    fn eval_raw_fast_matches_reference() {
-        for segments in [2usize, 4, 16, 64] {
-            for fmt in [
-                QFormat::signed(6, 2),
-                QFormat::signed(6, 10),
-                QFormat::signed(5, 0),
-                QFormat::unsigned(1, 15),
-            ] {
-                let table = QuantizedLpwTable::from_table(
-                    &pow2_table(segments),
-                    QFormat::unsigned(1, 15),
-                    Rounding::Nearest,
-                );
-                let plan = table.plan(fmt);
-                let mut raw = fmt.min_raw();
-                let step = ((fmt.max_raw() - fmt.min_raw()) / 257).max(1);
-                while raw <= fmt.max_raw() {
-                    assert_eq!(
-                        plan.eval_raw_fast(raw),
-                        plan.eval_raw(raw),
-                        "segments={segments} fmt={fmt} raw={raw}"
-                    );
-                    raw += step;
-                }
-            }
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! result lies in `(0, 1]`, fitting the unsigned `Q(1,15)` unnormed format.
 
 use serde::{Deserialize, Serialize};
-use softermax_fixed::{vecops, Fixed, QFormat, Rounding};
+use softermax_fixed::{Fixed, QFormat, Rounding};
 
 use crate::lpw::{pow2_table, LpwPlan, QuantizedLpwTable};
 
@@ -81,23 +81,16 @@ impl Pow2Unit {
     /// the slice.
     ///
     /// The segment-table setup (select shift, masks, saturation bounds) is
-    /// hoisted out of the inner loop via [`QuantizedLpwTable::plan`]; lanes
-    /// are processed in [`vecops::LANES`]-wide chunks with a scalar tail.
+    /// hoisted out of the per-element loop via [`QuantizedLpwTable::plan`].
     /// Bit-exact with [`Pow2Unit::eval`] per element.
     pub fn eval_raw_slice(&self, raws: &[i64], in_format: QFormat, out: &mut Vec<i64>) {
         out.clear();
-        out.reserve(raws.len());
         let plan = self.table.plan(in_format);
         let in_frac = in_format.frac_bits();
-        let mut chunks = raws.chunks_exact(vecops::LANES);
-        for chunk in chunks.by_ref() {
-            let lanes: [i64; vecops::LANES] =
-                std::array::from_fn(|i| self.eval_one_raw(&plan, chunk[i], in_frac));
-            out.extend_from_slice(&lanes);
-        }
-        for &raw in chunks.remainder() {
-            out.push(self.eval_one_raw(&plan, raw, in_frac));
-        }
+        out.extend(
+            raws.iter()
+                .map(|&raw| self.eval_one_raw(&plan, raw, in_frac)),
+        );
     }
 
     /// Batch [`Pow2Unit::eval`] over same-format values, writing into `out`
@@ -134,26 +127,6 @@ impl Pow2Unit {
         } else {
             lpw.shr(int_part.unsigned_abs().min(127) as u32, Rounding::Floor)
                 .raw()
-        }
-    }
-
-    /// [`Pow2Unit::eval_one_raw`] routed through the shift-based fast
-    /// rounding helpers and bare raw arithmetic (no `Fixed` wrappers) —
-    /// bit-identical, used by the fused pipeline's hot loop.
-    #[inline(always)]
-    pub(crate) fn eval_one_raw_fast(&self, plan: &LpwPlan<'_>, raw: i64, in_frac: u32) -> i64 {
-        let int_part = softermax_fixed::floor_shift(raw as i128, in_frac);
-        let lpw_raw = self.out_format.saturate_raw(plan.eval_raw_fast(raw));
-        if int_part >= 0 {
-            // `Fixed::shl_saturating`: widen, shift, clamp, saturate.
-            let wide = (lpw_raw as i128) << int_part.min(63);
-            self.out_format
-                .saturate_raw(softermax_fixed::clamp_i128(wide))
-        } else {
-            // `Fixed::shr` with floor semantics.
-            let k = int_part.unsigned_abs().min(127) as u32;
-            self.out_format
-                .saturate_raw(softermax_fixed::floor_shift(lpw_raw as i128, k))
         }
     }
 
@@ -276,7 +249,6 @@ mod tests {
                 QFormat::signed(6, 10),
                 QFormat::signed(4, 0),
             ] {
-                // 19 elements: two full chunks plus a tail.
                 let xs: Vec<Fixed> = (0..19)
                     .map(|i| Fixed::from_raw_saturating(fmt.min_raw() + i * 7, fmt))
                     .collect();
@@ -293,33 +265,6 @@ mod tests {
                 unit.eval_raw_slice(&raws, fmt, &mut raw_out);
                 let want: Vec<i64> = out.iter().map(Fixed::raw).collect();
                 assert_eq!(raw_out, want);
-            }
-        }
-    }
-
-    #[test]
-    fn eval_one_raw_fast_matches_reference() {
-        for unit in [
-            Pow2Unit::paper(),
-            Pow2Unit::new(16, QFormat::unsigned(2, 14)),
-        ] {
-            for fmt in [
-                formats::INPUT,
-                QFormat::signed(6, 10),
-                QFormat::signed(4, 0),
-            ] {
-                let plan = unit.table().plan(fmt);
-                let in_frac = fmt.frac_bits();
-                let step = ((fmt.max_raw() - fmt.min_raw()) / 511).max(1);
-                let mut raw = fmt.min_raw();
-                while raw <= fmt.max_raw() {
-                    assert_eq!(
-                        unit.eval_one_raw_fast(&plan, raw, in_frac),
-                        unit.eval_one_raw(&plan, raw, in_frac),
-                        "fmt={fmt} raw={raw}"
-                    );
-                    raw += step;
-                }
             }
         }
     }

@@ -182,7 +182,7 @@ impl RecipUnit {
 /// numerators: the wide product format and all shift amounts depend only on
 /// the operand formats, so batch application computes them once.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ApplyPlan {
+struct ApplyPlan {
     wide: QFormat,
     mant_raw: i64,
     exponent: i32,
@@ -190,7 +190,7 @@ pub(crate) struct ApplyPlan {
 }
 
 impl ApplyPlan {
-    pub(crate) fn new(num_format: QFormat, r: Reciprocal, out_format: QFormat) -> Self {
+    fn new(num_format: QFormat, r: Reciprocal, out_format: QFormat) -> Self {
         let prod_frac = num_format.frac_bits() + r.mantissa.format().frac_bits();
         Self {
             wide: QFormat::unsigned((32u32).saturating_sub(prod_frac), prod_frac),
@@ -202,7 +202,7 @@ impl ApplyPlan {
 
     /// One lane, bit-exact with [`apply_reciprocal`] on the raw encoding.
     #[inline]
-    pub(crate) fn apply_one(&self, num_raw: i64) -> i64 {
+    fn apply_one(&self, num_raw: i64) -> i64 {
         // Full-precision product; `wide` carries exactly the product's
         // fraction bits, so `mul_into` reduces to a clamp + saturate.
         let prod = num_raw as i128 * self.mant_raw as i128;

@@ -6,17 +6,21 @@
 //! power sum are maintained with shift-based renormalization (the Reduction
 //! unit), and a final pass renormalizes every stored numerator and divides
 //! by the accumulated sum (the Normalization unit).
+//!
+//! The accumulator is the bit-exact scalar oracle. The fast entry points
+//! ([`Softermax::forward_into`], [`Softermax::forward_batch_into`] and
+//! [`SoftermaxStream`]) run one datapath on the integer constants and
+//! tables [`Softermax::new`] compiles the configuration into.
 
 use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
-use softermax_fixed::{floor_shift, lane, vecops, Fixed, QFormat, Rounding};
+use softermax_fixed::{Fixed, QFormat, Rounding};
 
 use crate::config::{Base, MaxMode, SoftermaxConfig};
 use crate::kernel::ScratchBuffers;
-use crate::lpw::LpwPlan;
 use crate::pow2::Pow2Unit;
-use crate::recip::{apply_reciprocal, ApplyPlan, RecipUnit, Reciprocal};
+use crate::recip::{apply_reciprocal, RecipUnit, Reciprocal};
 use crate::{Result, SoftmaxError};
 
 /// The Softermax operator: configuration plus the two fixed-point
@@ -42,16 +46,18 @@ pub struct Softermax {
     /// Wide intermediate format of the slice summation tree (hoisted from
     /// the per-slice loop; derived from the unnormed format).
     wide_fmt: QFormat,
-    /// Fraction-bit narrowing from unnormed lanes into `wide_fmt`.
-    sum_shift: u32,
+    /// The configuration compiled for the fast datapath.
+    compiled: Compiled,
 }
 
 impl Softermax {
-    /// Builds the operator from a configuration.
+    /// Builds the operator from a configuration and compiles it into the
+    /// integer constants and tables the fast datapath runs on.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid; use
+    /// Panics if the configuration is invalid, including a configuration
+    /// whose compiled tables would exceed 65,536 entries; use
     /// [`SoftermaxConfig::validate`] (or the builder) to check first.
     #[must_use]
     pub fn new(config: SoftermaxConfig) -> Self {
@@ -60,7 +66,7 @@ impl Softermax {
             .expect("invalid SoftermaxConfig passed to Softermax::new");
         let pow2 = Pow2Unit::new(config.pow2_segments, config.unnormed_format);
         let recip = RecipUnit::new(config.recip_segments, config.recip_format);
-        // log2(e) ≈ 1.4427, carried at 15 fractional bits for the base-e
+        // log2(e) ≈ 1.4427, carried at 14 fractional bits for the base-e
         // pre-scale multiplier (ablation path).
         let log2_e = Fixed::from_f64(
             std::f64::consts::LOG2_E,
@@ -68,14 +74,14 @@ impl Softermax {
             Rounding::Nearest,
         );
         let wide_fmt = wide_sum_format(config.unnormed_format);
-        let sum_shift = config.unnormed_format.frac_bits() - wide_fmt.frac_bits();
+        let compiled = Compiled::new(&config, &pow2, log2_e, wide_fmt);
         Self {
             config,
             pow2,
             recip,
             log2_e,
             wide_fmt,
-            sum_shift,
+            compiled,
         }
     }
 
@@ -139,21 +145,30 @@ impl Softermax {
         acc.finalize()
     }
 
-    /// Vectorized, allocation-free [`Softermax::forward`]: the whole
-    /// pipeline runs on raw `i64` lanes held in the caller's
-    /// [`ScratchBuffers`], and the probabilities are written into `out`.
+    /// Allocation-free [`Softermax::forward`] on the compiled datapath:
+    /// the probabilities are written into `out`, every intermediate lives
+    /// in the caller's [`ScratchBuffers`].
     ///
-    /// This is the **fused** SIMD pipeline: the row is swept exactly twice
-    /// before the output pass. Pass 1 fuses quantization, the optional
-    /// base-e pre-scale and the max-format requantization into one sweep
-    /// (`vecops::fused_quantize_into`); pass 2 runs per hardware slice —
-    /// a fused ceil-and-max reduction, then a fused subtract → `2^x` →
-    /// wide-sum sweep that overwrites the lane buffer in place with the
-    /// unnormed numerators. The Normalization unit then reads those lanes
-    /// back once. Every per-element operation chains the identical
-    /// fixed-point primitives of the scalar path, so the result is
-    /// **bit-exact** with the scalar oracle [`Softermax::forward`]; the
-    /// property tests in `tests/vector_parity.rs` hold every configuration
+    /// [`Softermax::new`] compiled the configuration into integer
+    /// constants and two small tables, so the per-element work is plain
+    /// `i64`/`u64` arithmetic — no `Fixed` values, no LPW evaluation, no
+    /// `i128`. The row is swept three times:
+    ///
+    /// 1. **Stage 0** quantizes each score with integer rounding, applies
+    ///    the base-e pre-scale and requantizes into the max format.
+    /// 2. **Per hardware slice**, the IntMax unit takes one ceiling of the
+    ///    slice's raw max; each element then reads its Power-of-Two output
+    ///    from a table indexed by `max − x`, overwriting its lane in place,
+    ///    and the summation tree adds it up. The Reduction unit merges the
+    ///    slice's raw `(max, sum)` into the running pair with a shift and
+    ///    an optional fractional factor from a second table.
+    /// 3. **The Normalization unit** takes one reciprocal of the row sum
+    ///    and renormalizes, multiplies and rounds each lane in `u64`.
+    ///
+    /// Every step reproduces the scalar unit it replaces bit for bit, so
+    /// the result is **bit-exact** with the scalar oracle
+    /// [`Softermax::forward`]; `tests/vector_parity.rs` holds every
+    /// configuration, including randomly drawn formats and edge inputs,
     /// to that contract.
     ///
     /// # Errors
@@ -175,19 +190,18 @@ impl Softermax {
         if row.is_empty() {
             return Err(SoftmaxError::EmptyInput);
         }
-        self.quantize_fused_lanes(row, &mut scratch.lanes_a);
-        self.forward_lanes_row_fused(0, row.len(), out, scratch)
+        self.compiled.quantize_lanes(row, &mut scratch.lanes_a);
+        self.forward_row(0, row.len(), out, scratch)
     }
 
     /// Matrix-at-a-time [`Softermax::forward_into`]: `rows` is a flattened
     /// row-major matrix of `rows.len() / row_len` independent softmax rows.
     ///
-    /// Stage 0 (the fused quantize → pre-scale → requantize sweep) is
-    /// hoisted out of the per-row loop and runs as **one** pass over the
-    /// whole flattened matrix; the fused slice pipeline then consumes each
-    /// row's lane range in place. Per row the arithmetic is exactly that
-    /// of [`Softermax::forward_into`], so batch and row-at-a-time results
-    /// are **bit-identical**.
+    /// Stage 0 runs as **one** sweep over the whole flattened matrix; the
+    /// slice and normalization stages then consume each row's lane range
+    /// in place. Per row the arithmetic is exactly that of
+    /// [`Softermax::forward_into`], so batch and row-at-a-time results are
+    /// **bit-identical**.
     ///
     /// # Errors
     ///
@@ -211,9 +225,9 @@ impl Softermax {
             return Ok(());
         }
         // Stage 0 once for the whole matrix, then the per-row pipeline.
-        self.quantize_fused_lanes(rows, &mut scratch.lanes_a);
+        self.compiled.quantize_lanes(rows, &mut scratch.lanes_a);
         for r in 0..n_rows {
-            self.forward_lanes_row_fused(
+            self.forward_row(
                 r * row_len,
                 row_len,
                 &mut out[r * row_len..(r + 1) * row_len],
@@ -223,113 +237,75 @@ impl Softermax {
         Ok(())
     }
 
-    /// The base-e pre-scale as a `(mantissa raw, fraction shift)` plan for
-    /// the fused stage-0 pass (`None` in base-2 mode, where the scalar
-    /// pre-scale is a same-format requantize, i.e. the identity).
-    fn prescale_plan(&self) -> Option<(i64, u32)> {
-        match self.config.base {
-            Base::Two => None,
-            Base::E => Some((self.log2_e.raw(), self.log2_e.format().frac_bits())),
-        }
-    }
-
-    /// Fused stage 0: quantize → optional base-e pre-scale → requantize
-    /// into **max-format** candidate lanes, one sweep over `values`
-    /// (replacing `lanes`). Bit-exact with the scalar path's
-    /// [`Fixed::from_f64`] → pre-scale → max-format requantize chain; the
-    /// input-format values are never materialized.
-    fn quantize_fused_lanes(&self, values: &[f64], lanes: &mut Vec<i64>) {
-        vecops::fused_quantize_into(
-            values,
-            self.config.input_format,
-            Rounding::Nearest,
-            self.prescale_plan(),
-            self.config.max_format,
-            lanes,
-        );
-    }
-
-    /// Fused stages 1–3 for **one hardware slice** of max-format candidate
-    /// lanes, transformed **in place** into unnormed numerator lanes:
-    /// a fused ceil-and-max reduction (the IntMax unit; ceiled candidates
-    /// are never materialized), then one sweep fusing the max subtraction,
-    /// the Power-of-Two unit and the wide summation tree, then the
-    /// Reduction-unit merge. Returns the slice's reference max.
-    ///
-    /// Shared verbatim by the one-shot, batched and streaming fused
-    /// datapaths, so they cannot drift from each other; bit-exact with the
-    /// scalar accumulator per element.
-    fn fused_slice_stages(
-        &self,
-        lanes: &mut [i64],
-        plan: &LpwPlan<'_>,
-        running: &mut Option<(Fixed, Fixed)>,
-    ) -> i64 {
-        let cfg = &self.config;
-        let local_max_raw = match cfg.max_mode {
-            MaxMode::Integer => {
-                vecops::max_reduce_ceil(lanes, cfg.max_format).expect("slice is non-empty")
-            }
-            MaxMode::Float => vecops::max_reduce(lanes).expect("slice is non-empty"),
-        };
-        let local_max = Fixed::from_raw_saturating(local_max_raw, cfg.max_format);
-
-        let local_sum_wide = fused_pow2_sum_pass(
-            lanes,
-            local_max_raw,
-            cfg.max_format,
-            &self.pow2,
-            plan,
-            self.sum_shift,
-            self.wide_fmt,
-        );
-        let local_sum = Fixed::from_raw_saturating(local_sum_wide, self.wide_fmt)
-            .requantize(cfg.pow_sum_format, Rounding::Nearest);
-
-        self.merge_running(running, local_max, local_sum);
-        local_max_raw
-    }
-
-    /// Fused stages 1–3 plus the Normalization unit for one row whose
-    /// max-format candidate lanes occupy
-    /// `scratch.lanes_a[lane_start..lane_start + len]`; the lanes are
-    /// rewritten in place as unnormed numerators (pass 2) and read back by
-    /// the output pass — no per-stage lane buffers.
-    fn forward_lanes_row_fused(
+    /// The slice stages plus the Normalization unit for one row whose
+    /// max-format lanes occupy `scratch.lanes_a[lane_start..lane_start +
+    /// len]`; the lanes are rewritten in place as unnormed numerators and
+    /// read back by the normalization sweep.
+    fn forward_row(
         &self,
         lane_start: usize,
         len: usize,
         out: &mut [f64],
         scratch: &mut ScratchBuffers,
     ) -> Result<()> {
-        let mut running: Option<(Fixed, Fixed)> = None;
+        let mut running = None;
         scratch.runs.clear();
-        // Hoisted per row: the LPW segment-table plan for max-format inputs.
-        let plan = self.pow2.table().plan(self.config.max_format);
-
         let mut start = 0;
         while start < len {
             let end = (start + self.config.slice_width).min(len);
             let slice = &mut scratch.lanes_a[lane_start + start..lane_start + end];
-            let local_max_raw = self.fused_slice_stages(slice, &plan, &mut running);
-            scratch.runs.push((local_max_raw, end));
+            let local_max = self.compiled.slice_stages(slice, &mut running);
+            scratch.runs.push((local_max, end));
             start = end;
         }
-
-        let (global_max, running_sum) = running.expect("row is non-empty");
-        self.normalization_pass(
+        let running = running.expect("row is non-empty");
+        self.normalize_row(
             &scratch.runs,
             &scratch.lanes_a[lane_start..lane_start + len],
-            global_max,
-            running_sum,
+            running,
             out,
         )
     }
 
-    /// Stage 3 — the Reduction unit: merges one slice's `(max, sum)` into
-    /// the running row state, renormalizing whichever side has the smaller
-    /// max. Called once per slice by both the scalar accumulator and
-    /// [`Softermax::fused_slice_stages`]. Returns the right shift applied
+    /// The Normalization unit over a completed row of unnormed lanes: one
+    /// reciprocal of the raw running sum, then per slice run one
+    /// renormalization plan, then per element the shift, the optional
+    /// factor, the reciprocal multiply and the [`OutputMap`] —
+    /// [`apply_reciprocal`] in `u64`.
+    fn normalize_row(
+        &self,
+        runs: &[(i64, usize)],
+        unnormed_lanes: &[i64],
+        (global_max, sum): (i64, i64),
+        out: &mut [f64],
+    ) -> Result<()> {
+        let cfg = &self.config;
+        let c = &self.compiled;
+        let recip = self
+            .recip
+            .reciprocal(Fixed::from_raw_saturating(sum, cfg.pow_sum_format))?;
+        // Numerator and mantissa are non-negative and below 2^32, so their
+        // product is exact in `u64`.
+        let mant = recip.mantissa.raw() as u64;
+        let map = OutputMap::new(recip, cfg.unnormed_format, cfg.output_format);
+        let out_res = cfg.output_format.resolution();
+        let mut begin = 0;
+        for &(ref_max, end) in runs {
+            let plan = c.renorm_plan(global_max - ref_max);
+            let outs = &mut out[begin..end];
+            for (o, &u) in outs.iter_mut().zip(&unnormed_lanes[begin..end]) {
+                let numer = c.renorm(u, plan, c.unnormed_hi) as u64;
+                // Below 2^32: the signed conversion is exact and cheaper.
+                *o = map.apply(numer * mant) as i64 as f64 * out_res;
+            }
+            begin = end;
+        }
+        Ok(())
+    }
+
+    /// Stage 3 — the Reduction unit of the scalar accumulator: merges one
+    /// slice's `(max, sum)` into the running row state, renormalizing
+    /// whichever side has the smaller max. Returns the right shift applied
     /// to the stale running sum (0 for a row's first slice and for a slice
     /// that does not raise the running max).
     fn merge_running(
@@ -349,7 +325,7 @@ impl Softermax {
         let d_local = new_max
             .saturating_sub(local_max)
             .expect("max-format subtraction");
-        let (prev_shift, prev_factor) = self.renorm_plan(d_prev);
+        let (prev_shift, prev_factor) = renorm_plan(&self.pow2, d_prev);
         let prev_renorm = apply_renorm(prev_sum, prev_shift, prev_factor);
         let local_renorm = self.renorm_down(local_sum, d_local);
         let new_sum = prev_renorm
@@ -359,58 +335,8 @@ impl Softermax {
         prev_shift
     }
 
-    /// The Normalization unit over a completed row: one reciprocal of the
-    /// accumulated sum, then per-slice hoisted renormalization plans and
-    /// reciprocal application over the retained unnormed numerator lanes.
-    fn normalization_pass(
-        &self,
-        runs: &[(i64, usize)],
-        unnormed_lanes: &[i64],
-        global_max: Fixed,
-        running_sum: Fixed,
-        out: &mut [f64],
-    ) -> Result<()> {
-        let cfg = &self.config;
-        let recip = self.recip.reciprocal(running_sum)?;
-        let plan = ApplyPlan::new(cfg.unnormed_format, recip, cfg.output_format);
-        let out_res = cfg.output_format.resolution();
-        let unnormed = cfg.unnormed_format;
-        let mut begin = 0;
-        for &(ref_max_raw, end) in runs {
-            let ref_max = Fixed::from_raw_saturating(ref_max_raw, cfg.max_format);
-            let d = global_max
-                .saturating_sub(ref_max)
-                .expect("max-format subtraction");
-            let (shift, factor) = self.renorm_plan(d);
-            let lanes = &unnormed_lanes[begin..end];
-            let outs = &mut out[begin..end];
-            // `floor_shift` is the bit-identical fast twin of
-            // `Rounding::Floor.apply_shift` — these run per output element.
-            match factor {
-                None => {
-                    for (o, &u) in outs.iter_mut().zip(lanes) {
-                        let numer = unnormed.saturate_raw(floor_shift(u as i128, shift));
-                        *o = plan.apply_one(numer) as f64 * out_res;
-                    }
-                }
-                Some(f) => {
-                    let f_raw = f.raw();
-                    let f_shift = f.format().frac_bits();
-                    for (o, &u) in outs.iter_mut().zip(lanes) {
-                        let shifted = unnormed.saturate_raw(floor_shift(u as i128, shift));
-                        let prod = shifted as i128 * f_raw as i128;
-                        let numer = unnormed.saturate_raw(floor_shift(prod, f_shift));
-                        *o = plan.apply_one(numer) as f64 * out_res;
-                    }
-                }
-            }
-            begin = end;
-        }
-        Ok(())
-    }
-
-    /// Starts a reusable chunk-streaming session over the vectorized
-    /// pipeline: see [`SoftermaxStream`].
+    /// Starts a reusable chunk-streaming session over the compiled
+    /// datapath: see [`SoftermaxStream`].
     #[must_use]
     pub fn stream(&self) -> SoftermaxStream<'_> {
         SoftermaxStream {
@@ -447,31 +373,339 @@ impl Softermax {
     /// part needs an extra LPW lookup and multiply (the hardware cost the
     /// paper's co-design removes).
     fn renorm_down(&self, v: Fixed, d: Fixed) -> Fixed {
-        let (shift, factor) = self.renorm_plan(d);
+        let (shift, factor) = renorm_plan(&self.pow2, d);
         apply_renorm(v, shift, factor)
     }
+}
 
-    /// Decomposes a renormalization exponent `d >= 0` into the datapath's
-    /// two stages: a right shift by `floor(d)` and, when `d` has a
-    /// fractional part (float-max ablation only), a multiply by
-    /// `2^-frac(d) ∈ (0.5, 1)` from the Power-of-Two unit.
-    ///
-    /// The plan depends only on `d`, so a whole slice sharing one reference
-    /// max is renormalized with one plan — the hoisting the vectorized
-    /// pipeline relies on.
-    fn renorm_plan(&self, d: Fixed) -> (u32, Option<Fixed>) {
-        debug_assert!(d.raw() >= 0, "renormalization exponent must be >= 0");
-        let int_part = d.floor_int().clamp(0, 127) as u32;
-        let frac = d.frac();
-        if frac.raw() == 0 {
-            return (int_part, None);
-        }
-        let neg_frac_fmt = QFormat::signed(2, d.format().frac_bits());
-        let neg_frac = Fixed::zero(neg_frac_fmt)
-            .saturating_sub(frac.requantize(neg_frac_fmt, Rounding::Nearest))
-            .expect("same format subtraction");
-        (int_part, Some(self.pow2.eval(neg_frac)))
+/// Decomposes a renormalization exponent `d >= 0` into the datapath's two
+/// stages: a right shift by `floor(d)` and, when `d` has a fractional part
+/// (the float-max ablation, or an integer max saturated at a non-integer
+/// rail), a multiply by `2^-frac(d) ∈ (0.5, 1)` from the Power-of-Two
+/// unit.
+///
+/// The plan depends only on `d`, so a whole slice sharing one reference
+/// max is renormalized with one plan, and the compiled datapath tabulates
+/// the factor once per fractional pattern.
+fn renorm_plan(pow2: &Pow2Unit, d: Fixed) -> (u32, Option<Fixed>) {
+    debug_assert!(d.raw() >= 0, "renormalization exponent must be >= 0");
+    let int_part = d.floor_int().clamp(0, 127) as u32;
+    let frac = d.frac();
+    if frac.raw() == 0 {
+        return (int_part, None);
     }
+    let neg_frac_fmt = QFormat::signed(2, d.format().frac_bits());
+    let neg_frac = Fixed::zero(neg_frac_fmt)
+        .saturating_sub(frac.requantize(neg_frac_fmt, Rounding::Nearest))
+        .expect("same format subtraction");
+    (int_part, Some(pow2.eval(neg_frac)))
+}
+
+/// A configuration compiled into the integer constants and tables of the
+/// fast datapath.
+///
+/// Every encoding the datapath handles belongs to a format at most 32
+/// bits wide, and every encoding after the max subtraction is
+/// non-negative, so `i64` (and `u64` for products) holds each
+/// intermediate exactly.
+#[derive(Debug, Clone)]
+struct Compiled {
+    /// `2^f` of the input format: scales a score to quantization steps.
+    in_scale: f64,
+    /// The input rails one step outside the format, as `f64`: clamping
+    /// there keeps the truncating cast in range without moving any value
+    /// across a rail.
+    in_clamp: (f64, f64),
+    in_lo: i64,
+    in_hi: i64,
+    /// Pre-scale mantissa at `prescale_frac` fraction bits: `log2(e)` in
+    /// base e, exactly 1.0 in base 2, where the multiply is the identity.
+    prescale: i64,
+    prescale_frac: u32,
+    /// Input → max format: a left shift, or a round-to-nearest right
+    /// shift (at most one of the two is non-zero).
+    max_up: u32,
+    max_down: u32,
+    max_lo: i64,
+    max_hi: i64,
+    max_frac: u32,
+    /// `2^f − 1` of the max format under the integer max (the IntMax
+    /// ceiling), `None` under the float-max ablation.
+    ceil_mask: Option<i64>,
+    /// `pow2[k]` is the Power-of-Two unit's output at `−k` in the max
+    /// format, for `k ∈ [0, K]`; every input at or below `−K` gives the
+    /// entry at `K`.
+    pow2: Vec<i64>,
+    /// Unnormed → wide summation-tree format.
+    sum_shift: u32,
+    wide_frac: u32,
+    wide_hi: i64,
+    pow_sum: QFormat,
+    /// The renormalization factor of [`renorm_plan`] per fractional
+    /// pattern of a max-format exponent (`None` for a whole exponent).
+    renorm: Vec<Option<i64>>,
+    /// Fraction bits of a renorm factor (the unnormed format's).
+    factor_frac: u32,
+    unnormed_hi: i64,
+}
+
+impl Compiled {
+    fn new(cfg: &SoftermaxConfig, pow2: &Pow2Unit, log2_e: Fixed, wide_fmt: QFormat) -> Self {
+        let (input, max) = (cfg.input_format, cfg.max_format);
+        let in_frac = input.frac_bits();
+        let max_frac = max.frac_bits();
+        let prescale = match cfg.base {
+            Base::Two => 1i64 << log2_e.format().frac_bits(),
+            Base::E => log2_e.raw(),
+        };
+        let last = cfg.pow2_table_last();
+        let table = (0..=last)
+            .map(|k| pow2.eval(Fixed::from_raw_saturating(-k, max)).raw())
+            .collect();
+        let renorm = (0..1i64 << max_frac)
+            .map(|j| {
+                let (_, factor) = renorm_plan(pow2, Fixed::from_raw_saturating(j, max));
+                factor.map(|f| f.raw())
+            })
+            .collect();
+        Self {
+            in_scale: f64::from(in_frac).exp2(),
+            in_clamp: ((input.min_raw() - 1) as f64, (input.max_raw() + 1) as f64),
+            in_lo: input.min_raw(),
+            in_hi: input.max_raw(),
+            prescale,
+            prescale_frac: log2_e.format().frac_bits(),
+            max_up: max_frac.saturating_sub(in_frac),
+            max_down: in_frac.saturating_sub(max_frac),
+            max_lo: max.min_raw(),
+            max_hi: max.max_raw(),
+            max_frac,
+            ceil_mask: match cfg.max_mode {
+                MaxMode::Integer => Some((1i64 << max_frac) - 1),
+                MaxMode::Float => None,
+            },
+            pow2: table,
+            sum_shift: cfg.unnormed_format.frac_bits() - wide_fmt.frac_bits(),
+            wide_frac: wide_fmt.frac_bits(),
+            wide_hi: wide_fmt.max_raw(),
+            pow_sum: cfg.pow_sum_format,
+            renorm,
+            factor_frac: cfg.unnormed_format.frac_bits(),
+            unnormed_hi: cfg.unnormed_format.max_raw(),
+        }
+    }
+
+    /// Stage 0 over `values` into max-format lanes (replacing `lanes`):
+    /// [`Fixed::from_f64`] → pre-scale → max-format requantize, all
+    /// rounding to nearest with ties away from zero.
+    fn quantize_lanes(&self, values: &[f64], lanes: &mut Vec<i64>) {
+        lanes.clear();
+        lanes.extend(values.iter().map(|&v| self.quantize_one(v)));
+    }
+
+    /// One element of [`Compiled::quantize_lanes`]. `f64::round` is a libm
+    /// call on baseline x86-64, so the rounding is integer: clamp one step
+    /// outside the rails (NaN fails the first compare and lands on the top
+    /// one, as in [`Fixed::from_f64`]), truncate, and step by the exact
+    /// remainder.
+    #[inline(always)]
+    fn quantize_one(&self, v: f64) -> i64 {
+        let (clamp_lo, clamp_hi) = self.in_clamp;
+        let s = v * self.in_scale;
+        let s = if s < clamp_hi { s } else { clamp_hi };
+        let s = if s > clamp_lo { s } else { clamp_lo };
+        let t = s as i64;
+        let r = s - t as f64;
+        let q = (t + i64::from(r >= 0.5) - i64::from(r <= -0.5))
+            .max(self.in_lo)
+            .min(self.in_hi);
+        // |q| < 2^31 and the mantissa is below 2^16, so the product fits.
+        let p = round_shift(q * self.prescale, self.prescale_frac)
+            .max(self.in_lo)
+            .min(self.in_hi);
+        // The max format holds at least the input's integer bits, so the
+        // left shift stays below 2^31.
+        let m = if self.max_down == 0 {
+            p << self.max_up
+        } else {
+            round_shift(p, self.max_down)
+        };
+        m.max(self.max_lo).min(self.max_hi)
+    }
+
+    /// The Unnormed Softmax unit for one slice of max-format lanes,
+    /// rewritten in place as unnormed numerators, then the Reduction-unit
+    /// merge into `running`. Returns the slice's reference max.
+    ///
+    /// Shared by the one-shot, batched and streaming datapaths, so they
+    /// cannot drift from each other.
+    fn slice_stages(&self, lanes: &mut [i64], running: &mut Option<(i64, i64)>) -> i64 {
+        let top = lanes.iter().copied().max().expect("slice is non-empty");
+        // IntMax: `ceil` and saturation are monotone, so one ceiling of
+        // the raw max equals the max of the ceilings.
+        let local_max = match self.ceil_mask {
+            Some(mask) => ((top + mask) & !mask).min(self.max_hi),
+            None => top,
+        };
+        // `local_max − x ≥ 0` is `−d` before the max-format saturation;
+        // the table's last entry covers every `d` at or below `−K`.
+        let last = self.pow2.len() - 1;
+        // Summation tree: the terms are non-negative, so the per-add
+        // saturation of the wide accumulator is one clamp of the total.
+        let mut acc = 0i64;
+        for x in lanes.iter_mut() {
+            let u = self.pow2[((local_max - *x) as usize).min(last)];
+            *x = u;
+            acc += (u >> self.sum_shift).min(self.wide_hi);
+        }
+        let local_sum = requantize_nearest(acc.min(self.wide_hi), self.wide_frac, self.pow_sum);
+        self.merge(running, local_max, local_sum);
+        local_max
+    }
+
+    /// The Reduction unit on raw `(max, sum)` pairs: the raw twin of
+    /// [`Softermax::merge_running`].
+    fn merge(&self, running: &mut Option<(i64, i64)>, local_max: i64, local_sum: i64) {
+        let Some((prev_max, prev_sum)) = *running else {
+            *running = Some((local_max, local_sum));
+            return;
+        };
+        let new_max = prev_max.max(local_max);
+        let hi = self.pow_sum.max_raw();
+        let prev = self.renorm(prev_sum, self.renorm_plan(new_max - prev_max), hi);
+        let local = self.renorm(local_sum, self.renorm_plan(new_max - local_max), hi);
+        *running = Some((new_max, (prev + local).min(hi)));
+    }
+
+    /// [`renorm_plan`] for the non-negative difference of two max-format
+    /// encodings, saturated into the max format as the scalar subtraction
+    /// saturates. Shifts of 63 or more clear any encoding below 2^32, as
+    /// the scalar's shifts of up to 127 do.
+    #[inline]
+    fn renorm_plan(&self, diff: i64) -> (u32, Option<i64>) {
+        let d = diff.min(self.max_hi);
+        let shift = (d >> self.max_frac).min(63) as u32;
+        (
+            shift,
+            self.renorm[(d & ((1i64 << self.max_frac) - 1)) as usize],
+        )
+    }
+
+    /// [`apply_renorm`] on a non-negative encoding whose format tops out
+    /// at `hi`: a floor shift, then the optional factor multiply (both
+    /// operands below 2^32, so the `u64` product is exact).
+    #[inline(always)]
+    fn renorm(&self, v: i64, (shift, factor): (u32, Option<i64>), hi: i64) -> i64 {
+        let shifted = v >> shift;
+        match factor {
+            None => shifted,
+            Some(f) => ((shifted as u64 * f as u64) >> self.factor_frac).min(hi as u64) as i64,
+        }
+    }
+}
+
+/// The Normalization unit's map from the product `x` of a numerator and
+/// a reciprocal mantissa to an output encoding, for one reciprocal.
+///
+/// [`apply_reciprocal`] clamps `x` into the wide format `UQ(32 − f, f)`
+/// (`f` the product's fraction bits, maximum `W`), shifts it by the
+/// reciprocal's exponent — saturating at `W` to the left, flooring to the
+/// right — and rounds it to nearest into the output format. Per
+/// reciprocal this folds into one compare, a mask, two shifts and an add.
+#[derive(Debug, Clone, Copy)]
+struct OutputMap {
+    /// Products above this saturate at `W` before or after the shift...
+    sat_above: u64,
+    /// ...and map to this encoding.
+    saturated: u64,
+    mask: u64,
+    up: u32,
+    bias: u64,
+    down: u32,
+    out_hi: u64,
+}
+
+impl OutputMap {
+    fn new(recip: Reciprocal, unnormed: QFormat, out: QFormat) -> Self {
+        let wide_frac = unnormed.frac_bits() + recip.mantissa.format().frac_bits();
+        let wide_hi =
+            QFormat::unsigned(32u32.saturating_sub(wide_frac), wide_frac).max_raw() as u64;
+        let out_frac = out.frac_bits();
+        let (out_up, out_down) = if out_frac >= wide_frac {
+            (out_frac - wide_frac, 0)
+        } else {
+            (0, wide_frac - out_frac)
+        };
+        let half = (1u64 << out_down) >> 1;
+        let out_hi = out.max_raw() as u64;
+        // Wide → output rounding of an exponent-shifted product (below
+        // 2^32, so even a 32-bit left shift fits).
+        let round = |x: u64| (((x << out_up) + half) >> out_down).min(out_hi);
+        if recip.exponent <= 0 {
+            // Left shift: every product above `W >> up` saturates at `W`.
+            let up = recip.exponent.unsigned_abs().min(32);
+            return Self {
+                sat_above: wide_hi >> up,
+                saturated: round(wide_hi),
+                mask: !0,
+                up: up + out_up,
+                bias: half,
+                down: out_down,
+                out_hi,
+            };
+        }
+        // Right shift by `e`: only a product above `W` saturates.
+        let e = recip.exponent.unsigned_abs().min(63);
+        let (mask, up, bias, down) = if out_down == 0 {
+            // ⌊x / 2^e⌋ · 2^u: clear the low `e` bits, shift up, then down.
+            (!((1u64 << e) - 1), out_up, 0, e)
+        } else if e >= 32 {
+            // Every product is below 2^32, so it shifts out entirely.
+            (!0, 0, 0, 63)
+        } else {
+            // ⌊(⌊x / 2^e⌋ + h) / 2^d⌋ = ⌊(x + h·2^e) / 2^(e + d)⌋.
+            (!0, 0, half << e, e + out_down)
+        };
+        Self {
+            sat_above: wide_hi,
+            saturated: round(wide_hi >> e),
+            mask,
+            up,
+            bias,
+            down,
+            out_hi,
+        }
+    }
+
+    #[inline(always)]
+    fn apply(&self, x: u64) -> u64 {
+        if x > self.sat_above {
+            self.saturated
+        } else {
+            ((((x & self.mask) << self.up) + self.bias) >> self.down).min(self.out_hi)
+        }
+    }
+}
+
+/// Round-to-nearest right shift by `k ≥ 1`, ties away from zero:
+/// `nearest_shift` in `i64`.
+#[inline(always)]
+fn round_shift(raw: i64, k: u32) -> i64 {
+    (raw + (1i64 << (k - 1)) - i64::from(raw < 0)) >> k
+}
+
+/// [`Fixed::requantize`] with [`Rounding::Nearest`] on a raw encoding
+/// with `src_frac` fraction bits: the wide slice sum into the pow-sum
+/// format. The sum is below `2^(8 + src_frac)` and `dst` has at most 32
+/// fraction bits, so a left shift stays below 2^40.
+fn requantize_nearest(raw: i64, src_frac: u32, dst: QFormat) -> i64 {
+    let dst_frac = dst.frac_bits();
+    let r = if dst_frac >= src_frac {
+        raw << (dst_frac - src_frac)
+    } else {
+        round_shift(raw, src_frac - dst_frac)
+    };
+    dst.saturate_raw(r)
 }
 
 /// Result of one Softermax row: output probabilities plus the
@@ -680,16 +914,18 @@ impl<'a> SoftermaxAccumulator<'a> {
     }
 }
 
-/// A reusable chunk-streaming session over the vectorized Softermax
-/// pipeline: the software mirror of one hardware Softermax unit consuming
+/// A reusable chunk-streaming session over the compiled Softermax
+/// datapath: the software mirror of one hardware Softermax unit consuming
 /// attention scores *as the QK^T array produces them*.
 ///
 /// Scores arrive in arbitrary chunks ([`push_chunk`](Self::push_chunk));
-/// internally they are quantized (stage 0) and grouped into full hardware
-/// slices of the configured `slice_width`, each slice running the exact
-/// per-slice stages of [`Softermax::forward_into`] — running integer max,
-/// shift-renormalized running sum — so the result is **bit-identical**
-/// with the one-shot pipeline for *any* chunking.
+/// each chunk runs stage 0 of [`Softermax::forward_into`] (integer
+/// quantization into max-format lanes), and the lanes are grouped into
+/// full hardware slices of the configured `slice_width`. Each slice runs
+/// the same compiled slice stages as the one-shot path — the IntMax
+/// ceiling, the Power-of-Two table, the summation tree and the raw
+/// `(max, sum)` merge — so the result is **bit-identical** with
+/// [`Softermax::forward_into`] and the scalar oracle for *any* chunking.
 /// [`finish_into`](Self::finish_into) runs the Normalization unit into a
 /// caller-provided buffer, and [`reset`](Self::reset) recycles every
 /// internal buffer for the next row: one session serves an arbitrary
@@ -702,22 +938,22 @@ impl<'a> SoftermaxAccumulator<'a> {
 #[derive(Debug, Clone)]
 pub struct SoftermaxStream<'a> {
     sm: &'a Softermax,
-    /// Max-format candidate lanes (fused stage 0 output) still awaiting a
+    /// Max-format lanes (stage 0 output) still awaiting a
     /// full hardware slice (always shorter than `slice_width`; consumed
     /// lanes are dropped).
     pending: Vec<i64>,
-    /// Staging buffer for the fused stage-0 sweep over one incoming chunk.
+    /// Staging buffer for the stage-0 sweep over one incoming chunk.
     stage: Vec<i64>,
     /// Scores absorbed since the last reset.
     count: usize,
     /// Retained unnormed numerator lanes of the whole row; completed
-    /// slices are appended as max-format candidates and rewritten in
-    /// place by the fused pass 2.
+    /// slices are appended as max-format lanes and rewritten in place by
+    /// the slice stages.
     unnormed: Vec<i64>,
     /// Per-slice `(reference max raw, end index)` runs.
     runs: Vec<(i64, usize)>,
-    /// Running `(max, renormalized sum)` of the Reduction unit.
-    running: Option<(Fixed, Fixed)>,
+    /// Raw running `(max, renormalized sum)` of the Reduction unit.
+    running: Option<(i64, i64)>,
 }
 
 impl SoftermaxStream<'_> {
@@ -745,23 +981,23 @@ impl SoftermaxStream<'_> {
         self.count == 0
     }
 
-    /// Fused stages 1–3 for one completed slice of max-format candidate
-    /// lanes: the candidates are appended to the retained row buffer and
-    /// transformed **in place** into unnormed numerators by the shared
-    /// [`Softermax::fused_slice_stages`], recording the run boundary.
+    /// The slice stages for one completed slice of max-format lanes: the
+    /// lanes are appended to the retained row buffer and rewritten **in
+    /// place** as unnormed numerators by the shared `slice_stages`,
+    /// recording the run boundary.
     fn process_slice(&mut self, xs: &[i64]) {
         let begin = self.unnormed.len();
         self.unnormed.extend_from_slice(xs);
-        let plan = self.sm.pow2.table().plan(self.sm.config.max_format);
-        let local_max_raw =
-            self.sm
-                .fused_slice_stages(&mut self.unnormed[begin..], &plan, &mut self.running);
-        self.runs.push((local_max_raw, self.unnormed.len()));
+        let local_max = self
+            .sm
+            .compiled
+            .slice_stages(&mut self.unnormed[begin..], &mut self.running);
+        self.runs.push((local_max, self.unnormed.len()));
     }
 
-    /// Absorbs a chunk of scores: runs the fused stage-0 sweep (quantize →
-    /// optional pre-scale → max-format candidates) and the fused slice
-    /// pipeline over every hardware slice completed so far — full slices
+    /// Absorbs a chunk of scores: runs stage 0 (quantize → optional
+    /// pre-scale → max-format lanes) and the slice stages over every
+    /// hardware slice completed so far — full slices
     /// are consumed straight out of the staging buffer, so only a
     /// sub-slice tail is ever retained as candidate lanes. An empty chunk
     /// is a no-op.
@@ -770,7 +1006,7 @@ impl SoftermaxStream<'_> {
             return;
         }
         let mut stage = std::mem::take(&mut self.stage);
-        self.sm.quantize_fused_lanes(chunk, &mut stage);
+        self.sm.compiled.quantize_lanes(chunk, &mut stage);
         self.count += chunk.len();
         let width = self.sm.config.slice_width;
         let mut xs: &[i64] = &stage;
@@ -817,60 +1053,13 @@ impl SoftermaxStream<'_> {
             self.pending = pending;
             self.pending.clear();
         }
-        let (global_max, running_sum) = self.running.ok_or(SoftmaxError::EmptyInput)?;
+        let running = self.running.ok_or(SoftmaxError::EmptyInput)?;
         self.sm
-            .normalization_pass(&self.runs, &self.unnormed, global_max, running_sum, out)
+            .normalize_row(&self.runs, &self.unnormed, running, out)
     }
 }
 
-/// Pass 2 of the fused pipeline for one slice: rewrites max-format
-/// candidate lanes **in place** as unnormed numerator lanes
-/// `u_i = 2^(x_i - local_max)` and returns the slice's wide running
-/// sum — the subtract, Power-of-Two and summation-tree stages in a
-/// single sweep.
-///
-/// Per element this is stage 2 of [`SoftermaxAccumulator::push_slice`]
-/// on raw lanes: a saturating max-format subtraction, the Power-of-Two
-/// unit (`Pow2Unit::eval_one_raw_fast`, the bit-identical twin of
-/// `Pow2Unit::eval`), and a floor-narrowed saturating add into the wide
-/// sum. The per-step saturation of the summation tree is
-/// order-sensitive, so the adds stay sequential while the subtract and
-/// term staging run as lane blocks. `tests/vector_parity.rs` holds the
-/// whole pass bit-exact with the scalar accumulator.
-fn fused_pow2_sum_pass(
-    lanes: &mut [i64],
-    local_max_raw: i64,
-    max_format: QFormat,
-    pow2: &Pow2Unit,
-    plan: &LpwPlan<'_>,
-    sum_shift: u32,
-    wide_fmt: QFormat,
-) -> i64 {
-    let in_frac = max_format.frac_bits();
-    let (lo, hi) = (max_format.min_raw(), max_format.max_raw());
-    let (wlo, whi) = (wide_fmt.min_raw(), wide_fmt.max_raw());
-    let mut acc = 0i64;
-    let mut chunks = lanes.chunks_exact_mut(lane::LANES);
-    for chunk in chunks.by_ref() {
-        let d = lane::sub_clamp(lane::load(chunk), local_max_raw, lo, hi);
-        let u: lane::Block = std::array::from_fn(|i| pow2.eval_one_raw_fast(plan, d[i], in_frac));
-        chunk.copy_from_slice(&u);
-        let terms = lane::shr_clamp(u, sum_shift, wlo, whi);
-        for t in terms {
-            acc = wide_fmt.saturate_raw(acc.saturating_add(t));
-        }
-    }
-    for x in chunks.into_remainder() {
-        let d = max_format.saturate_raw(x.saturating_sub(local_max_raw));
-        let u = pow2.eval_one_raw_fast(plan, d, in_frac);
-        *x = u;
-        let term = wide_fmt.saturate_raw(floor_shift(u as i128, sum_shift));
-        acc = wide_fmt.saturate_raw(acc.saturating_add(term));
-    }
-    acc
-}
-
-/// Applies a renormalization plan from [`Softermax::renorm_plan`] to one
+/// Applies a renormalization plan from [`renorm_plan`] to one
 /// value: shift, then the optional fractional multiply.
 #[inline]
 fn apply_renorm(v: Fixed, shift: u32, factor: Option<Fixed>) -> Fixed {
@@ -1060,6 +1249,85 @@ mod tests {
         let sm = Softermax::new(SoftermaxConfig::builder().slice_width(2).build().unwrap());
         let x = Fixed::zero(sm.config().input_format);
         sm.accumulator().push_slice(&[x, x, x]);
+    }
+
+    /// The three format sets of `tests/vector_parity.rs`'s `arb_config`
+    /// (paper Table I, a finer input grid, integer-only input) under both
+    /// max modes and a sweep of Power-of-Two segment counts.
+    fn table_proof_configs() -> Vec<SoftermaxConfig> {
+        let mut configs = Vec::new();
+        for format_set in 0..3 {
+            for max_mode in [MaxMode::Integer, MaxMode::Float] {
+                for segments in [2usize, 4, 16] {
+                    let builder = SoftermaxConfig::builder()
+                        .max_mode(max_mode)
+                        .pow2_segments(segments);
+                    let builder = match format_set {
+                        0 => builder,
+                        1 => builder
+                            .input_format(QFormat::signed(5, 3))
+                            .max_format(QFormat::signed(6, 3))
+                            .unnormed_format(QFormat::unsigned(2, 12))
+                            .pow_sum_format(QFormat::unsigned(8, 8)),
+                        _ => builder
+                            .input_format(QFormat::signed(8, 0))
+                            .max_format(QFormat::signed(8, 0))
+                            .pow_sum_format(QFormat::unsigned(12, 4)),
+                    };
+                    configs.push(builder.build().unwrap());
+                }
+            }
+        }
+        configs
+    }
+
+    #[test]
+    fn pow2_table_equals_the_unit() {
+        for cfg in table_proof_configs() {
+            let sm = Softermax::new(cfg.clone());
+            let max = cfg.max_format;
+            let table = &sm.compiled.pow2;
+            let last = cfg.pow2_table_last();
+            assert_eq!(table.len() as i64, last + 1, "{cfg:?}");
+            for (k, &u) in (0..).zip(table) {
+                let want = sm.pow2.eval(Fixed::from_raw_saturating(-k, max)).raw();
+                assert_eq!(u, want, "{cfg:?} k={k}");
+                assert!(u >= 0, "{cfg:?} k={k}");
+            }
+            // Exhaustive over the rest of the (at most 12-bit) max format:
+            // when `K` stops short of the format's minimum, the entry at
+            // `K` and every `d` below `−K` evaluate to 0.
+            assert!(max.total_bits() <= 12);
+            if -last > max.min_raw() {
+                assert_eq!(table[last as usize], 0, "{cfg:?}");
+            }
+            for d in max.min_raw()..-last {
+                let u = sm.pow2.eval(Fixed::from_raw_saturating(d, max)).raw();
+                assert_eq!(u, 0, "{cfg:?} d={d}");
+            }
+        }
+    }
+
+    #[test]
+    fn renorm_table_equals_renorm_plan() {
+        for cfg in table_proof_configs() {
+            let sm = Softermax::new(cfg.clone());
+            let max = cfg.max_format;
+            let c = &sm.compiled;
+            assert_eq!(c.renorm.len(), 1 << max.frac_bits(), "{cfg:?}");
+            for (j, &factor) in (0..).zip(&c.renorm) {
+                let (shift, want) = renorm_plan(&sm.pow2, Fixed::from_raw_saturating(j, max));
+                assert_eq!(shift, 0, "{cfg:?} j={j}");
+                assert_eq!(factor, want.map(|f| f.raw()), "{cfg:?} j={j}");
+            }
+            // The raw plan over every exponent the max format holds.
+            for d in 0..=max.max_raw() {
+                let (shift, want) = renorm_plan(&sm.pow2, Fixed::from_raw_saturating(d, max));
+                let (raw_shift, factor) = c.renorm_plan(d);
+                assert_eq!(factor, want.map(|f| f.raw()), "{cfg:?} d={d}");
+                assert_eq!(raw_shift, shift.min(63), "{cfg:?} d={d}");
+            }
+        }
     }
 
     #[test]

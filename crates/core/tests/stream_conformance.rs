@@ -9,7 +9,9 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use softermax::KernelRegistry;
+use softermax::{KernelRegistry, Softermax};
+
+mod common;
 
 /// Scores within the Q(6,2) representable range (so the fixed-point
 /// kernels see in-range inputs, as the paper's calibration guarantees).
@@ -144,4 +146,30 @@ fn finish_into_rejects_mismatched_buffer() {
     session.push_chunk(&[1.0, 2.0, 3.0]);
     let mut out = [0.0; 2];
     let _ = session.finish_into(&mut out);
+}
+
+/// Edge inputs (NaN, infinities, ±1e300, signed zero, subnormals, exact
+/// rounding ties, values past each rail) stream bit-identically to
+/// `forward` under 1-element, ragged and whole-row chunkings, for the
+/// paper config and both ablation format sets, both bases and max modes.
+#[test]
+fn edge_inputs_stream_bit_identically() {
+    for cfg in common::edge_configs() {
+        let sm = Softermax::new(cfg.clone());
+        let mut session = sm.stream();
+        for row in common::edge_rows(cfg.input_format) {
+            let want = sm.forward(&row).expect("non-empty row");
+            for chunk in [1usize, 2, 5, row.len()] {
+                session.reset(row.len());
+                for piece in row.chunks(chunk) {
+                    session.push_chunk(piece);
+                }
+                let mut got = vec![0.0; row.len()];
+                session.finish_into(&mut got).expect("non-empty row");
+                let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got_bits, want_bits, "{cfg:?} chunk {chunk} row {row:?}");
+            }
+        }
+    }
 }

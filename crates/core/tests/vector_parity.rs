@@ -16,6 +16,8 @@ use softermax::recip::{apply_reciprocal, RecipUnit};
 use softermax::{Base, MaxMode, Softermax, SoftermaxConfig};
 use softermax_fixed::{formats, Fixed, QFormat};
 
+mod common;
+
 /// Attention-score rows, spilling past the Q(6,2) rails on both sides so
 /// input saturation is exercised, with lengths that straddle slice and
 /// chunk boundaries.
@@ -288,4 +290,42 @@ fn forward_into_rejects_mismatched_buffer() {
     let kernel = KernelRegistry::global().get("softermax").expect("built-in");
     let mut out = vec![0.0; 2];
     let _ = kernel.forward_into(&[1.0, 2.0, 3.0], &mut out, &mut ScratchBuffers::default());
+}
+
+/// Edge inputs (NaN, infinities, ±1e300, signed zero, subnormals, exact
+/// rounding ties, values past each rail) take the same path through the
+/// one-shot and batched datapaths as through the scalar oracle, for the
+/// paper config and both ablation format sets, both bases and max modes.
+#[test]
+fn edge_inputs_are_bit_exact() {
+    let mut scratch = ScratchBuffers::default();
+    for cfg in common::edge_configs() {
+        let sm = Softermax::new(cfg.clone());
+        let rows = common::edge_rows(cfg.input_format);
+        for row in &rows {
+            let want = sm.forward(row).expect("non-empty row");
+            let mut got = vec![0.0; row.len()];
+            sm.forward_into(row, &mut got, &mut scratch)
+                .expect("non-empty row");
+            assert_bits_equal(&got, &want, &format!("forward_into {cfg:?} {row:?}"));
+        }
+        // Every edge row of one length as one matrix.
+        let singles: Vec<f64> = rows
+            .iter()
+            .filter(|r| r.len() == 1)
+            .flatten()
+            .copied()
+            .collect();
+        let mut batch_out = vec![0.0; singles.len()];
+        sm.forward_batch_into(&singles, 1, &mut batch_out, &mut scratch)
+            .expect("non-empty rows");
+        for (v, got) in singles.iter().zip(&batch_out) {
+            let want = sm.forward(std::slice::from_ref(v)).expect("non-empty row");
+            assert_bits_equal(
+                std::slice::from_ref(got),
+                &want,
+                &format!("batch {cfg:?} {v}"),
+            );
+        }
+    }
 }

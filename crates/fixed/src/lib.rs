@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 mod error;
-pub mod lane;
 mod qformat;
 mod rounding;
 mod value;

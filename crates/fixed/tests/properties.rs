@@ -1,8 +1,7 @@
 //! Property-based tests for the fixed-point substrate, including the
-//! bit-exactness contract between the vectorized `vecops` bulk operations
-//! and the scalar `Fixed` path (saturation and tail-chunk edges included:
-//! generated lengths straddle the `vecops::LANES` chunk width, and
-//! generated values run well past every format's rails).
+//! bit-exactness contract between the `vecops` bulk operations and the
+//! scalar `Fixed` path (saturation edges included: generated values run
+//! well past every format's rails).
 
 use proptest::prelude::*;
 use softermax_fixed::{formats, vecops, Fixed, QFormat, Rounding};
@@ -175,21 +174,6 @@ proptest! {
             prop_assert_eq!(got, want, "raw={} src={} dst={}", raw, src, dst);
         }
     }
-
-    /// max_reduce equals a fold over `Fixed::max` within one format.
-    #[test]
-    fn vecops_max_reduce_matches_scalar(
-        raws in proptest::collection::vec(-200i64..200, 1..40),
-    ) {
-        let fmt = formats::INPUT;
-        let raws: Vec<i64> = raws.iter().map(|&x| fmt.saturate_raw(x)).collect();
-        let want = raws
-            .iter()
-            .map(|&x| Fixed::from_raw_saturating(x, fmt))
-            .max()
-            .unwrap();
-        prop_assert_eq!(vecops::max_reduce(&raws), Some(want.raw()));
-    }
 }
 
 proptest! {
@@ -209,60 +193,5 @@ proptest! {
             r.apply_shift(wide, k),
             "mode={:?} raw={} scale={} k={}", r, raw, scale, k
         );
-    }
-
-    /// `ceil_one_raw` is bit-identical with `Fixed::ceil` on any raw
-    /// encoding in any format.
-    #[test]
-    fn vecops_ceil_one_raw_matches_fixed_ceil(raw in -200_000i64..200_000, fmt in arb_format()) {
-        let raw = fmt.saturate_raw(raw);
-        prop_assert_eq!(
-            vecops::ceil_one_raw(raw, fmt),
-            Fixed::from_raw_saturating(raw, fmt).ceil().raw()
-        );
-    }
-
-    /// The fused ceil-max reduction equals mapping `Fixed::ceil` then
-    /// folding `max` (the staged IntMax pipeline).
-    #[test]
-    fn vecops_max_reduce_ceil_matches_staged(
-        raws in proptest::collection::vec(-200_000i64..200_000, 0..40),
-        fmt in arb_format(),
-    ) {
-        let raws: Vec<i64> = raws.iter().map(|&x| fmt.saturate_raw(x)).collect();
-        let want = raws
-            .iter()
-            .map(|&r| Fixed::from_raw_saturating(r, fmt).ceil().raw())
-            .max();
-        prop_assert_eq!(vecops::max_reduce_ceil(&raws, fmt), want);
-    }
-
-    /// The fused stage-0 pass (quantize → pre-scale → requantize in one
-    /// sweep) is bit-identical with the staged three-pass pipeline.
-    #[test]
-    fn vecops_fused_quantize_matches_staged(
-        values in proptest::collection::vec(-1e3f64..1e3, 0..40),
-        input in arb_format(),
-        dst in arb_format(),
-        r in arb_rounding(),
-        mant in 0i64..100_000,
-        shift in 0u32..16,
-        use_prescale in any::<bool>(),
-    ) {
-        let prescale = use_prescale.then_some((mant, shift));
-        let mut fused = Vec::new();
-        vecops::fused_quantize_into(&values, input, r, prescale, dst, &mut fused);
-
-        let mut staged = Vec::new();
-        vecops::quantize_raw_into(&values, input, r, &mut staged);
-        if let Some((mant, shift)) = prescale {
-            for lane in &mut staged {
-                let prod = *lane as i128 * mant as i128;
-                *lane = input.saturate_raw(Rounding::Nearest.apply_shift(prod, shift));
-            }
-        }
-        let mut want = Vec::new();
-        vecops::requantize_raw_into(&staged, input, dst, r, &mut want);
-        prop_assert_eq!(fused, want);
     }
 }
