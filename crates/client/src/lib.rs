@@ -15,9 +15,6 @@
 //!   ([`Backoff`]); a transport failure with replies pending is
 //!   reported as [`ClientError::ConnectionLost`] with the in-flight
 //!   count, because those results are genuinely gone.
-//! * **Wire accounting** — every byte and frame in both directions is
-//!   counted ([`Client::bytes_sent`] and friends), which is how the
-//!   bench harness measures per-frame protocol overhead.
 //!
 //! The client is deliberately synchronous and single-threaded (std
 //! only, matching the repo's no-external-runtime rule): the bench
@@ -242,21 +239,6 @@ impl Write for Stream {
     }
 }
 
-/// Counts bytes pulled through a reader, so reply-side wire overhead is
-/// measurable without re-encoding.
-struct CountingReader<'a> {
-    inner: &'a mut Stream,
-    count: &'a mut u64,
-}
-
-impl Read for CountingReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        *self.count += n as u64;
-        Ok(n)
-    }
-}
-
 /// A blocking, pipelining connection to one softmax server.
 pub struct Client {
     stream: Stream,
@@ -266,10 +248,6 @@ pub struct Client {
     next_id: u64,
     /// Correlation ids awaiting replies, in submission (= reply) order.
     pending: VecDeque<u64>,
-    bytes_sent: u64,
-    bytes_received: u64,
-    frames_sent: u64,
-    frames_received: u64,
 }
 
 impl Client {
@@ -293,10 +271,6 @@ impl Client {
             },
             next_id: 1,
             pending: VecDeque::new(),
-            bytes_sent: 0,
-            bytes_received: 0,
-            frames_sent: 0,
-            frames_received: 0,
         };
         client.handshake()?;
         Ok(client)
@@ -379,46 +353,14 @@ impl Client {
         self.pending.len()
     }
 
-    /// Total bytes written to the wire (headers included).
-    #[must_use]
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total bytes read off the wire (headers included).
-    #[must_use]
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received
-    }
-
-    /// Frames written.
-    #[must_use]
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent
-    }
-
-    /// Frames read.
-    #[must_use]
-    pub fn frames_received(&self) -> u64 {
-        self.frames_received
-    }
-
     fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        let n = write_frame(&mut self.stream, frame)?;
+        write_frame(&mut self.stream, frame)?;
         self.stream.flush().map_err(FrameError::Io)?;
-        self.bytes_sent += n as u64;
-        self.frames_sent += 1;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Frame, ClientError> {
-        let mut reader = CountingReader {
-            inner: &mut self.stream,
-            count: &mut self.bytes_received,
-        };
-        let frame = read_frame(&mut reader)?;
-        self.frames_received += 1;
-        Ok(frame)
+        Ok(read_frame(&mut self.stream)?)
     }
 
     /// Pipelines one submission: writes the request (its `id` field is

@@ -240,7 +240,7 @@ impl KernelServeStats {
     /// engine throughput (it equals real throughput only for serialized
     /// callers). Multi-client harnesses should measure rows over their
     /// own elapsed wall clock, as the CLI concurrent mode and
-    /// `throughput --concurrent` do.
+    /// `perfbench` do.
     #[must_use]
     pub fn rows_per_sec(&self) -> f64 {
         per_sec(self.rows, self.wall_ns)
