@@ -560,10 +560,14 @@ fn fused_bytes_per_elem(kernel: &str) -> f64 {
     match kernel {
         // Three passes: max (r), exp + sum (r + w), normalize (r + w).
         "reference-e" | "reference-2" => 40.0,
-        // One online pass (r + w) plus the normalization pass (r + w).
-        "online-e" | "online-2" | "online-intmax" => 32.0,
-        // Quantize to binary16 bit lanes + max (r + w), exponential lanes
-        // + sum (r + w), divide (r + w).
+        // The online pass reads the scores and writes each term into the
+        // output (r + w); the division pass reads the terms, plus the
+        // scores before the last max raise, and writes (r + r + w) at
+        // most.
+        "online-e" | "online-2" | "online-intmax" => 40.0,
+        // Three sweeps over the output, where every binary16 value is
+        // staged as an f64: quantize + max (r + w), exponentials + sum
+        // (r + w), divide (r + w).
         "fp16" => 48.0,
         // Max pass (r), LUT exponentials staged in the output (r + w),
         // integer divide pass (r + w).

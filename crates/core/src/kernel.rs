@@ -60,7 +60,7 @@ use softermax_fp16::softmax::{softmax_fp16, softmax_fp16_into};
 
 use crate::baselines::LutSoftmax;
 use crate::config::{Base, MaxMode};
-use crate::online::OnlineNormalizer;
+use crate::online::{OnlineNormalizer, OnlineRow};
 use crate::reference;
 use crate::softermax::SoftermaxStream;
 use crate::{Result, Softermax, SoftermaxConfig, SoftmaxError};
@@ -174,9 +174,11 @@ impl KernelDescriptor {
 /// One instance amortizes every per-row intermediate across an arbitrary
 /// number of rows: after the first few rows the buffers reach steady-state
 /// capacity and the hot path performs **zero** heap allocations. The lane
-/// buffers hold raw `i64` fixed-point encodings (the format is implied by
+/// buffer holds raw `i64` fixed-point encodings (the format is implied by
 /// the pipeline stage), `runs` holds per-slice `(raw value, end index)`
-/// pairs such as the Softermax reference maxima.
+/// pairs such as the Softermax reference maxima. Kernels whose
+/// intermediates fit in the output buffer (the online and fp16 kernels
+/// stage theirs there) leave the scratch untouched.
 ///
 /// # Example
 ///
@@ -194,12 +196,8 @@ impl KernelDescriptor {
 pub struct ScratchBuffers {
     /// Row-length lanes. The compiled Softermax datapath writes
     /// max-format lanes here (stage 0) and rewrites them **in place** as
-    /// unnormed exponentials (the slice stages); other kernels use it for
-    /// quantized input scores.
+    /// unnormed exponentials (the slice stages).
     pub lanes_a: Vec<i64>,
-    /// Row-length result lanes: the fp16 kernel's exponentials, as Half
-    /// bits.
-    pub lanes_c: Vec<i64>,
     /// Per-slice `(raw value, end index)` runs (reference maxima).
     pub runs: Vec<(i64, usize)>,
 }
@@ -216,8 +214,8 @@ impl ScratchBuffers {
 /// ([`SoftmaxKernel::forward_batch_into`]).
 ///
 /// Extends [`ScratchBuffers`] with per-*row* state lanes: batched kernels
-/// that vectorize across the row dimension (the online recurrence, the
-/// reference max pass) keep one running value per row here, while kernels
+/// that vectorize across the row dimension (the reference max pass) keep
+/// one running value per row here, while kernels
 /// that batch by sweeping their vectorized row pipeline reuse the embedded
 /// per-row scratch. One instance amortizes every intermediate across an
 /// arbitrary number of matrices.
@@ -227,8 +225,6 @@ pub struct BatchScratch {
     pub row: ScratchBuffers,
     /// Per-row `f64` state lanes (running maxima).
     pub row_maxes: Vec<f64>,
-    /// Per-row `f64` state lanes (running sums / normalizers).
-    pub row_sums: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -656,6 +652,7 @@ impl SoftmaxKernel for OnlineKernel {
     }
 
     fn forward(&self, row: &[f64]) -> Result<Vec<f64>> {
+        // The scalar oracle: `OnlineNormalizer` evaluates every term twice.
         let mut n = self.normalizer();
         n.extend(row.iter().copied());
         n.finalize(row)
@@ -667,66 +664,51 @@ impl SoftmaxKernel for OnlineKernel {
         out: &mut [f64],
         _scratch: &mut ScratchBuffers,
     ) -> Result<()> {
-        // The online recurrence needs no buffering at all: the one-pass
-        // max/sum state is three scalars, and the division pass reads the
-        // caller's row directly.
-        let mut n = self.normalizer();
-        n.extend(row.iter().copied());
-        n.finalize_into(row, out)
-    }
-
-    fn forward_batch_into(
-        &self,
-        rows: &[f64],
-        row_len: usize,
-        out: &mut [f64],
-        scratch: &mut BatchScratch,
-    ) -> Result<()> {
-        // Lane-parallel recurrence: blocks of rows advance their running
-        // (max, sum) state together, one lane per row.
-        crate::online::online_softmax_batch_into(
-            rows,
-            row_len,
-            self.base,
-            self.integer_max,
-            out,
-            &mut scratch.row_maxes,
-            &mut scratch.row_sums,
-        )
+        // The one-pass max/sum state is a few scalars; pass 1 stages its
+        // terms in `out`, and the division pass reuses them from the last
+        // max raise on. The default `forward_batch_into` loops this.
+        assert_eq!(out.len(), row.len(), "output buffer length mismatch");
+        let mut r = OnlineRow::new(self.base, self.integer_max);
+        for (o, &x) in out.iter_mut().zip(row) {
+            *o = r.push(x);
+        }
+        r.finish_in_place(row, out)
     }
 
     fn stream_session(&self) -> Box<dyn StreamSession + '_> {
         Box::new(OnlineSession {
-            normalizer: self.normalizer(),
+            row: OnlineRow::new(self.base, self.integer_max),
             inputs: Vec::new(),
+            terms: Vec::new(),
         })
     }
 }
 
 /// Truly-streaming session for [`OnlineKernel`]: the running max/sum pair
 /// advances chunk by chunk (renormalizing the accumulated sum whenever a
-/// chunk raises the max); inputs are retained only for the final division
-/// pass, exactly as the hardware retains unnormed numerators. Reset
-/// recycles both the recurrence state and the retained-input buffer.
+/// chunk raises the max); inputs and their pass-1 terms are retained for
+/// the final division pass, exactly as the hardware retains unnormed
+/// numerators. Reset recycles the recurrence state and both buffers.
 #[derive(Debug)]
 struct OnlineSession {
-    normalizer: OnlineNormalizer,
+    row: OnlineRow,
     inputs: Vec<f64>,
+    terms: Vec<f64>,
 }
 
 impl StreamSession for OnlineSession {
     fn reset(&mut self, row_hint: usize) {
-        self.normalizer.reset();
+        self.row.reset();
         self.inputs.clear();
         self.inputs.reserve(row_hint);
+        self.terms.clear();
+        self.terms.reserve(row_hint);
     }
 
     fn push_chunk(&mut self, chunk: &[f64]) {
         // Element order within and across chunks is exactly `forward`'s
         // push order, so any chunking is bit-identical to one-shot.
-        for &x in chunk {
-            self.normalizer.push(x);
-        }
+        self.terms.extend(chunk.iter().map(|&x| self.row.push(x)));
         self.inputs.extend_from_slice(chunk);
     }
 
@@ -735,7 +717,13 @@ impl StreamSession for OnlineSession {
     }
 
     fn finish_into(&mut self, out: &mut [f64]) -> Result<()> {
-        self.normalizer.finalize_into(&self.inputs, out)
+        assert_eq!(
+            out.len(),
+            self.inputs.len(),
+            "output buffer length mismatch"
+        );
+        out.copy_from_slice(&self.terms);
+        self.row.finish_in_place(&self.inputs, out)
     }
 }
 
@@ -790,12 +778,11 @@ impl SoftmaxKernel for Fp16Kernel {
         &self,
         row: &[f64],
         out: &mut [f64],
-        scratch: &mut ScratchBuffers,
+        _scratch: &mut ScratchBuffers,
     ) -> Result<()> {
-        // Binary16 intermediates staged as raw bits in the scratch lanes:
+        // Every binary16 intermediate is staged in `out` as an f64:
         // bit-identical with `softmax_fp16`, zero per-row allocations.
-        softmax_fp16_into(row, out, &mut scratch.lanes_a, &mut scratch.lanes_c)
-            .ok_or(SoftmaxError::EmptyInput)
+        softmax_fp16_into(row, out).ok_or(SoftmaxError::EmptyInput)
     }
 
     fn stream_session(&self) -> Box<dyn StreamSession + '_> {

@@ -19,6 +19,18 @@
 //!
 //! This module is the full-precision (`f64`) model of those recurrences;
 //! the bit-accurate fixed-point pipeline lives in [`crate::softermax`].
+//!
+//! [`OnlineNormalizer`] is the scalar oracle: its division pass evaluates
+//! every term `b^(x_i - m)` a second time. The kernels' fast paths keep
+//! each first-pass term instead, as the paper's hardware keeps its
+//! unnormed exponentials, and reuse it from the last strict raise of the
+//! running max on. Reuse is exact, not approximate: the max does not
+//! change after its last raise, so those first-pass terms were computed
+//! from the very operands `x_i` and `m` the second pass would use, and
+//! the same `f64` operations on the same operands give the same bits.
+//! Terms before the last raise were taken against a smaller max and are
+//! recomputed. An input whose max settles early thus costs one `exp` per
+//! element instead of two.
 
 use crate::{Result, SoftmaxError};
 
@@ -132,15 +144,6 @@ impl OnlineNormalizer {
         (e * self.ln_base).exp()
     }
 
-    /// Clears the running state for a new row, keeping the base and max
-    /// mode: the reuse primitive of the streaming sessions (one normalizer
-    /// per worker/head, reset per row).
-    pub fn reset(&mut self) {
-        self.running_max = f64::NEG_INFINITY;
-        self.normalizer = 0.0;
-        self.count = 0;
-    }
-
     /// Absorbs one value, updating the running max and renormalizing the
     /// running sum if the max changed.
     pub fn push(&mut self, x: f64) {
@@ -235,96 +238,114 @@ impl Default for OnlineNormalizer {
     }
 }
 
-/// Number of rows whose online state advances together in the batched
-/// recurrence: the software analogue of the hardware's parallel Softermax
-/// units, each lane owning one row's running `(max, sum)` pair.
-const BATCH_LANES: usize = 8;
-
-/// Matrix-at-a-time online softmax over a flattened row-major matrix.
+/// Per-row state of the online kernels' fast paths (`forward_into`, and
+/// through it `forward_batch_into`, and the streaming session): the
+/// recurrence of [`OnlineNormalizer`], plus the index of the last max
+/// raise, so the division pass can reuse the terms of the first pass.
 ///
-/// The single-pass recurrence runs *lane-parallel*: blocks of
-/// [`BATCH_LANES`] rows sweep their columns together, each lane holding one
-/// row's running `(max, normalizer)` state in registers — the software
-/// mirror of the paper's parallel softmax units, and a layout `std::simd`
-/// can lift directly. The final division pass then sweeps the flattened
-/// matrix once. Per-row state buffers are the caller's `maxes`/`sums`, so
-/// the batch allocates nothing at steady state.
-///
-/// Each row's operation sequence is exactly that of
-/// [`OnlineNormalizer::push`] + [`OnlineNormalizer::finalize_into`]
-/// (lanes never interact), so the result is **bit-identical** with running
-/// the normalizer row by row.
-///
-/// # Errors
-///
-/// Returns [`SoftmaxError::EmptyInput`] when `row_len == 0` and the matrix
-/// is non-empty. An empty matrix is a no-op `Ok`.
-///
-/// # Panics
-///
-/// Panics if `out.len() != rows.len()`, if `rows.len()` is not a multiple
-/// of `row_len`, or if `base` is not a finite number greater than 1 (the
-/// same contract as [`OnlineNormalizer::with_base`]).
-pub fn online_softmax_batch_into(
-    rows: &[f64],
-    row_len: usize,
-    base: f64,
+/// [`push`](Self::push) performs exactly [`OnlineNormalizer::push`]'s
+/// operations and returns the term `b^(x_i - m_i)`, where `m_i` is the
+/// running max after element `i`; the caller keeps the terms. The running
+/// max changes only at a strict raise, so every term from the last raise
+/// on was computed against the final max `m`, from the same operands the
+/// division pass of [`OnlineNormalizer::finalize_into`] uses.
+/// [`finish_in_place`](Self::finish_in_place) therefore divides those
+/// terms and recomputes `b^(x_i - m)` only before the last raise: the
+/// result is bit-identical with `push` + `finalize_into`, NaN, signed
+/// zeros and infinities included, with one `exp` per element instead of
+/// two once the max has settled.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OnlineRow {
+    ln_base: f64,
     integer_max: bool,
-    out: &mut [f64],
-    maxes: &mut Vec<f64>,
-    sums: &mut Vec<f64>,
-) -> Result<()> {
-    let n_rows = crate::kernel::check_batch_geometry(rows.len(), row_len, out.len())?;
-    if n_rows == 0 {
-        return Ok(());
-    }
-    assert!(
-        base.is_finite() && base > 1.0,
-        "base must be finite and > 1"
-    );
-    let ln_b = base.ln();
-    maxes.clear();
-    maxes.resize(n_rows, f64::NEG_INFINITY);
-    sums.clear();
-    sums.resize(n_rows, 0.0);
+    running_max: f64,
+    normalizer: f64,
+    count: usize,
+    last_raise: usize,
+}
 
-    // Pass 1 — the online max/sum recurrence, BATCH_LANES rows at a time.
-    let mut r0 = 0;
-    while r0 < n_rows {
-        let block = BATCH_LANES.min(n_rows - r0);
-        let block_rows = &rows[r0 * row_len..(r0 + block) * row_len];
-        let mut m = [f64::NEG_INFINITY; BATCH_LANES];
-        let mut s = [0.0f64; BATCH_LANES];
-        for c in 0..row_len {
-            for (l, (ml, sl)) in m[..block].iter_mut().zip(&mut s).enumerate() {
-                let x = block_rows[l * row_len + c];
-                let candidate = if integer_max { x.ceil() } else { x };
-                let new_max = ml.max(candidate);
-                if new_max > *ml {
-                    if ml.is_finite() {
-                        *sl *= ((*ml - new_max) * ln_b).exp();
-                    }
-                    *ml = new_max;
-                }
-                *sl += ((x - *ml) * ln_b).exp();
+impl OnlineRow {
+    /// A fresh row for base `b` (validated by the kernel constructors),
+    /// with the integer max when `integer_max` is set.
+    pub(crate) fn new(base: f64, integer_max: bool) -> Self {
+        Self {
+            ln_base: base.ln(),
+            integer_max,
+            running_max: f64::NEG_INFINITY,
+            normalizer: 0.0,
+            count: 0,
+            last_raise: 0,
+        }
+    }
+
+    /// Clears the running state for a new row.
+    pub(crate) fn reset(&mut self) {
+        *self = Self {
+            running_max: f64::NEG_INFINITY,
+            normalizer: 0.0,
+            count: 0,
+            last_raise: 0,
+            ..*self
+        };
+    }
+
+    /// Pass 1 for the next element of the row: advances the running max
+    /// and normalizer exactly as [`OnlineNormalizer::push`] does and
+    /// returns the element's term `b^(x - m)` against the updated max.
+    #[inline]
+    pub(crate) fn push(&mut self, x: f64) -> f64 {
+        let ln_b = self.ln_base;
+        let candidate = if self.integer_max { x.ceil() } else { x };
+        let new_max = self.running_max.max(candidate);
+        if new_max > self.running_max {
+            if self.running_max.is_finite() {
+                self.normalizer *= ((self.running_max - new_max) * ln_b).exp();
             }
+            self.running_max = new_max;
+            self.last_raise = self.count;
         }
-        maxes[r0..r0 + block].copy_from_slice(&m[..block]);
-        sums[r0..r0 + block].copy_from_slice(&s[..block]);
-        r0 += block;
+        let term = ((x - self.running_max) * ln_b).exp();
+        // When the sum and the term are both NaN, which of the two an add
+        // returns depends on the operand order code generation picks. The
+        // oracle's `d += b^(x - m)` returns the term's (the golden online
+        // checksum pins it); the select does so whatever the order.
+        self.normalizer = if term.is_nan() {
+            term
+        } else {
+            self.normalizer + term
+        };
+        self.count += 1;
+        term
     }
 
-    // Pass 2 — the division pass over the flattened matrix.
-    for ((out_row, row), (&m, &s)) in out
-        .chunks_exact_mut(row_len)
-        .zip(rows.chunks_exact(row_len))
-        .zip(maxes.iter().zip(sums.iter()))
-    {
-        for (o, &v) in out_row.iter_mut().zip(row) {
-            *o = ((v - m) * ln_b).exp() / s;
+    /// Pass 2: turns the terms [`push`](Self::push) returned, in order in
+    /// `out`, into probabilities, given the whole row `xs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SoftmaxError::EmptyInput`] when no element was pushed or
+    /// `xs` is not the pushed row's length, like
+    /// [`OnlineNormalizer::finalize_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != xs.len()`.
+    #[inline]
+    pub(crate) fn finish_in_place(&self, xs: &[f64], out: &mut [f64]) -> Result<()> {
+        assert_eq!(out.len(), xs.len(), "output buffer length mismatch");
+        if self.count == 0 || xs.len() != self.count {
+            return Err(SoftmaxError::EmptyInput);
         }
+        let (m, d) = (self.running_max, self.normalizer);
+        let (before, after) = out.split_at_mut(self.last_raise);
+        for (o, &x) in before.iter_mut().zip(xs) {
+            *o = ((x - m) * self.ln_base).exp() / d;
+        }
+        for o in after {
+            *o /= d;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// One-shot online softmax: single pass for max+normalizer, one more for the

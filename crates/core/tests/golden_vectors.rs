@@ -13,11 +13,14 @@
 //! is debuggable without bisecting the whole sweep.
 
 use softermax::baselines::LutSoftmax;
-use softermax::kernel::{BatchScratch, KernelRegistry, ScratchBuffers};
+use softermax::kernel::{BatchScratch, KernelRegistry, ScratchBuffers, SoftmaxKernel};
 use softermax::pow2::Pow2Unit;
 use softermax::recip::{apply_reciprocal, RecipUnit};
 use softermax::{Softermax, SoftermaxConfig};
 use softermax_fixed::{formats, Fixed, QFormat};
+
+#[allow(dead_code)]
+mod common;
 
 /// FNV-1a over `i64` words — order-sensitive, so permutations fail too.
 fn fnv(acc: u64, v: i64) -> u64 {
@@ -135,10 +138,10 @@ fn golden_row(len: usize, scale: f64) -> Vec<f64> {
 
 #[test]
 fn fp16_kernel_matches_golden() {
-    // The binary16 three-pass kernel through its allocation-free raw-lane
-    // path (`softmax_fp16_into` staging half-precision bits in the scratch
-    // lanes). Every output is an exact binary16 value widened to f64, so
-    // hashing the f64 bits pins the half-precision datapath absolutely.
+    // The binary16 three-pass kernel through its allocation-free path
+    // (`softmax_fp16_into` staging its intermediates in the output).
+    // Every output is an exact binary16 value widened to f64, so hashing
+    // the f64 bits pins the half-precision datapath absolutely.
     let kernel = KernelRegistry::global().get("fp16").expect("built-in");
     let mut scratch = ScratchBuffers::default();
     let mut h = FNV_SEED;
@@ -162,11 +165,16 @@ fn fp16_kernel_matches_golden() {
     assert_eq!(out, vec![0.25; 4]);
 }
 
-/// Hashes one row through every fp16 entry point: the allocating
+/// Hashes one row through every entry point of `kernel`: the allocating
 /// `forward`, `forward_into`, a two-row `forward_batch_into` (the row and
 /// its reverse) and a `stream_session` fed in `chunk`-sized pieces.
-fn fnv_fp16_row(h: u64, row: &[f64], chunk: usize, scratch: &mut BatchScratch) -> u64 {
-    let kernel = KernelRegistry::global().get("fp16").expect("built-in");
+fn fnv_kernel_row(
+    h: u64,
+    kernel: &dyn SoftmaxKernel,
+    row: &[f64],
+    chunk: usize,
+    scratch: &mut BatchScratch,
+) -> u64 {
     let mut h = h;
     let mut hash = |out: &[f64]| {
         for p in out {
@@ -197,6 +205,12 @@ fn fnv_fp16_row(h: u64, row: &[f64], chunk: usize, scratch: &mut BatchScratch) -
     session.finish_into(&mut out).expect("non-empty row");
     hash(&out);
     h
+}
+
+/// [`fnv_kernel_row`] for the fp16 kernel.
+fn fnv_fp16_row(h: u64, row: &[f64], chunk: usize, scratch: &mut BatchScratch) -> u64 {
+    let kernel = KernelRegistry::global().get("fp16").expect("built-in");
+    fnv_kernel_row(h, kernel.as_ref(), row, chunk, scratch)
 }
 
 #[test]
@@ -250,6 +264,33 @@ fn fp16_kernel_long_rows_match_golden() {
 }
 
 #[test]
+fn online_kernels_match_golden() {
+    // The three f64 online kernels through every entry point, on the
+    // long rows of the fp16 pin and on every shared edge row, so the
+    // one-pass recurrence and its division pass can be restructured
+    // without a joint drift of the fast paths and the `forward` oracle.
+    let mut long_rows = vec![
+        golden_row(4096, 12.0),
+        vec![0.0; 3000],
+        (0..2000).map(|i| -f64::from(i) / 100.0).collect(),
+    ];
+    long_rows.push(long_rows[2].iter().rev().copied().collect());
+    let edge_rows = common::edge_rows(formats::INPUT);
+    let mut scratch = BatchScratch::default();
+    let mut h = FNV_SEED;
+    for name in ["online-e", "online-2", "online-intmax"] {
+        let kernel = KernelRegistry::global().get(name).expect("built-in");
+        for row in &long_rows {
+            h = fnv_kernel_row(h, kernel.as_ref(), row, 1000, &mut scratch);
+        }
+        for row in &edge_rows {
+            h = fnv_kernel_row(h, kernel.as_ref(), row, 2, &mut scratch);
+        }
+    }
+    assert_eq!(h, GOLDEN_ONLINE, "online kernel output drifted");
+}
+
+#[test]
 fn lut8_kernel_matches_golden() {
     // The 256-entry integer-LUT baseline through its raw-lane path: the
     // Q0.16 exponentials and probabilities are exact integers staged in
@@ -290,3 +331,7 @@ const GOLDEN_LUT8: u64 = 0x948d_c3ef_7515_358c;
 // bit-level conversions and a table `exp`, with the log2/powi
 // conversions and libm `exp` per element.
 const GOLDEN_FP16_LONG: u64 = 0x1c09_2a6b_dffe_dd6f;
+// Captured from the tree just before the online kernels reused their
+// pass-1 exponentials, when every entry point evaluated `exp` twice per
+// element.
+const GOLDEN_ONLINE: u64 = 0x73dc_29e7_ca94_e137;

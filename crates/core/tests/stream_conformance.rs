@@ -150,10 +150,36 @@ fn finish_into_rejects_mismatched_buffer() {
 
 /// Edge inputs (NaN, infinities, ±1e300, signed zero, subnormals, exact
 /// rounding ties, values past each rail) stream bit-identically to
-/// `forward` under 1-element, ragged and whole-row chunkings, for the
-/// paper config and both ablation format sets, both bases and max modes.
+/// `forward` under 1-element, ragged and whole-row chunkings, for every
+/// registered kernel (which also streams the rows that move the online
+/// kernels' reuse boundary), and for the paper config and both ablation
+/// format sets of Softermax, both bases and max modes.
 #[test]
 fn edge_inputs_stream_bit_identically() {
+    let rows = common::builtin_edge_rows();
+    for kernel in &KernelRegistry::with_builtins() {
+        let mut session = kernel.stream_session();
+        for row in &rows {
+            let want = kernel.forward(row).expect("non-empty row");
+            let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            for chunk in [1usize, 2, 5, row.len()] {
+                session.reset(row.len());
+                for piece in row.chunks(chunk) {
+                    session.push_chunk(piece);
+                }
+                let mut got = vec![0.0; row.len()];
+                session.finish_into(&mut got).expect("non-empty row");
+                let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(
+                    got_bits,
+                    want_bits,
+                    "{} chunk {chunk} row {row:?}",
+                    kernel.name()
+                );
+            }
+        }
+    }
+
     for cfg in common::edge_configs() {
         let sm = Softermax::new(cfg.clone());
         let mut session = sm.stream();

@@ -10,7 +10,7 @@
 //! input rails.
 
 use proptest::prelude::*;
-use softermax::kernel::{KernelRegistry, ScratchBuffers};
+use softermax::kernel::{BatchScratch, KernelRegistry, ScratchBuffers};
 use softermax::pow2::Pow2Unit;
 use softermax::recip::{apply_reciprocal, RecipUnit};
 use softermax::{Base, MaxMode, Softermax, SoftermaxConfig};
@@ -252,6 +252,45 @@ proptest! {
         }
     }
 
+    /// Every registered kernel's batch and stream paths are bit-identical
+    /// to its `forward` on rows up to 600 long whose global max sits at a
+    /// drawn index, so the online kernels' reuse boundary (the last raise
+    /// of the running max) lands anywhere in the row, and in its mirror
+    /// image in the reversed second row of the batch.
+    #[test]
+    fn registry_batch_and_stream_bit_exact(
+        row in proptest::collection::vec(-20.0f64..20.0, 1..=600),
+        max_at in 0.0f64..1.0,
+        margin in 0.0f64..4.0,
+        chunk in 1usize..64,
+    ) {
+        let mut row = row;
+        let idx = ((max_at * row.len() as f64) as usize).min(row.len() - 1);
+        row[idx] = 20.0 + margin;
+        let reversed: Vec<f64> = row.iter().rev().copied().collect();
+        let matrix: Vec<f64> = row.iter().chain(&reversed).copied().collect();
+        let mut scratch = BatchScratch::default();
+        let mut batch_out = vec![0.0; matrix.len()];
+        let mut streamed = vec![0.0; row.len()];
+        for kernel in &KernelRegistry::with_builtins() {
+            let name = kernel.name();
+            let want = kernel.forward(&row).expect("non-empty row");
+            let want_reversed = kernel.forward(&reversed).expect("non-empty row");
+            kernel
+                .forward_batch_into(&matrix, row.len(), &mut batch_out, &mut scratch)
+                .expect("non-empty rows");
+            assert_bits_equal(&batch_out[..row.len()], &want, &format!("{name} batch row 0"));
+            assert_bits_equal(&batch_out[row.len()..], &want_reversed, &format!("{name} batch row 1"));
+            let mut session = kernel.stream_session();
+            session.reset(row.len());
+            for piece in row.chunks(chunk) {
+                session.push_chunk(piece);
+            }
+            session.finish_into(&mut streamed).expect("non-empty row");
+            assert_bits_equal(&streamed, &want, &format!("{name} stream, chunk {chunk}"));
+        }
+    }
+
     /// Chunked streaming still matches the (vectorized) one-shot path —
     /// forward_into does not drift from the stream-session contract.
     #[test]
@@ -294,10 +333,50 @@ fn forward_into_rejects_mismatched_buffer() {
 
 /// Edge inputs (NaN, infinities, ±1e300, signed zero, subnormals, exact
 /// rounding ties, values past each rail) take the same path through the
-/// one-shot and batched datapaths as through the scalar oracle, for the
-/// paper config and both ablation format sets, both bases and max modes.
+/// one-shot and batched datapaths as through the scalar oracle, for every
+/// registered kernel, and for the paper config and both ablation format
+/// sets of Softermax, both bases and max modes. The registry's kernels
+/// also run the rows that move the online kernels' reuse boundary, each
+/// row alone and all rows of one length as one matrix.
 #[test]
 fn edge_inputs_are_bit_exact() {
+    let rows = common::builtin_edge_rows();
+    let mut lens: Vec<usize> = rows.iter().map(Vec::len).collect();
+    lens.sort_unstable();
+    lens.dedup();
+    let mut batch_scratch = BatchScratch::default();
+    for kernel in &KernelRegistry::with_builtins() {
+        let name = kernel.name();
+        let wants: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|row| kernel.forward(row).expect("non-empty row"))
+            .collect();
+        for (row, want) in rows.iter().zip(&wants) {
+            let mut got = vec![0.0; row.len()];
+            kernel
+                .forward_into(row, &mut got, &mut batch_scratch.row)
+                .expect("non-empty row");
+            assert_bits_equal(&got, want, &format!("{name} forward_into {row:?}"));
+            kernel
+                .forward_batch_into(row, row.len(), &mut got, &mut batch_scratch)
+                .expect("non-empty row");
+            assert_bits_equal(&got, want, &format!("{name} 1-row batch {row:?}"));
+        }
+        for &len in &lens {
+            let (matrix, want): (Vec<f64>, Vec<f64>) = rows
+                .iter()
+                .zip(&wants)
+                .filter(|(row, _)| row.len() == len)
+                .flat_map(|(row, want)| row.iter().copied().zip(want.iter().copied()))
+                .unzip();
+            let mut got = vec![0.0; matrix.len()];
+            kernel
+                .forward_batch_into(&matrix, len, &mut got, &mut batch_scratch)
+                .expect("non-empty rows");
+            assert_bits_equal(&got, &want, &format!("{name} matrix of rows of {len}"));
+        }
+    }
+
     let mut scratch = ScratchBuffers::default();
     for cfg in common::edge_configs() {
         let sm = Softermax::new(cfg.clone());

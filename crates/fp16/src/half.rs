@@ -37,6 +37,12 @@ const F64_MIN_NORMAL_EXP: u32 = F64_EXP_BIAS + 1 - EXP_BIAS;
 const F64_SUBNORMAL_SHIFT: u32 = F64_EXP_BIAS + F64_MANT_BITS - (EXP_BIAS + MANT_BITS - 1);
 /// The binary16 subnormal step, 2^-24.
 const TWO_POW_M24: f64 = 1.0 / (1u32 << 24) as f64;
+/// Bits of 2^-14, the smallest binary16 normal.
+const F64_MIN_NORMAL: u64 = (F64_MIN_NORMAL_EXP as u64) << F64_MANT_BITS;
+/// 2^28, whose binade [2^28, 2^29) has an `f64` ULP of 2^-24.
+const TWO_POW_28: f64 = (1u32 << 28) as f64;
+/// `f64` mantissa bits below the binary16 mantissa.
+const F64_DROPPED_BITS: u32 = F64_MANT_BITS - MANT_BITS;
 
 /// `e^x` for the non-positive binary16 inputs, indexed by magnitude bits
 /// (see [`Half::exp`]).
@@ -49,6 +55,31 @@ static EXP_NON_POSITIVE: OnceLock<Box<[u16]>> = OnceLock::new();
 fn round_shift(v: u64, shift: u32) -> u64 {
     let lsb = (v >> shift) & 1;
     (v + (1 << (shift - 1)) - 1 + lsb) >> shift
+}
+
+/// Rounds `v` to the nearest binary16 value, kept as an `f64`: exactly
+/// `Half::from_f64(v).to_f64()`, without the trip through the 16-bit
+/// encoding. Arithmetic that keeps binary16 values in `f64`s between
+/// operations (the fp16 softmax's scores, running sum and quotients)
+/// rounds with this.
+///
+/// Below 2^-14 the sum `|v| + 2^28` rounds `|v|` onto the 2^-24 subnormal
+/// grid, ties to even, and subtracting 2^28 again is exact. Below 65520
+/// the normal rounding drops the low 42 bits of the `f64` pattern with
+/// [`round_shift`]. Larger magnitudes and NaN take [`Half::from_f64`].
+#[inline]
+pub(crate) fn round_to_half(v: f64) -> f64 {
+    let bits = v.to_bits();
+    let sign = bits & F64_SIGN;
+    let mag = bits & !F64_SIGN;
+    if mag < F64_MIN_NORMAL {
+        let q = (f64::from_bits(mag) + TWO_POW_28) - TWO_POW_28;
+        return f64::from_bits(sign | q.to_bits());
+    }
+    if mag < F64_OVERFLOW {
+        return f64::from_bits(sign | round_shift(mag, F64_DROPPED_BITS) << F64_DROPPED_BITS);
+    }
+    Half::from_f64(v).to_f64()
 }
 
 /// Builds the [`EXP_NON_POSITIVE`] table: `from_f64(to_f64().exp())` for
@@ -125,7 +156,7 @@ impl Half {
             // bits. A mantissa that rounds up to 2.0 carries into the
             // exponent field by itself.
             let rebiased = mag - (u64::from(F64_EXP_BIAS - EXP_BIAS) << F64_MANT_BITS);
-            return Half(sign | round_shift(rebiased, F64_MANT_BITS - MANT_BITS) as u16);
+            return Half(sign | round_shift(rebiased, F64_DROPPED_BITS) as u16);
         }
         // Subnormal (or zero): value = q * 2^-24, q = significand >>
         // (1051 - exp). Below 2^-25 (shift > 53) everything rounds to
@@ -433,8 +464,19 @@ mod oracle {
 mod tests {
     use super::*;
 
-    /// Asserts the bit-level `from_f64` agrees with the oracle on `x` and
-    /// on its ±2-ULP `f64` neighbours, at both signs.
+    /// Asserts `round_to_half(x)` has the bits of `from_f64(x).to_f64()`.
+    fn check_round_to_half(x: f64) {
+        assert_eq!(
+            round_to_half(x).to_bits(),
+            Half::from_f64(x).to_f64().to_bits(),
+            "round_to_half({x:e}) = from_bits({:#018x})",
+            x.to_bits()
+        );
+    }
+
+    /// Asserts the bit-level `from_f64` agrees with the oracle, and
+    /// `round_to_half` with `from_f64`, on `x` and on its ±2-ULP `f64`
+    /// neighbours, at both signs.
     fn check_from_f64_around(x: f64) {
         for v in [x, -x] {
             for d in -2i64..=2 {
@@ -445,6 +487,7 @@ mod tests {
                     "from_f64({y:e}) = from_bits({:#018x})",
                     y.to_bits()
                 );
+                check_round_to_half(y);
             }
         }
     }
@@ -520,6 +563,7 @@ mod tests {
             for sign in [0, 1u64 << 63] {
                 let nan = f64::from_bits(sign | 0x7FF0_0000_0000_0000 | payload);
                 assert_eq!(Half::from_f64(nan).to_bits(), 0x7E00);
+                check_round_to_half(nan);
             }
         }
         assert_eq!(Half::from_f64(-0.0).to_bits(), 0x8000);
@@ -535,11 +579,17 @@ mod tests {
             for b in [bits, in_range] {
                 let x = f64::from_bits(b);
                 proptest::prop_assert_eq!(Half::from_f64(x).to_bits(), oracle::from_f64(x));
+                proptest::prop_assert_eq!(
+                    round_to_half(x).to_bits(),
+                    Half::from_f64(x).to_f64().to_bits()
+                );
             }
         }
     }
 
-    /// 2^28 draws, seven in eight with a binary16-range exponent. Run with
+    /// 2^28 draws, seven in eight with a binary16-range exponent, through
+    /// `from_f64` against the oracle and `round_to_half` against
+    /// `from_f64`. Run with
     /// `cargo test --release -p softermax-fp16 -- --include-ignored`.
     #[cfg(not(debug_assertions))]
     #[test]
@@ -559,9 +609,11 @@ mod tests {
                 (bits & !(0x7FF << 52)) | ((997 + (bits >> 52) % 44) << 52)
             };
             let x = f64::from_bits(b);
+            let h = Half::from_f64(x);
+            assert_eq!(h.to_bits(), oracle::from_f64(x), "{b:#018x}");
             assert_eq!(
-                Half::from_f64(x).to_bits(),
-                oracle::from_f64(x),
+                round_to_half(x).to_bits(),
+                h.to_f64().to_bits(),
                 "{b:#018x}"
             );
         }

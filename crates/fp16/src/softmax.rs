@@ -4,6 +4,7 @@
 //! it (explicit max pass with FP comparators, exponential pass with FP16
 //! SFUs and an FP16 accumulation tree, division pass with FP16 dividers).
 
+use crate::half::round_to_half;
 use crate::Half;
 
 /// Three-pass FP16 softmax over a row of scores.
@@ -45,16 +46,18 @@ pub fn softmax_fp16(scores: &[f64]) -> Option<Vec<f64>> {
     Some(exps.iter().map(|&e| (e / sum).to_f64()).collect())
 }
 
-/// Allocation-free [`softmax_fp16`]: the binary16 intermediates are staged
-/// as raw bit patterns in the caller's `i64` lane buffers (`xs` for the
-/// converted scores, `exps` for the exponentials), so a caller amortizing
-/// the buffers across rows performs no per-row heap allocations.
+/// Allocation-free [`softmax_fp16`]: every intermediate is staged in
+/// `out`, as the `f64` of a binary16 value, so the row needs no buffer
+/// besides its output.
 ///
-/// The five passes of [`softmax_fp16`] are fused into three sweeps:
-/// conversion + comparator-tree max, exponentials + sequential FP16
-/// accumulation, division. Every comparison and every addition happens in
-/// the same order as in [`softmax_fp16`], so the two are
-/// **bit-identical**, NaN, signed zeros and a sticking sum included.
+/// The five passes of [`softmax_fp16`] are fused into three sweeps over
+/// `out`: conversion + comparator-tree max, exponentials + sequential FP16
+/// accumulation, division. The scores, the running sum and the quotients
+/// are rounded with the one rounding the `Half` operators apply,
+/// `Half::from_f64(v).to_f64()`, but without the trip through the 16-bit
+/// encoding. Every addition happens in the same order as in
+/// [`softmax_fp16`], so the two are **bit-identical**, NaN, signed zeros
+/// and a sticking sum included.
 ///
 /// Returns `None` for an empty row (like [`softmax_fp16`]).
 ///
@@ -68,42 +71,38 @@ pub fn softmax_fp16(scores: &[f64]) -> Option<Vec<f64>> {
 /// use softermax_fp16::softmax::{softmax_fp16, softmax_fp16_into};
 ///
 /// let row = [2.0, 1.0, 3.0];
-/// let (mut xs, mut exps) = (Vec::new(), Vec::new());
 /// let mut p = [0.0; 3];
-/// softmax_fp16_into(&row, &mut p, &mut xs, &mut exps).expect("non-empty");
+/// softmax_fp16_into(&row, &mut p).expect("non-empty");
 /// assert_eq!(p.to_vec(), softmax_fp16(&row).expect("non-empty"));
 /// ```
-pub fn softmax_fp16_into(
-    scores: &[f64],
-    out: &mut [f64],
-    xs: &mut Vec<i64>,
-    exps: &mut Vec<i64>,
-) -> Option<()> {
+pub fn softmax_fp16_into(scores: &[f64], out: &mut [f64]) -> Option<()> {
     assert_eq!(out.len(), scores.len(), "output buffer length mismatch");
     let (&first, rest) = scores.split_first()?;
 
-    // Sweep 1: conversion and explicit max (FP comparator tree).
-    let mut max = Half::from_f64(first);
-    xs.clear();
-    xs.push(i64::from(max.to_bits()));
-    xs.extend(rest.iter().map(|&v| {
-        let x = Half::from_f64(v);
-        max = max.max(x);
-        i64::from(x.to_bits())
-    }));
+    // Sweep 1: conversion and explicit max (FP comparator tree). `f64::max`
+    // skips a NaN that `Half::max` propagates, and may pick either zero of
+    // a ±0 tie; neither shows in the output. A NaN score makes its
+    // exponential, so the sum and every quotient, NaN whatever the max,
+    // and `x - max` for a zero max differs only in the sign of a zero
+    // difference, whose exponential is 1 either way.
+    let mut max = round_to_half(first);
+    out[0] = max;
+    for (o, &v) in out[1..].iter_mut().zip(rest) {
+        *o = round_to_half(v);
+        max = max.max(*o);
+    }
 
-    // Sweep 2: exponentials and their FP16 sum.
-    let mut sum = Half::ZERO;
-    exps.clear();
-    exps.extend(xs.iter().map(|&x| {
-        let e = (Half::from_bits(x as u16) - max).exp();
-        sum = sum + e;
-        i64::from(e.to_bits())
-    }));
+    // Sweep 2: exponentials and their FP16 sum. The difference of two
+    // binary16 values is exact in f64, as in `Half`'s `-`.
+    let mut sum = 0.0;
+    for o in out.iter_mut() {
+        *o = Half::from_f64(*o - max).exp().to_f64();
+        sum = round_to_half(sum + *o);
+    }
 
     // Sweep 3: FP16 division.
-    for (o, &e) in out.iter_mut().zip(exps.iter()) {
-        *o = (Half::from_bits(e as u16) / sum).to_f64();
+    for o in out.iter_mut() {
+        *o = round_to_half(*o / sum);
     }
     Some(())
 }
@@ -195,16 +194,42 @@ mod tests {
             &[8.0, 7.9, 7.8, -8.0],
             &[20.0, 19.0, 18.0],
         ];
-        let (mut xs, mut exps) = (Vec::new(), Vec::new());
         for row in rows {
             let want = softmax_fp16(row).expect("non-empty");
             let mut got = vec![0.0; row.len()];
-            // Run twice to exercise lane-buffer reuse across rows.
-            softmax_fp16_into(row, &mut got, &mut xs, &mut exps).expect("non-empty");
-            softmax_fp16_into(row, &mut got, &mut xs, &mut exps).expect("non-empty");
+            softmax_fp16_into(row, &mut got).expect("non-empty");
             assert_eq!(got, want, "diverged on {row:?}");
         }
-        assert!(softmax_fp16_into(&[], &mut [], &mut xs, &mut exps).is_none());
+        assert!(softmax_fp16_into(&[], &mut []).is_none());
+    }
+
+    proptest::proptest! {
+        /// The staged path matches the `Half` oracle bit for bit on rows
+        /// mixing NaN, signed zeros, infinities, ties at the max and
+        /// scores whose exponentials underflow to subnormals or zero.
+        #[test]
+        fn into_path_is_bit_identical_on_special_values(
+            row in proptest::collection::vec(
+                proptest::prop_oneof![
+                    proptest::strategy::Just(f64::NAN),
+                    proptest::strategy::Just(0.0),
+                    proptest::strategy::Just(-0.0),
+                    proptest::strategy::Just(f64::INFINITY),
+                    proptest::strategy::Just(f64::NEG_INFINITY),
+                    proptest::strategy::Just(4.0),
+                    -20.0f64..20.0,
+                    -1e-4f64..1e-4,
+                ],
+                1..40,
+            ),
+        ) {
+            let want = softmax_fp16(&row).expect("non-empty");
+            let mut got = vec![0.0; row.len()];
+            softmax_fp16_into(&row, &mut got).expect("non-empty");
+            let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
