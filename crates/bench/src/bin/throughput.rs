@@ -96,7 +96,7 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, measure};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use softermax::kernel::{BatchScratch, ScratchBuffers, SoftmaxKernel};
+use softermax::kernel::{ScratchBuffers, SoftmaxKernel};
 use softermax::SoftmaxError;
 use softermax_bench::{attention_scores, print_header, print_row, registry};
 use softermax_serve::fault::{silence_injected_panics, FaultPlan, FaultyKernel};
@@ -793,13 +793,13 @@ fn chaos_harness(smoke: bool, seed: u64, floor: Option<f64>, out_path: &str) {
             .iter()
             .map(|matrix| {
                 let mut want = vec![0.0f64; matrix.len()];
-                let mut scratch = BatchScratch::default();
+                let mut scratch = ScratchBuffers::default();
                 for (row, out_row) in matrix
                     .chunks_exact(CHAOS_REQ_LEN)
                     .zip(want.chunks_exact_mut(CHAOS_REQ_LEN))
                 {
                     kernel
-                        .forward_into(row, out_row, &mut scratch.row)
+                        .forward_into(row, out_row, &mut scratch)
                         .expect("non-empty row");
                 }
                 want

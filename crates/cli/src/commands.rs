@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use softermax::kernel::{BaseKind, BatchScratch, KernelRegistry, ScratchBuffers, SoftmaxKernel};
+use softermax::kernel::{BaseKind, KernelRegistry, ScratchBuffers, SoftmaxKernel};
 use softermax::{metrics, SoftermaxConfig};
 use softermax_hw::accel::Accelerator;
 use softermax_hw::pe::PeConfig;
@@ -387,7 +387,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         // Sequential per-row ground truth: both the bit-identity guard and
         // the single-threaded row-at-a-time baseline the speedup quotes.
         let mut sequential = vec![0.0; matrix.len()];
-        let mut scratch = BatchScratch::default();
+        let mut scratch = ScratchBuffers::default();
         let seq_start = std::time::Instant::now();
         for _ in 0..repeat {
             for (row, out_row) in matrix
@@ -395,7 +395,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .zip(sequential.chunks_exact_mut(len))
             {
                 kernel
-                    .forward_into(row, out_row, &mut scratch.row)
+                    .forward_into(row, out_row, &mut scratch)
                     .map_err(|e| e.to_string())?;
             }
         }
@@ -676,7 +676,7 @@ fn serve_concurrent(
         // the injector doing its job — they are *counted and excluded*,
         // never silently folded into the survivors, and every survivor
         // must still match the clean kernel exactly.
-        let mut scratch = BatchScratch::default();
+        let mut scratch = ScratchBuffers::default();
         let mut mismatches = 0usize;
         let mut failed = 0usize;
         let mut want = vec![0.0; opts.rows * opts.len];
@@ -691,7 +691,7 @@ fn serve_concurrent(
                     .zip(want.chunks_exact_mut(opts.len))
                 {
                     kernel
-                        .forward_into(row, out_row, &mut scratch.row)
+                        .forward_into(row, out_row, &mut scratch)
                         .map_err(|e| e.to_string())?;
                 }
                 if got

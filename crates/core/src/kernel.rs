@@ -10,8 +10,9 @@
 //! `Softermax::forward` directly.
 //!
 //! * [`SoftmaxKernel::forward`] — one-shot row softmax;
-//! * [`SoftmaxKernel::forward_into`] / [`SoftmaxKernel::forward_batch_into`]
-//!   — the allocation-free vectorized row and matrix paths;
+//! * [`SoftmaxKernel::forward_into`] — the allocation-free row path, each
+//!   kernel's one fast path; [`SoftmaxKernel::forward_batch_into`] runs it
+//!   over every row of a flattened matrix;
 //! * [`SoftmaxKernel::stream_session`] — a reusable [`StreamSession`]
 //!   mirroring the hardware's chunk-at-a-time operation: created once per
 //!   worker/head, `reset` per row, fed score chunks straight off the
@@ -168,15 +169,16 @@ impl KernelDescriptor {
     }
 }
 
-/// Reusable working memory for the allocation-free kernel path
-/// ([`SoftmaxKernel::forward_into`]).
+/// Reusable working memory for the allocation-free kernel paths
+/// ([`SoftmaxKernel::forward_into`], and through it
+/// [`SoftmaxKernel::forward_batch_into`]).
 ///
 /// One instance amortizes every per-row intermediate across an arbitrary
-/// number of rows: after the first few rows the buffers reach steady-state
-/// capacity and the hot path performs **zero** heap allocations. The lane
-/// buffer holds raw `i64` fixed-point encodings (the format is implied by
-/// the pipeline stage), `runs` holds per-slice `(raw value, end index)`
-/// pairs such as the Softermax reference maxima. Kernels whose
+/// number of rows and matrices: after the first few rows the buffers reach
+/// steady-state capacity and the hot path performs **zero** heap
+/// allocations. The lane buffer holds raw `i64` fixed-point encodings (the
+/// format is implied by the pipeline stage), `runs` holds per-slice
+/// `(raw value, end index)` pairs such as the Softermax reference maxima. Kernels whose
 /// intermediates fit in the output buffer (the online and fp16 kernels
 /// stage theirs there) leave the scratch untouched.
 ///
@@ -210,30 +212,12 @@ impl ScratchBuffers {
     }
 }
 
-/// Reusable working memory for the matrix-at-a-time kernel path
-/// ([`SoftmaxKernel::forward_batch_into`]).
-///
-/// Extends [`ScratchBuffers`] with per-*row* state lanes: batched kernels
-/// that vectorize across the row dimension (the reference max pass) keep
-/// one running value per row here, while kernels
-/// that batch by sweeping their vectorized row pipeline reuse the embedded
-/// per-row scratch. One instance amortizes every intermediate across an
-/// arbitrary number of matrices.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Per-row scratch for the embedded row pipelines.
-    pub row: ScratchBuffers,
-    /// Per-row `f64` state lanes (running maxima).
-    pub row_maxes: Vec<f64>,
-}
-
-impl BatchScratch {
-    /// A fresh, empty scratch space.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+/// The old name of [`SoftmaxKernel::forward_batch_into`]'s scratch.
+/// Batches run row by row through [`SoftmaxKernel::forward_into`], so they
+/// need no more than [`ScratchBuffers`]. The alias is kept only because the
+/// `perfbench` replay still names it; code in the workspace crates uses
+/// [`ScratchBuffers`].
+pub type BatchScratch = ScratchBuffers;
 
 /// Validates the geometry of a flattened row-major matrix and returns its
 /// row count: `n_elems` input elements in rows of `row_len`, written to an
@@ -327,13 +311,10 @@ pub trait SoftmaxKernel: fmt::Debug + Send + Sync {
     /// entry point of the batched serving layer and of attention over
     /// score matrices.
     ///
-    /// The contract mirrors the hardware pipelining whole attention
-    /// matrices through parallel Softermax units: backends with a
-    /// vectorized path hoist per-row setup matrix-wide (quantization,
-    /// state-lane recurrences), but the result is always **bit-identical**
-    /// with calling [`SoftmaxKernel::forward_into`] row by row — which is
-    /// exactly what the default implementation does, so custom kernels are
-    /// correct with no extra work.
+    /// The result is always **bit-identical** with calling
+    /// [`SoftmaxKernel::forward_into`] row by row, which is exactly what the
+    /// default implementation does. Every built-in takes that default: a
+    /// row's fast path is its `forward_into`, so there is one per kernel.
     ///
     /// An empty matrix is a valid no-op; geometry is validated by
     /// [`check_batch_geometry`].
@@ -353,7 +334,7 @@ pub trait SoftmaxKernel: fmt::Debug + Send + Sync {
         rows: &[f64],
         row_len: usize,
         out: &mut [f64],
-        scratch: &mut BatchScratch,
+        scratch: &mut ScratchBuffers,
     ) -> Result<()> {
         if check_batch_geometry(rows.len(), row_len, out.len())? == 0 {
             return Ok(());
@@ -362,7 +343,7 @@ pub trait SoftmaxKernel: fmt::Debug + Send + Sync {
             .chunks_exact(row_len)
             .zip(out.chunks_exact_mut(row_len))
         {
-            self.forward_into(row, out_row, &mut scratch.row)?;
+            self.forward_into(row, out_row, scratch)?;
         }
         Ok(())
     }
@@ -537,24 +518,6 @@ impl SoftmaxKernel for ReferenceKernel {
         _scratch: &mut ScratchBuffers,
     ) -> Result<()> {
         reference::softmax_with_base_into(row, self.base, out)
-    }
-
-    fn forward_batch_into(
-        &self,
-        rows: &[f64],
-        row_len: usize,
-        out: &mut [f64],
-        scratch: &mut BatchScratch,
-    ) -> Result<()> {
-        // Matrix-staged three-pass: all row maxima, then one exponential
-        // sweep over the flattened matrix, then the sum/division pass.
-        reference::softmax_with_base_batch_into(
-            rows,
-            row_len,
-            self.base,
-            out,
-            &mut scratch.row_maxes,
-        )
     }
 
     fn stream_session(&self) -> Box<dyn StreamSession + '_> {
@@ -944,26 +907,13 @@ impl SoftmaxKernel for SoftermaxFixedKernel {
         out: &mut [f64],
         scratch: &mut ScratchBuffers,
     ) -> Result<()> {
-        // The vectorized raw-lane pipeline: bit-exact with `forward`, zero
+        // The compiled integer datapath: bit-exact with `forward`, zero
         // per-row allocations.
         self.sm.forward_into(row, out, scratch)
     }
 
-    fn forward_batch_into(
-        &self,
-        rows: &[f64],
-        row_len: usize,
-        out: &mut [f64],
-        scratch: &mut BatchScratch,
-    ) -> Result<()> {
-        // Stage 0 (quantization + optional base-e pre-scale) hoisted to one
-        // vecops pass over the whole flattened matrix.
-        self.sm
-            .forward_batch_into(rows, row_len, out, &mut scratch.row)
-    }
-
     fn stream_session(&self) -> Box<dyn StreamSession + '_> {
-        // The vectorized raw-lane streaming pipeline: chunks are grouped
+        // The compiled streaming datapath: chunks are grouped
         // into hardware slices, so any chunking shares `forward`'s slice
         // boundaries and the result is bit-identical with one-shot.
         Box::new(self.sm.stream())
@@ -1202,7 +1152,7 @@ mod tests {
         ]
         .concat();
         for k in &KernelRegistry::with_builtins() {
-            let mut scratch = BatchScratch::default();
+            let mut scratch = ScratchBuffers::default();
             let mut got = vec![0.0; rows.len()];
             // Run twice to exercise scratch reuse across matrices.
             k.forward_batch_into(&rows, 7, &mut got, &mut scratch)
@@ -1226,7 +1176,7 @@ mod tests {
         assert!(check_batch_geometry(12, 0, 12).is_err());
 
         for k in &KernelRegistry::with_builtins() {
-            let mut scratch = BatchScratch::default();
+            let mut scratch = ScratchBuffers::default();
             // Empty matrix: a valid no-op whatever row_len says.
             k.forward_batch_into(&[], 0, &mut [], &mut scratch)
                 .unwrap_or_else(|e| panic!("{}: empty matrix errored: {e}", k.name()));
@@ -1248,7 +1198,6 @@ mod tests {
         assert_send_sync::<KernelRegistry>();
         assert_send_sync::<Arc<dyn SoftmaxKernel>>();
         assert_send_sync::<ScratchBuffers>();
-        assert_send_sync::<BatchScratch>();
     }
 
     #[test]

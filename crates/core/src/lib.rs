@@ -60,8 +60,8 @@ pub mod softermax;
 pub use config::{Base, MaxMode, SoftermaxConfig, SoftermaxConfigBuilder};
 pub use error::SoftmaxError;
 pub use kernel::{
-    check_batch_geometry, BatchScratch, BufferedSession, KernelDescriptor, KernelRegistry,
-    ScratchBuffers, SoftmaxKernel, StreamSession, StreamingClass,
+    check_batch_geometry, BufferedSession, KernelDescriptor, KernelRegistry, ScratchBuffers,
+    SoftmaxKernel, StreamSession, StreamingClass,
 };
 pub use softermax::{
     SliceRecord, Softermax, SoftermaxAccumulator, SoftermaxRowOutput, SoftermaxStream,

@@ -214,8 +214,8 @@ impl QuantizedLpwTable {
     /// `Q(6,2)` input with 4 segments needs no `m`-LUT at all.
     #[must_use]
     pub fn eval_fixed(&self, t: Fixed) -> Fixed {
-        // One-value delegation to the hoisted plan: scalar and batch
-        // evaluation cannot diverge by construction.
+        // The plan is the one evaluator: `Pow2Unit::eval`, and through it
+        // the compiled Softermax tables, run on it as well.
         let raw = self.plan(t.format()).eval_raw(t.raw());
         Fixed::from_raw_saturating(raw, self.entry_format)
     }
@@ -224,9 +224,9 @@ impl QuantizedLpwTable {
     ///
     /// Everything [`QuantizedLpwTable::eval_fixed`] derives from the input
     /// format — segment-select shift, fraction and intra-segment masks,
-    /// entry-format saturation bounds — is computed once here, so batch
-    /// evaluators pay only the per-lane table lookup (and multiply, when
-    /// the input has intra-segment position bits).
+    /// entry-format saturation bounds — is computed once here; each
+    /// evaluation then pays only the table lookup (and multiply, when the
+    /// input has intra-segment position bits).
     #[must_use]
     pub fn plan(&self, in_format: QFormat) -> LpwPlan<'_> {
         let frac_bits = in_format.frac_bits();

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use softermax_fixed::{Fixed, QFormat, Rounding};
 
-use crate::lpw::{pow2_table, LpwPlan, QuantizedLpwTable};
+use crate::lpw::{pow2_table, QuantizedLpwTable};
 
 /// Bit-accurate model of the Power-of-Two unit.
 ///
@@ -68,66 +68,21 @@ impl Pow2Unit {
     /// where `x = value - running_max ≤ 0`).
     #[must_use]
     pub fn eval(&self, x: Fixed) -> Fixed {
-        // One-value delegation to the batch lane evaluator: scalar and
-        // slice paths cannot diverge by construction.
-        let plan = self.table.plan(x.format());
-        let raw = self.eval_one_raw(&plan, x.raw(), x.format().frac_bits());
-        Fixed::from_raw_saturating(raw, self.out_format)
-    }
-
-    /// Batch [`Pow2Unit::eval`] over raw encodings in `in_format`, writing
-    /// result encodings (in [`Pow2Unit::out_format`]) into `out`, which is
-    /// cleared first and reused — allocation-free once its capacity covers
-    /// the slice.
-    ///
-    /// The segment-table setup (select shift, masks, saturation bounds) is
-    /// hoisted out of the per-element loop via [`QuantizedLpwTable::plan`].
-    /// Bit-exact with [`Pow2Unit::eval`] per element.
-    pub fn eval_raw_slice(&self, raws: &[i64], in_format: QFormat, out: &mut Vec<i64>) {
-        out.clear();
+        // The LPW lookup runs through the hoisted segment plan, the same
+        // one `QuantizedLpwTable::eval_fixed` uses. `Softermax::new`
+        // builds its compiled Power-of-Two table by calling this method,
+        // so the table and the oracle compute through one plan.
+        let in_format = x.format();
         let plan = self.table.plan(in_format);
-        let in_frac = in_format.frac_bits();
-        out.extend(
-            raws.iter()
-                .map(|&raw| self.eval_one_raw(&plan, raw, in_frac)),
-        );
-    }
-
-    /// Batch [`Pow2Unit::eval`] over same-format values, writing into `out`
-    /// (cleared first). See [`Pow2Unit::eval_raw_slice`] for the hoisting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inputs do not all share one format (the hoisted plan
-    /// is per-format; mixed-format slices have no hardware analogue).
-    pub fn eval_slice(&self, xs: &[Fixed], out: &mut Vec<Fixed>) {
-        out.clear();
-        out.reserve(xs.len());
-        let Some(first) = xs.first() else { return };
-        let in_format = first.format();
-        assert!(
-            xs.iter().all(|x| x.format() == in_format),
-            "eval_slice requires a uniform input format"
-        );
-        let plan = self.table.plan(in_format);
-        let in_frac = in_format.frac_bits();
-        out.extend(xs.iter().map(|x| {
-            Fixed::from_raw_saturating(self.eval_one_raw(&plan, x.raw(), in_frac), self.out_format)
-        }));
-    }
-
-    /// One lane of the batch evaluator: LPW lookup plus the integer-part
-    /// shifter, mirroring [`Pow2Unit::eval`] exactly.
-    #[inline]
-    fn eval_one_raw(&self, plan: &LpwPlan<'_>, raw: i64, in_frac: u32) -> i64 {
-        let int_part = Rounding::Floor.apply_shift(raw as i128, in_frac);
-        let lpw = Fixed::from_raw_saturating(plan.eval_raw(raw), self.out_format);
-        if int_part >= 0 {
+        let int_part = Rounding::Floor.apply_shift(x.raw() as i128, in_format.frac_bits());
+        let lpw = Fixed::from_raw_saturating(plan.eval_raw(x.raw()), self.out_format);
+        let raw = if int_part >= 0 {
             lpw.shl_saturating(int_part.min(63) as u32).raw()
         } else {
             lpw.shr(int_part.unsigned_abs().min(127) as u32, Rounding::Floor)
                 .raw()
-        }
+        };
+        Fixed::from_raw_saturating(raw, self.out_format)
     }
 
     /// Float model of the same datapath (quantized LUT entries, exact
@@ -236,48 +191,6 @@ mod tests {
             assert!((hw - model).abs() < 3.0 * unit.out_format().resolution());
             v += 0.25;
         }
-    }
-
-    #[test]
-    fn eval_slice_matches_scalar_eval() {
-        for unit in [
-            Pow2Unit::paper(),
-            Pow2Unit::new(16, QFormat::unsigned(2, 14)),
-        ] {
-            for fmt in [
-                formats::INPUT,
-                QFormat::signed(6, 10),
-                QFormat::signed(4, 0),
-            ] {
-                let xs: Vec<Fixed> = (0..19)
-                    .map(|i| Fixed::from_raw_saturating(fmt.min_raw() + i * 7, fmt))
-                    .collect();
-                let mut out = Vec::new();
-                unit.eval_slice(&xs, &mut out);
-                assert_eq!(out.len(), xs.len());
-                for (x, y) in xs.iter().zip(&out) {
-                    assert_eq!(y.raw(), unit.eval(*x).raw(), "fmt={fmt} x={x}");
-                    assert_eq!(y.format(), unit.out_format());
-                }
-
-                let raws: Vec<i64> = xs.iter().map(Fixed::raw).collect();
-                let mut raw_out = Vec::new();
-                unit.eval_raw_slice(&raws, fmt, &mut raw_out);
-                let want: Vec<i64> = out.iter().map(Fixed::raw).collect();
-                assert_eq!(raw_out, want);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "uniform input format")]
-    fn eval_slice_rejects_mixed_formats() {
-        let unit = Pow2Unit::paper();
-        let xs = [
-            Fixed::zero(formats::INPUT),
-            Fixed::zero(QFormat::signed(6, 10)),
-        ];
-        unit.eval_slice(&xs, &mut Vec::new());
     }
 
     #[test]

@@ -130,41 +130,6 @@ impl RecipUnit {
         })
     }
 
-    /// Batch [`apply_reciprocal`] over same-format numerators, writing into
-    /// `out` (cleared first and reused — allocation-free once its capacity
-    /// covers the slice).
-    ///
-    /// The Normalization Unit applies one reciprocal to a whole row of
-    /// numerators, so everything that depends only on the operand formats
-    /// and the reciprocal — the wide intermediate format, the exponent
-    /// shift direction, the output rounding shift — is hoisted out of the
-    /// per-element loop. Bit-exact with [`apply_reciprocal`] per element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the numerators do not all share one format.
-    pub fn apply_slice(
-        &self,
-        nums: &[Fixed],
-        r: Reciprocal,
-        out_format: QFormat,
-        out: &mut Vec<Fixed>,
-    ) {
-        out.clear();
-        out.reserve(nums.len());
-        let Some(first) = nums.first() else { return };
-        let num_format = first.format();
-        assert!(
-            nums.iter().all(|n| n.format() == num_format),
-            "apply_slice requires a uniform numerator format"
-        );
-        let plan = ApplyPlan::new(num_format, r, out_format);
-        out.extend(
-            nums.iter()
-                .map(|n| Fixed::from_raw_saturating(plan.apply_one(n.raw()), out_format)),
-        );
-    }
-
     /// Full division `num / den`, returned in `out_format`: reciprocal,
     /// integer multiply, exponent shift — the Normalization Unit datapath.
     ///
@@ -178,70 +143,42 @@ impl RecipUnit {
     }
 }
 
-/// Hoisted state for applying one [`Reciprocal`] to many same-format
-/// numerators: the wide product format and all shift amounts depend only on
-/// the operand formats, so batch application computes them once.
-#[derive(Debug, Clone, Copy)]
-struct ApplyPlan {
-    wide: QFormat,
-    mant_raw: i64,
-    exponent: i32,
-    out_format: QFormat,
-}
-
-impl ApplyPlan {
-    fn new(num_format: QFormat, r: Reciprocal, out_format: QFormat) -> Self {
-        let prod_frac = num_format.frac_bits() + r.mantissa.format().frac_bits();
-        Self {
-            wide: QFormat::unsigned((32u32).saturating_sub(prod_frac), prod_frac),
-            mant_raw: r.mantissa.raw(),
-            exponent: r.exponent,
-            out_format,
-        }
-    }
-
-    /// One lane, bit-exact with [`apply_reciprocal`] on the raw encoding.
-    #[inline]
-    fn apply_one(&self, num_raw: i64) -> i64 {
-        // Full-precision product; `wide` carries exactly the product's
-        // fraction bits, so `mul_into` reduces to a clamp + saturate.
-        let prod = num_raw as i128 * self.mant_raw as i128;
-        let prod_raw = self.wide.saturate_raw(clamp_i128(prod));
-        // Exponent shift within the wide format.
-        let shifted = if self.exponent <= 0 {
-            let k = self.exponent.unsigned_abs().min(64);
-            self.wide.saturate_raw(clamp_i128((prod_raw as i128) << k))
-        } else {
-            let k = self.exponent.unsigned_abs().min(127);
-            // `floor_shift` is the bit-identical fast twin of
-            // `Rounding::Floor.apply_shift` (proven by the fixed crate's
-            // property tests) — this runs per output element.
-            self.wide.saturate_raw(floor_shift(prod_raw as i128, k))
-        };
-        // Requantize wide -> out, rounding to nearest.
-        let wide_frac = self.wide.frac_bits();
-        let out_frac = self.out_format.frac_bits();
-        let out_raw = if out_frac >= wide_frac {
-            clamp_i128((shifted as i128) << (out_frac - wide_frac))
-        } else {
-            nearest_shift(shifted as i128, wide_frac - out_frac)
-        };
-        self.out_format.saturate_raw(out_raw)
-    }
-}
-
 /// Multiplies `num` by a [`Reciprocal`]: integer multiply into a wide
 /// intermediate, exponent shift, then rounding into `out_format`.
 ///
-/// One-value delegation to [`ApplyPlan`], the hoisted state the batch
-/// path ([`RecipUnit::apply_slice`]) uses — scalar and slice application
-/// cannot diverge by construction. The plan keeps the full product
-/// precision before the final narrowing: the hardware multiplier produces
-/// all partial-product bits and the shift happens on the wide value.
+/// This is the scalar oracle of the Normalization Unit's multiplier; the
+/// compiled Softermax datapath's `OutputMap` reproduces it in `u64`. The
+/// full product precision is kept before the final narrowing: the hardware
+/// multiplier produces all partial-product bits and the shift happens on
+/// the wide value.
 #[must_use]
 pub fn apply_reciprocal(num: Fixed, r: Reciprocal, out_format: QFormat) -> Fixed {
-    let plan = ApplyPlan::new(num.format(), r, out_format);
-    Fixed::from_raw_saturating(plan.apply_one(num.raw()), out_format)
+    let prod_frac = num.format().frac_bits() + r.mantissa.format().frac_bits();
+    let wide = QFormat::unsigned((32u32).saturating_sub(prod_frac), prod_frac);
+    // Full-precision product; `wide` carries exactly the product's
+    // fraction bits, so `mul_into` reduces to a clamp + saturate.
+    let prod = num.raw() as i128 * r.mantissa.raw() as i128;
+    let prod_raw = wide.saturate_raw(clamp_i128(prod));
+    // Exponent shift within the wide format.
+    let shifted = if r.exponent <= 0 {
+        let k = r.exponent.unsigned_abs().min(64);
+        wide.saturate_raw(clamp_i128((prod_raw as i128) << k))
+    } else {
+        let k = r.exponent.unsigned_abs().min(127);
+        // `floor_shift` is the bit-identical fast twin of
+        // `Rounding::Floor.apply_shift` (proven by the fixed crate's
+        // property tests).
+        wide.saturate_raw(floor_shift(prod_raw as i128, k))
+    };
+    // Requantize wide -> out, rounding to nearest.
+    let wide_frac = wide.frac_bits();
+    let out_frac = out_format.frac_bits();
+    let out_raw = if out_frac >= wide_frac {
+        clamp_i128((shifted as i128) << (out_frac - wide_frac))
+    } else {
+        nearest_shift(shifted as i128, wide_frac - out_frac)
+    };
+    Fixed::from_raw_saturating(out_format.saturate_raw(out_raw), out_format)
 }
 
 #[cfg(test)]
@@ -323,37 +260,6 @@ mod tests {
         let den = Fixed::one(formats::POW_SUM);
         let q = unit.divide(num, den, formats::OUTPUT).unwrap();
         assert_eq!(q.to_f64(), 0.625);
-    }
-
-    #[test]
-    fn apply_slice_matches_scalar_apply() {
-        let unit = RecipUnit::paper();
-        // Denominators spanning both exponent signs (sum < 1 and sum >= 1).
-        for den_f in [0.25, 1.0, 1.75, 3.0, 700.0] {
-            let den = Fixed::from_f64(den_f, formats::POW_SUM, Rounding::Nearest);
-            let r = unit.reciprocal(den).unwrap();
-            // 11 numerators: a full chunk plus a tail.
-            let nums: Vec<Fixed> = (0..11)
-                .map(|i| Fixed::from_raw_saturating(i * 6007, formats::UNNORMED))
-                .collect();
-            let mut out = Vec::new();
-            unit.apply_slice(&nums, r, formats::OUTPUT, &mut out);
-            assert_eq!(out.len(), nums.len());
-            for (n, got) in nums.iter().zip(&out) {
-                let want = apply_reciprocal(*n, r, formats::OUTPUT);
-                assert_eq!(got.raw(), want.raw(), "den={den_f} num={n}");
-                assert_eq!(got.format(), formats::OUTPUT);
-            }
-        }
-    }
-
-    #[test]
-    fn apply_slice_empty_is_empty() {
-        let unit = RecipUnit::paper();
-        let r = unit.reciprocal(Fixed::one(formats::POW_SUM)).unwrap();
-        let mut out = vec![Fixed::zero(formats::OUTPUT)];
-        unit.apply_slice(&[], r, formats::OUTPUT, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

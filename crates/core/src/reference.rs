@@ -86,74 +86,6 @@ pub fn softmax_with_base_into(x: &[f64], b: f64, out: &mut [f64]) -> Result<()> 
     Ok(())
 }
 
-/// Matrix-at-a-time [`softmax_with_base_into`]: `rows` is a flattened
-/// row-major matrix of `rows.len() / row_len` rows, and each of the three
-/// passes sweeps the *whole matrix* before the next begins (per-row maxima
-/// for every row first, then one exponential pass over the flattened
-/// buffer, then the sum/division pass). Per-row maxima are staged in the
-/// caller's `maxes` buffer, so the batch performs no heap allocations at
-/// steady state.
-///
-/// Per row the operations and their order are exactly those of
-/// [`softmax_with_base_into`], so the result is **bit-identical** with
-/// calling it row by row.
-///
-/// # Errors
-///
-/// Returns [`SoftmaxError::EmptyInput`] when `row_len == 0` and the matrix
-/// is non-empty, and [`SoftmaxError::InvalidConfig`] for an invalid base.
-/// An empty matrix (`rows.is_empty()`) is a no-op `Ok`.
-///
-/// # Panics
-///
-/// Panics if `out.len() != rows.len()` or `rows.len()` is not a multiple
-/// of `row_len`.
-pub fn softmax_with_base_batch_into(
-    rows: &[f64],
-    row_len: usize,
-    b: f64,
-    out: &mut [f64],
-    maxes: &mut Vec<f64>,
-) -> Result<()> {
-    let n_rows = crate::kernel::check_batch_geometry(rows.len(), row_len, out.len())?;
-    if n_rows == 0 {
-        return Ok(());
-    }
-    if !(b.is_finite() && b > 1.0) {
-        return Err(SoftmaxError::InvalidConfig(format!(
-            "softmax base must be a finite number > 1, got {b}"
-        )));
-    }
-    let ln_b = b.ln();
-
-    // Pass 1 — per-row maxima across the whole matrix.
-    maxes.clear();
-    maxes.extend(
-        rows.chunks_exact(row_len)
-            .map(|row| row.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
-    );
-
-    // Pass 2 — exponentials over the flattened matrix.
-    for ((out_row, row), &max) in out
-        .chunks_exact_mut(row_len)
-        .zip(rows.chunks_exact(row_len))
-        .zip(maxes.iter())
-    {
-        for (o, &v) in out_row.iter_mut().zip(row) {
-            *o = ((v - max) * ln_b).exp();
-        }
-    }
-
-    // Pass 3 — row sums and the division pass.
-    for out_row in out.chunks_exact_mut(row_len) {
-        let sum: f64 = out_row.iter().sum();
-        for o in out_row.iter_mut() {
-            *o /= sum;
-        }
-    }
-    Ok(())
-}
-
 /// The *unstable* textbook softmax, without the max subtraction.
 ///
 /// Kept as a baseline to demonstrate why the stable version (and hence the

@@ -8,9 +8,9 @@
 //! by the accumulated sum (the Normalization unit).
 //!
 //! The accumulator is the bit-exact scalar oracle. The fast entry points
-//! ([`Softermax::forward_into`], [`Softermax::forward_batch_into`] and
-//! [`SoftermaxStream`]) run one datapath on the integer constants and
-//! tables [`Softermax::new`] compiles the configuration into.
+//! ([`Softermax::forward_into`] and [`SoftermaxStream`]) run one datapath
+//! on the integer constants and tables [`Softermax::new`] compiles the
+//! configuration into.
 
 use std::borrow::Cow;
 
@@ -191,80 +191,19 @@ impl Softermax {
             return Err(SoftmaxError::EmptyInput);
         }
         self.compiled.quantize_lanes(row, &mut scratch.lanes_a);
-        self.forward_row(0, row.len(), out, scratch)
-    }
-
-    /// Matrix-at-a-time [`Softermax::forward_into`]: `rows` is a flattened
-    /// row-major matrix of `rows.len() / row_len` independent softmax rows.
-    ///
-    /// Stage 0 runs as **one** sweep over the whole flattened matrix; the
-    /// slice and normalization stages then consume each row's lane range
-    /// in place. Per row the arithmetic is exactly that of
-    /// [`Softermax::forward_into`], so batch and row-at-a-time results are
-    /// **bit-identical**.
-    ///
-    /// # Errors
-    ///
-    /// [`SoftmaxError::EmptyInput`] when `row_len == 0` and the matrix is
-    /// non-empty (an empty matrix is a no-op `Ok`), and
-    /// [`SoftmaxError::DivisionByZero`] as in [`Softermax::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != rows.len()` or `rows.len()` is not a
-    /// multiple of `row_len`.
-    pub fn forward_batch_into(
-        &self,
-        rows: &[f64],
-        row_len: usize,
-        out: &mut [f64],
-        scratch: &mut ScratchBuffers,
-    ) -> Result<()> {
-        let n_rows = crate::kernel::check_batch_geometry(rows.len(), row_len, out.len())?;
-        if n_rows == 0 {
-            return Ok(());
-        }
-        // Stage 0 once for the whole matrix, then the per-row pipeline.
-        self.compiled.quantize_lanes(rows, &mut scratch.lanes_a);
-        for r in 0..n_rows {
-            self.forward_row(
-                r * row_len,
-                row_len,
-                &mut out[r * row_len..(r + 1) * row_len],
-                scratch,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// The slice stages plus the Normalization unit for one row whose
-    /// max-format lanes occupy `scratch.lanes_a[lane_start..lane_start +
-    /// len]`; the lanes are rewritten in place as unnormed numerators and
-    /// read back by the normalization sweep.
-    fn forward_row(
-        &self,
-        lane_start: usize,
-        len: usize,
-        out: &mut [f64],
-        scratch: &mut ScratchBuffers,
-    ) -> Result<()> {
         let mut running = None;
         scratch.runs.clear();
         let mut start = 0;
-        while start < len {
-            let end = (start + self.config.slice_width).min(len);
-            let slice = &mut scratch.lanes_a[lane_start + start..lane_start + end];
-            let local_max = self.compiled.slice_stages(slice, &mut running);
+        while start < row.len() {
+            let end = (start + self.config.slice_width).min(row.len());
+            let local_max = self
+                .compiled
+                .slice_stages(&mut scratch.lanes_a[start..end], &mut running);
             scratch.runs.push((local_max, end));
             start = end;
         }
         let running = running.expect("row is non-empty");
-        self.normalize_row(
-            &scratch.runs,
-            &scratch.lanes_a[lane_start..lane_start + len],
-            running,
-            out,
-        )
+        self.normalize_row(&scratch.runs, &scratch.lanes_a, running, out)
     }
 
     /// The Normalization unit over a completed row of unnormed lanes: one
@@ -537,7 +476,7 @@ impl Compiled {
     /// rewritten in place as unnormed numerators, then the Reduction-unit
     /// merge into `running`. Returns the slice's reference max.
     ///
-    /// Shared by the one-shot, batched and streaming datapaths, so they
+    /// Shared by the one-shot and streaming datapaths, so they
     /// cannot drift from each other.
     fn slice_stages(&self, lanes: &mut [i64], running: &mut Option<(i64, i64)>) -> i64 {
         let top = lanes.iter().copied().max().expect("slice is non-empty");

@@ -1,10 +1,10 @@
 //! Golden-vector regression pins for the fixed-point function units.
 //!
 //! The scalar entry points (`QuantizedLpwTable::eval_fixed`,
-//! `Pow2Unit::eval`, `apply_reciprocal`) now delegate to the same hoisted
-//! plans the vectorized slice paths use, so the parity suites in
-//! `vector_parity.rs` can no longer detect a *joint* drift of both paths.
-//! These checksums were captured from the pre-vectorization scalar
+//! `Pow2Unit::eval`, `apply_reciprocal`) are the oracles the compiled
+//! Softermax datapath is built from and checked against, so the parity
+//! suites in `vector_parity.rs` cannot detect a drift of an oracle
+//! itself. These checksums were captured from the pre-vectorization scalar
 //! implementation (PR 1) and pin the numeric behavior absolutely: any
 //! change to the unit datapaths — intentional or not — fails here and
 //! must update the constants deliberately.
@@ -13,7 +13,7 @@
 //! is debuggable without bisecting the whole sweep.
 
 use softermax::baselines::LutSoftmax;
-use softermax::kernel::{BatchScratch, KernelRegistry, ScratchBuffers, SoftmaxKernel};
+use softermax::kernel::{KernelRegistry, ScratchBuffers, SoftmaxKernel};
 use softermax::pow2::Pow2Unit;
 use softermax::recip::{apply_reciprocal, RecipUnit};
 use softermax::{Softermax, SoftermaxConfig};
@@ -173,7 +173,7 @@ fn fnv_kernel_row(
     kernel: &dyn SoftmaxKernel,
     row: &[f64],
     chunk: usize,
-    scratch: &mut BatchScratch,
+    scratch: &mut ScratchBuffers,
 ) -> u64 {
     let mut h = h;
     let mut hash = |out: &[f64]| {
@@ -185,7 +185,7 @@ fn fnv_kernel_row(
 
     let mut out = vec![0.0; row.len()];
     kernel
-        .forward_into(row, &mut out, &mut scratch.row)
+        .forward_into(row, &mut out, scratch)
         .expect("non-empty row");
     hash(&out);
 
@@ -208,7 +208,7 @@ fn fnv_kernel_row(
 }
 
 /// [`fnv_kernel_row`] for the fp16 kernel.
-fn fnv_fp16_row(h: u64, row: &[f64], chunk: usize, scratch: &mut BatchScratch) -> u64 {
+fn fnv_fp16_row(h: u64, row: &[f64], chunk: usize, scratch: &mut ScratchBuffers) -> u64 {
     let kernel = KernelRegistry::global().get("fp16").expect("built-in");
     fnv_kernel_row(h, kernel.as_ref(), row, chunk, scratch)
 }
@@ -219,7 +219,7 @@ fn fp16_kernel_long_rows_match_golden() {
     // fragile, through every entry point, so the emulation in
     // `softermax-fp16` can be rewritten without a joint drift of the
     // kernel and everything compared against it.
-    let mut scratch = BatchScratch::default();
+    let mut scratch = ScratchBuffers::default();
     let mut h = FNV_SEED;
 
     // The `local-long` serving shape: 4096 scores at scale 12.
@@ -276,7 +276,7 @@ fn online_kernels_match_golden() {
     ];
     long_rows.push(long_rows[2].iter().rev().copied().collect());
     let edge_rows = common::edge_rows(formats::INPUT);
-    let mut scratch = BatchScratch::default();
+    let mut scratch = ScratchBuffers::default();
     let mut h = FNV_SEED;
     for name in ["online-e", "online-2", "online-intmax"] {
         let kernel = KernelRegistry::global().get(name).expect("built-in");

@@ -9,7 +9,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use softermax::kernel::{BatchScratch, KernelRegistry, ScratchBuffers};
+use softermax::kernel::{KernelRegistry, ScratchBuffers};
 
 /// Scores within the Q(6,2) representable range (so the fixed-point
 /// kernels see in-range inputs, as the paper's calibration guarantees).
@@ -97,7 +97,7 @@ proptest! {
         let matrix = &values[..n_rows * row_len];
         for kernel in &KernelRegistry::with_builtins() {
             let mut got = vec![0.0; matrix.len()];
-            let mut batch_scratch = BatchScratch::default();
+            let mut batch_scratch = ScratchBuffers::default();
             kernel
                 .forward_batch_into(matrix, row_len, &mut got, &mut batch_scratch)
                 .expect("valid matrix");
@@ -139,7 +139,7 @@ proptest! {
                 &matrix,
                 row_len,
                 &mut got,
-                &mut BatchScratch::default(),
+                &mut ScratchBuffers::default(),
             );
             if sequential.iter().all(Result::is_ok) {
                 prop_assert!(batch.is_ok(), "{}: batch errored where rows did not", kernel.name());
@@ -180,7 +180,7 @@ proptest! {
 #[test]
 fn batch_geometry_errors_are_uniform() {
     for kernel in &KernelRegistry::with_builtins() {
-        let mut scratch = BatchScratch::default();
+        let mut scratch = ScratchBuffers::default();
         assert!(
             kernel
                 .forward_batch_into(&[1.0, 2.0], 0, &mut [0.0, 0.0], &mut scratch)

@@ -1,20 +1,18 @@
-//! Bit-exactness contract of the vectorized hot path.
+//! Bit-exactness contract of the fast paths.
 //!
-//! The vectorized entry points — `Softermax::forward_into`,
-//! `Pow2Unit::eval_slice`/`eval_raw_slice`, `RecipUnit::apply_slice`, and
-//! every kernel's `SoftmaxKernel::forward_into` override — must produce
-//! **bit-identical** results to the scalar `Fixed` path, for every
+//! The fast entry points — `Softermax::forward_into`, every kernel's
+//! `SoftmaxKernel::forward_into` override, the row loop of
+//! `SoftmaxKernel::forward_batch_into` and the streaming sessions — must
+//! produce **bit-identical** results to the scalar `Fixed` path, for every
 //! configuration: all Table-I formats in `softermax_fixed::formats`,
 //! ablation format sets, both max modes and bases, segment-count sweeps,
 //! slice widths that force tail slices, and inputs that saturate the
 //! input rails.
 
 use proptest::prelude::*;
-use softermax::kernel::{BatchScratch, KernelRegistry, ScratchBuffers};
-use softermax::pow2::Pow2Unit;
-use softermax::recip::{apply_reciprocal, RecipUnit};
+use softermax::kernel::{KernelRegistry, ScratchBuffers, SoftermaxFixedKernel, SoftmaxKernel};
 use softermax::{Base, MaxMode, Softermax, SoftermaxConfig};
-use softermax_fixed::{formats, Fixed, QFormat};
+use softermax_fixed::QFormat;
 
 mod common;
 
@@ -157,61 +155,7 @@ proptest! {
         }
     }
 
-    /// Batch pow2 evaluation is bit-exact with the scalar unit across
-    /// segment counts and input formats (including zero-fraction inputs).
-    #[test]
-    fn pow2_eval_slice_bit_exact(
-        raws in proptest::collection::vec(-40_000i64..40_000, 1..40),
-        segments in prop_oneof![Just(2usize), Just(4), Just(32)],
-        fmt in prop_oneof![
-            Just(formats::INPUT),
-            Just(QFormat::signed(6, 10)),
-            Just(QFormat::signed(5, 0)),
-        ],
-    ) {
-        let unit = Pow2Unit::new(segments, formats::UNNORMED);
-        let xs: Vec<Fixed> = raws
-            .iter()
-            .map(|&r| Fixed::from_raw_saturating(r, fmt))
-            .collect();
-        let mut out = Vec::new();
-        unit.eval_slice(&xs, &mut out);
-        prop_assert_eq!(out.len(), xs.len());
-        for (x, got) in xs.iter().zip(&out) {
-            prop_assert_eq!(got.raw(), unit.eval(*x).raw(), "x={}", x);
-        }
-        let raw_in: Vec<i64> = xs.iter().map(Fixed::raw).collect();
-        let mut raw_out = Vec::new();
-        unit.eval_raw_slice(&raw_in, fmt, &mut raw_out);
-        let want_raw: Vec<i64> = out.iter().map(Fixed::raw).collect();
-        prop_assert_eq!(raw_out, want_raw);
-    }
-
-    /// Batch reciprocal application is bit-exact with the scalar
-    /// Normalization-unit datapath.
-    #[test]
-    fn recip_apply_slice_bit_exact(
-        num_raws in proptest::collection::vec(0i64..70_000, 1..40),
-        den_raw in 1i64..60_000,
-        segments in prop_oneof![Just(4usize), Just(16)],
-    ) {
-        let unit = RecipUnit::new(segments, formats::RECIP);
-        let den = Fixed::from_raw_saturating(den_raw, formats::POW_SUM);
-        let r = unit.reciprocal(den).expect("positive denominator");
-        let nums: Vec<Fixed> = num_raws
-            .iter()
-            .map(|&x| Fixed::from_raw_saturating(x, formats::UNNORMED))
-            .collect();
-        let mut out = Vec::new();
-        unit.apply_slice(&nums, r, formats::OUTPUT, &mut out);
-        prop_assert_eq!(out.len(), nums.len());
-        for (n, got) in nums.iter().zip(&out) {
-            let want = apply_reciprocal(*n, r, formats::OUTPUT);
-            prop_assert_eq!(got.raw(), want.raw(), "num={}", n);
-        }
-    }
-
-    /// The fused SIMD pipeline (`forward_into`), the batched path and
+    /// The fused pipeline (`forward_into`), the kernel's batch row loop and
     /// chunked streaming are all bit-identical to the scalar oracle
     /// (`forward`) under *randomly drawn* quantization formats — the
     /// strongest form of the fusion contract: every fused pass must chain
@@ -223,7 +167,8 @@ proptest! {
         cfg in arb_wild_config(),
         chunk in 1usize..16,
     ) {
-        let sm = Softermax::new(cfg);
+        let kernel = SoftermaxFixedKernel::with_config(cfg);
+        let sm = kernel.operator();
         let mut scratch = ScratchBuffers::default();
         let mut fused = vec![0.0; row.len()];
         let r_fused = sm.forward_into(&row, &mut fused, &mut scratch);
@@ -236,7 +181,8 @@ proptest! {
             // Batched: two copies of the row must reproduce the row result.
             let doubled: Vec<f64> = row.iter().chain(&row).copied().collect();
             let mut batch_out = vec![0.0; doubled.len()];
-            sm.forward_batch_into(&doubled, row.len(), &mut batch_out, &mut scratch)
+            kernel
+                .forward_batch_into(&doubled, row.len(), &mut batch_out, &mut scratch)
                 .expect("row path succeeded");
             assert_bits_equal(&batch_out[..row.len()], &fused, "batch row 0 vs fused");
             assert_bits_equal(&batch_out[row.len()..], &fused, "batch row 1 vs fused");
@@ -269,7 +215,7 @@ proptest! {
         row[idx] = 20.0 + margin;
         let reversed: Vec<f64> = row.iter().rev().copied().collect();
         let matrix: Vec<f64> = row.iter().chain(&reversed).copied().collect();
-        let mut scratch = BatchScratch::default();
+        let mut scratch = ScratchBuffers::default();
         let mut batch_out = vec![0.0; matrix.len()];
         let mut streamed = vec![0.0; row.len()];
         for kernel in &KernelRegistry::with_builtins() {
@@ -344,7 +290,7 @@ fn edge_inputs_are_bit_exact() {
     let mut lens: Vec<usize> = rows.iter().map(Vec::len).collect();
     lens.sort_unstable();
     lens.dedup();
-    let mut batch_scratch = BatchScratch::default();
+    let mut batch_scratch = ScratchBuffers::default();
     for kernel in &KernelRegistry::with_builtins() {
         let name = kernel.name();
         let wants: Vec<Vec<f64>> = rows
@@ -354,7 +300,7 @@ fn edge_inputs_are_bit_exact() {
         for (row, want) in rows.iter().zip(&wants) {
             let mut got = vec![0.0; row.len()];
             kernel
-                .forward_into(row, &mut got, &mut batch_scratch.row)
+                .forward_into(row, &mut got, &mut batch_scratch)
                 .expect("non-empty row");
             assert_bits_equal(&got, want, &format!("{name} forward_into {row:?}"));
             kernel
@@ -379,8 +325,9 @@ fn edge_inputs_are_bit_exact() {
 
     let mut scratch = ScratchBuffers::default();
     for cfg in common::edge_configs() {
-        let sm = Softermax::new(cfg.clone());
         let rows = common::edge_rows(cfg.input_format);
+        let kernel = SoftermaxFixedKernel::with_config(cfg.clone());
+        let sm = kernel.operator();
         for row in &rows {
             let want = sm.forward(row).expect("non-empty row");
             let mut got = vec![0.0; row.len()];
@@ -396,7 +343,8 @@ fn edge_inputs_are_bit_exact() {
             .copied()
             .collect();
         let mut batch_out = vec![0.0; singles.len()];
-        sm.forward_batch_into(&singles, 1, &mut batch_out, &mut scratch)
+        kernel
+            .forward_batch_into(&singles, 1, &mut batch_out, &mut scratch)
             .expect("non-empty rows");
         for (v, got) in singles.iter().zip(&batch_out) {
             let want = sm.forward(std::slice::from_ref(v)).expect("non-empty row");

@@ -44,13 +44,11 @@ mod error;
 mod qformat;
 mod rounding;
 mod value;
-pub mod vecops;
 
 pub use error::FixedError;
 pub use qformat::{formats, QFormat};
-pub use rounding::{ceil_shift, clamp_i128, floor_shift, nearest_shift, Rounding};
+pub use rounding::{clamp_i128, floor_shift, nearest_shift, Rounding};
 pub use value::Fixed;
-pub use vecops::{dequantize_slice, quantize_slice, requantize_slice};
 
 /// Result alias for fallible fixed-point operations.
 pub type Result<T> = std::result::Result<T, FixedError>;

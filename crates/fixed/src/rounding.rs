@@ -117,24 +117,6 @@ impl Rounding {
     }
 }
 
-impl Rounding {
-    /// Dispatches to the shift-based fast helpers ([`floor_shift`],
-    /// [`nearest_shift`], [`ceil_shift`]); `TowardZero` falls back to the
-    /// reference division. **Bit-identical** with
-    /// [`Rounding::apply_shift`] under the helpers' magnitude bound
-    /// (`|raw| < 2^126`).
-    #[inline(always)]
-    #[must_use]
-    pub fn apply_shift_fast(self, raw: i128, extra_frac: u32) -> i64 {
-        match self {
-            Rounding::Floor => floor_shift(raw, extra_frac),
-            Rounding::Nearest => nearest_shift(raw, extra_frac),
-            Rounding::Ceil => ceil_shift(raw, extra_frac),
-            Rounding::TowardZero => self.apply_shift(raw, extra_frac),
-        }
-    }
-}
-
 /// Shift-based fast path of `Rounding::Floor.apply_shift`.
 ///
 /// Floor division by `2^k` is exactly an arithmetic right shift for any
@@ -173,19 +155,6 @@ pub fn nearest_shift(raw: i128, k: u32) -> i64 {
         -((-raw + half) >> k)
     };
     clamp_i128(shifted)
-}
-
-/// Shift-based fast path of `Rounding::Ceil.apply_shift`:
-/// `ceil(a / 2^k) == floor((a + 2^k - 1) / 2^k)`. **Bit-identical** with
-/// the reference for every `raw` whose magnitude stays below `2^126`.
-#[inline(always)]
-#[must_use]
-pub fn ceil_shift(raw: i128, k: u32) -> i64 {
-    if k == 0 || k >= 127 {
-        return Rounding::Ceil.apply_shift(raw, k);
-    }
-    let mask = (1i128 << k) - 1;
-    clamp_i128((raw + mask) >> k)
 }
 
 /// Clamps a 128-bit intermediate into the `i64` raw-encoding range (the
@@ -290,11 +259,6 @@ mod tests {
                     nearest_shift(raw, k),
                     Rounding::Nearest.apply_shift(raw, k),
                     "nearest raw={raw} k={k}"
-                );
-                assert_eq!(
-                    ceil_shift(raw, k),
-                    Rounding::Ceil.apply_shift(raw, k),
-                    "ceil raw={raw} k={k}"
                 );
             }
         }

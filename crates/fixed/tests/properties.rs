@@ -1,10 +1,11 @@
-//! Property-based tests for the fixed-point substrate, including the
-//! bit-exactness contract between the `vecops` bulk operations and the
-//! scalar `Fixed` path (saturation edges included: generated values run
-//! well past every format's rails).
+//! Property-based tests for the fixed-point substrate: quantization,
+//! requantization and arithmetic bounds, and the bit-exactness contract
+//! between the shift-based rounding helpers and the division-based
+//! `Rounding::apply_shift` reference (saturation edges included: generated
+//! values run well past every format's rails).
 
 use proptest::prelude::*;
-use softermax_fixed::{formats, vecops, Fixed, QFormat, Rounding};
+use softermax_fixed::{floor_shift, formats, nearest_shift, Fixed, QFormat, Rounding};
 
 fn arb_format() -> impl Strategy<Value = QFormat> {
     (1u32..=16, 0u32..=16, any::<bool>())
@@ -134,64 +135,29 @@ proptest! {
         let y = Fixed::from_raw_saturating(a.max(b), src);
         prop_assert!(x.requantize(dst, r) <= y.requantize(dst, r));
     }
-
-    /// Vectorized quantization is bit-exact with `Fixed::from_f64`, for
-    /// every format/rounding and any length (full chunks + tails).
-    #[test]
-    fn vecops_quantize_matches_scalar(
-        vals in proptest::collection::vec(-1e5f64..1e5, 1..40),
-        fmt in arb_format(),
-        r in arb_rounding(),
-    ) {
-        let mut raws = Vec::new();
-        vecops::quantize_raw_into(&vals, fmt, r, &mut raws);
-        prop_assert_eq!(raws.len(), vals.len());
-        for (v, raw) in vals.iter().zip(&raws) {
-            prop_assert_eq!(*raw, Fixed::from_f64(*v, fmt, r).raw(), "v={}", v);
-        }
-        let q = vecops::quantize_slice(&vals, fmt, r);
-        for (x, raw) in q.iter().zip(&raws) {
-            prop_assert_eq!(x.raw(), *raw);
-            prop_assert_eq!(x.format(), fmt);
-        }
-    }
-
-    /// Vectorized requantization is bit-exact with `Fixed::requantize`,
-    /// including cross-signedness saturation.
-    #[test]
-    fn vecops_requantize_matches_scalar(
-        raws in proptest::collection::vec(-40_000i64..40_000, 1..40),
-        src in arb_format(),
-        dst in arb_format(),
-        r in arb_rounding(),
-    ) {
-        let raws: Vec<i64> = raws.iter().map(|&x| src.saturate_raw(x)).collect();
-        let mut out = Vec::new();
-        vecops::requantize_raw_into(&raws, src, dst, r, &mut out);
-        prop_assert_eq!(out.len(), raws.len());
-        for (&raw, &got) in raws.iter().zip(&out) {
-            let want = Fixed::from_raw_saturating(raw, src).requantize(dst, r).raw();
-            prop_assert_eq!(got, want, "raw={} src={} dst={}", raw, src, dst);
-        }
-    }
 }
 
 proptest! {
-    /// The shift-based fast rounding helpers are bit-identical with the
-    /// division-based `apply_shift` reference for every mode, including
-    /// wide products and degenerate shifts.
+    /// The shift-based fast rounding helpers (`floor_shift`,
+    /// `nearest_shift`) are bit-identical with the division-based
+    /// `apply_shift` reference, including wide products and degenerate
+    /// shifts.
     #[test]
     fn fast_shift_helpers_match_apply_shift(
         raw in any::<i64>(),
         scale in 0u32..60,
         k in 0u32..140,
-        r in arb_rounding(),
     ) {
         let wide = (raw as i128) << scale;
         prop_assert_eq!(
-            r.apply_shift_fast(wide, k),
-            r.apply_shift(wide, k),
-            "mode={:?} raw={} scale={} k={}", r, raw, scale, k
+            floor_shift(wide, k),
+            Rounding::Floor.apply_shift(wide, k),
+            "floor raw={} scale={} k={}", raw, scale, k
+        );
+        prop_assert_eq!(
+            nearest_shift(wide, k),
+            Rounding::Nearest.apply_shift(wide, k),
+            "nearest raw={} scale={} k={}", raw, scale, k
         );
     }
 }

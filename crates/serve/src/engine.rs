@@ -10,7 +10,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use softermax::kernel::{check_batch_geometry, BatchScratch, SoftmaxKernel, StreamSession};
+use softermax::kernel::{check_batch_geometry, ScratchBuffers, SoftmaxKernel, StreamSession};
 use softermax::{Result, SoftmaxError};
 
 use crate::config::ServeConfig;
@@ -1052,7 +1052,7 @@ impl Job {
     /// Runs one chunk through the kernel's batch path. A kernel panic
     /// unwinds into the worker's supervisor, which fails the job,
     /// retires this chunk, and respawns the worker.
-    fn run_chunk(&self, chunk: &Chunk, scratch: &mut BatchScratch) {
+    fn run_chunk(&self, chunk: &Chunk, scratch: &mut ScratchBuffers) {
         let (rows, mut out) = self.lend(chunk);
         let result = self
             .kernel
@@ -1391,7 +1391,7 @@ impl ActiveChunk {
 /// then returns to the intake for the next job — so workers flow between
 /// concurrently admitted jobs instead of serializing on any one of them.
 fn worker_loop(shared: &Shared, active: &ActiveChunk) {
-    let mut scratch = BatchScratch::default();
+    let mut scratch = ScratchBuffers::default();
     'jobs: loop {
         let (job, first) = {
             let mut intake = lock(&shared.intake);

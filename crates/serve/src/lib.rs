@@ -13,10 +13,9 @@
 //!   work from one shared, **bounded** intake queue, so many matrices
 //!   from many callers are in flight at once and a small job never parks
 //!   the pool behind a big one; each chunk runs through the kernel's
-//!   vectorized
-//!   [`forward_batch_into`](softermax::SoftmaxKernel::forward_batch_into)
-//!   path (or a [`StreamSession`](softermax::StreamSession) for
-//!   streamed jobs);
+//!   [`forward_batch_into`](softermax::SoftmaxKernel::forward_batch_into),
+//!   its row fast path applied to every row of the chunk (or a
+//!   [`StreamSession`](softermax::StreamSession) for streamed jobs);
 //! * [`Submission`] / [`Ticket`] — owned-buffer asynchronous requests:
 //!   [`BatchEngine::submit`] returns immediately with a ticket,
 //!   [`Ticket::wait`]/[`Ticket::try_poll`] collect the probabilities;

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use rand::Rng;
-use softermax::kernel::{BatchScratch, KernelDescriptor, SoftmaxKernel};
+use softermax::kernel::{KernelDescriptor, ScratchBuffers, SoftmaxKernel};
 use softermax::{KernelRegistry, SoftermaxConfig};
 
 use crate::nn::Linear;
@@ -82,7 +82,7 @@ pub trait AttentionSoftmax: fmt::Debug + Send + Sync {
 pub struct KernelSoftmax {
     kernel: Arc<dyn SoftmaxKernel>,
     /// Persistent working memory for the batch dispatch: flattened
-    /// score/probability staging plus the kernel's [`BatchScratch`], all
+    /// score/probability staging plus the kernel's [`ScratchBuffers`], all
     /// at steady-state capacity after the first matrix. Behind a `Mutex`
     /// because the [`AttentionSoftmax`] surface is `&self` and shared
     /// across layers; contention is nil (one forward at a time per
@@ -93,7 +93,7 @@ pub struct KernelSoftmax {
 /// Reused buffers of one [`KernelSoftmax`] instance.
 #[derive(Default)]
 struct AttnScratch {
-    batch: BatchScratch,
+    batch: ScratchBuffers,
     rows: Vec<f64>,
     probs: Vec<f64>,
 }
@@ -190,15 +190,13 @@ impl AttentionSoftmax for KernelSoftmax {
     }
 }
 
-/// Whole-matrix kernel dispatch through the batched
-/// [`SoftmaxKernel::forward_batch_into`] path: the score matrix is
-/// flattened once and handed to the kernel as a single batch, so backends
-/// with a vectorized batch pipeline hoist their per-row setup matrix-wide
-/// (and the per-row trait dispatch of the old row loop disappears). All
-/// staging buffers live in the backend's persistent scratch, so repeated
-/// forwards (one per layer per training step) allocate nothing at steady
-/// state; outputs are bit-identical to row-at-a-time dispatch by the
-/// batch contract.
+/// Whole-matrix kernel dispatch through
+/// [`SoftmaxKernel::forward_batch_into`]: the score matrix is flattened
+/// once and handed to the kernel as a single batch, which runs the
+/// kernel's `forward_into` fast path row by row. All staging buffers live
+/// in the backend's persistent scratch, so repeated forwards (one per
+/// layer per training step) allocate nothing at steady state; outputs are
+/// bit-identical to row-at-a-time dispatch by the batch contract.
 fn batched(scores: &Matrix, kernel: &dyn SoftmaxKernel, scratch: &mut AttnScratch) -> Matrix {
     let row_len = scores.cols();
     scratch.rows.clear();
