@@ -6,7 +6,7 @@
 //! benchmark in `perfbench/`, not here.
 //!
 //! * **roofline mode** (`--roofline`) — per-kernel roofline analysis:
-//!   scalar `forward` vs the fused SIMD pipeline (`forward_into`, the
+//!   the scalar oracle `forward` vs the row path `forward_into` (the
 //!   `fused` column), at row lengths {64, 256, 1024, 4096}. Before any
 //!   kernel is timed the harness measures the machine's ceilings — a
 //!   STREAM-style triad sweep for sustainable memory bandwidth, a
@@ -70,7 +70,7 @@
 //!
 //! ```text
 //! usage: throughput (--roofline | --stream | --chaos | --open-loop) [--seed S] [--floor F] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH]
-//!   --roofline         scalar vs fused per kernel, against measured ceilings
+//!   --roofline         scalar forward vs row path forward_into per kernel, against measured ceilings
 //!   --stream           compare materialized vs tiled-streamed attention heads
 //!   --chaos            deterministic fault injection: availability, goodput, recovery
 //!   --open-loop        open-loop saturation sweep, skew speedup, priority latency
@@ -333,8 +333,8 @@ fn measure_best<O>(
     best.expect("at least one attempt runs")
 }
 
-/// The roofline analysis: scalar `forward` vs the fused SIMD
-/// pipeline, each cell placed against the machine's measured
+/// The roofline analysis: the scalar oracle `forward` vs the row path
+/// `forward_into`, each cell placed against the machine's measured
 /// memory-bandwidth and float-exp ceilings.
 fn roofline_harness(
     warmup: Duration,
@@ -351,7 +351,7 @@ fn roofline_harness(
     let tsc_per_ns = tsc_per_ns();
     let (exp_ns_per_elem, exp2_ns_per_elem) = measure_float_exp_ns(warmup, budget);
     let bytes_per_cycle = tsc_per_ns.map(|t| triad_bytes_per_s / 1e9 / t);
-    println!("# Per-kernel roofline: scalar vs fused SIMD\n");
+    println!("# Per-kernel roofline: scalar forward vs row path forward_into\n");
     println!(
         "measured ceilings: triad {:.2} GB/s{}, libm exp {exp_ns_per_elem:.2} ns/elem, \
          exp2 {exp2_ns_per_elem:.2} ns/elem\n",
@@ -381,7 +381,8 @@ fn roofline_harness(
             let mut scratch = ScratchBuffers::default();
             let mut probs = vec![0.0f64; len];
 
-            // Guard before timing: scalar and fused must agree bit-for-bit.
+            // Guard before timing: the oracle and the row path must agree
+            // bit for bit.
             let want = kernel.forward(&row).expect("non-empty row");
             kernel
                 .forward_into(&row, &mut probs, &mut scratch)
@@ -458,7 +459,7 @@ fn roofline_harness(
 
     let report = serde_json::json!({
         "benchmark": "softmax_roofline",
-        "description": "scalar SoftmaxKernel::forward vs the fused SIMD pipeline (forward_into), per kernel and row length, against measured memory-bandwidth and libm-exp ceilings",
+        "description": "scalar SoftmaxKernel::forward vs the row path SoftmaxKernel::forward_into (the fused_* keys), per kernel and row length, against measured memory-bandwidth and libm-exp ceilings",
         "row_lens": ROW_LENS.to_vec(),
         "warmup_ms": warmup_ms,
         "measure_ms": measure_ms,
@@ -551,8 +552,8 @@ fn measure_float_exp_ns(warmup: Duration, budget: Duration) -> (f64, f64) {
     (exp.ns_per_iter / n as f64, exp2.ns_per_iter / n as f64)
 }
 
-/// Analytic bytes swept per element by each kernel's fused/vectorized
-/// `forward_into` path: 8 bytes per f64/i64 lane touched, counting each
+/// Analytic bytes swept per element by each kernel's row path
+/// `forward_into`: 8 bytes per f64/i64 lane touched, counting each
 /// full-row pass's reads and writes (per-slice staging that stays in
 /// cache-resident scratch is counted the same way — the model is a sweep
 /// count, not a cache simulation).
@@ -569,12 +570,13 @@ fn fused_bytes_per_elem(kernel: &str) -> f64 {
         // staged as an f64: quantize + max (r + w), exponentials + sum
         // (r + w), divide (r + w).
         "fp16" => 48.0,
-        // Max pass (r), LUT exponentials staged in the output (r + w),
-        // integer divide pass (r + w).
-        "lut8" => 40.0,
-        // The fused pipeline's contract: quantize -> prescale ->
-        // requantize in one sweep (r + w), ceil-max + sub -> 2^x -> sum in
-        // place (r + w), normalization pass (r + w).
+        // Three sweeps: quantize + max, staging each quantized score in
+        // the output (r + w), LUT exponentials + sum in place (r + w),
+        // divide (r + w).
+        "lut8" => 48.0,
+        // Stage 0 (quantize -> prescale -> requantize) in one sweep
+        // (r + w), ceil-max + sub -> 2^x -> sum in place (r + w),
+        // normalization pass (r + w).
         "softermax" => 48.0,
         // Conservative default for out-of-registry kernels: three
         // read+write passes.

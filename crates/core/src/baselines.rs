@@ -11,6 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::softermax::round_ties_away;
 use crate::{Result, SoftmaxError};
 
 /// A 256-entry LUT-based integer softmax (software-only quantization).
@@ -105,27 +106,34 @@ impl LutSoftmax {
         if row.is_empty() {
             return Err(SoftmaxError::EmptyInput);
         }
-        // Pass 1: explicit max (already on the quantized grid).
-        let max = row
-            .iter()
-            .map(|&v| (v / self.step).round() * self.step)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let steps = Steps::new(self.step);
+        // Pass 1: quantize once, staging each score on the grid in `out`,
+        // and the explicit max. `f64::max` skips a NaN score, which fails
+        // `q > max` too, and a ±0 tie gives the same indices either way.
+        let mut max = f64::NEG_INFINITY;
+        for (o, &v) in out.iter_mut().zip(row) {
+            let q = steps.quantize(v);
+            *o = q;
+            if q > max {
+                max = q;
+            }
+        }
         // Pass 2: LUT exponentials (staged in `out`; Q0.16 entries are
         // exact in f64) and integer sum.
         let mut sum: u64 = 0;
-        for (o, &v) in out.iter_mut().zip(row) {
-            let q = (v / self.step).round() * self.step;
-            let idx = ((max - q) / self.step).round().clamp(0.0, 255.0) as usize;
-            let e = self.table[idx];
+        for o in out.iter_mut() {
+            let e = self.table[steps.index(max - *o)];
             sum += u64::from(e);
             *o = f64::from(e);
         }
         if sum == 0 {
             return Err(SoftmaxError::DivisionByZero);
         }
-        // Pass 3: integer division to 16-bit probabilities.
+        // Pass 3: integer division to 16-bit probabilities, as one
+        // multiply by the row's invariant divisor.
+        let div = InvariantDivisor::new(sum);
         for o in out.iter_mut() {
-            let p16 = ((*o as u64) << LUT_FRAC_BITS) / sum;
+            let p16 = div.divide((*o as u64) << LUT_FRAC_BITS);
             *o = p16 as f64 / f64::from(1u32 << LUT_FRAC_BITS);
         }
         Ok(())
@@ -141,10 +149,191 @@ impl LutSoftmax {
     }
 }
 
+/// The quantization maps of [`LutSoftmax`] for one step, rounding with
+/// [`round_ties_away`]: `f64::round` is a libm call on baseline x86-64.
+///
+/// A division by a power-of-two step is a multiply by its reciprocal.
+/// That reciprocal is exact, so `v / step` and `v * (1 / step)` are the
+/// same exact quotient rounded once, to the same `f64`, subnormals and
+/// overflow included. Any other step keeps the divide.
+#[derive(Debug, Clone, Copy)]
+struct Steps {
+    step: f64,
+    /// `1 / step` when it is exact, i.e. `step` and it are both normal
+    /// powers of two.
+    recip: Option<f64>,
+}
+
+impl Steps {
+    fn new(step: f64) -> Self {
+        let recip = 1.0 / step;
+        let pow2 = |v: f64| v.is_normal() && v.to_bits() & ((1 << 52) - 1) == 0;
+        Self {
+            step,
+            recip: (pow2(step) && pow2(recip)).then_some(recip),
+        }
+    }
+
+    /// `v / step`.
+    #[inline]
+    fn quotient(&self, v: f64) -> f64 {
+        match self.recip {
+            Some(r) => v * r,
+            None => v / self.step,
+        }
+    }
+
+    /// `round(v / step) * step`: the score on the quantization grid.
+    #[inline]
+    fn quantize(&self, v: f64) -> f64 {
+        round_score(self.quotient(v)) * self.step
+    }
+
+    /// `round(d / step).clamp(0, 255) as usize`: the LUT index of a
+    /// distance `d = max - q` from the row max.
+    #[inline]
+    fn index(&self, d: f64) -> usize {
+        lut_index(self.quotient(d))
+    }
+}
+
+/// `v.round()`, ties away from zero, keeping the sign of a zero result.
+/// Below 2^51 in magnitude, which covers every score a step in use
+/// produces, that is [`round_ties_away`]; beyond, and for NaN and the
+/// infinities, it is the libm `round`.
+#[inline]
+fn round_score(v: f64) -> f64 {
+    const FAST: f64 = (1u64 << 51) as f64;
+    if v.abs() < FAST {
+        round_ties_away(v).copysign(v)
+    } else {
+        v.round()
+    }
+}
+
+/// `u.round().clamp(0.0, 255.0) as usize`, without the libm call.
+/// Rounding is monotone and 255 an integer, so clamping `u` at 255 first
+/// changes nothing, and the saturating cast maps every negative result,
+/// and NaN, to 0. A `u` at or below `-2^51`, beyond [`round_ties_away`]'s
+/// range, still rounds to a negative value.
+#[inline]
+fn lut_index(u: f64) -> usize {
+    round_ties_away(if u > 255.0 { 255.0 } else { u }) as usize
+}
+
+/// Exact `n / d` for every `n < 2^33` as a multiply and a shift: the
+/// integer division of the LUT's probabilities by their row sum, whose
+/// numerators are entries of at most 2^16 shifted up by 16 bits.
+///
+/// With `d` of `L` bits and `c = ⌈2^(33 + L) / d⌉ = (2^(33 + L) + e) / d`,
+/// `0 ≤ e < d`: `n·c / 2^(33 + L) = n/d + n·e / (d·2^(33 + L))`, and the
+/// second term is below `1/d` because `n·e < 2^33 · 2^L`. Adding less
+/// than `1/d` to `n/d` never crosses the next integer, so the floor is
+/// `⌊n/d⌋`, whatever the row length. `c ≤ 2^34`, so `n·c < 2^67` fits in
+/// a `u128`.
+#[derive(Debug, Clone, Copy)]
+struct InvariantDivisor {
+    magic: u64,
+    shift: u32,
+}
+
+impl InvariantDivisor {
+    /// Numerator bits the divisor is exact for.
+    const NUMER_BITS: u32 = 33;
+
+    /// # Panics
+    ///
+    /// Panics if `d` is zero.
+    fn new(d: u64) -> Self {
+        assert!(d > 0, "division by zero");
+        let shift = Self::NUMER_BITS + (u64::BITS - d.leading_zeros());
+        let magic = (1u128 << shift).div_ceil(u128::from(d));
+        Self {
+            magic: magic as u64,
+            shift,
+        }
+    }
+
+    #[inline]
+    fn divide(&self, n: u64) -> u64 {
+        debug_assert!(n < 1 << Self::NUMER_BITS);
+        ((u128::from(n) * u128::from(self.magic)) >> self.shift) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{metrics, reference};
+
+    /// lut8's quantize and index maps against the `f64::round` formula
+    /// they replace, at power-of-two steps (multiplied by the exact
+    /// reciprocal) and other steps (divided): at every grid point and
+    /// every rounding boundary `u` from 300 steps below zero to 300 above,
+    /// both as `u · step` and as `u / (1 / step)`, each with its
+    /// neighbours up to 2 ulps away; plus NaN, ±∞, ±0,
+    /// subnormals, the extremes and the edges of the fast rounding range.
+    #[test]
+    #[ignore = "exhaustive sweep; run in release with --include-ignored"]
+    fn quantize_and_index_match_the_round_formula_at_every_boundary() {
+        let pow2_steps = [0.25, 0.125, 1.0, 2f64.powi(-30), 2f64.powi(1000)];
+        let other_steps = [0.1, 0.3, 3.0, 1e-300, 2f64.powi(-1030)];
+        for step in pow2_steps.into_iter().chain(other_steps) {
+            let steps = Steps::new(step);
+            assert_eq!(steps.recip.is_some(), pow2_steps.contains(&step));
+            let check = |v: f64| {
+                let want = (v / step).round() * step;
+                let got = steps.quantize(v);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "quantize({v:e}) at step {step:e}"
+                );
+                let want = (v / step).round().clamp(0.0, 255.0) as usize;
+                assert_eq!(steps.index(v), want, "index({v:e}) at step {step:e}");
+            };
+            let fast_edge = 2f64.powi(51);
+            for v in [
+                f64::NAN,
+                f64::INFINITY,
+                f64::MAX,
+                f64::MIN_POSITIVE,
+                5e-324,
+                0.0,
+                fast_edge * step,
+                2.0 * fast_edge * step,
+            ] {
+                for d in -2i64..=2 {
+                    let w = f64::from_bits(v.to_bits().wrapping_add_signed(d));
+                    check(w);
+                    check(-w);
+                }
+            }
+            for k in -600..=600 {
+                let u = f64::from(k) / 2.0;
+                for point in [u * step, u / steps.quotient(1.0)] {
+                    for d in -2i64..=2 {
+                        check(f64::from_bits(point.to_bits().wrapping_add_signed(d)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invariant_divisor_is_exact() {
+        let numerators = [0u64, 1, 2, 65_535, 1 << 16, (1 << 32) - 1, 1 << 32];
+        let divisors = [1u64, 2, 3, 7, 65_536, 65_537, 1 << 20, 4095 * 65_536 + 1];
+        for d in divisors.into_iter().chain([u64::MAX, (1 << 63) + 1]) {
+            let div = InvariantDivisor::new(d);
+            for n in numerators
+                .into_iter()
+                .chain((1..=1000).map(|i| i * 4_294_967 + d % 97))
+            {
+                assert_eq!(div.divide(n), n / d, "{n} / {d}");
+            }
+        }
+    }
 
     #[test]
     fn rejects_bad_step() {

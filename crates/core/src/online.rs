@@ -31,6 +31,20 @@
 //! Terms before the last raise were taken against a smaller max and are
 //! recomputed. An input whose max settles early thus costs one `exp` per
 //! element instead of two.
+//!
+//! The fast paths also test for a raise before they compute the
+//! candidate: `x > m` instead of the oracle's `max(m, c) > m`, where `c`
+//! is `x`, or `ceil(x)` under the integer max. The two tests agree on
+//! every input. Under the float max `c = x`, and `f64::max` skips a NaN
+//! `x`, which fails `x > m` too. Under the integer max the running max is
+//! always an integer or `±∞`, since it starts at `-∞` and only ever
+//! becomes a `ceil`. For such an `m`, `ceil(x) > m` holds exactly when
+//! `x > m`: `ceil(x) ≥ x`, and `ceil(x)` is the least integer at or above
+//! `x`, so `x ≤ m` gives `ceil(x) ≤ m`. The running max is only written
+//! on a strict raise, so a `±0` tie leaves it as it was in both. The libm
+//! `ceil` thus runs once per raise instead of once per element, and the
+//! running max is no longer carried through a NaN-aware `max` from one
+//! element to the next.
 
 use crate::{Result, SoftmaxError};
 
@@ -295,9 +309,10 @@ impl OnlineRow {
     #[inline]
     pub(crate) fn push(&mut self, x: f64) -> f64 {
         let ln_b = self.ln_base;
-        let candidate = if self.integer_max { x.ceil() } else { x };
-        let new_max = self.running_max.max(candidate);
-        if new_max > self.running_max {
+        // `x > m` is exactly the oracle's `max(m, candidate) > m` (see the
+        // module docs), so the candidate is taken only on a raise.
+        if x > self.running_max {
+            let new_max = if self.integer_max { x.ceil() } else { x };
             if self.running_max.is_finite() {
                 self.normalizer *= ((self.running_max - new_max) * ln_b).exp();
             }

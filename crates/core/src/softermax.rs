@@ -70,7 +70,7 @@ impl Softermax {
         // pre-scale multiplier (ablation path).
         let log2_e = Fixed::from_f64(
             std::f64::consts::LOG2_E,
-            QFormat::unsigned(2, 14),
+            QFormat::unsigned(2, LOG2_E_FRAC),
             Rounding::Nearest,
         );
         let wide_fmt = wide_sum_format(config.unnormed_format);
@@ -340,33 +340,52 @@ fn renorm_plan(pow2: &Pow2Unit, d: Fixed) -> (u32, Option<Fixed>) {
     (int_part, Some(pow2.eval(neg_frac)))
 }
 
-/// A configuration compiled into the integer constants and tables of the
-/// fast datapath.
+/// Fraction bits of the `log2(e)` pre-scale multiplier.
+const LOG2_E_FRAC: u32 = 14;
+
+/// `1.5 · 2^52`. Adding it to an `f64` `x` with `|x| < 2^51` lands in
+/// `[2^52, 2^53)`, where the spacing of `f64`s is 1: the sum is `x`
+/// rounded to an integer, ties to even, and its bit pattern is that of
+/// `ROUNDER` plus that integer.
+const ROUNDER: f64 = 6_755_399_441_055_744.0;
+
+/// `s.round()` (ties away from zero) for `|s| < 2^51`, without the libm
+/// call, in `f64` operations only, so a loop of it vectorizes on the
+/// baseline x86-64 target. A zero result may lose the sign of `s`.
+///
+/// `(s + ROUNDER) − ROUNDER` is `n`, `s` rounded ties to even. Only a tie
+/// can differ from rounding away from zero, and only where the even
+/// neighbour is the one toward zero: then the remainder `r = s − n`,
+/// which is exact, is 1/2 with the sign of `s`, and the fix adds `2r`.
+/// NaN stays NaN, and `±∞` stays `±∞`.
+#[inline(always)]
+pub(crate) fn round_ties_away(s: f64) -> f64 {
+    let n = (s + ROUNDER) - ROUNDER;
+    let r = s - n;
+    n + if r == 0.5f64.copysign(s) { r + r } else { 0.0 }
+}
+
+/// A configuration compiled into the constants and tables of the fast
+/// datapath.
 ///
 /// Every encoding the datapath handles belongs to a format at most 32
 /// bits wide, and every encoding after the max subtraction is
 /// non-negative, so `i64` (and `u64` for products) holds each
-/// intermediate exactly.
+/// intermediate exactly, and so does `f64` in stage 0.
 #[derive(Debug, Clone)]
 struct Compiled {
     /// `2^f` of the input format: scales a score to quantization steps.
     in_scale: f64,
-    /// The input rails one step outside the format, as `f64`: clamping
-    /// there keeps the truncating cast in range without moving any value
-    /// across a rail.
-    in_clamp: (f64, f64),
-    in_lo: i64,
-    in_hi: i64,
-    /// Pre-scale mantissa at `prescale_frac` fraction bits: `log2(e)` in
-    /// base e, exactly 1.0 in base 2, where the multiply is the identity.
-    prescale: i64,
-    prescale_frac: u32,
-    /// Input → max format: a left shift, or a round-to-nearest right
-    /// shift (at most one of the two is non-zero).
-    max_up: u32,
-    max_down: u32,
-    max_lo: i64,
+    /// The input rails as `f64`.
+    in_rails: (f64, f64),
+    /// The pre-scale: `log2(e)` at [`LOG2_E_FRAC`] fraction bits in base
+    /// e, exactly 1.0 in base 2.
+    prescale: f64,
+    /// Input → max format: `2^(max frac − input frac)`.
+    max_scale: f64,
+    /// The max-format rails, as the top raw encoding and as `f64`.
     max_hi: i64,
+    max_rails: (f64, f64),
     max_frac: u32,
     /// `2^f − 1` of the max format under the integer max (the IntMax
     /// ceiling), `None` under the float-max ablation.
@@ -394,8 +413,8 @@ impl Compiled {
         let in_frac = input.frac_bits();
         let max_frac = max.frac_bits();
         let prescale = match cfg.base {
-            Base::Two => 1i64 << log2_e.format().frac_bits(),
-            Base::E => log2_e.raw(),
+            Base::Two => 1.0,
+            Base::E => log2_e.to_f64(),
         };
         let last = cfg.pow2_table_last();
         let table = (0..=last)
@@ -409,15 +428,11 @@ impl Compiled {
             .collect();
         Self {
             in_scale: f64::from(in_frac).exp2(),
-            in_clamp: ((input.min_raw() - 1) as f64, (input.max_raw() + 1) as f64),
-            in_lo: input.min_raw(),
-            in_hi: input.max_raw(),
+            in_rails: (input.min_raw() as f64, input.max_raw() as f64),
             prescale,
-            prescale_frac: log2_e.format().frac_bits(),
-            max_up: max_frac.saturating_sub(in_frac),
-            max_down: in_frac.saturating_sub(max_frac),
-            max_lo: max.min_raw(),
+            max_scale: (f64::from(max_frac) - f64::from(in_frac)).exp2(),
             max_hi: max.max_raw(),
+            max_rails: (max.min_raw() as f64, max.max_raw() as f64),
             max_frac,
             ceil_mask: match cfg.max_mode {
                 MaxMode::Integer => Some((1i64 << max_frac) - 1),
@@ -442,34 +457,37 @@ impl Compiled {
         lanes.extend(values.iter().map(|&v| self.quantize_one(v)));
     }
 
-    /// One element of [`Compiled::quantize_lanes`]. `f64::round` is a libm
-    /// call on baseline x86-64, so the rounding is integer: clamp one step
-    /// outside the rails (NaN fails the first compare and lands on the top
-    /// one, as in [`Fixed::from_f64`]), truncate, and step by the exact
-    /// remainder.
+    /// One element of [`Compiled::quantize_lanes`]: the same operations
+    /// for every configuration, all in `f64`, so the loop vectorizes.
+    ///
+    /// The score is scaled to quantization steps and clamped to the input
+    /// rails (NaN fails the first compare and lands on the top one, as in
+    /// [`Fixed::from_f64`]). The rails are integers and rounding is
+    /// monotone, so clamping before [`round_ties_away`] equals saturating
+    /// the rounded encoding after. Every later value is exact in `f64`:
+    /// an encoding below 2^31 times the pre-scale mantissa below 2^16, or
+    /// times a power of two. So the pre-scale (`round_shift` of the
+    /// product) and the requantize into the max format (a shift, rounding
+    /// to nearest when it is to the right) are each one multiply and one
+    /// [`round_ties_away`]. At base 2 the pre-scale multiplies by exactly
+    /// 1.0, and with the max format equal to the input format the
+    /// requantize multiplies by exactly 1.0.
     #[inline(always)]
     fn quantize_one(&self, v: f64) -> i64 {
-        let (clamp_lo, clamp_hi) = self.in_clamp;
-        let s = v * self.in_scale;
-        let s = if s < clamp_hi { s } else { clamp_hi };
-        let s = if s > clamp_lo { s } else { clamp_lo };
-        let t = s as i64;
-        let r = s - t as f64;
-        let q = (t + i64::from(r >= 0.5) - i64::from(r <= -0.5))
-            .max(self.in_lo)
-            .min(self.in_hi);
-        // |q| < 2^31 and the mantissa is below 2^16, so the product fits.
-        let p = round_shift(q * self.prescale, self.prescale_frac)
-            .max(self.in_lo)
-            .min(self.in_hi);
-        // The max format holds at least the input's integer bits, so the
-        // left shift stays below 2^31.
-        let m = if self.max_down == 0 {
-            p << self.max_up
-        } else {
-            round_shift(p, self.max_down)
+        let clamp = |x: f64, (lo, hi): (f64, f64)| {
+            let x = if x < hi { x } else { hi };
+            if x > lo {
+                x
+            } else {
+                lo
+            }
         };
-        m.max(self.max_lo).min(self.max_hi)
+        let q = round_ties_away(clamp(v * self.in_scale, self.in_rails));
+        let p = clamp(round_ties_away(q * self.prescale), self.in_rails);
+        let m = clamp(round_ties_away(p * self.max_scale), self.max_rails);
+        // `m` is integral and below 2^31 in magnitude: its integer comes
+        // out of the bit pattern, as a saturating cast would not vectorize.
+        (m + ROUNDER).to_bits() as i64 - ROUNDER.to_bits() as i64
     }
 
     /// The Unnormed Softmax unit for one slice of max-format lanes,
@@ -1218,6 +1236,88 @@ mod tests {
             }
         }
         configs
+    }
+
+    /// The paper configuration and the input/max format sets of the
+    /// parity suites' edge configs (`tests/common/mod.rs`), plus a max
+    /// format finer and one coarser than the input, under both bases and
+    /// both max modes: everything stage 0 reads.
+    fn stage0_configs() -> Vec<SoftermaxConfig> {
+        let format_sets = [
+            (
+                softermax_fixed::formats::INPUT,
+                softermax_fixed::formats::LOCAL_MAX,
+            ),
+            (QFormat::signed(5, 3), QFormat::signed(6, 3)),
+            (QFormat::signed(8, 0), QFormat::signed(8, 0)),
+            (QFormat::signed(6, 2), QFormat::signed(6, 4)),
+            (QFormat::signed(5, 3), QFormat::signed(6, 1)),
+        ];
+        let mut configs = Vec::new();
+        for (input, max) in format_sets {
+            for base in [Base::Two, Base::E] {
+                for max_mode in [MaxMode::Integer, MaxMode::Float] {
+                    configs.push(
+                        SoftermaxConfig::builder()
+                            .input_format(input)
+                            .max_format(max)
+                            .base(base)
+                            .max_mode(max_mode)
+                            .build()
+                            .unwrap(),
+                    );
+                }
+            }
+        }
+        configs
+    }
+
+    /// Stage 0 of the compiled datapath against the scalar units it
+    /// replaces, `Fixed::from_f64` → pre-scale → max-format requantize,
+    /// at every input encoding and every rounding boundary between two,
+    /// each with its `f64` neighbours up to 2 ulps away, from two steps
+    /// below the bottom rail to two above the top one; plus NaN, ±∞, ±0,
+    /// subnormals and the extremes.
+    #[test]
+    #[ignore = "exhaustive sweep; run in release with --include-ignored"]
+    fn stage0_matches_the_scalar_units_at_every_rounding_boundary() {
+        for cfg in stage0_configs() {
+            let sm = Softermax::new(cfg.clone());
+            let input = cfg.input_format;
+            let check = |v: f64| {
+                let x = Fixed::from_f64(v, input, Rounding::Nearest);
+                let want = sm
+                    .prescale(x)
+                    .requantize(cfg.max_format, Rounding::Nearest)
+                    .raw();
+                assert_eq!(
+                    sm.compiled.quantize_one(v),
+                    want,
+                    "stage 0 of {v:e} ({:#018x}) under {cfg:?}",
+                    v.to_bits()
+                );
+            };
+            for v in [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN,
+                f64::MIN_POSITIVE,
+                5e-324,
+            ] {
+                check(v);
+                check(-v);
+            }
+            let res = input.resolution();
+            for raw in input.min_raw() - 2..=input.max_raw() + 2 {
+                for point in [raw as f64 * res, (raw as f64 + 0.5) * res] {
+                    for d in -2i64..=2 {
+                        check(f64::from_bits(point.to_bits().wrapping_add_signed(d)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! is debuggable without bisecting the whole sweep.
 
 use softermax::baselines::LutSoftmax;
-use softermax::kernel::{KernelRegistry, ScratchBuffers, SoftmaxKernel};
+use softermax::kernel::{KernelRegistry, LutKernel, ScratchBuffers, SoftmaxKernel};
 use softermax::pow2::Pow2Unit;
 use softermax::recip::{apply_reciprocal, RecipUnit};
 use softermax::{Softermax, SoftermaxConfig};
@@ -315,6 +315,25 @@ fn lut8_kernel_matches_golden() {
     assert!(out[0] > 0.99 && out[1] == 0.0);
 }
 
+#[test]
+fn lut8_long_rows_and_steps_match_golden() {
+    // The LUT baseline through every entry point at power-of-two steps
+    // (whose reciprocal is exact) and at steps that are not, on a
+    // `local-long`-shaped row, a row wide enough to saturate the index,
+    // and every shared edge row (NaN, infinities, signed zeros, ties).
+    let mut rows = vec![golden_row(4096, 12.0), golden_row(4096, 40.0)];
+    rows.extend(common::builtin_edge_rows());
+    let mut scratch = ScratchBuffers::default();
+    let mut h = FNV_SEED;
+    for step in [0.25, 0.125, 0.1, 0.3] {
+        let kernel = LutKernel::with_step(step).expect("valid step");
+        for row in &rows {
+            h = fnv_kernel_row(h, &kernel, row, 1000, &mut scratch);
+        }
+    }
+    assert_eq!(h, GOLDEN_LUT8_LONG, "lut8 long-row output drifted");
+}
+
 // Captured from the PR-1 scalar implementation (see module docs) by
 // running the same sweeps at commit 2a12872, before the scalar entry
 // points delegated to the hoisted plans.
@@ -335,3 +354,7 @@ const GOLDEN_FP16_LONG: u64 = 0x1c09_2a6b_dffe_dd6f;
 // pass-1 exponentials, when every entry point evaluated `exp` twice per
 // element.
 const GOLDEN_ONLINE: u64 = 0x73dc_29e7_ca94_e137;
+// Captured from the tree just before lut8 quantized each score once with
+// integer rounding, when every element paid three `f64::round` calls and
+// a `u64` division.
+const GOLDEN_LUT8_LONG: u64 = 0x0db3_e743_9174_f095;

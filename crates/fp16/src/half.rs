@@ -82,6 +82,51 @@ pub(crate) fn round_to_half(v: f64) -> f64 {
     Half::from_f64(v).to_f64()
 }
 
+/// The [`EXP_NON_POSITIVE`] table, built on first use, for
+/// [`exp_widened`]: a row loop fetches it once instead of once per
+/// element through [`Half::exp`].
+pub(crate) fn exp_non_positive() -> &'static [u16] {
+    EXP_NON_POSITIVE.get_or_init(exp_non_positive_table)
+}
+
+/// `Half::from_bits(bits).exp().to_f64()`, given the table of
+/// [`exp_non_positive`].
+///
+/// The non-positive inputs, -0 to -inf, and +0 read the table as
+/// [`Half::exp`] does. The index is clamped to the last entry, which is
+/// +0 like the result of every larger magnitude, instead of
+/// bounds-checked, and the entry is widened by [`widen_non_negative`].
+/// Positive inputs and NaN take [`Half::exp`].
+#[inline]
+pub(crate) fn exp_widened(table: &[u16], bits: u16) -> f64 {
+    if bits == 0 || (0x8000..=0xFC00).contains(&bits) {
+        let last = table.len() - 1;
+        widen_non_negative(table[usize::from(bits & 0x7FFF).min(last)])
+    } else {
+        Half(bits).exp().to_f64()
+    }
+}
+
+/// `Half::from_bits(bits).to_f64()` for the non-negative finite patterns
+/// (`bits < 0x7C00`), with no branch between subnormals and normals: the
+/// branch of [`Half::to_f64`] mispredicts on a row whose exponentials
+/// straddle 2^-14.
+///
+/// A subnormal `frac · 2^-24` is assembled as if its exponent field were
+/// 1, giving `2^-14 + frac · 2^-24`, and 2^-14 is then subtracted. Both
+/// terms lie in `[2^-14, 2^-13)`, so the difference is exact, and for a
+/// normal the subtrahend is +0.
+#[inline]
+fn widen_non_negative(bits: u16) -> f64 {
+    let exp = u64::from(bits >> MANT_BITS);
+    let frac = u64::from(bits & 0x3FF);
+    let assembled = f64::from_bits(
+        ((exp.max(1) + u64::from(F64_EXP_BIAS - EXP_BIAS)) << F64_MANT_BITS)
+            | (frac << (F64_MANT_BITS - MANT_BITS)),
+    );
+    assembled - f64::from_bits(F64_MIN_NORMAL * u64::from(exp == 0))
+}
+
 /// Builds the [`EXP_NON_POSITIVE`] table: `from_f64(to_f64().exp())` for
 /// -0, -2^-24, ... up to and including the first magnitude whose result
 /// is +0. `e^x` falls as the magnitude grows, so every later one is +0.
@@ -521,6 +566,27 @@ mod tests {
                 let want = (oracle_max(bits, p), oracle_max(p, bits));
                 let got = (h.max(Half(p)).0, Half(p).max(h).0);
                 assert_eq!(got, want, "max of {bits:#06x} and {p:#06x}");
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_exp_lookup_matches_exp_on_every_pattern() {
+        let table = exp_non_positive();
+        assert_eq!(table.last(), Some(&0), "the table must end at +0");
+        for bits in 0..=0xFFFFu16 {
+            let h = Half::from_bits(bits);
+            assert_eq!(
+                exp_widened(table, bits).to_bits(),
+                h.exp().to_f64().to_bits(),
+                "exp({bits:#06x})"
+            );
+            if bits < 0x7C00 {
+                assert_eq!(
+                    widen_non_negative(bits).to_bits(),
+                    h.to_f64().to_bits(),
+                    "widen({bits:#06x})"
+                );
             }
         }
     }

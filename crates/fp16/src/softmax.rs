@@ -4,7 +4,7 @@
 //! it (explicit max pass with FP comparators, exponential pass with FP16
 //! SFUs and an FP16 accumulation tree, division pass with FP16 dividers).
 
-use crate::half::round_to_half;
+use crate::half::{exp_non_positive, exp_widened, round_to_half};
 use crate::Half;
 
 /// Three-pass FP16 softmax over a row of scores.
@@ -79,24 +79,31 @@ pub fn softmax_fp16_into(scores: &[f64], out: &mut [f64]) -> Option<()> {
     assert_eq!(out.len(), scores.len(), "output buffer length mismatch");
     let (&first, rest) = scores.split_first()?;
 
-    // Sweep 1: conversion and explicit max (FP comparator tree). `f64::max`
-    // skips a NaN that `Half::max` propagates, and may pick either zero of
-    // a ±0 tie; neither shows in the output. A NaN score makes its
-    // exponential, so the sum and every quotient, NaN whatever the max,
-    // and `x - max` for a zero max differs only in the sign of a zero
-    // difference, whose exponential is 1 either way.
+    // Sweep 1: conversion and explicit max (FP comparator tree). The
+    // compare-and-select skips a NaN that `Half::max` propagates, unless
+    // the NaN comes first, and keeps the first zero of a ±0 tie; neither
+    // shows in the output. A NaN score makes its exponential, so the sum
+    // and every quotient, NaN whatever the max, and `x - max` for a zero
+    // max differs only in the sign of a zero difference, whose
+    // exponential is 1 either way. Unlike `f64::max`, the select carries
+    // no NaN fix-up from one element to the next.
     let mut max = round_to_half(first);
     out[0] = max;
     for (o, &v) in out[1..].iter_mut().zip(rest) {
         *o = round_to_half(v);
-        max = max.max(*o);
+        if *o > max {
+            max = *o;
+        }
     }
 
     // Sweep 2: exponentials and their FP16 sum. The difference of two
-    // binary16 values is exact in f64, as in `Half`'s `-`.
+    // binary16 values is exact in f64, as in `Half`'s `-`. Every
+    // difference is at most +0, or NaN, so `Half::exp` would read its
+    // table of non-positive inputs: the row fetches that table once.
+    let table = exp_non_positive();
     let mut sum = 0.0;
     for o in out.iter_mut() {
-        *o = Half::from_f64(*o - max).exp().to_f64();
+        *o = exp_widened(table, Half::from_f64(*o - max).to_bits());
         sum = round_to_half(sum + *o);
     }
 
