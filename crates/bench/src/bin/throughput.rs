@@ -1,5 +1,5 @@
-//! Softmax harness: per-kernel roofline, tiled-streamed attention,
-//! deterministic chaos serving and the open-loop scheduler.
+//! Softmax harness: per-kernel roofline, tiled-streamed attention and
+//! the open-loop scheduler.
 //!
 //! Exactly one mode flag picks what runs. End-to-end serving throughput
 //! (wire, server, closed-loop clients) is measured by the repository
@@ -25,21 +25,6 @@
 //!   `StreamSession`, so no score/probability matrix ever exists and
 //!   per-head scratch is O(n + tile)); attention rows/s per kernel at
 //!   the same four lengths, written to `BENCH_PR4.json`.
-//!
-//! * **chaos mode** (`--chaos`) — the fault-tolerance harness: a
-//!   closed-loop serving loop run against every kernel wrapped in a
-//!   seeded `FaultyKernel`, whose `FaultPlan` injects panics, errors and
-//!   latency spikes during a middle *fault window* of the run. Because
-//!   the plan decides per forward-call index (not per wall-clock), the
-//!   schedule — and therefore every counter (successes and failures per
-//!   phase, injected faults, worker respawns) — is **deterministic**:
-//!   the harness runs the whole schedule twice and hard-fails unless
-//!   both runs produced identical counters. Availability and goodput
-//!   during the window, latency percentiles per phase, and
-//!   recovery-time-to-baseline are reported (timings are nondeterministic
-//!   and never asserted); written to `BENCH_PR7.json`. `--floor X` exits
-//!   non-zero when fault-window availability drops below `X` on any
-//!   kernel — the CI chaos-smoke gate.
 //!
 //! * **open-loop mode** (`--open-loop`) — the scheduler harness:
 //!   seeded Poisson/bursty arrival schedules are replayed *open-loop*
@@ -69,37 +54,38 @@
 //! `softermax_bench::host_metadata`.
 //!
 //! ```text
-//! usage: throughput (--roofline | --stream | --chaos | --open-loop) [--seed S] [--floor F] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH]
+//! usage: throughput (--roofline | --stream | --open-loop) [--seed S] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH]
 //!   --roofline         scalar forward vs row path forward_into per kernel, against measured ceilings
 //!   --stream           compare materialized vs tiled-streamed attention heads
-//!   --chaos            deterministic fault injection: availability, goodput, recovery
 //!   --open-loop        open-loop saturation sweep, skew speedup, priority latency
-//!   --seed             chaos fault-plan / arrival-schedule seed (default 42)
-//!   --floor            minimum fault-window availability; exit 1 below it (--chaos only)
+//!   --seed             arrival-schedule seed (default 42; --open-loop only)
 //!   --min-speedup      minimum skew-leg goodput speedup; exit 1 below it (--open-loop only)
 //!   --assert-priority  exit 1 unless interactive p99 < batch p99 (--open-loop only)
 //!   --smoke            short measurement budgets (CI smoke test)
-//!   --out              output JSON path (default BENCH_PR6/4/7/8.json by mode)
+//!   --out              output JSON path (default BENCH_PR6/4/8.json by mode)
 //! ```
 //!
 //! No mode flag, more than one, an unknown flag, a bad value, or a gate
-//! flag outside its mode prints the usage line and exits 2.
+//! or seed flag outside its mode prints the usage line and exits 2.
+//!
+//! The deterministic fault-injection gate is the tier-1 test
+//! `crates/serve/tests/faults.rs`; `BENCH_PR7.json` is the record of the
+//! chaos mode it replaced.
 
 // Unsafe is audited (docs/UNSAFE_INVENTORY.md); inside `unsafe fn`,
 // each unsafe operation still needs its own explicit block.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, measure};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use softermax::kernel::{ScratchBuffers, SoftmaxKernel};
 use softermax::SoftmaxError;
 use softermax_bench::{attention_scores, print_header, print_row, registry};
-use softermax_serve::fault::{silence_injected_panics, FaultPlan, FaultyKernel};
 use softermax_serve::traffic::synthetic_matrix;
 use softermax_serve::{
     Admission, BatchEngine, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission,
@@ -119,38 +105,6 @@ const STREAM_D_HEAD: usize = 16;
 
 /// Column-tile width of the streamed attention path in stream mode.
 const STREAM_TILE: usize = 64;
-
-/// Request shape of chaos mode: exactly one scheduling chunk per
-/// request (the config pins `chunk_rows` to this), so the single
-/// closed-loop client produces a *strictly sequential* stream of
-/// per-row forward calls. That sequencing is what makes the fault
-/// schedule — and therefore every success/failure counter — a pure
-/// function of the seed, independent of thread interleaving.
-const CHAOS_REQ_ROWS: usize = 32;
-const CHAOS_REQ_LEN: usize = 64;
-
-/// Per-forward-call fault probability inside the fault window. At 32
-/// rows per request this gives a window request a ~48% chance of hitting
-/// at least one fault — enough to kill workers and trip breakers while
-/// leaving availability meaningfully measurable.
-const CHAOS_RATE: f64 = 0.02;
-
-/// Injected latency spike per `Delay` fault.
-const CHAOS_DELAY_US: u64 = 2_000;
-
-/// Shards in the chaos router: two, so breaker-open fail-over has
-/// somewhere to go.
-const CHAOS_SHARDS: usize = 2;
-
-/// Consecutive in-budget responses that count as "recovered" when
-/// measuring recovery time after the fault window closes.
-const CHAOS_RECOVERY_STREAK: usize = 3;
-
-/// Admission bound per shard in the chaos router.
-const CHAOS_INFLIGHT: usize = 32;
-
-/// Worker threads per shard in the chaos router.
-const CHAOS_THREADS: usize = 4;
 
 /// Request geometry of open-loop mode. `small` requests are the unit of
 /// routine traffic — one scheduling chunk, a few milliseconds of
@@ -195,14 +149,13 @@ const OL_HUGE_EVERY: usize = 8;
 const OL_INTERVAL_MS: u64 = 100;
 
 /// The usage line printed with every usage error.
-const USAGE: &str = "usage: throughput (--roofline | --stream | --chaos | --open-loop) [--seed S] [--floor F] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH]";
+const USAGE: &str = "usage: throughput (--roofline | --stream | --open-loop) [--seed S] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH]";
 
 /// What one invocation runs; exactly one mode flag picks it.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Roofline,
     Stream,
-    Chaos,
     OpenLoop,
 }
 
@@ -231,8 +184,7 @@ fn main() {
     let mut min_speedup: Option<f64> = None;
     let mut assert_priority = false;
     let mut smoke = false;
-    let mut seed = 42u64;
-    let mut floor: Option<f64> = None;
+    let mut seed: Option<u64> = None;
     let mut out_path: Option<String> = None;
     let (mut warmup_ms, mut measure_ms) = (30u64, 160u64);
     let mut args = std::env::args().skip(1);
@@ -240,7 +192,6 @@ fn main() {
         match arg.as_str() {
             "--roofline" => modes.push(Mode::Roofline),
             "--stream" => modes.push(Mode::Stream),
-            "--chaos" => modes.push(Mode::Chaos),
             "--open-loop" => modes.push(Mode::OpenLoop),
             "--min-speedup" => {
                 min_speedup = Some(flag_value(&mut args, &arg, "a positive ratio", |s| {
@@ -248,12 +199,7 @@ fn main() {
                 }));
             }
             "--assert-priority" => assert_priority = true,
-            "--seed" => seed = flag_value(&mut args, &arg, "an unsigned integer", |_| true),
-            "--floor" => {
-                floor = Some(flag_value(&mut args, &arg, "a fraction in [0, 1]", |f| {
-                    (0.0..=1.0).contains(f)
-                }));
-            }
+            "--seed" => seed = Some(flag_value(&mut args, &arg, "an unsigned integer", |_| true)),
             "--smoke" => {
                 smoke = true;
                 warmup_ms = 2;
@@ -264,14 +210,11 @@ fn main() {
         }
     }
     let &[mode] = modes.as_slice() else {
-        usage_exit("give exactly one of --roofline, --stream, --chaos and --open-loop");
+        usage_exit("give exactly one of --roofline, --stream and --open-loop");
     };
-    // A gate flag outside its mode would silently disable the gate.
-    if floor.is_some() && mode != Mode::Chaos {
-        usage_exit("--floor only applies to --chaos");
-    }
-    if (min_speedup.is_some() || assert_priority) && mode != Mode::OpenLoop {
-        usage_exit("--min-speedup and --assert-priority only apply to --open-loop");
+    // A gate or seed flag outside its mode would be silently ignored.
+    if (seed.is_some() || min_speedup.is_some() || assert_priority) && mode != Mode::OpenLoop {
+        usage_exit("--seed, --min-speedup and --assert-priority only apply to --open-loop");
     }
     let warmup = Duration::from_millis(warmup_ms);
     let budget = Duration::from_millis(measure_ms);
@@ -293,10 +236,9 @@ fn main() {
             measure_ms,
             &out("BENCH_PR4.json"),
         ),
-        Mode::Chaos => chaos_harness(smoke, seed, floor, &out("BENCH_PR7.json")),
         Mode::OpenLoop => open_loop_harness(
             smoke,
-            seed,
+            seed.unwrap_or(42),
             min_speedup,
             assert_priority,
             &out("BENCH_PR8.json"),
@@ -314,6 +256,45 @@ const TRIAD_ELEMS_SMOKE: usize = 256 << 10;
 /// depress the reported ceiling).
 const TRIAD_PASSES: usize = 7;
 
+/// One completed measurement from [`measure`]: the mean wall time per
+/// iteration and how many iterations were timed.
+#[derive(Clone, Copy)]
+struct Measurement {
+    ns_per_iter: f64,
+    iters: u64,
+}
+
+/// Times `f`: a `warmup` pass of the loop below, then calibrated
+/// batches (each about 1 ms) until `budget` is spent.
+fn measure<O>(warmup: Duration, budget: Duration, mut f: impl FnMut() -> O) -> Measurement {
+    timed_loop(warmup, &mut f);
+    let (total, iters) = timed_loop(budget, &mut f);
+    Measurement {
+        ns_per_iter: total.as_nanos() as f64 / iters as f64,
+        iters,
+    }
+}
+
+/// Runs calibrated batches of `f` until `budget` is spent; returns the
+/// accumulated time and iteration count (always at least one batch).
+fn timed_loop<O>(budget: Duration, f: &mut impl FnMut() -> O) -> (Duration, u64) {
+    let start = Instant::now();
+    black_box(f());
+    let once = start.elapsed().max(Duration::from_nanos(20));
+    let batch = (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 100_000) as u64;
+    let mut total = Duration::ZERO;
+    let mut iters = 0u64;
+    while total < budget || iters == 0 {
+        let t0 = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        total += t0.elapsed();
+        iters += batch;
+    }
+    (total, iters)
+}
+
 /// Best-of-N wrapper around [`measure`] for roofline mode: on a shared
 /// host one preempted measurement window must not masquerade as kernel
 /// cost (timings are recorded, never asserted, exactly as elsewhere).
@@ -322,8 +303,8 @@ fn measure_best<O>(
     warmup: Duration,
     budget: Duration,
     mut f: impl FnMut() -> O,
-) -> criterion::Measurement {
-    let mut best: Option<criterion::Measurement> = None;
+) -> Measurement {
+    let mut best: Option<Measurement> = None;
     for _ in 0..attempts {
         let m = measure(warmup, budget, &mut f);
         if best.is_none_or(|b| m.ns_per_iter < b.ns_per_iter) {
@@ -444,7 +425,7 @@ fn roofline_harness(
                 "scalar_ns_per_row": scalar.ns_per_iter,
                 "fused_ns_per_row": fused.ns_per_iter,
                 "fused_speedup_vs_scalar": fused_vs_scalar,
-                "fused_melem_per_s": fused.elements_per_sec(len as u64) / 1e6,
+                "fused_melem_per_s": len as f64 / fused.ns_per_iter * 1e3,
                 "fused_elems_per_cycle": elems_per_cycle,
                 "fused_bytes_per_elem": bytes_per_elem,
                 "fused_achieved_gb_per_s": achieved_bytes_per_s / 1e9,
@@ -699,375 +680,6 @@ fn stream_harness(
         "results": serde_json::Value::Array(entries),
     });
     write_report(out_path, &report);
-}
-
-/// The per-run counters chaos mode asserts deterministic: the same seed
-/// must reproduce them exactly, run after run, because the fault plan
-/// decides per forward-call *index* and the single sequential client
-/// makes the call stream itself reproducible. Anything wall-clock
-/// shaped (latencies, goodput, breaker trips — the breaker's cooldown
-/// is time-based) is reported separately and never compared.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChaosCounters {
-    /// Successful requests per phase: [baseline, fault window, recovery].
-    ok: [u64; 3],
-    /// Failed requests per phase (injected errors and panicked batches
-    /// surface as honest ticket errors, never hangs).
-    failed: [u64; 3],
-    injected_panics: u64,
-    injected_errors: u64,
-    injected_delays: u64,
-    worker_respawns: u64,
-    expired_requests: u64,
-}
-
-/// One request's outcome, tagged with the phase it was *submitted* in
-/// and when it completed relative to the run start.
-struct ChaosSample {
-    phase: usize,
-    ok: bool,
-    wall_s: f64,
-    done_s: f64,
-}
-
-struct ChaosRun {
-    counters: ChaosCounters,
-    samples: Vec<ChaosSample>,
-    wall_s: f64,
-    breaker_trips: u64,
-}
-
-/// The PR-7 fault-tolerance harness. Every kernel is wrapped in a
-/// seeded `FaultyKernel` whose plan injects panics, errors and latency
-/// spikes during the middle third of the run (a *call-index* window,
-/// not a wall-clock one), and served through a 2-shard router by one
-/// closed-loop client. Each kernel's schedule is run **twice** and the
-/// harness hard-fails unless both runs produced identical counters —
-/// determinism is verified, not presumed. Successful responses are
-/// bit-compared against sequential execution of the clean kernel:
-/// chaos may kill a request, never corrupt one.
-fn chaos_harness(smoke: bool, seed: u64, floor: Option<f64>, out_path: &str) {
-    // Worker panics are the *point* here; keep the log readable.
-    silence_injected_panics();
-    let total_requests = if smoke { 30 } else { 120 };
-    // Fault window in forward-call space: the middle third. Baseline
-    // requests consume exactly CHAOS_REQ_ROWS calls each (no faults can
-    // fire before w0), so w0 being a multiple of the request size means
-    // no request straddles the window entry.
-    let w0 = (total_requests as u64 / 3) * CHAOS_REQ_ROWS as u64;
-    let w1 = (2 * total_requests as u64 / 3) * CHAOS_REQ_ROWS as u64;
-    println!(
-        "# Chaos serving: {total_requests} requests of {CHAOS_REQ_ROWS} rows x \
-         {CHAOS_REQ_LEN}, fault window calls {w0}..{w1} (seed {seed}, rate {CHAOS_RATE} \
-         per row, panic|error|{CHAOS_DELAY_US}us-delay), {CHAOS_SHARDS} shards x \
-         {CHAOS_THREADS} thread(s); every schedule run twice, counters must match\n"
-    );
-    print_header(&[
-        "kernel",
-        "avail",
-        "ok/fail (win)",
-        "panics",
-        "errors",
-        "delays",
-        "respawn",
-        "goodput/s",
-        "p99 base us",
-        "p99 win us",
-        "recov ms",
-    ]);
-
-    let registry = registry();
-    let mut entries: Vec<serde_json::Value> = Vec::new();
-    let mut min_availability = f64::INFINITY;
-    for kernel in &registry {
-        // The shared request pool and its fault-free ground truth.
-        let requests: Vec<Vec<f64>> = (0..total_requests)
-            .map(|r| {
-                softermax_serve::traffic::synthetic_matrix(
-                    CHAOS_REQ_ROWS,
-                    CHAOS_REQ_LEN,
-                    2.5,
-                    1_000 + r as u64,
-                )
-            })
-            .collect();
-        let wants: Vec<Vec<f64>> = requests
-            .iter()
-            .map(|matrix| {
-                let mut want = vec![0.0f64; matrix.len()];
-                let mut scratch = ScratchBuffers::default();
-                for (row, out_row) in matrix
-                    .chunks_exact(CHAOS_REQ_LEN)
-                    .zip(want.chunks_exact_mut(CHAOS_REQ_LEN))
-                {
-                    kernel
-                        .forward_into(row, out_row, &mut scratch)
-                        .expect("non-empty row");
-                }
-                want
-            })
-            .collect();
-
-        // Run the identical schedule twice; the counters must agree.
-        let first = chaos_run(kernel, &requests, &wants, seed, w0..w1);
-        let second = chaos_run(kernel, &requests, &wants, seed, w0..w1);
-        assert_eq!(
-            first.counters,
-            second.counters,
-            "{} chaos counters diverged between two runs of the same seed",
-            kernel.name()
-        );
-        let run = first;
-        let c = &run.counters;
-
-        let window_total = c.ok[1] + c.failed[1];
-        let availability = if window_total == 0 {
-            1.0
-        } else {
-            c.ok[1] as f64 / window_total as f64
-        };
-        min_availability = min_availability.min(availability);
-
-        // Timing (nondeterministic, reported but never asserted):
-        // success-latency percentiles per phase, goodput through the
-        // fault window, and recovery time — how long after the window
-        // closed until CHAOS_RECOVERY_STREAK consecutive responses came
-        // back within 2x the baseline median.
-        let phase_pctls: Vec<[f64; 2]> = (0..3)
-            .map(|phase| {
-                let mut walls: Vec<f64> = run
-                    .samples
-                    .iter()
-                    .filter(|s| s.phase == phase && s.ok)
-                    .map(|s| s.wall_s)
-                    .collect();
-                walls.sort_by(|a, b| a.partial_cmp(b).expect("finite walls"));
-                [pctl(&walls, 0.50), pctl(&walls, 0.99)]
-            })
-            .collect();
-        let window_span_s = {
-            let submitted: Vec<&ChaosSample> =
-                run.samples.iter().filter(|s| s.phase == 1).collect();
-            submitted
-                .last()
-                .map(|last| last.done_s - (submitted[0].done_s - submitted[0].wall_s))
-                .unwrap_or(0.0)
-        };
-        let goodput = if window_span_s > 0.0 {
-            c.ok[1] as f64 / window_span_s
-        } else {
-            0.0
-        };
-        let (recovery_ms, recovered) =
-            recovery_time_ms(&run.samples, phase_pctls[0][0]).map_or((0.0, false), |ms| (ms, true));
-
-        print_row(&[
-            kernel.name().to_string(),
-            format!("{:.3}", availability),
-            format!("{}/{}", c.ok[1], c.failed[1]),
-            c.injected_panics.to_string(),
-            c.injected_errors.to_string(),
-            c.injected_delays.to_string(),
-            c.worker_respawns.to_string(),
-            format!("{goodput:.0}"),
-            format!("{:.1}", phase_pctls[0][1] * 1e6),
-            format!("{:.1}", phase_pctls[1][1] * 1e6),
-            if recovered {
-                format!("{recovery_ms:.2}")
-            } else {
-                "never".to_string()
-            },
-        ]);
-        entries.push(serde_json::json!({
-            "kernel": kernel.name(),
-            "availability_window": availability,
-            "deterministic": {
-                "baseline_ok": c.ok[0],
-                "baseline_failed": c.failed[0],
-                "window_ok": c.ok[1],
-                "window_failed": c.failed[1],
-                "recovery_ok": c.ok[2],
-                "recovery_failed": c.failed[2],
-                "injected_panics": c.injected_panics,
-                "injected_errors": c.injected_errors,
-                "injected_delays": c.injected_delays,
-                "worker_respawns": c.worker_respawns,
-                "expired_requests": c.expired_requests,
-            },
-            "timing": {
-                "baseline_p50_us": phase_pctls[0][0] * 1e6,
-                "baseline_p99_us": phase_pctls[0][1] * 1e6,
-                "window_p50_us": phase_pctls[1][0] * 1e6,
-                "window_p99_us": phase_pctls[1][1] * 1e6,
-                "recovery_p50_us": phase_pctls[2][0] * 1e6,
-                "recovery_p99_us": phase_pctls[2][1] * 1e6,
-                "window_goodput_req_per_s": goodput,
-                "recovery_ms": recovery_ms,
-                "recovered": recovered,
-                "breaker_trips": run.breaker_trips,
-                "wall_s": run.wall_s,
-            },
-            "bit_identical_successes": true,
-            "determinism": "verified",
-        }));
-    }
-
-    let report = serde_json::json!({
-        "benchmark": "chaos_serving",
-        "description": "every kernel wrapped in a seeded FaultyKernel (panic | error | delay per forward call, faults confined to the middle third of the run in call-index space) and served through a 2-shard router by one closed-loop client; each schedule is run twice and the harness fails unless both runs produce identical counters (determinism verified, not presumed); successful responses are bit-compared to sequential execution of the clean kernel; latencies, goodput and breaker trips are wall-clock and reported without assertion",
-        "seed": seed,
-        "fault_rate_per_row": CHAOS_RATE,
-        "fault_kinds": ["panic", "error", "delay"],
-        "delay_us": CHAOS_DELAY_US,
-        "fault_window_calls": [w0, w1],
-        "requests": total_requests,
-        "request_rows": CHAOS_REQ_ROWS,
-        "request_len": CHAOS_REQ_LEN,
-        "shards": CHAOS_SHARDS,
-        "threads_per_shard": CHAOS_THREADS,
-        "availability_floor": floor,
-        "min_availability_window": min_availability,
-        "results": serde_json::Value::Array(entries),
-    });
-    write_report(out_path, &report);
-
-    if let Some(floor) = floor {
-        // Availability is one of the deterministic counters, so this is
-        // an exact gate, not a flaky one.
-        if min_availability < floor {
-            eprintln!(
-                "chaos availability floor violated: min fault-window availability \
-                 {min_availability:.3} < floor {floor:.3}"
-            );
-            std::process::exit(1);
-        }
-        println!("availability floor {floor:.3} held (min {min_availability:.3})");
-    }
-}
-
-/// One pass of the chaos schedule: a fresh `FaultyKernel` and a fresh
-/// router (counters and call index start at zero), one closed-loop
-/// client submitting every request with blocking admission. Blocking
-/// admission deliberately bypasses the circuit breaker, so an open
-/// breaker re-routes work instead of gating it — which keeps the
-/// success/failure counters independent of the breaker's wall-clock
-/// cooldowns.
-fn chaos_run(
-    kernel: &Arc<dyn SoftmaxKernel>,
-    requests: &[Vec<f64>],
-    wants: &[Vec<f64>],
-    seed: u64,
-    window: std::ops::Range<u64>,
-) -> ChaosRun {
-    let (w0, w1) = (window.start, window.end);
-    let plan = FaultPlan::new(seed, CHAOS_RATE)
-        .with_window(window)
-        .with_delay(Duration::from_micros(CHAOS_DELAY_US));
-    let faulty = Arc::new(FaultyKernel::new(kernel, plan));
-    let as_kernel: Arc<dyn SoftmaxKernel> = faulty.clone();
-    // Generous respawn budget: every injected panic kills a worker and
-    // the pool must heal through all of them.
-    let config = ServeConfig::new(CHAOS_THREADS)
-        .with_chunk_rows(CHAOS_REQ_ROWS)
-        .with_queue_depth(CHAOS_INFLIGHT)
-        .with_respawn_cap(4096);
-    let router = ShardedRouter::new(CHAOS_SHARDS, config, RoutePolicy::RoundRobin)
-        .expect("chaos router config");
-
-    let mut counters = ChaosCounters {
-        ok: [0; 3],
-        failed: [0; 3],
-        injected_panics: 0,
-        injected_errors: 0,
-        injected_delays: 0,
-        worker_respawns: 0,
-        expired_requests: 0,
-    };
-    let mut samples = Vec::with_capacity(requests.len());
-    let run_start = std::time::Instant::now();
-    for (matrix, want) in requests.iter().zip(wants) {
-        // Phase classification is deterministic: the previous request
-        // fully resolved before this read, so the call counter is
-        // stable, and no fault can fire before w0.
-        let calls_before = faulty.calls();
-        let phase = if calls_before < w0 {
-            0
-        } else if calls_before < w1 {
-            1
-        } else {
-            2
-        };
-        let t0 = std::time::Instant::now();
-        let outcome = router
-            .submit_request(
-                Submission::new(&as_kernel, matrix.clone(), CHAOS_REQ_LEN),
-                Admission::Block,
-            )
-            .and_then(|ticket| ticket.wait());
-        let wall_s = t0.elapsed().as_secs_f64();
-        match &outcome {
-            Ok(probs) => {
-                assert_eq!(
-                    probs,
-                    want,
-                    "{} chaos survivor diverged from sequential execution",
-                    kernel.name()
-                );
-                counters.ok[phase] += 1;
-            }
-            // Injected errors and panicked batches come back as honest
-            // ticket errors — the liveness property under test.
-            Err(_) => counters.failed[phase] += 1,
-        }
-        samples.push(ChaosSample {
-            phase,
-            ok: outcome.is_ok(),
-            wall_s,
-            done_s: run_start.elapsed().as_secs_f64(),
-        });
-    }
-    let wall_s = run_start.elapsed().as_secs_f64();
-
-    counters.injected_panics = faulty.injected_panics();
-    counters.injected_errors = faulty.injected_errors();
-    counters.injected_delays = faulty.injected_delays();
-    let stats = router.stats();
-    counters.expired_requests = stats
-        .kernel(kernel.name())
-        .map(|s| s.expired_requests)
-        .unwrap_or(0);
-    let mut breaker_trips = 0;
-    for shard in 0..router.n_shards() {
-        counters.worker_respawns += router.shard(shard).worker_respawns();
-        breaker_trips += router.shard(shard).breaker_trips();
-    }
-    ChaosRun {
-        counters,
-        samples,
-        wall_s,
-        breaker_trips,
-    }
-}
-
-/// Milliseconds from the first post-window submission until
-/// `CHAOS_RECOVERY_STREAK` consecutive responses each came back within
-/// 2x the baseline median latency; `None` if that never happened.
-fn recovery_time_ms(samples: &[ChaosSample], baseline_p50_s: f64) -> Option<f64> {
-    let recovery: Vec<&ChaosSample> = samples.iter().filter(|s| s.phase == 2).collect();
-    let start_s = recovery.first().map(|s| s.done_s - s.wall_s)?;
-    let budget_s = 2.0 * baseline_p50_s;
-    let mut streak = 0usize;
-    for sample in recovery {
-        streak = if sample.ok && sample.wall_s <= budget_s {
-            streak + 1
-        } else {
-            0
-        };
-        if streak >= CHAOS_RECOVERY_STREAK {
-            return Some((sample.done_s - start_s) * 1e3);
-        }
-    }
-    None
 }
 
 /// One arrival of an open-loop schedule: when to send, which request

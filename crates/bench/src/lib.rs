@@ -13,7 +13,9 @@
 //! | Figure 5 (energy vs seq len sweep) | `fig5_seqlen_sweep` |
 //! | Ablations (design-choice sweeps) | `ablation_sweep` |
 //!
-//! Criterion benches for the software kernels live in `benches/`.
+//! The `throughput` binary times the software kernels (`--roofline`),
+//! tiled-streamed attention (`--stream`) and the open-loop scheduler
+//! (`--open-loop`).
 
 // No unsafe code in this crate, enforced by the compiler; the
 // workspace-wide unsafe audit lives in `softermax-analysis`.

@@ -14,7 +14,6 @@ use softermax::{metrics, SoftermaxConfig};
 use softermax_hw::accel::Accelerator;
 use softermax_hw::pe::PeConfig;
 use softermax_hw::workload::AttentionShape;
-use softermax_serve::fault::{silence_injected_panics, FaultPlan, FaultyKernel};
 use softermax_serve::{
     traffic, Admission, BatchEngine, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket,
 };
@@ -54,17 +53,6 @@ pub const USAGE: &str = "usage:
                                                     the same payload a
                                                     softermax-server answers
                                                     Stats frames with
-                  [--chaos-seed N] [--fault-rate F]
-                                                    either flag also selects
-                                                    concurrent mode and wraps
-                                                    the kernel in a seeded
-                                                    fault injector (panics,
-                                                    errors, delays per row at
-                                                    rate F); failed requests
-                                                    are reported and excluded
-                                                    from the bit-identity
-                                                    check, survivors must
-                                                    still match exactly
   softermax attention [--backend <name>|all] [--seq N] [--heads H] [--dim D]
                       [--tile N] [--seed N] [--streaming]
                                                     attention demo; --streaming
@@ -230,10 +218,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut requests: Option<usize> = None;
     let mut policy: Option<RoutePolicy> = None;
     let mut no_steal = false;
-    // Chaos flags: either one selects the concurrent path too, since
-    // fault injection exercises the router/engine recovery machinery.
-    let mut chaos_seed: Option<u64> = None;
-    let mut fault_rate: Option<f64> = None;
     let mut stats_json = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -277,22 +261,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--seed must be an integer".to_string())?;
             }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    value("--chaos-seed")?
-                        .parse()
-                        .map_err(|_| "--chaos-seed must be an integer".to_string())?,
-                );
-            }
-            "--fault-rate" => {
-                fault_rate = Some(
-                    value("--fault-rate")?
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| "--fault-rate must be a fraction in [0, 1]".to_string())?,
-                );
-            }
             "--threads" => {
                 threads = Some(
                     value("--threads")?
@@ -321,8 +289,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         || policy.is_some()
         || no_steal
         || stats_json
-        || chaos_seed.is_some()
-        || fault_rate.is_some()
     {
         // Concurrent mode runs one router, so a --threads sweep would be
         // ambiguous, and repetition is expressed as --requests — reject
@@ -352,8 +318,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             rows,
             len,
             seed,
-            chaos_seed,
-            fault_rate,
             stats_json,
         };
         return serve_concurrent(&kernels, &opts);
@@ -530,8 +494,6 @@ struct ConcurrentServeOpts {
     rows: usize,
     len: usize,
     seed: u64,
-    chaos_seed: Option<u64>,
-    fault_rate: Option<f64>,
     stats_json: bool,
 }
 
@@ -545,28 +507,16 @@ fn serve_concurrent(
     kernels: &[Arc<dyn SoftmaxKernel>],
     opts: &ConcurrentServeOpts,
 ) -> Result<(), String> {
-    let chaos = opts.chaos_seed.is_some() || opts.fault_rate.is_some();
-    let chaos_seed = opts.chaos_seed.unwrap_or(42);
-    let fault_rate = opts.fault_rate.unwrap_or(0.02);
-    if chaos {
-        // Injected worker panics are expected traffic here, not bugs.
-        silence_injected_panics();
-    }
     let mut config = ServeConfig::new(opts.threads)
         .with_queue_depth(opts.inflight)
         .with_work_stealing(!opts.no_steal);
     if let Some(c) = opts.chunk_rows {
         config = config.with_chunk_rows(c);
     }
-    if chaos {
-        // Every injected panic kills a worker; the pool must be allowed
-        // to heal through all of them.
-        config = config.with_respawn_cap(4096);
-    }
     let router = ShardedRouter::new(opts.shards, config, opts.policy).map_err(|e| e.to_string())?;
     println!(
         "# softermax serve (concurrent): {} client(s) x {} request(s) of {} rows x {}, \
-         {} shard(s) x {} thread(s), inflight {}, {:?}{}{}\n",
+         {} shard(s) x {} thread(s), inflight {}, {:?}{}\n",
         opts.clients,
         opts.requests,
         opts.rows,
@@ -580,11 +530,6 @@ fn serve_concurrent(
         } else {
             ""
         },
-        if chaos {
-            format!(", chaos seed {chaos_seed} rate {fault_rate}")
-        } else {
-            String::new()
-        },
     );
     println!(
         "{:<16} {:>8} {:>7} {:>12} {:>10} {:>10} {:>10}",
@@ -594,22 +539,6 @@ fn serve_concurrent(
     let mut results: Vec<serde_json::Value> = Vec::new();
     for kernel in kernels {
         router.reset_stats();
-        // Under chaos the submitted kernel is the fault-injecting
-        // wrapper; the clean kernel stays the ground truth. Respawn
-        // counts are engine-level, so take a per-kernel delta.
-        let faulty = chaos.then(|| {
-            Arc::new(FaultyKernel::new(
-                kernel,
-                FaultPlan::new(chaos_seed, fault_rate),
-            ))
-        });
-        let serve_kernel: Arc<dyn SoftmaxKernel> = match &faulty {
-            Some(wrapped) => wrapped.clone(),
-            None => kernel.clone(),
-        };
-        let respawns_before: u64 = (0..router.n_shards())
-            .map(|s| router.shard(s).worker_respawns())
-            .sum();
         // Plan every request matrix (deterministic per (client,
         // request)). The sequential ground truth is *recomputed* during
         // the post-wall verification pass instead of stored, so peak
@@ -641,13 +570,12 @@ fn serve_concurrent(
                 .enumerate()
                 .map(|(client, reqs)| {
                     let router = &router;
-                    let serve_kernel = &serve_kernel;
                     scope.spawn(move || {
                         reqs.iter()
                             .enumerate()
                             .map(|(request, matrix)| {
                                 let mut submission =
-                                    Submission::new(serve_kernel, matrix.clone(), opts.len);
+                                    Submission::new(kernel, matrix.clone(), opts.len);
                                 if opts.streaming && (client + request) % 2 == 1 {
                                     let chunk =
                                         opts.stream_chunk.unwrap_or_else(|| opts.len.max(1));
@@ -671,21 +599,14 @@ fn serve_concurrent(
 
         // Post-wall verification (unmeasured): recompute each request's
         // sequential ground truth, bit-compare, and free the response
-        // as it is checked. Without chaos a failed response counts as a
-        // divergence and aborts the report; under chaos, failures are
-        // the injector doing its job — they are *counted and excluded*,
-        // never silently folded into the survivors, and every survivor
-        // must still match the clean kernel exactly.
+        // as it is checked. A failed response aborts the report.
         let mut scratch = ScratchBuffers::default();
         let mut mismatches = 0usize;
-        let mut failed = 0usize;
         let mut want = vec![0.0; opts.rows * opts.len];
         for (reqs, outs) in plans.iter().zip(responses) {
             for (matrix, outcome) in reqs.iter().zip(outs) {
-                let Ok(got) = outcome else {
-                    failed += 1;
-                    continue;
-                };
+                let got = outcome
+                    .map_err(|e| format!("{}: a concurrent request failed: {e}", kernel.name()))?;
                 for (row, out_row) in matrix
                     .chunks_exact(opts.len)
                     .zip(want.chunks_exact_mut(opts.len))
@@ -709,12 +630,6 @@ fn serve_concurrent(
                 kernel.name()
             ));
         }
-        if failed > 0 && !chaos {
-            return Err(format!(
-                "{}: {failed} concurrent request(s) failed without fault injection",
-                kernel.name()
-            ));
-        }
 
         let stats = router.stats();
         let s = stats
@@ -733,7 +648,7 @@ fn serve_concurrent(
             p95 as f64 / 1e6,
             p99 as f64 / 1e6,
         );
-        let mut entry = serde_json::json!({
+        results.push(serde_json::json!({
             "kernel": kernel.name(),
             "clients": opts.clients,
             "shards": opts.shards,
@@ -747,48 +662,8 @@ fn serve_concurrent(
             "p95_latency_ms": p95 as f64 / 1e6,
             "p99_latency_ms": p99 as f64 / 1e6,
             "mean_latency_ms": s.mean_batch_latency_ns() / 1e6,
-            // Under chaos this attests to the *survivors*: failures are
-            // excluded from the comparison and counted separately.
             "bit_identical": true,
-        });
-        if let Some(faulty) = &faulty {
-            let total = opts.clients * opts.requests;
-            let respawns: u64 = (0..router.n_shards())
-                .map(|s| router.shard(s).worker_respawns())
-                .sum::<u64>()
-                - respawns_before;
-            let availability = (total - failed) as f64 / total.max(1) as f64;
-            println!(
-                "{:<16} {:>8} chaos: {failed}/{total} failed (availability {availability:.3}), \
-                 injected {}p/{}e/{}d, {respawns} worker respawn(s)",
-                format!("  {}", kernel.name()),
-                "",
-                faulty.injected_panics(),
-                faulty.injected_errors(),
-                faulty.injected_delays(),
-            );
-            let serde_json::Value::Object(fields) = &mut entry else {
-                unreachable!("entry is a JSON object");
-            };
-            fields.push(("chaos_seed".to_string(), serde_json::json!(chaos_seed)));
-            fields.push(("fault_rate".to_string(), serde_json::json!(fault_rate)));
-            fields.push(("failed_requests".to_string(), serde_json::json!(failed)));
-            fields.push(("availability".to_string(), serde_json::json!(availability)));
-            fields.push((
-                "injected_panics".to_string(),
-                serde_json::json!(faulty.injected_panics()),
-            ));
-            fields.push((
-                "injected_errors".to_string(),
-                serde_json::json!(faulty.injected_errors()),
-            ));
-            fields.push((
-                "injected_delays".to_string(),
-                serde_json::json!(faulty.injected_delays()),
-            ));
-            fields.push(("worker_respawns".to_string(), serde_json::json!(respawns)));
-        }
-        results.push(entry);
+        }));
     }
 
     // The scheduler/health counters the network control plane reports
@@ -818,7 +693,6 @@ fn serve_concurrent(
             "policy": format!("{:?}", opts.policy),
             "streaming_mix": opts.streaming,
             "seed": opts.seed,
-            "chaos": chaos,
             "scheduler": {
                 "jobs_stolen": router.jobs_stolen(),
                 "jobs_donated": router.jobs_donated(),
@@ -1242,55 +1116,6 @@ mod tests {
             "4"
         ]))
         .is_err());
-    }
-
-    #[test]
-    fn serve_chaos_flags_inject_faults_and_exclude_failures_honestly() {
-        // A fault rate of 1.0 fails *every* request: the run must still
-        // report success (failures are counted and excluded under
-        // chaos, not folded into the bit-identity verdict), and the
-        // engine must survive the injected panics.
-        assert!(run(&s(&[
-            "serve",
-            "--rows",
-            "4",
-            "--len",
-            "4",
-            "--threads",
-            "2",
-            "--clients",
-            "2",
-            "--requests",
-            "2",
-            "--chaos-seed",
-            "7",
-            "--fault-rate",
-            "1.0",
-        ]))
-        .is_ok());
-        // A lone chaos flag selects concurrent mode, like any other
-        // concurrency flag; rate 0.0 must behave like a clean run.
-        assert!(run(&s(&[
-            "serve",
-            "--rows",
-            "4",
-            "--len",
-            "4",
-            "--threads",
-            "1",
-            "--fault-rate",
-            "0.0",
-        ]))
-        .is_ok());
-    }
-
-    #[test]
-    fn serve_chaos_rejects_bad_flags() {
-        assert!(run(&s(&["serve", "--fault-rate", "1.5"])).is_err());
-        assert!(run(&s(&["serve", "--fault-rate", "-0.1"])).is_err());
-        assert!(run(&s(&["serve", "--fault-rate", "x"])).is_err());
-        assert!(run(&s(&["serve", "--chaos-seed", "y"])).is_err());
-        assert!(run(&s(&["serve", "--chaos-seed"])).is_err());
     }
 
     #[test]

@@ -1369,6 +1369,54 @@ mod tests {
         }
     }
 
+    /// The compiled Reduction unit against the scalar one it replaces,
+    /// [`Softermax::merge_running`], at every max difference the max
+    /// format holds (the stale max runs over every encoding below a top
+    /// new max, so saturated differences are covered) times every
+    /// pow-sum encoding on the stale side, with the other side's sum at 0
+    /// and at the rail, and with either side stale. The paper config
+    /// takes the whole-shift path at integer differences; every
+    /// fractional difference, and the float-max config's, takes the
+    /// factor path.
+    #[test]
+    #[ignore = "exhaustive sweep; run in release with --include-ignored"]
+    fn merge_matches_the_scalar_reduction_unit_at_every_difference_and_sum() {
+        let float_max = SoftermaxConfig::builder()
+            .max_mode(MaxMode::Float)
+            .build()
+            .unwrap();
+        for cfg in [SoftermaxConfig::paper(), float_max] {
+            let sm = Softermax::new(cfg.clone());
+            let (max, pow_sum) = (cfg.max_format, cfg.pow_sum_format);
+            let top = max.max_raw();
+            let fixed = |raw: i64, fmt: QFormat| Fixed::from_raw_saturating(raw, fmt);
+            for stale in max.min_raw()..=top {
+                for sum in 0..=pow_sum.max_raw() {
+                    for other in [0, pow_sum.max_raw()] {
+                        for stale_first in [true, false] {
+                            let (a, b) = ((stale, sum), (top, other));
+                            let (first, second) = if stale_first { (a, b) } else { (b, a) };
+                            let mut raw = Some(first);
+                            sm.compiled.merge(&mut raw, second.0, second.1);
+                            let mut scalar = Some((fixed(first.0, max), fixed(first.1, pow_sum)));
+                            sm.merge_running(
+                                &mut scalar,
+                                fixed(second.0, max),
+                                fixed(second.1, pow_sum),
+                            );
+                            let (want_max, want_sum) = scalar.expect("merged");
+                            assert_eq!(
+                                raw,
+                                Some((want_max.raw(), want_sum.raw())),
+                                "{first:?} merged with {second:?} under {cfg:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn long_row_keeps_mass_and_argmax() {
         let sm = paper_sm();

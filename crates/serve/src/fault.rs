@@ -82,14 +82,19 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan faulting each in-window call with probability `rate`
-    /// (clamped into `[0, 1]`), drawing uniformly from every
+    /// (clamped into `[0, 1]`; NaN means 0), drawing uniformly from every
     /// [`FaultKind`]. Default: no window bound (every call eligible),
     /// 1 ms injected delay.
     #[must_use]
     pub fn new(seed: u64, rate: f64) -> Self {
         Self {
             seed,
-            rate: rate.clamp(0.0, 1.0),
+            // `f64::clamp` passes NaN through, and `gen_bool(NaN)` panics.
+            rate: if rate.is_nan() {
+                0.0
+            } else {
+                rate.clamp(0.0, 1.0)
+            },
             window: None,
             kinds: vec![FaultKind::Panic, FaultKind::Error, FaultKind::Delay],
             delay: Duration::from_millis(1),
@@ -169,7 +174,8 @@ pub struct InjectedPanic {
 /// Installs a panic hook that swallows the default "thread panicked"
 /// report for [`InjectedPanic`] payloads — injected chaos is expected
 /// noise — while forwarding every other panic to the previous hook
-/// untouched. Call once per process (e.g. from a chaos harness's main).
+/// untouched. Call once per process (e.g. behind a `std::sync::Once` in a
+/// fault-injection test).
 pub fn silence_injected_panics() {
     let previous = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -352,9 +358,15 @@ mod tests {
             assert!(always.decide(call).is_some());
             assert_eq!(disabled.decide(call), None);
         }
-        // Out-of-range rates clamp instead of panicking in gen_bool.
+        // Out-of-range and NaN rates clamp instead of panicking in
+        // gen_bool.
         assert_eq!(FaultPlan::new(5, -3.0).rate(), 0.0);
         assert_eq!(FaultPlan::new(5, 42.0).rate(), 1.0);
+        let nan = FaultPlan::new(5, f64::NAN);
+        assert_eq!(nan.rate(), 0.0);
+        for call in 0..100 {
+            assert_eq!(nan.decide(call), None);
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@
 //! * **Deterministic fault injection** — the [`fault`] module wraps any
 //!   kernel in a [`FaultyKernel`] driven by a seeded [`FaultPlan`]
 //!   (panics, errors, latency spikes on a reproducible schedule), which
-//!   is how the above is tested and benchmarked without sleeps or luck.
+//!   is how the above is tested without sleeps or luck.
 //!
 //! # Scheduling
 //!

@@ -315,8 +315,8 @@ impl KernelServeStats {
 
     /// Fraction of finished non-empty requests that succeeded:
     /// `batches / (batches + failed_batches + expired_requests)`. The
-    /// serving-layer health number the chaos harness and the breaker
-    /// floor assertions report. 1.0 when nothing has finished yet.
+    /// serving-layer health number the breaker floor assertions report.
+    /// 1.0 when nothing has finished yet.
     #[must_use]
     pub fn availability(&self) -> f64 {
         let finished = self.batches + self.failed_batches + self.expired_requests;

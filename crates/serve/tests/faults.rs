@@ -1,17 +1,25 @@
-//! Property: under *random* fault plans — injected panics, errors, and
-//! latency spikes, across 1–2 shards and both routing policies — the
-//! serving layer never loses a request: every submitted ticket
-//! terminates (success or honest error, never a hang), and every
-//! *successful* response stays bit-identical to sequential execution of
-//! the clean kernel.
+//! Fault injection through the serving layer.
+//!
+//! * Property: under *random* fault plans — injected panics, errors, and
+//!   latency spikes, across 1–2 shards and both routing policies — the
+//!   serving layer never loses a request: every submitted ticket
+//!   terminates (success or honest error, never a hang), and every
+//!   *successful* response stays bit-identical to sequential execution
+//!   of the clean kernel.
+//! * Gate: one fixed seeded schedule per builtin kernel, run twice. A
+//!   [`FaultPlan`] decides by forward-call index alone, so every counter
+//!   of the run is exact; the gate pins them, holds fault-window
+//!   availability at 0.5 or more, and bit-checks every survivor.
 
+use std::ops::Range;
 use std::sync::{Arc, Once};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use softermax::kernel::{ScratchBuffers, SoftmaxKernel};
 use softermax::KernelRegistry;
 use softermax_serve::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel};
+use softermax_serve::traffic::synthetic_matrix;
 use softermax_serve::{
     Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
 };
@@ -113,5 +121,167 @@ proptest! {
                 TicketPoll::Ready(Err(_)) => {}
             }
         }
+    }
+}
+
+/// The gate's schedule: 30 requests of 32 rows x 64 from one closed-loop
+/// client, through 2 shards x 4 workers. A request is exactly one
+/// scheduling chunk (`chunk_rows` 32), so the client's forward calls
+/// form one strictly sequential stream and the schedule's outcome is a
+/// function of the seed alone. Faults (rate 0.02 per row, 2 ms delays)
+/// are confined to calls 320..640, the middle third of the run: the
+/// first ten requests take exactly 32 calls each, so none straddles the
+/// window's start.
+const CHAOS_SEED: u64 = 11;
+const CHAOS_REQUESTS: usize = 30;
+const CHAOS_ROWS: usize = 32;
+const CHAOS_LEN: usize = 64;
+const CHAOS_RATE: f64 = 0.02;
+const CHAOS_DELAY: Duration = Duration::from_millis(2);
+const CHAOS_WINDOW: Range<u64> = 320..640;
+const CHAOS_SHARDS: usize = 2;
+const CHAOS_WORKERS: usize = 4;
+
+/// Everything one run of the schedule counts. Each is a function of the
+/// call stream alone; wall-clock numbers (latencies, breaker trips,
+/// whose cooldown is timed) are left out.
+#[derive(Debug, PartialEq, Eq)]
+struct ChaosCounters {
+    /// Successful requests per phase: [baseline, fault window, recovery].
+    ok: [u64; 3],
+    /// Failed requests per phase.
+    failed: [u64; 3],
+    panics: u64,
+    errors: u64,
+    delays: u64,
+    respawns: u64,
+    expired: u64,
+}
+
+/// One run of the schedule against a fresh `FaultyKernel` and a fresh
+/// router, so the call index and every counter start at zero. Blocking
+/// admission bypasses the circuit breaker: an open breaker re-routes
+/// work instead of refusing it, which keeps the counters independent of
+/// its timed cooldown. Panics unless every survivor is bit-identical to
+/// `wants`.
+fn chaos_run(
+    kernel: &Arc<dyn SoftmaxKernel>,
+    requests: &[Vec<f64>],
+    wants: &[Vec<f64>],
+) -> ChaosCounters {
+    let plan = FaultPlan::new(CHAOS_SEED, CHAOS_RATE)
+        .with_window(CHAOS_WINDOW)
+        .with_delay(CHAOS_DELAY);
+    let faulty = Arc::new(FaultyKernel::new(kernel, plan));
+    let serve_kernel: Arc<dyn SoftmaxKernel> = faulty.clone();
+    // Every injected panic kills a worker; the pool must heal through
+    // all of them.
+    let config = ServeConfig::new(CHAOS_WORKERS)
+        .with_chunk_rows(CHAOS_ROWS)
+        .with_queue_depth(32)
+        .with_respawn_cap(4096);
+    let router =
+        ShardedRouter::new(CHAOS_SHARDS, config, RoutePolicy::RoundRobin).expect("valid config");
+
+    let (mut ok, mut failed) = ([0u64; 3], [0u64; 3]);
+    for (matrix, want) in requests.iter().zip(wants) {
+        // The previous request has resolved, so the call index is
+        // stable here; it places this request in its phase.
+        let calls = faulty.calls();
+        let phase =
+            usize::from(calls >= CHAOS_WINDOW.start) + usize::from(calls >= CHAOS_WINDOW.end);
+        let outcome = router
+            .submit_request(
+                Submission::new(&serve_kernel, matrix.clone(), CHAOS_LEN),
+                Admission::Block,
+            )
+            .and_then(Ticket::wait);
+        match outcome {
+            Ok(probs) => {
+                assert!(
+                    probs
+                        .iter()
+                        .map(|p| p.to_bits())
+                        .eq(want.iter().map(|p| p.to_bits())),
+                    "{}: a survivor diverged from sequential execution",
+                    kernel.name()
+                );
+                ok[phase] += 1;
+            }
+            Err(_) => failed[phase] += 1,
+        }
+    }
+
+    // A worker's supervisor resolves the panicked request's ticket
+    // before it counts the respawn, so the last respawn may still be in
+    // flight here: wait (bounded) until every panic is accounted for.
+    let respawns = || -> u64 {
+        (0..router.n_shards())
+            .map(|shard| router.shard(shard).worker_respawns())
+            .sum()
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while respawns() < faulty.injected_panics() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let expired = router
+        .stats()
+        .kernel(kernel.name())
+        .map_or(0, |stats| stats.expired_requests);
+    ChaosCounters {
+        ok,
+        failed,
+        panics: faulty.injected_panics(),
+        errors: faulty.injected_errors(),
+        delays: faulty.injected_delays(),
+        respawns: respawns(),
+        expired,
+    }
+}
+
+/// The fault-injection gate: for every builtin kernel, the seed-11
+/// schedule run twice gives the same counters, at least half the
+/// fault-window requests survive, every survivor is exact, and the
+/// counters are the pinned ones: all three fault kinds fire, and the
+/// pool heals through both panics.
+#[test]
+fn seeded_chaos_schedule_is_deterministic_exact_and_available() {
+    quiet_panics();
+    let requests: Vec<Vec<f64>> = (0..CHAOS_REQUESTS)
+        .map(|r| synthetic_matrix(CHAOS_ROWS, CHAOS_LEN, 2.5, 1_000 + r as u64))
+        .collect();
+    for kernel in KernelRegistry::global().kernels() {
+        let wants: Vec<Vec<f64>> = requests
+            .iter()
+            .map(|matrix| sequential(kernel.as_ref(), matrix, CHAOS_LEN))
+            .collect();
+        let first = chaos_run(kernel, &requests, &wants);
+        let second = chaos_run(kernel, &requests, &wants);
+        assert_eq!(
+            first,
+            second,
+            "{}: two runs of the same seed diverged",
+            kernel.name()
+        );
+        let availability = first.ok[1] as f64 / (first.ok[1] + first.failed[1]) as f64;
+        assert!(
+            availability >= 0.5,
+            "{}: fault-window availability {availability:.3} < 0.5",
+            kernel.name()
+        );
+        assert_eq!(
+            first,
+            ChaosCounters {
+                ok: [10, 9, 6],
+                failed: [0, 5, 0],
+                panics: 2,
+                errors: 3,
+                delays: 1,
+                respawns: 2,
+                expired: 0,
+            },
+            "{}",
+            kernel.name()
+        );
     }
 }
