@@ -4,7 +4,7 @@
 //! softermax softmax  [--backend <kernel-name>] 2 1 3
 //! softermax compare  2 1 3            # every registered backend side by side
 //! softermax kernels                   # list the SoftmaxKernel registry
-//! softermax serve    [--rows 4096] [--threads 1,4]   # batched serving bench
+//! softermax attention [--seq 64] [--streaming]   # tiled vs materialized attention
 //! softermax hw       [--width 16|32] [--seq 384]
 //! softermax config                    # print the paper configuration
 //! ```

@@ -1369,6 +1369,43 @@ mod tests {
         }
     }
 
+    /// The compiled Normalization unit against the scalar one it replaces
+    /// at the paper config: for every pow-sum encoding, the [`OutputMap`]
+    /// of its reciprocal applied to `numer * mant` equals
+    /// [`apply_reciprocal`] at every unnormed numerator encoding. Both
+    /// paths see a pow-sum only through the one [`RecipUnit::reciprocal`]
+    /// call (which rejects a zero sum in both), so each distinct
+    /// reciprocal is swept once: that covers every (pow-sum, unnormed)
+    /// pair.
+    #[test]
+    #[ignore = "exhaustive sweep; run in release with --include-ignored"]
+    fn output_map_matches_the_scalar_normalization_unit_at_every_sum_and_numerator() {
+        let sm = paper_sm();
+        let cfg = sm.config();
+        let (unnormed, out) = (cfg.unnormed_format, cfg.output_format);
+        let mut seen = std::collections::BTreeSet::new();
+        for sum in 1..=cfg.pow_sum_format.max_raw() {
+            let recip = sm
+                .recip
+                .reciprocal(Fixed::from_raw_saturating(sum, cfg.pow_sum_format))
+                .expect("positive sum");
+            if !seen.insert((recip.mantissa.raw(), recip.exponent)) {
+                continue;
+            }
+            let map = OutputMap::new(recip, unnormed, out);
+            let mant = recip.mantissa.raw() as u64;
+            for numer in 0..=unnormed.max_raw() {
+                let want =
+                    apply_reciprocal(Fixed::from_raw_saturating(numer, unnormed), recip, out);
+                assert_eq!(
+                    map.apply(numer as u64 * mant) as i64,
+                    want.raw(),
+                    "numer {numer} under the reciprocal of pow-sum {sum} ({recip:?})"
+                );
+            }
+        }
+    }
+
     /// The compiled Reduction unit against the scalar one it replaces,
     /// [`Softermax::merge_running`], at every max difference the max
     /// format holds (the stale max runs over every encoding below a top

@@ -28,7 +28,6 @@ use crate::health::BreakerConfig;
 /// let cfg = ServeConfig::new(4);
 /// assert_eq!(cfg.threads, 4);
 /// assert_eq!(cfg.chunk_rows, PeConfig::paper_32().n_lanes);
-/// assert_eq!(cfg.vector_width, 32);
 /// assert_eq!(cfg.queue_depth, softermax_serve::DEFAULT_QUEUE_DEPTH);
 /// assert!(cfg.validate().is_ok());
 /// ```
@@ -38,9 +37,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Rows per scheduling chunk (the PE's lane parallelism).
     pub chunk_rows: usize,
-    /// Slice width of the modelled softmax unit (the PE's vector size) —
-    /// recorded so reports can relate software chunks to hardware slices.
-    pub vector_width: usize,
     /// Admission bound: the maximum number of batches in flight (queued
     /// or executing) at once. A full engine rejects non-blocking
     /// submissions with [`SoftmaxError::QueueFull`] and blocks the
@@ -96,14 +92,12 @@ impl ServeConfig {
     }
 
     /// Derives the chunk geometry from an explicit PE model: one chunk is
-    /// the `n_lanes`-row block the PE processes in parallel, sliced
-    /// `softmax_width` elements at a time.
+    /// the `n_lanes`-row block the PE processes in parallel.
     #[must_use]
     pub fn from_pe(pe: &PeConfig, threads: usize) -> Self {
         Self {
             threads,
             chunk_rows: pe.n_lanes,
-            vector_width: pe.softmax_width(),
             queue_depth: DEFAULT_QUEUE_DEPTH,
             admission_timeout: DEFAULT_ADMISSION_TIMEOUT,
             respawn_cap: DEFAULT_RESPAWN_CAP,
@@ -202,10 +196,8 @@ mod tests {
     fn paper_pe_geometry_is_the_default() {
         let cfg = ServeConfig::new(2);
         assert_eq!(cfg.chunk_rows, 32);
-        assert_eq!(cfg.vector_width, 32);
         let cfg16 = ServeConfig::from_pe(&PeConfig::paper_16(), 2);
         assert_eq!(cfg16.chunk_rows, 16);
-        assert_eq!(cfg16.vector_width, 16);
     }
 
     #[test]

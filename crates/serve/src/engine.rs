@@ -356,14 +356,6 @@ impl BatchEngine {
     pub fn stats(&self) -> EngineStats {
         EngineStats::from_map(lock(&self.shared.stats).per_kernel.clone())
     }
-
-    /// Clears the per-kernel serving counters and the recent-latency
-    /// ring behind [`BatchEngine::recent_p99_ns`].
-    pub fn reset_stats(&self) {
-        let mut stats = lock(&self.shared.stats);
-        stats.per_kernel.clear();
-        stats.recent.clear();
-    }
 }
 
 impl Drop for BatchEngine {
@@ -785,7 +777,7 @@ impl Shared {
     /// Accounts one finished batch. Successes feed the throughput and
     /// latency counters; failures and expiries are counted apart (with
     /// their partial row progress and their wall time) so they can never
-    /// inflate `rows_per_sec` or the latency percentiles; zero-row
+    /// inflate the success counters or the latency percentiles; zero-row
     /// no-ops are counted apart too (`empty_batches`). Every non-empty
     /// outcome also feeds the circuit breaker.
     fn record(
@@ -1474,6 +1466,13 @@ fn worker_loop(shared: &Shared, active: &ActiveChunk) {
 /// resolve), and the worker is revived in place while the pool's respawn
 /// budget lasts. Past the budget the worker dies for good; losing the
 /// last worker fails the engine so nothing ever hangs on an empty pool.
+///
+/// The panic, respawn and live-worker counters move before the panicked
+/// chunk is retired, so a client woken by that batch's ticket reads them
+/// current: the ticket resolves under the job's state mutex, which orders
+/// the `Relaxed` counter updates before the client's reads. The job is
+/// failed first: its error is sticky, so an abort of its queued chunks by
+/// [`Shared::worker_lost`] cannot replace the panic with `EngineShutdown`.
 fn supervised_worker(shared: &Arc<Shared>) {
     let active = ActiveChunk::default();
     loop {
@@ -1486,14 +1485,14 @@ fn supervised_worker(shared: &Arc<Shared>) {
             }
             Err(_) => {
                 shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                if let Some((job, chunk)) = active.take() {
+                let panicked = active.take();
+                if let Some((job, chunk)) = &panicked {
                     job.fail(SoftmaxError::InvalidConfig(format!(
                         "kernel '{}' panicked while serving rows {}..{}",
                         job.kernel.name(),
                         chunk.start,
                         chunk.end
                     )));
-                    finish_chunk(shared, &job);
                 }
                 let respawn = {
                     let mut intake = lock(&shared.intake);
@@ -1506,11 +1505,16 @@ fn supervised_worker(shared: &Arc<Shared>) {
                 };
                 if respawn {
                     shared.worker_respawns.fetch_add(1, Ordering::Relaxed);
-                    // Reincarnate in place: same thread, fresh loop state.
-                    continue;
+                } else {
+                    shared.worker_lost();
                 }
-                shared.worker_lost();
-                return;
+                if let Some((job, _)) = panicked {
+                    finish_chunk(shared, &job);
+                }
+                if !respawn {
+                    return;
+                }
+                // Reincarnate in place: same thread, fresh loop state.
             }
         }
     }
@@ -1585,7 +1589,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_per_kernel_and_reset() {
+    fn stats_accumulate_per_kernel() {
         let registry = KernelRegistry::global();
         let engine = engine(2);
         let rows: Vec<f64> = (0..64 * 8).map(|i| f64::from(i % 7) - 3.0).collect();
@@ -1601,25 +1605,23 @@ mod tests {
         assert_eq!(sm.elements, 1024);
         assert!(sm.wall_ns > 0);
         assert_eq!(sm.latency.len(), 2);
-        assert!(sm.p50_latency_ns() > 0);
+        assert!(sm.latency.percentile_ns(0.50) > 0);
         assert_eq!(stats.kernel("reference-2").expect("served").rows, 64);
         assert_eq!(stats.total().rows, 192);
-        engine.reset_stats();
-        assert!(engine.stats().is_empty());
     }
 
     #[test]
     fn recent_p99_spans_kernels_and_counts_only_real_successes() {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-        let engine = engine(1);
-        assert_eq!(engine.recent_p99_ns(), 0, "no history yet");
-        serve(&engine, &kernel, &[1.0, 2.0, 3.0], 3, None).expect("serve");
-        assert!(engine.recent_p99_ns() > 0, "a served batch feeds the ring");
-        engine.reset_stats();
-        assert_eq!(engine.recent_p99_ns(), 0, "reset clears the ring");
+        let served = engine(1);
+        assert_eq!(served.recent_p99_ns(), 0, "no history yet");
+        serve(&served, &kernel, &[1.0, 2.0, 3.0], 3, None).expect("serve");
+        assert!(served.recent_p99_ns() > 0, "a served batch feeds the ring");
 
-        // Exact wall times through the accounting entry point: only
-        // non-empty successes, of any kernel, may reach the ring.
+        // Exact wall times through the accounting entry point of a fresh
+        // engine: only non-empty successes, of any kernel, may reach the
+        // ring.
+        let engine = engine(1);
         let shared = &engine.shared;
         shared.record("a", Outcome::Success, 4, 16, 1, 100);
         shared.record("b", Outcome::Success, 4, 16, 1, 300);
@@ -1635,8 +1637,13 @@ mod tests {
         assert_eq!(engine.recent_p99_ns(), 200);
         shared.record("a", Outcome::Success, 1, 4, 1, 500);
         assert_eq!(engine.recent_p99_ns(), 300);
-        engine.reset_stats();
-        assert_eq!(engine.recent_p99_ns(), 0);
+        // Kernel `a`'s failed and zero-row batches reach neither its
+        // latency window nor its success wall time.
+        let stats = engine.stats();
+        let a = stats.kernel("a").expect("recorded");
+        assert_eq!(a.latency.samples().collect::<Vec<_>>(), vec![100, 500]);
+        assert_eq!((a.wall_ns, a.failed_wall_ns), (600, 90_000));
+        assert_eq!((a.batches, a.failed_batches, a.empty_batches), (2, 1, 1));
     }
 
     #[test]

@@ -31,13 +31,15 @@
 //!   the hardware model*: one chunk is the block of rows a paper PE's
 //!   lane array processes in parallel ([`PeConfig::n_lanes`]), so
 //!   software batching mirrors the accelerator's unit parallelism;
-//! * [`EngineStats`] / [`KernelServeStats`] — per-kernel rows/s, element
-//!   throughput, batch latency means **and p50/p95/p99 percentiles**
-//!   (over a sliding [`LatencyWindow`]), worker utilization, and honest
-//!   failure counters (failed batches never inflate the rates);
+//! * [`EngineStats`] / [`KernelServeStats`] — per-kernel raw counters
+//!   (rows, elements, worker busy time, request wall time), **p50/p95/p99
+//!   latency percentiles** over a sliding [`LatencyWindow`], and honest
+//!   failure counters (failed batches never reach the success counters or
+//!   the window); [`ShardedRouter::control_snapshot`] serializes them for
+//!   the network `Stats` reply;
 //! * [`traffic`] — deterministic synthetic attention-score traffic for
-//!   load generation (the CLI `serve` subcommand and the `throughput`
-//!   harness both drive the engine with it).
+//!   load generation (the `throughput` harness and the fault-injection
+//!   tests drive the engine with it).
 //!
 //! # Fault tolerance
 //!

@@ -242,9 +242,8 @@ impl ShardedRouter {
     /// The full control-plane snapshot as one JSON value: the merged
     /// per-kernel [`EngineStats`], the scheduler counters (work
     /// stealing, breaker trips, self-healing respawns), and the
-    /// per-shard health array. This is the **single** path behind both
-    /// the network `Stats` reply and `cli serve --stats-json`, so the
-    /// two can never report different fields.
+    /// per-shard health array. Its one output is the network `Stats`
+    /// reply, whose keys `docs/PROTOCOL.md` lists.
     #[must_use]
     pub fn control_snapshot(&self) -> serde::Value {
         use serde::Serialize;
@@ -468,13 +467,6 @@ impl ShardedRouter {
             merged.absorb(&shard.stats());
         }
         merged
-    }
-
-    /// Clears every shard's serving counters.
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.reset_stats();
-        }
     }
 }
 

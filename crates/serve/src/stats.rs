@@ -1,5 +1,5 @@
-//! Per-kernel serving accounting: throughput, latency percentiles,
-//! utilization, and honest failure counters.
+//! Per-kernel serving accounting: raw work and time counters, latency
+//! percentiles, and honest failure counters.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -195,7 +195,8 @@ pub(crate) fn nearest_rank_p99(samples: &mut [u64]) -> u64 {
 /// workers really were busy), so with `t` threads perfectly busy,
 /// `busy_ns ≈ t × wall_ns`. Failed batches are counted apart
 /// (`failed_batches`, with their completed rows in `failed_rows`) so
-/// errors can never inflate `rows_per_sec` or the latency statistics.
+/// errors can never inflate `rows`, `wall_ns` or the latency window, and
+/// so a rate a reader derives from them describes successful work only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelServeStats {
     /// Matrices served to completion (at least one row each).
@@ -232,87 +233,6 @@ pub struct KernelServeStats {
 }
 
 impl KernelServeStats {
-    /// Served rows per second of summed (successful) request wall time.
-    ///
-    /// `wall_ns` sums **per-request** walls, so when requests overlap —
-    /// concurrent submitters on one engine — the summed time exceeds
-    /// elapsed time and this rate is a conservative lower bound on
-    /// engine throughput (it equals real throughput only for serialized
-    /// callers). Multi-client harnesses should measure rows over their
-    /// own elapsed wall clock, as the CLI concurrent mode and
-    /// `perfbench` do.
-    #[must_use]
-    pub fn rows_per_sec(&self) -> f64 {
-        per_sec(self.rows, self.wall_ns)
-    }
-
-    /// Score elements per second of summed (successful) request wall
-    /// time — the same summed-wall caveat as
-    /// [`KernelServeStats::rows_per_sec`].
-    #[must_use]
-    pub fn elements_per_sec(&self) -> f64 {
-        per_sec(self.elements, self.wall_ns)
-    }
-
-    /// Mean end-to-end latency of one successfully served matrix,
-    /// nanoseconds. Failed batches are excluded from both numerator and
-    /// denominator.
-    #[must_use]
-    pub fn mean_batch_latency_ns(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.wall_ns as f64 / self.batches as f64
-        }
-    }
-
-    /// Median per-request latency over the recent window, nanoseconds.
-    #[must_use]
-    pub fn p50_latency_ns(&self) -> u64 {
-        self.latency.percentile_ns(0.50)
-    }
-
-    /// 95th-percentile per-request latency over the recent window.
-    #[must_use]
-    pub fn p95_latency_ns(&self) -> u64 {
-        self.latency.percentile_ns(0.95)
-    }
-
-    /// 99th-percentile per-request latency over the recent window.
-    #[must_use]
-    pub fn p99_latency_ns(&self) -> u64 {
-        self.latency.percentile_ns(0.99)
-    }
-
-    /// `[p50, p95, p99]` per-request latency over the recent window,
-    /// computed from one sorted pass.
-    #[must_use]
-    pub fn latency_percentiles_ns(&self) -> [u64; 3] {
-        let ps = self.latency.percentiles_ns(&[0.50, 0.95, 0.99]);
-        [ps[0], ps[1], ps[2]]
-    }
-
-    /// Fraction of `threads × wall` the workers spent computing — 1.0 is
-    /// a perfectly parallel, scheduling-overhead-free engine. The wall
-    /// here spans failed batches too (`busy_ns` includes their compute,
-    /// so the capacity must include their time).
-    ///
-    /// Like the rates, this is meaningful for **serialized** callers:
-    /// under concurrent submissions the per-request walls overlap and
-    /// include queue wait, so the capacity is overstated and this
-    /// *underestimates* how busy the workers really were — for
-    /// multi-client workloads, measure `busy_ns` against an external
-    /// elapsed clock instead.
-    #[must_use]
-    pub fn utilization(&self, threads: usize) -> f64 {
-        let capacity = (self.wall_ns + self.failed_wall_ns).saturating_mul(threads as u64);
-        if capacity == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / capacity as f64
-        }
-    }
-
     /// Fraction of finished non-empty requests that succeeded:
     /// `batches / (batches + failed_batches + expired_requests)`. The
     /// serving-layer health number the breaker floor assertions report.
@@ -360,8 +280,8 @@ impl serde::Serialize for LatencyWindow {
 
 impl serde::Serialize for KernelServeStats {
     /// Every raw counter, plus the derived availability and the latency
-    /// percentile snapshot — the shape the network control plane's
-    /// `Stats` reply and `cli serve --stats-json` both emit.
+    /// percentile snapshot — the per-kernel shape of the network control
+    /// plane's `Stats` reply.
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
             ("batches".into(), self.batches.to_value()),
@@ -393,14 +313,6 @@ impl serde::Serialize for EngineStats {
     }
 }
 
-fn per_sec(count: u64, ns: u64) -> f64 {
-    if ns == 0 {
-        0.0
-    } else {
-        count as f64 / ns as f64 * 1e9
-    }
-}
-
 /// A snapshot of every kernel's serving counters, ordered by kernel name.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
@@ -416,23 +328,6 @@ impl EngineStats {
     #[must_use]
     pub fn kernel(&self, name: &str) -> Option<&KernelServeStats> {
         self.per_kernel.get(name)
-    }
-
-    /// All `(kernel name, counters)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &KernelServeStats)> {
-        self.per_kernel.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of kernels with recorded traffic.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.per_kernel.len()
-    }
-
-    /// Whether any traffic has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.per_kernel.is_empty()
     }
 
     /// Counters summed across every kernel (latency windows merged, so
@@ -461,31 +356,46 @@ impl EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize;
 
     #[test]
     fn rates_and_latency() {
-        let s = KernelServeStats {
+        // The snapshot carries the raw inputs of every rate a reader
+        // derives and the window's percentiles, under the keys of the
+        // `Stats` frame.
+        let mut s = KernelServeStats {
             batches: 2,
             rows: 1000,
-            elements: 64_000,
             busy_ns: 1_500_000,
             wall_ns: 1_000_000,
             ..Default::default()
         };
-        assert!((s.rows_per_sec() - 1e6).abs() < 1e-3);
-        assert!((s.elements_per_sec() - 6.4e7).abs() < 1.0);
-        assert!((s.mean_batch_latency_ns() - 500_000.0).abs() < 1e-9);
-        assert!((s.utilization(2) - 0.75).abs() < 1e-12);
+        s.latency.push(400_000);
+        s.latency.push(600_000);
+        let v = s.to_value();
+        let keys: Vec<&str> = v
+            .as_object()
+            .expect("object")
+            .iter()
+            .map(|(k, _)| &**k)
+            .collect();
+        let want = "batches empty_batches failed_batches expired_requests rows failed_rows \
+                    elements busy_ns wall_ns failed_wall_ns availability latency";
+        assert_eq!(keys, want.split_whitespace().collect::<Vec<_>>());
+        assert_eq!(v.get("busy_ns"), Some(&1_500_000u64.to_value()));
+        let latency = v.get("latency").expect("latency");
+        assert_eq!(latency.get("p50_ns"), Some(&400_000u64.to_value()));
+        assert_eq!(latency.get("p99_ns"), Some(&600_000u64.to_value()));
     }
 
     #[test]
     fn empty_counters_do_not_divide_by_zero() {
-        let s = KernelServeStats::default();
-        assert_eq!(s.rows_per_sec(), 0.0);
-        assert_eq!(s.mean_batch_latency_ns(), 0.0);
-        assert_eq!(s.utilization(4), 0.0);
-        assert_eq!(s.p50_latency_ns(), 0);
-        assert_eq!(s.p99_latency_ns(), 0);
+        let v = KernelServeStats::default().to_value();
+        assert_eq!(v.get("availability"), Some(&1.0f64.to_value()));
+        let latency = v.get("latency").expect("latency");
+        for q in ["p50_ns", "p95_ns", "p99_ns"] {
+            assert_eq!(latency.get(q), Some(&0u64.to_value()), "{q}");
+        }
     }
 
     #[test]
@@ -727,17 +637,17 @@ mod tests {
 
     #[test]
     fn utilization_capacity_spans_failed_batches() {
-        // One 1 ms success (1 ms busy) plus a failed batch that burned
-        // 10 ms of worker time: utilization must stay <= 1 on 1 thread.
+        // A utilization reader divides `busy_ns` by the wall time of every
+        // batch, failed ones included, so a merge keeps both.
         let s = KernelServeStats {
-            batches: 1,
             failed_batches: 1,
-            busy_ns: 11_000_000,
-            wall_ns: 1_000_000,
-            failed_wall_ns: 10_000_000,
+            busy_ns: 11,
+            failed_wall_ns: 10,
             ..Default::default()
         };
-        assert!((s.utilization(1) - 1.0).abs() < 1e-12);
+        let mut merged = s.clone();
+        merged.absorb(&s);
+        assert_eq!((merged.busy_ns, merged.failed_wall_ns), (22, 20));
     }
 
     #[test]
@@ -745,20 +655,22 @@ mod tests {
         let mut s = KernelServeStats {
             batches: 1,
             rows: 100,
-            elements: 400,
             wall_ns: 1_000_000,
             ..Default::default()
         };
         s.latency.push(1_000_000);
-        let rate_before = s.rows_per_sec();
-        let mean_before = s.mean_batch_latency_ns();
-        // A failed batch with partial progress: counters move, rates don't.
+        // A failed batch with partial progress moves its own counters and
+        // availability, never the success counters or the latency window.
         s.failed_batches += 1;
         s.failed_rows += 37;
-        s.busy_ns += 123_456;
-        assert_eq!(s.rows_per_sec(), rate_before);
-        assert_eq!(s.mean_batch_latency_ns(), mean_before);
-        assert_eq!(s.p50_latency_ns(), 1_000_000);
+        s.failed_wall_ns += 5_000_000;
+        let v = s.to_value();
+        assert_eq!(v.get("rows"), Some(&100u64.to_value()));
+        assert_eq!(v.get("wall_ns"), Some(&1_000_000u64.to_value()));
+        assert_eq!(v.get("availability"), Some(&0.5f64.to_value()));
+        let latency = v.get("latency").expect("latency");
+        assert_eq!(latency.get("samples"), Some(&1usize.to_value()));
+        assert_eq!(latency.get("p50_ns"), Some(&1_000_000u64.to_value()));
     }
 
     #[test]
@@ -788,7 +700,6 @@ mod tests {
         map.insert("a".to_string(), a);
         map.insert("b".to_string(), b);
         let stats = EngineStats::from_map(map);
-        assert_eq!(stats.len(), 2);
         let total = stats.total();
         assert_eq!(total.batches, 3);
         assert_eq!(total.failed_batches, 1);
@@ -797,7 +708,7 @@ mod tests {
         assert_eq!(total.elements, 300);
         assert_eq!(total.wall_ns, 15);
         assert_eq!(total.latency.len(), 3);
-        assert_eq!(total.p50_latency_ns(), 5);
+        assert_eq!(total.latency.percentile_ns(0.50), 5);
     }
 
     #[test]

@@ -9,7 +9,8 @@ use rand::{Rng, SeedableRng};
 /// (the same distribution the bench harness rows use).
 ///
 /// Deterministic in `seed`, so serving runs are reproducible and the
-/// bit-identity guards of the CLI/bench harnesses are meaningful.
+/// bit-identity guards of the bench harness and the fault-injection
+/// tests are meaningful.
 ///
 /// Adversarial shapes whose element count overflows `usize`
 /// (`rows * row_len > usize::MAX`) yield an empty matrix instead of

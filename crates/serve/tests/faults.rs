@@ -13,7 +13,7 @@
 
 use std::ops::Range;
 use std::sync::{Arc, Once};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use softermax::kernel::{ScratchBuffers, SoftmaxKernel};
@@ -212,18 +212,10 @@ fn chaos_run(
         }
     }
 
-    // A worker's supervisor resolves the panicked request's ticket
-    // before it counts the respawn, so the last respawn may still be in
-    // flight here: wait (bounded) until every panic is accounted for.
-    let respawns = || -> u64 {
-        (0..router.n_shards())
-            .map(|shard| router.shard(shard).worker_respawns())
-            .sum()
-    };
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while respawns() < faulty.injected_panics() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // Every respawn is counted before its panicked request resolves.
+    let respawns = (0..router.n_shards())
+        .map(|shard| router.shard(shard).worker_respawns())
+        .sum();
     let expired = router
         .stats()
         .kernel(kernel.name())
@@ -234,7 +226,7 @@ fn chaos_run(
         panics: faulty.injected_panics(),
         errors: faulty.injected_errors(),
         delays: faulty.injected_delays(),
-        respawns: respawns(),
+        respawns,
         expired,
     }
 }

@@ -328,6 +328,46 @@ fn a_panicking_worker_is_respawned_and_serving_continues() {
     assert_eq!(s.batches, 1);
 }
 
+/// The counters a client reads right after its panicked request
+/// resolves are exact: the supervisor moves them before it retires the
+/// panicked chunk. No sleep anywhere, so a supervisor that resolved the
+/// ticket first would show a stale count within a few rounds.
+#[test]
+fn health_counters_are_current_when_a_panicked_request_resolves() {
+    const ROUNDS: u64 = 2_000;
+    quiet_panics();
+    let inner = KernelRegistry::global().get("softermax").expect("built-in");
+    // Every forward call panics.
+    let plan = FaultPlan::new(3, 1.0).with_kinds(vec![FaultKind::Panic]);
+    let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
+    let config = ServeConfig::new(1).with_respawn_cap(ROUNDS as usize);
+    let engine = BatchEngine::new(config).expect("valid config");
+    for round in 1..=ROUNDS {
+        // Blocking admission: the breaker, open after the first few
+        // panics, does not turn these away.
+        let err = engine
+            .submit_request(
+                Submission::new(&faulty, vec![1.0, 2.0, 3.0], 3),
+                Admission::Block,
+            )
+            .expect("submit")
+            .wait()
+            .expect_err("every call panics");
+        assert!(matches!(err, SoftmaxError::InvalidConfig(_)), "{err:?}");
+        // Respawns first: the counter a late supervisor would move last.
+        let counters = (
+            engine.worker_respawns(),
+            engine.worker_panics(),
+            engine.live_workers(),
+        );
+        assert_eq!(
+            counters,
+            (round, round, 1),
+            "read right after round {round}"
+        );
+    }
+}
+
 #[test]
 fn losing_the_last_worker_fails_the_engine_honestly() {
     quiet_panics();
@@ -346,15 +386,7 @@ fn losing_the_last_worker_fails_the_engine_honestly() {
         .expect_err("panicking batch fails");
     assert!(matches!(err, SoftmaxError::InvalidConfig(_)), "{err:?}");
 
-    // The supervisor retires the worker after resolving the batch; wait
-    // for that to settle (bounded, not hopeful — the thread is already
-    // past the panic).
-    for _ in 0..2000 {
-        if engine.live_workers() == 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // The supervisor retires the worker before it resolves the batch.
     assert_eq!(engine.live_workers(), 0);
     assert_eq!(engine.worker_respawns(), 0);
     assert!(!engine.is_admitting(), "a dead pool must not admit work");

@@ -203,8 +203,8 @@ fn unknown_kernel_is_a_typed_reply() {
     let _ = server.run();
 }
 
-/// Health and stats expose the serve layer's snapshot (same field
-/// names the local CLI prints).
+/// Health and stats expose the serve layer's snapshot
+/// (`ShardedRouter::control_snapshot`).
 #[test]
 fn control_plane_reports_live_state() {
     let (server, tcp, _unix, _path) = start_server(ServerConfig::default(), "control");
