@@ -30,17 +30,14 @@
 //!   seeded Poisson/bursty arrival schedules are replayed *open-loop*
 //!   (every request is sent at its scheduled instant whether or not
 //!   earlier ones have answered; a full router is a drop, never
-//!   backpressure) against two single-worker shards. After calibrating
-//!   per-request service time, the harness sweeps offered load through
-//!   the saturation knee recording the latency-throughput curve and
-//!   per-interval dstat-style counters, replays one bursty leg, then
-//!   replays an identical skewed (hot-shard) schedule under
-//!   round-robin-without-stealing and adaptive-with-stealing and
-//!   reports the deadline-goodput speedup, and finally drives a mixed
-//!   interactive/batch overload leg to compare per-class latency.
-//!   Every survivor response is bit-checked against precomputed ground
-//!   truth (a mismatch exits non-zero). `--min-speedup X` exits
-//!   non-zero when the skew speedup lands below `X`;
+//!   backpressure) against two single-worker shards under the router's
+//!   one scheduler (adaptive routing plus work stealing). After
+//!   calibrating per-request service time, the harness sweeps offered
+//!   load through the saturation knee recording the latency-throughput
+//!   curve and per-interval dstat-style counters, replays one bursty
+//!   leg, and finally drives a mixed interactive/batch overload leg to
+//!   compare per-class latency. Every survivor response is bit-checked
+//!   against precomputed ground truth (a mismatch exits non-zero).
 //!   `--assert-priority` exits non-zero unless interactive p99 <
 //!   batch p99 — the CI sched-smoke gate. Written to `BENCH_PR8.json`.
 //!
@@ -54,12 +51,11 @@
 //! `softermax_bench::host_metadata`.
 //!
 //! ```text
-//! usage: throughput (--roofline | --stream | --open-loop) [--seed S] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH]
+//! usage: throughput (--roofline | --stream | --open-loop) [--seed S] [--assert-priority] [--smoke] [--out PATH]
 //!   --roofline         scalar forward vs row path forward_into per kernel, against measured ceilings
 //!   --stream           compare materialized vs tiled-streamed attention heads
-//!   --open-loop        open-loop saturation sweep, skew speedup, priority latency
+//!   --open-loop        open-loop saturation sweep, bursty leg, priority latency
 //!   --seed             arrival-schedule seed (default 42; --open-loop only)
-//!   --min-speedup      minimum skew-leg goodput speedup; exit 1 below it (--open-loop only)
 //!   --assert-priority  exit 1 unless interactive p99 < batch p99 (--open-loop only)
 //!   --smoke            short measurement budgets (CI smoke test)
 //!   --out              output JSON path (default BENCH_PR6/4/8.json by mode)
@@ -106,19 +102,10 @@ const STREAM_D_HEAD: usize = 16;
 /// Column-tile width of the streamed attention path in stream mode.
 const STREAM_TILE: usize = 64;
 
-/// Request geometry of open-loop mode. `small` requests are the unit of
-/// routine traffic — one scheduling chunk, a few milliseconds of
-/// service. `huge` requests are the hot-shard drivers of the skew legs:
-/// very long rows make one of them worth ~26 small service times, so it
-/// parks a single-worker shard while smalls queue up (and expire) behind
-/// it — yet it carries only 1.5x the *rows* of a small, so surviving
-/// huge responses cannot drown the small-request goodput the skew
-/// comparison is about. (Cost is rows x row length: long rows buy
-/// blocking time without buying rows.)
-const OL_SMALL_ROWS: usize = 64;
-const OL_SMALL_LEN: usize = 1024;
-const OL_HUGE_ROWS: usize = 96;
-const OL_HUGE_LEN: usize = 16384;
+/// Request geometry of open-loop mode: every request is one scheduling
+/// chunk of `OL_ROWS` rows, a few milliseconds of service.
+const OL_ROWS: usize = 64;
+const OL_ROW_LEN: usize = 1024;
 
 /// Precomputed payload variants each schedule cycles through: fresh bits
 /// per request without paying matrix generation inside the dispatch
@@ -128,8 +115,8 @@ const OL_VARIANTS: usize = 4;
 
 /// Every open-loop leg runs two single-worker shards. On a small box the
 /// workers share cores anyway, so raw compute capacity is identical
-/// under every policy — scheduling quality (placement, stealing,
-/// priority order) is the only thing the legs can differ on.
+/// in every leg — load shape and priority order are the only things the
+/// legs differ on.
 const OL_SHARDS: usize = 2;
 
 /// Admission bound per shard: deep enough that bursts are absorbed as
@@ -142,14 +129,11 @@ const OL_QUEUE_DEPTH: usize = 64;
 const OL_SWEEP: [f64; 5] = [0.4, 0.7, 0.9, 1.05, 1.3];
 const OL_SWEEP_SMOKE: [f64; 2] = [0.6, 1.2];
 
-/// Every Nth arrival of the skew legs is a huge request.
-const OL_HUGE_EVERY: usize = 8;
-
 /// dstat-style sampling interval (shortened in smoke runs).
 const OL_INTERVAL_MS: u64 = 100;
 
 /// The usage line printed with every usage error.
-const USAGE: &str = "usage: throughput (--roofline | --stream | --open-loop) [--seed S] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH]";
+const USAGE: &str = "usage: throughput (--roofline | --stream | --open-loop) [--seed S] [--assert-priority] [--smoke] [--out PATH]";
 
 /// What one invocation runs; exactly one mode flag picks it.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -181,7 +165,6 @@ fn flag_value<T: std::str::FromStr>(
 
 fn main() {
     let mut modes: Vec<Mode> = Vec::new();
-    let mut min_speedup: Option<f64> = None;
     let mut assert_priority = false;
     let mut smoke = false;
     let mut seed: Option<u64> = None;
@@ -193,11 +176,6 @@ fn main() {
             "--roofline" => modes.push(Mode::Roofline),
             "--stream" => modes.push(Mode::Stream),
             "--open-loop" => modes.push(Mode::OpenLoop),
-            "--min-speedup" => {
-                min_speedup = Some(flag_value(&mut args, &arg, "a positive ratio", |s| {
-                    *s > 0.0
-                }));
-            }
             "--assert-priority" => assert_priority = true,
             "--seed" => seed = Some(flag_value(&mut args, &arg, "an unsigned integer", |_| true)),
             "--smoke" => {
@@ -213,8 +191,8 @@ fn main() {
         usage_exit("give exactly one of --roofline, --stream and --open-loop");
     };
     // A gate or seed flag outside its mode would be silently ignored.
-    if (seed.is_some() || min_speedup.is_some() || assert_priority) && mode != Mode::OpenLoop {
-        usage_exit("--seed, --min-speedup and --assert-priority only apply to --open-loop");
+    if (seed.is_some() || assert_priority) && mode != Mode::OpenLoop {
+        usage_exit("--seed and --assert-priority only apply to --open-loop");
     }
     let warmup = Duration::from_millis(warmup_ms);
     let budget = Duration::from_millis(measure_ms);
@@ -239,7 +217,6 @@ fn main() {
         Mode::OpenLoop => open_loop_harness(
             smoke,
             seed.unwrap_or(42),
-            min_speedup,
             assert_priority,
             &out("BENCH_PR8.json"),
         ),
@@ -682,81 +659,42 @@ fn stream_harness(
     write_report(out_path, &report);
 }
 
-/// One arrival of an open-loop schedule: when to send, which request
-/// shape/payload, and at which priority.
+/// One arrival of an open-loop schedule: when to send, which payload,
+/// and at which priority.
 #[derive(Clone, Copy)]
 struct OlArrival {
     at_ns: u64,
-    huge: bool,
     variant: usize,
     priority: Priority,
 }
 
-impl OlArrival {
-    fn rows(&self) -> usize {
-        if self.huge {
-            OL_HUGE_ROWS
-        } else {
-            OL_SMALL_ROWS
-        }
-    }
-}
-
 /// Precomputed request payloads and their bit-exact sequential ground
-/// truth, per shape and variant.
+/// truth, per variant.
 struct OlPayloads {
-    small: Vec<Vec<f64>>,
-    small_want: Vec<Vec<u64>>,
-    huge: Vec<Vec<f64>>,
-    huge_want: Vec<Vec<u64>>,
+    matrices: Vec<Vec<f64>>,
+    wants: Vec<Vec<u64>>,
 }
 
 impl OlPayloads {
     fn build(kernel: &Arc<dyn SoftmaxKernel>) -> Self {
-        let generate = |rows: usize, row_len: usize, salt: u64| {
-            let mut matrices = Vec::with_capacity(OL_VARIANTS);
-            let mut wants = Vec::with_capacity(OL_VARIANTS);
-            let mut scratch = ScratchBuffers::default();
-            for variant in 0..OL_VARIANTS {
-                let matrix = synthetic_matrix(rows, row_len, 2.5, salt + variant as u64);
-                let mut out = vec![0.0; matrix.len()];
-                for (row, out_row) in matrix
-                    .chunks_exact(row_len)
-                    .zip(out.chunks_exact_mut(row_len))
-                {
-                    kernel
-                        .forward_into(row, out_row, &mut scratch)
-                        .expect("ground truth row");
-                }
-                wants.push(out.iter().map(|v| v.to_bits()).collect());
-                matrices.push(matrix);
+        let mut matrices = Vec::with_capacity(OL_VARIANTS);
+        let mut wants = Vec::with_capacity(OL_VARIANTS);
+        let mut scratch = ScratchBuffers::default();
+        for variant in 0..OL_VARIANTS {
+            let matrix = synthetic_matrix(OL_ROWS, OL_ROW_LEN, 2.5, 11_000 + variant as u64);
+            let mut out = vec![0.0; matrix.len()];
+            for (row, out_row) in matrix
+                .chunks_exact(OL_ROW_LEN)
+                .zip(out.chunks_exact_mut(OL_ROW_LEN))
+            {
+                kernel
+                    .forward_into(row, out_row, &mut scratch)
+                    .expect("ground truth row");
             }
-            (matrices, wants)
-        };
-        let (small, small_want) = generate(OL_SMALL_ROWS, OL_SMALL_LEN, 11_000);
-        let (huge, huge_want) = generate(OL_HUGE_ROWS, OL_HUGE_LEN, 12_000);
-        Self {
-            small,
-            small_want,
-            huge,
-            huge_want,
+            wants.push(out.iter().map(|v| v.to_bits()).collect());
+            matrices.push(matrix);
         }
-    }
-
-    fn payload(&self, arrival: &OlArrival) -> &Vec<f64> {
-        if arrival.huge {
-            &self.huge[arrival.variant]
-        } else {
-            &self.small[arrival.variant]
-        }
-    }
-
-    fn want(&self, arrival: &OlArrival) -> &[u64] {
-        if arrival.huge {
-            &self.huge_want[arrival.variant]
-        } else {
-            &self.small_want[arrival.variant]
-        }
+        Self { matrices, wants }
     }
 }
 
@@ -772,7 +710,6 @@ struct OlCounters {
     mismatched: AtomicU64,
     rows_completed: AtomicU64,
     rows_in_span: AtomicU64,
-    interactive_rows_in_span: AtomicU64,
 }
 
 /// One completed response: which class it was and how long it took from
@@ -798,10 +735,6 @@ struct OlLeg {
     rows_completed: u64,
     rows_in_span: u64,
     goodput_rows_per_s: f64,
-    /// Goodput restricted to interactive-class rows — the skew pair's
-    /// headline, so surviving batch-class background rows (completed
-    /// identically under every policy) cannot dilute the comparison.
-    interactive_goodput_rows_per_s: f64,
     p50_ms: f64,
     p99_ms: f64,
     interactive_p50_ms: f64,
@@ -829,7 +762,6 @@ impl OlLeg {
             "rows_completed": self.rows_completed,
             "rows_completed_in_span": self.rows_in_span,
             "goodput_rows_per_s": self.goodput_rows_per_s,
-            "interactive_goodput_rows_per_s": self.interactive_goodput_rows_per_s,
             "sojourn_p50_ms": self.p50_ms,
             "sojourn_p99_ms": self.p99_ms,
             "jobs_stolen": self.jobs_stolen,
@@ -841,31 +773,14 @@ impl OlLeg {
 /// Draws a Poisson arrival process at `rate` requests/s over `span`:
 /// i.i.d. exponential inter-arrival gaps by inverse CDF over the seeded
 /// generator, so a given (seed, rate, span) always replays the exact
-/// same schedule — the skew pair depends on that. When `huge_every > 0`
-/// every Nth arrival is huge, but never closer than `min_huge_gap` to
-/// the previous huge: a too-close huge is postponed by *two* indices at
-/// a time, so huges stay on even positions and strict round-robin keeps
-/// pinning them all to one shard (the hot-shard pattern the skew pair
-/// measures). The gap keeps at most one huge in service at a time, so
-/// a scheduler that routes around the busy shard always has a clean
-/// shard to route to. Each arrival is Batch-class with probability
+/// same schedule. Each arrival is Batch-class with probability
 /// `batch_frac` (0 = all interactive).
-fn ol_poisson(
-    rate: f64,
-    span: Duration,
-    seed: u64,
-    huge_every: usize,
-    min_huge_gap: Duration,
-    batch_frac: f64,
-) -> Vec<OlArrival> {
+fn ol_poisson(rate: f64, span: Duration, seed: u64, batch_frac: f64) -> Vec<OlArrival> {
     let span_ns = span.as_nanos() as u64;
-    let gap_ns = min_huge_gap.as_nanos() as u64;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut schedule = Vec::new();
     let mut t = 0.0f64;
     let mut index = 0usize;
-    let mut next_huge = huge_every.saturating_sub(1);
-    let mut last_huge_ns: Option<u64> = None;
     loop {
         let u: f64 = rng.gen_range(1e-12..1.0);
         t += -u.ln() / rate;
@@ -873,27 +788,13 @@ fn ol_poisson(
         if at_ns >= span_ns {
             return schedule;
         }
-        let mut huge = false;
-        if huge_every > 0 && index == next_huge {
-            if last_huge_ns.is_some_and(|last| at_ns < last.saturating_add(gap_ns)) {
-                next_huge += 2;
-            } else {
-                huge = true;
-                last_huge_ns = Some(at_ns);
-                next_huge = index + huge_every;
-            }
-        }
-        // Huge requests are background work: batch-class, like the
-        // offline jobs they stand in for. Smalls (and the priority
-        // leg's uniform traffic) draw their class from `batch_frac`.
-        let priority = if huge || (batch_frac > 0.0 && rng.gen_bool(batch_frac)) {
+        let priority = if batch_frac > 0.0 && rng.gen_bool(batch_frac) {
             Priority::Batch
         } else {
             Priority::Interactive
         };
         schedule.push(OlArrival {
             at_ns,
-            huge,
             variant: index % OL_VARIANTS,
             priority,
         });
@@ -923,7 +824,6 @@ fn ol_bursty(rate: f64, span: Duration, seed: u64) -> Vec<OlArrival> {
         }
         schedule.push(OlArrival {
             at_ns,
-            huge: false,
             variant: index % OL_VARIANTS,
             priority: Priority::Interactive,
         });
@@ -932,28 +832,23 @@ fn ol_bursty(rate: f64, span: Duration, seed: u64) -> Vec<OlArrival> {
 }
 
 /// The shard configuration every open-loop leg uses: one worker per
-/// shard, small requests exactly one chunk, and a queue deep enough to
+/// shard, each request exactly one chunk, and a queue deep enough to
 /// absorb bursts as latency.
 fn ol_config() -> ServeConfig {
     ServeConfig::new(1)
-        .with_chunk_rows(OL_SMALL_ROWS)
+        .with_chunk_rows(OL_ROWS)
         .with_queue_depth(OL_QUEUE_DEPTH)
 }
 
 /// Calibrates the mean service time (submit → response, payload clone
 /// included — the dispatcher pays that clone at run time too) of one
-/// request shape through a single dedicated worker.
-fn ol_calibrate(
-    kernel: &Arc<dyn SoftmaxKernel>,
-    payloads: &[Vec<f64>],
-    row_len: usize,
-    smoke: bool,
-) -> Duration {
+/// request through a single dedicated worker.
+fn ol_calibrate(kernel: &Arc<dyn SoftmaxKernel>, payloads: &[Vec<f64>], smoke: bool) -> Duration {
     let engine = BatchEngine::new(ol_config()).expect("calibration engine");
     let reps = if smoke { 12 } else { 48 };
     for payload in payloads.iter().take(2) {
         engine
-            .submit_wait(kernel, payload.clone(), row_len)
+            .submit_wait(kernel, payload.clone(), OL_ROW_LEN)
             .expect("calibration warmup")
             .wait()
             .expect("calibration warmup");
@@ -961,20 +856,12 @@ fn ol_calibrate(
     let t0 = Instant::now();
     for i in 0..reps {
         engine
-            .submit_wait(kernel, payloads[i % OL_VARIANTS].clone(), row_len)
+            .submit_wait(kernel, payloads[i % OL_VARIANTS].clone(), OL_ROW_LEN)
             .expect("calibration request")
             .wait()
             .expect("calibration request");
     }
     t0.elapsed() / reps as u32
-}
-
-/// Per-class request deadlines for one open-loop leg; `None` means the
-/// class runs without an SLO.
-#[derive(Clone, Copy)]
-struct OlDeadlines {
-    small: Option<Duration>,
-    huge: Option<Duration>,
 }
 
 /// Replays one arrival schedule open-loop against `router`: the
@@ -990,7 +877,7 @@ fn ol_run(
     payloads: &OlPayloads,
     schedule: &[OlArrival],
     span: Duration,
-    deadlines: OlDeadlines,
+    deadline: Option<Duration>,
     interval: Duration,
 ) -> OlLeg {
     let counters = OlCounters::default();
@@ -1047,19 +934,12 @@ fn ol_run(
                 if target > now {
                     std::thread::sleep(target - now);
                 }
-                let deadline = if arrival.huge {
-                    deadlines.huge
-                } else {
-                    deadlines.small
-                };
-                let row_len = if arrival.huge {
-                    OL_HUGE_LEN
-                } else {
-                    OL_SMALL_LEN
-                };
-                let mut submission =
-                    Submission::new(kernel, payloads.payload(arrival).clone(), row_len)
-                        .with_priority(arrival.priority);
+                let mut submission = Submission::new(
+                    kernel,
+                    payloads.matrices[arrival.variant].clone(),
+                    OL_ROW_LEN,
+                )
+                .with_priority(arrival.priority);
                 if let Some(d) = deadline {
                     submission = submission.with_deadline(d);
                 }
@@ -1067,7 +947,7 @@ fn ol_run(
                 match router.submit_request(submission, Admission::Fail) {
                     Ok(ticket) => {
                         let arrival = *arrival;
-                        let want = payloads.want(&arrival);
+                        let want = &payloads.wants[arrival.variant];
                         std::thread::Builder::new()
                             .stack_size(96 * 1024)
                             .spawn_scoped(waiters, move || match ticket.wait() {
@@ -1082,17 +962,11 @@ fn ol_run(
                                     counters.completed.fetch_add(1, Ordering::Relaxed);
                                     counters
                                         .rows_completed
-                                        .fetch_add(arrival.rows() as u64, Ordering::Relaxed);
+                                        .fetch_add(OL_ROWS as u64, Ordering::Relaxed);
                                     if end_ns <= span_ns {
                                         counters
                                             .rows_in_span
-                                            .fetch_add(arrival.rows() as u64, Ordering::Relaxed);
-                                        if arrival.priority == Priority::Interactive {
-                                            counters.interactive_rows_in_span.fetch_add(
-                                                arrival.rows() as u64,
-                                                Ordering::Relaxed,
-                                            );
-                                        }
+                                            .fetch_add(OL_ROWS as u64, Ordering::Relaxed);
                                     }
                                     samples.lock().expect("samples").push(OlSample {
                                         priority: arrival.priority,
@@ -1119,7 +993,7 @@ fn ol_run(
     });
 
     let span_s = span.as_secs_f64();
-    let rows_offered: u64 = schedule.iter().map(|a| a.rows() as u64).sum();
+    let rows_offered = (schedule.len() * OL_ROWS) as u64;
     let samples = std::mem::take(&mut *samples.lock().expect("samples"));
     let sorted_ms = |filter: &dyn Fn(&OlSample) -> bool| -> Vec<f64> {
         let mut v: Vec<f64> = samples
@@ -1149,9 +1023,6 @@ fn ol_run(
         rows_completed,
         rows_in_span,
         goodput_rows_per_s: rows_in_span as f64 / span_s,
-        interactive_goodput_rows_per_s: counters.interactive_rows_in_span.load(Ordering::Relaxed)
-            as f64
-            / span_s,
         p50_ms: pctl(&all, 0.50),
         p99_ms: pctl(&all, 0.99),
         interactive_p50_ms: pctl(&interactive, 0.50),
@@ -1165,17 +1036,10 @@ fn ol_run(
     }
 }
 
-/// The PR-8 open-loop scheduler harness. See the module docs for the
-/// leg-by-leg story; `seed` fixes every arrival schedule, `min_speedup`
-/// gates the skew comparison, `assert_priority` gates the mixed-class
-/// leg.
-fn open_loop_harness(
-    smoke: bool,
-    seed: u64,
-    min_speedup: Option<f64>,
-    assert_priority: bool,
-    out_path: &str,
-) {
+/// The open-loop scheduler harness. See the module docs for the
+/// leg-by-leg story; `seed` fixes every arrival schedule and
+/// `assert_priority` gates the mixed-class leg.
+fn open_loop_harness(smoke: bool, seed: u64, assert_priority: bool, out_path: &str) {
     let kernels = registry();
     let kernel = kernels
         .get("softermax")
@@ -1192,34 +1056,30 @@ fn open_loop_harness(
     );
 
     let payloads = OlPayloads::build(&kernel);
-    let s_small = ol_calibrate(&kernel, &payloads.small, OL_SMALL_LEN, smoke);
-    let s_huge = ol_calibrate(&kernel, &payloads.huge, OL_HUGE_LEN, smoke);
-    let capacity_rows =
-        effective_workers as f64 * OL_SMALL_ROWS as f64 / s_small.as_secs_f64().max(1e-9);
+    let service = ol_calibrate(&kernel, &payloads.matrices, smoke);
+    let capacity_rows = effective_workers as f64 * OL_ROWS as f64 / service.as_secs_f64().max(1e-9);
     println!(
-        "calibration: small {}x{} = {:.3} ms, huge {}x{} = {:.3} ms ({:.0} small rows/s capacity)",
-        OL_SMALL_ROWS,
-        OL_SMALL_LEN,
-        s_small.as_secs_f64() * 1e3,
-        OL_HUGE_ROWS,
-        OL_HUGE_LEN,
-        s_huge.as_secs_f64() * 1e3,
+        "calibration: {}x{} = {:.3} ms ({:.0} rows/s capacity)",
+        OL_ROWS,
+        OL_ROW_LEN,
+        service.as_secs_f64() * 1e3,
         capacity_rows
     );
 
     let leg_span = Duration::from_millis(if smoke { 250 } else { 1200 });
-    let skew_span = Duration::from_millis(if smoke { 700 } else { 4000 });
     let prio_span = Duration::from_millis(if smoke { 300 } else { 1500 });
     let interval = Duration::from_millis(if smoke { 25 } else { OL_INTERVAL_MS });
     // The sweep deadline only bites deep into saturation (a full shard
-    // queue is worth ~64 service times); the skew deadlines are the
-    // experiment's contrast knob — tight enough that a small parked
-    // behind a huge job (~13 small service times) expires, generous
-    // enough that ordinary queueing at the skew leg's 60% load
-    // survives, with absolute floors against timer jitter.
-    let sweep_deadline = (s_small * 24).max(Duration::from_millis(10));
-    let skew_small_deadline = (s_small * 5).max(Duration::from_millis(4));
-    let skew_huge_deadline = (s_huge * 6).max(Duration::from_millis(40));
+    // queue is worth ~64 service times), with an absolute floor against
+    // timer jitter.
+    let sweep_deadline = (service * 24).max(Duration::from_millis(10));
+    let run = |schedule: &[OlArrival], span: Duration, deadline: Option<Duration>| {
+        let router = ShardedRouter::new(OL_SHARDS, ol_config(), RoutePolicy::Adaptive)
+            .expect("open-loop router");
+        ol_run(
+            &router, &kernel, &payloads, schedule, span, deadline, interval,
+        )
+    };
 
     // --- Leg 1: Poisson offered-load sweep to the saturation knee. ---
     println!(
@@ -1240,29 +1100,9 @@ fn open_loop_harness(
     let fractions: &[f64] = if smoke { &OL_SWEEP_SMOKE } else { &OL_SWEEP };
     let mut knee_legs: Vec<(f64, OlLeg)> = Vec::new();
     for (index, &fraction) in fractions.iter().enumerate() {
-        let rate = fraction * capacity_rows / OL_SMALL_ROWS as f64;
-        let schedule = ol_poisson(
-            rate,
-            leg_span,
-            seed.wrapping_add(index as u64),
-            0,
-            Duration::ZERO,
-            0.0,
-        );
-        let router = ShardedRouter::new(OL_SHARDS, ol_config(), RoutePolicy::Adaptive)
-            .expect("sweep router");
-        let leg = ol_run(
-            &router,
-            &kernel,
-            &payloads,
-            &schedule,
-            leg_span,
-            OlDeadlines {
-                small: Some(sweep_deadline),
-                huge: None,
-            },
-            interval,
-        );
+        let rate = fraction * capacity_rows / OL_ROWS as f64;
+        let schedule = ol_poisson(rate, leg_span, seed.wrapping_add(index as u64), 0.0);
+        let leg = run(&schedule, leg_span, Some(sweep_deadline));
         print_row(&[
             format!("{fraction:.2}"),
             format!("{:.0}", leg.offered_rows_per_s),
@@ -1288,132 +1128,19 @@ fn open_loop_harness(
     );
 
     // --- Leg 2: the same load near the knee, delivered in bursts. ---
-    let bursty_rate = 0.9 * capacity_rows / OL_SMALL_ROWS as f64;
+    let bursty_rate = 0.9 * capacity_rows / OL_ROWS as f64;
     let bursty_schedule = ol_bursty(bursty_rate, leg_span, seed ^ 0xB0B5);
-    let bursty_router =
-        ShardedRouter::new(OL_SHARDS, ol_config(), RoutePolicy::Adaptive).expect("bursty router");
-    let bursty = ol_run(
-        &bursty_router,
-        &kernel,
-        &payloads,
-        &bursty_schedule,
-        leg_span,
-        OlDeadlines {
-            small: Some(sweep_deadline),
-            huge: None,
-        },
-        interval,
-    );
-    drop(bursty_router);
+    let bursty = run(&bursty_schedule, leg_span, Some(sweep_deadline));
     println!(
         "bursty at 0.90 load: goodput {:.0} rows/s, {} dropped, {} expired, p99 {:.2} ms, {} stolen",
         bursty.goodput_rows_per_s, bursty.dropped, bursty.expired, bursty.p99_ms, bursty.jobs_stolen
     );
 
-    // --- Leg 3: the skew pair. One identical schedule mixing huge
-    // hot-shard drivers into small traffic, replayed under the dumb
-    // baseline (round-robin, no stealing) and the scheduler (adaptive
-    // routing + stealing). Deadline-goodput is the headline: a small
-    // parked behind a huge job expires at dequeue unless it is stolen
-    // or routed around the hot shard.
-    let group_span = (OL_HUGE_EVERY - 1) as f64 * s_small.as_secs_f64() + s_huge.as_secs_f64();
-    // 0.75 offered load: high enough that the hot shard spends most of
-    // its time inside a huge job (the placement pain the pair is
-    // contrasting), low enough that neither config is systemically
-    // overloaded — past ~0.8 the M/G/1 queueing term, inflated by huge
-    // jobs' E[S^2], swamps both configs with waits no scheduler could
-    // route around. Huges keep a 2 x s_huge exclusion gap so at most
-    // one is in service at a time: the contrast stays "can the policy
-    // route around the busy shard", not "did two huges happen to land
-    // at once and block every shard of a one-core box".
-    let skew_rate = 0.75 * effective_workers as f64 * OL_HUGE_EVERY as f64 / group_span;
-    let skew_schedule = ol_poisson(
-        skew_rate,
-        skew_span,
-        seed ^ 0x5CE7,
-        OL_HUGE_EVERY,
-        s_huge.mul_f64(2.0),
-        0.0,
-    );
-    let run_skew = |policy: RoutePolicy, stealing: bool| {
-        let router =
-            ShardedRouter::new(OL_SHARDS, ol_config().with_work_stealing(stealing), policy)
-                .expect("skew router");
-        ol_run(
-            &router,
-            &kernel,
-            &payloads,
-            &skew_schedule,
-            skew_span,
-            OlDeadlines {
-                small: Some(skew_small_deadline),
-                huge: Some(skew_huge_deadline),
-            },
-            interval,
-        )
-    };
-    let skew_baseline = run_skew(RoutePolicy::RoundRobin, false);
-    let skew_scheduler = run_skew(RoutePolicy::Adaptive, true);
-    // The headline compares interactive goodput: batch-class huges are
-    // non-urgent background that completes under every policy, so
-    // counting their rows would only dilute the placement contrast the
-    // pair exists to measure.
-    let speedup = if skew_baseline.interactive_goodput_rows_per_s > 0.0 {
-        skew_scheduler.interactive_goodput_rows_per_s / skew_baseline.interactive_goodput_rows_per_s
-    } else {
-        f64::INFINITY
-    };
-    println!(
-        "\nskew pair: every {OL_HUGE_EVERY}th request a huge batch-class job, identical schedule"
-    );
-    print_header(&[
-        "config",
-        "int goodput r/s",
-        "all rows r/s",
-        "done",
-        "drop",
-        "expired",
-        "p50 ms",
-        "p99 ms",
-        "stolen",
-    ]);
-    for (name, leg) in [
-        ("round-robin, no steal", &skew_baseline),
-        ("adaptive + steal", &skew_scheduler),
-    ] {
-        print_row(&[
-            name.to_string(),
-            format!("{:.0}", leg.interactive_goodput_rows_per_s),
-            format!("{:.0}", leg.goodput_rows_per_s),
-            leg.completed.to_string(),
-            leg.dropped.to_string(),
-            leg.expired.to_string(),
-            format!("{:.2}", leg.p50_ms),
-            format!("{:.2}", leg.p99_ms),
-            leg.jobs_stolen.to_string(),
-        ]);
-    }
-    println!("skew speedup (interactive deadline-goodput rows/s): {speedup:.2}x");
-
-    // --- Leg 4: mixed priority classes under overload. Same-size
+    // --- Leg 3: mixed priority classes under overload. Same-size
     // requests, so any p99 gap is pure dequeue policy, not job size. ---
-    let prio_rate = 1.3 * capacity_rows / OL_SMALL_ROWS as f64;
-    let prio_schedule = ol_poisson(prio_rate, prio_span, seed ^ 0x9170, 0, Duration::ZERO, 0.5);
-    let prio_router =
-        ShardedRouter::new(OL_SHARDS, ol_config(), RoutePolicy::Adaptive).expect("priority router");
-    let prio = ol_run(
-        &prio_router,
-        &kernel,
-        &payloads,
-        &prio_schedule,
-        prio_span,
-        OlDeadlines {
-            small: None,
-            huge: None,
-        },
-        interval,
-    );
-    drop(prio_router);
+    let prio_rate = 1.3 * capacity_rows / OL_ROWS as f64;
+    let prio_schedule = ol_poisson(prio_rate, prio_span, seed ^ 0x9170, 0.5);
+    let prio = run(&prio_schedule, prio_span, None);
     let priority_holds = prio.interactive_completed > 0
         && prio.batch_completed > 0
         && prio.interactive_p99_ms < prio.batch_p99_ms;
@@ -1431,12 +1158,7 @@ fn open_loop_harness(
     let total_mismatched = knee_legs
         .iter()
         .map(|(_, leg)| leg.mismatched)
-        .chain([
-            bursty.mismatched,
-            skew_baseline.mismatched,
-            skew_scheduler.mismatched,
-            prio.mismatched,
-        ])
+        .chain([bursty.mismatched, prio.mismatched])
         .sum::<u64>();
 
     let report = serde_json::json!({
@@ -1447,21 +1169,16 @@ fn open_loop_harness(
         "shards": OL_SHARDS,
         "effective_workers": effective_workers,
         "request": {
-            "small_rows": OL_SMALL_ROWS,
-            "small_row_len": OL_SMALL_LEN,
-            "huge_rows": OL_HUGE_ROWS,
-            "huge_row_len": OL_HUGE_LEN,
+            "rows": OL_ROWS,
+            "row_len": OL_ROW_LEN,
             "queue_depth": OL_QUEUE_DEPTH,
         },
         "calibration": {
-            "small_service_ms": s_small.as_secs_f64() * 1e3,
-            "huge_service_ms": s_huge.as_secs_f64() * 1e3,
+            "service_ms": service.as_secs_f64() * 1e3,
             "capacity_rows_per_s": capacity_rows,
         },
         "deadlines_ms": {
             "sweep": sweep_deadline.as_secs_f64() * 1e3,
-            "skew_small": skew_small_deadline.as_secs_f64() * 1e3,
-            "skew_huge": skew_huge_deadline.as_secs_f64() * 1e3,
         },
         "knee": {
             "arrivals": "poisson",
@@ -1479,13 +1196,6 @@ fn open_loop_harness(
             "knee_goodput_rows_per_s": knee_goodput,
         },
         "bursty": bursty.to_json(),
-        "skew": {
-            "pattern": format!("every {OL_HUGE_EVERY}th arrival huge ({OL_HUGE_ROWS}x{OL_HUGE_LEN}), identical seeded schedule"),
-            "baseline_round_robin": skew_baseline.to_json(),
-            "adaptive_stealing": skew_scheduler.to_json(),
-            "speedup": speedup,
-            "min_speedup_gate": min_speedup,
-        },
         "priority": {
             "batch_fraction": 0.5,
             "load_fraction": 1.3,
@@ -1507,12 +1217,6 @@ fn open_loop_harness(
     if total_mismatched > 0 {
         eprintln!("BIT-IDENTITY FAILURE: {total_mismatched} survivor responses diverged from sequential execution");
         std::process::exit(1);
-    }
-    if let Some(gate) = min_speedup {
-        if speedup < gate {
-            eprintln!("SPEEDUP FLOOR FAILURE: skew speedup {speedup:.2}x under the --min-speedup {gate:.2}x gate");
-            std::process::exit(1);
-        }
     }
     if assert_priority && !priority_holds {
         eprintln!(

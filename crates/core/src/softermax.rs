@@ -1369,40 +1369,78 @@ mod tests {
         }
     }
 
+    /// Asserts the [`OutputMap`] of `recip` (the reciprocal of pow-sum
+    /// encoding `sum`) equals [`apply_reciprocal`] at every unnormed
+    /// numerator encoding of the paper config.
+    fn assert_output_map_matches(cfg: &SoftermaxConfig, sum: i64, recip: Reciprocal) {
+        let (unnormed, out) = (cfg.unnormed_format, cfg.output_format);
+        let map = OutputMap::new(recip, unnormed, out);
+        let mant = recip.mantissa.raw() as u64;
+        for numer in 0..=unnormed.max_raw() {
+            let want = apply_reciprocal(Fixed::from_raw_saturating(numer, unnormed), recip, out);
+            assert_eq!(
+                map.apply(numer as u64 * mant) as i64,
+                want.raw(),
+                "numer {numer} under the reciprocal of pow-sum {sum} ({recip:?})"
+            );
+        }
+    }
+
+    /// Every distinct reciprocal of a paper-config pow-sum, each with
+    /// the first pow-sum encoding that yields it. Both paths see a
+    /// pow-sum only through the one [`RecipUnit::reciprocal`] call
+    /// (which rejects a zero sum in both), so sweeping these covers
+    /// every (pow-sum, numerator) pair.
+    fn distinct_reciprocals(sm: &Softermax) -> Vec<(i64, Reciprocal)> {
+        let format = sm.config().pow_sum_format;
+        let mut seen = std::collections::BTreeSet::new();
+        (1..=format.max_raw())
+            .map(|sum| {
+                let recip = sm
+                    .recip
+                    .reciprocal(Fixed::from_raw_saturating(sum, format))
+                    .expect("positive sum");
+                (sum, recip)
+            })
+            .filter(|(_, recip)| seen.insert((recip.mantissa.raw(), recip.exponent)))
+            .collect()
+    }
+
+    /// The compiled Normalization unit's rounding ties at tier-1 cost:
+    /// at the paper config, every distinct reciprocal with exponent ≤ 0
+    /// (the left-shift branch, whose rounding bias is added after the
+    /// shift) and one reciprocal per positive exponent (the right-shift
+    /// branch, whose bias is pre-shifted by the exponent), each at every
+    /// unnormed numerator. One reciprocal per exponent alone would miss
+    /// an off-by-one left-shift bias; the ignored sweep below takes
+    /// every reciprocal.
+    #[test]
+    fn output_map_rounds_like_the_scalar_normalization_unit() {
+        let sm = paper_sm();
+        let mut positive = std::collections::BTreeSet::new();
+        let mut left_shift = 0;
+        for (sum, recip) in distinct_reciprocals(&sm) {
+            if recip.exponent <= 0 {
+                left_shift += 1;
+            } else if !positive.insert(recip.exponent) {
+                continue;
+            }
+            assert_output_map_matches(sm.config(), sum, recip);
+        }
+        assert!(left_shift > 64, "{left_shift} left-shift reciprocals");
+        assert_eq!(positive.len(), 9, "positive exponents {positive:?}");
+    }
+
     /// The compiled Normalization unit against the scalar one it replaces
     /// at the paper config: for every pow-sum encoding, the [`OutputMap`]
     /// of its reciprocal applied to `numer * mant` equals
-    /// [`apply_reciprocal`] at every unnormed numerator encoding. Both
-    /// paths see a pow-sum only through the one [`RecipUnit::reciprocal`]
-    /// call (which rejects a zero sum in both), so each distinct
-    /// reciprocal is swept once: that covers every (pow-sum, unnormed)
-    /// pair.
+    /// [`apply_reciprocal`] at every unnormed numerator encoding.
     #[test]
     #[ignore = "exhaustive sweep; run in release with --include-ignored"]
     fn output_map_matches_the_scalar_normalization_unit_at_every_sum_and_numerator() {
         let sm = paper_sm();
-        let cfg = sm.config();
-        let (unnormed, out) = (cfg.unnormed_format, cfg.output_format);
-        let mut seen = std::collections::BTreeSet::new();
-        for sum in 1..=cfg.pow_sum_format.max_raw() {
-            let recip = sm
-                .recip
-                .reciprocal(Fixed::from_raw_saturating(sum, cfg.pow_sum_format))
-                .expect("positive sum");
-            if !seen.insert((recip.mantissa.raw(), recip.exponent)) {
-                continue;
-            }
-            let map = OutputMap::new(recip, unnormed, out);
-            let mant = recip.mantissa.raw() as u64;
-            for numer in 0..=unnormed.max_raw() {
-                let want =
-                    apply_reciprocal(Fixed::from_raw_saturating(numer, unnormed), recip, out);
-                assert_eq!(
-                    map.apply(numer as u64 * mant) as i64,
-                    want.raw(),
-                    "numer {numer} under the reciprocal of pow-sum {sum} ({recip:?})"
-                );
-            }
+        for (sum, recip) in distinct_reciprocals(&sm) {
+            assert_output_map_matches(sm.config(), sum, recip);
         }
     }
 

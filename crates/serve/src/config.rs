@@ -61,12 +61,6 @@ pub struct ServeConfig {
     /// least one start in every `interactive_weight + 1` under
     /// contention; interactive traffic always goes first otherwise.
     pub interactive_weight: usize,
-    /// Whether the shards of a [`ShardedRouter`](crate::ShardedRouter)
-    /// built from this config may steal whole pending jobs from each
-    /// other's queues when their own intake runs dry. Has no effect on
-    /// a standalone [`BatchEngine`](crate::BatchEngine) (there is no
-    /// sibling to steal from).
-    pub work_stealing: bool,
 }
 
 /// Default admission bound of a [`ServeConfig`]: how many batches may be
@@ -103,7 +97,6 @@ impl ServeConfig {
             respawn_cap: DEFAULT_RESPAWN_CAP,
             breaker: BreakerConfig::default(),
             interactive_weight: DEFAULT_INTERACTIVE_WEIGHT,
-            work_stealing: true,
         }
     }
 
@@ -146,14 +139,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_interactive_weight(mut self, interactive_weight: usize) -> Self {
         self.interactive_weight = interactive_weight;
-        self
-    }
-
-    /// Enables or disables inter-shard work stealing for routers built
-    /// from this config.
-    #[must_use]
-    pub fn with_work_stealing(mut self, work_stealing: bool) -> Self {
-        self.work_stealing = work_stealing;
         self
     }
 
@@ -213,17 +198,13 @@ mod tests {
     fn scheduling_knobs_default_and_validate() {
         let cfg = ServeConfig::new(2);
         assert_eq!(cfg.interactive_weight, DEFAULT_INTERACTIVE_WEIGHT);
-        assert!(cfg.work_stealing);
         assert!(ServeConfig::new(1)
             .with_interactive_weight(0)
             .validate()
             .is_err());
-        let tuned = ServeConfig::new(1)
-            .with_interactive_weight(2)
-            .with_work_stealing(false);
+        let tuned = ServeConfig::new(1).with_interactive_weight(2);
         assert!(tuned.validate().is_ok());
         assert_eq!(tuned.interactive_weight, 2);
-        assert!(!tuned.work_stealing);
     }
 
     #[test]

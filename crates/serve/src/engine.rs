@@ -139,15 +139,16 @@ impl BatchEngine {
 
     /// Rows currently admitted and not yet completed (queued or
     /// executing) — the load signal the
-    /// [`ShardedRouter`](crate::ShardedRouter)'s least-loaded policy
-    /// routes on.
+    /// [`ShardedRouter`](crate::ShardedRouter)'s blocking fallback
+    /// waits on: when every shard rejects a blocking submission, it
+    /// waits on the admitting shard with the fewest rows.
     #[must_use]
     pub fn load_rows(&self) -> u64 {
         self.shared.load_rows.load(Ordering::Relaxed)
     }
 
     /// Elements (rows x row length) admitted and not yet completed — the
-    /// cost-weighted load signal the adaptive routing policy scores on.
+    /// cost-weighted load signal the router's adaptive score uses.
     /// Row count alone misprices mixed traffic: a few very long rows can
     /// hold a worker far longer than many short ones, and a policy that
     /// routes on rows walks straight into the busy shard.
@@ -240,8 +241,8 @@ impl BatchEngine {
 
     /// Nearest-rank p99 end-to-end latency over the shard's newest
     /// [`LATENCY_WINDOW`] successful batches, all kernels (0 with no
-    /// history yet) — the congestion signal behind
-    /// [`RoutePolicy::Adaptive`](crate::RoutePolicy). Failed, expired
+    /// history yet) — the congestion signal behind the
+    /// [`ShardedRouter`](crate::ShardedRouter)'s adaptive score. Failed, expired
     /// and zero-row batches are not in it. Allocation-free: the stats
     /// lock is held only to copy the ring onto the stack, and the p99
     /// is one selection over the copy.

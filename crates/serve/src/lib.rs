@@ -24,8 +24,8 @@
 //!   on a full engine, or blocking backpressure via
 //!   [`BatchEngine::submit_wait`]);
 //! * [`ShardedRouter`] — spreads submissions across N independent
-//!   engine shards (round-robin, least-loaded, or p99-adaptive —
-//!   [`RoutePolicy`]), failing over on full shards and merging
+//!   engine shards by one adaptive score (load × recent p99), lets idle
+//!   shards steal from busy ones, fails over on full shards and merges
 //!   per-shard stats;
 //! * [`ServeConfig`] — engine geometry. The chunk size is *derived from
 //!   the hardware model*: one chunk is the block of rows a paper PE's
@@ -79,16 +79,18 @@
 //!   fair ([`ServeConfig::interactive_weight`]): interactive work is
 //!   never starved behind a deep batch queue, and batch work is
 //!   guaranteed a bounded share under interactive pressure.
-//! * **Work stealing** — with [`ServeConfig::work_stealing`] on (the
-//!   default), a router's shard whose queue runs dry pulls whole
-//!   pending jobs from the most-backlogged sibling instead of idling.
-//!   Only untouched jobs move (bit-identity is untouched — a job still
-//!   executes entirely on one shard), expired jobs are left for the
-//!   victim to account, and an unhealthy shard never steals.
-//! * **Adaptive routing** — [`RoutePolicy::Adaptive`] scores shards by
-//!   live load × recent p99 latency (nearest-rank p99 over the shard's
-//!   newest 4,096 successful batches, all kernels; EWMA'd, cached),
-//!   shedding traffic from slow shards before their queues grow.
+//! * **Adaptive routing** — the router scores shards by live
+//!   element-weighted load × recent p99 latency (nearest-rank p99 over
+//!   the shard's newest 4,096 successful batches, all kernels; EWMA'd,
+//!   cached), shedding traffic from slow shards before their queues
+//!   grow. It is the only routing path: [`RoutePolicy`] has the one
+//!   value [`RoutePolicy::Adaptive`].
+//! * **Work stealing** — always on in a router of more than one shard:
+//!   a shard whose queue runs dry pulls whole pending jobs from the
+//!   most-backlogged sibling instead of idling. Only untouched jobs
+//!   move (bit-identity is untouched — a job still executes entirely
+//!   on one shard), expired jobs are left for the victim to account,
+//!   and an unhealthy shard never steals.
 //!
 //! # Determinism
 //!

@@ -2,33 +2,26 @@
 //! submissions across N independent [`BatchEngine`]s.
 //!
 //! Each shard owns its worker pool, admission queue, and stats, so
-//! shards never contend on a lock — the router is a thin, lock-free
-//! routing layer on top. Three policies:
+//! shards never contend on a lock — the router is a thin routing layer
+//! on top. The scheduler has one path and no knob:
 //!
-//! * [`RoutePolicy::RoundRobin`] — rotate through the shards; uniform
-//!   and cheap, best when requests are similarly sized;
-//! * [`RoutePolicy::LeastLoaded`] — route to the shard with the fewest
-//!   admitted-but-unfinished rows ([`BatchEngine::load_rows`]), best
-//!   when request sizes are skewed;
-//! * [`RoutePolicy::Adaptive`] — score each shard by live
-//!   element-weighted cost ([`BatchEngine::load_cost`], rows × row
-//!   length, so long-row jobs count for what they hold) *times* its
-//!   recent p99 latency ([`BatchEngine::recent_p99_ns`]: nearest-rank
-//!   p99 over the shard's newest 4,096 successful batches, all kernels;
-//!   EWMA'd and refreshed on a short interval so route decisions do not
-//!   lock every shard's stats per submit), so a shard that is slow —
-//!   congested, degraded, or serving bigger requests — sheds traffic
-//!   even when its instantaneous row count looks ordinary.
-//!
-//! Routing is one half of the scheduler; **work stealing** is the
-//! other. When [`ServeConfig::work_stealing`] is on (the default) and
-//! the router has more than one shard, the shards are linked as
-//! siblings at construction: a shard whose own queue runs dry pulls
-//! whole pending jobs from the most-backlogged sibling instead of
-//! idling, correcting routing mistakes after the fact. See
-//! [`BatchEngine::jobs_stolen`] / [`BatchEngine::jobs_donated`] for the
-//! per-shard counters and the engine docs for the invariants (whole
-//! untouched jobs only, deadlines and breaker state honored).
+//! * **Adaptive routing** — each shard is scored by live element-weighted
+//!   cost ([`BatchEngine::load_cost`], rows × row length, so long-row
+//!   jobs count for what they hold) *times* its recent p99 latency
+//!   ([`BatchEngine::recent_p99_ns`]: nearest-rank p99 over the shard's
+//!   newest 4,096 successful batches, all kernels; EWMA'd and refreshed
+//!   on a short interval so route decisions do not lock every shard's
+//!   stats per submit), and a submission goes to the best-scoring
+//!   admitting shard. A shard that is slow — congested, degraded, or
+//!   serving bigger requests — sheds traffic even when its instantaneous
+//!   row count looks ordinary.
+//! * **Work stealing** — a router with more than one shard links them as
+//!   siblings at construction: a shard whose own queue runs dry pulls
+//!   whole pending jobs from the most-backlogged sibling instead of
+//!   idling, correcting routing mistakes after the fact. See
+//!   [`BatchEngine::jobs_stolen`] / [`BatchEngine::jobs_donated`] for
+//!   the per-shard counters and the engine docs for the invariants
+//!   (whole untouched jobs only, deadlines and breaker state honored).
 //!
 //! On a full shard, a non-blocking submission *fails over*: the router
 //! retries every other shard (reusing the owned buffer, no copy) before
@@ -37,14 +30,13 @@
 //!
 //! Routing is **health-aware**: a shard whose circuit breaker is open
 //! (see [`BreakerConfig`](crate::BreakerConfig)), or that lost its last
-//! worker, rejects non-blocking admissions instantly — so the fail-over
-//! sweep routes around unhealthy shards at no extra cost, and
-//! [`RoutePolicy::LeastLoaded`] skips them outright. Blocking
-//! submissions retry with exponential backoff: short bounded waits on
-//! the least-loaded *admitting* shard, re-sweeping everyone between
-//! waits, so one stuck shard never absorbs the whole wait budget.
+//! worker, is never the routing pick and rejects non-blocking admissions
+//! instantly — so the fail-over sweep routes around unhealthy shards at
+//! no extra cost. Blocking submissions retry with exponential backoff:
+//! short bounded waits on the *admitting* shard with the fewest rows,
+//! re-sweeping everyone between waits, so one stuck shard never absorbs
+//! the whole wait budget.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -61,7 +53,7 @@ const RETRY_BACKOFF_FLOOR: Duration = Duration::from_micros(100);
 /// Cap on one bounded wait of the blocking retry loop.
 const RETRY_BACKOFF_CEIL: Duration = Duration::from_millis(5);
 
-/// How long an [`RoutePolicy::Adaptive`] latency snapshot stays fresh.
+/// How long an adaptive-routing latency snapshot stays fresh.
 /// Within this window, route decisions reuse the cached EWMA scores and
 /// never touch a shard's stats lock.
 const ADAPTIVE_REFRESH: Duration = Duration::from_millis(2);
@@ -71,21 +63,19 @@ const ADAPTIVE_REFRESH: Duration = Duration::from_millis(2);
 const ADAPTIVE_ALPHA: f64 = 0.3;
 
 /// How a [`ShardedRouter`] picks the shard for the next submission.
+/// There is one policy; the enum remains so callers that name it keep
+/// compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
-    /// Rotate through the shards in order.
-    RoundRobin,
-    /// Route to the shard with the fewest in-flight rows.
-    LeastLoaded,
-    /// Route to the shard with the best *congestion score*: in-flight
-    /// element cost weighted by the shard's recent p99 latency
-    /// ([`BatchEngine::recent_p99_ns`], EWMA'd, cached for
-    /// [`ADAPTIVE_REFRESH`]). With no latency history yet this
-    /// degenerates to [`RoutePolicy::LeastLoaded`].
+    /// Route to the admitting shard with the best *congestion score*:
+    /// in-flight element cost weighted by the shard's recent p99 latency
+    /// ([`BatchEngine::recent_p99_ns`], EWMA'd, cached for 2 ms). With
+    /// no latency history yet this
+    /// degenerates to the least element-weighted load.
     Adaptive,
 }
 
-/// Cached state behind [`RoutePolicy::Adaptive`]: one EWMA'd p99 per
+/// Cached state behind adaptive routing: one EWMA'd p99 per
 /// shard, refreshed at most every [`ADAPTIVE_REFRESH`] so the per-shard
 /// stats locks are touched on a schedule, not per submit.
 #[derive(Debug)]
@@ -97,18 +87,16 @@ struct AdaptiveState {
 }
 
 /// One shard's routing-relevant state, read once per sweep — the
-/// single snapshot both the policy pick and the fail-over order work
+/// single snapshot both the routing pick and the fail-over order work
 /// from, instead of re-locking stats per candidate.
 #[derive(Debug, Clone, Copy)]
 struct ShardSnapshot {
     load: u64,
     admitting: bool,
-    /// Policy-specific routing score (lower is better): raw row load
-    /// for [`RoutePolicy::LeastLoaded`], element-weighted cost × EWMA-p99
-    /// for [`RoutePolicy::Adaptive`]. The adaptive score uses cost
-    /// (rows × row length) rather than rows because mixed traffic
-    /// misprices otherwise: a few very long rows hold a worker far
-    /// longer than many short ones.
+    /// Routing score (lower is better): element-weighted cost × EWMA-p99.
+    /// It uses cost (rows × row length) rather than rows because mixed
+    /// traffic misprices otherwise: a few very long rows hold a worker
+    /// far longer than many short ones.
     score: f64,
 }
 
@@ -116,30 +104,29 @@ struct ShardSnapshot {
 #[derive(Debug)]
 pub struct ShardedRouter {
     shards: Vec<BatchEngine>,
-    policy: RoutePolicy,
-    cursor: AtomicUsize,
     adaptive: Mutex<AdaptiveState>,
 }
 
 impl ShardedRouter {
-    /// Builds `n_shards` engines, each from a clone of `config`.
+    /// Builds `n_shards` engines, each from a clone of `config`, and
+    /// links them for work stealing when there is more than one. The
+    /// one [`RoutePolicy`] needs no setting, so `_policy` is ignored.
     ///
     /// # Errors
     ///
     /// Returns [`SoftmaxError::InvalidConfig`] when `n_shards == 0` or
     /// the config fails [`ServeConfig::validate`] (already-spawned
     /// shards are dropped — and therefore joined — on the way out).
-    pub fn new(n_shards: usize, config: ServeConfig, policy: RoutePolicy) -> Result<Self> {
+    pub fn new(n_shards: usize, config: ServeConfig, _policy: RoutePolicy) -> Result<Self> {
         if n_shards == 0 {
             return Err(SoftmaxError::InvalidConfig(
                 "router needs at least one shard".to_string(),
             ));
         }
-        let work_stealing = config.work_stealing;
         let shards = (0..n_shards)
             .map(|_| BatchEngine::new(config.clone()))
             .collect::<Result<Vec<_>>>()?;
-        if work_stealing && n_shards > 1 {
+        if n_shards > 1 {
             BatchEngine::link_shards(&shards);
         }
         Ok(Self {
@@ -148,8 +135,6 @@ impl ShardedRouter {
                 refreshed_at: None,
             }),
             shards,
-            policy,
-            cursor: AtomicUsize::new(0),
         })
     }
 
@@ -170,12 +155,6 @@ impl ShardedRouter {
         &self.shards[index]
     }
 
-    /// The routing policy.
-    #[must_use]
-    pub fn policy(&self) -> RoutePolicy {
-        self.policy
-    }
-
     /// Rows admitted and not yet completed, summed over the shards.
     #[must_use]
     pub fn load_rows(&self) -> u64 {
@@ -183,8 +162,8 @@ impl ShardedRouter {
     }
 
     /// Jobs the shards stole from each other over the router's lifetime
-    /// (equal to the sum of [`BatchEngine::jobs_donated`]; 0 with
-    /// [`ServeConfig::work_stealing`] off or a single shard).
+    /// (equal to the sum of [`BatchEngine::jobs_donated`]; 0 with a
+    /// single shard).
     #[must_use]
     pub fn jobs_stolen(&self) -> u64 {
         self.shards.iter().map(BatchEngine::jobs_stolen).sum()
@@ -263,31 +242,19 @@ impl ShardedRouter {
     }
 
     /// One snapshot of every shard's routing state — load, health, and
-    /// (for [`RoutePolicy::Adaptive`]) the cached congestion score. The
-    /// whole sweep that follows reads this snapshot instead of
-    /// re-locking per-shard state per candidate.
+    /// the cached congestion score. The whole sweep that follows reads
+    /// this snapshot instead of re-locking per-shard state per candidate.
     fn snapshot(&self) -> Vec<ShardSnapshot> {
-        let p99 = match self.policy {
-            RoutePolicy::Adaptive => Some(self.adaptive_p99s()),
-            RoutePolicy::RoundRobin | RoutePolicy::LeastLoaded => None,
-        };
+        let p99 = self.adaptive_p99s();
         self.shards
             .iter()
-            .enumerate()
-            .map(|(index, shard)| {
-                let load = shard.load_rows();
-                let score = match &p99 {
-                    // +1 on both factors: a shard with no history (or no
-                    // load) still orders by the other signal, so the
-                    // score degenerates to least-loaded gracefully.
-                    Some(p99) => (shard.load_cost() as f64 + 1.0) * (p99[index] + 1.0),
-                    None => load as f64,
-                };
-                ShardSnapshot {
-                    load,
-                    admitting: shard.is_admitting(),
-                    score,
-                }
+            .zip(p99)
+            .map(|(shard, p99)| ShardSnapshot {
+                load: shard.load_rows(),
+                admitting: shard.is_admitting(),
+                // +1 on both factors: a shard with no history (or no
+                // load) still orders by the other signal.
+                score: (shard.load_cost() as f64 + 1.0) * (p99 + 1.0),
             })
             .collect()
     }
@@ -316,15 +283,6 @@ impl ShardedRouter {
         state.p99_ewma.clone()
     }
 
-    /// The policy's pick for the sweep's first candidate, read off the
-    /// snapshot.
-    fn pick(&self, snapshot: &[ShardSnapshot]) -> usize {
-        match self.policy {
-            RoutePolicy::RoundRobin => self.cursor.fetch_add(1, Ordering::Relaxed) % snapshot.len(),
-            RoutePolicy::LeastLoaded | RoutePolicy::Adaptive => best_scoring(snapshot),
-        }
-    }
-
     /// Routes an owned score matrix to a shard and returns its
     /// [`Ticket`], failing over across shards before rejecting.
     ///
@@ -348,8 +306,8 @@ impl ShardedRouter {
 
     /// Like [`ShardedRouter::submit`], but when every shard is full it
     /// blocks for a slot — bounded waits with exponential backoff on the
-    /// least-loaded admitting shard, re-sweeping all shards between
-    /// waits — for at most the config's
+    /// admitting shard with the fewest rows, re-sweeping all shards
+    /// between waits — for at most the config's
     /// [`admission_timeout`](crate::ServeConfig::admission_timeout).
     ///
     /// # Errors
@@ -396,15 +354,15 @@ impl ShardedRouter {
         };
         let mut backoff = RETRY_BACKOFF_FLOOR;
         loop {
-            // One snapshot per retry iteration feeds both the policy
+            // One snapshot per retry iteration feeds both the routing
             // pick and the blocking fallback below — the sweep never
             // re-reads a shard's load or health mid-iteration.
             let snapshot = self.snapshot();
-            // One non-blocking sweep over every shard from the policy's
-            // pick. Full, dead, and breaker-open shards reject instantly
+            // One non-blocking sweep over every shard from the
+            // best-scoring one. Full, dead, and breaker-open shards reject instantly
             // (handing the buffer back), so the sweep fails over around
             // trouble at no extra cost.
-            let first = self.pick(&snapshot);
+            let first = best_scoring(&snapshot);
             let n = self.shards.len();
             for offset in 0..n {
                 let shard = &self.shards[(first + offset) % n];
@@ -430,7 +388,7 @@ impl ShardedRouter {
             if now >= until {
                 return Err(SoftmaxError::QueueFull);
             }
-            // Every shard rejected: block briefly on the least-loaded
+            // Every shard rejected: block briefly on the fewest-rows
             // admitting shard — the one most likely to free a slot first
             // — then re-sweep. The backoff slice doubles per miss so a
             // congested router converges to few, longer waits, while the
@@ -472,8 +430,9 @@ impl ShardedRouter {
 
 /// Index of the best-scoring shard that is currently **admitting**
 /// (alive, breaker not open) — unhealthy shards are skipped. When no
-/// shard is admitting, falls back to the globally least-loaded one, so
-/// callers still get routed (and the resulting error is honest).
+/// shard is admitting, falls back to the one with the fewest rows
+/// overall, so callers still get routed (and the resulting error is
+/// honest).
 fn best_scoring(snapshot: &[ShardSnapshot]) -> usize {
     snapshot
         .iter()
@@ -483,8 +442,9 @@ fn best_scoring(snapshot: &[ShardSnapshot]) -> usize {
         .map_or_else(|| least_loaded_any(snapshot), |(index, _)| index)
 }
 
-/// Index of the least-loaded admitting shard (raw load, score aside) —
-/// where a blocked submitter is most likely to get a slot first. Same
+/// Index of the admitting shard with the fewest rows (raw load, score
+/// aside) — where a blocked submitter is most likely to get a slot
+/// first. Same
 /// fallback as [`best_scoring`] when nothing admits.
 fn least_loaded_of(snapshot: &[ShardSnapshot]) -> usize {
     snapshot
@@ -513,73 +473,58 @@ mod tests {
         ServeConfig::new(1).with_chunk_rows(2)
     }
 
+    /// Polls `done` every 100 µs for about a second, then gives up.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        for _ in 0..10_000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        panic!("{what} never happened");
+    }
+
+    /// Blocks until every worker of `shard` is parked. A job then
+    /// submitted straight to it cannot be stolen by a parked sibling:
+    /// its own worker takes it and no steal ping goes out.
+    fn wait_idle(shard: &BatchEngine) {
+        wait_for("shard going idle", || {
+            shard.idle_workers() == shard.config().threads
+        });
+    }
+
+    /// [`wait_idle`] on every shard, so no sibling is mid-sweep either.
+    fn wait_all_idle(router: &ShardedRouter) {
+        (0..router.n_shards()).for_each(|index| wait_idle(router.shard(index)));
+    }
+
     #[test]
     fn zero_shards_is_rejected() {
-        assert!(ShardedRouter::new(0, tiny_config(), RoutePolicy::RoundRobin).is_err());
-        assert!(ShardedRouter::new(1, ServeConfig::new(0), RoutePolicy::RoundRobin).is_err());
+        assert!(ShardedRouter::new(0, tiny_config(), RoutePolicy::Adaptive).is_err());
+        assert!(ShardedRouter::new(1, ServeConfig::new(0), RoutePolicy::Adaptive).is_err());
     }
 
     #[test]
     fn routed_submissions_are_bit_identical_to_sequential() {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-        for policy in [RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded] {
-            let router = ShardedRouter::new(3, tiny_config(), policy).expect("valid config");
-            let matrices: Vec<Vec<f64>> = (0..9)
-                .map(|m| (0..5 * 4).map(|i| f64::from((i * m) % 11) - 5.0).collect())
-                .collect();
-            let tickets: Vec<Ticket> = matrices
-                .iter()
-                .map(|rows| {
-                    router
-                        .submit_wait(&kernel, rows.clone(), 4)
-                        .expect("submit")
-                })
-                .collect();
-            for (rows, ticket) in matrices.iter().zip(tickets) {
-                let got = ticket.wait().expect("serve");
-                for (row, got_row) in rows.chunks_exact(4).zip(got.chunks_exact(4)) {
-                    assert_eq!(got_row.to_vec(), kernel.forward(row).expect("row"));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn round_robin_spreads_batches_across_shards() {
-        let kernel = KernelRegistry::global()
-            .get("reference-2")
-            .expect("built-in");
-        // Stealing off: this test checks *placement*, and an idle shard
-        // pulling queued jobs over would blur exactly that.
-        let config = tiny_config().with_work_stealing(false);
-        let router = ShardedRouter::new(2, config, RoutePolicy::RoundRobin).expect("valid config");
-        let rows: Vec<f64> = (0..4 * 3).map(|i| f64::from(i % 5) - 2.0).collect();
-        let tickets: Vec<Ticket> = (0..6)
-            .map(|_| {
+        let router = ShardedRouter::new(3, tiny_config(), RoutePolicy::Adaptive).expect("valid");
+        let matrices: Vec<Vec<f64>> = (0..9)
+            .map(|m| (0..5 * 4).map(|i| f64::from((i * m) % 11) - 5.0).collect())
+            .collect();
+        let tickets: Vec<Ticket> = matrices
+            .iter()
+            .map(|rows| {
                 router
-                    .submit_wait(&kernel, rows.clone(), 3)
+                    .submit_wait(&kernel, rows.clone(), 4)
                     .expect("submit")
             })
             .collect();
-        for ticket in tickets {
-            ticket.wait().expect("serve");
+        for (rows, ticket) in matrices.iter().zip(tickets) {
+            let got = ticket.wait().expect("serve");
+            for (row, got_row) in rows.chunks_exact(4).zip(got.chunks_exact(4)) {
+                assert_eq!(got_row.to_vec(), kernel.forward(row).expect("row"));
+            }
         }
-        for index in 0..router.n_shards() {
-            let shard_batches = router
-                .shard(index)
-                .stats()
-                .kernel("reference-2")
-                .map_or(0, |s| s.batches);
-            assert_eq!(shard_batches, 3, "shard {index} got an uneven share");
-        }
-        assert_eq!(
-            router
-                .stats()
-                .kernel("reference-2")
-                .expect("served")
-                .batches,
-            6
-        );
     }
 
     #[test]
@@ -594,11 +539,11 @@ mod tests {
             .with_kinds(vec![FaultKind::Delay])
             .with_delay(Duration::from_millis(20));
         let slow: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&fast, plan));
-        // Stealing off: placement is what this test checks.
-        let config = tiny_config().with_work_stealing(false);
-        let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
+        let router =
+            ShardedRouter::new(2, tiny_config(), RoutePolicy::Adaptive).expect("valid config");
         let row = vec![1.0, 2.0, 3.0, 4.0];
         for (index, kernel) in [(0, &slow), (0, &slow), (1, &fast), (1, &fast)] {
+            wait_all_idle(&router);
             let submission = Submission::new(kernel, row.clone(), 4);
             router
                 .shard(index)
@@ -607,51 +552,101 @@ mod tests {
                 .wait()
                 .expect("serve");
         }
+        assert_eq!(router.jobs_stolen(), 0, "each job ran on its home shard");
+        assert!(router.shard(0).recent_p99_ns() > router.shard(1).recent_p99_ns());
         // Both shards idle (equal, zero load): only the p99 differs, and
         // the slow shard is the one an index tie-break would pick.
-        assert!(router.shard(0).recent_p99_ns() > router.shard(1).recent_p99_ns());
-        for _ in 0..4 {
-            router
-                .submit_wait(&fast, row.clone(), 4)
-                .expect("submit")
-                .wait()
-                .expect("serve");
-        }
-        let batches = |index: usize| router.shard(index).stats().total().batches;
+        wait_all_idle(&router);
         assert_eq!(
-            (batches(0), batches(1)),
-            (2, 6),
+            best_scoring(&router.snapshot()),
+            1,
             "adaptive must avoid the slow shard"
         );
     }
 
+    /// Runs `inner`, but every forward call first takes `hold`: while
+    /// the test holds the lock, a job of it keeps its shard's admission
+    /// slot taken.
+    #[derive(Debug)]
+    struct HeldKernel {
+        inner: Arc<dyn SoftmaxKernel>,
+        hold: Arc<Mutex<()>>,
+    }
+
+    impl SoftmaxKernel for HeldKernel {
+        fn descriptor(&self) -> &softermax::kernel::KernelDescriptor {
+            self.inner.descriptor()
+        }
+
+        fn forward(&self, row: &[f64]) -> Result<Vec<f64>> {
+            let _held = self.hold.lock().unwrap_or_else(PoisonError::into_inner);
+            self.inner.forward(row)
+        }
+
+        fn stream_session(&self) -> Box<dyn softermax::kernel::StreamSession + '_> {
+            Box::new(softermax::kernel::BufferedSession::new(self))
+        }
+    }
+
     #[test]
     fn full_shards_fail_over_before_rejecting() {
-        let kernel = KernelRegistry::global()
-            .get("reference-e")
-            .expect("built-in");
-        // Depth-1 shards and a parked (0-progress) load: filling both
-        // shards requires fail-over; the third submission must reject.
+        let fast = KernelRegistry::global().get("softermax").expect("built-in");
+        let hold = Arc::new(Mutex::new(()));
+        let held: Arc<dyn SoftmaxKernel> = Arc::new(HeldKernel {
+            inner: Arc::clone(&fast),
+            hold: Arc::clone(&hold),
+        });
         let config = tiny_config().with_queue_depth(1);
-        let router = ShardedRouter::new(2, config, RoutePolicy::RoundRobin).expect("valid config");
-        let slow_rows: Vec<f64> = (0..64 * 8).map(|i| f64::from(i % 9) - 4.0).collect();
-        let t1 = router.submit(&kernel, slow_rows.clone(), 8).expect("first");
-        let t2 = router
-            .submit(&kernel, slow_rows.clone(), 8)
-            .expect("fail-over");
-        // Both shards now hold one admitted batch each; whether their
-        // workers have finished is timing-dependent, so only assert that
-        // a rejection, if it happens, is QueueFull — and that the router
-        // always recovers.
-        match router.submit(&kernel, slow_rows.clone(), 8) {
-            Ok(t3) => drop(t3.wait()),
-            Err(e) => assert!(matches!(e, SoftmaxError::QueueFull), "{e:?}"),
-        }
-        t1.wait().expect("serve");
-        t2.wait().expect("serve");
+        let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
+        let row = vec![1.0, 2.0, 3.0, 4.0];
+        let batches = |index: usize| router.shard(index).stats().total().batches;
+
+        // Shard 1 gets a latency history; then a held job fills shard 0.
+        // Without history and with a 4-element load, shard 0 now scores
+        // best, so the routing pick is the full shard.
+        wait_all_idle(&router);
+        router
+            .shard(1)
+            .submit(&fast, row.clone(), 4)
+            .expect("admit")
+            .wait()
+            .expect("serve");
+        let guard = hold.lock().expect("hold");
+        wait_all_idle(&router);
+        let held0 = router
+            .shard(0)
+            .submit(&held, row.clone(), 4)
+            .expect("admit");
+        // Started, so shard 1's worker cannot steal it once it wakes.
+        wait_for("held job starting", || router.shard(0).queued_jobs() == 0);
+        assert_eq!(
+            best_scoring(&router.snapshot()),
+            0,
+            "the pick is the full shard"
+        );
+        router
+            .submit(&fast, row.clone(), 4)
+            .expect("fail-over to shard 1")
+            .wait()
+            .expect("serve");
+        assert_eq!(batches(1), 2, "the routed job ran on shard 1");
+
+        // Both shards full: a non-blocking submission must reject.
+        wait_idle(router.shard(1));
+        let held1 = router
+            .shard(1)
+            .submit(&held, row.clone(), 4)
+            .expect("admit");
+        let err = router
+            .submit(&fast, row.clone(), 4)
+            .expect_err("every shard is full");
+        assert!(matches!(err, SoftmaxError::QueueFull), "{err:?}");
+        drop(guard);
+        held0.wait().expect("serve");
+        held1.wait().expect("serve");
         // Drained router: submissions flow again.
         router
-            .submit(&kernel, slow_rows, 8)
+            .submit(&fast, row, 4)
             .expect("submit after drain")
             .wait()
             .expect("serve");

@@ -246,12 +246,14 @@ impl BatchEngine {
     }
 
     /// Like [`BatchEngine::submit`], but blocks for an admission slot
-    /// instead of rejecting when the engine is full.
+    /// instead of rejecting when the engine is full — for at most the
+    /// config's [`admission_timeout`](crate::ServeConfig::admission_timeout).
     ///
     /// # Errors
     ///
-    /// As [`BatchEngine::submit`], minus
-    /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull).
+    /// As [`BatchEngine::submit`];
+    /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull)
+    /// here means no slot freed up within the admission timeout.
     pub fn submit_wait(
         &self,
         kernel: &Arc<dyn SoftmaxKernel>,
@@ -267,8 +269,10 @@ impl BatchEngine {
     /// # Errors
     ///
     /// As [`BatchEngine::submit`] for [`Admission::Fail`]; blocking
-    /// admission cannot see
-    /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull).
+    /// admission ([`Admission::Block`] / [`Admission::BlockFor`])
+    /// returns
+    /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull)
+    /// once its wait budget runs out without a free slot.
     /// A streamed submission with a zero chunk is
     /// [`SoftmaxError::InvalidConfig`](softermax::SoftmaxError::InvalidConfig).
     ///

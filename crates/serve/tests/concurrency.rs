@@ -57,9 +57,9 @@ proptest! {
     /// M client threads, each submitting several requests (mixed kernels,
     /// mixed batch/streamed paths, mixed interactive/batch priorities)
     /// and holding them all in flight before collecting, through a
-    /// sharded router at 1–2 shards under all three routing policies
-    /// with work stealing both on and off: every output is bit-identical
-    /// to sequential execution of the same matrix.
+    /// sharded router at 1–2 shards (work stealing between the two):
+    /// every output is bit-identical to sequential execution of the same
+    /// matrix.
     #[test]
     fn concurrent_submitters_are_bit_identical_to_sequential(
         values in vec(-15.0f64..15.0, POOL..POOL + 1),
@@ -68,8 +68,6 @@ proptest! {
         n_rows in 1usize..6,
         row_len in 1usize..8,
         n_shards in 1usize..3,
-        policy_index in 0usize..3,
-        stealing in any::<bool>(),
         stream_chunk in 1usize..10,
         chunk_pick in 0usize..3,
         salt in 0usize..1000,
@@ -77,11 +75,6 @@ proptest! {
         // One-row chunks gather several output segments per job, 3-row
         // chunks leave an uneven tail, 32 (the default) is one chunk.
         let chunk_rows = [1, 3, 32][chunk_pick];
-        let policy = [
-            RoutePolicy::RoundRobin,
-            RoutePolicy::LeastLoaded,
-            RoutePolicy::Adaptive,
-        ][policy_index];
         let kernels = KernelRegistry::with_builtins();
         let elems = n_rows * row_len;
 
@@ -115,9 +108,9 @@ proptest! {
         // exceed, so blocking admission is exercised too.
         let config = ServeConfig::new(2)
             .with_chunk_rows(chunk_rows)
-            .with_queue_depth(4)
-            .with_work_stealing(stealing);
-        let router = ShardedRouter::new(n_shards, config, policy).expect("valid config");
+            .with_queue_depth(4);
+        let router =
+            ShardedRouter::new(n_shards, config, RoutePolicy::Adaptive).expect("valid config");
 
         let outputs: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = plans
@@ -162,15 +155,13 @@ proptest! {
                 prop_assert_eq!(
                     bits(out),
                     bits(&plan.want),
-                    "client {} request {} ({}, {:?}, {:?}) diverged at {} shard(s), {:?}, stealing {}, {}-row chunks",
+                    "client {} request {} ({}, {:?}, {:?}) diverged at {} shard(s), {}-row chunks",
                     client,
                     request,
                     plan.kernel.name(),
                     plan.stream_chunk,
                     plan.priority,
                     n_shards,
-                    policy,
-                    stealing,
                     chunk_rows
                 );
             }

@@ -1,7 +1,7 @@
 //! Fault injection through the serving layer.
 //!
 //! * Property: under *random* fault plans — injected panics, errors, and
-//!   latency spikes, across 1–2 shards and both routing policies — the
+//!   latency spikes, across 1–2 shards — the
 //!   serving layer never loses a request: every submitted ticket
 //!   terminates (success or honest error, never a hang), and every
 //!   *successful* response stays bit-identical to sequential execution
@@ -60,13 +60,11 @@ proptest! {
         rate in 0.0f64..0.6,
         kinds_mask in 1usize..8,
         n_shards in 1usize..3,
-        policy_index in 0usize..2,
         n_requests in 4usize..10,
         n_rows in 1usize..4,
         row_len in 1usize..6,
     ) {
         quiet_panics();
-        let policy = [RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded][policy_index];
         let inner = KernelRegistry::global().get("softermax").expect("built-in");
         let plan = FaultPlan::new(seed, rate)
             .with_kinds(kinds_from_mask(kinds_mask))
@@ -78,7 +76,8 @@ proptest! {
         // a default breaker that may well trip mid-run — routing must
         // stay live either way.
         let config = ServeConfig::new(2).with_chunk_rows(2).with_queue_depth(8);
-        let router = ShardedRouter::new(n_shards, config, policy).expect("valid config");
+        let router =
+            ShardedRouter::new(n_shards, config, RoutePolicy::Adaptive).expect("valid config");
 
         let matrices: Vec<Vec<f64>> = (0..n_requests)
             .map(|m| {
@@ -181,7 +180,7 @@ fn chaos_run(
         .with_queue_depth(32)
         .with_respawn_cap(4096);
     let router =
-        ShardedRouter::new(CHAOS_SHARDS, config, RoutePolicy::RoundRobin).expect("valid config");
+        ShardedRouter::new(CHAOS_SHARDS, config, RoutePolicy::Adaptive).expect("valid config");
 
     let (mut ok, mut failed) = ([0u64; 3], [0u64; 3]);
     for (matrix, want) in requests.iter().zip(wants) {

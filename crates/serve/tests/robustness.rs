@@ -442,6 +442,40 @@ fn breaker_trips_on_failures_and_recovers_through_a_probe() {
     assert!(engine.is_admitting());
 }
 
+/// Blocks until every worker of every shard is parked. A batch then
+/// submitted straight to one shard stays there: its parked home worker
+/// takes it, and no steal ping wakes an idle sibling to pull it over.
+fn wait_idle(router: &ShardedRouter) {
+    for index in 0..router.n_shards() {
+        let shard = router.shard(index);
+        for _ in 0..10_000 {
+            if shard.idle_workers() == shard.config().threads {
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        assert_eq!(
+            shard.idle_workers(),
+            shard.config().threads,
+            "shard {index} workers never went idle"
+        );
+    }
+}
+
+/// Poisons `shard` with NaN batches until its breaker opens.
+fn trip(router: &ShardedRouter, shard: usize, kernel: &Arc<dyn SoftmaxKernel>) {
+    for _ in 0..2 {
+        wait_idle(router);
+        router
+            .shard(shard)
+            .submit(kernel, vec![f64::NAN, 1.0], 2)
+            .expect("admitted while closed")
+            .wait()
+            .expect_err("NaN row fails");
+    }
+    assert_eq!(router.shard(shard).breaker_state(), BreakerState::Open);
+}
+
 #[test]
 fn router_routes_around_an_open_shard() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
@@ -453,52 +487,36 @@ fn router_routes_around_an_open_shard() {
         cooldown: Duration::from_secs(30),
         latency_budget: None,
     };
-    for policy in [RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded] {
-        // Stealing off: the poisoned batches queued directly on shard 0
-        // must trip *shard 0's* breaker, not migrate to the idle shard 1
-        // and trip its breaker instead — this test is about placement.
-        let config = single_row_config()
-            .with_breaker(breaker.clone())
-            .with_work_stealing(false);
-        let router = ShardedRouter::new(2, config, policy).expect("valid config");
+    let config = single_row_config().with_breaker(breaker);
+    let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
-        // Trip shard 0 directly (bypassing the router's spreading).
-        for _ in 0..2 {
-            router
-                .shard(0)
-                .submit(&kernel, vec![f64::NAN, 1.0], 2)
-                .expect("admitted while closed")
-                .wait()
-                .expect_err("NaN row fails");
-        }
-        assert_eq!(router.shard(0).breaker_state(), BreakerState::Open);
-        assert!(router.shard(1).is_admitting());
+    // Trip shard 0 directly (bypassing the router's spreading).
+    trip(&router, 0, &kernel);
+    assert!(router.shard(1).is_admitting());
 
-        // Every routed submission now lands on the healthy shard.
-        for _ in 0..4 {
-            router
-                .submit(&kernel, vec![1.0, 2.0], 2)
-                .expect("healthy shard admits")
-                .wait()
-                .expect("healthy shard serves");
-        }
-        let healthy = router.shard(1).stats();
-        assert_eq!(
-            healthy.kernel("nan-rejecting").expect("recorded").batches,
-            4,
-            "all clean traffic must route to the healthy shard ({policy:?})"
-        );
-        assert_eq!(
-            router
-                .shard(0)
-                .stats()
-                .kernel("nan-rejecting")
-                .expect("recorded")
-                .batches,
-            0,
-            "the open shard must see no clean traffic ({policy:?})"
-        );
+    // Every routed submission now lands on the healthy shard, and the
+    // open shard never steals it back.
+    for _ in 0..4 {
+        router
+            .submit(&kernel, vec![1.0, 2.0], 2)
+            .expect("healthy shard admits")
+            .wait()
+            .expect("healthy shard serves");
     }
+    let batches = |shard: usize| {
+        router
+            .shard(shard)
+            .stats()
+            .kernel("nan-rejecting")
+            .expect("recorded")
+            .batches
+    };
+    assert_eq!(
+        batches(1),
+        4,
+        "all clean traffic must route to the healthy shard"
+    );
+    assert_eq!(batches(0), 0, "the open shard must see no clean traffic");
 }
 
 /// The fail-over sweep with nowhere left to go: when *every* shard's
@@ -515,48 +533,25 @@ fn router_refuses_honestly_when_every_breaker_is_open() {
         cooldown: Duration::from_millis(30),
         latency_budget: None,
     };
-    for policy in [
-        RoutePolicy::RoundRobin,
-        RoutePolicy::LeastLoaded,
-        RoutePolicy::Adaptive,
-    ] {
-        // Stealing off so the poisoned batches trip exactly the shard
-        // they were queued on.
-        let config = single_row_config()
-            .with_breaker(breaker.clone())
-            .with_work_stealing(false);
-        let router = ShardedRouter::new(2, config, policy).expect("valid config");
-
-        // Trip every shard.
-        for shard in 0..router.n_shards() {
-            for _ in 0..2 {
-                router
-                    .shard(shard)
-                    .submit(&kernel, vec![f64::NAN, 1.0], 2)
-                    .expect("admitted while closed")
-                    .wait()
-                    .expect_err("NaN row fails");
-            }
-            assert_eq!(router.shard(shard).breaker_state(), BreakerState::Open);
-        }
-
-        // A whole-router sweep finds no admitting shard: the submission
-        // is refused with QueueFull (the fail-over error), immediately.
-        let err = router
-            .submit(&kernel, vec![1.0, 2.0], 2)
-            .expect_err("all breakers open must refuse");
-        assert!(
-            matches!(err, SoftmaxError::QueueFull),
-            "{err:?} ({policy:?})"
-        );
-
-        // Past the cooldown both breakers are half-open: clean probes
-        // get through and the router serves again.
-        std::thread::sleep(Duration::from_millis(60));
-        router
-            .submit(&kernel, vec![1.0, 2.0], 2)
-            .expect("half-open probe admits")
-            .wait()
-            .expect("clean probe succeeds");
+    let config = single_row_config().with_breaker(breaker);
+    let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
+    for shard in 0..router.n_shards() {
+        trip(&router, shard, &kernel);
     }
+
+    // A whole-router sweep finds no admitting shard: the submission is
+    // refused with QueueFull (the fail-over error), immediately.
+    let err = router
+        .submit(&kernel, vec![1.0, 2.0], 2)
+        .expect_err("all breakers open must refuse");
+    assert!(matches!(err, SoftmaxError::QueueFull), "{err:?}");
+
+    // Past the cooldown both breakers are half-open: clean probes get
+    // through and the router serves again.
+    std::thread::sleep(Duration::from_millis(60));
+    router
+        .submit(&kernel, vec![1.0, 2.0], 2)
+        .expect("half-open probe admits")
+        .wait()
+        .expect("clean probe succeeds");
 }

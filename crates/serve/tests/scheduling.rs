@@ -150,7 +150,7 @@ fn staged_engine(weight: usize) -> (ShardedRouter, Arc<Gate>, Arc<Mutex<Vec<i64>
         .with_chunk_rows(1)
         .with_queue_depth(64)
         .with_interactive_weight(weight);
-    let router = ShardedRouter::new(1, config, RoutePolicy::RoundRobin).expect("valid config");
+    let router = ShardedRouter::new(1, config, RoutePolicy::Adaptive).expect("valid config");
     let gate = Arc::new(Gate::default());
     let order = Arc::new(Mutex::new(Vec::new()));
     (router, gate, order)
@@ -299,7 +299,7 @@ fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
     // One-row chunks: each stolen 3-row job is served as three chunks on
     // the thief, whose output segments are gathered in row order.
     let config = ServeConfig::new(1).with_chunk_rows(1).with_queue_depth(16);
-    let router = ShardedRouter::new(2, config, RoutePolicy::RoundRobin).expect("valid config");
+    let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
     // Pin shard 0's lone worker, then backlog shard 0 directly: every
     // enqueue pings the idle sibling, which steals the whole job.
@@ -352,7 +352,7 @@ fn expired_jobs_are_left_for_the_victim_to_account() {
     let gates: Vec<Arc<Gate>> = (0..2).map(|_| Arc::new(Gate::default())).collect();
     let order = Arc::new(Mutex::new(Vec::new()));
     let config = ServeConfig::new(1).with_chunk_rows(4).with_queue_depth(16);
-    let router = ShardedRouter::new(2, config, RoutePolicy::RoundRobin).expect("valid config");
+    let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
     // Pin *both* shards' workers so nothing moves while staging. The
     // idle wait before each pin keeps the pin on its home shard (an
@@ -443,7 +443,7 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
         .with_chunk_rows(4)
         .with_queue_depth(16)
         .with_breaker(breaker);
-    let router = ShardedRouter::new(2, config, RoutePolicy::RoundRobin).expect("valid config");
+    let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
     // Pin shard 0 first so its idle worker cannot steal the poisoned
     // jobs meant to trip shard 1's breaker (after the idle wait, the

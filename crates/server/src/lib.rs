@@ -69,6 +69,8 @@ use softermax_wire::{
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Server-side configuration: router geometry plus connection limits.
+/// The router always schedules by adaptive routing plus work stealing;
+/// there is no policy to pick.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Engine shards behind the router.
@@ -77,8 +79,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Bounded intake depth per shard.
     pub queue_depth: usize,
-    /// Routing policy across the shards.
-    pub policy: RoutePolicy,
     /// Max replies owed per connection before its reader stops pulling
     /// frames (per-connection in-flight window).
     pub inflight_window: usize,
@@ -92,7 +92,6 @@ impl Default for ServerConfig {
             shards: 2,
             threads: 2,
             queue_depth: softermax_serve::DEFAULT_QUEUE_DEPTH,
-            policy: RoutePolicy::Adaptive,
             inflight_window: 32,
             name: "softermax-server".to_string(),
         }
@@ -325,7 +324,7 @@ impl Server {
             return Err(ServerError::NoListeners);
         }
         let serve_config = ServeConfig::new(config.threads).with_queue_depth(config.queue_depth);
-        let router = ShardedRouter::new(config.shards, serve_config, config.policy)
+        let router = ShardedRouter::new(config.shards, serve_config, RoutePolicy::Adaptive)
             .map_err(ServerError::Config)?;
         let shared = Arc::new(Shared {
             router,

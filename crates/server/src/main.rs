@@ -3,9 +3,12 @@
 //! ```text
 //! softermax-server [--tcp ADDR] [--unix PATH]
 //!                  [--shards N] [--threads N] [--queue-depth N]
-//!                  [--policy round-robin|least-loaded|adaptive]
-//!                  [--window N] [--name NAME]
+//!                  [--policy adaptive] [--window N] [--name NAME]
 //! ```
+//!
+//! The router behind the listeners schedules by adaptive routing plus
+//! work stealing, with no knob. `--policy` accepts only `adaptive`, the
+//! value existing command lines pass; any other value is an error.
 //!
 //! At least one of `--tcp` / `--unix` is required. Each bound endpoint
 //! is reported on stdout as a `listening tcp:HOST:PORT` /
@@ -22,7 +25,6 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use softermax_serve::RoutePolicy;
 use softermax_server::{Bind, Server, ServerConfig, ServerError};
 
 fn usage() -> String {
@@ -37,7 +39,7 @@ fn usage() -> String {
         "  --shards N          engine shards behind the router (default 2)",
         "  --threads N         worker threads per shard (default 2)",
         "  --queue-depth N     bounded intake depth per shard (default 64)",
-        "  --policy P          round-robin | least-loaded | adaptive (default adaptive)",
+        "  --policy adaptive   accepted for compatibility; adaptive routing + work stealing is the only scheduler",
         "  --window N          per-connection in-flight reply window (default 32)",
         "  --name NAME         server name reported in HelloAck",
     ]
@@ -77,14 +79,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--queue-depth: {e}"))?;
             }
-            "--policy" => {
-                config.policy = match value("--policy")?.as_str() {
-                    "round-robin" => RoutePolicy::RoundRobin,
-                    "least-loaded" => RoutePolicy::LeastLoaded,
-                    "adaptive" => RoutePolicy::Adaptive,
-                    other => return Err(format!("--policy: unknown policy '{other}'")),
-                };
-            }
+            "--policy" => match value("--policy")?.as_str() {
+                "adaptive" => {}
+                other => return Err(format!("--policy: unknown policy '{other}'")),
+            },
             "--window" => {
                 config.inflight_window = value("--window")?
                     .parse()
@@ -131,4 +129,37 @@ fn main() -> ExitCode {
     let drained = server.run();
     let _ = writeln!(stdout, "drained {drained} connections");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn accepts_the_benchmark_server_command_line() {
+        let args =
+            parse("--unix P --shards 2 --threads 1 --queue-depth 64 --policy adaptive --window 32")
+                .expect("valid command line");
+        assert_eq!(args.binds, vec![Bind::Unix("P".into())]);
+        assert_eq!(args.config.shards, 2);
+        assert_eq!(args.config.threads, 1);
+        assert_eq!(args.config.queue_depth, 64);
+        assert_eq!(args.config.inflight_window, 32);
+    }
+
+    #[test]
+    fn rejects_the_deleted_routing_policies() {
+        for policy in ["round-robin", "least-loaded"] {
+            let err = match parse(&format!("--unix P --policy {policy}")) {
+                Ok(_) => panic!("--policy {policy} must be rejected"),
+                Err(err) => err,
+            };
+            assert_eq!(err, format!("--policy: unknown policy '{policy}'"));
+        }
+    }
 }
