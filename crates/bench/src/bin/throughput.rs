@@ -31,7 +31,7 @@
 //!   (every request is sent at its scheduled instant whether or not
 //!   earlier ones have answered; a full router is a drop, never
 //!   backpressure) against two single-worker shards under the router's
-//!   one scheduler (adaptive routing plus work stealing). After
+//!   one scheduler (least-cost routing plus work stealing). After
 //!   calibrating per-request service time, the harness sweeps offered
 //!   load through the saturation knee recording the latency-throughput
 //!   curve and per-interval dstat-style counters, replays one bursty
@@ -910,7 +910,7 @@ fn ol_run(
                     "completed": now[2] - prev[2],
                     "expired": now[3] - prev[3],
                     "stolen": now[4] - prev[4],
-                    "queued_rows": router.load_rows(),
+                    "queued_elems": router.load_cost(),
                 });
                 prev = now;
                 let mut rows = intervals.lock().expect("interval rows");
@@ -1083,7 +1083,7 @@ fn open_loop_harness(smoke: bool, seed: u64, assert_priority: bool, out_path: &s
 
     // --- Leg 1: Poisson offered-load sweep to the saturation knee. ---
     println!(
-        "\nknee sweep: Poisson arrivals, adaptive routing + stealing, deadline {:.1} ms",
+        "\nknee sweep: Poisson arrivals, least-cost routing + stealing, deadline {:.1} ms",
         sweep_deadline.as_secs_f64() * 1e3
     );
     print_header(&[

@@ -54,13 +54,6 @@ pub struct ServeConfig {
     pub respawn_cap: usize,
     /// Circuit-breaker tuning (see [`BreakerConfig`]).
     pub breaker: BreakerConfig,
-    /// Weighted fair dequeue: how many consecutive
-    /// [`Priority::Interactive`](crate::Priority) jobs may start while
-    /// [`Priority::Batch`](crate::Priority) work waits before the next
-    /// batch job is served. Batch traffic is therefore guaranteed at
-    /// least one start in every `interactive_weight + 1` under
-    /// contention; interactive traffic always goes first otherwise.
-    pub interactive_weight: usize,
 }
 
 /// Default admission bound of a [`ServeConfig`]: how many batches may be
@@ -73,9 +66,13 @@ pub const DEFAULT_ADMISSION_TIMEOUT: Duration = Duration::from_secs(5);
 /// Default worker respawn budget per engine.
 pub const DEFAULT_RESPAWN_CAP: usize = 64;
 
-/// Default weighted-fair-dequeue share: up to 4 interactive starts per
-/// waiting batch start (batch gets ≥ 1 in 5 under contention).
-pub const DEFAULT_INTERACTIVE_WEIGHT: usize = 4;
+/// Weighted fair dequeue: how many consecutive
+/// [`Priority::Interactive`](crate::Priority) jobs may start while
+/// [`Priority::Batch`](crate::Priority) work waits before the next batch
+/// job is served. Batch traffic is therefore guaranteed at least one
+/// start in every 5 under contention; interactive traffic always goes
+/// first otherwise.
+pub const INTERACTIVE_WEIGHT: usize = 4;
 
 impl ServeConfig {
     /// Engine geometry for `threads` workers, with the chunk shape of the
@@ -96,7 +93,6 @@ impl ServeConfig {
             admission_timeout: DEFAULT_ADMISSION_TIMEOUT,
             respawn_cap: DEFAULT_RESPAWN_CAP,
             breaker: BreakerConfig::default(),
-            interactive_weight: DEFAULT_INTERACTIVE_WEIGHT,
         }
     }
 
@@ -135,13 +131,6 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the weighted-fair-dequeue interactive share.
-    #[must_use]
-    pub fn with_interactive_weight(mut self, interactive_weight: usize) -> Self {
-        self.interactive_weight = interactive_weight;
-        self
-    }
-
     /// Checks the configuration is usable.
     ///
     /// # Errors
@@ -162,11 +151,6 @@ impl ServeConfig {
         if self.queue_depth == 0 {
             return Err(SoftmaxError::InvalidConfig(
                 "serve queue must admit at least one batch".to_string(),
-            ));
-        }
-        if self.interactive_weight == 0 {
-            return Err(SoftmaxError::InvalidConfig(
-                "interactive weight must allow at least one interactive start".to_string(),
             ));
         }
         self.breaker.validate()
@@ -197,14 +181,10 @@ mod tests {
     #[test]
     fn scheduling_knobs_default_and_validate() {
         let cfg = ServeConfig::new(2);
-        assert_eq!(cfg.interactive_weight, DEFAULT_INTERACTIVE_WEIGHT);
-        assert!(ServeConfig::new(1)
-            .with_interactive_weight(0)
-            .validate()
-            .is_err());
-        let tuned = ServeConfig::new(1).with_interactive_weight(2);
-        assert!(tuned.validate().is_ok());
-        assert_eq!(tuned.interactive_weight, 2);
+        assert_eq!(cfg.queue_depth, DEFAULT_QUEUE_DEPTH);
+        assert_eq!(cfg.admission_timeout, DEFAULT_ADMISSION_TIMEOUT);
+        assert_eq!(cfg.respawn_cap, DEFAULT_RESPAWN_CAP);
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -13,9 +13,9 @@ use std::time::Instant;
 use softermax::kernel::{check_batch_geometry, ScratchBuffers, SoftmaxKernel, StreamSession};
 use softermax::{Result, SoftmaxError};
 
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, INTERACTIVE_WEIGHT};
 use crate::health::{Breaker, BreakerState};
-use crate::stats::{nearest_rank_p99, EngineStats, KernelServeStats, LatencyRing, LATENCY_WINDOW};
+use crate::stats::{EngineStats, KernelServeStats};
 use crate::submit::{Priority, Ticket};
 
 /// A contiguous range of matrix rows: the unit of scheduling.
@@ -137,21 +137,11 @@ impl BatchEngine {
         &self.config
     }
 
-    /// Rows currently admitted and not yet completed (queued or
-    /// executing) — the load signal the
-    /// [`ShardedRouter`](crate::ShardedRouter)'s blocking fallback
-    /// waits on: when every shard rejects a blocking submission, it
-    /// waits on the admitting shard with the fewest rows.
-    #[must_use]
-    pub fn load_rows(&self) -> u64 {
-        self.shared.load_rows.load(Ordering::Relaxed)
-    }
-
-    /// Elements (rows x row length) admitted and not yet completed — the
-    /// cost-weighted load signal the router's adaptive score uses.
-    /// Row count alone misprices mixed traffic: a few very long rows can
-    /// hold a worker far longer than many short ones, and a policy that
-    /// routes on rows walks straight into the busy shard.
+    /// Elements (rows x row length) admitted and not yet completed
+    /// (queued or executing) — the load signal the
+    /// [`ShardedRouter`](crate::ShardedRouter) routes by. Row count
+    /// alone misprices mixed traffic: a few very long rows can hold a
+    /// worker far longer than many short ones.
     #[must_use]
     pub fn load_cost(&self) -> u64 {
         self.shared.load_cost.load(Ordering::Relaxed)
@@ -239,20 +229,6 @@ impl BatchEngine {
         self.shared.backlog.load(Ordering::Relaxed)
     }
 
-    /// Nearest-rank p99 end-to-end latency over the shard's newest
-    /// [`LATENCY_WINDOW`] successful batches, all kernels (0 with no
-    /// history yet) — the congestion signal behind the
-    /// [`ShardedRouter`](crate::ShardedRouter)'s adaptive score. Failed, expired
-    /// and zero-row batches are not in it. Allocation-free: the stats
-    /// lock is held only to copy the ring onto the stack, and the p99
-    /// is one selection over the copy.
-    #[must_use]
-    pub fn recent_p99_ns(&self) -> u64 {
-        let mut scratch = [0; LATENCY_WINDOW];
-        let n = lock(&self.shared.stats).recent.copy_into(&mut scratch);
-        nearest_rank_p99(&mut scratch[..n])
-    }
-
     /// Wires a set of sibling engines (the shards of one router) into
     /// each other's steal sets: each shard learns weak references to
     /// every other, so an idle worker can pull whole pending jobs from
@@ -324,17 +300,15 @@ impl BatchEngine {
         }
         match admit {
             AdmitMode::NonBlocking => {
-                if !self.shared.try_reserve(n_rows, (n_rows * row_len) as u64) {
+                if !self.shared.try_reserve((n_rows * row_len) as u64) {
                     return Err(EnqueueError::Full(rows));
                 }
             }
             AdmitMode::BlockUntil(until) => {
-                match self.shared.reserve_blocking(
-                    n_rows,
-                    (n_rows * row_len) as u64,
-                    until,
-                    deadline,
-                ) {
+                match self
+                    .shared
+                    .reserve_blocking((n_rows * row_len) as u64, until, deadline)
+                {
                     Reserve::Reserved => {}
                     Reserve::TimedOut => return Err(EnqueueError::Full(rows)),
                     Reserve::Expired => {
@@ -355,7 +329,7 @@ impl BatchEngine {
     /// A snapshot of the per-kernel serving counters.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        EngineStats::from_map(lock(&self.shared.stats).per_kernel.clone())
+        EngineStats::from_map(lock(&self.shared.stats).clone())
     }
 }
 
@@ -429,15 +403,6 @@ enum Reserve {
     Shutdown,
 }
 
-/// The serving counters behind the `stats` lock: the per-kernel
-/// report counters, and the shard-wide ring of the newest successful
-/// batch latencies the adaptive router reads every refresh.
-#[derive(Default)]
-struct StatsState {
-    per_kernel: BTreeMap<String, KernelServeStats>,
-    recent: LatencyRing,
-}
-
 /// State shared between the engine handle and its workers: the intake
 /// queue with its admission bound, the serving counters, and the health
 /// machinery (breaker, respawn budget).
@@ -447,12 +412,11 @@ struct Shared {
     work: Condvar,
     /// Submitters wait here for admission slots.
     slot: Condvar,
-    stats: Mutex<StatsState>,
+    /// The per-kernel serving counters.
+    stats: Mutex<BTreeMap<String, KernelServeStats>>,
     breaker: Mutex<Breaker>,
-    /// Rows admitted and not yet completed (the router's load signal).
-    load_rows: AtomicU64,
-    /// Elements admitted and not yet completed (the adaptive policy's
-    /// cost-weighted load signal); maintained wherever `load_rows` is.
+    /// Elements admitted and not yet completed (the router's load
+    /// signal).
     load_cost: AtomicU64,
     /// Kernel panics observed by the worker supervisors.
     worker_panics: AtomicU64,
@@ -479,8 +443,6 @@ struct Shared {
     jobs_donated: AtomicU64,
     threads: usize,
     depth: usize,
-    /// Weighted fair dequeue share (see `ServeConfig::interactive_weight`).
-    interactive_weight: usize,
 }
 
 struct Intake {
@@ -489,7 +451,7 @@ struct Intake {
     interactive: VecDeque<Arc<Job>>,
     batch: VecDeque<Arc<Job>>,
     /// Consecutive interactive job starts while batch work waited;
-    /// reaching `interactive_weight` forces the next start to be batch.
+    /// reaching [`INTERACTIVE_WEIGHT`] forces the next start to be batch.
     since_batch: usize,
     /// The class of the front job currently being engaged (first chunk
     /// taken, more remaining): chunk takes stick to it until it drains,
@@ -523,9 +485,9 @@ impl Intake {
 
     /// Which class the next fresh job start comes from. An engaged
     /// front keeps its class until it drains; otherwise interactive is
-    /// preferred until `weight` consecutive interactive starts have
-    /// passed over waiting batch work.
-    fn front_class(&self, weight: usize) -> Option<Priority> {
+    /// preferred until [`INTERACTIVE_WEIGHT`] consecutive interactive
+    /// starts have passed over waiting batch work.
+    fn front_class(&self) -> Option<Priority> {
         if let Some(class) = self.engaged {
             if !self.queue(class).is_empty() {
                 return Some(class);
@@ -536,7 +498,7 @@ impl Intake {
             (false, true) => Some(Priority::Interactive),
             (true, false) => Some(Priority::Batch),
             (false, false) => {
-                if self.since_batch >= weight {
+                if self.since_batch >= INTERACTIVE_WEIGHT {
                     Some(Priority::Batch)
                 } else {
                     Some(Priority::Interactive)
@@ -580,9 +542,8 @@ impl Shared {
             }),
             work: Condvar::new(),
             slot: Condvar::new(),
-            stats: Mutex::new(StatsState::default()),
+            stats: Mutex::new(BTreeMap::new()),
             breaker: Mutex::new(Breaker::new(config.breaker.clone())),
-            load_rows: AtomicU64::new(0),
             load_cost: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             worker_respawns: AtomicU64::new(0),
@@ -594,14 +555,13 @@ impl Shared {
             jobs_donated: AtomicU64::new(0),
             threads: config.threads,
             depth: config.queue_depth,
-            interactive_weight: config.interactive_weight,
         }
     }
 
     /// Claims an admission slot without blocking; `false` means the
     /// queue is full, the breaker rejected the request, or the engine is
     /// shut down / dead.
-    fn try_reserve(&self, n_rows: usize, cost: u64) -> bool {
+    fn try_reserve(&self, cost: u64) -> bool {
         let mut intake = lock(&self.intake);
         if intake.shutdown || intake.failed || intake.inflight >= self.depth {
             return false;
@@ -614,7 +574,6 @@ impl Shared {
         }
         intake.inflight += 1;
         drop(intake);
-        self.load_rows.fetch_add(n_rows as u64, Ordering::Relaxed);
         self.load_cost.fetch_add(cost, Ordering::Relaxed);
         true
     }
@@ -625,7 +584,6 @@ impl Shared {
     /// this engine knowingly, and the bounded wait keeps it honest.
     fn reserve_blocking(
         &self,
-        n_rows: usize,
         cost: u64,
         until: Instant,
         request_deadline: Option<Instant>,
@@ -638,7 +596,6 @@ impl Shared {
             if intake.inflight < self.depth {
                 intake.inflight += 1;
                 drop(intake);
-                self.load_rows.fetch_add(n_rows as u64, Ordering::Relaxed);
                 self.load_cost.fetch_add(cost, Ordering::Relaxed);
                 return Reserve::Reserved;
             }
@@ -709,12 +666,11 @@ impl Shared {
     }
 
     /// Returns a completed job's admission slot and load contribution.
-    fn release(&self, n_rows: usize, cost: u64) {
+    fn release(&self, cost: u64) {
         {
             let mut intake = lock(&self.intake);
             intake.inflight -= 1;
         }
-        self.load_rows.fetch_sub(n_rows as u64, Ordering::Relaxed);
         self.load_cost.fetch_sub(cost, Ordering::Relaxed);
         self.slot.notify_all();
     }
@@ -791,11 +747,10 @@ impl Shared {
         wall_ns: u64,
     ) {
         {
-            let mut guard = lock(&self.stats);
-            let stats = &mut *guard;
-            let entry = match stats.per_kernel.get_mut(kernel) {
+            let mut stats = lock(&self.stats);
+            let entry = match stats.get_mut(kernel) {
                 Some(entry) => entry,
-                None => kernel_entry(&mut stats.per_kernel, kernel),
+                None => kernel_entry(&mut stats, kernel),
             };
             entry.busy_ns += busy_ns;
             match outcome {
@@ -816,7 +771,6 @@ impl Shared {
                     entry.elements += elements;
                     entry.wall_ns += wall_ns;
                     entry.latency.push(wall_ns);
-                    stats.recent.push(wall_ns);
                 }
             }
         }
@@ -831,7 +785,7 @@ impl Shared {
     /// stale deadline is the client's lateness, not shard trouble.
     fn record_admission_expired(&self, kernel: &str) {
         let mut stats = lock(&self.stats);
-        kernel_entry(&mut stats.per_kernel, kernel).expired_requests += 1;
+        kernel_entry(&mut stats, kernel).expired_requests += 1;
     }
 }
 
@@ -1130,7 +1084,7 @@ fn finish_chunk(shared: &Shared, job: &Job) {
         job.busy_ns.load(Ordering::Relaxed),
         elapsed_ns(job.started),
     );
-    shared.release(job.n_rows, job.cost());
+    shared.release(job.cost());
     {
         let mut state = lock(&job.state);
         state.complete = true;
@@ -1148,7 +1102,7 @@ fn finish_chunk(shared: &Shared, job: &Job) {
 /// the interactive and batch queues counts whole job starts.
 fn take_front_chunk(shared: &Shared, intake: &mut Intake) -> Option<(Arc<Job>, Chunk)> {
     loop {
-        let class = intake.front_class(shared.interactive_weight)?;
+        let class = intake.front_class()?;
         let front = intake.queue(class).front()?;
         let (chunk, fresh, drained) = {
             let mut chunks = lock(&front.chunks);
@@ -1268,9 +1222,6 @@ fn steal_from(victim: &Shared) -> Option<Arc<Job>> {
     intake.inflight -= 1;
     drop(intake);
     victim.backlog.fetch_sub(1, Ordering::Relaxed);
-    victim
-        .load_rows
-        .fetch_sub(job.n_rows as u64, Ordering::Relaxed);
     victim.load_cost.fetch_sub(job.cost(), Ordering::Relaxed);
     victim.jobs_donated.fetch_add(1, Ordering::Relaxed);
     // An admission slot freed: blocked submitters may proceed.
@@ -1300,9 +1251,6 @@ fn adopt(shared: &Shared, job: Arc<Job>) -> Option<(Arc<Job>, Chunk)> {
         intake.queue_mut(class).push_back(Arc::clone(&job));
     }
     shared.backlog.fetch_add(1, Ordering::Relaxed);
-    shared
-        .load_rows
-        .fetch_add(job.n_rows as u64, Ordering::Relaxed);
     shared.load_cost.fetch_add(job.cost(), Ordering::Relaxed);
     shared.jobs_stolen.fetch_add(1, Ordering::Relaxed);
     // The stealing worker serves the first chunk itself; wake siblings
@@ -1612,39 +1560,24 @@ mod tests {
     }
 
     #[test]
-    fn recent_p99_spans_kernels_and_counts_only_real_successes() {
-        let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-        let served = engine(1);
-        assert_eq!(served.recent_p99_ns(), 0, "no history yet");
-        serve(&served, &kernel, &[1.0, 2.0, 3.0], 3, None).expect("serve");
-        assert!(served.recent_p99_ns() > 0, "a served batch feeds the ring");
-
-        // Exact wall times through the accounting entry point of a fresh
-        // engine: only non-empty successes, of any kernel, may reach the
-        // ring.
+    fn failed_and_empty_batches_stay_out_of_the_latency_window() {
+        // Exact wall times through the accounting entry point: only
+        // non-empty successes reach a kernel's latency window and its
+        // success wall time.
         let engine = engine(1);
         let shared = &engine.shared;
         shared.record("a", Outcome::Success, 4, 16, 1, 100);
-        shared.record("b", Outcome::Success, 4, 16, 1, 300);
         shared.record("a", Outcome::Failed, 2, 8, 1, 90_000);
-        shared.record("b", Outcome::Expired, 0, 0, 0, 80_000);
+        shared.record("a", Outcome::Expired, 0, 0, 0, 80_000);
         shared.record("a", Outcome::Success, 0, 0, 0, 70_000);
-        shared.record_admission_expired("c");
-        assert_eq!(engine.recent_p99_ns(), 300);
-        for _ in 0..98 {
-            shared.record("c", Outcome::Success, 1, 4, 1, 200);
-        }
-        // 100 samples: the p99 is the 99th smallest, one below the max.
-        assert_eq!(engine.recent_p99_ns(), 200);
         shared.record("a", Outcome::Success, 1, 4, 1, 500);
-        assert_eq!(engine.recent_p99_ns(), 300);
-        // Kernel `a`'s failed and zero-row batches reach neither its
-        // latency window nor its success wall time.
+        shared.record_admission_expired("a");
         let stats = engine.stats();
         let a = stats.kernel("a").expect("recorded");
         assert_eq!(a.latency.samples().collect::<Vec<_>>(), vec![100, 500]);
-        assert_eq!((a.wall_ns, a.failed_wall_ns), (600, 90_000));
+        assert_eq!((a.wall_ns, a.failed_wall_ns), (600, 170_000));
         assert_eq!((a.batches, a.failed_batches, a.empty_batches), (2, 1, 1));
+        assert_eq!(a.expired_requests, 2);
     }
 
     #[test]
@@ -1690,7 +1623,7 @@ mod tests {
         let engine = engine(2);
         let rows: Vec<f64> = (0..16 * 4).map(|i| f64::from(i % 5) - 2.0).collect();
         serve(&engine, &kernel, &rows, 4, None).expect("serve");
-        assert_eq!(engine.load_rows(), 0);
+        assert_eq!(engine.load_cost(), 0);
         assert_eq!(engine.inflight(), 0);
     }
 

@@ -24,8 +24,8 @@
 //!   on a full engine, or blocking backpressure via
 //!   [`BatchEngine::submit_wait`]);
 //! * [`ShardedRouter`] — spreads submissions across N independent
-//!   engine shards by one adaptive score (load × recent p99), lets idle
-//!   shards steal from busy ones, fails over on full shards and merges
+//!   engine shards by least in-flight element cost, lets idle shards
+//!   steal from busy ones, fails over on full shards and merges
 //!   per-shard stats;
 //! * [`ServeConfig`] — engine geometry. The chunk size is *derived from
 //!   the hardware model*: one chunk is the block of rows a paper PE's
@@ -76,15 +76,15 @@
 //! * **Priority classes** — [`Submission::with_priority`] tags a
 //!   request [`Priority::Interactive`] (the default) or
 //!   [`Priority::Batch`]; each engine's intake dequeues them weighted
-//!   fair ([`ServeConfig::interactive_weight`]): interactive work is
-//!   never starved behind a deep batch queue, and batch work is
-//!   guaranteed a bounded share under interactive pressure.
-//! * **Adaptive routing** — the router scores shards by live
-//!   element-weighted load × recent p99 latency (nearest-rank p99 over
-//!   the shard's newest 4,096 successful batches, all kernels; EWMA'd,
-//!   cached), shedding traffic from slow shards before their queues
-//!   grow. It is the only routing path: [`RoutePolicy`] has the one
-//!   value [`RoutePolicy::Adaptive`].
+//!   fair ([`INTERACTIVE_WEIGHT`] interactive starts per waiting batch
+//!   start): interactive work is never starved behind a deep batch
+//!   queue, and batch work is guaranteed a bounded share under
+//!   interactive pressure.
+//! * **Least-cost routing** — a submission goes to the admitting shard
+//!   with the least in-flight element cost (rows × row length, so a few
+//!   long rows count for what they hold); the router holds no lock and
+//!   allocates nothing to pick. It is the only routing path:
+//!   [`RoutePolicy`] has the one value [`RoutePolicy::Adaptive`].
 //! * **Work stealing** — always on in a router of more than one shard:
 //!   a shard whose queue runs dry pulls whole pending jobs from the
 //!   most-backlogged sibling instead of idling. Only untouched jobs
@@ -139,8 +139,8 @@ mod submit;
 pub mod traffic;
 
 pub use config::{
-    ServeConfig, DEFAULT_ADMISSION_TIMEOUT, DEFAULT_INTERACTIVE_WEIGHT, DEFAULT_QUEUE_DEPTH,
-    DEFAULT_RESPAWN_CAP,
+    ServeConfig, DEFAULT_ADMISSION_TIMEOUT, DEFAULT_QUEUE_DEPTH, DEFAULT_RESPAWN_CAP,
+    INTERACTIVE_WEIGHT,
 };
 pub use engine::BatchEngine;
 pub use fault::{FaultKind, FaultPlan, FaultyKernel};

@@ -3,18 +3,14 @@
 //!
 //! Each shard owns its worker pool, admission queue, and stats, so
 //! shards never contend on a lock — the router is a thin routing layer
-//! on top. The scheduler has one path and no knob:
+//! on top and holds no lock of its own. The scheduler has one path and
+//! no knob:
 //!
-//! * **Adaptive routing** — each shard is scored by live element-weighted
-//!   cost ([`BatchEngine::load_cost`], rows × row length, so long-row
-//!   jobs count for what they hold) *times* its recent p99 latency
-//!   ([`BatchEngine::recent_p99_ns`]: nearest-rank p99 over the shard's
-//!   newest 4,096 successful batches, all kernels; EWMA'd and refreshed
-//!   on a short interval so route decisions do not lock every shard's
-//!   stats per submit), and a submission goes to the best-scoring
-//!   admitting shard. A shard that is slow — congested, degraded, or
-//!   serving bigger requests — sheds traffic even when its instantaneous
-//!   row count looks ordinary.
+//! * **Least-cost routing** — a submission goes to the admitting shard
+//!   with the least in-flight element cost ([`BatchEngine::load_cost`],
+//!   rows × row length, so long-row jobs count for what they hold). The
+//!   pick reads each shard's health and cost once, in one pass, and
+//!   allocates nothing.
 //! * **Work stealing** — a router with more than one shard links them as
 //!   siblings at construction: a shard whose own queue runs dry pulls
 //!   whole pending jobs from the most-backlogged sibling instead of
@@ -30,14 +26,14 @@
 //!
 //! Routing is **health-aware**: a shard whose circuit breaker is open
 //! (see [`BreakerConfig`](crate::BreakerConfig)), or that lost its last
-//! worker, is never the routing pick and rejects non-blocking admissions
-//! instantly — so the fail-over sweep routes around unhealthy shards at
-//! no extra cost. Blocking submissions retry with exponential backoff:
-//! short bounded waits on the *admitting* shard with the fewest rows,
-//! re-sweeping everyone between waits, so one stuck shard never absorbs
-//! the whole wait budget.
+//! worker, is never the routing pick while another shard admits, and it
+//! rejects non-blocking admissions instantly — so the fail-over sweep
+//! routes around unhealthy shards at no extra cost. Blocking submissions
+//! retry with exponential backoff: short bounded waits on the same
+//! least-cost pick, re-sweeping everyone between waits, so one stuck
+//! shard never absorbs the whole wait budget.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use softermax::kernel::SoftmaxKernel;
@@ -53,58 +49,21 @@ const RETRY_BACKOFF_FLOOR: Duration = Duration::from_micros(100);
 /// Cap on one bounded wait of the blocking retry loop.
 const RETRY_BACKOFF_CEIL: Duration = Duration::from_millis(5);
 
-/// How long an adaptive-routing latency snapshot stays fresh.
-/// Within this window, route decisions reuse the cached EWMA scores and
-/// never touch a shard's stats lock.
-const ADAPTIVE_REFRESH: Duration = Duration::from_millis(2);
-/// EWMA smoothing for the adaptive p99 signal: weight of the newest
-/// snapshot. Low enough to ride out one-off stragglers, high enough to
-/// notice a shard going bad within a few refresh intervals.
-const ADAPTIVE_ALPHA: f64 = 0.3;
-
 /// How a [`ShardedRouter`] picks the shard for the next submission.
 /// There is one policy; the enum remains so callers that name it keep
 /// compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
-    /// Route to the admitting shard with the best *congestion score*:
-    /// in-flight element cost weighted by the shard's recent p99 latency
-    /// ([`BatchEngine::recent_p99_ns`], EWMA'd, cached for 2 ms). With
-    /// no latency history yet this
-    /// degenerates to the least element-weighted load.
+    /// Route to the admitting shard with the least in-flight element
+    /// cost ([`BatchEngine::load_cost`]); with no shard admitting, to
+    /// the least-cost shard overall.
     Adaptive,
-}
-
-/// Cached state behind adaptive routing: one EWMA'd p99 per
-/// shard, refreshed at most every [`ADAPTIVE_REFRESH`] so the per-shard
-/// stats locks are touched on a schedule, not per submit.
-#[derive(Debug)]
-struct AdaptiveState {
-    /// EWMA'd p99 latency per shard, in nanoseconds.
-    p99_ewma: Vec<f64>,
-    /// When the EWMA was last fed; `None` until the first refresh.
-    refreshed_at: Option<Instant>,
-}
-
-/// One shard's routing-relevant state, read once per sweep — the
-/// single snapshot both the routing pick and the fail-over order work
-/// from, instead of re-locking stats per candidate.
-#[derive(Debug, Clone, Copy)]
-struct ShardSnapshot {
-    load: u64,
-    admitting: bool,
-    /// Routing score (lower is better): element-weighted cost × EWMA-p99.
-    /// It uses cost (rows × row length) rather than rows because mixed
-    /// traffic misprices otherwise: a few very long rows hold a worker
-    /// far longer than many short ones.
-    score: f64,
 }
 
 /// N independent [`BatchEngine`] shards behind one submission front-end.
 #[derive(Debug)]
 pub struct ShardedRouter {
     shards: Vec<BatchEngine>,
-    adaptive: Mutex<AdaptiveState>,
 }
 
 impl ShardedRouter {
@@ -129,13 +88,7 @@ impl ShardedRouter {
         if n_shards > 1 {
             BatchEngine::link_shards(&shards);
         }
-        Ok(Self {
-            adaptive: Mutex::new(AdaptiveState {
-                p99_ewma: vec![0.0; n_shards],
-                refreshed_at: None,
-            }),
-            shards,
-        })
+        Ok(Self { shards })
     }
 
     /// Number of shards.
@@ -155,10 +108,11 @@ impl ShardedRouter {
         &self.shards[index]
     }
 
-    /// Rows admitted and not yet completed, summed over the shards.
+    /// Elements (rows × row length) admitted and not yet completed,
+    /// summed over the shards.
     #[must_use]
-    pub fn load_rows(&self) -> u64 {
-        self.shards.iter().map(BatchEngine::load_rows).sum()
+    pub fn load_cost(&self) -> u64 {
+        self.shards.iter().map(BatchEngine::load_cost).sum()
     }
 
     /// Jobs the shards stole from each other over the router's lifetime
@@ -209,9 +163,7 @@ impl ShardedRouter {
                         ("worker_panics".into(), shard.worker_panics().to_value()),
                         ("worker_respawns".into(), shard.worker_respawns().to_value()),
                         ("queued_jobs".into(), shard.queued_jobs().to_value()),
-                        ("load_rows".into(), shard.load_rows().to_value()),
                         ("load_cost".into(), shard.load_cost().to_value()),
-                        ("recent_p99_ns".into(), shard.recent_p99_ns().to_value()),
                     ])
                 })
                 .collect(),
@@ -241,46 +193,14 @@ impl ShardedRouter {
         ])
     }
 
-    /// One snapshot of every shard's routing state — load, health, and
-    /// the cached congestion score. The whole sweep that follows reads
-    /// this snapshot instead of re-locking per-shard state per candidate.
-    fn snapshot(&self) -> Vec<ShardSnapshot> {
-        let p99 = self.adaptive_p99s();
-        self.shards
-            .iter()
-            .zip(p99)
-            .map(|(shard, p99)| ShardSnapshot {
-                load: shard.load_rows(),
-                admitting: shard.is_admitting(),
-                // +1 on both factors: a shard with no history (or no
-                // load) still orders by the other signal.
-                score: (shard.load_cost() as f64 + 1.0) * (p99 + 1.0),
-            })
-            .collect()
-    }
-
-    /// The per-shard EWMA'd p99s, refreshing them from the engines'
-    /// recent-latency rings at most once per [`ADAPTIVE_REFRESH`] (one
-    /// allocation-free copy and selection per shard).
-    fn adaptive_p99s(&self) -> Vec<f64> {
-        let mut state = self.adaptive.lock().unwrap_or_else(PoisonError::into_inner);
-        let now = Instant::now();
-        let stale = state
-            .refreshed_at
-            .is_none_or(|at| now.duration_since(at) >= ADAPTIVE_REFRESH);
-        if stale {
-            let first = state.refreshed_at.is_none();
-            for (index, shard) in self.shards.iter().enumerate() {
-                let fresh = shard.recent_p99_ns() as f64;
-                state.p99_ewma[index] = if first {
-                    fresh
-                } else {
-                    ADAPTIVE_ALPHA * fresh + (1.0 - ADAPTIVE_ALPHA) * state.p99_ewma[index]
-                };
-            }
-            state.refreshed_at = Some(now);
-        }
-        state.p99_ewma.clone()
+    /// Index of the shard the next submission tries first: the
+    /// least-cost admitting shard (see [`least_cost`]).
+    fn pick(&self) -> usize {
+        least_cost(
+            self.shards
+                .iter()
+                .map(|shard| (shard.is_admitting(), shard.load_cost())),
+        )
     }
 
     /// Routes an owned score matrix to a shard and returns its
@@ -306,8 +226,8 @@ impl ShardedRouter {
 
     /// Like [`ShardedRouter::submit`], but when every shard is full it
     /// blocks for a slot — bounded waits with exponential backoff on the
-    /// admitting shard with the fewest rows, re-sweeping all shards
-    /// between waits — for at most the config's
+    /// least-cost admitting shard, re-sweeping all shards between
+    /// waits — for at most the config's
     /// [`admission_timeout`](crate::ServeConfig::admission_timeout).
     ///
     /// # Errors
@@ -354,15 +274,12 @@ impl ShardedRouter {
         };
         let mut backoff = RETRY_BACKOFF_FLOOR;
         loop {
-            // One snapshot per retry iteration feeds both the routing
-            // pick and the blocking fallback below — the sweep never
-            // re-reads a shard's load or health mid-iteration.
-            let snapshot = self.snapshot();
-            // One non-blocking sweep over every shard from the
-            // best-scoring one. Full, dead, and breaker-open shards reject instantly
-            // (handing the buffer back), so the sweep fails over around
-            // trouble at no extra cost.
-            let first = best_scoring(&snapshot);
+            // One pick per retry iteration serves both the sweep's
+            // starting shard and the blocking fallback below. The sweep
+            // is non-blocking over every shard: full, dead, and
+            // breaker-open shards reject instantly (handing the buffer
+            // back), so it fails over around trouble at no extra cost.
+            let first = self.pick();
             let n = self.shards.len();
             for offset in 0..n {
                 let shard = &self.shards[(first + offset) % n];
@@ -388,14 +305,14 @@ impl ShardedRouter {
             if now >= until {
                 return Err(SoftmaxError::QueueFull);
             }
-            // Every shard rejected: block briefly on the fewest-rows
-            // admitting shard — the one most likely to free a slot first
-            // — then re-sweep. The backoff slice doubles per miss so a
-            // congested router converges to few, longer waits, while the
-            // re-sweep keeps one stuck shard from absorbing the whole
-            // wait budget.
+            // Every shard rejected: block briefly on the pick — the
+            // admitting shard with the least work left, so the one most
+            // likely to free a slot first — then re-sweep. The backoff
+            // slice doubles per miss so a congested router converges to
+            // few, longer waits, while the re-sweep keeps one stuck
+            // shard from absorbing the whole wait budget.
             let slice = (now + backoff).min(until);
-            let shard = &self.shards[least_loaded_of(&snapshot)];
+            let shard = &self.shards[first];
             match shard.enqueue_owned(
                 &kernel,
                 rows,
@@ -428,39 +345,16 @@ impl ShardedRouter {
     }
 }
 
-/// Index of the best-scoring shard that is currently **admitting**
-/// (alive, breaker not open) — unhealthy shards are skipped. When no
-/// shard is admitting, falls back to the one with the fewest rows
-/// overall, so callers still get routed (and the resulting error is
-/// honest).
-fn best_scoring(snapshot: &[ShardSnapshot]) -> usize {
-    snapshot
-        .iter()
+/// Index of the least-cost shard among those that are **admitting**
+/// (alive, breaker not open), from `(admitting, load_cost)` per shard
+/// in shard order; ties go to the lower index. When no shard is
+/// admitting, falls back to the least-cost shard overall, so callers
+/// still get routed (and the resulting error is honest).
+fn least_cost(shards: impl IntoIterator<Item = (bool, u64)>) -> usize {
+    shards
+        .into_iter()
         .enumerate()
-        .filter(|(_, s)| s.admitting)
-        .min_by(|(_, a), (_, b)| a.score.total_cmp(&b.score))
-        .map_or_else(|| least_loaded_any(snapshot), |(index, _)| index)
-}
-
-/// Index of the admitting shard with the fewest rows (raw load, score
-/// aside) — where a blocked submitter is most likely to get a slot
-/// first. Same
-/// fallback as [`best_scoring`] when nothing admits.
-fn least_loaded_of(snapshot: &[ShardSnapshot]) -> usize {
-    snapshot
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.admitting)
-        .min_by_key(|(_, s)| s.load)
-        .map_or_else(|| least_loaded_any(snapshot), |(index, _)| index)
-}
-
-/// Index of the shard with the fewest in-flight rows, health aside.
-fn least_loaded_any(snapshot: &[ShardSnapshot]) -> usize {
-    snapshot
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, s)| s.load)
+        .min_by_key(|&(_, (admitting, cost))| (!admitting, cost))
         .map_or(0, |(index, _)| index)
 }
 
@@ -468,6 +362,7 @@ fn least_loaded_any(snapshot: &[ShardSnapshot]) -> usize {
 mod tests {
     use super::*;
     use softermax::KernelRegistry;
+    use std::sync::{Mutex, PoisonError};
 
     fn tiny_config() -> ServeConfig {
         ServeConfig::new(1).with_chunk_rows(2)
@@ -528,40 +423,17 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_routes_to_the_lower_p99_shard_at_equal_load() {
-        use crate::fault::{FaultKind, FaultPlan, FaultyKernel};
-        use crate::Admission;
-
-        let fast = KernelRegistry::global().get("softermax").expect("built-in");
-        // Every forward call stalls 20 ms: shard 0's p99 is at least
-        // that, orders of magnitude above a 4-element softermax row.
-        let plan = FaultPlan::new(0, 1.0)
-            .with_kinds(vec![FaultKind::Delay])
-            .with_delay(Duration::from_millis(20));
-        let slow: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&fast, plan));
-        let router =
-            ShardedRouter::new(2, tiny_config(), RoutePolicy::Adaptive).expect("valid config");
-        let row = vec![1.0, 2.0, 3.0, 4.0];
-        for (index, kernel) in [(0, &slow), (0, &slow), (1, &fast), (1, &fast)] {
-            wait_all_idle(&router);
-            let submission = Submission::new(kernel, row.clone(), 4);
-            router
-                .shard(index)
-                .submit_request(submission, Admission::Block)
-                .expect("admit")
-                .wait()
-                .expect("serve");
-        }
-        assert_eq!(router.jobs_stolen(), 0, "each job ran on its home shard");
-        assert!(router.shard(0).recent_p99_ns() > router.shard(1).recent_p99_ns());
-        // Both shards idle (equal, zero load): only the p99 differs, and
-        // the slow shard is the one an index tie-break would pick.
-        wait_all_idle(&router);
-        assert_eq!(
-            best_scoring(&router.snapshot()),
-            1,
-            "adaptive must avoid the slow shard"
-        );
+    fn pick_is_the_least_cost_admitting_shard() {
+        // The cheaper of two admitting shards, whichever index it has.
+        assert_eq!(least_cost([(true, 40), (true, 8)]), 1);
+        assert_eq!(least_cost([(true, 8), (true, 40)]), 0);
+        // A non-admitting shard is skipped even when it is the cheapest.
+        assert_eq!(least_cost([(false, 0), (true, 40), (true, 12)]), 2);
+        // Ties go to the lower index.
+        assert_eq!(least_cost([(true, 4), (true, 4)]), 0);
+        // Nothing admitting: the least-cost shard overall.
+        assert_eq!(least_cost([(false, 9), (false, 3), (false, 5)]), 1);
+        assert_eq!(least_cost([]), 0);
     }
 
     /// Runs `inner`, but every forward call first takes `hold`: while
@@ -596,57 +468,69 @@ mod tests {
             inner: Arc::clone(&fast),
             hold: Arc::clone(&hold),
         });
-        let config = tiny_config().with_queue_depth(1);
+        let config = tiny_config().with_queue_depth(2);
         let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
-        let row = vec![1.0, 2.0, 3.0, 4.0];
-        let batches = |index: usize| router.shard(index).stats().total().batches;
-
-        // Shard 1 gets a latency history; then a held job fills shard 0.
-        // Without history and with a 4-element load, shard 0 now scores
-        // best, so the routing pick is the full shard.
-        wait_all_idle(&router);
-        router
-            .shard(1)
-            .submit(&fast, row.clone(), 4)
-            .expect("admit")
-            .wait()
-            .expect("serve");
+        let small = vec![1.0, 2.0, 3.0, 4.0];
+        let large: Vec<f64> = (0..40).map(f64::from).collect();
         let guard = hold.lock().expect("hold");
+        // Each held job goes to a parked shard (no steal ping goes out)
+        // and is waited on until its worker has taken it: a started job
+        // is never stolen, and a worker blocked in a held job steals
+        // nothing either.
         wait_all_idle(&router);
-        let held0 = router
+        let stage = |index: usize, row: &[f64]| {
+            wait_idle(router.shard(index));
+            let ticket = router
+                .shard(index)
+                .submit(&held, row.to_vec(), row.len())
+                .expect("admit");
+            wait_for("held job starting", || {
+                router.shard(index).queued_jobs() == 0
+            });
+            ticket
+        };
+        // Shard 1 holds one large job (cost 40) and has a free slot.
+        let large1 = stage(1, &large);
+        // Shard 0 holds two small jobs: full at depth 2, cost 8. Its
+        // worker is busy, so the second one stays queued at home.
+        let small0 = stage(0, &small);
+        let queued0 = router
             .shard(0)
-            .submit(&held, row.clone(), 4)
+            .submit(&held, small.clone(), 4)
             .expect("admit");
-        // Started, so shard 1's worker cannot steal it once it wakes.
-        wait_for("held job starting", || router.shard(0).queued_jobs() == 0);
         assert_eq!(
-            best_scoring(&router.snapshot()),
-            0,
-            "the pick is the full shard"
+            (router.shard(0).load_cost(), router.shard(1).load_cost()),
+            (8, 40)
         );
-        router
-            .submit(&fast, row.clone(), 4)
-            .expect("fail-over to shard 1")
-            .wait()
-            .expect("serve");
-        assert_eq!(batches(1), 2, "the routed job ran on shard 1");
+        assert_eq!(router.pick(), 0, "the pick is the full shard");
+
+        // The routed job must fail over to shard 1, not reject.
+        let routed = router
+            .submit(&fast, small.clone(), 4)
+            .expect("fail-over to shard 1");
+        assert_eq!(
+            router.shard(1).inflight(),
+            2,
+            "the routed job is on shard 1"
+        );
+        assert_eq!(router.shard(1).load_cost(), 44);
 
         // Both shards full: a non-blocking submission must reject.
-        wait_idle(router.shard(1));
-        let held1 = router
-            .shard(1)
-            .submit(&held, row.clone(), 4)
-            .expect("admit");
         let err = router
-            .submit(&fast, row.clone(), 4)
+            .submit(&fast, small.clone(), 4)
             .expect_err("every shard is full");
         assert!(matches!(err, SoftmaxError::QueueFull), "{err:?}");
         drop(guard);
-        held0.wait().expect("serve");
-        held1.wait().expect("serve");
+        assert_eq!(
+            routed.wait().expect("serve"),
+            fast.forward(&small).expect("row")
+        );
+        for ticket in [large1, small0, queued0] {
+            ticket.wait().expect("serve");
+        }
         // Drained router: submissions flow again.
         router
-            .submit(&fast, row, 4)
+            .submit(&fast, small, 4)
             .expect("submit after drain")
             .wait()
             .expect("serve");

@@ -111,9 +111,8 @@ impl LatencyWindow {
 }
 
 /// The newest [`LATENCY_WINDOW`] per-batch latencies (nanoseconds) in a
-/// fixed-capacity ring, for consumers that ask for a p99 every few
-/// milliseconds or on every outcome (the adaptive router's per-shard
-/// signal, the breaker's latency budget). A push overwrites the oldest
+/// fixed-capacity ring, for a consumer that asks for a p99 on every
+/// outcome (the breaker's latency budget). A push overwrites the oldest
 /// slot in O(1); [`LatencyRing::p99_ns`] is exact nearest-rank over the
 /// ring from one stack copy and one selection — no allocation, no sort.
 /// Sample order is not kept: a percentile does not need it.
@@ -158,20 +157,14 @@ impl LatencyRing {
         self.next = 0;
     }
 
-    /// Copies the samples, in no particular order, to the front of
-    /// `out` and returns how many there were.
-    pub(crate) fn copy_into(&self, out: &mut [u64; LATENCY_WINDOW]) -> usize {
-        out[..self.samples.len()].copy_from_slice(&self.samples);
-        self.samples.len()
-    }
-
     /// Exact nearest-rank p99 over the ring, in nanoseconds (0 when
     /// empty).
     #[must_use]
     pub(crate) fn p99_ns(&self) -> u64 {
         let mut scratch = [0; LATENCY_WINDOW];
-        let n = self.copy_into(&mut scratch);
-        nearest_rank_p99(&mut scratch[..n])
+        let scratch = &mut scratch[..self.samples.len()];
+        scratch.copy_from_slice(&self.samples);
+        nearest_rank_p99(scratch)
     }
 }
 
@@ -517,16 +510,11 @@ mod tests {
         let rank = (LATENCY_WINDOW * 99).div_ceil(100) as u64;
         assert_eq!(ring.len(), LATENCY_WINDOW);
         assert_eq!(ring.p99_ns(), rank - 1);
-        let mut copy = [0; LATENCY_WINDOW];
-        assert_eq!(ring.copy_into(&mut copy), LATENCY_WINDOW);
-        assert_eq!(copy.iter().min(), Some(&0));
         // N + 1: exactly the oldest sample is evicted, every rank moves
         // up by one.
         ring.push(LATENCY_WINDOW as u64);
         assert_eq!(ring.len(), LATENCY_WINDOW);
         assert_eq!(ring.p99_ns(), rank);
-        ring.copy_into(&mut copy);
-        assert_eq!(copy.iter().min(), Some(&1));
         ring.clear();
         assert_eq!((ring.len(), ring.p99_ns()), (0, 0));
     }

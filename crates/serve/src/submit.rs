@@ -29,7 +29,7 @@ use crate::engine::{AdmitMode, BatchEngine, EnqueueError, Job};
 ///
 /// The engine keeps one queue per class and interleaves them
 /// deterministically: interactive jobs are preferred, but after
-/// [`ServeConfig::interactive_weight`](crate::ServeConfig) consecutive
+/// [`INTERACTIVE_WEIGHT`](crate::INTERACTIVE_WEIGHT) consecutive
 /// interactive dequeues with batch work waiting, the next batch job
 /// runs — so interactive traffic is never starved behind batch, and
 /// batch traffic is never fully starved behind interactive.
@@ -42,8 +42,8 @@ pub enum Priority {
     Interactive,
     /// Throughput traffic: dequeued behind interactive work, but
     /// guaranteed at least one turn per
-    /// [`ServeConfig::interactive_weight`](crate::ServeConfig) + 1
-    /// dequeues under contention.
+    /// [`INTERACTIVE_WEIGHT`](crate::INTERACTIVE_WEIGHT) + 1 dequeues
+    /// under contention.
     Batch,
 }
 
@@ -438,7 +438,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(engine.inflight(), 0);
-        assert_eq!(engine.load_rows(), 0);
+        assert_eq!(engine.load_cost(), 0);
         assert_eq!(
             engine
                 .stats()

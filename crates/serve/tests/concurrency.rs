@@ -167,7 +167,7 @@ proptest! {
             }
         }
         // Everything drained: no load left anywhere.
-        prop_assert_eq!(router.load_rows(), 0);
+        prop_assert_eq!(router.load_cost(), 0);
     }
 }
 

@@ -18,6 +18,7 @@ use softermax::kernel::{
 use softermax::{reference, KernelRegistry, Result, SoftmaxError};
 use softermax_serve::{
     Admission, BreakerConfig, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission,
+    INTERACTIVE_WEIGHT,
 };
 
 fn descriptor(name: &str) -> KernelDescriptor {
@@ -145,11 +146,8 @@ impl SoftmaxKernel for NanRejectingKernel {
 /// One worker, one chunk per job: a parked worker lets the test stage
 /// both class queues exactly, and the recorded service order then *is*
 /// the dequeue order.
-fn staged_engine(weight: usize) -> (ShardedRouter, Arc<Gate>, Arc<Mutex<Vec<i64>>>) {
-    let config = ServeConfig::new(1)
-        .with_chunk_rows(1)
-        .with_queue_depth(64)
-        .with_interactive_weight(weight);
+fn staged_engine() -> (ShardedRouter, Arc<Gate>, Arc<Mutex<Vec<i64>>>) {
+    let config = ServeConfig::new(1).with_chunk_rows(1).with_queue_depth(64);
     let router = ShardedRouter::new(1, config, RoutePolicy::Adaptive).expect("valid config");
     let gate = Arc::new(Gate::default());
     let order = Arc::new(Mutex::new(Vec::new()));
@@ -179,7 +177,7 @@ fn wait_idle(router: &ShardedRouter, shard: usize) {
 
 #[test]
 fn interactive_is_never_starved_behind_a_deep_batch_queue() {
-    let (router, gate, order) = staged_engine(4);
+    let (router, gate, order) = staged_engine();
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(OrderKernel::new(&gate, &order));
 
     // Pin the lone worker, then queue 6 batch jobs *before* 3
@@ -232,8 +230,7 @@ fn interactive_is_never_starved_behind_a_deep_batch_queue() {
 
 #[test]
 fn batch_is_never_fully_starved_by_interactive_pressure() {
-    let weight = 2;
-    let (router, gate, order) = staged_engine(weight);
+    let (router, gate, order) = staged_engine();
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(OrderKernel::new(&gate, &order));
 
     // Pin the worker; queue 2 batch jobs first, then 8 interactive jobs
@@ -266,28 +263,18 @@ fn batch_is_never_fully_starved_by_interactive_pressure() {
     }
     pin.wait().expect("pin served");
 
-    // While batch work waits, at most `weight` interactive starts may
-    // pass over it before a batch start — so each batch job lands within
-    // its window instead of after all 8 interactive jobs.
+    // While batch work waits, at most `INTERACTIVE_WEIGHT` (4)
+    // interactive starts may pass over it before a batch start — so each
+    // batch job lands at the end of its own window of 4 instead of after
+    // all 8 interactive jobs.
+    assert_eq!(INTERACTIVE_WEIGHT, 4);
     let order = order.lock().expect("order");
     let served: Vec<i64> = order.iter().copied().filter(|t| *t >= 0).collect();
-    let mut interactive_run = 0usize;
-    let mut batch_seen = 0usize;
-    for tag in &served {
-        if *tag >= 100 {
-            batch_seen += 1;
-            interactive_run = 0;
-        } else if batch_seen < 2 {
-            // Batch work still waiting: this interactive start consumed
-            // one of the `weight` credits.
-            interactive_run += 1;
-            assert!(
-                interactive_run <= weight,
-                "batch starved past its weight-{weight} share: service order {served:?}"
-            );
-        }
-    }
-    assert_eq!(batch_seen, 2, "both batch jobs must be served: {served:?}");
+    assert_eq!(
+        served,
+        [1, 2, 3, 4, 100, 5, 6, 7, 8, 101],
+        "batch starved past its weight-4 share"
+    );
 }
 
 #[test]

@@ -69,8 +69,8 @@ use softermax_wire::{
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Server-side configuration: router geometry plus connection limits.
-/// The router always schedules by adaptive routing plus work stealing;
-/// there is no policy to pick.
+/// The router always schedules by least-cost routing plus work
+/// stealing; there is no policy to pick.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Engine shards behind the router.

@@ -6,9 +6,10 @@
 //!                  [--policy adaptive] [--window N] [--name NAME]
 //! ```
 //!
-//! The router behind the listeners schedules by adaptive routing plus
+//! The router behind the listeners schedules by least-cost routing plus
 //! work stealing, with no knob. `--policy` accepts only `adaptive`, the
-//! value existing command lines pass; any other value is an error.
+//! value existing command lines pass, and changes nothing; any other
+//! value is an error.
 //!
 //! At least one of `--tcp` / `--unix` is required. Each bound endpoint
 //! is reported on stdout as a `listening tcp:HOST:PORT` /
@@ -39,7 +40,7 @@ fn usage() -> String {
         "  --shards N          engine shards behind the router (default 2)",
         "  --threads N         worker threads per shard (default 2)",
         "  --queue-depth N     bounded intake depth per shard (default 64)",
-        "  --policy adaptive   accepted for compatibility; adaptive routing + work stealing is the only scheduler",
+        "  --policy adaptive   accepted for compatibility; least-cost routing + work stealing is the only scheduler",
         "  --window N          per-connection in-flight reply window (default 32)",
         "  --name NAME         server name reported in HelloAck",
     ]
