@@ -201,10 +201,10 @@ impl BatchEngine {
         lock(&self.shared.intake).live_workers
     }
 
-    /// Workers currently parked waiting for work. A shard whose every
-    /// worker is busy pings its siblings' *idle* workers on enqueue —
-    /// this is the signal's read side, exposed so harnesses and tests
-    /// can stage scheduling scenarios deterministically.
+    /// Workers currently parked waiting for work. A parked worker wakes
+    /// only for its own shard's work (or shutdown), never for a
+    /// sibling's backlog, so harnesses and tests read this to stage
+    /// scheduling scenarios deterministically.
     #[must_use]
     pub fn idle_workers(&self) -> usize {
         self.shared.idle_workers.load(Ordering::Relaxed)
@@ -231,9 +231,10 @@ impl BatchEngine {
 
     /// Wires a set of sibling engines (the shards of one router) into
     /// each other's steal sets: each shard learns weak references to
-    /// every other, so an idle worker can pull whole pending jobs from
-    /// the most-backlogged sibling. Weak links keep shard teardown
-    /// independent — a dropped sibling simply stops being a victim.
+    /// every other, so a worker whose own queue runs dry can pull whole
+    /// pending jobs from the most-backlogged sibling. Weak links keep
+    /// shard teardown independent — a dropped sibling simply stops
+    /// being a victim.
     pub(crate) fn link_shards(shards: &[BatchEngine]) {
         for (i, shard) in shards.iter().enumerate() {
             let peers: Vec<Weak<Shared>> = shards
@@ -426,13 +427,8 @@ struct Shared {
     /// by the router after construction (`Weak`: a dropped sibling is
     /// simply skipped); never set for standalone engines.
     peers: OnceLock<Vec<Weak<Shared>>>,
-    /// Bumped by a sibling's steal ping before it notifies `work`, so a
-    /// worker that raced past an empty sweep can detect the ping it
-    /// would otherwise have missed (checked against a pre-steal read
-    /// before parking).
-    steal_hint: AtomicU64,
-    /// Workers currently parked on `work` — peers only ping shards that
-    /// have someone idle to wake.
+    /// Workers currently parked on `work` (read by tests and the
+    /// `Stats` frame, never by the scheduler).
     idle_workers: AtomicUsize,
     /// Advisory count of queued not-yet-started jobs: the steal victim
     /// signal. Updated under the intake lock, read lock-free by peers.
@@ -548,7 +544,6 @@ impl Shared {
             worker_panics: AtomicU64::new(0),
             worker_respawns: AtomicU64::new(0),
             peers: OnceLock::new(),
-            steal_hint: AtomicU64::new(0),
             idle_workers: AtomicUsize::new(0),
             backlog: AtomicUsize::new(0),
             jobs_stolen: AtomicU64::new(0),
@@ -623,9 +618,9 @@ impl Shared {
     /// the wakeup fan-out is capped at `min(threads, n_chunks)` — idle
     /// workers beyond that stay asleep.
     ///
-    /// When every local worker is busy, idle siblings (if any are
-    /// linked) are pinged so they can steal the queued job instead of
-    /// letting it wait behind this shard's backlog.
+    /// Only this shard's workers are woken. Siblings are never told
+    /// about the job: one of their workers takes it only if its own
+    /// queue runs dry first (see [`try_steal`]).
     fn enqueue(&self, job: Arc<Job>) {
         let wake = job.n_chunks.min(self.threads);
         {
@@ -636,32 +631,6 @@ impl Shared {
         self.backlog.fetch_add(1, Ordering::Relaxed);
         for _ in 0..wake {
             self.work.notify_one();
-        }
-        if self.idle_workers.load(Ordering::Relaxed) == 0 {
-            self.ping_peers();
-        }
-    }
-
-    /// Wakes one idle worker on every linked sibling that has one: the
-    /// queued work here may be stolen by them. The hint counter is
-    /// bumped *before* taking the peer's intake lock, so a peer worker
-    /// that swept empty concurrently either sees the new hint before
-    /// parking or is already parked when the notify lands — a ping is
-    /// never lost.
-    fn ping_peers(&self) {
-        let Some(peers) = self.peers.get() else {
-            return;
-        };
-        for peer in peers {
-            let Some(peer) = peer.upgrade() else {
-                continue;
-            };
-            if peer.idle_workers.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            peer.steal_hint.fetch_add(1, Ordering::Release);
-            drop(lock(&peer.intake));
-            peer.work.notify_one();
         }
     }
 
@@ -776,7 +745,7 @@ impl Shared {
         }
         // Empty no-ops say nothing about health; everything else does.
         if !(outcome == Outcome::Success && rows == 0) {
-            lock(&self.breaker).on_outcome(outcome != Outcome::Success, wall_ns, Instant::now());
+            lock(&self.breaker).on_outcome(outcome != Outcome::Success, Instant::now());
         }
     }
 
@@ -1139,9 +1108,11 @@ fn take_front_chunk(shared: &Shared, intake: &mut Intake) -> Option<(Arc<Job>, C
     }
 }
 
-/// One inter-shard steal attempt by an idle worker: pick the
-/// most-backlogged sibling, pull one whole not-yet-started job out of
-/// its queue, adopt it locally, and return its first chunk.
+/// One inter-shard steal attempt by a worker whose own queue is dry:
+/// pick the most-backlogged sibling, pull one whole not-yet-started job
+/// out of its queue, adopt it locally, and return its first chunk. A
+/// victim with nothing stealable (every queued job expired or
+/// cancelled) ends the attempt; the worker parks. Allocation-free.
 ///
 /// Correctness constraints, in order:
 /// * a shard that is not admitting (shut down, dead, or breaker open)
@@ -1167,24 +1138,18 @@ fn try_steal(shared: &Shared) -> Option<(Arc<Job>, Chunk)> {
     if !lock(&shared.breaker).admitting(Instant::now()) {
         return None;
     }
-    // Victim choice by queue depth: deepest advisory backlog first. The
+    // Victim choice by queue depth: the sibling with the deepest
+    // advisory backlog (ties to the lower index), found in one pass. The
     // signal is read lock-free and re-verified under the victim's lock.
-    let mut victims: Vec<(usize, Arc<Shared>)> = peers
+    let (_, victim) = peers
         .iter()
         .filter_map(Weak::upgrade)
         .map(|peer| (peer.backlog.load(Ordering::Relaxed), peer))
         .filter(|(backlog, _)| *backlog > 0)
-        .collect();
-    victims.sort_by_key(|victim| std::cmp::Reverse(victim.0));
-    for (_, victim) in victims {
-        if let Some(job) = steal_from(&victim) {
-            // One job per attempt: adopt it (or resolve it if this
-            // shard died in the window) and stop — never drain a
-            // sibling wholesale in one sweep.
-            return adopt(shared, job);
-        }
-    }
-    None
+        .min_by_key(|(backlog, _)| std::cmp::Reverse(*backlog))?;
+    // One job per attempt: adopt it (or resolve it if this shard died
+    // in the window) — never drain a sibling wholesale in one sweep.
+    adopt(shared, steal_from(&victim)?)
 }
 
 /// Removes one stealable job from `victim`'s queues, releasing its
@@ -1343,24 +1308,21 @@ fn worker_loop(shared: &Shared, active: &ActiveChunk) {
                 if intake.shutdown {
                     return;
                 }
-                // Own queue is dry: before parking, try to steal a whole
-                // pending job from the most-backlogged sibling.
-                let hint = shared.steal_hint.load(Ordering::Acquire);
+                // Own queue is dry: before parking, try once to steal a
+                // whole pending job from the most-backlogged sibling.
+                // This pull is the only way work moves between shards;
+                // once parked, a worker wakes only for its own shard.
                 drop(intake);
                 if let Some(found) = try_steal(shared) {
                     break found;
                 }
                 intake = lock(&shared.intake);
                 // Re-check everything that notifies `work` — a local
-                // enqueue, shutdown, or a sibling's steal ping. Any of
-                // their notifies that landed during the unlocked steal
-                // attempt found no parked waiter, so parking now without
-                // this re-check would sleep through it forever.
-                if intake.shutdown
-                    || !intake.interactive.is_empty()
-                    || !intake.batch.is_empty()
-                    || shared.steal_hint.load(Ordering::Acquire) != hint
-                {
+                // enqueue or shutdown. Any of their notifies that landed
+                // during the unlocked steal attempt found no parked
+                // waiter, so parking now without this re-check would
+                // sleep through it forever.
+                if intake.shutdown || !intake.interactive.is_empty() || !intake.batch.is_empty() {
                     continue;
                 }
                 shared.idle_workers.fetch_add(1, Ordering::Relaxed);

@@ -1,16 +1,14 @@
-//! Per-engine health: a circuit breaker driven by sliding failure-rate
-//! and latency windows.
+//! Per-engine health: a circuit breaker driven by a sliding
+//! failure-rate window.
 //!
 //! Every [`BatchEngine`](crate::BatchEngine) carries one [`Breaker`]
 //! fed by its serving outcomes. The state machine is the classic three
 //! states:
 //!
 //! * **Closed** — traffic flows; the breaker records each finished
-//!   request into a bounded outcome window and the successes' wall times
-//!   into a [`LatencyRing`]. When the window holds at least
-//!   [`BreakerConfig::min_samples`] outcomes and the failure share
-//!   reaches [`BreakerConfig::failure_pct`] — or the success-latency p99
-//!   exceeds [`BreakerConfig::latency_budget`] — the breaker *trips*.
+//!   request into a bounded outcome window. When the window holds at
+//!   least [`BreakerConfig::min_samples`] outcomes and the failure share
+//!   reaches [`BreakerConfig::failure_pct`], the breaker *trips*.
 //! * **Open** — the engine stops admitting non-blocking submissions
 //!   (they fail fast as queue-full, so a
 //!   [`ShardedRouter`](crate::ShardedRouter) fails over to healthy
@@ -29,8 +27,6 @@ use std::time::{Duration, Instant};
 
 use softermax::{Result, SoftmaxError};
 
-use crate::stats::LatencyRing;
-
 /// Circuit-breaker tuning knobs, part of
 /// [`ServeConfig`](crate::ServeConfig).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,10 +43,6 @@ pub struct BreakerConfig {
     /// probe; doubled per consecutive trip (capped at 32x) so a shard
     /// that keeps failing is probed with exponential backoff.
     pub cooldown: Duration,
-    /// Optional latency ceiling: when the p99 of recent *successful*
-    /// requests exceeds it, the breaker opens even without failures — a
-    /// stalling shard is as unhealthy as an erroring one.
-    pub latency_budget: Option<Duration>,
 }
 
 impl Default for BreakerConfig {
@@ -60,7 +52,6 @@ impl Default for BreakerConfig {
             min_samples: 8,
             failure_pct: 50,
             cooldown: Duration::from_millis(100),
-            latency_budget: None,
         }
     }
 }
@@ -130,8 +121,6 @@ pub(crate) struct Breaker {
     cfg: BreakerConfig,
     /// Recent finished-request outcomes, `true` = failure.
     outcomes: VecDeque<bool>,
-    /// Wall times of recent successes (since the last trip).
-    latency: LatencyRing,
     state: BreakerState,
     /// When the breaker last opened (meaningful while `Open`).
     opened_at: Instant,
@@ -146,7 +135,6 @@ impl Breaker {
         Self {
             cfg,
             outcomes: VecDeque::new(),
-            latency: LatencyRing::default(),
             state: BreakerState::Closed,
             opened_at: Instant::now(),
             consecutive_trips: 0,
@@ -207,8 +195,8 @@ impl Breaker {
         }
     }
 
-    /// Feeds one finished request into the health windows.
-    pub(crate) fn on_outcome(&mut self, failed: bool, wall_ns: u64, now: Instant) {
+    /// Feeds one finished request into the outcome window.
+    pub(crate) fn on_outcome(&mut self, failed: bool, now: Instant) {
         self.refresh(now);
         match self.state {
             // A straggler admitted before the trip: the breaker already
@@ -227,21 +215,9 @@ impl Breaker {
                     self.outcomes.pop_front();
                 }
                 self.outcomes.push_back(failed);
-                if !failed {
-                    self.latency.push(wall_ns);
-                }
                 if self.outcomes.len() >= self.cfg.min_samples {
                     let failures = self.outcomes.iter().filter(|&&f| f).count();
                     if failures * 100 >= self.cfg.failure_pct as usize * self.outcomes.len() {
-                        self.trip(now);
-                        return;
-                    }
-                }
-                if let Some(budget) = self.cfg.latency_budget {
-                    let budget_ns = u64::try_from(budget.as_nanos()).unwrap_or(u64::MAX);
-                    if self.latency.len() >= self.cfg.min_samples
-                        && self.latency.p99_ns() > budget_ns
-                    {
                         self.trip(now);
                     }
                 }
@@ -255,7 +231,6 @@ impl Breaker {
         self.trips += 1;
         self.consecutive_trips += 1;
         self.outcomes.clear();
-        self.latency.clear();
         self.probe_inflight = false;
     }
 
@@ -275,7 +250,6 @@ mod tests {
             min_samples: 4,
             failure_pct: 50,
             cooldown,
-            latency_budget: None,
         }
     }
 
@@ -320,7 +294,7 @@ mod tests {
         let t0 = Instant::now();
         let mut b = Breaker::new(cfg(Duration::from_secs(3600)));
         for _ in 0..3 {
-            b.on_outcome(true, 1_000, t0);
+            b.on_outcome(true, t0);
         }
         assert_eq!(b.state_at(t0), BreakerState::Closed);
         assert!(b.admit(t0));
@@ -332,10 +306,10 @@ mod tests {
         let cooldown = Duration::from_millis(50);
         let mut b = Breaker::new(cfg(cooldown));
         // 2 successes then 2 failures: 4 samples at exactly 50% failure.
-        b.on_outcome(false, 1_000, t0);
-        b.on_outcome(false, 1_000, t0);
-        b.on_outcome(true, 1_000, t0);
-        b.on_outcome(true, 1_000, t0);
+        b.on_outcome(false, t0);
+        b.on_outcome(false, t0);
+        b.on_outcome(true, t0);
+        b.on_outcome(true, t0);
         assert_eq!(b.state_at(t0), BreakerState::Open);
         assert_eq!(b.trips(), 1);
         assert!(!b.admit(t0), "open breaker rejects");
@@ -347,7 +321,7 @@ mod tests {
         assert!(b.admit(later), "first probe is admitted");
         assert!(!b.admit(later), "second concurrent probe is not");
         // Probe success closes the breaker and resets the backoff.
-        b.on_outcome(false, 1_000, later);
+        b.on_outcome(false, later);
         assert_eq!(b.state_at(later), BreakerState::Closed);
         assert!(b.admit(later));
     }
@@ -358,12 +332,12 @@ mod tests {
         let cooldown = Duration::from_millis(10);
         let mut b = Breaker::new(cfg(cooldown));
         for _ in 0..4 {
-            b.on_outcome(true, 1_000, t0);
+            b.on_outcome(true, t0);
         }
         assert_eq!(b.state_at(t0), BreakerState::Open);
         let t1 = t0 + cooldown;
         assert!(b.admit(t1), "probe after first cool-down");
-        b.on_outcome(true, 1_000, t1);
+        b.on_outcome(true, t1);
         assert_eq!(b.state_at(t1), BreakerState::Open);
         assert_eq!(b.trips(), 2);
         // Second trip doubles the cool-down: 1x is not enough, 2x is.
@@ -372,24 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn latency_budget_trips_without_failures() {
-        let t0 = Instant::now();
-        let mut c = cfg(Duration::from_secs(3600));
-        c.latency_budget = Some(Duration::from_micros(1));
-        let mut b = Breaker::new(c);
-        for _ in 0..4 {
-            b.on_outcome(false, 5_000, t0); // 5 µs >> 1 µs budget
-        }
-        assert_eq!(b.state_at(t0), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
-    }
-
-    #[test]
     fn admitting_does_not_claim_the_probe() {
         let t0 = Instant::now();
         let mut b = Breaker::new(cfg(Duration::ZERO));
         for _ in 0..4 {
-            b.on_outcome(true, 1_000, t0);
+            b.on_outcome(true, t0);
         }
         // Zero cool-down: immediately half-open.
         assert!(b.admitting(t0));

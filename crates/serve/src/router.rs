@@ -380,8 +380,8 @@ mod tests {
     }
 
     /// Blocks until every worker of `shard` is parked. A job then
-    /// submitted straight to it cannot be stolen by a parked sibling:
-    /// its own worker takes it and no steal ping goes out.
+    /// submitted straight to it stays there: its own worker takes it,
+    /// and a parked sibling is never woken to pull it over.
     fn wait_idle(shard: &BatchEngine) {
         wait_for("shard going idle", || {
             shard.idle_workers() == shard.config().threads
@@ -473,10 +473,10 @@ mod tests {
         let small = vec![1.0, 2.0, 3.0, 4.0];
         let large: Vec<f64> = (0..40).map(f64::from).collect();
         let guard = hold.lock().expect("hold");
-        // Each held job goes to a parked shard (no steal ping goes out)
-        // and is waited on until its worker has taken it: a started job
-        // is never stolen, and a worker blocked in a held job steals
-        // nothing either.
+        // Each held job goes to a parked shard (its sibling is parked or
+        // busy, so it stays home) and is waited on until its worker has
+        // taken it: a started job is never stolen, and a worker blocked
+        // in a held job steals nothing either.
         wait_all_idle(&router);
         let stage = |index: usize, row: &[f64]| {
             wait_idle(router.shard(index));

@@ -110,76 +110,6 @@ impl LatencyWindow {
     }
 }
 
-/// The newest [`LATENCY_WINDOW`] per-batch latencies (nanoseconds) in a
-/// fixed-capacity ring, for a consumer that asks for a p99 on every
-/// outcome (the breaker's latency budget). A push overwrites the oldest
-/// slot in O(1); [`LatencyRing::p99_ns`] is exact nearest-rank over the
-/// ring from one stack copy and one selection — no allocation, no sort.
-/// Sample order is not kept: a percentile does not need it.
-#[derive(Debug)]
-pub(crate) struct LatencyRing {
-    /// Grows to [`LATENCY_WINDOW`] (allocated up front), then holds the
-    /// oldest sample at `next`.
-    samples: Vec<u64>,
-    /// The slot the next push overwrites once the ring is full.
-    next: usize,
-}
-
-impl Default for LatencyRing {
-    fn default() -> Self {
-        Self {
-            samples: Vec::with_capacity(LATENCY_WINDOW),
-            next: 0,
-        }
-    }
-}
-
-impl LatencyRing {
-    /// Records one batch's latency, evicting the oldest once full.
-    pub(crate) fn push(&mut self, ns: u64) {
-        if self.samples.len() < LATENCY_WINDOW {
-            self.samples.push(ns);
-        } else {
-            self.samples[self.next] = ns;
-            self.next = (self.next + 1) % LATENCY_WINDOW;
-        }
-    }
-
-    /// Number of samples in the ring.
-    #[must_use]
-    pub(crate) fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Drops every sample, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
-        self.samples.clear();
-        self.next = 0;
-    }
-
-    /// Exact nearest-rank p99 over the ring, in nanoseconds (0 when
-    /// empty).
-    #[must_use]
-    pub(crate) fn p99_ns(&self) -> u64 {
-        let mut scratch = [0; LATENCY_WINDOW];
-        let scratch = &mut scratch[..self.samples.len()];
-        scratch.copy_from_slice(&self.samples);
-        nearest_rank_p99(scratch)
-    }
-}
-
-/// Nearest-rank p99 of `samples` (0 when empty) by one
-/// `select_nth_unstable`, which reorders `samples` in place. Agrees with
-/// [`LatencyWindow::percentile_ns`] at `q = 0.99`.
-#[must_use]
-pub(crate) fn nearest_rank_p99(samples: &mut [u64]) -> u64 {
-    let rank = (samples.len() * 99).div_ceil(100);
-    if rank == 0 {
-        return 0;
-    }
-    *samples.select_nth_unstable(rank - 1).1
-}
-
 /// Accumulated serving counters for one kernel.
 ///
 /// `wall_ns` is summed end-to-end request time (submission to last chunk
@@ -460,63 +390,6 @@ mod tests {
         assert_eq!(w.percentile_ns(1e9), 30);
         assert_eq!(w.percentile_ns(f64::NEG_INFINITY), 10);
         assert_eq!(w.percentile_ns(f64::INFINITY), 30);
-    }
-
-    /// Sort-based nearest-rank p99 of the newest `LATENCY_WINDOW`
-    /// values of `pushed` — the oracle the ring is checked against.
-    fn newest_window_p99(pushed: &[u64]) -> u64 {
-        let mut w = LatencyWindow::default();
-        for &ns in &pushed[pushed.len().saturating_sub(LATENCY_WINDOW)..] {
-            w.push(ns);
-        }
-        w.percentile_ns(0.99)
-    }
-
-    proptest::proptest! {
-        /// Random sequences crossing the wraparound (up to 3 windows):
-        /// at checkpoints around the wrap and along the way, the ring's
-        /// p99 is exactly the sorted p99 of the newest values.
-        #[test]
-        fn ring_p99_matches_sorted_newest_window(
-            pushed in proptest::collection::vec(0u64..5_000, 0..3 * LATENCY_WINDOW),
-        ) {
-            let mut ring = LatencyRing::default();
-            for (i, &ns) in pushed.iter().enumerate() {
-                ring.push(ns);
-                let k = i + 1;
-                let checkpoint = k % 997 == 0
-                    || k.abs_diff(LATENCY_WINDOW) <= 1
-                    || k == pushed.len();
-                if checkpoint {
-                    proptest::prop_assert_eq!(ring.len(), k.min(LATENCY_WINDOW));
-                    proptest::prop_assert_eq!(ring.p99_ns(), newest_window_p99(&pushed[..k]));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ring_edge_cases() {
-        let mut ring = LatencyRing::default();
-        assert_eq!((ring.len(), ring.p99_ns()), (0, 0), "empty ring");
-        ring.push(42);
-        assert_eq!(ring.p99_ns(), 42, "one sample is every quantile");
-        ring.clear();
-        // Exactly full: p99 of 0..N is rank ceil(0.99 N), and the
-        // oldest sample (0) is still present.
-        for ns in 0..LATENCY_WINDOW as u64 {
-            ring.push(ns);
-        }
-        let rank = (LATENCY_WINDOW * 99).div_ceil(100) as u64;
-        assert_eq!(ring.len(), LATENCY_WINDOW);
-        assert_eq!(ring.p99_ns(), rank - 1);
-        // N + 1: exactly the oldest sample is evicted, every rank moves
-        // up by one.
-        ring.push(LATENCY_WINDOW as u64);
-        assert_eq!(ring.len(), LATENCY_WINDOW);
-        assert_eq!(ring.p99_ns(), rank);
-        ring.clear();
-        assert_eq!((ring.len(), ring.p99_ns()), (0, 0));
     }
 
     #[test]

@@ -406,7 +406,6 @@ fn breaker_trips_on_failures_and_recovers_through_a_probe() {
         min_samples: 2,
         failure_pct: 50,
         cooldown: Duration::from_millis(20),
-        latency_budget: None,
     };
     let engine = BatchEngine::new(single_row_config().with_breaker(breaker)).expect("valid");
 
@@ -444,7 +443,7 @@ fn breaker_trips_on_failures_and_recovers_through_a_probe() {
 
 /// Blocks until every worker of every shard is parked. A batch then
 /// submitted straight to one shard stays there: its parked home worker
-/// takes it, and no steal ping wakes an idle sibling to pull it over.
+/// takes it, and a parked sibling wakes only for its own shard's work.
 fn wait_idle(router: &ShardedRouter) {
     for index in 0..router.n_shards() {
         let shard = router.shard(index);
@@ -485,7 +484,6 @@ fn router_routes_around_an_open_shard() {
         failure_pct: 50,
         // Long cooldown: shard 0 stays open for the whole test.
         cooldown: Duration::from_secs(30),
-        latency_budget: None,
     };
     let config = single_row_config().with_breaker(breaker);
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
@@ -531,7 +529,6 @@ fn router_refuses_honestly_when_every_breaker_is_open() {
         min_samples: 2,
         failure_pct: 50,
         cooldown: Duration::from_millis(30),
-        latency_budget: None,
     };
     let config = single_row_config().with_breaker(breaker);
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");

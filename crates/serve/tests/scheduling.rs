@@ -1,8 +1,9 @@
 //! Scheduler regressions: the weighted fair dequeue's two starvation
 //! guarantees (interactive never waits behind a deep batch queue, batch
 //! is never fully starved by interactive pressure) and the work-stealing
-//! invariants (stolen jobs complete bit-identical, expired jobs are left
-//! for the victim to account, an unhealthy shard never steals).
+//! invariants (a job moves only when a worker's own queue runs dry,
+//! stolen jobs complete bit-identical, expired jobs are left for the
+//! victim to account, an unhealthy shard never steals).
 //!
 //! Every ordering here is made deterministic the same way as in
 //! `robustness.rs`: a gate kernel parks a worker on purpose so queues
@@ -18,7 +19,7 @@ use softermax::kernel::{
 use softermax::{reference, KernelRegistry, Result, SoftmaxError};
 use softermax_serve::{
     Admission, BreakerConfig, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission,
-    INTERACTIVE_WEIGHT,
+    Ticket, TicketPoll, INTERACTIVE_WEIGHT,
 };
 
 fn descriptor(name: &str) -> KernelDescriptor {
@@ -159,11 +160,11 @@ fn tagged(tag: i64) -> Vec<f64> {
     vec![tag as f64, 0.5]
 }
 
-/// Blocks until every worker of the given shard is parked. While a
-/// shard has an idle worker, its enqueues send no steal ping — so
-/// staging a pin job on an all-idle router deterministically lands it
-/// on its home shard instead of racing a sibling's startup steal
-/// attempt.
+/// Blocks until every worker of the given shard is parked. A starting
+/// worker sweeps its own queue and tries one steal before it parks;
+/// once parked it wakes only for its own shard's work. So a pin job
+/// staged on an all-idle router lands on its home shard instead of
+/// racing a sibling's startup steal attempt.
 fn wait_idle(router: &ShardedRouter, shard: usize) {
     let engine = router.shard(shard);
     for _ in 0..10_000 {
@@ -173,6 +174,31 @@ fn wait_idle(router: &ShardedRouter, shard: usize) {
         std::thread::sleep(Duration::from_micros(100));
     }
     panic!("shard {shard} workers never went idle");
+}
+
+/// Parks shard `i`'s lone worker inside `gates[i]`, for every shard.
+/// After the idle waits each pin stays on its home shard: a parked
+/// worker wakes only for its own shard's work, and a pinned one is
+/// inside its gate and cannot steal.
+fn pin_each_shard(
+    router: &ShardedRouter,
+    gates: &[Arc<Gate>],
+    order: &Arc<Mutex<Vec<i64>>>,
+) -> Vec<Ticket> {
+    (0..gates.len()).for_each(|shard| wait_idle(router, shard));
+    gates
+        .iter()
+        .enumerate()
+        .map(|(shard, gate)| {
+            let gated: Arc<dyn SoftmaxKernel> = Arc::new(OrderKernel::new(gate, order));
+            let pin = router
+                .shard(shard)
+                .submit(&gated, tagged(-1), 2)
+                .expect("pin job");
+            gate.wait_entered(1);
+            pin
+        })
+        .collect()
 }
 
 #[test]
@@ -278,25 +304,40 @@ fn batch_is_never_fully_starved_by_interactive_pressure() {
 }
 
 #[test]
+fn one_request_in_flight_is_never_stolen() {
+    let kernel = KernelRegistry::global().get("softermax").expect("built-in");
+    let router =
+        ShardedRouter::new(2, ServeConfig::new(1), RoutePolicy::Adaptive).expect("valid config");
+    wait_idle(&router, 0);
+    wait_idle(&router, 1);
+    // Sequential requests never build a backlog: each one finds both
+    // shards empty, and a parked worker is never woken for its
+    // sibling's job. So no job may change shards, however the home
+    // worker's park races the next submission.
+    let rows: Vec<f64> = (0..16 * 128).map(|i| f64::from(i % 9) - 4.0).collect();
+    for _ in 0..500 {
+        router
+            .submit(&kernel, rows.clone(), 128)
+            .expect("admitted")
+            .wait()
+            .expect("served");
+    }
+    assert_eq!(router.jobs_stolen(), 0, "a job moved with no backlog");
+}
+
+#[test]
 fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
     let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-    let gate = Arc::new(Gate::default());
+    // One gate per shard, so each pin can be lifted independently.
+    let gates: Vec<Arc<Gate>> = (0..2).map(|_| Arc::new(Gate::default())).collect();
     let order = Arc::new(Mutex::new(Vec::new()));
-    let gated: Arc<dyn SoftmaxKernel> = Arc::new(OrderKernel::new(&gate, &order));
     // One-row chunks: each stolen 3-row job is served as three chunks on
     // the thief, whose output segments are gathered in row order.
     let config = ServeConfig::new(1).with_chunk_rows(1).with_queue_depth(16);
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
-    // Pin shard 0's lone worker, then backlog shard 0 directly: every
-    // enqueue pings the idle sibling, which steals the whole job.
-    wait_idle(&router, 0);
-    wait_idle(&router, 1);
-    let pin = router
-        .shard(0)
-        .submit(&gated, tagged(-1), 2)
-        .expect("pin job");
-    gate.wait_entered(1);
+    // Pin both shards' workers, then backlog shard 0 directly.
+    let pins = pin_each_shard(&router, &gates, &order);
     let matrices: Vec<Vec<f64>> = (0..4)
         .map(|m| {
             (0..3 * 4)
@@ -314,9 +355,29 @@ fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
         })
         .collect();
 
-    // With shard 0 parked, only shard 1 can complete these — via steals.
-    for (rows, ticket) in matrices.iter().zip(tickets) {
-        let got = ticket.wait().expect("stolen job served");
+    // Unpin shard 1 only: each time its queue runs dry, its worker pulls
+    // one job from shard 0, which stays parked — so only steals can
+    // complete these. The waits are bounded and shard 0 is unpinned
+    // before any assertion, so a failing run reports instead of hanging.
+    gates[1].release();
+    let served: Vec<TicketPoll> = tickets
+        .into_iter()
+        .map(|ticket| ticket.wait_timeout(Duration::from_secs(10)))
+        .collect();
+    let counts = (
+        router.shard(1).jobs_stolen(),
+        router.shard(0).jobs_donated(),
+    );
+    gates[0].release();
+    for pin in pins {
+        pin.wait().expect("pin served");
+    }
+
+    for (rows, poll) in matrices.iter().zip(served) {
+        let TicketPoll::Ready(got) = poll else {
+            panic!("a job on the pinned shard was never stolen");
+        };
+        let got = got.expect("stolen job served");
         for (row, got_row) in rows.chunks_exact(4).zip(got.chunks_exact(4)) {
             let want = kernel.forward(row).expect("row");
             let got_bits: Vec<u64> = got_row.iter().map(|v| v.to_bits()).collect();
@@ -324,12 +385,8 @@ fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
             assert_eq!(got_bits, want_bits, "stolen job diverged from sequential");
         }
     }
-    assert_eq!(router.shard(1).jobs_stolen(), 4, "thief count");
-    assert_eq!(router.shard(0).jobs_donated(), 4, "victim count");
+    assert_eq!(counts, (4, 4), "thief and victim counts");
     assert_eq!(router.jobs_stolen(), 4);
-
-    gate.release();
-    pin.wait().expect("pin served");
 }
 
 #[test]
@@ -341,29 +398,8 @@ fn expired_jobs_are_left_for_the_victim_to_account() {
     let config = ServeConfig::new(1).with_chunk_rows(4).with_queue_depth(16);
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
-    // Pin *both* shards' workers so nothing moves while staging. The
-    // idle wait before each pin keeps the pin on its home shard (an
-    // idle submitter sends no steal ping).
-    let pins: Vec<_> = gates
-        .iter()
-        .enumerate()
-        .map(|(shard, gate)| {
-            // The about-to-be-pinned shard must be idle (an idle
-            // submitter sends no ping); an already-pinned sibling is
-            // busy inside the gate and cannot steal either.
-            wait_idle(&router, 1);
-            if shard == 0 {
-                wait_idle(&router, 0);
-            }
-            let gated: Arc<dyn SoftmaxKernel> = Arc::new(OrderKernel::new(gate, &order));
-            let pin = router
-                .shard(shard)
-                .submit(&gated, tagged(-1), 2)
-                .expect("pin job");
-            gate.wait_entered(1);
-            pin
-        })
-        .collect();
+    // Pin *both* shards' workers so nothing moves while staging.
+    let pins = pin_each_shard(&router, &gates, &order);
 
     // A doomed job (1 ms deadline) and then a fresh job, both queued on
     // shard 0; sleep the doomed job's deadline away.
@@ -424,7 +460,6 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
         failure_pct: 50,
         // Stays open for the whole test.
         cooldown: Duration::from_secs(30),
-        latency_budget: None,
     };
     let config = ServeConfig::new(1)
         .with_chunk_rows(4)
@@ -452,8 +487,7 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
     }
     assert!(!router.shard(1).is_admitting(), "breaker must be open");
 
-    // Backlog the pinned shard 0. Each enqueue pings shard 1, whose
-    // worker wakes, finds its breaker open, and must refuse to steal.
+    // Backlog the pinned shard 0 while shard 1's worker is parked.
     let tickets: Vec<_> = (0..3)
         .map(|_| {
             router
@@ -462,16 +496,28 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
                 .expect("queued on the pinned shard")
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(30));
+    // Wake shard 1 with a job of its own. Blocking admission does not
+    // consult the breaker, so the job is admitted and served; then the
+    // worker's queue runs dry with its breaker open, and the steal it
+    // tries before parking must refuse shard 0's backlog.
+    router
+        .shard(1)
+        .submit_wait(&kernel, vec![0.5; 4], 4)
+        .expect("blocking admission ignores the breaker")
+        .wait()
+        .expect("served on shard 1");
+    wait_idle(&router, 1);
+    let stolen = router.jobs_stolen();
+    let backlog = router.shard(0).queued_jobs();
+    // Unpin shard 0 before asserting, so a failing run cannot hang.
+    gate.release();
     assert_eq!(
-        router.jobs_stolen(),
-        0,
+        stolen, 0,
         "an open-breaker shard must not pull work onto itself"
     );
-    assert_eq!(router.shard(0).queued_jobs(), 3, "backlog stayed put");
+    assert_eq!(backlog, 3, "backlog stayed put");
 
     // Released, shard 0 serves its own backlog.
-    gate.release();
     for ticket in tickets {
         ticket.wait().expect("served on the home shard");
     }
