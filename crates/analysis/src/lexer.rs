@@ -71,11 +71,6 @@ impl Token {
             _ => None,
         }
     }
-
-    /// True for comment tokens (which most lints skip over).
-    pub fn is_comment(&self) -> bool {
-        matches!(self.tok, Tok::LineComment(_) | Tok::BlockComment(_))
-    }
 }
 
 fn is_ident_start(c: char) -> bool {

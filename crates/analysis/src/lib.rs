@@ -4,10 +4,10 @@
 //! cannot see: every `unsafe` needs a written justification, the
 //! remotely reachable wire/server/client code must not panic, the hot
 //! per-row path must not allocate, locks must be taken in one declared
-//! order with condvar waits in predicate loops, and the wire format's
-//! tags and error codes must match their golden documentation. This
-//! crate lexes the workspace honestly (see [`lexer`]) and enforces all
-//! five as a lint catalog:
+//! order with condvar waits in predicate loops, the wire format's tags
+//! and error codes must match their golden documentation, and public
+//! API must have a caller outside tests. This crate lexes the workspace
+//! honestly (see [`lexer`]) and enforces all six as a lint catalog:
 //!
 //! | lint | what it denies |
 //! |------|----------------|
@@ -16,6 +16,7 @@
 //! | `hot-path-alloc` | allocating calls inside manifest-listed hot functions |
 //! | `lock-discipline` | undeclared locks, out-of-order acquisition, condvar waits outside `while`/`loop` |
 //! | `wire-stability` | frame tags / error codes unmatched by `docs/PROTOCOL.md` |
+//! | `dead-pub` | a library `pub` item whose name no non-test code uses |
 //! | `bad-suppression` | `analysis:allow` without a lint name and reason |
 //!
 //! Findings are suppressed — one at a time, with a mandatory reason —
@@ -25,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod dead_pub;
 pub mod hot_alloc;
 pub mod inventory;
 pub mod items;
@@ -50,6 +52,7 @@ pub enum Lint {
     HotPathAlloc,
     LockDiscipline,
     WireStability,
+    DeadPub,
     BadSuppression,
 }
 
@@ -63,6 +66,7 @@ impl Lint {
             Lint::HotPathAlloc => "hot-path-alloc",
             Lint::LockDiscipline => "lock-discipline",
             Lint::WireStability => "wire-stability",
+            Lint::DeadPub => "dead-pub",
             Lint::BadSuppression => "bad-suppression",
         }
     }
@@ -76,6 +80,7 @@ impl Lint {
             Lint::HotPathAlloc,
             Lint::LockDiscipline,
             Lint::WireStability,
+            Lint::DeadPub,
             Lint::BadSuppression,
         ]
     }
@@ -125,25 +130,29 @@ pub fn analyze_sources(
     manifest: &Manifest,
     protocol_md: Option<&str>,
 ) -> Analysis {
+    let files: Vec<SourceFile> = sources
+        .iter()
+        .map(|(rel, text)| SourceFile::parse(rel, text))
+        .collect();
     let mut violations = Vec::new();
     let mut unsafe_sites = Vec::new();
+    dead_pub::run(&files, &mut violations);
 
-    for (rel, text) in sources {
-        let file = SourceFile::parse(rel, text);
-
-        unsafe_audit::run(&file, &mut unsafe_sites, &mut violations);
+    for file in &files {
+        let rel = &file.rel_path;
+        unsafe_audit::run(file, &mut unsafe_sites, &mut violations);
         if manifest.in_no_panic_zone(rel) {
-            panic_surface::run(&file, &mut violations);
+            panic_surface::run(file, &mut violations);
         }
         if let Some(hot) = manifest.hot_path_for(rel) {
-            hot_alloc::run(&file, hot, &mut violations);
+            hot_alloc::run(file, hot, &mut violations);
         }
         if let Some(scope) = manifest.lock_scope_for(rel) {
-            lock_discipline::run(&file, scope, &mut violations);
+            lock_discipline::run(file, scope, &mut violations);
         }
         if rel == "crates/wire/src/frame.rs" {
             match protocol_md {
-                Some(md) => wire_stability::run(&file, md, &mut violations),
+                Some(md) => wire_stability::run(file, md, &mut violations),
                 None => violations.push(Violation {
                     lint: Lint::WireStability,
                     file: rel.clone(),
@@ -155,7 +164,7 @@ pub fn analyze_sources(
             }
         }
 
-        apply_suppressions(&file, &mut violations);
+        apply_suppressions(file, &mut violations);
     }
 
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));

@@ -3,7 +3,9 @@
 //! `fixtures/clean.rs` (a catalog of near-misses), and nothing in
 //! `fixtures/suppressed.rs` (real findings covered by well-formed
 //! suppressions). The markers live in the fixtures themselves, so the
-//! expectation table cannot drift from the file it describes.
+//! expectation table cannot drift from the file it describes. The
+//! `dead-pub` lint spans files, so its fixture is a small workspace
+//! (`fixtures/dead_pub/`) analyzed as one file set.
 
 use softermax_analysis::manifest::Manifest;
 use softermax_analysis::{analyze_sources, Lint};
@@ -13,6 +15,34 @@ const CLEAN: &str = include_str!("../fixtures/clean.rs");
 const SUPPRESSED: &str = include_str!("../fixtures/suppressed.rs");
 const WIRE_FRAME: &str = include_str!("../fixtures/wire_frame.rs");
 const WIRE_PROTOCOL: &str = include_str!("../fixtures/wire_protocol.md");
+
+/// The `dead-pub` file set, under the workspace paths it is analyzed at.
+const DEAD_PUB: &[(&str, &str)] = &[
+    (
+        "crates/a/src/lib.rs",
+        include_str!("../fixtures/dead_pub/crates/a/src/lib.rs"),
+    ),
+    (
+        "crates/a/tests/it.rs",
+        include_str!("../fixtures/dead_pub/crates/a/tests/it.rs"),
+    ),
+    (
+        "crates/b/src/lib.rs",
+        include_str!("../fixtures/dead_pub/crates/b/src/lib.rs"),
+    ),
+    (
+        "crates/b/src/main.rs",
+        include_str!("../fixtures/dead_pub/crates/b/src/main.rs"),
+    ),
+    (
+        "examples/demo.rs",
+        include_str!("../fixtures/dead_pub/examples/demo.rs"),
+    ),
+    (
+        "perfbench/src/main.rs",
+        include_str!("../fixtures/dead_pub/perfbench/src/main.rs"),
+    ),
+];
 
 /// A manifest aimed at the fixture files: the whole `fixtures/` prefix
 /// is a no-panic zone and a lock scope, and both `hot_fn`s are hot. The
@@ -220,4 +250,42 @@ fn missing_protocol_doc_is_itself_a_finding() {
     let analysis = analyze_sources(&sources, &fixture_manifest(), None);
     assert_eq!(analysis.violations.len(), 1);
     assert!(analysis.violations[0].message.contains("PROTOCOL.md"));
+}
+
+#[test]
+fn dead_pub_flags_exactly_the_items_only_tests_name() {
+    let mut sources: Vec<(String, String)> = DEAD_PUB
+        .iter()
+        .map(|(path, text)| ((*path).to_owned(), (*text).to_owned()))
+        .collect();
+    let analysis = analyze_sources(&sources, &fixture_manifest(), None);
+    let mut actual: Vec<(String, u32, String)> = analysis
+        .violations
+        .iter()
+        .map(|v| (v.file.clone(), v.line, v.lint.name().to_owned()))
+        .collect();
+    actual.sort();
+    let expected: Vec<(String, u32, String)> = expected_markers(DEAD_PUB[0].1)
+        .into_iter()
+        .map(|(line, lint)| (DEAD_PUB[0].0.to_owned(), line, lint))
+        .collect();
+    assert_eq!(
+        actual,
+        expected,
+        "findings:\n{}",
+        analysis
+            .violations
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+
+    // The suppression is what keeps the oracle: without it, it is dead.
+    sources[0].1 = sources[0].1.replace("analysis:allow(dead-pub)", "kept");
+    let analysis = analyze_sources(&sources, &fixture_manifest(), None);
+    assert!(analysis
+        .violations
+        .iter()
+        .any(|v| v.message.contains("kept_as_a_test_oracle")));
 }

@@ -25,8 +25,8 @@ fn workspace_has_zero_violations() {
     );
     assert!(
         !analysis.unsafe_sites.is_empty(),
-        "the workspace has known unsafe (SIMD kernels, rdtsc); finding \
-         none means the scanner lost them"
+        "the workspace has known unsafe (rdtsc); finding none means the \
+         scanner lost it"
     );
 }
 

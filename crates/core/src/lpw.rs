@@ -62,34 +62,6 @@ impl LpwTable {
         Self { m, c }
     }
 
-    /// Like [`LpwTable::interpolating`], but with each segment offset by
-    /// half its maximum interpolation error so the error is balanced around
-    /// zero (roughly halving the worst-case error for convex functions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments` is zero.
-    #[must_use]
-    pub fn balanced(f: impl Fn(f64) -> f64, segments: usize) -> Self {
-        let mut table = Self::interpolating(&f, segments);
-        let n = segments as f64;
-        // Sample each segment's interior to find its peak signed error.
-        const PROBES: usize = 64;
-        for i in 0..segments {
-            let mut worst = 0.0f64;
-            for p in 1..PROBES {
-                let u = p as f64 / PROBES as f64;
-                let t = (i as f64 + u) / n;
-                let err = table.m[i] * u + table.c[i] - f(t);
-                if err.abs() > worst.abs() {
-                    worst = err;
-                }
-            }
-            table.c[i] -= worst / 2.0;
-        }
-        table
-    }
-
     /// Number of segments.
     #[must_use]
     pub fn segments(&self) -> usize {
@@ -346,15 +318,6 @@ mod tests {
         // Analytic bound for interpolation of 2^t with h=0.25:
         // h^2/8 * max|f''| = 0.0625/8 * 2*ln(2)^2 ≈ 0.0075.
         assert!(t.max_abs_error(|x| x.exp2(), 10_000) < 0.008);
-    }
-
-    #[test]
-    fn balanced_beats_interpolating_on_max_error() {
-        let interp = pow2_table(4);
-        let bal = LpwTable::balanced(|t| t.exp2(), 4);
-        let e_interp = interp.max_abs_error(|x| x.exp2(), 10_000);
-        let e_bal = bal.max_abs_error(|x| x.exp2(), 10_000);
-        assert!(e_bal < e_interp);
     }
 
     #[test]

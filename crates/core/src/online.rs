@@ -124,12 +124,6 @@ impl OnlineNormalizer {
         self.base
     }
 
-    /// Whether the integer-max co-design modification is active.
-    #[must_use]
-    pub fn uses_integer_max(&self) -> bool {
-        self.integer_max
-    }
-
     /// The current running maximum (`-inf` before any value is pushed).
     #[must_use]
     pub fn running_max(&self) -> f64 {
@@ -363,61 +357,17 @@ impl OnlineRow {
     }
 }
 
-/// One-shot online softmax: single pass for max+normalizer, one more for the
-/// division — two passes total, versus three for the classic stable softmax.
-///
-/// # Errors
-///
-/// Returns [`SoftmaxError::EmptyInput`] when `x` is empty.
-///
-/// # Example
-///
-/// ```
-/// let x = [0.3, -1.2, 4.0, 0.3];
-/// let online = softermax::online::online_softmax(&x)?;
-/// let reference = softermax::reference::softmax(&x)?;
-/// for (a, b) in online.iter().zip(&reference) {
-///     assert!((a - b).abs() < 1e-12);
-/// }
-/// # Ok::<(), softermax::SoftmaxError>(())
-/// ```
-pub fn online_softmax(x: &[f64]) -> Result<Vec<f64>> {
-    let mut n = OnlineNormalizer::new();
-    n.extend(x.iter().copied());
-    n.finalize(x)
-}
-
-/// One-shot base-2 online softmax (the middle algorithm of the paper's
-/// Figure 3).
-///
-/// # Errors
-///
-/// Returns [`SoftmaxError::EmptyInput`] when `x` is empty.
-pub fn online_softmax_base2(x: &[f64]) -> Result<Vec<f64>> {
-    let mut n = OnlineNormalizer::base2();
-    n.extend(x.iter().copied());
-    n.finalize(x)
-}
-
-/// One-shot base-2 online softmax with the Softermax integer max (the
-/// right-hand algorithm of the paper's Figure 3, in full precision).
-///
-/// Note the output still sums to 1 exactly: using `ceil` for the *reference
-/// point* changes only the intermediate representation, not the final ratio.
-///
-/// # Errors
-///
-/// Returns [`SoftmaxError::EmptyInput`] when `x` is empty.
-pub fn online_softmax_intmax(x: &[f64]) -> Result<Vec<f64>> {
-    let mut n = OnlineNormalizer::base2().with_integer_max();
-    n.extend(x.iter().copied());
-    n.finalize(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
+
+    /// One-shot softmax through `n`: one pass for max and normalizer,
+    /// one more for the division.
+    fn online_softmax_with(mut n: OnlineNormalizer, x: &[f64]) -> Result<Vec<f64>> {
+        n.extend(x.iter().copied());
+        n.finalize(x)
+    }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -445,7 +395,7 @@ mod tests {
     fn online_matches_three_pass_base_e() {
         let x = [0.4, -2.0, 1.7, 1.69, -0.1, 3.3];
         assert_close(
-            &online_softmax(&x).unwrap(),
+            &online_softmax_with(OnlineNormalizer::new(), &x).unwrap(),
             &reference::softmax(&x).unwrap(),
             1e-12,
         );
@@ -455,7 +405,7 @@ mod tests {
     fn online_matches_three_pass_base_2() {
         let x = [5.0, 4.0, -31.0, 0.0, 4.99];
         assert_close(
-            &online_softmax_base2(&x).unwrap(),
+            &online_softmax_with(OnlineNormalizer::base2(), &x).unwrap(),
             &reference::softmax_base2(&x).unwrap(),
             1e-12,
         );
@@ -465,7 +415,7 @@ mod tests {
     fn integer_max_does_not_change_the_distribution() {
         let x = [0.3, -1.2, 4.6, 0.2, 2.9];
         assert_close(
-            &online_softmax_intmax(&x).unwrap(),
+            &online_softmax_with(OnlineNormalizer::base2().with_integer_max(), &x).unwrap(),
             &reference::softmax_base2(&x).unwrap(),
             1e-12,
         );
@@ -536,7 +486,7 @@ mod tests {
     #[test]
     fn handles_extreme_ranges_without_overflow() {
         let x = [1000.0, -1000.0, 999.5];
-        let p = online_softmax(&x).unwrap();
+        let p = online_softmax_with(OnlineNormalizer::new(), &x).unwrap();
         assert!(p.iter().all(|v| v.is_finite()));
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
@@ -545,6 +495,5 @@ mod tests {
     fn default_is_base_e() {
         let n = OnlineNormalizer::default();
         assert_eq!(n.base(), std::f64::consts::E);
-        assert!(!n.uses_integer_max());
     }
 }

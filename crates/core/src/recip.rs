@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn reciprocal_of_one_is_one() {
         let unit = RecipUnit::paper();
-        let x = Fixed::one(formats::POW_SUM);
+        let x = Fixed::from_f64(1.0, formats::POW_SUM, Rounding::Nearest);
         let r = unit.reciprocal(x).unwrap();
         assert_eq!(r.to_f64(), 1.0);
     }
@@ -257,7 +257,7 @@ mod tests {
     fn divide_by_one_is_identity_up_to_rounding() {
         let unit = RecipUnit::paper();
         let num = Fixed::from_f64(0.625, formats::UNNORMED, Rounding::Nearest);
-        let den = Fixed::one(formats::POW_SUM);
+        let den = Fixed::from_f64(1.0, formats::POW_SUM, Rounding::Nearest);
         let q = unit.divide(num, den, formats::OUTPUT).unwrap();
         assert_eq!(q.to_f64(), 0.625);
     }

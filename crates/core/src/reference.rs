@@ -86,36 +86,6 @@ pub fn softmax_with_base_into(x: &[f64], b: f64, out: &mut [f64]) -> Result<()> 
     Ok(())
 }
 
-/// The *unstable* textbook softmax, without the max subtraction.
-///
-/// Kept as a baseline to demonstrate why the stable version (and hence the
-/// extra max pass that Softermax's online normalization removes) exists:
-/// it overflows to `inf/inf = NaN` for moderately large scores.
-///
-/// # Errors
-///
-/// Returns [`SoftmaxError::EmptyInput`] when `x` is empty.
-pub fn softmax_unstable(x: &[f64]) -> Result<Vec<f64>> {
-    if x.is_empty() {
-        return Err(SoftmaxError::EmptyInput);
-    }
-    let exps: Vec<f64> = x.iter().map(|&v| v.exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    Ok(exps.into_iter().map(|e| e / sum).collect())
-}
-
-/// Base-2 softmax evaluated as `softmax_e(x * ln 2)`, demonstrating the
-/// temperature-equivalence the paper relies on: replacing the base is the
-/// same as rescaling the logits.
-///
-/// # Errors
-///
-/// Returns [`SoftmaxError::EmptyInput`] when `x` is empty.
-pub fn softmax_base2_via_temperature(x: &[f64]) -> Result<Vec<f64>> {
-    let scaled: Vec<f64> = x.iter().map(|&v| v * std::f64::consts::LN_2).collect();
-    softmax(&scaled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +101,6 @@ mod tests {
     fn empty_input_is_an_error() {
         assert_eq!(softmax(&[]), Err(SoftmaxError::EmptyInput));
         assert_eq!(softmax_base2(&[]), Err(SoftmaxError::EmptyInput));
-        assert_eq!(softmax_unstable(&[]), Err(SoftmaxError::EmptyInput));
     }
 
     #[test]
@@ -190,15 +159,18 @@ mod tests {
         assert!(stable.iter().all(|p| p.is_finite()));
         assert!((stable.iter().sum::<f64>() - 1.0).abs() < 1e-12);
 
-        let unstable = softmax_unstable(&x).unwrap();
-        assert!(unstable.iter().any(|p| p.is_nan()));
+        // Without the max subtraction, exp overflows: inf / inf = NaN.
+        let e: Vec<f64> = x.iter().map(|v| v.exp()).collect();
+        assert!((e[0] / e.iter().sum::<f64>()).is_nan());
     }
 
     #[test]
     fn base2_equals_temperature_scaled_base_e() {
         let x = [0.7, -1.3, 2.2, 0.0, 5.5];
         let direct = softmax_base2(&x).unwrap();
-        let via_temp = softmax_base2_via_temperature(&x).unwrap();
+        // Replacing the base is the same as rescaling the logits.
+        let scaled: Vec<f64> = x.iter().map(|&v| v * std::f64::consts::LN_2).collect();
+        let via_temp = softmax(&scaled).unwrap();
         assert_close(&direct, &via_temp, 1e-12);
     }
 

@@ -91,18 +91,6 @@ impl Softermax {
         &self.config
     }
 
-    /// The Power-of-Two unit.
-    #[must_use]
-    pub fn pow2_unit(&self) -> &Pow2Unit {
-        &self.pow2
-    }
-
-    /// The reciprocal unit.
-    #[must_use]
-    pub fn recip_unit(&self) -> &RecipUnit {
-        &self.recip
-    }
-
     /// Starts a streaming accumulation (one attention row).
     #[must_use]
     pub fn accumulator(&self) -> SoftermaxAccumulator<'_> {

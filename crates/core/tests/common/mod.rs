@@ -9,7 +9,7 @@
 //! union every registered kernel is checked on.
 
 use softermax::{Base, MaxMode, SoftermaxConfig};
-use softermax_fixed::{formats, QFormat};
+use softermax_fixed::{formats, Fixed, QFormat};
 
 /// The paper config and both ablation format sets of `vector_parity.rs`'s
 /// `arb_config`, under both bases and both max modes, with slice widths
@@ -54,7 +54,7 @@ pub fn edge_configs() -> Vec<SoftermaxConfig> {
 /// each rail), and values one and a half step past each rail.
 pub fn edge_values(input: QFormat) -> Vec<f64> {
     let res = input.resolution();
-    let (lo, hi) = (input.min_value(), input.max_value());
+    let (lo, hi) = (Fixed::min_of(input).to_f64(), Fixed::max_of(input).to_f64());
     vec![
         f64::NAN,
         f64::INFINITY,

@@ -17,7 +17,7 @@ use softermax::kernel::{KernelRegistry, LutKernel, ScratchBuffers, SoftmaxKernel
 use softermax::pow2::Pow2Unit;
 use softermax::recip::{apply_reciprocal, RecipUnit};
 use softermax::{Softermax, SoftermaxConfig};
-use softermax_fixed::{formats, Fixed, QFormat};
+use softermax_fixed::{formats, Fixed, QFormat, Rounding};
 
 #[allow(dead_code)]
 mod common;
@@ -88,12 +88,14 @@ fn recip_unit_sweep_matches_pre_vectorization_golden() {
     assert_eq!(h, GOLDEN_RECIP, "reciprocal-unit sweep drifted");
 
     // Spot values: exact powers of two and the worked division.
-    let one = unit.reciprocal(Fixed::one(formats::POW_SUM)).unwrap();
+    let one = unit
+        .reciprocal(Fixed::from_f64(1.0, formats::POW_SUM, Rounding::Nearest))
+        .unwrap();
     assert_eq!(one.to_f64(), 1.0);
     let q = unit
         .divide(
             Fixed::from_f64(0.625, formats::UNNORMED, softermax_fixed::Rounding::Nearest),
-            Fixed::one(formats::POW_SUM),
+            Fixed::from_f64(1.0, formats::POW_SUM, Rounding::Nearest),
             formats::OUTPUT,
         )
         .unwrap();

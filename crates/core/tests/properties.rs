@@ -9,6 +9,12 @@ fn arb_scores(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     vec(-30.0f64..30.0, 1..max_len)
 }
 
+/// One-shot online softmax of `x` through `n`.
+fn one_shot(mut n: OnlineNormalizer, x: &[f64]) -> Vec<f64> {
+    n.extend(x.iter().copied());
+    n.finalize(x).unwrap()
+}
+
 /// Bound on `max |Δ|` between the outputs of slice width `w` and of a
 /// single slice over a row of `len` scores, derived from `cfg`'s formats:
 ///
@@ -100,7 +106,7 @@ proptest! {
     /// The single-pass online normalizer matches the three-pass algorithm.
     #[test]
     fn online_equals_three_pass(x in arb_scores(64)) {
-        let online = softermax::online::online_softmax(&x).unwrap();
+        let online = one_shot(OnlineNormalizer::new(), &x);
         let three_pass = reference::softmax(&x).unwrap();
         prop_assert!(metrics::max_abs_error(&online, &three_pass) < 1e-9);
     }
@@ -109,8 +115,8 @@ proptest! {
     #[test]
     fn online_base2_and_intmax_equal_reference(x in arb_scores(64)) {
         let want = reference::softmax_base2(&x).unwrap();
-        let online = softermax::online::online_softmax_base2(&x).unwrap();
-        let intmax = softermax::online::online_softmax_intmax(&x).unwrap();
+        let online = one_shot(OnlineNormalizer::base2(), &x);
+        let intmax = one_shot(OnlineNormalizer::base2().with_integer_max(), &x);
         prop_assert!(metrics::max_abs_error(&online, &want) < 1e-9);
         prop_assert!(metrics::max_abs_error(&intmax, &want) < 1e-9);
     }

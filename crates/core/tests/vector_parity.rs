@@ -167,8 +167,8 @@ proptest! {
         cfg in arb_wild_config(),
         chunk in 1usize..16,
     ) {
-        let kernel = SoftermaxFixedKernel::with_config(cfg);
-        let sm = kernel.operator();
+        let kernel = SoftermaxFixedKernel::with_config(cfg.clone());
+        let sm = Softermax::new(cfg);
         let mut scratch = ScratchBuffers::default();
         let mut fused = vec![0.0; row.len()];
         let r_fused = sm.forward_into(&row, &mut fused, &mut scratch);
@@ -327,7 +327,7 @@ fn edge_inputs_are_bit_exact() {
     for cfg in common::edge_configs() {
         let rows = common::edge_rows(cfg.input_format);
         let kernel = SoftermaxFixedKernel::with_config(cfg.clone());
-        let sm = kernel.operator();
+        let sm = Softermax::new(cfg.clone());
         for row in &rows {
             let want = sm.forward(row).expect("non-empty row");
             let mut got = vec![0.0; row.len()];

@@ -7,13 +7,6 @@ use crate::QFormat;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FixedError {
-    /// A value does not fit in the target format's representable range.
-    Overflow {
-        /// The real value that failed to fit.
-        value: f64,
-        /// The format it was being converted into.
-        format: QFormat,
-    },
     /// Two operands were required to share a format but did not.
     FormatMismatch {
         /// Format of the left operand.
@@ -21,34 +14,14 @@ pub enum FixedError {
         /// Format of the right operand.
         rhs: QFormat,
     },
-    /// A format description is itself invalid (zero or too many bits).
-    InvalidFormat {
-        /// Integer bits requested.
-        int_bits: u32,
-        /// Fractional bits requested.
-        frac_bits: u32,
-    },
-    /// A NaN or infinity was passed where a finite value is required.
-    NonFinite,
 }
 
 impl fmt::Display for FixedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FixedError::Overflow { value, format } => {
-                write!(f, "value {value} does not fit in {format}")
-            }
             FixedError::FormatMismatch { lhs, rhs } => {
                 write!(f, "operand formats differ: {lhs} vs {rhs}")
             }
-            FixedError::InvalidFormat {
-                int_bits,
-                frac_bits,
-            } => write!(
-                f,
-                "invalid fixed-point format Q({int_bits},{frac_bits}): total bits must be in 1..=32"
-            ),
-            FixedError::NonFinite => write!(f, "value is not finite"),
         }
     }
 }
@@ -61,19 +34,14 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = FixedError::Overflow {
-            value: 99.0,
-            format: QFormat::signed(6, 2),
+        let e = FixedError::FormatMismatch {
+            lhs: QFormat::signed(6, 2),
+            rhs: QFormat::unsigned(1, 15),
         };
         let msg = e.to_string();
-        assert!(msg.contains("99"));
+        assert!(msg.starts_with("operand formats differ"));
         assert!(msg.contains("Q(6,2)"));
-
-        let e = FixedError::InvalidFormat {
-            int_bits: 0,
-            frac_bits: 0,
-        };
-        assert!(e.to_string().contains("Q(0,0)"));
+        assert!(msg.contains("UQ(1,15)"));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * `Q(i, f)` has `i + f` total bits. For signed formats the sign bit is
 //!   counted inside the integer field, mirroring the paper's notation where
 //!   the 8-bit input format is written `Q(6,2)`.
-//! * Arithmetic saturates (clamps to the representable range) unless a
-//!   `try_` variant is used; this mirrors the behaviour of the saturating
-//!   datapaths modelled in `softermax-hw`.
+//! * Arithmetic saturates (clamps to the representable range), mirroring
+//!   the saturating datapaths modelled in `softermax-hw`; the one error is
+//!   a format mismatch between operands.
 //! * Comparisons between [`Fixed`] values are *mathematical*: two values in
 //!   different formats compare by the real number they represent.
 //!

@@ -2,8 +2,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{FixedError, Result};
-
 /// A runtime fixed-point format descriptor, `Q(integer_bits, fractional_bits)`.
 ///
 /// The integer field includes the sign bit for signed formats, matching the
@@ -22,8 +20,8 @@ use crate::{FixedError, Result};
 ///
 /// let q62 = QFormat::signed(6, 2);
 /// assert_eq!(q62.total_bits(), 8);
-/// assert_eq!(q62.max_value(), 31.75);
-/// assert_eq!(q62.min_value(), -32.0);
+/// assert_eq!(q62.max_raw(), 127);
+/// assert_eq!(q62.min_raw(), -128);
 /// assert_eq!(q62.resolution(), 0.25);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -39,8 +37,7 @@ impl QFormat {
     ///
     /// # Panics
     ///
-    /// Panics if the total width is 0 or exceeds 32 bits. Use
-    /// [`QFormat::try_new`] for a fallible constructor.
+    /// Panics if the total width is 0 or exceeds 32 bits.
     #[must_use]
     pub const fn signed(int_bits: u32, frac_bits: u32) -> Self {
         assert!(
@@ -59,8 +56,7 @@ impl QFormat {
     ///
     /// # Panics
     ///
-    /// Panics if the total width is 0 or exceeds 32 bits. Use
-    /// [`QFormat::try_new`] for a fallible constructor.
+    /// Panics if the total width is 0 or exceeds 32 bits.
     #[must_use]
     pub const fn unsigned(int_bits: u32, frac_bits: u32) -> Self {
         assert!(
@@ -72,32 +68,6 @@ impl QFormat {
             frac_bits,
             signed: false,
         }
-    }
-
-    /// Fallible constructor for formats built from untrusted configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FixedError::InvalidFormat`] if the total width is 0 or
-    /// exceeds 32 bits.
-    pub fn try_new(int_bits: u32, frac_bits: u32, signed: bool) -> Result<Self> {
-        let total = int_bits
-            .checked_add(frac_bits)
-            .ok_or(FixedError::InvalidFormat {
-                int_bits,
-                frac_bits,
-            })?;
-        if total == 0 || total > 32 {
-            return Err(FixedError::InvalidFormat {
-                int_bits,
-                frac_bits,
-            });
-        }
-        Ok(Self {
-            int_bits,
-            frac_bits,
-            signed,
-        })
     }
 
     /// Number of integer bits (including the sign bit when signed).
@@ -148,18 +118,6 @@ impl QFormat {
         }
     }
 
-    /// Largest representable real value.
-    #[must_use]
-    pub fn max_value(&self) -> f64 {
-        self.max_raw() as f64 * self.resolution()
-    }
-
-    /// Smallest representable real value.
-    #[must_use]
-    pub fn min_value(&self) -> f64 {
-        self.min_raw() as f64 * self.resolution()
-    }
-
     /// The quantization step, `2^-frac_bits`.
     #[must_use]
     #[inline]
@@ -172,13 +130,6 @@ impl QFormat {
     #[inline]
     pub fn saturate_raw(&self, raw: i64) -> i64 {
         raw.clamp(self.min_raw(), self.max_raw())
-    }
-
-    /// Returns `true` when `raw` is representable without saturation.
-    #[must_use]
-    #[inline]
-    pub fn contains_raw(&self, raw: i64) -> bool {
-        raw >= self.min_raw() && raw <= self.max_raw()
     }
 }
 
@@ -242,8 +193,6 @@ mod tests {
         let q = QFormat::signed(6, 2);
         assert_eq!(q.max_raw(), 127);
         assert_eq!(q.min_raw(), -128);
-        assert_eq!(q.max_value(), 31.75);
-        assert_eq!(q.min_value(), -32.0);
     }
 
     #[test]
@@ -251,22 +200,12 @@ mod tests {
         let q = QFormat::unsigned(1, 15);
         assert_eq!(q.min_raw(), 0);
         assert_eq!(q.max_raw(), 65535);
-        assert!(q.max_value() < 2.0);
-        assert!(q.max_value() > 1.999);
     }
 
     #[test]
     fn resolution_is_power_of_two() {
         assert_eq!(QFormat::unsigned(1, 7).resolution(), 1.0 / 128.0);
         assert_eq!(QFormat::signed(8, 0).resolution(), 1.0);
-    }
-
-    #[test]
-    fn try_new_rejects_bad_widths() {
-        assert!(QFormat::try_new(0, 0, true).is_err());
-        assert!(QFormat::try_new(20, 20, true).is_err());
-        assert!(QFormat::try_new(u32::MAX, 2, false).is_err());
-        assert!(QFormat::try_new(16, 16, false).is_ok());
     }
 
     #[test]
@@ -281,14 +220,5 @@ mod tests {
     fn display_distinguishes_signedness() {
         assert_eq!(QFormat::signed(6, 2).to_string(), "Q(6,2)");
         assert_eq!(QFormat::unsigned(1, 15).to_string(), "UQ(1,15)");
-    }
-
-    #[test]
-    fn contains_raw_matches_bounds() {
-        let q = QFormat::unsigned(2, 2);
-        assert!(q.contains_raw(0));
-        assert!(q.contains_raw(15));
-        assert!(!q.contains_raw(16));
-        assert!(!q.contains_raw(-1));
     }
 }

@@ -56,13 +56,6 @@ impl Fixed {
         }
     }
 
-    /// The value `1.0`, saturated if the format cannot represent it (for
-    /// example unsigned `Q(1,15)` holds 1.0 exactly; `UQ(0,8)` saturates).
-    #[must_use]
-    pub fn one(format: QFormat) -> Self {
-        Self::from_raw_saturating(1i64 << format.frac_bits(), format)
-    }
-
     /// Quantizes a real value, saturating out-of-range inputs.
     ///
     /// Non-finite inputs saturate: `+inf`/NaN to the maximum, `-inf` to the
@@ -82,23 +75,6 @@ impl Fixed {
         Self::from_raw_saturating(raw, format)
     }
 
-    /// Quantizes a real value, returning an error if it does not fit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FixedError::NonFinite`] for NaN/infinite inputs and
-    /// [`FixedError::Overflow`] when the rounded value is out of range.
-    pub fn try_from_f64(value: f64, format: QFormat, rounding: Rounding) -> Result<Self> {
-        if !value.is_finite() {
-            return Err(FixedError::NonFinite);
-        }
-        let raw = rounding.apply(value / format.resolution());
-        if !format.contains_raw(raw) {
-            return Err(FixedError::Overflow { value, format });
-        }
-        Ok(Self { raw, format })
-    }
-
     /// Builds a value from a raw encoding, saturating to the format range.
     #[must_use]
     #[inline]
@@ -106,22 +82,6 @@ impl Fixed {
         Self {
             raw: format.saturate_raw(raw),
             format,
-        }
-    }
-
-    /// Builds a value from a raw encoding that must already be in range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FixedError::Overflow`] if `raw` is outside the format range.
-    pub fn try_from_raw(raw: i64, format: QFormat) -> Result<Self> {
-        if format.contains_raw(raw) {
-            Ok(Self { raw, format })
-        } else {
-            Err(FixedError::Overflow {
-                value: raw as f64 * format.resolution(),
-                format,
-            })
         }
     }
 
@@ -287,12 +247,6 @@ impl Fixed {
         Self::from_raw_saturating(raw, self.format)
     }
 
-    /// The integer part after a ceiling, as a plain integer.
-    #[must_use]
-    pub fn ceil_int(&self) -> i64 {
-        Rounding::Ceil.apply_shift(self.raw as i128, self.format.frac_bits())
-    }
-
     /// The integer part after a floor, as a plain integer.
     #[must_use]
     #[inline]
@@ -328,12 +282,6 @@ impl Fixed {
         } else {
             other
         }
-    }
-
-    /// Returns `true` when this value sits at either saturation rail.
-    #[must_use]
-    pub fn is_saturated(&self) -> bool {
-        self.raw == self.format.max_raw() || self.raw == self.format.min_raw()
     }
 
     fn check_same_format(&self, other: Fixed) -> Result<()> {
@@ -469,28 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn try_from_f64_errors() {
-        assert!(matches!(
-            Fixed::try_from_f64(f64::NAN, Q62, Rounding::Nearest),
-            Err(FixedError::NonFinite)
-        ));
-        assert!(matches!(
-            Fixed::try_from_f64(100.0, Q62, Rounding::Nearest),
-            Err(FixedError::Overflow { .. })
-        ));
-        assert!(Fixed::try_from_f64(3.25, Q62, Rounding::Nearest).is_ok());
-    }
-
-    #[test]
-    fn one_is_exact_where_representable() {
-        assert_eq!(Fixed::one(UQ115).to_f64(), 1.0);
-        assert_eq!(Fixed::one(Q62).to_f64(), 1.0);
-        // UQ(0,8) cannot hold 1.0 — saturates to 255/256.
-        let tight = QFormat::unsigned(0, 8);
-        assert_eq!(Fixed::one(tight).raw(), 255);
-    }
-
-    #[test]
     fn add_saturates_at_rails() {
         let big = Fixed::max_of(Q62);
         let sum = big.saturating_add(big).unwrap();
@@ -557,7 +483,6 @@ mod tests {
             let x = Fixed::from_f64(v, Q62, Rounding::Nearest);
             assert_eq!(x.ceil().to_f64(), v.ceil(), "ceil {v}");
             assert_eq!(x.floor().to_f64(), v.floor(), "floor {v}");
-            assert_eq!(x.ceil_int(), v.ceil() as i64);
             assert_eq!(x.floor_int(), v.floor() as i64);
         }
     }
@@ -593,10 +518,10 @@ mod tests {
     #[test]
     fn shr_truncates_like_a_hardware_shifter() {
         // raw 5 (1.25) >> 2 = raw 1 (0.25), dropping low bits.
-        let x = Fixed::try_from_raw(5, Q62).unwrap();
+        let x = Fixed::from_raw_saturating(5, Q62);
         assert_eq!(x.shr(2, Rounding::Floor).raw(), 1);
         // Negative values truncate toward -inf as an arithmetic shift does.
-        let y = Fixed::try_from_raw(-5, Q62).unwrap();
+        let y = Fixed::from_raw_saturating(-5, Q62);
         assert_eq!(y.shr(2, Rounding::Floor).raw(), -2);
     }
 
@@ -622,7 +547,7 @@ mod tests {
     fn hex_formatting_masks_to_width() {
         let x = Fixed::from_f64(-0.25, Q62, Rounding::Nearest);
         assert_eq!(format!("{x:x}"), "ff"); // raw -1 in 8 bits
-        let y = Fixed::one(UQ115);
+        let y = Fixed::from_f64(1.0, UQ115, Rounding::Nearest);
         assert_eq!(format!("{y:x}"), "8000");
     }
 
@@ -650,14 +575,5 @@ mod tests {
     fn display_shows_value_and_format() {
         let x = Fixed::from_f64(1.25, Q62, Rounding::Nearest);
         assert_eq!(x.to_string(), "1.25 [Q(6,2)]");
-    }
-
-    #[test]
-    fn is_saturated_detects_rails() {
-        assert!(Fixed::max_of(Q62).is_saturated());
-        assert!(Fixed::min_of(Q62).is_saturated());
-        assert!(!Fixed::zero(Q62).is_saturated());
-        // Unsigned zero is the bottom rail.
-        assert!(Fixed::zero(UQ115).is_saturated());
     }
 }

@@ -114,24 +114,6 @@ pub fn softmax_fp16_into(scores: &[f64], out: &mut [f64]) -> Option<()> {
     Some(())
 }
 
-/// The *unstable* FP16 softmax (no max subtraction) — demonstrates why
-/// the explicit max pass is unavoidable in FP16: `e^x` overflows binary16
-/// at `x ≈ 11.09`, so even modest attention scores produce infinities.
-///
-/// Returns `None` for an empty row.
-#[must_use]
-pub fn softmax_fp16_unstable(scores: &[f64]) -> Option<Vec<f64>> {
-    if scores.is_empty() {
-        return None;
-    }
-    let exps: Vec<Half> = scores.iter().map(|&v| Half::from_f64(v).exp()).collect();
-    let mut sum = Half::ZERO;
-    for &e in &exps {
-        sum = sum + e;
-    }
-    Some(exps.iter().map(|&e| (e / sum).to_f64()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +128,6 @@ mod tests {
     #[test]
     fn empty_is_none() {
         assert!(softmax_fp16(&[]).is_none());
-        assert!(softmax_fp16_unstable(&[]).is_none());
     }
 
     #[test]
@@ -172,9 +153,11 @@ mod tests {
         assert!(stable.iter().all(|p| p.is_finite()));
         assert!((stable.iter().sum::<f64>() - 1.0).abs() < 0.01);
 
-        let unstable = softmax_fp16_unstable(&row).expect("non-empty");
-        // e^20 overflows binary16: inf/inf = NaN.
-        assert!(unstable.iter().any(|p| p.is_nan()));
+        // Without the max subtraction, e^20 overflows binary16:
+        // inf/inf = NaN.
+        let exps: Vec<Half> = row.iter().map(|&v| Half::from_f64(v).exp()).collect();
+        let sum = exps.iter().fold(Half::ZERO, |s, &e| s + e);
+        assert!((exps[0] / sum).is_nan());
     }
 
     #[test]

@@ -27,12 +27,8 @@ pub enum ComponentKind {
     Register,
     /// Leading-one detector.
     LeadingOneDetector,
-    /// SRAM scratchpad.
-    Sram,
     /// FP16 adder (DesignWare-class).
     FpAdder,
-    /// FP16 multiplier (DesignWare-class).
-    FpMultiplier,
     /// FP16 divider (DesignWare-class).
     FpDivider,
     /// FP16 exponential special-function unit.
@@ -44,11 +40,11 @@ pub enum ComponentKind {
 impl ComponentKind {
     /// Whether this primitive is floating point.
     #[must_use]
+    // analysis:allow(dead-pub): the oracle of the hw property "a Softermax unit contains no floating-point primitive"
     pub fn is_floating_point(&self) -> bool {
         matches!(
             self,
             ComponentKind::FpAdder
-                | ComponentKind::FpMultiplier
                 | ComponentKind::FpDivider
                 | ComponentKind::FpExp
                 | ComponentKind::FpComparator
@@ -183,18 +179,6 @@ impl<'a> ComponentLib<'a> {
         }
     }
 
-    /// SRAM scratchpad of `bytes` (per-op energy is per 64-bit access).
-    #[must_use]
-    pub fn sram(&self, name: &str, bytes: u64, count: usize) -> Component {
-        Component {
-            name: name.to_string(),
-            kind: ComponentKind::Sram,
-            count,
-            area_um2: self.tech.sram_area_um2(bytes),
-            energy_per_op_pj: self.tech.sram_read_energy_pj(64),
-        }
-    }
-
     /// DesignWare-class FP16 adder.
     #[must_use]
     pub fn fp16_adder(&self, name: &str, count: usize) -> Component {
@@ -204,18 +188,6 @@ impl<'a> ComponentLib<'a> {
             count,
             area_um2: self.tech.ge_to_um2(self.tech.fp16_add_ge()),
             energy_per_op_pj: self.tech.fp16_add_energy_pj(),
-        }
-    }
-
-    /// DesignWare-class FP16 multiplier.
-    #[must_use]
-    pub fn fp16_multiplier(&self, name: &str, count: usize) -> Component {
-        Component {
-            name: name.to_string(),
-            kind: ComponentKind::FpMultiplier,
-            count,
-            area_um2: self.tech.ge_to_um2(self.tech.fp16_mul_ge()),
-            energy_per_op_pj: self.tech.fp16_mul_energy_pj(),
         }
     }
 

@@ -116,7 +116,6 @@ impl PeAreaBreakdown {
 #[derive(Debug, Clone)]
 pub struct Pe {
     config: PeConfig,
-    softmax: SoftmaxImpl,
     tech: TechParams,
     softermax_unit: Option<UnnormedSoftmaxUnit>,
     baseline_unit: Option<BaselineUnnormedUnit>,
@@ -127,15 +126,14 @@ impl Pe {
     #[must_use]
     pub fn new(tech: TechParams, config: PeConfig, softmax: SoftmaxImpl) -> Self {
         let width = config.softmax_width();
-        let (softermax_unit, baseline_unit) = match &softmax {
+        let (softermax_unit, baseline_unit) = match softmax {
             SoftmaxImpl::Softermax(cfg) => {
-                (Some(UnnormedSoftmaxUnit::new(&tech, width, cfg)), None)
+                (Some(UnnormedSoftmaxUnit::new(&tech, width, &cfg)), None)
             }
             SoftmaxImpl::BaselineFp16 => (None, Some(BaselineUnnormedUnit::new(&tech, width))),
         };
         Self {
             config,
-            softmax,
             tech,
             softermax_unit,
             baseline_unit,
@@ -146,12 +144,6 @@ impl Pe {
     #[must_use]
     pub fn config(&self) -> &PeConfig {
         &self.config
-    }
-
-    /// The softmax implementation choice.
-    #[must_use]
-    pub fn softmax_impl(&self) -> &SoftmaxImpl {
-        &self.softmax
     }
 
     /// The technology parameters.

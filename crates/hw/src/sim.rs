@@ -14,7 +14,7 @@
 //! module adds, is **data-dependent energy**: the running-sum
 //! renormalization shifter only fires when a slice actually raises the
 //! row maximum. The closed-form model charges it every slice (worst
-//! case); [`UnnormedSim::renorm_events`] counts real occurrences, enabling
+//! case); [`UnnormedEvents::renorm_shifts`] counts real occurrences, enabling
 //! an activity-based energy refinement.
 
 use serde::{Deserialize, Serialize};
@@ -117,12 +117,6 @@ impl<'a> UnnormedSim<'a> {
     #[must_use]
     pub fn events(&self) -> UnnormedEvents {
         self.events
-    }
-
-    /// Number of renormalization shifter firings so far.
-    #[must_use]
-    pub fn renorm_events(&self) -> u64 {
-        self.events.renorm_shifts
     }
 
     /// Executes one cycle: absorbs one slice of at most the configured
@@ -276,13 +270,13 @@ mod tests {
         let row = [0.0, 1.0, 4.0, 5.0, 9.0, 10.0];
         let mut sim = UnnormedSim::new(cfg.clone());
         sim.run_row(&quantize_row(&row, &cfg));
-        assert_eq!(sim.renorm_events(), 2);
+        assert_eq!(sim.events().renorm_shifts, 2);
 
         // Descending slices: the max never rises after slice 0.
         let row = [10.0, 9.0, 5.0, 4.0, 1.0, 0.0];
         let mut sim = UnnormedSim::new(cfg.clone());
         sim.run_row(&quantize_row(&row, &cfg));
-        assert_eq!(sim.renorm_events(), 0);
+        assert_eq!(sim.events().renorm_shifts, 0);
     }
 
     #[test]

@@ -257,12 +257,6 @@ impl TechParams {
         self.ge_energy_pj * self.fp16_add_ge() * 0.35
     }
 
-    /// Energy of one FP16 multiply, pJ.
-    #[must_use]
-    pub fn fp16_mul_energy_pj(&self) -> f64 {
-        self.ge_energy_pj * self.fp16_mul_ge() * 0.35
-    }
-
     /// Energy of one FP16 divide, pJ (sequential: the datapath toggles for
     /// `fp16_div_cycles` cycles per result).
     #[must_use]
@@ -370,7 +364,6 @@ mod tests {
 
     #[test]
     fn fp16_div_is_the_most_expensive_arithmetic() {
-        assert!(t().fp16_div_energy_pj() > t().fp16_mul_energy_pj());
         assert!(t().fp16_div_energy_pj() > t().fp16_add_energy_pj());
         assert!(t().fp16_div_energy_pj() > t().int_mul_energy_pj(16, 8));
     }

@@ -84,12 +84,6 @@ impl NormalizationUnit {
         total_area_um2(&self.components)
     }
 
-    /// Energy of the once-per-row reciprocal computation, pJ.
-    #[must_use]
-    pub fn energy_per_row_setup_pj(&self) -> f64 {
-        self.per_row_energy_pj
-    }
-
     /// Energy to normalize one element, pJ.
     #[must_use]
     pub fn energy_per_element_pj(&self) -> f64 {

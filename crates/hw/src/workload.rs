@@ -26,16 +26,6 @@ pub struct AttentionShape {
 }
 
 impl AttentionShape {
-    /// BERT-Base dimensions: d_model 768, 12 heads, default seq 384 (SQuAD).
-    #[must_use]
-    pub fn bert_base() -> Self {
-        Self {
-            seq_len: 384,
-            d_model: 768,
-            n_heads: 12,
-        }
-    }
-
     /// BERT-Large dimensions: d_model 1024, 16 heads, default seq 384.
     #[must_use]
     pub fn bert_large() -> Self {
@@ -134,12 +124,6 @@ impl LayerOps {
     pub fn total_macs(&self) -> u64 {
         self.qkv_proj_macs + self.score_macs + self.value_macs + self.out_proj_macs + self.ffn_macs
     }
-
-    /// Fraction of MACs that scale quadratically with sequence length.
-    #[must_use]
-    pub fn attention_mac_fraction(&self) -> f64 {
-        (self.score_macs + self.value_macs) as f64 / self.total_macs() as f64
-    }
 }
 
 #[cfg(test)]
@@ -148,15 +132,14 @@ mod tests {
 
     #[test]
     fn bert_presets_have_expected_dims() {
-        assert_eq!(AttentionShape::bert_base().d_head(), 64);
         assert_eq!(AttentionShape::bert_large().d_head(), 64);
-        assert_eq!(AttentionShape::bert_base().n_heads, 12);
+        assert_eq!(AttentionShape::bert_large().n_heads, 16);
     }
 
     #[test]
     fn softmax_elements_scale_quadratically() {
-        let a = AttentionShape::bert_base().with_seq_len(128);
-        let b = AttentionShape::bert_base().with_seq_len(256);
+        let a = AttentionShape::bert_large().with_seq_len(128);
+        let b = AttentionShape::bert_large().with_seq_len(256);
         assert_eq!(b.softmax_elements(), 4 * a.softmax_elements());
     }
 
@@ -174,9 +157,12 @@ mod tests {
 
     #[test]
     fn attention_fraction_grows_with_seq_len() {
-        let short = LayerOps::from_shape(&AttentionShape::bert_large().with_seq_len(128));
-        let long = LayerOps::from_shape(&AttentionShape::bert_large().with_seq_len(4096));
-        assert!(long.attention_mac_fraction() > short.attention_mac_fraction());
-        assert!(long.attention_mac_fraction() > 0.3);
+        // The MACs that scale quadratically with sequence length.
+        let fraction = |seq_len| {
+            let ops = LayerOps::from_shape(&AttentionShape::bert_large().with_seq_len(seq_len));
+            (ops.score_macs + ops.value_macs) as f64 / ops.total_macs() as f64
+        };
+        assert!(fraction(4096) > fraction(128));
+        assert!(fraction(4096) > 0.3);
     }
 }

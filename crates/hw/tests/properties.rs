@@ -112,7 +112,8 @@ proptest! {
             Accelerator::softermax_default(pe.clone(), 1),
             Accelerator::baseline_default(pe.clone(), 1),
         ] {
-            let e = accel.self_softmax_energy(&AttentionShape::bert_base().with_seq_len(n));
+            let bert_base = AttentionShape { seq_len: n, d_model: 768, n_heads: 12 };
+            let e = accel.self_softmax_energy(&bert_base);
             prop_assert!(e.mac_pj >= 0.0);
             prop_assert!(e.softmax_pj > 0.0);
             prop_assert!(e.normalization_pj > 0.0);
@@ -167,8 +168,8 @@ proptest! {
         unit_row in proptest::collection::vec(0.0f64..1.0, 1..300),
         cfg in arb_fig4_config(),
     ) {
-        let lo = cfg.input_format.min_value() * 1.25;
-        let hi = cfg.max_format.max_value().floor();
+        let lo = Fixed::min_of(cfg.input_format).to_f64() * 1.25;
+        let hi = Fixed::max_of(cfg.max_format).to_f64().floor();
         let row: Vec<Fixed> = unit_row
             .iter()
             .map(|&u| Fixed::from_f64(lo + u * (hi - lo), cfg.input_format, Rounding::Nearest))
@@ -219,8 +220,8 @@ proptest! {
         unit_row in proptest::collection::vec(0.0f64..1.0, 1..300),
         cfg in arb_fig4_config(),
     ) {
-        let lo = cfg.input_format.min_value() * 1.25;
-        let hi = cfg.input_format.max_value() * 1.25;
+        let lo = Fixed::min_of(cfg.input_format).to_f64() * 1.25;
+        let hi = Fixed::max_of(cfg.input_format).to_f64() * 1.25;
         let row: Vec<Fixed> = unit_row
             .iter()
             .map(|&u| Fixed::from_f64(lo + u * (hi - lo), cfg.input_format, Rounding::Nearest))

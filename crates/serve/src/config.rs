@@ -110,27 +110,6 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the bound on blocking admission waits.
-    #[must_use]
-    pub fn with_admission_timeout(mut self, admission_timeout: Duration) -> Self {
-        self.admission_timeout = admission_timeout;
-        self
-    }
-
-    /// Overrides the worker respawn budget.
-    #[must_use]
-    pub fn with_respawn_cap(mut self, respawn_cap: usize) -> Self {
-        self.respawn_cap = respawn_cap;
-        self
-    }
-
-    /// Overrides the circuit-breaker tuning.
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
     /// Checks the configuration is usable.
     ///
     /// # Errors
@@ -193,10 +172,16 @@ mod tests {
             failure_pct: 0,
             ..BreakerConfig::default()
         };
-        assert!(ServeConfig::new(1).with_breaker(bad).validate().is_err());
-        let cfg = ServeConfig::new(1)
-            .with_admission_timeout(Duration::from_millis(5))
-            .with_respawn_cap(0);
+        let cfg = ServeConfig {
+            breaker: bad,
+            ..ServeConfig::new(1)
+        };
+        assert!(cfg.validate().is_err());
+        let cfg = ServeConfig {
+            admission_timeout: Duration::from_millis(5),
+            respawn_cap: 0,
+            ..ServeConfig::new(1)
+        };
         assert!(cfg.validate().is_ok(), "zero respawn budget is legal");
         assert_eq!(cfg.admission_timeout, Duration::from_millis(5));
     }

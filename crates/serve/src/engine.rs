@@ -121,16 +121,6 @@ impl BatchEngine {
         })
     }
 
-    /// A pool of `threads` workers with the default (paper-PE) chunk
-    /// geometry and queue depth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SoftmaxError::InvalidConfig`] when `threads == 0`.
-    pub fn with_threads(threads: usize) -> Result<Self> {
-        Self::new(ServeConfig::new(threads))
-    }
-
     /// The engine's configuration.
     #[must_use]
     pub fn config(&self) -> &ServeConfig {
@@ -923,19 +913,6 @@ impl Job {
         })
     }
 
-    /// Non-blocking completion probe: `None` while chunks are still in
-    /// flight, the outcome once the job has completed.
-    pub(crate) fn try_outcome(&self) -> Option<Result<()>> {
-        let mut state = lock(&self.state);
-        if !state.complete {
-            return None;
-        }
-        Some(match state.error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        })
-    }
-
     pub(crate) fn is_complete(&self) -> bool {
         lock(&self.state).complete
     }
@@ -1438,7 +1415,7 @@ mod tests {
     use softermax::KernelRegistry;
 
     fn engine(threads: usize) -> BatchEngine {
-        BatchEngine::with_threads(threads).expect("valid config")
+        BatchEngine::new(ServeConfig::new(threads)).expect("valid config")
     }
 
     fn serve(
@@ -1457,7 +1434,7 @@ mod tests {
 
     #[test]
     fn zero_threads_is_rejected() {
-        assert!(BatchEngine::with_threads(0).is_err());
+        assert!(BatchEngine::new(ServeConfig::new(0)).is_err());
     }
 
     #[test]
@@ -1516,7 +1493,7 @@ mod tests {
         assert_eq!(sm.elements, 1024);
         assert!(sm.wall_ns > 0);
         assert_eq!(sm.latency.len(), 2);
-        assert!(sm.latency.percentile_ns(0.50) > 0);
+        assert!(sm.latency.percentiles_ns(&[0.50])[0] > 0);
         assert_eq!(stats.kernel("reference-2").expect("served").rows, 64);
         assert_eq!(stats.total().rows, 192);
     }

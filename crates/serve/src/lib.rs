@@ -18,7 +18,7 @@
 //!   [`StreamSession`](softermax::StreamSession) for streamed jobs);
 //! * [`Submission`] / [`Ticket`] — owned-buffer asynchronous requests:
 //!   [`BatchEngine::submit`] returns immediately with a ticket,
-//!   [`Ticket::wait`]/[`Ticket::try_poll`] collect the probabilities;
+//!   [`Ticket::wait`]/[`Ticket::wait_timeout`] collect the probabilities;
 //!   admission is bounded by [`ServeConfig::queue_depth`]
 //!   ([`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull)
 //!   on a full engine, or blocking backpressure via
@@ -53,7 +53,7 @@
 //!   silently computed late. [`Ticket::wait_timeout`] bounds the wait
 //!   side the same way.
 //! * **Circuit breaker** — each engine tracks a sliding window of
-//!   outcomes and latencies ([`BreakerConfig`]); an unhealthy shard
+//!   outcomes ([`BreakerConfig`]); an unhealthy shard
 //!   stops admitting non-blocking work (closed → open → half-open
 //!   probe), so the [`ShardedRouter`] fails over around it and retries
 //!   with exponential backoff.
@@ -63,10 +63,10 @@
 //!   loss resolves every outstanding ticket with
 //!   [`SoftmaxError::EngineShutdown`](softermax::SoftmaxError::EngineShutdown)
 //!   instead of hanging its waiters.
-//! * **Deterministic fault injection** — the [`fault`] module wraps any
-//!   kernel in a [`FaultyKernel`] driven by a seeded [`FaultPlan`]
-//!   (panics, errors, latency spikes on a reproducible schedule), which
-//!   is how the above is tested without sleeps or luck.
+//! * **Deterministic fault injection** — the test suites wrap kernels in
+//!   a `FaultyKernel` driven by a seeded `FaultPlan` (panics, errors,
+//!   latency spikes on a reproducible schedule; `tests/common/fault.rs`),
+//!   which is how the above is tested without sleeps or luck.
 //!
 //! # Scheduling
 //!
@@ -131,7 +131,6 @@
 
 mod config;
 mod engine;
-pub mod fault;
 mod health;
 mod router;
 mod stats;
@@ -143,7 +142,6 @@ pub use config::{
     INTERACTIVE_WEIGHT,
 };
 pub use engine::BatchEngine;
-pub use fault::{FaultKind, FaultPlan, FaultyKernel};
 pub use health::{BreakerConfig, BreakerState};
 pub use router::{RoutePolicy, ShardedRouter};
 pub use stats::{EngineStats, KernelServeStats, LatencyWindow, LATENCY_WINDOW};

@@ -37,16 +37,9 @@ impl LatencyWindow {
         self.samples.is_empty()
     }
 
-    /// The `q`-quantile latency (nearest-rank over the window), in
-    /// nanoseconds; `q` is clamped into `[0, 1]`. Returns 0 for an empty
-    /// window.
-    #[must_use]
-    pub fn percentile_ns(&self, q: f64) -> u64 {
-        self.percentiles_ns(&[q])[0]
-    }
-
-    /// Several quantiles at once from a single sorted copy of the window
-    /// — what report sites asking for p50/p95/p99 together should call.
+    /// The `qs`-quantile latencies (nearest-rank over the window), in
+    /// nanoseconds, from a single sorted copy of the window; each `q` is
+    /// clamped into `[0, 1]`. All 0 for an empty window.
     #[must_use]
     pub fn percentiles_ns(&self, qs: &[f64]) -> Vec<u64> {
         if self.samples.is_empty() {
@@ -328,14 +321,14 @@ mod tests {
             w.push(ns);
         }
         assert_eq!(w.len(), 100);
-        assert_eq!(w.percentile_ns(0.50), 50);
-        assert_eq!(w.percentile_ns(0.95), 95);
-        assert_eq!(w.percentile_ns(0.99), 99);
-        assert_eq!(w.percentile_ns(0.0), 1);
-        assert_eq!(w.percentile_ns(1.0), 100);
+        assert_eq!(w.percentiles_ns(&[0.50])[0], 50);
+        assert_eq!(w.percentiles_ns(&[0.95])[0], 95);
+        assert_eq!(w.percentiles_ns(&[0.99])[0], 99);
+        assert_eq!(w.percentiles_ns(&[0.0])[0], 1);
+        assert_eq!(w.percentiles_ns(&[1.0])[0], 100);
         // Out-of-range quantiles clamp instead of panicking.
-        assert_eq!(w.percentile_ns(7.0), 100);
-        assert_eq!(w.percentile_ns(-1.0), 1);
+        assert_eq!(w.percentiles_ns(&[7.0])[0], 100);
+        assert_eq!(w.percentiles_ns(&[-1.0])[0], 1);
     }
 
     #[test]
@@ -344,7 +337,7 @@ mod tests {
         assert!(w.is_empty());
         assert_eq!(w.len(), 0);
         for q in [-1.0, 0.0, 0.5, 1.0, 7.0] {
-            assert_eq!(w.percentile_ns(q), 0, "q={q}");
+            assert_eq!(w.percentiles_ns(&[q])[0], 0, "q={q}");
         }
         assert_eq!(w.percentiles_ns(&[0.0, 0.5, 1.0]), vec![0, 0, 0]);
     }
@@ -355,7 +348,7 @@ mod tests {
         w.push(42);
         assert_eq!(w.len(), 1);
         for q in [-0.5, 0.0, 0.01, 0.5, 0.99, 1.0, 2.0] {
-            assert_eq!(w.percentile_ns(q), 42, "q={q}");
+            assert_eq!(w.percentiles_ns(&[q])[0], 42, "q={q}");
         }
     }
 
@@ -367,13 +360,13 @@ mod tests {
         }
         // Exactly full: nothing evicted yet, the oldest sample survives.
         assert_eq!(w.len(), LATENCY_WINDOW);
-        assert_eq!(w.percentile_ns(0.0), 0);
-        assert_eq!(w.percentile_ns(1.0), LATENCY_WINDOW as u64 - 1);
+        assert_eq!(w.percentiles_ns(&[0.0])[0], 0);
+        assert_eq!(w.percentiles_ns(&[1.0])[0], LATENCY_WINDOW as u64 - 1);
         // One more push wraps: exactly the single oldest sample falls out.
         w.push(LATENCY_WINDOW as u64);
         assert_eq!(w.len(), LATENCY_WINDOW);
-        assert_eq!(w.percentile_ns(0.0), 1);
-        assert_eq!(w.percentile_ns(1.0), LATENCY_WINDOW as u64);
+        assert_eq!(w.percentiles_ns(&[0.0])[0], 1);
+        assert_eq!(w.percentiles_ns(&[1.0])[0], LATENCY_WINDOW as u64);
     }
 
     #[test]
@@ -384,12 +377,12 @@ mod tests {
         }
         // p0 and p100 hit the extremes; anything beyond [0, 1] clamps to
         // them instead of indexing out of bounds.
-        assert_eq!(w.percentile_ns(0.0), 10);
-        assert_eq!(w.percentile_ns(1.0), 30);
-        assert_eq!(w.percentile_ns(-1e9), 10);
-        assert_eq!(w.percentile_ns(1e9), 30);
-        assert_eq!(w.percentile_ns(f64::NEG_INFINITY), 10);
-        assert_eq!(w.percentile_ns(f64::INFINITY), 30);
+        assert_eq!(w.percentiles_ns(&[0.0])[0], 10);
+        assert_eq!(w.percentiles_ns(&[1.0])[0], 30);
+        assert_eq!(w.percentiles_ns(&[-1e9])[0], 10);
+        assert_eq!(w.percentiles_ns(&[1e9])[0], 30);
+        assert_eq!(w.percentiles_ns(&[f64::NEG_INFINITY])[0], 10);
+        assert_eq!(w.percentiles_ns(&[f64::INFINITY])[0], 30);
     }
 
     #[test]
@@ -417,7 +410,7 @@ mod tests {
         }
         assert_eq!(w.len(), LATENCY_WINDOW);
         // The 100 oldest samples fell out: the minimum is now 100.
-        assert_eq!(w.percentile_ns(0.0), 100);
+        assert_eq!(w.percentiles_ns(&[0.0])[0], 100);
     }
 
     #[test]
@@ -432,8 +425,8 @@ mod tests {
         assert_eq!(a.len(), LATENCY_WINDOW);
         // Proportional shares: half the merged window from each source,
         // not the second source evicting the first wholesale.
-        assert_eq!(a.percentile_ns(0.25), 1_000);
-        assert_eq!(a.percentile_ns(0.75), 2_000);
+        assert_eq!(a.percentiles_ns(&[0.25])[0], 1_000);
+        assert_eq!(a.percentiles_ns(&[0.75])[0], 2_000);
     }
 
     #[test]
@@ -480,7 +473,7 @@ mod tests {
             sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
         };
         for q in [0.25, 0.50, 0.75, 0.99] {
-            let got = a.percentile_ns(q);
+            let got = a.percentiles_ns(&[q])[0];
             let want = exact(q);
             let same_level = (got < 2_000_000) == (want < 2_000_000);
             assert!(same_level, "q={q}: merged {got} vs exact {want}");
@@ -569,7 +562,7 @@ mod tests {
         assert_eq!(total.elements, 300);
         assert_eq!(total.wall_ns, 15);
         assert_eq!(total.latency.len(), 3);
-        assert_eq!(total.latency.percentile_ns(0.50), 5);
+        assert_eq!(total.latency.percentiles_ns(&[0.50])[0], 5);
     }
 
     #[test]

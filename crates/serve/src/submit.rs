@@ -5,8 +5,8 @@
 //! A [`Submission`] *owns* its score matrix: [`submit`] hands it to the
 //! engine and immediately returns a [`Ticket`], so a client can keep
 //! several requests in flight (or several client threads can share one
-//! engine) and collect each result with [`Ticket::wait`] or poll it with
-//! [`Ticket::try_poll`]. Admission is bounded by
+//! engine) and collect each result with [`Ticket::wait`] or bound the
+//! wait with [`Ticket::wait_timeout`]. Admission is bounded by
 //! [`ServeConfig::queue_depth`](crate::ServeConfig): [`submit`] rejects
 //! on a full engine with [`SoftmaxError::QueueFull`], while
 //! [`submit_wait`] blocks for a slot — backpressure instead of unbounded
@@ -143,14 +143,15 @@ impl Submission {
 }
 
 /// A handle to one in-flight submission. Collect the probabilities with
-/// [`Ticket::wait`] (blocking) or [`Ticket::try_poll`] (non-blocking);
+/// [`Ticket::wait`] or, bounded, [`Ticket::wait_timeout`] (a zero
+/// timeout is a non-blocking poll);
 /// dropping the ticket abandons the result but never the work — the
 /// batch still completes (and is accounted) behind the scenes.
 pub struct Ticket {
     job: Arc<Job>,
 }
 
-/// Outcome of a non-blocking [`Ticket::try_poll`].
+/// Outcome of a bounded [`Ticket::wait_timeout`].
 #[derive(Debug)]
 pub enum TicketPoll {
     /// Chunks are still in flight; the ticket is handed back.
@@ -195,17 +196,6 @@ impl Ticket {
     #[must_use]
     pub fn wait_timeout(self, timeout: Duration) -> TicketPoll {
         match self.job.wait_outcome_until(Instant::now() + timeout) {
-            None => TicketPoll::Pending(self),
-            Some(Ok(())) => TicketPoll::Ready(Ok(self.job.take_output())),
-            Some(Err(e)) => TicketPoll::Ready(Err(e)),
-        }
-    }
-
-    /// Non-blocking completion probe: [`TicketPoll::Pending`] hands the
-    /// ticket back while chunks are still in flight.
-    #[must_use]
-    pub fn try_poll(self) -> TicketPoll {
-        match self.job.try_outcome() {
             None => TicketPoll::Pending(self),
             Some(Ok(())) => TicketPoll::Ready(Ok(self.job.take_output())),
             Some(Err(e)) => TicketPoll::Ready(Err(e)),
@@ -310,12 +300,13 @@ impl BatchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServeConfig;
     use softermax::{KernelRegistry, SoftmaxError};
 
     #[test]
     fn a_submission_round_trips_bit_identically() {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-        let engine = BatchEngine::with_threads(2).expect("valid config");
+        let engine = BatchEngine::new(ServeConfig::new(2)).expect("valid config");
         let rows: Vec<f64> = (0..9 * 4).map(|i| f64::from(i % 7) / 2.0 - 1.5).collect();
         let ticket = engine.submit(&kernel, rows.clone(), 4).expect("submit");
         let got = ticket.wait().expect("serve");
@@ -327,7 +318,7 @@ mod tests {
     #[test]
     fn many_tickets_in_flight_resolve_independently() {
         let registry = KernelRegistry::global();
-        let engine = BatchEngine::with_threads(2).expect("valid config");
+        let engine = BatchEngine::new(ServeConfig::new(2)).expect("valid config");
         let matrices: Vec<Vec<f64>> = (0..8)
             .map(|m| (0..6 * 3).map(|i| f64::from((i + m) % 9) - 4.0).collect())
             .collect();
@@ -362,7 +353,7 @@ mod tests {
         let kernel = KernelRegistry::global()
             .get("online-intmax")
             .expect("built-in");
-        let engine = BatchEngine::with_threads(2).expect("valid config");
+        let engine = BatchEngine::new(ServeConfig::new(2)).expect("valid config");
         let rows: Vec<f64> = (0..7 * 5).map(|i| f64::from(i % 11) / 3.0 - 1.0).collect();
         let batch = engine
             .submit(&kernel, rows.clone(), 5)
@@ -387,10 +378,10 @@ mod tests {
         let kernel = KernelRegistry::global()
             .get("reference-2")
             .expect("built-in");
-        let engine = BatchEngine::with_threads(1).expect("valid config");
+        let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
         let ticket = engine.submit(&kernel, Vec::new(), 4).expect("submit");
         assert!(ticket.is_done());
-        match ticket.try_poll() {
+        match ticket.wait_timeout(Duration::ZERO) {
             TicketPoll::Ready(Ok(out)) => assert!(out.is_empty()),
             other => panic!("expected ready empty output, got {other:?}"),
         }
@@ -409,7 +400,7 @@ mod tests {
         let kernel = KernelRegistry::global()
             .get("reference-e")
             .expect("built-in");
-        let engine = BatchEngine::with_threads(1).expect("valid config");
+        let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
         assert!(matches!(
             engine.submit(&kernel, vec![1.0, 2.0], 0),
             Err(SoftmaxError::EmptyInput)
@@ -426,7 +417,7 @@ mod tests {
     #[test]
     fn dropped_tickets_still_complete_and_account() {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-        let engine = BatchEngine::with_threads(2).expect("valid config");
+        let engine = BatchEngine::new(ServeConfig::new(2)).expect("valid config");
         let rows: Vec<f64> = (0..4 * 4).map(|i| f64::from(i % 3) - 1.0).collect();
         drop(engine.submit(&kernel, rows, 4).expect("submit"));
         // The work is not abandoned with the ticket: the batch drains,

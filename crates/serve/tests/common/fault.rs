@@ -14,29 +14,6 @@
 //! the calls before it — so the schedule is independent of thread
 //! interleaving: however the engine's workers race, call 17 faults (or
 //! doesn't) identically.
-//!
-//! # Example
-//!
-//! ```
-//! use softermax::KernelRegistry;
-//! use softermax_serve::fault::{FaultKind, FaultPlan, FaultyKernel};
-//!
-//! let inner = KernelRegistry::global().get("softermax").expect("built-in");
-//! // Error (never panic) on ~30% of forward calls, reproducibly.
-//! let plan = FaultPlan::new(42, 0.3).with_kinds(vec![FaultKind::Error]);
-//! let faulty = FaultyKernel::new(&inner, plan);
-//! let mut failures = 0;
-//! for _ in 0..100 {
-//!     if faulty.forward(&[1.0, 2.0, 0.5]).is_err() {
-//!         failures += 1;
-//!     }
-//! }
-//! // The schedule is deterministic: this exact seed fails exactly the
-//! // same calls on every run.
-//! assert_eq!(failures, faulty.injected_errors());
-//! assert!(failures > 10 && failures < 60);
-//! # use softermax::SoftmaxKernel;
-//! ```
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,8 +35,8 @@ pub enum FaultKind {
     /// The kernel returns a [`SoftmaxError`] — exercises failure
     /// accounting and the circuit breaker.
     Error,
-    /// The kernel stalls for [`FaultPlan::delay`] before serving
-    /// normally — exercises deadlines and latency-budget breaker trips.
+    /// The kernel stalls for [`FaultPlan::with_delay`] before serving
+    /// normally — exercises deadlines.
     Delay,
 }
 
@@ -122,22 +99,10 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The plan's per-call fault probability.
     #[must_use]
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// The stall [`FaultKind::Delay`] injects.
-    #[must_use]
-    pub fn delay(&self) -> Duration {
-        self.delay
     }
 
     /// The fault (if any) scheduled for forward call `call` — a pure
@@ -219,18 +184,6 @@ impl FaultyKernel {
         }
     }
 
-    /// The wrapped kernel.
-    #[must_use]
-    pub fn inner(&self) -> &Arc<dyn SoftmaxKernel> {
-        &self.inner
-    }
-
-    /// The plan being executed.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Forward calls taken so far (the next call gets this index).
     #[must_use]
     pub fn calls(&self) -> u64 {
@@ -299,120 +252,5 @@ impl SoftmaxKernel for FaultyKernel {
 
     fn stream_session(&self) -> Box<dyn StreamSession + '_> {
         Box::new(BufferedSession::new(self))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use softermax::KernelRegistry;
-
-    fn inner() -> Arc<dyn SoftmaxKernel> {
-        KernelRegistry::global().get("softermax").expect("built-in")
-    }
-
-    #[test]
-    fn same_seed_gives_the_same_schedule() {
-        let plan = FaultPlan::new(7, 0.4);
-        let replay = FaultPlan::new(7, 0.4);
-        for call in 0..500 {
-            assert_eq!(plan.decide(call), replay.decide(call), "call {call}");
-        }
-    }
-
-    #[test]
-    fn different_seeds_give_different_schedules() {
-        let a = FaultPlan::new(1, 0.5);
-        let b = FaultPlan::new(2, 0.5);
-        assert!(
-            (0..200).any(|call| a.decide(call) != b.decide(call)),
-            "200 calls at 50% never diverged across seeds"
-        );
-    }
-
-    #[test]
-    fn decisions_are_order_independent() {
-        let plan = FaultPlan::new(99, 0.5);
-        let forward: Vec<_> = (0..100).map(|c| plan.decide(c)).collect();
-        let mut backward: Vec<_> = (0..100).rev().map(|c| plan.decide(c)).collect();
-        backward.reverse();
-        assert_eq!(forward, backward);
-    }
-
-    #[test]
-    fn window_bounds_the_faults() {
-        let plan = FaultPlan::new(3, 1.0).with_window(10..20);
-        for call in 0..30 {
-            let faulted = plan.decide(call).is_some();
-            assert_eq!(faulted, (10..20).contains(&call), "call {call}");
-        }
-    }
-
-    #[test]
-    fn rate_extremes_behave() {
-        let never = FaultPlan::new(5, 0.0);
-        let always = FaultPlan::new(5, 1.0);
-        let disabled = FaultPlan::new(5, 1.0).with_kinds(Vec::new());
-        for call in 0..100 {
-            assert_eq!(never.decide(call), None);
-            assert!(always.decide(call).is_some());
-            assert_eq!(disabled.decide(call), None);
-        }
-        // Out-of-range and NaN rates clamp instead of panicking in
-        // gen_bool.
-        assert_eq!(FaultPlan::new(5, -3.0).rate(), 0.0);
-        assert_eq!(FaultPlan::new(5, 42.0).rate(), 1.0);
-        let nan = FaultPlan::new(5, f64::NAN);
-        assert_eq!(nan.rate(), 0.0);
-        for call in 0..100 {
-            assert_eq!(nan.decide(call), None);
-        }
-    }
-
-    #[test]
-    fn clean_calls_are_bit_identical_to_the_inner_kernel() {
-        let inner = inner();
-        let faulty = FaultyKernel::new(&inner, FaultPlan::new(11, 0.0));
-        let row: Vec<f64> = (0..16).map(|i| f64::from(i % 5) - 2.0).collect();
-        assert_eq!(
-            faulty.forward(&row).expect("clean"),
-            inner.forward(&row).expect("clean")
-        );
-        assert_eq!(faulty.name(), inner.name());
-    }
-
-    #[test]
-    fn injected_errors_are_counted_and_scheduled() {
-        let inner = inner();
-        let plan = FaultPlan::new(21, 0.5).with_kinds(vec![FaultKind::Error]);
-        let expected: u64 = (0..200).filter(|&c| plan.decide(c).is_some()).count() as u64;
-        let faulty = FaultyKernel::new(&inner, plan);
-        let mut observed = 0;
-        for _ in 0..200 {
-            if faulty.forward(&[1.0, 2.0]).is_err() {
-                observed += 1;
-            }
-        }
-        assert!(expected > 0, "seed 21 at 50% must fault somewhere");
-        assert_eq!(observed, expected);
-        assert_eq!(faulty.injected_errors(), expected);
-        assert_eq!(faulty.calls(), 200);
-        assert_eq!(faulty.injected_panics(), 0);
-    }
-
-    #[test]
-    fn injected_panics_carry_their_call_index() {
-        let inner = inner();
-        let plan = FaultPlan::new(1, 1.0).with_kinds(vec![FaultKind::Panic]);
-        let faulty = FaultyKernel::new(&inner, plan);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = faulty.forward(&[1.0]);
-        }))
-        .expect_err("scheduled panic");
-        let payload = caught
-            .downcast_ref::<InjectedPanic>()
-            .expect("typed payload");
-        assert_eq!(payload.call, 0);
-        assert_eq!(faulty.injected_panics(), 1);
     }
 }

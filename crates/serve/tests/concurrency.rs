@@ -266,13 +266,13 @@ fn full_admission_queue_rejects_and_never_deadlocks() {
 #[test]
 fn tickets_poll_pending_then_ready() {
     let slow: Arc<dyn SoftmaxKernel> = Arc::new(SlowKernel::new(Duration::from_millis(40)));
-    let engine = BatchEngine::with_threads(1).expect("valid config");
+    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
     let rows = vec![0.5f64; 4];
     let mut ticket = engine.submit(&slow, rows.clone(), 4).expect("submit");
     assert!(!ticket.is_done());
     let mut polls = 0usize;
     let out = loop {
-        match ticket.try_poll() {
+        match ticket.wait_timeout(Duration::ZERO) {
             TicketPoll::Pending(back) => {
                 ticket = back;
                 polls += 1;

@@ -184,7 +184,7 @@ fn default_paper_chunk_geometry_is_also_deterministic() {
     // The proptest matrices fit in one default chunk; cross-check the
     // default (32-row PE-derived) geometry on a matrix of several chunks
     // with an uneven tail.
-    let engine = BatchEngine::with_threads(4).expect("valid config");
+    let engine = BatchEngine::new(ServeConfig::new(4)).expect("valid config");
     let matrix = softermax_serve::traffic::synthetic_matrix(100, 48, 2.5, 9);
     for kernel in &KernelRegistry::with_builtins() {
         let want = sequential(kernel.as_ref(), &matrix, 48);

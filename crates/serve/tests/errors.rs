@@ -164,7 +164,7 @@ fn streamed_path_credits_rows_completed_before_the_error() {
 #[test]
 fn empty_rows_error_at_the_dispatch_boundary() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
-    let engine = BatchEngine::with_threads(2).expect("valid config");
+    let engine = BatchEngine::new(ServeConfig::new(2)).expect("valid config");
     assert!(matches!(
         serve(&engine, &kernel, &[1.0, 2.0, 3.0], 0, None),
         Err(SoftmaxError::EmptyInput)

@@ -10,15 +10,19 @@
 //!   [`FaultPlan`] decides by forward-call index alone, so every counter
 //!   of the run is exact; the gate pins them, holds fault-window
 //!   availability at 0.5 or more, and bit-checks every survivor.
+//! * Unit: the plan's schedule is a pure function of seed and call
+//!   index, and the wrapper acts it out.
+
+mod common;
 
 use std::ops::Range;
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
+use common::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel, InjectedPanic};
 use proptest::prelude::*;
 use softermax::kernel::{ScratchBuffers, SoftmaxKernel};
 use softermax::KernelRegistry;
-use softermax_serve::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel};
 use softermax_serve::traffic::synthetic_matrix;
 use softermax_serve::{
     Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
@@ -175,10 +179,12 @@ fn chaos_run(
     let serve_kernel: Arc<dyn SoftmaxKernel> = faulty.clone();
     // Every injected panic kills a worker; the pool must heal through
     // all of them.
-    let config = ServeConfig::new(CHAOS_WORKERS)
-        .with_chunk_rows(CHAOS_ROWS)
-        .with_queue_depth(32)
-        .with_respawn_cap(4096);
+    let config = ServeConfig {
+        respawn_cap: 4096,
+        ..ServeConfig::new(CHAOS_WORKERS)
+            .with_chunk_rows(CHAOS_ROWS)
+            .with_queue_depth(32)
+    };
     let router =
         ShardedRouter::new(CHAOS_SHARDS, config, RoutePolicy::Adaptive).expect("valid config");
 
@@ -275,4 +281,115 @@ fn seeded_chaos_schedule_is_deterministic_exact_and_available() {
             kernel.name()
         );
     }
+}
+
+// The fault plan and the kernel wrapper themselves.
+
+fn softermax_kernel() -> Arc<dyn SoftmaxKernel> {
+    KernelRegistry::global().get("softermax").expect("built-in")
+}
+
+#[test]
+fn same_seed_gives_the_same_schedule() {
+    let plan = FaultPlan::new(7, 0.4);
+    let replay = FaultPlan::new(7, 0.4);
+    for call in 0..500 {
+        assert_eq!(plan.decide(call), replay.decide(call), "call {call}");
+    }
+}
+
+#[test]
+fn different_seeds_give_different_schedules() {
+    let a = FaultPlan::new(1, 0.5);
+    let b = FaultPlan::new(2, 0.5);
+    assert!(
+        (0..200).any(|call| a.decide(call) != b.decide(call)),
+        "200 calls at 50% never diverged across seeds"
+    );
+}
+
+#[test]
+fn decisions_are_order_independent() {
+    let plan = FaultPlan::new(99, 0.5);
+    let forward: Vec<_> = (0..100).map(|c| plan.decide(c)).collect();
+    let mut backward: Vec<_> = (0..100).rev().map(|c| plan.decide(c)).collect();
+    backward.reverse();
+    assert_eq!(forward, backward);
+}
+
+#[test]
+fn window_bounds_the_faults() {
+    let plan = FaultPlan::new(3, 1.0).with_window(10..20);
+    for call in 0..30 {
+        let faulted = plan.decide(call).is_some();
+        assert_eq!(faulted, (10..20).contains(&call), "call {call}");
+    }
+}
+
+#[test]
+fn rate_extremes_behave() {
+    let never = FaultPlan::new(5, 0.0);
+    let always = FaultPlan::new(5, 1.0);
+    let disabled = FaultPlan::new(5, 1.0).with_kinds(Vec::new());
+    for call in 0..100 {
+        assert_eq!(never.decide(call), None);
+        assert!(always.decide(call).is_some());
+        assert_eq!(disabled.decide(call), None);
+    }
+    // Out-of-range and NaN rates clamp instead of panicking in
+    // gen_bool.
+    assert_eq!(FaultPlan::new(5, -3.0).rate(), 0.0);
+    assert_eq!(FaultPlan::new(5, 42.0).rate(), 1.0);
+    let nan = FaultPlan::new(5, f64::NAN);
+    assert_eq!(nan.rate(), 0.0);
+    for call in 0..100 {
+        assert_eq!(nan.decide(call), None);
+    }
+}
+
+#[test]
+fn clean_calls_are_bit_identical_to_the_inner_kernel() {
+    let inner = softermax_kernel();
+    let faulty = FaultyKernel::new(&inner, FaultPlan::new(11, 0.0));
+    let row: Vec<f64> = (0..16).map(|i| f64::from(i % 5) - 2.0).collect();
+    assert_eq!(
+        faulty.forward(&row).expect("clean"),
+        inner.forward(&row).expect("clean")
+    );
+    assert_eq!(faulty.name(), inner.name());
+}
+
+#[test]
+fn injected_errors_are_counted_and_scheduled() {
+    let inner = softermax_kernel();
+    let plan = FaultPlan::new(21, 0.5).with_kinds(vec![FaultKind::Error]);
+    let expected: u64 = (0..200).filter(|&c| plan.decide(c).is_some()).count() as u64;
+    let faulty = FaultyKernel::new(&inner, plan);
+    let mut observed = 0;
+    for _ in 0..200 {
+        if faulty.forward(&[1.0, 2.0]).is_err() {
+            observed += 1;
+        }
+    }
+    assert!(expected > 0, "seed 21 at 50% must fault somewhere");
+    assert_eq!(observed, expected);
+    assert_eq!(faulty.injected_errors(), expected);
+    assert_eq!(faulty.calls(), 200);
+    assert_eq!(faulty.injected_panics(), 0);
+}
+
+#[test]
+fn injected_panics_carry_their_call_index() {
+    let inner = softermax_kernel();
+    let plan = FaultPlan::new(1, 1.0).with_kinds(vec![FaultKind::Panic]);
+    let faulty = FaultyKernel::new(&inner, plan);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = faulty.forward(&[1.0]);
+    }))
+    .expect_err("scheduled panic");
+    let payload = caught
+        .downcast_ref::<InjectedPanic>()
+        .expect("typed payload");
+    assert_eq!(payload.call, 0);
+    assert_eq!(faulty.injected_panics(), 1);
 }

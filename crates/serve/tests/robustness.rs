@@ -8,15 +8,19 @@
 //! [`FaultPlan`]s, and the few sleeps that remain only *guarantee* an
 //! already-certain fact (e.g. that a 5 ms deadline has passed).
 
+// This suite uses only part of the fault module.
+#[allow(dead_code)]
+mod common;
+
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::Duration;
 
+use common::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel};
 use softermax::kernel::{
     BaseKind, BufferedSession, KernelDescriptor, NormalizationKind, SoftmaxKernel, StreamSession,
     StreamingClass,
 };
 use softermax::{reference, KernelRegistry, Result, SoftmaxError};
-use softermax_serve::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel};
 use softermax_serve::{
     Admission, BatchEngine, BreakerConfig, BreakerState, RoutePolicy, ServeConfig, ShardedRouter,
     Submission, TicketPoll,
@@ -263,9 +267,10 @@ fn deadline_passed_in_queue_expires_at_dequeue() {
 fn blocking_admission_is_bounded() {
     let gate = Arc::new(Gate::default());
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
-    let config = single_row_config()
-        .with_queue_depth(1)
-        .with_admission_timeout(Duration::from_millis(20));
+    let config = ServeConfig {
+        admission_timeout: Duration::from_millis(20),
+        ..single_row_config().with_queue_depth(1)
+    };
     let engine = BatchEngine::new(config).expect("valid config");
 
     // The only admission slot is held by a parked request.
@@ -340,7 +345,10 @@ fn health_counters_are_current_when_a_panicked_request_resolves() {
     // Every forward call panics.
     let plan = FaultPlan::new(3, 1.0).with_kinds(vec![FaultKind::Panic]);
     let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
-    let config = ServeConfig::new(1).with_respawn_cap(ROUNDS as usize);
+    let config = ServeConfig {
+        respawn_cap: ROUNDS as usize,
+        ..ServeConfig::new(1)
+    };
     let engine = BatchEngine::new(config).expect("valid config");
     for round in 1..=ROUNDS {
         // Blocking admission: the breaker, open after the first few
@@ -377,7 +385,11 @@ fn losing_the_last_worker_fails_the_engine_honestly() {
         .with_window(0..1);
     let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
     // One worker, zero respawn budget: the first panic kills the pool.
-    let engine = BatchEngine::new(ServeConfig::new(1).with_respawn_cap(0)).expect("valid config");
+    let config = ServeConfig {
+        respawn_cap: 0,
+        ..ServeConfig::new(1)
+    };
+    let engine = BatchEngine::new(config).expect("valid config");
 
     let err = engine
         .submit(&faulty, vec![1.0, 2.0], 2)
@@ -407,7 +419,11 @@ fn breaker_trips_on_failures_and_recovers_through_a_probe() {
         failure_pct: 50,
         cooldown: Duration::from_millis(20),
     };
-    let engine = BatchEngine::new(single_row_config().with_breaker(breaker)).expect("valid");
+    let config = ServeConfig {
+        breaker,
+        ..single_row_config()
+    };
+    let engine = BatchEngine::new(config).expect("valid");
 
     // Two failing batches trip the breaker (2/2 = 100% >= 50%).
     for _ in 0..2 {
@@ -485,7 +501,10 @@ fn router_routes_around_an_open_shard() {
         // Long cooldown: shard 0 stays open for the whole test.
         cooldown: Duration::from_secs(30),
     };
-    let config = single_row_config().with_breaker(breaker);
+    let config = ServeConfig {
+        breaker,
+        ..single_row_config()
+    };
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
     // Trip shard 0 directly (bypassing the router's spreading).
@@ -530,7 +549,10 @@ fn router_refuses_honestly_when_every_breaker_is_open() {
         failure_pct: 50,
         cooldown: Duration::from_millis(30),
     };
-    let config = single_row_config().with_breaker(breaker);
+    let config = ServeConfig {
+        breaker,
+        ..single_row_config()
+    };
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
     for shard in 0..router.n_shards() {
         trip(&router, shard, &kernel);

@@ -420,14 +420,23 @@ fn expired_jobs_are_left_for_the_victim_to_account() {
     // Unpin shard 1 only: its worker steals the *fresh* job — never the
     // expired one, which must stay with the victim for accounting.
     gates[1].release();
-    let got = fresh.wait().expect("fresh job served via steal");
-    assert_eq!(got, kernel.forward(&fresh_rows).expect("row"));
-    assert_eq!(router.shard(1).jobs_stolen(), 1);
-    assert_eq!(router.shard(0).jobs_donated(), 1);
-
-    // Unpin shard 0: it dequeues the doomed job and expires it on its
-    // own books.
+    let served = fresh.wait_timeout(Duration::from_secs(10));
+    let (stolen, donated) = (
+        router.shard(1).jobs_stolen(),
+        router.shard(0).jobs_donated(),
+    );
+    // Unpin shard 0 before asserting: a failed assert must not unwind
+    // into the router's drop while a worker is parked in a gate. Shard 0
+    // then dequeues the doomed job and expires it on its own books.
     gates[0].release();
+    let TicketPoll::Ready(got) = served else {
+        panic!("the fresh job on the pinned shard was never stolen");
+    };
+    let got = got.expect("fresh job served via steal");
+    assert_eq!(got, kernel.forward(&fresh_rows).expect("row"));
+    assert_eq!(stolen, 1);
+    assert_eq!(donated, 1);
+
     let err = doomed.wait().expect_err("deadline must have passed");
     assert!(matches!(err, SoftmaxError::DeadlineExceeded), "{err:?}");
     for pin in pins {
@@ -461,10 +470,10 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
         // Stays open for the whole test.
         cooldown: Duration::from_secs(30),
     };
-    let config = ServeConfig::new(1)
-        .with_chunk_rows(4)
-        .with_queue_depth(16)
-        .with_breaker(breaker);
+    let config = ServeConfig {
+        breaker,
+        ..ServeConfig::new(1).with_chunk_rows(4).with_queue_depth(16)
+    };
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
     // Pin shard 0 first so its idle worker cannot steal the poisoned

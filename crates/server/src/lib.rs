@@ -1,6 +1,5 @@
 //! The network serving front-end (`softermax-server`): TCP and
-//! Unix-socket listeners fronting a
-//! [`ShardedRouter`](softermax_serve::ShardedRouter).
+//! Unix-socket listeners fronting a [`ShardedRouter`].
 //!
 //! Execution model (std threads only, mirroring the serving layer):
 //!
@@ -303,8 +302,7 @@ enum Listener {
 }
 
 /// A running server: listeners bound, accept threads live. Drive it
-/// with [`Server::run`] (blocks until a `Shutdown` frame drains it) or
-/// poke [`Server::begin_shutdown`] from another thread.
+/// with [`Server::run`] (blocks until a `Shutdown` frame drains it).
 pub struct Server {
     shared: Arc<Shared>,
     accepters: Vec<JoinHandle<()>>,
@@ -374,14 +372,7 @@ impl Server {
         &self.endpoints
     }
 
-    /// Triggers the drain from outside the protocol (the in-process
-    /// equivalent of a `Shutdown` frame). Idempotent.
-    pub fn begin_shutdown(&self) {
-        self.shared.begin_drain();
-    }
-
-    /// Blocks until a drain is triggered (by a `Shutdown` frame or
-    /// [`Server::begin_shutdown`]), then drains: joins the accept
+    /// Blocks until a `Shutdown` frame triggers a drain, then drains: joins the accept
     /// loops, EOFs every connection's read half, resolves in-flight
     /// tickets through the writers, joins all connection threads, and
     /// returns the number of connections drained.

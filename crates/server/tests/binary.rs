@@ -65,7 +65,8 @@ fn binary_serves_every_kernel_bit_identically_and_drains() {
                     .expect("forward_into");
             }
             let request = SubmitRequest::build(0, name.clone(), &scores, row_len).expect("build");
-            let got = client.call(request).expect("call").expect("result");
+            client.submit(request).expect("submit");
+            let got = client.next_reply().expect("reply").1.expect("result");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{name} over {endpoint}");
         }

@@ -12,8 +12,8 @@ use softermax::kernel::{KernelRegistry, ScratchBuffers};
 use softermax_client::{Client, ClientConfig, Endpoint};
 use softermax_server::{Bind, Server, ServerConfig};
 use softermax_wire::{
-    encode_frame, read_frame, ErrorCode, Frame, Hello, SubmitReply, SubmitRequest, WirePriority,
-    MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    encode_frame, read_frame, ErrorCode, Frame, Hello, SubmitReply, SubmitRequest, WireError,
+    WirePriority, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 
 fn unique_socket_path(tag: &str) -> PathBuf {
@@ -54,6 +54,18 @@ fn start_server(config: ServerConfig, tag: &str) -> (Server, Endpoint, Endpoint,
 
 fn connect(endpoint: &Endpoint) -> Client {
     Client::connect(endpoint.clone(), ClientConfig::default()).expect("client connect")
+}
+
+/// Submits one request and blocks for its reply (no pipelining).
+fn call(client: &mut Client, req: SubmitRequest) -> Result<Vec<f64>, WireError> {
+    client.submit(req).expect("submit");
+    client.next_reply().expect("reply").1
+}
+
+/// Drains `server` through the protocol's `Shutdown` frame.
+fn stop(server: Server, endpoint: &Endpoint) {
+    connect(endpoint).shutdown_server().expect("shutdown ack");
+    let _ = server.run();
 }
 
 /// Sequential in-process ground truth: `forward_into` row by row.
@@ -104,7 +116,7 @@ fn every_kernel_bit_identical_over_tcp_and_unix() {
             let want = ground_truth(name, &scores, row_len);
             // Batch.
             let req = SubmitRequest::build(0, name.clone(), &scores, row_len).expect("build");
-            let got = client.call(req).expect("call").expect("batch result");
+            let got = call(&mut client, req).expect("batch result");
             assert_bits_equal(name, transport, &got, &want);
             // Streamed in 2-row chunks, batch priority, with a roomy
             // deadline that must not alter the numbers.
@@ -115,7 +127,7 @@ fn every_kernel_bit_identical_over_tcp_and_unix() {
                 .with_deadline_ms(30_000)
                 .expect("deadline")
                 .with_priority(WirePriority::Batch);
-            let got = client.call(req).expect("call").expect("streamed result");
+            let got = call(&mut client, req).expect("streamed result");
             assert_bits_equal(name, transport, &got, &want);
         }
     }
@@ -139,14 +151,12 @@ fn pipelined_submissions_reply_in_order() {
         let req = SubmitRequest::build(0, "softermax", &scores, row_len).expect("build");
         ids.push(client.submit(req).expect("submit"));
     }
-    assert_eq!(client.in_flight(), 24);
     for expect_id in ids {
         let (id, result) = client.next_reply().expect("reply");
         assert_eq!(id, expect_id, "replies must arrive in submission order");
         assert_bits_equal("softermax", "tcp", &result.expect("result"), &want);
     }
-    server.begin_shutdown();
-    let _ = server.run();
+    stop(server, &tcp);
 }
 
 /// A 1-shard/1-thread server saturated with heavy work must answer a
@@ -182,8 +192,7 @@ fn saturated_server_expires_wire_deadlines() {
     assert_eq!(id, starved);
     let err = result.expect_err("a 1 ms deadline behind 16 heavy jobs must expire");
     assert_eq!(err.code, ErrorCode::DeadlineExceeded, "got {err}");
-    server.begin_shutdown();
-    let _ = server.run();
+    stop(server, &tcp);
 }
 
 /// Wrong kernel names come back as a typed reply, not a dead socket.
@@ -192,15 +201,11 @@ fn unknown_kernel_is_a_typed_reply() {
     let (server, _tcp, unix, _path) = start_server(ServerConfig::default(), "unknown");
     let mut client = connect(&unix);
     let req = SubmitRequest::build(0, "definitely_not_a_kernel", &[1.0, 2.0], 2).expect("build");
-    let err = client
-        .call(req)
-        .expect("call")
-        .expect_err("unknown kernel must fail");
+    let err = call(&mut client, req).expect_err("unknown kernel must fail");
     assert_eq!(err.code, ErrorCode::UnknownKernel);
     // The connection survives a data-plane error.
     assert!(client.health().is_ok());
-    server.begin_shutdown();
-    let _ = server.run();
+    stop(server, &unix);
 }
 
 /// Health and stats expose the serve layer's snapshot
@@ -211,7 +216,7 @@ fn control_plane_reports_live_state() {
     let mut client = connect(&tcp);
     let scores = test_scores(2, 8);
     let req = SubmitRequest::build(0, "reference-e", &scores, 8).expect("build");
-    client.call(req).expect("call").expect("result");
+    call(&mut client, req).expect("result");
 
     let health = client.health().expect("health");
     assert_eq!(health.get("healthy"), Some(&serde::Value::Bool(true)));
@@ -247,8 +252,7 @@ fn control_plane_reports_live_state() {
     for key in ["rows", "batches", "availability", "latency"] {
         assert!(reference.get(key).is_some(), "kernel stats missing '{key}'");
     }
-    server.begin_shutdown();
-    let _ = server.run();
+    stop(server, &tcp);
 }
 
 /// A malicious client declares a body length over the frame cap. The
@@ -307,10 +311,9 @@ fn oversized_declaration_cannot_kill_the_server() {
     let scores = test_scores(2, 8);
     let want = ground_truth("reference-e", &scores, 8);
     let req = SubmitRequest::build(0, "reference-e", &scores, 8).expect("build");
-    let got = client.call(req).expect("call").expect("result");
+    let got = call(&mut client, req).expect("result");
     assert_bits_equal("reference-e", "tcp", &got, &want);
-    server.begin_shutdown();
-    let _ = server.run();
+    stop(server, &tcp);
 }
 
 /// A binary submit smuggling a NaN bit pattern is a well-framed but
@@ -365,8 +368,7 @@ fn nan_submit_is_refused_and_the_connection_survives() {
         }
         other => panic!("expected submit reply, got {other:?}"),
     }
-    server.begin_shutdown();
-    let _ = server.run();
+    stop(server, &tcp);
 }
 
 /// A client whose ceiling is below the server's version gets a typed
@@ -388,6 +390,5 @@ fn version_below_minimum_is_refused() {
         Frame::Error(e) => assert_eq!(e.code, ErrorCode::Protocol),
         other => panic!("expected error frame, got {other:?}"),
     }
-    server.begin_shutdown();
-    let _ = server.run();
+    stop(server, &tcp);
 }

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 use softermax::kernel::{KernelDescriptor, ScratchBuffers, SoftmaxKernel};
-use softermax::{KernelRegistry, SoftermaxConfig};
+use softermax::KernelRegistry;
 
 use crate::nn::Linear;
 use crate::tensor::Matrix;
@@ -147,15 +147,6 @@ impl KernelSoftmax {
     #[must_use]
     pub fn softermax_paper() -> Self {
         Self::by_name("softermax").expect("softermax is always registered")
-    }
-
-    /// A fixed-point Softermax pipeline with a custom configuration
-    /// (ablation fine-tuning).
-    #[must_use]
-    pub fn softermax_with_config(config: SoftermaxConfig) -> Self {
-        Self::from_kernel(Arc::new(
-            softermax::kernel::SoftermaxFixedKernel::with_config(config),
-        ))
     }
 
     /// The wrapped kernel.
@@ -545,7 +536,7 @@ mod tests {
     #[test]
     fn exact_softmax_rows_sum_to_one() {
         let s = KernelSoftmax::exact();
-        let scores = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[-1.0, 0.0, 1.0]]);
+        let scores = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
         let p = s.forward(&scores);
         for r in 0..2 {
             let sum: f32 = p.row(r).iter().sum();
@@ -555,11 +546,13 @@ mod tests {
 
     #[test]
     fn matrix_dispatch_is_bit_identical_with_per_row_dispatch() {
-        let scores = Matrix::from_rows(&[
-            &[1.0, 2.0, 3.0, -0.5],
-            &[-1.0, 0.0, 1.0, 4.25],
-            &[0.5, 0.5, 0.5, 0.5],
-        ]);
+        let scores = Matrix::from_vec(
+            3,
+            4,
+            vec![
+                1.0, 2.0, 3.0, -0.5, -1.0, 0.0, 1.0, 4.25, 0.5, 0.5, 0.5, 0.5,
+            ],
+        );
         for name in ["reference-e", "online-intmax", "fp16", "lut8", "softermax"] {
             let s = KernelSoftmax::by_name(name).expect("built-in");
             let p = s.forward(&scores);
@@ -578,8 +571,8 @@ mod tests {
         // Check the Jacobian formula numerically through a scalar loss
         // L = Σ w_ij · P_ij.
         let s = KernelSoftmax::exact();
-        let mut scores = Matrix::from_rows(&[&[0.3, -0.7, 1.2]]);
-        let w = Matrix::from_rows(&[&[0.5, -1.0, 2.0]]);
+        let mut scores = Matrix::from_vec(1, 3, vec![0.3, -0.7, 1.2]);
+        let w = Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]);
         let p = s.forward(&scores);
         let analytic = s.backward(&p, &w);
         let eps = 1e-3;
@@ -614,8 +607,8 @@ mod tests {
     #[test]
     fn backward_matches_finite_differences_base_2() {
         let s = KernelSoftmax::base2();
-        let mut scores = Matrix::from_rows(&[&[0.3, -0.7, 1.2]]);
-        let w = Matrix::from_rows(&[&[0.5, -1.0, 2.0]]);
+        let mut scores = Matrix::from_vec(1, 3, vec![0.3, -0.7, 1.2]);
+        let w = Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]);
         let p = s.forward(&scores);
         let analytic = s.backward(&p, &w);
         let eps = 1e-3;
@@ -651,7 +644,7 @@ mod tests {
     fn softermax_backend_close_to_base2() {
         let fixed = KernelSoftmax::softermax_paper();
         let exact = KernelSoftmax::base2();
-        let scores = Matrix::from_rows(&[&[1.5, -0.5, 2.25, 0.0]]);
+        let scores = Matrix::from_vec(1, 4, vec![1.5, -0.5, 2.25, 0.0]);
         let pf = fixed.forward(&scores);
         let pe = exact.forward(&scores);
         for c in 0..4 {

@@ -72,13 +72,6 @@ impl ModelConfig {
             dropout: 0.0,
         }
     }
-
-    /// Returns a copy with the given dropout probability.
-    #[must_use]
-    pub fn with_dropout(mut self, p: f32) -> Self {
-        self.dropout = p;
-        self
-    }
 }
 
 struct EncoderLayer {

@@ -43,17 +43,6 @@ impl Linear {
         self.quant = Some(quant);
     }
 
-    /// Disables fake-quantization.
-    pub fn disable_quantization(&mut self) {
-        self.quant = None;
-    }
-
-    /// Whether fake-quantization is active.
-    #[must_use]
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
     /// Input dimension.
     #[must_use]
     pub fn in_dim(&self) -> usize {
@@ -121,12 +110,6 @@ impl Linear {
     pub fn zero_grad(&mut self) {
         self.grad_w = Matrix::zeros(self.w.rows(), self.w.cols());
         self.grad_b = Matrix::zeros(1, self.b.cols());
-    }
-
-    /// Read access to the weights (for tests and inspection).
-    #[must_use]
-    pub fn weights(&self) -> &Matrix {
-        &self.w
     }
 }
 
@@ -305,12 +288,6 @@ impl Dropout {
         self.training = training;
     }
 
-    /// Whether the layer is currently masking.
-    #[must_use]
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
-
     /// Forward pass: keeps each element with probability `1-p`, scaling
     /// survivors by `1/(1-p)` so the expectation is unchanged.
     #[must_use]
@@ -450,7 +427,7 @@ mod tests {
     #[test]
     fn layernorm_output_is_normalized() {
         let mut ln = LayerNorm::new(8);
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 80.0]]);
+        let x = Matrix::from_vec(1, 8, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 80.0]);
         let y = ln.forward(&x);
         let mean: f32 = y.row(0).iter().sum::<f32>() / 8.0;
         let var: f32 = y
@@ -505,16 +482,16 @@ mod tests {
     #[test]
     fn relu_masks_negatives() {
         let mut relu = Relu::new();
-        let y = relu.forward(&Matrix::from_rows(&[&[-1.0, 2.0]]));
-        assert_eq!(y, Matrix::from_rows(&[&[0.0, 2.0]]));
-        let g = relu.backward(&Matrix::from_rows(&[&[5.0, 5.0]]));
-        assert_eq!(g, Matrix::from_rows(&[&[0.0, 5.0]]));
+        let y = relu.forward(&Matrix::from_vec(1, 2, vec![-1.0, 2.0]));
+        assert_eq!(y, Matrix::from_vec(1, 2, vec![0.0, 2.0]));
+        let g = relu.backward(&Matrix::from_vec(1, 2, vec![5.0, 5.0]));
+        assert_eq!(g, Matrix::from_vec(1, 2, vec![0.0, 5.0]));
     }
 
     #[test]
     fn dropout_is_identity_at_inference() {
         let mut d = Dropout::new(0.5, 1);
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
+        let x = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         assert_eq!(d.forward(&x), x);
         assert_eq!(d.backward(&x), x);
     }
@@ -540,7 +517,7 @@ mod tests {
     fn dropout_zero_probability_is_identity_even_in_training() {
         let mut d = Dropout::new(0.0, 3);
         d.set_training(true);
-        let x = Matrix::from_rows(&[&[1.0, -2.0]]);
+        let x = Matrix::from_vec(1, 2, vec![1.0, -2.0]);
         assert_eq!(d.forward(&x), x);
     }
 
@@ -552,8 +529,8 @@ mod tests {
 
     #[test]
     fn cross_entropy_prefers_correct_class() {
-        let good = Matrix::from_rows(&[&[10.0, -10.0]]);
-        let bad = Matrix::from_rows(&[&[-10.0, 10.0]]);
+        let good = Matrix::from_vec(1, 2, vec![10.0, -10.0]);
+        let bad = Matrix::from_vec(1, 2, vec![-10.0, 10.0]);
         let (l_good, _) = cross_entropy(&good, &[0]);
         let (l_bad, _) = cross_entropy(&bad, &[0]);
         assert!(l_good < 1e-3);
@@ -562,7 +539,7 @@ mod tests {
 
     #[test]
     fn cross_entropy_grad_sums_to_zero_per_row() {
-        let logits = Matrix::from_rows(&[&[0.3, -1.0, 2.0]]);
+        let logits = Matrix::from_vec(1, 3, vec![0.3, -1.0, 2.0]);
         let (_, g) = cross_entropy(&logits, &[2]);
         let sum: f32 = g.row(0).iter().sum();
         assert!(sum.abs() < 1e-6);

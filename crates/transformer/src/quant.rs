@@ -21,9 +21,9 @@ use crate::tensor::Matrix;
 /// use softermax_transformer::tensor::Matrix;
 ///
 /// let mut q = FakeQuant::identity();
-/// q.calibrate_acts(&Matrix::from_rows(&[&[0.5, -1.27, 0.9]]));
-/// let x = Matrix::from_rows(&[&[0.5001, -1.0, 2.0]]);
-/// let xq = q.fake_quant_acts(&x);
+/// q.calibrate_weights(&Matrix::from_vec(1, 3, vec![0.5, -1.27, 0.9]));
+/// let w = Matrix::from_vec(1, 3, vec![0.5001, -1.0, 2.0]);
+/// let xq = q.fake_quant_weights(&w);
 /// // Values are snapped to the int8 grid and clamped to the calibrated range.
 /// assert!((xq.get(0, 0) - 0.5).abs() < 0.01);
 /// assert!(xq.get(0, 2) <= 1.28);
@@ -44,36 +44,10 @@ impl FakeQuant {
         }
     }
 
-    /// Builds from explicit scales.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scale is not finite and positive.
-    #[must_use]
-    pub fn from_scales(weight_scale: f32, act_scale: f32) -> Self {
-        assert!(
-            weight_scale.is_finite() && weight_scale > 0.0,
-            "weight scale must be positive"
-        );
-        assert!(
-            act_scale.is_finite() && act_scale > 0.0,
-            "activation scale must be positive"
-        );
-        Self {
-            weight_scale,
-            act_scale,
-        }
-    }
-
     /// Calibrates the weight scale from a weight tensor with the paper's
     /// 99.999-percentile calibrator.
     pub fn calibrate_weights(&mut self, w: &Matrix) {
         self.weight_scale = percentile_scale(w);
-    }
-
-    /// Calibrates the activation scale from observed activations.
-    pub fn calibrate_acts(&mut self, x: &Matrix) {
-        self.act_scale = percentile_scale(x);
     }
 
     /// Weight quantization scale.
@@ -128,10 +102,17 @@ fn fake_quant(m: &Matrix, scale: f32) -> Matrix {
 mod tests {
     use super::*;
 
+    fn scales(weight_scale: f32, act_scale: f32) -> FakeQuant {
+        FakeQuant {
+            weight_scale,
+            act_scale,
+        }
+    }
+
     #[test]
     fn grid_values_survive() {
-        let q = FakeQuant::from_scales(0.1, 0.1);
-        let w = Matrix::from_rows(&[&[0.5, -1.2, 0.0]]);
+        let q = scales(0.1, 0.1);
+        let w = Matrix::from_vec(1, 3, vec![0.5, -1.2, 0.0]);
         let wq = q.fake_quant_weights(&w);
         for (a, b) in wq.as_slice().iter().zip(w.as_slice()) {
             assert!((a - b).abs() < 1e-6);
@@ -140,8 +121,8 @@ mod tests {
 
     #[test]
     fn out_of_range_values_clamp() {
-        let q = FakeQuant::from_scales(0.01, 0.01);
-        let w = Matrix::from_rows(&[&[100.0, -100.0]]);
+        let q = scales(0.01, 0.01);
+        let w = Matrix::from_vec(1, 2, vec![100.0, -100.0]);
         let wq = q.fake_quant_weights(&w);
         assert!((wq.get(0, 0) - 1.27).abs() < 1e-6);
         assert!((wq.get(0, 1) + 1.27).abs() < 1e-6);
@@ -149,8 +130,8 @@ mod tests {
 
     #[test]
     fn quantization_error_bounded_by_half_step() {
-        let q = FakeQuant::from_scales(0.1, 0.1);
-        let x = Matrix::from_rows(&[&[0.512, -0.738, 0.049]]);
+        let q = scales(0.1, 0.1);
+        let x = Matrix::from_vec(1, 3, vec![0.512, -0.738, 0.049]);
         let xq = q.fake_quant_acts(&x);
         for (a, b) in xq.as_slice().iter().zip(x.as_slice()) {
             assert!((a - b).abs() <= 0.05 + 1e-6);
@@ -160,14 +141,8 @@ mod tests {
     #[test]
     fn calibration_adapts_scale() {
         let mut q = FakeQuant::identity();
-        let big = Matrix::from_rows(&[&[12.7, -5.0, 3.0]]);
-        q.calibrate_acts(&big);
-        assert!((q.act_scale() - 0.1).abs() < 0.01);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale must be positive")]
-    fn zero_scale_rejected() {
-        let _ = FakeQuant::from_scales(0.0, 0.1);
+        let big = Matrix::from_vec(1, 3, vec![12.7, -5.0, 3.0]);
+        q.calibrate_weights(&big);
+        assert!((q.weight_scale() - 0.1).abs() < 0.01);
     }
 }

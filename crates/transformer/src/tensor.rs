@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use softermax_transformer::tensor::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+/// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// assert_eq!(a.transpose().get(0, 1), 3.0);
@@ -48,28 +48,6 @@ impl Matrix {
             m.set(i, i, 1.0);
         }
         m
-    }
-
-    /// Builds from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows are empty or ragged.
-    #[must_use]
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "need at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "need at least one column");
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "ragged rows");
-            data.extend_from_slice(r);
-        }
-        Self {
-            rows: rows.len(),
-            cols,
-            data,
-        }
     }
 
     /// Builds from a flat row-major vector.
@@ -220,6 +198,7 @@ impl Matrix {
 
     /// Transposed copy.
     #[must_use]
+    // analysis:allow(dead-pub): the explicit-transpose oracle that matmul_tn and matmul_nt are tested against
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
@@ -385,10 +364,10 @@ mod tests {
 
     #[test]
     fn matmul_known_values() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
         let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
+        assert_eq!(c, Matrix::from_vec(2, 2, vec![19.0, 22.0, 43.0, 50.0]));
     }
 
     #[test]
@@ -431,8 +410,8 @@ mod tests {
 
     #[test]
     fn hcat_then_slice_round_trips() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0]]);
+        let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
+        let b = Matrix::from_vec(1, 1, vec![3.0]);
         let cat = Matrix::hcat(&[&a, &b]);
         assert_eq!(cat.cols(), 3);
         assert_eq!(cat.col_slice(0, 2), a);
@@ -441,16 +420,16 @@ mod tests {
 
     #[test]
     fn mean_rows_averages() {
-        let a = Matrix::from_rows(&[&[1.0, 3.0], &[3.0, 5.0]]);
-        assert_eq!(a.mean_rows(), Matrix::from_rows(&[&[2.0, 4.0]]));
+        let a = Matrix::from_vec(2, 2, vec![1.0, 3.0, 3.0, 5.0]);
+        assert_eq!(a.mean_rows(), Matrix::from_vec(1, 2, vec![2.0, 4.0]));
     }
 
     #[test]
     fn add_scaled_accumulates() {
         let mut a = Matrix::zeros(1, 2);
-        let g = Matrix::from_rows(&[&[2.0, 4.0]]);
+        let g = Matrix::from_vec(1, 2, vec![2.0, 4.0]);
         a.add_scaled(&g, 0.5);
-        assert_eq!(a, Matrix::from_rows(&[&[1.0, 2.0]]));
+        assert_eq!(a, Matrix::from_vec(1, 2, vec![1.0, 2.0]));
     }
 
     #[test]

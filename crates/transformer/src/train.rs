@@ -328,7 +328,10 @@ mod tests {
         let task = Task::PatternMatch;
         let data = task.generate(80, 8, 95);
         let mut model = TransformerClassifier::new(
-            ModelConfig::tiny(task.vocab_size(), 8, task.n_classes()).with_dropout(0.1),
+            ModelConfig {
+                dropout: 0.1,
+                ..ModelConfig::tiny(task.vocab_size(), 8, task.n_classes())
+            },
             10,
         );
         let report = train(&mut model, &data, &quick_cfg(6));

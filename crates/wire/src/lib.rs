@@ -34,7 +34,7 @@
 //!   never a panic and never a partial read treated as success.
 //!
 //! The v2 frame layout is pinned byte-for-byte in `docs/PROTOCOL.md`;
-//! [`codec::tests`] decode that document's worked hex examples, so the
+//! the unit tests of `codec` decode that document's worked hex examples, so the
 //! documented bytes and the implementation cannot drift apart silently.
 
 // No unsafe code in this crate, enforced by the compiler; the

@@ -32,7 +32,7 @@ fn worked_example_consistency_across_crates() {
 
     // The same operator through the attention backend.
     let backend = KernelSoftmax::softermax_paper();
-    let m = Matrix::from_rows(&[&[2.0, 1.0, 3.0]]);
+    let m = Matrix::from_vec(1, 3, vec![2.0, 1.0, 3.0]);
     let probs = backend.forward(&m);
     for (c, &e) in exact.iter().enumerate() {
         assert!((f64::from(probs.get(0, c)) - e).abs() < 0.01);
@@ -146,7 +146,7 @@ fn ablation_configs_all_work() {
 /// Exact backends through the attention trait match the reference module.
 #[test]
 fn attention_trait_is_consistent_with_reference() {
-    let scores = Matrix::from_rows(&[&[0.5, -1.0, 2.0, 0.0]]);
+    let scores = Matrix::from_vec(1, 4, vec![0.5, -1.0, 2.0, 0.0]);
     let row: Vec<f64> = scores.row(0).iter().map(|&v| f64::from(v)).collect();
 
     let e = KernelSoftmax::exact().forward(&scores);
