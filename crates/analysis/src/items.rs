@@ -1,6 +1,6 @@
 //! Tracks the enclosing item (`fn` / `impl` / `mod` / `trait`) while
 //! scanning a token stream, so findings can be reported with a human
-//! context ("block in `fn run_chunk`") instead of a bare line number.
+//! context ("block in `fn run_batch`") instead of a bare line number.
 
 use crate::lexer::Token;
 

@@ -102,8 +102,8 @@ const STREAM_D_HEAD: usize = 16;
 /// Column-tile width of the streamed attention path in stream mode.
 const STREAM_TILE: usize = 64;
 
-/// Request geometry of open-loop mode: every request is one scheduling
-/// chunk of `OL_ROWS` rows, a few milliseconds of service.
+/// Request geometry of open-loop mode: `OL_ROWS` rows per request, a
+/// few milliseconds of service.
 const OL_ROWS: usize = 64;
 const OL_ROW_LEN: usize = 1024;
 
@@ -832,12 +832,9 @@ fn ol_bursty(rate: f64, span: Duration, seed: u64) -> Vec<OlArrival> {
 }
 
 /// The shard configuration every open-loop leg uses: one worker per
-/// shard, each request exactly one chunk, and a queue deep enough to
-/// absorb bursts as latency.
+/// shard and a queue deep enough to absorb bursts as latency.
 fn ol_config() -> ServeConfig {
-    ServeConfig::new(1)
-        .with_chunk_rows(OL_ROWS)
-        .with_queue_depth(OL_QUEUE_DEPTH)
+    ServeConfig::new(1).with_queue_depth(OL_QUEUE_DEPTH)
 }
 
 /// Calibrates the mean service time (submit → response, payload clone

@@ -1,33 +1,23 @@
-//! Engine geometry: thread count, the hardware-derived chunk shape, and
-//! the fault-tolerance knobs (admission timeout, worker respawn budget,
+//! Engine geometry: thread count, admission bound, and the
+//! fault-tolerance knobs (admission timeout, worker respawn budget,
 //! circuit breaker).
 
 use std::time::Duration;
 
 use softermax::{Result, SoftmaxError};
-use softermax_hw::pe::PeConfig;
 
 use crate::health::BreakerConfig;
 
-/// Configuration of a [`BatchEngine`](crate::BatchEngine).
-///
-/// The chunk geometry is derived from the paper's PE model rather than
-/// picked ad hoc: a PE computes [`PeConfig::n_lanes`] score rows in
-/// parallel, each feeding a softmax unit that consumes
-/// [`PeConfig::softmax_width`] elements per cycle. One engine *chunk* —
-/// the unit of scheduling — is therefore `n_lanes` consecutive rows:
-/// the block of rows one "software PE" (worker thread turn) owns, exactly
-/// as the hardware's unit parallelism partitions a score matrix.
+/// Configuration of a [`BatchEngine`](crate::BatchEngine): its pool
+/// size, admission bound and fault-tolerance knobs.
 ///
 /// # Example
 ///
 /// ```
-/// use softermax_hw::pe::PeConfig;
 /// use softermax_serve::ServeConfig;
 ///
 /// let cfg = ServeConfig::new(4);
 /// assert_eq!(cfg.threads, 4);
-/// assert_eq!(cfg.chunk_rows, PeConfig::paper_32().n_lanes);
 /// assert_eq!(cfg.queue_depth, softermax_serve::DEFAULT_QUEUE_DEPTH);
 /// assert!(cfg.validate().is_ok());
 /// ```
@@ -35,8 +25,6 @@ use crate::health::BreakerConfig;
 pub struct ServeConfig {
     /// Number of worker threads in the fixed pool.
     pub threads: usize,
-    /// Rows per scheduling chunk (the PE's lane parallelism).
-    pub chunk_rows: usize,
     /// Admission bound: the maximum number of batches in flight (queued
     /// or executing) at once. A full engine rejects non-blocking
     /// submissions with [`SoftmaxError::QueueFull`] and blocks the
@@ -75,32 +63,16 @@ pub const DEFAULT_RESPAWN_CAP: usize = 64;
 pub const INTERACTIVE_WEIGHT: usize = 4;
 
 impl ServeConfig {
-    /// Engine geometry for `threads` workers, with the chunk shape of the
-    /// paper's 32-wide PE ([`PeConfig::paper_32`]).
+    /// An engine of `threads` workers with the default knobs.
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        Self::from_pe(&PeConfig::paper_32(), threads)
-    }
-
-    /// Derives the chunk geometry from an explicit PE model: one chunk is
-    /// the `n_lanes`-row block the PE processes in parallel.
-    #[must_use]
-    pub fn from_pe(pe: &PeConfig, threads: usize) -> Self {
         Self {
             threads,
-            chunk_rows: pe.n_lanes,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             admission_timeout: DEFAULT_ADMISSION_TIMEOUT,
             respawn_cap: DEFAULT_RESPAWN_CAP,
             breaker: BreakerConfig::default(),
         }
-    }
-
-    /// Overrides the rows-per-chunk geometry (benchmark sweeps).
-    #[must_use]
-    pub fn with_chunk_rows(mut self, chunk_rows: usize) -> Self {
-        self.chunk_rows = chunk_rows;
-        self
     }
 
     /// Overrides the admission bound (maximum batches in flight).
@@ -115,16 +87,11 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`SoftmaxError::InvalidConfig`] when `threads` or
-    /// `chunk_rows` is zero.
+    /// `queue_depth` is zero, or the breaker knobs are invalid.
     pub fn validate(&self) -> Result<()> {
         if self.threads == 0 {
             return Err(SoftmaxError::InvalidConfig(
                 "serve engine needs at least one worker thread".to_string(),
-            ));
-        }
-        if self.chunk_rows == 0 {
-            return Err(SoftmaxError::InvalidConfig(
-                "serve chunk must hold at least one row".to_string(),
             ));
         }
         if self.queue_depth == 0 {
@@ -141,18 +108,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_pe_geometry_is_the_default() {
-        let cfg = ServeConfig::new(2);
-        assert_eq!(cfg.chunk_rows, 32);
-        let cfg16 = ServeConfig::from_pe(&PeConfig::paper_16(), 2);
-        assert_eq!(cfg16.chunk_rows, 16);
-    }
-
-    #[test]
     fn zero_geometry_is_rejected() {
         assert!(ServeConfig::new(0).validate().is_err());
-        assert!(ServeConfig::new(1).with_chunk_rows(0).validate().is_err());
-        assert!(ServeConfig::new(1).with_chunk_rows(1).validate().is_ok());
+        assert!(ServeConfig::new(1).validate().is_ok());
         assert!(ServeConfig::new(1).with_queue_depth(0).validate().is_err());
         assert!(ServeConfig::new(1).with_queue_depth(1).validate().is_ok());
     }

@@ -3,9 +3,8 @@
 //! once, with deadlines, a circuit breaker, and self-healing workers.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -16,10 +15,7 @@ use softermax::{Result, SoftmaxError};
 use crate::config::{ServeConfig, INTERACTIVE_WEIGHT};
 use crate::health::{Breaker, BreakerState};
 use crate::stats::{EngineStats, KernelServeStats};
-use crate::submit::{Priority, Ticket};
-
-/// A contiguous range of matrix rows: the unit of scheduling.
-type Chunk = Range<usize>;
+use crate::submit::{Priority, Submission};
 
 /// Locks a mutex, recovering the data from a poisoned lock. The engine's
 /// critical sections only move counters and queue entries (no invariant
@@ -36,10 +32,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// One engine is built once and serves many matrices (and many kernels)
 /// **concurrently**: callers enqueue ticketed submissions
-/// ([`BatchEngine::submit_request`]) onto one shared intake queue, and
-/// every worker pulls chunks from the front job, flowing to the next job
-/// the moment the current one's chunk list runs dry. A single small
-/// matrix therefore never parks the pool.
+/// ([`BatchEngine::submit_request`]) onto one shared intake queue. A
+/// request is the engine's one unit of work: a worker pops the front job,
+/// serves every row of it, and returns for the next, so the pool's
+/// threads work in parallel across requests.
 ///
 /// Admission is bounded by [`ServeConfig::queue_depth`]: a full engine
 /// rejects non-blocking submissions with [`SoftmaxError::QueueFull`] and
@@ -59,18 +55,18 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 ///   engine's recent outcomes; an unhealthy engine stops admitting
 ///   non-blocking submissions (so routers fail over) until a half-open
 ///   probe succeeds.
-/// * A worker whose kernel **panics** fails the panicking batch and is
-///   respawned, up to [`ServeConfig::respawn_cap`] times; past the
+/// * A worker whose kernel **panics** fails the request it was serving
+///   and is respawned, up to [`ServeConfig::respawn_cap`] times; past the
 ///   budget the worker is lost, and when the last one goes every queued
 ///   request resolves with [`SoftmaxError::EngineShutdown`] instead of
 ///   hanging its waiter.
 /// * **Shutdown** (dropping the engine) resolves every not-yet-started
-///   request with [`SoftmaxError::EngineShutdown`]; chunks already
+///   request with [`SoftmaxError::EngineShutdown`]; requests already
 ///   executing finish first, so buffers are never abandoned mid-write.
 ///
 /// Output is **bit-identical** to sequential row-at-a-time execution at
 /// any thread count and any interleaving of concurrent callers: rows
-/// never interact, each output row is written by exactly one worker, and
+/// never interact, each request is written by exactly one worker, and
 /// the kernels' batch paths are bit-exact with their row paths by
 /// contract.
 pub struct BatchEngine {
@@ -237,84 +233,24 @@ impl BatchEngine {
         }
     }
 
-    /// Builds and enqueues a job, the one path behind the public
-    /// submission API ([`crate::Submission`]). `admit`
-    /// selects the behaviour at a full queue: fail fast handing the
-    /// input buffer back as [`EnqueueError::Full`] (so the router can
-    /// retry elsewhere), or block for a slot until a wait deadline.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn enqueue_owned(
-        &self,
-        kernel: &Arc<dyn SoftmaxKernel>,
-        rows: Vec<f64>,
-        row_len: usize,
-        stream_chunk: Option<usize>,
-        deadline: Option<Instant>,
-        priority: Priority,
-        admit: AdmitMode,
-    ) -> std::result::Result<Ticket, EnqueueError> {
-        let started = Instant::now();
-        if stream_chunk == Some(0) {
-            return Err(EnqueueError::Fatal(SoftmaxError::InvalidConfig(
-                "streaming chunk must be positive".to_string(),
-            )));
+    /// Admits a built job, the one path behind the public submission
+    /// API ([`crate::Submission`]). `admit` selects the behaviour at a
+    /// full queue: fail fast with [`SoftmaxError::QueueFull`] (the job
+    /// stays with the caller, so a router can offer it to another shard
+    /// without copying), or block for a slot until a wait deadline.
+    pub(crate) fn enqueue(&self, job: &Arc<Job>, admit: AdmitMode) -> Result<()> {
+        let name = job.kernel.name();
+        if job.n_rows == 0 && !job.expired(Instant::now()) {
+            // Nothing to schedule: the ticket is complete already, and
+            // still counted.
+            self.shared.record(name, Outcome::Success, 0, 0, 0, 0);
+            return Ok(());
         }
-        let n_rows = match check_batch_geometry(rows.len(), row_len, rows.len()) {
-            Ok(n) => n,
-            Err(e) => return Err(EnqueueError::Fatal(e)),
-        };
-        // Deadline already passed at admission: drop the work honestly,
-        // before it can take a queue slot. A client submitting with an
-        // expired deadline is not evidence of shard trouble, so this
-        // path stays out of the breaker's windows.
-        if deadline.is_some_and(|d| started >= d) {
-            self.shared.record_admission_expired(kernel.name());
-            return Err(EnqueueError::Fatal(SoftmaxError::DeadlineExceeded));
+        let admitted = self.shared.admit(job, admit);
+        if let Err(SoftmaxError::DeadlineExceeded) = admitted {
+            self.shared.record_admission_expired(name);
         }
-        let job = |rows| {
-            Arc::new(Job::new(
-                Arc::clone(kernel),
-                rows,
-                row_len,
-                self.config.chunk_rows,
-                stream_chunk,
-                deadline,
-                priority,
-                started,
-            ))
-        };
-        if n_rows == 0 {
-            // Nothing to schedule: a pre-completed ticket, still counted.
-            self.shared
-                .record(kernel.name(), Outcome::Success, 0, 0, 0, 0);
-            return Ok(Ticket::new(job(rows)));
-        }
-        match admit {
-            AdmitMode::NonBlocking => {
-                if !self.shared.try_reserve((n_rows * row_len) as u64) {
-                    return Err(EnqueueError::Full(rows));
-                }
-            }
-            AdmitMode::BlockUntil(until) => {
-                match self
-                    .shared
-                    .reserve_blocking((n_rows * row_len) as u64, until, deadline)
-                {
-                    Reserve::Reserved => {}
-                    Reserve::TimedOut => return Err(EnqueueError::Full(rows)),
-                    Reserve::Expired => {
-                        self.shared.record_admission_expired(kernel.name());
-                        return Err(EnqueueError::Fatal(SoftmaxError::DeadlineExceeded));
-                    }
-                    Reserve::Shutdown => {
-                        return Err(EnqueueError::Fatal(SoftmaxError::EngineShutdown))
-                    }
-                }
-            }
-        }
-        let job = job(rows);
-        self.shared.enqueue(Arc::clone(&job));
-        Ok(Ticket::new(job))
+        admitted
     }
 
     /// A snapshot of the per-kernel serving counters.
@@ -328,7 +264,7 @@ impl Drop for BatchEngine {
     fn drop(&mut self) {
         // Hanging up the intake resolves every not-yet-started job with
         // `EngineShutdown` (their waiters unblock with an error instead
-        // of hanging) and ends each worker's loop; chunks already
+        // of hanging) and ends each worker's loop; jobs already
         // executing finish first, so no buffer is abandoned mid-write.
         self.shared.shutdown();
         for handle in self.workers.drain(..) {
@@ -354,23 +290,6 @@ pub(crate) enum AdmitMode {
     BlockUntil(Instant),
 }
 
-/// Submission failure modes of the crate-internal enqueue path. `Full`
-/// hands the owned input buffer back so a router can retry the same
-/// submission on another shard without copying.
-pub(crate) enum EnqueueError {
-    Full(Vec<f64>),
-    Fatal(SoftmaxError),
-}
-
-impl EnqueueError {
-    pub(crate) fn into_error(self) -> SoftmaxError {
-        match self {
-            EnqueueError::Full(_) => SoftmaxError::QueueFull,
-            EnqueueError::Fatal(e) => e,
-        }
-    }
-}
-
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -381,17 +300,6 @@ enum Outcome {
     Success,
     Failed,
     Expired,
-}
-
-/// Outcome of a blocking admission attempt.
-enum Reserve {
-    Reserved,
-    /// The wait deadline passed with the queue still full.
-    TimedOut,
-    /// The request's own deadline passed while waiting for a slot.
-    Expired,
-    /// The engine shut down (or lost its last worker).
-    Shutdown,
 }
 
 /// State shared between the engine handle and its workers: the intake
@@ -427,22 +335,17 @@ struct Shared {
     jobs_stolen: AtomicU64,
     /// Whole jobs a sibling pulled from this engine's queue.
     jobs_donated: AtomicU64,
-    threads: usize,
     depth: usize,
 }
 
 struct Intake {
     /// One queue per scheduling class, interleaved by the weighted fair
-    /// dequeue in `take_front_chunk`.
+    /// dequeue in [`Intake::pop_front`].
     interactive: VecDeque<Arc<Job>>,
     batch: VecDeque<Arc<Job>>,
     /// Consecutive interactive job starts while batch work waited;
     /// reaching [`INTERACTIVE_WEIGHT`] forces the next start to be batch.
     since_batch: usize,
-    /// The class of the front job currently being engaged (first chunk
-    /// taken, more remaining): chunk takes stick to it until it drains,
-    /// so fairness is decided per *job*, not per chunk.
-    engaged: Option<Priority>,
     /// Batches admitted and not yet completed.
     inflight: usize,
     shutdown: bool,
@@ -469,39 +372,27 @@ impl Intake {
         }
     }
 
-    /// Which class the next fresh job start comes from. An engaged
-    /// front keeps its class until it drains; otherwise interactive is
+    /// Pops the next job to start, weighted fair: interactive is
     /// preferred until [`INTERACTIVE_WEIGHT`] consecutive interactive
-    /// starts have passed over waiting batch work.
-    fn front_class(&self) -> Option<Priority> {
-        if let Some(class) = self.engaged {
-            if !self.queue(class).is_empty() {
-                return Some(class);
-            }
-        }
-        match (self.interactive.is_empty(), self.batch.is_empty()) {
-            (true, true) => None,
-            (false, true) => Some(Priority::Interactive),
-            (true, false) => Some(Priority::Batch),
-            (false, false) => {
-                if self.since_batch >= INTERACTIVE_WEIGHT {
-                    Some(Priority::Batch)
-                } else {
-                    Some(Priority::Interactive)
-                }
-            }
-        }
-    }
-
-    /// Accounts a fresh job start for the weighted fair dequeue. Passing
-    /// over waiting batch work costs an interactive credit; a batch
-    /// start (or an interactive start with no batch waiting) resets it.
-    fn note_start(&mut self, class: Priority) {
+    /// starts have passed over waiting batch work, then one batch job
+    /// starts.
+    fn pop_front(&mut self) -> Option<Arc<Job>> {
+        let class = match (self.interactive.is_empty(), self.batch.is_empty()) {
+            (true, true) => return None,
+            (false, true) => Priority::Interactive,
+            (true, false) => Priority::Batch,
+            (false, false) if self.since_batch >= INTERACTIVE_WEIGHT => Priority::Batch,
+            (false, false) => Priority::Interactive,
+        };
+        let job = self.queue_mut(class).pop_front()?;
+        // Passing over waiting batch work costs an interactive credit; a
+        // batch start resets it.
         match class {
             Priority::Interactive if !self.batch.is_empty() => self.since_batch += 1,
             Priority::Interactive => {}
             Priority::Batch => self.since_batch = 0,
         }
+        Some(job)
     }
 
     fn drain_all(&mut self) -> Vec<Arc<Job>> {
@@ -519,7 +410,6 @@ impl Shared {
                 interactive: VecDeque::new(),
                 batch: VecDeque::new(),
                 since_batch: 0,
-                engaged: None,
                 inflight: 0,
                 shutdown: false,
                 failed: false,
@@ -538,90 +428,64 @@ impl Shared {
             backlog: AtomicUsize::new(0),
             jobs_stolen: AtomicU64::new(0),
             jobs_donated: AtomicU64::new(0),
-            threads: config.threads,
             depth: config.queue_depth,
         }
     }
 
-    /// Claims an admission slot without blocking; `false` means the
-    /// queue is full, the breaker rejected the request, or the engine is
-    /// shut down / dead.
-    fn try_reserve(&self, cost: u64) -> bool {
-        let mut intake = lock(&self.intake);
-        if intake.shutdown || intake.failed || intake.inflight >= self.depth {
-            return false;
-        }
-        // Breaker after the capacity check, so a claimed half-open probe
-        // slot is always matched by a real admission (and therefore by an
-        // eventual outcome).
-        if !lock(&self.breaker).admit(Instant::now()) {
-            return false;
-        }
-        intake.inflight += 1;
-        drop(intake);
-        self.load_cost.fetch_add(cost, Ordering::Relaxed);
-        true
-    }
-
-    /// Claims an admission slot, blocking while the queue is full — but
-    /// never past `until`, nor past the request's own deadline. The
-    /// breaker is deliberately not consulted: a blocking submitter chose
-    /// this engine knowingly, and the bounded wait keeps it honest.
-    fn reserve_blocking(
-        &self,
-        cost: u64,
-        until: Instant,
-        request_deadline: Option<Instant>,
-    ) -> Reserve {
+    /// Takes an admission slot for `job` and queues it, in one intake
+    /// critical section: the engine cannot fail between the liveness
+    /// check and the push, so an admitted job is always either served or
+    /// drained by the shutdown and worker-loss paths. Non-blocking
+    /// admission is refused as [`SoftmaxError::QueueFull`] by a full
+    /// queue, an open breaker or a dead engine. Blocking admission skips
+    /// the breaker (the submitter chose this engine knowingly) and waits
+    /// for a slot, never past `until` nor past the job's own deadline.
+    ///
+    /// Only this shard's workers are woken, one per job. Siblings are
+    /// never told: one of their workers takes the job only if its own
+    /// queue runs dry first (see [`try_steal`]).
+    fn admit(&self, job: &Arc<Job>, mode: AdmitMode) -> Result<()> {
         let mut intake = lock(&self.intake);
         loop {
-            if intake.shutdown || intake.failed {
-                return Reserve::Shutdown;
-            }
-            if intake.inflight < self.depth {
-                intake.inflight += 1;
-                drop(intake);
-                self.load_cost.fetch_add(cost, Ordering::Relaxed);
-                return Reserve::Reserved;
-            }
             let now = Instant::now();
-            if request_deadline.is_some_and(|d| now >= d) {
-                return Reserve::Expired;
+            if job.expired(now) {
+                return Err(SoftmaxError::DeadlineExceeded);
+            }
+            if intake.shutdown || intake.failed {
+                return Err(match mode {
+                    AdmitMode::NonBlocking => SoftmaxError::QueueFull,
+                    AdmitMode::BlockUntil(_) => SoftmaxError::EngineShutdown,
+                });
+            }
+            let AdmitMode::BlockUntil(until) = mode else {
+                // Breaker after the capacity check, so a claimed
+                // half-open probe slot is always matched by a real
+                // admission (and therefore by an eventual outcome).
+                if intake.inflight >= self.depth || !lock(&self.breaker).admit(now) {
+                    return Err(SoftmaxError::QueueFull);
+                }
+                break;
+            };
+            if intake.inflight < self.depth {
+                break;
             }
             if now >= until {
-                return Reserve::TimedOut;
+                return Err(SoftmaxError::QueueFull);
             }
-            let mut wake = until;
-            if let Some(d) = request_deadline {
-                wake = wake.min(d);
-            }
+            let wake = job.deadline.map_or(until, |d| d.min(until));
             let (guard, _timed_out) = self
                 .slot
                 .wait_timeout(intake, wake.saturating_duration_since(now))
                 .unwrap_or_else(PoisonError::into_inner);
             intake = guard;
         }
-    }
-
-    /// Queues a reserved job and wakes workers for it. Waking more
-    /// workers than the job has chunks would only buy empty sweeps, so
-    /// the wakeup fan-out is capped at `min(threads, n_chunks)` — idle
-    /// workers beyond that stay asleep.
-    ///
-    /// Only this shard's workers are woken. Siblings are never told
-    /// about the job: one of their workers takes it only if its own
-    /// queue runs dry first (see [`try_steal`]).
-    fn enqueue(&self, job: Arc<Job>) {
-        let wake = job.n_chunks.min(self.threads);
-        {
-            let mut intake = lock(&self.intake);
-            let class = job.priority;
-            intake.queue_mut(class).push_back(job);
-        }
+        intake.inflight += 1;
+        intake.queue_mut(job.priority).push_back(Arc::clone(job));
         self.backlog.fetch_add(1, Ordering::Relaxed);
-        for _ in 0..wake {
-            self.work.notify_one();
-        }
+        self.load_cost.fetch_add(job.cost(), Ordering::Relaxed);
+        drop(intake);
+        self.work.notify_one();
+        Ok(())
     }
 
     /// Returns a completed job's admission slot and load contribution.
@@ -644,28 +508,10 @@ impl Shared {
         self.work.notify_all();
         self.slot.notify_all();
         // Not-yet-started jobs resolve with an error instead of hanging
-        // their waiters; jobs with chunks already executing complete
-        // through their workers as usual.
-        self.abort_jobs(orphans);
-    }
-
-    /// Resolves queued jobs with [`SoftmaxError::EngineShutdown`] by
-    /// draining their untaken chunks and retiring each as finished. A
-    /// job whose chunks were all already claimed by workers is left to
-    /// complete on its own.
-    fn abort_jobs(&self, jobs: Vec<Arc<Job>>) {
-        for job in jobs {
-            let drained = {
-                let mut chunks = lock(&job.chunks);
-                chunks.drain(..).count()
-            };
-            if drained == 0 {
-                continue;
-            }
-            job.fail(SoftmaxError::EngineShutdown);
-            for _ in 0..drained {
-                finish_chunk(self, &job);
-            }
+        // their waiters; jobs already executing complete through their
+        // workers as usual.
+        for job in orphans {
+            abort(self, &job, true);
         }
     }
 
@@ -687,7 +533,9 @@ impl Shared {
         };
         // Blocked submitters must observe `failed` and error out.
         self.slot.notify_all();
-        self.abort_jobs(orphans);
+        for job in orphans {
+            abort(self, &job, true);
+        }
     }
 
     /// Accounts one finished batch. Successes feed the throughput and
@@ -739,9 +587,9 @@ impl Shared {
         }
     }
 
-    /// Accounts a request whose deadline had already passed at
-    /// admission. Visible in the stats, but kept out of the breaker: a
-    /// stale deadline is the client's lateness, not shard trouble.
+    /// Accounts a request whose deadline passed before it was admitted.
+    /// Visible in the stats, but kept out of the breaker: a stale
+    /// deadline is the client's lateness, not shard trouble.
     fn record_admission_expired(&self, kernel: &str) {
         let mut stats = lock(&self.stats);
         kernel_entry(&mut stats, kernel).expired_requests += 1;
@@ -758,126 +606,105 @@ fn kernel_entry<'a>(
     per_kernel.entry(kernel.to_owned()).or_default()
 }
 
-/// One admitted matrix: the kernel, the owned input rows, one output
-/// segment per chunk, the chunk list and the completion/error protocol.
+/// One admitted matrix: the kernel, the owned input rows, the output
+/// buffer and the completion protocol. One worker serves the whole job.
 ///
-/// Workers only read the input (`&input[rows]` per chunk) and write each
-/// chunk's own segment, so no two workers ever share an output element.
-/// The segments are allocated here, at submission: a worker moves its
-/// chunk's segment out for the duration of the chunk and puts it back,
-/// never allocating on the serving path.
+/// A job belongs to no shard until admitted, so a router builds it once
+/// and offers the same job to each shard in turn.
 pub(crate) struct Job {
     kernel: Arc<dyn SoftmaxKernel>,
     input: Vec<f64>,
     row_len: usize,
     n_rows: usize,
-    chunk_rows: usize,
-    n_chunks: usize,
-    /// Chunks not yet taken, served front-to-back by any worker.
-    chunks: Mutex<VecDeque<Chunk>>,
-    /// Output segment `i` holds the probabilities of chunk `i`'s rows.
-    segments: Mutex<Vec<Vec<f64>>>,
     /// `Some(scores_per_push)` routes the job through the
     /// chunked-streaming path instead of the batch path.
     stream_chunk: Option<usize>,
-    /// Serve-by time: chunks dequeued after this instant are dropped and
-    /// the job resolves as [`SoftmaxError::DeadlineExceeded`].
+    /// Serve-by time: a job dequeued after this instant is dropped and
+    /// resolves as [`SoftmaxError::DeadlineExceeded`].
     deadline: Option<Instant>,
     /// Scheduling class: which intake queue the job waits in, on its
     /// home shard and on any shard that steals it.
     priority: Priority,
     state: Mutex<JobState>,
     done: Condvar,
-    /// Raised on error so untaken chunks are abandoned without compute.
-    cancelled: AtomicBool,
-    /// Summed per-worker busy time on this job, nanoseconds.
-    busy_ns: AtomicU64,
-    /// Rows completed successfully (includes rows finished before an
-    /// error elsewhere in the batch — partial progress is credited).
-    rows_done: AtomicU64,
     /// Submission time: end-to-end latency is measured from here to the
-    /// last chunk's completion.
+    /// job's completion.
     started: Instant,
 }
 
 struct JobState {
-    /// Chunks not yet finished (completed or abandoned).
-    remaining: usize,
+    /// Allocated at submission, lent to the worker while it runs the
+    /// job, then holding the probabilities.
+    output: Vec<f64>,
     complete: bool,
-    /// First per-row error observed (sticky).
     error: Option<SoftmaxError>,
 }
 
-fn chunk_list(n_rows: usize, chunk_rows: usize) -> VecDeque<Chunk> {
-    let mut chunks = VecDeque::with_capacity(n_rows.div_ceil(chunk_rows));
-    let mut start = 0;
-    while start < n_rows {
-        let end = (start + chunk_rows).min(n_rows);
-        chunks.push_back(start..end);
-        start = end;
+impl JobState {
+    /// The resolved outcome: the probabilities, or the job's error.
+    fn take_outcome(&mut self) -> Result<Vec<f64>> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => Ok(std::mem::take(&mut self.output)),
+        }
     }
-    chunks
 }
 
 impl Job {
+    /// Builds the job `submission` describes, submitted at `started`,
+    /// with its output buffer. A zero-row job is complete before it is
+    /// ever queued.
+    ///
+    /// # Errors
+    ///
+    /// [`SoftmaxError::InvalidConfig`] for a zero streaming chunk,
+    /// [`SoftmaxError::EmptyInput`] for a non-empty matrix with
+    /// `row_len == 0`.
+    pub(crate) fn new(submission: Submission, started: Instant) -> Result<Arc<Self>> {
+        let Submission {
+            kernel,
+            rows,
+            row_len,
+            stream_chunk,
+            deadline,
+            priority,
+        } = submission;
+        if stream_chunk == Some(0) {
+            return Err(SoftmaxError::InvalidConfig(
+                "streaming chunk must be positive".to_string(),
+            ));
+        }
+        let n_rows = check_batch_geometry(rows.len(), row_len, rows.len())?;
+        Ok(Arc::new(Self {
+            kernel,
+            row_len,
+            n_rows,
+            stream_chunk,
+            deadline: deadline.map(|d| started + d),
+            priority,
+            state: Mutex::new(JobState {
+                output: vec![0.0; rows.len()],
+                complete: n_rows == 0,
+                error: None,
+            }),
+            done: Condvar::new(),
+            started,
+            input: rows,
+        }))
+    }
+
     /// The job's admitted load cost in elements — what `load_cost`
     /// accounting moves on admission, completion, and steal transfer.
     fn cost(&self) -> u64 {
         (self.n_rows * self.row_len) as u64
     }
 
-    /// A job over a validated matrix (a whole number of `row_len` rows).
-    /// A zero-row job is complete before it is ever queued.
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        kernel: Arc<dyn SoftmaxKernel>,
-        input: Vec<f64>,
-        row_len: usize,
-        chunk_rows: usize,
-        stream_chunk: Option<usize>,
-        deadline: Option<Instant>,
-        priority: Priority,
-        started: Instant,
-    ) -> Self {
-        let n_rows = input.len().checked_div(row_len).unwrap_or(0);
-        let chunks = chunk_list(n_rows, chunk_rows);
-        let segments = chunks
-            .iter()
-            .map(|c| vec![0.0; c.len() * row_len])
-            .collect();
-        let n_chunks = chunks.len();
-        Self {
-            kernel,
-            input,
-            row_len,
-            n_rows,
-            chunk_rows,
-            n_chunks,
-            chunks: Mutex::new(chunks),
-            segments: Mutex::new(segments),
-            stream_chunk,
-            deadline,
-            priority,
-            state: Mutex::new(JobState {
-                remaining: n_chunks,
-                complete: n_chunks == 0,
-                error: None,
-            }),
-            done: Condvar::new(),
-            cancelled: AtomicBool::new(false),
-            busy_ns: AtomicU64::new(0),
-            rows_done: AtomicU64::new(0),
-            started,
-        }
+    fn expired(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|d| now >= d)
     }
 
-    /// Takes the job's next untaken chunk, if any.
-    fn take_chunk(&self) -> Option<Chunk> {
-        lock(&self.chunks).pop_front()
-    }
-
-    /// Blocks until the job completes; returns its sticky error, if any.
-    pub(crate) fn wait_outcome(&self) -> Result<()> {
+    /// Blocks until the job completes; returns its outcome.
+    pub(crate) fn wait_outcome(&self) -> Result<Vec<f64>> {
         let mut state = lock(&self.state);
         while !state.complete {
             state = self
@@ -885,16 +712,13 @@ impl Job {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        match state.error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        state.take_outcome()
     }
 
     /// Like [`Job::wait_outcome`], but gives up at `until`: `None` means
     /// the job was still incomplete at the wait deadline (the job itself
     /// is untouched — the caller keeps its ticket).
-    pub(crate) fn wait_outcome_until(&self, until: Instant) -> Option<Result<()>> {
+    pub(crate) fn wait_outcome_until(&self, until: Instant) -> Option<Result<Vec<f64>>> {
         let mut state = lock(&self.state);
         while !state.complete {
             let now = Instant::now();
@@ -907,72 +731,37 @@ impl Job {
                 .unwrap_or_else(PoisonError::into_inner);
             state = guard;
         }
-        Some(match state.error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        })
+        Some(state.take_outcome())
     }
 
     pub(crate) fn is_complete(&self) -> bool {
         lock(&self.state).complete
     }
 
-    /// Takes the output, concatenating the segments in row order (a
-    /// one-chunk job's segment is moved out, not copied). Only
-    /// meaningful once on a completed job (the ticket's contract).
-    pub(crate) fn take_output(&self) -> Vec<f64> {
-        match lock(&self.segments).as_mut_slice() {
-            [only] => std::mem::take(only),
-            all => all.concat(),
-        }
-    }
-
-    /// Lends a chunk its input rows and moves its output segment out of
-    /// the job; [`Job::give_back`] returns the segment when the chunk is
-    /// done. Neither allocates.
-    fn lend(&self, chunk: &Chunk) -> (&[f64], Vec<f64>) {
-        let rows = &self.input[chunk.start * self.row_len..chunk.end * self.row_len];
-        let index = chunk.start / self.chunk_rows;
-        let out = std::mem::take(&mut lock(&self.segments)[index]);
-        (rows, out)
-    }
-
-    fn give_back(&self, chunk: &Chunk, out: Vec<f64>) {
-        let index = chunk.start / self.chunk_rows;
-        lock(&self.segments)[index] = out;
-    }
-
-    /// Runs one chunk through the kernel's batch path. A kernel panic
-    /// unwinds into the worker's supervisor, which fails the job,
-    /// retires this chunk, and respawns the worker.
-    fn run_chunk(&self, chunk: &Chunk, scratch: &mut ScratchBuffers) {
-        let (rows, mut out) = self.lend(chunk);
-        let result = self
+    /// Runs every row through the kernel's batch path. A failed call
+    /// credits no rows: the batch path reports no partial progress.
+    fn run_batch(&self, out: &mut [f64], scratch: &mut ScratchBuffers) -> (u64, Result<()>) {
+        match self
             .kernel
-            .forward_batch_into(rows, self.row_len, &mut out, scratch);
-        self.give_back(chunk, out);
-        match result {
-            Ok(()) => {
-                self.rows_done
-                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            }
-            Err(e) => self.fail(e),
+            .forward_batch_into(&self.input, self.row_len, out, scratch)
+        {
+            Ok(()) => (self.n_rows as u64, Ok(())),
+            Err(e) => (0, Err(e)),
         }
     }
 
-    /// Runs one chunk of rows through a streaming session: `reset` per
-    /// row, `chunk_elems`-score pushes, allocation-free finish. Rows
-    /// completed before a mid-chunk error are still credited.
-    fn run_chunk_streamed(
+    /// Runs every row through a streaming session: `reset` per row,
+    /// `chunk_elems`-score pushes, allocation-free finish. Stops at the
+    /// first failing row; the rows before it are credited.
+    fn run_streamed(
         &self,
-        chunk: &Chunk,
+        out: &mut [f64],
         session: &mut dyn StreamSession,
         chunk_elems: usize,
-    ) {
-        let (rows, mut out) = self.lend(chunk);
+    ) -> (u64, Result<()>) {
         let mut completed = 0u64;
-        let mut error = None;
-        for (row, out_row) in rows
+        for (row, out_row) in self
+            .input
             .chunks_exact(self.row_len)
             .zip(out.chunks_exact_mut(self.row_len))
         {
@@ -981,130 +770,86 @@ impl Job {
                 session.push_chunk(piece);
             }
             if let Err(e) = session.finish_into(out_row) {
-                error = Some(e);
-                break;
+                return (completed, Err(e));
             }
             completed += 1;
         }
-        self.give_back(chunk, out);
-        self.rows_done.fetch_add(completed, Ordering::Relaxed);
-        if let Some(e) = error {
-            self.fail(e);
-        }
-    }
-
-    fn fail(&self, e: SoftmaxError) {
-        self.cancelled.store(true, Ordering::Relaxed);
-        let mut state = lock(&self.state);
-        if state.error.is_none() {
-            state.error = Some(e);
-        }
+        (completed, Ok(()))
     }
 }
 
-/// Marks one of `job`'s chunks finished; the worker that finishes the
-/// last one records the batch into the stats, returns the admission
-/// slot, and wakes everyone waiting on the job.
-fn finish_chunk(shared: &Shared, job: &Job) {
-    let outcome = {
-        let mut state = lock(&job.state);
-        state.remaining -= 1;
-        if state.remaining > 0 {
-            return;
-        }
-        match &state.error {
-            None => Outcome::Success,
-            Some(SoftmaxError::DeadlineExceeded) => Outcome::Expired,
-            Some(_) => Outcome::Failed,
-        }
+/// Resolves `job` with `result`: records it into the stats, returns its
+/// admission slot when this shard holds one, and wakes everyone waiting
+/// on it. Stats and the slot go first: anyone woken by the completion
+/// may immediately read them.
+fn finish(
+    shared: &Shared,
+    job: &Job,
+    result: Result<Vec<f64>>,
+    rows: u64,
+    busy_ns: u64,
+    holds_slot: bool,
+) {
+    let outcome = match &result {
+        Ok(_) => Outcome::Success,
+        Err(SoftmaxError::DeadlineExceeded) => Outcome::Expired,
+        Err(_) => Outcome::Failed,
     };
-    // Only one decrement reaches zero, so from here on this worker is
-    // the job's single completer. Stats and the admission slot go first:
-    // anyone woken by `complete` may immediately read them.
-    let rows_done = job.rows_done.load(Ordering::Relaxed);
     shared.record(
         job.kernel.name(),
         outcome,
-        rows_done,
-        rows_done * job.row_len as u64,
-        job.busy_ns.load(Ordering::Relaxed),
+        rows,
+        rows * job.row_len as u64,
+        busy_ns,
         elapsed_ns(job.started),
     );
-    shared.release(job.cost());
+    if holds_slot {
+        shared.release(job.cost());
+    }
     {
         let mut state = lock(&job.state);
+        match result {
+            Ok(output) => state.output = output,
+            Err(e) => state.error = Some(e),
+        }
         state.complete = true;
     }
     job.done.notify_all();
 }
 
-/// Pops the next available chunk off the intake: the fair-dequeue front
-/// job's next chunk, skipping (and retiring) jobs whose chunk lists have
-/// drained.
-///
-/// The front job is chosen per *job*, not per chunk: once a fresh job's
-/// first chunk is taken the job is "engaged" and later takes stick to it
-/// until its chunk list drains, so the weighted fair interleave between
-/// the interactive and batch queues counts whole job starts.
-fn take_front_chunk(shared: &Shared, intake: &mut Intake) -> Option<(Arc<Job>, Chunk)> {
-    loop {
-        let class = intake.front_class()?;
-        let front = intake.queue(class).front()?;
-        let (chunk, fresh, drained) = {
-            let mut chunks = lock(&front.chunks);
-            let fresh = chunks.len() == front.n_chunks;
-            let chunk = chunks.pop_front();
-            let drained = chunks.is_empty();
-            (chunk, fresh, drained)
-        };
-        match chunk {
-            Some(c) => {
-                let job = Arc::clone(front);
-                if fresh {
-                    intake.note_start(class);
-                    shared.backlog.fetch_sub(1, Ordering::Relaxed);
-                }
-                if drained {
-                    // Last chunk taken: later arrivals go straight to
-                    // the next job (in-flight chunks finish on their own).
-                    intake.queue_mut(class).pop_front();
-                    intake.engaged = None;
-                } else {
-                    intake.engaged = Some(class);
-                }
-                return Some((job, c));
-            }
-            None => {
-                // Fully claimed via `Job::take_chunk` while still front
-                // (so it was engaged and already debited from the
-                // backlog): just retire the queue entry.
-                intake.queue_mut(class).pop_front();
-                intake.engaged = None;
-            }
-        }
-    }
+/// Resolves a job no worker started with [`SoftmaxError::EngineShutdown`].
+/// `holds_slot` is `false` only for a stolen job whose thief shut down
+/// before adopting it: no shard holds its admission slot anymore.
+fn abort(shared: &Shared, job: &Job, holds_slot: bool) {
+    finish(
+        shared,
+        job,
+        Err(SoftmaxError::EngineShutdown),
+        0,
+        0,
+        holds_slot,
+    );
 }
 
 /// One inter-shard steal attempt by a worker whose own queue is dry:
-/// pick the most-backlogged sibling, pull one whole not-yet-started job
-/// out of its queue, adopt it locally, and return its first chunk. A
-/// victim with nothing stealable (every queued job expired or
-/// cancelled) ends the attempt; the worker parks. Allocation-free.
+/// pick the most-backlogged sibling, pull one queued job out of its
+/// queue and adopt it, for the stealing worker to run at once. A victim
+/// with nothing stealable (every queued job expired) ends the attempt;
+/// the worker parks. Allocation-free.
 ///
 /// Correctness constraints, in order:
 /// * a shard that is not admitting (shut down, dead, or breaker open)
 ///   never steals — pulling work onto an unhealthy shard would undo the
 ///   router's fail-over;
-/// * only *whole untouched* jobs move (no chunk taken yet, verified
-///   under the victim's intake lock), so a job executes entirely on one
-///   shard and bit-identity is untouched — the job is the atomic unit;
-/// * jobs whose deadline already passed (or that were cancelled) are
-///   left for the victim to account, keeping `expired_requests`
-///   attribution where admission happened;
+/// * only queued jobs move, and a job runs whole on one worker, so
+///   bit-identity is untouched;
+/// * jobs whose deadline already passed are left for the victim to
+///   account, keeping `expired_requests` attribution where admission
+///   happened;
 /// * the victim's admission slot and load are released at the moment of
 ///   the steal and re-taken by the thief, so backpressure and the
 ///   router's load signal stay honest on both sides.
-fn try_steal(shared: &Shared) -> Option<(Arc<Job>, Chunk)> {
+fn try_steal(shared: &Shared) -> Option<Arc<Job>> {
     let peers = shared.peers.get()?;
     {
         let intake = lock(&shared.intake);
@@ -1129,10 +874,10 @@ fn try_steal(shared: &Shared) -> Option<(Arc<Job>, Chunk)> {
     adopt(shared, steal_from(&victim)?)
 }
 
-/// Removes one stealable job from `victim`'s queues, releasing its
-/// admission slot and load there. Interactive work is preferred (it is
-/// the latency-sensitive class a dry sibling can rescue), scanned from
-/// the back so the victim's own next-to-run front stays put.
+/// Removes one live job from `victim`'s queues, releasing its admission
+/// slot and load there. Interactive work is preferred (it is the
+/// latency-sensitive class a dry sibling can rescue), scanned from the
+/// back so the victim's own next-to-run front stays put.
 fn steal_from(victim: &Shared) -> Option<Arc<Job>> {
     let mut intake = lock(&victim.intake);
     if intake.shutdown || intake.failed {
@@ -1141,29 +886,20 @@ fn steal_from(victim: &Shared) -> Option<Arc<Job>> {
         return None;
     }
     let now = Instant::now();
-    let mut found: Option<(Priority, usize)> = None;
-    'scan: for class in [Priority::Interactive, Priority::Batch] {
-        let queue = intake.queue(class);
-        for index in (0..queue.len()).rev() {
-            let job = &queue[index];
-            // Whole untouched jobs only — the atomic unit of stealing.
-            let untouched = job.n_chunks > 0 && lock(&job.chunks).len() == job.n_chunks;
-            let live =
-                !job.cancelled.load(Ordering::Relaxed) && job.deadline.is_none_or(|d| now < d);
-            if untouched && live {
-                found = Some((class, index));
-                break 'scan;
-            }
-        }
-    }
-    let (class, index) = found?;
+    let (class, index) = [Priority::Interactive, Priority::Batch]
+        .into_iter()
+        .find_map(|class| {
+            let queue = intake.queue(class);
+            let index = queue.iter().rposition(|job| !job.expired(now))?;
+            Some((class, index))
+        })?;
     let job = intake
         .queue_mut(class)
         .remove(index)
         .expect("index verified in range under the lock");
     intake.inflight -= 1;
-    drop(intake);
     victim.backlog.fetch_sub(1, Ordering::Relaxed);
+    drop(intake);
     victim.load_cost.fetch_sub(job.cost(), Ordering::Relaxed);
     victim.jobs_donated.fetch_add(1, Ordering::Relaxed);
     // An admission slot freed: blocked submitters may proceed.
@@ -1171,13 +907,12 @@ fn steal_from(victim: &Shared) -> Option<Arc<Job>> {
     Some(job)
 }
 
-/// Adopts a stolen job into this shard's intake — taking an admission
-/// slot and the load signal over from the victim — and claims its first
-/// chunk through the normal fair-dequeue path. Stolen jobs may push
-/// `inflight` past `queue_depth` momentarily: they were admitted at the
-/// victim, and dropping already-admitted work would be worse than a
-/// brief overshoot.
-fn adopt(shared: &Shared, job: Arc<Job>) -> Option<(Arc<Job>, Chunk)> {
+/// Adopts a stolen job onto this shard — taking an admission slot and
+/// the load signal over from the victim — for the stealing worker to run
+/// at once. Stolen jobs may push `inflight` past `queue_depth`
+/// momentarily: they were admitted at the victim, and dropping
+/// already-admitted work would be worse than a brief overshoot.
+fn adopt(shared: &Shared, job: Arc<Job>) -> Option<Arc<Job>> {
     {
         let mut intake = lock(&shared.intake);
         if intake.shutdown || intake.failed {
@@ -1185,102 +920,47 @@ fn adopt(shared: &Shared, job: Arc<Job>) -> Option<(Arc<Job>, Chunk)> {
             // This shard died between the health check and adoption;
             // the job belongs to no queue now. Resolve it like the
             // shutdown path would, so its ticket never hangs.
-            resolve_orphan(shared, &job);
+            abort(shared, &job, false);
             return None;
         }
         intake.inflight += 1;
-        let class = job.priority;
-        intake.queue_mut(class).push_back(Arc::clone(&job));
     }
-    shared.backlog.fetch_add(1, Ordering::Relaxed);
     shared.load_cost.fetch_add(job.cost(), Ordering::Relaxed);
     shared.jobs_stolen.fetch_add(1, Ordering::Relaxed);
-    // The stealing worker serves the first chunk itself; wake siblings
-    // for the rest, with the same capped fan-out as `enqueue`.
-    let extra_wake = job
-        .n_chunks
-        .saturating_sub(1)
-        .min(shared.threads.saturating_sub(1));
-    for _ in 0..extra_wake {
-        shared.work.notify_one();
-    }
-    let mut intake = lock(&shared.intake);
-    take_front_chunk(shared, &mut intake)
+    Some(job)
 }
 
-/// Resolves a job that belongs to no queue (stolen, then the thief shut
-/// down before adopting): drain its chunks and complete it with
-/// [`SoftmaxError::EngineShutdown`], recording the failure — but never
-/// touching `release`, since no shard holds its admission slot anymore.
-fn resolve_orphan(shared: &Shared, job: &Arc<Job>) {
-    let drained = {
-        let mut chunks = lock(&job.chunks);
-        chunks.drain(..).count()
-    };
-    if drained == 0 {
-        return;
-    }
-    job.fail(SoftmaxError::EngineShutdown);
-    shared.record(
-        job.kernel.name(),
-        Outcome::Failed,
-        0,
-        0,
-        0,
-        elapsed_ns(job.started),
-    );
-    let complete = {
-        let mut state = lock(&job.state);
-        state.remaining -= drained;
-        if state.remaining == 0 {
-            state.complete = true;
-            true
-        } else {
-            false
-        }
-    };
-    if complete {
-        job.done.notify_all();
-    }
-}
-
-/// The chunk a worker is actively serving, shared with its supervisor:
-/// when the kernel panics out of the serving path, the supervisor reads
-/// this slot to fail the right job and retire the right chunk, so no
-/// ticket ever waits on work a dead worker silently dropped.
+/// The job a worker is running, shared with its supervisor: when the
+/// kernel panics out of the serving path, the supervisor reads this
+/// slot to fail the right job, so no ticket ever waits on work a dead
+/// worker silently dropped.
 #[derive(Default)]
-struct ActiveChunk {
-    slot: Mutex<Option<(Arc<Job>, Chunk)>>,
+struct ActiveJob {
+    slot: Mutex<Option<Arc<Job>>>,
 }
 
-impl ActiveChunk {
-    fn set(&self, job: &Arc<Job>, chunk: &Chunk) {
-        *lock(&self.slot) = Some((Arc::clone(job), chunk.clone()));
+impl ActiveJob {
+    fn set(&self, job: &Arc<Job>) {
+        *lock(&self.slot) = Some(Arc::clone(job));
     }
 
-    fn clear(&self) {
-        *lock(&self.slot) = None;
-    }
-
-    fn take(&self) -> Option<(Arc<Job>, Chunk)> {
+    fn take(&self) -> Option<Arc<Job>> {
         lock(&self.slot).take()
     }
 }
 
-/// The worker body: pull chunks off the shared intake until the engine
-/// hangs up, keeping one scratch space alive across every chunk of every
-/// job. Having claimed a chunk, a worker stays with that job while it
-/// has more (sessions and cache locality persist across its chunks),
-/// then returns to the intake for the next job — so workers flow between
-/// concurrently admitted jobs instead of serializing on any one of them.
-fn worker_loop(shared: &Shared, active: &ActiveChunk) {
+/// The worker body: pop jobs off the shared intake until the engine
+/// hangs up, serving each whole, with one scratch space kept alive
+/// across every job.
+fn worker_loop(shared: &Shared, active: &ActiveJob) {
     let mut scratch = ScratchBuffers::default();
-    'jobs: loop {
-        let (job, first) = {
+    loop {
+        let job = {
             let mut intake = lock(&shared.intake);
             loop {
-                if let Some(found) = take_front_chunk(shared, &mut intake) {
-                    break found;
+                if let Some(job) = intake.pop_front() {
+                    shared.backlog.fetch_sub(1, Ordering::Relaxed);
+                    break job;
                 }
                 if intake.shutdown {
                     return;
@@ -1290,8 +970,8 @@ fn worker_loop(shared: &Shared, active: &ActiveChunk) {
                 // This pull is the only way work moves between shards;
                 // once parked, a worker wakes only for its own shard.
                 drop(intake);
-                if let Some(found) = try_steal(shared) {
-                    break found;
+                if let Some(job) = try_steal(shared) {
+                    break job;
                 }
                 intake = lock(&shared.intake);
                 // Re-check everything that notifies `work` — a local
@@ -1311,100 +991,76 @@ fn worker_loop(shared: &Shared, active: &ActiveChunk) {
                 intake = guard;
             }
         };
-        // From here on a chunk is claimed: publish it before any kernel
-        // code can run, so a panic (even in `stream_session`) leaves the
-        // supervisor enough to retire it.
-        active.set(&job, &first);
-        // A streaming job gets one session per worker visit, reused
-        // across every chunk the worker serves for it — sessions borrow
-        // the kernel, so they cannot outlive the job.
-        let mut session = job.stream_chunk.map(|_| job.kernel.stream_session());
-        let mut chunk = first;
-        loop {
-            active.set(&job, &chunk);
-            let t0 = Instant::now();
+        // Publish the job before any kernel code can run, so a panic
+        // (even in `stream_session`) leaves the supervisor enough to
+        // resolve it.
+        active.set(&job);
+        let t0 = Instant::now();
+        let mut out = std::mem::take(&mut lock(&job.state).output);
+        let (rows, result) = if job.expired(t0) {
             // Deadline check at dequeue: late work is dropped, not
-            // computed — the whole job resolves as expired.
-            if !job.cancelled.load(Ordering::Relaxed) && job.deadline.is_some_and(|d| t0 >= d) {
-                job.fail(SoftmaxError::DeadlineExceeded);
-            }
-            if !job.cancelled.load(Ordering::Relaxed) {
-                match (&mut session, job.stream_chunk) {
-                    (Some(session), Some(chunk_elems)) => {
-                        job.run_chunk_streamed(&chunk, session.as_mut(), chunk_elems);
-                    }
-                    _ => job.run_chunk(&chunk, &mut scratch),
-                }
-            }
-            job.busy_ns.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
-            // Clear before retiring: a double-finish (worker and
-            // supervisor both retiring one chunk) must be impossible.
-            active.clear();
-            finish_chunk(shared, &job);
-            match job.take_chunk() {
-                Some(next) => chunk = next,
-                None => continue 'jobs,
-            }
-        }
+            // computed.
+            (0, Err(SoftmaxError::DeadlineExceeded))
+        } else if let Some(chunk_elems) = job.stream_chunk {
+            let mut session = job.kernel.stream_session();
+            job.run_streamed(&mut out, session.as_mut(), chunk_elems)
+        } else {
+            job.run_batch(&mut out, &mut scratch)
+        };
+        let busy_ns = elapsed_ns(t0);
+        // Take the job back before resolving it: the worker and the
+        // supervisor must never both resolve one job.
+        active.take();
+        finish(shared, &job, result.map(|()| out), rows, busy_ns, true);
     }
 }
 
 /// Wraps [`worker_loop`] in a panic supervisor: a kernel panic fails the
-/// batch it was serving (the active chunk is retired so its waiters
-/// resolve), and the worker is revived in place while the pool's respawn
-/// budget lasts. Past the budget the worker dies for good; losing the
-/// last worker fails the engine so nothing ever hangs on an empty pool.
+/// job it was serving, and the worker is revived in place while the
+/// pool's respawn budget lasts. Past the budget the worker dies for
+/// good; losing the last worker fails the engine so nothing ever hangs
+/// on an empty pool.
 ///
 /// The panic, respawn and live-worker counters move before the panicked
-/// chunk is retired, so a client woken by that batch's ticket reads them
+/// job is resolved, so a client woken by that job's ticket reads them
 /// current: the ticket resolves under the job's state mutex, which orders
-/// the `Relaxed` counter updates before the client's reads. The job is
-/// failed first: its error is sticky, so an abort of its queued chunks by
-/// [`Shared::worker_lost`] cannot replace the panic with `EngineShutdown`.
+/// the `Relaxed` counter updates before the client's reads.
 fn supervised_worker(shared: &Arc<Shared>) {
-    let active = ActiveChunk::default();
+    let active = ActiveJob::default();
     loop {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| worker_loop(shared, &active)));
-        match outcome {
+        if outcome.is_ok() {
             // Clean shutdown.
-            Ok(()) => {
-                lock(&shared.intake).live_workers -= 1;
-                return;
-            }
-            Err(_) => {
-                shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                let panicked = active.take();
-                if let Some((job, chunk)) = &panicked {
-                    job.fail(SoftmaxError::InvalidConfig(format!(
-                        "kernel '{}' panicked while serving rows {}..{}",
-                        job.kernel.name(),
-                        chunk.start,
-                        chunk.end
-                    )));
-                }
-                let respawn = {
-                    let mut intake = lock(&shared.intake);
-                    if intake.shutdown || intake.respawn_budget == 0 {
-                        false
-                    } else {
-                        intake.respawn_budget -= 1;
-                        true
-                    }
-                };
-                if respawn {
-                    shared.worker_respawns.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    shared.worker_lost();
-                }
-                if let Some((job, _)) = panicked {
-                    finish_chunk(shared, &job);
-                }
-                if !respawn {
-                    return;
-                }
-                // Reincarnate in place: same thread, fresh loop state.
-            }
+            lock(&shared.intake).live_workers -= 1;
+            return;
         }
+        shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+        let respawn = {
+            let mut intake = lock(&shared.intake);
+            if intake.shutdown || intake.respawn_budget == 0 {
+                false
+            } else {
+                intake.respawn_budget -= 1;
+                true
+            }
+        };
+        if respawn {
+            shared.worker_respawns.fetch_add(1, Ordering::Relaxed);
+        } else {
+            shared.worker_lost();
+        }
+        if let Some(job) = active.take() {
+            let error = SoftmaxError::InvalidConfig(format!(
+                "kernel '{}' panicked while serving a {}-row request",
+                job.kernel.name(),
+                job.n_rows
+            ));
+            finish(shared, &job, Err(error), 0, 0, true);
+        }
+        if !respawn {
+            return;
+        }
+        // Reincarnate in place: same thread, fresh loop state.
     }
 }
 
@@ -1547,11 +1203,11 @@ mod tests {
     }
 
     #[test]
-    fn more_threads_than_chunks_is_fine() {
+    fn more_threads_than_jobs_is_fine() {
         let kernel = KernelRegistry::global().get("online-2").expect("built-in");
         let engine = engine(8);
-        // One row, one chunk: at most one worker is woken, the other
-        // seven must stay parked (and the engine must still complete).
+        // One job: one worker is woken, the other seven must stay
+        // parked (and the engine must still complete).
         let got = serve(&engine, &kernel, &[1.0, 2.0, 3.0], 3, None).expect("serve");
         assert_eq!(got, kernel.forward(&[1.0, 2.0, 3.0]).expect("row"));
     }

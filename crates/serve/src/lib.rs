@@ -9,13 +9,13 @@
 //! model, from matrix-at-a-time batching up to request-level concurrency
 //! (std threads and sync primitives only, no external runtime):
 //!
-//! * [`BatchEngine`] — a fixed pool of worker threads pulling row-chunk
-//!   work from one shared, **bounded** intake queue, so many matrices
-//!   from many callers are in flight at once and a small job never parks
-//!   the pool behind a big one; each chunk runs through the kernel's
+//! * [`BatchEngine`] — a fixed pool of worker threads pulling whole
+//!   requests from one shared, **bounded** intake queue, so many
+//!   matrices from many callers are in flight at once, one per worker;
+//!   a request runs through the kernel's
 //!   [`forward_batch_into`](softermax::SoftmaxKernel::forward_batch_into),
-//!   its row fast path applied to every row of the chunk (or a
-//!   [`StreamSession`](softermax::StreamSession) for streamed jobs);
+//!   its row fast path applied to every row (or a
+//!   [`StreamSession`](softermax::StreamSession) for streamed requests);
 //! * [`Submission`] / [`Ticket`] — owned-buffer asynchronous requests:
 //!   [`BatchEngine::submit`] returns immediately with a ticket,
 //!   [`Ticket::wait`]/[`Ticket::wait_timeout`] collect the probabilities;
@@ -27,10 +27,8 @@
 //!   engine shards by least in-flight element cost, lets idle shards
 //!   steal from busy ones, fails over on full shards and merges
 //!   per-shard stats;
-//! * [`ServeConfig`] — engine geometry. The chunk size is *derived from
-//!   the hardware model*: one chunk is the block of rows a paper PE's
-//!   lane array processes in parallel ([`PeConfig::n_lanes`]), so
-//!   software batching mirrors the accelerator's unit parallelism;
+//! * [`ServeConfig`] — engine geometry: worker count, admission bound
+//!   and the fault-tolerance knobs;
 //! * [`EngineStats`] / [`KernelServeStats`] — per-kernel raw counters
 //!   (rows, elements, worker busy time, request wall time), **p50/p95/p99
 //!   latency percentiles** over a sliding [`LatencyWindow`], and honest
@@ -87,18 +85,18 @@
 //!   [`RoutePolicy`] has the one value [`RoutePolicy::Adaptive`].
 //! * **Work stealing** — always on in a router of more than one shard:
 //!   a shard whose queue runs dry pulls whole pending jobs from the
-//!   most-backlogged sibling instead of idling. Only untouched jobs
-//!   move (bit-identity is untouched — a job still executes entirely
-//!   on one shard), expired jobs are left for the victim to account,
-//!   and an unhealthy shard never steals.
+//!   most-backlogged sibling instead of idling. Only queued jobs move
+//!   (bit-identity is untouched — a job still executes whole on one
+//!   worker), expired jobs are left for the victim to account, and an
+//!   unhealthy shard never steals.
 //!
 //! # Determinism
 //!
-//! Scheduling is free-running (workers pull chunks from whatever job is
-//! at the front of the intake), but results are not: every kernel's
-//! batch path is **bit-identical** with its sequential row-at-a-time
-//! path, each output row is written by exactly one worker, and no
-//! reduction crosses rows — so engine output is bit-identical to
+//! Scheduling is free-running (workers pull whatever job is at the front
+//! of the intake), but results are not: every kernel's batch path is
+//! **bit-identical** with its sequential row-at-a-time path, each
+//! request is written by exactly one worker, and no reduction crosses
+//! rows — so engine output is bit-identical to
 //! sequential execution at every thread count and under any
 //! interleaving of concurrent submitters. The property tests in
 //! `tests/determinism.rs` and `tests/concurrency.rs` hold all
@@ -124,8 +122,6 @@
 //! assert_eq!(stats.kernel("softermax").expect("served").rows, 2);
 //! # Ok::<(), softermax::SoftmaxError>(())
 //! ```
-//!
-//! [`PeConfig::n_lanes`]: softermax_hw::pe::PeConfig
 
 #![forbid(unsafe_code)]
 

@@ -17,10 +17,10 @@
 //!   idling, correcting routing mistakes after the fact. See
 //!   [`BatchEngine::jobs_stolen`] / [`BatchEngine::jobs_donated`] for
 //!   the per-shard counters and the engine docs for the invariants
-//!   (whole untouched jobs only, deadlines and breaker state honored).
+//!   (queued jobs only, deadlines and breaker state honored).
 //!
 //! On a full shard, a non-blocking submission *fails over*: the router
-//! retries every other shard (reusing the owned buffer, no copy) before
+//! retries every other shard (offering the same built job, no copy) before
 //! reporting [`SoftmaxError::QueueFull`] — so backpressure means "the
 //! whole router is full", not "one shard got unlucky".
 //!
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use softermax::kernel::SoftmaxKernel;
 use softermax::{Result, SoftmaxError};
 
-use crate::engine::{AdmitMode, BatchEngine, EnqueueError};
+use crate::engine::{AdmitMode, BatchEngine, Job};
 use crate::stats::EngineStats;
 use crate::submit::{Admission, Submission, Ticket};
 use crate::ServeConfig;
@@ -258,44 +258,29 @@ impl ShardedRouter {
     /// Panics if the submission's matrix is not a whole number of rows.
     pub fn submit_request(&self, submission: Submission, admission: Admission) -> Result<Ticket> {
         let started = Instant::now();
-        let Submission {
-            kernel,
-            mut rows,
-            row_len,
-            stream_chunk,
-            deadline,
-            priority,
-        } = submission;
-        let deadline = deadline.map(|d| started + d);
         let wait_until = match admission {
             Admission::Fail => None,
             Admission::Block => Some(started + self.shards[0].config().admission_timeout),
             Admission::BlockFor(wait) => Some(started + wait),
         };
+        // One job for every attempt: a rejecting shard leaves it with the
+        // router, so failing over copies nothing.
+        let job = Job::new(submission, started)?;
         let mut backoff = RETRY_BACKOFF_FLOOR;
         loop {
             // One pick per retry iteration serves both the sweep's
             // starting shard and the blocking fallback below. The sweep
             // is non-blocking over every shard: full, dead, and
-            // breaker-open shards reject instantly (handing the buffer
-            // back), so it fails over around trouble at no extra cost.
+            // breaker-open shards reject instantly, so it fails over
+            // around trouble at no extra cost.
             let first = self.pick();
             let n = self.shards.len();
             for offset in 0..n {
                 let shard = &self.shards[(first + offset) % n];
-                match shard.enqueue_owned(
-                    &kernel,
-                    rows,
-                    row_len,
-                    stream_chunk,
-                    deadline,
-                    priority,
-                    AdmitMode::NonBlocking,
-                ) {
-                    Ok(ticket) => return Ok(ticket),
-                    // Take the buffer back and fail over.
-                    Err(EnqueueError::Full(returned)) => rows = returned,
-                    Err(EnqueueError::Fatal(e)) => return Err(e),
+                match shard.enqueue(&job, AdmitMode::NonBlocking) {
+                    Ok(()) => return Ok(Ticket::new(job)),
+                    Err(SoftmaxError::QueueFull) => {}
+                    Err(e) => return Err(e),
                 }
             }
             let Some(until) = wait_until else {
@@ -313,21 +298,12 @@ impl ShardedRouter {
             // shard from absorbing the whole wait budget.
             let slice = (now + backoff).min(until);
             let shard = &self.shards[first];
-            match shard.enqueue_owned(
-                &kernel,
-                rows,
-                row_len,
-                stream_chunk,
-                deadline,
-                priority,
-                AdmitMode::BlockUntil(slice),
-            ) {
-                Ok(ticket) => return Ok(ticket),
-                Err(EnqueueError::Full(returned)) => {
-                    rows = returned;
+            match shard.enqueue(&job, AdmitMode::BlockUntil(slice)) {
+                Ok(()) => return Ok(Ticket::new(job)),
+                Err(SoftmaxError::QueueFull) => {
                     backoff = (backoff * 2).min(RETRY_BACKOFF_CEIL);
                 }
-                Err(EnqueueError::Fatal(e)) => return Err(e),
+                Err(e) => return Err(e),
             }
         }
     }
@@ -364,10 +340,6 @@ mod tests {
     use softermax::KernelRegistry;
     use std::sync::{Mutex, PoisonError};
 
-    fn tiny_config() -> ServeConfig {
-        ServeConfig::new(1).with_chunk_rows(2)
-    }
-
     /// Polls `done` every 100 µs for about a second, then gives up.
     fn wait_for(what: &str, done: impl Fn() -> bool) {
         for _ in 0..10_000 {
@@ -395,14 +367,15 @@ mod tests {
 
     #[test]
     fn zero_shards_is_rejected() {
-        assert!(ShardedRouter::new(0, tiny_config(), RoutePolicy::Adaptive).is_err());
+        assert!(ShardedRouter::new(0, ServeConfig::new(1), RoutePolicy::Adaptive).is_err());
         assert!(ShardedRouter::new(1, ServeConfig::new(0), RoutePolicy::Adaptive).is_err());
     }
 
     #[test]
     fn routed_submissions_are_bit_identical_to_sequential() {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-        let router = ShardedRouter::new(3, tiny_config(), RoutePolicy::Adaptive).expect("valid");
+        let router =
+            ShardedRouter::new(3, ServeConfig::new(1), RoutePolicy::Adaptive).expect("valid");
         let matrices: Vec<Vec<f64>> = (0..9)
             .map(|m| (0..5 * 4).map(|i| f64::from((i * m) % 11) - 5.0).collect())
             .collect();
@@ -468,7 +441,7 @@ mod tests {
             inner: Arc::clone(&fast),
             hold: Arc::clone(&hold),
         });
-        let config = tiny_config().with_queue_depth(2);
+        let config = ServeConfig::new(1).with_queue_depth(2);
         let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
         let small = vec![1.0, 2.0, 3.0, 4.0];
         let large: Vec<f64> = (0..40).map(f64::from).collect();

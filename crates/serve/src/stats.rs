@@ -105,11 +105,11 @@ impl LatencyWindow {
 
 /// Accumulated serving counters for one kernel.
 ///
-/// `wall_ns` is summed end-to-end request time (submission to last chunk
-/// done) over **successful** batches only; `busy_ns` is the sum of
-/// per-worker compute time over every batch (failed ones included — the
-/// workers really were busy), so with `t` threads perfectly busy,
-/// `busy_ns ≈ t × wall_ns`. Failed batches are counted apart
+/// `wall_ns` is summed end-to-end request time (submission to
+/// completion) over **successful** batches only; `busy_ns` is the sum of
+/// worker compute time over every batch (failed ones included — the
+/// workers really were busy). One worker serves each request, so a
+/// request's busy time is its wall time less its queue wait. Failed batches are counted apart
 /// (`failed_batches`, with their completed rows in `failed_rows`) so
 /// errors can never inflate `rows`, `wall_ns` or the latency window, and
 /// so a rate a reader derives from them describes successful work only.
@@ -121,7 +121,8 @@ pub struct KernelServeStats {
     /// out of `batches` and all time counters so they cannot drag the
     /// latency statistics toward zero.
     pub empty_batches: u64,
-    /// Matrices that failed or were cancelled mid-way.
+    /// Matrices that failed: a kernel error or panic, or an engine
+    /// shutdown before they started.
     pub failed_batches: u64,
     /// Requests dropped because their deadline passed before they were
     /// served — at admission or at dequeue. Expired work is failure
@@ -131,8 +132,10 @@ pub struct KernelServeStats {
     pub expired_requests: u64,
     /// Softmax rows computed by successful batches.
     pub rows: u64,
-    /// Rows that completed inside batches which then failed (partial
-    /// progress: real work, but excluded from the throughput rates).
+    /// Rows that completed inside batches which then failed: the rows a
+    /// streamed request finished before its failing row (a failed
+    /// batch-path call reports none). Real work, but excluded from the
+    /// throughput rates.
     pub failed_rows: u64,
     /// Score elements consumed by successful batches.
     pub elements: u64,

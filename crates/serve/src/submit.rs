@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use softermax::kernel::SoftmaxKernel;
 use softermax::Result;
 
-use crate::engine::{AdmitMode, BatchEngine, EnqueueError, Job};
+use crate::engine::{AdmitMode, BatchEngine, Job};
 
 /// The scheduling class of a [`Submission`]: which intake queue it
 /// joins and how the weighted fair dequeue treats it.
@@ -108,7 +108,7 @@ impl Submission {
     /// [`SoftmaxError::DeadlineExceeded`](softermax::SoftmaxError::DeadlineExceeded),
     /// counted into
     /// [`KernelServeStats::expired_requests`](crate::KernelServeStats::expired_requests).
-    /// Work already executing is never interrupted mid-chunk.
+    /// Work already executing is never interrupted.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -154,7 +154,8 @@ pub struct Ticket {
 /// Outcome of a bounded [`Ticket::wait_timeout`].
 #[derive(Debug)]
 pub enum TicketPoll {
-    /// Chunks are still in flight; the ticket is handed back.
+    /// The request is still queued or running; the ticket is handed
+    /// back.
     Pending(Ticket),
     /// The request completed: the probabilities, or its error.
     Ready(Result<Vec<f64>>),
@@ -176,8 +177,8 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// The first per-row kernel error observed by the batch (remaining
-    /// chunks were cancelled);
+    /// The kernel's error for the request (a streamed request stops at
+    /// its first failing row);
     /// [`SoftmaxError::DeadlineExceeded`](softermax::SoftmaxError::DeadlineExceeded)
     /// when the request's deadline passed before it started executing;
     /// [`SoftmaxError::EngineShutdown`](softermax::SoftmaxError::EngineShutdown)
@@ -185,8 +186,7 @@ impl Ticket {
     /// request started — the ticket always resolves; it never hangs on a
     /// pool that can no longer serve.
     pub fn wait(self) -> Result<Vec<f64>> {
-        self.job.wait_outcome()?;
-        Ok(self.job.take_output())
+        self.job.wait_outcome()
     }
 
     /// Like [`Ticket::wait`], but gives up after `timeout`:
@@ -197,8 +197,7 @@ impl Ticket {
     pub fn wait_timeout(self, timeout: Duration) -> TicketPoll {
         match self.job.wait_outcome_until(Instant::now() + timeout) {
             None => TicketPoll::Pending(self),
-            Some(Ok(())) => TicketPoll::Ready(Ok(self.job.take_output())),
-            Some(Err(e)) => TicketPoll::Ready(Err(e)),
+            Some(outcome) => TicketPoll::Ready(outcome),
         }
     }
 }
@@ -271,29 +270,14 @@ impl BatchEngine {
     /// Panics if the submission's matrix is not a whole number of rows.
     pub fn submit_request(&self, submission: Submission, admission: Admission) -> Result<Ticket> {
         let now = Instant::now();
-        let Submission {
-            kernel,
-            rows,
-            row_len,
-            stream_chunk,
-            deadline,
-            priority,
-        } = submission;
         let admit = match admission {
             Admission::Fail => AdmitMode::NonBlocking,
             Admission::Block => AdmitMode::BlockUntil(now + self.config().admission_timeout),
             Admission::BlockFor(wait) => AdmitMode::BlockUntil(now + wait),
         };
-        self.enqueue_owned(
-            &kernel,
-            rows,
-            row_len,
-            stream_chunk,
-            deadline.map(|d| now + d),
-            priority,
-            admit,
-        )
-        .map_err(EnqueueError::into_error)
+        let job = Job::new(submission, now)?;
+        self.enqueue(&job, admit)?;
+        Ok(Ticket::new(job))
     }
 }
 

@@ -69,12 +69,8 @@ proptest! {
         row_len in 1usize..8,
         n_shards in 1usize..3,
         stream_chunk in 1usize..10,
-        chunk_pick in 0usize..3,
         salt in 0usize..1000,
     ) {
-        // One-row chunks gather several output segments per job, 3-row
-        // chunks leave an uneven tail, 32 (the default) is one chunk.
-        let chunk_rows = [1, 3, 32][chunk_pick];
         let kernels = KernelRegistry::with_builtins();
         let elems = n_rows * row_len;
 
@@ -103,12 +99,9 @@ proptest! {
             })
             .collect();
 
-        // A deliberately tight engine: small chunks so several chunks
-        // interleave, and a queue depth the clients can collectively
-        // exceed, so blocking admission is exercised too.
-        let config = ServeConfig::new(2)
-            .with_chunk_rows(chunk_rows)
-            .with_queue_depth(4);
+        // A deliberately tight engine: a queue depth the clients can
+        // collectively exceed, so blocking admission is exercised too.
+        let config = ServeConfig::new(2).with_queue_depth(4);
         let router =
             ShardedRouter::new(n_shards, config, RoutePolicy::Adaptive).expect("valid config");
 
@@ -155,14 +148,13 @@ proptest! {
                 prop_assert_eq!(
                     bits(out),
                     bits(&plan.want),
-                    "client {} request {} ({}, {:?}, {:?}) diverged at {} shard(s), {}-row chunks",
+                    "client {} request {} ({}, {:?}, {:?}) diverged at {} shard(s)",
                     client,
                     request,
                     plan.kernel.name(),
                     plan.stream_chunk,
                     plan.priority,
-                    n_shards,
-                    chunk_rows
+                    n_shards
                 );
             }
         }
@@ -216,8 +208,7 @@ impl SoftmaxKernel for SlowKernel {
 #[test]
 fn full_admission_queue_rejects_and_never_deadlocks() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(SlowKernel::new(Duration::from_millis(60)));
-    let engine = BatchEngine::new(ServeConfig::new(1).with_chunk_rows(4).with_queue_depth(1))
-        .expect("valid config");
+    let engine = BatchEngine::new(ServeConfig::new(1).with_queue_depth(1)).expect("valid config");
     let rows = vec![0.25f64; 2 * 3];
 
     // Admit one slow batch (~120ms of worker time): the engine is full.

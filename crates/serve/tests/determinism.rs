@@ -2,11 +2,6 @@
 //! **bit-identical** to sequential row-at-a-time execution for every
 //! registered kernel at thread counts {1, 2, 4, 8}, over arbitrary matrix
 //! shapes — including the empty matrix and single-row matrices.
-//!
-//! Chunk geometry is drawn from {1, 3, 32} rows: one-row chunks fan even
-//! small sampled matrices out across many chunks (each with its own
-//! output segment, gathered in row order), three-row chunks leave an
-//! uneven tail, and 32 (the paper-PE default) keeps one chunk per job.
 
 use std::sync::{Arc, OnceLock};
 
@@ -20,31 +15,19 @@ use softermax_serve::{Admission, BatchEngine, ServeConfig, Submission};
 /// Thread counts the determinism contract is held at.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Chunk geometries (`ServeConfig::chunk_rows`) the proptests draw from.
-const CHUNK_ROWS: [usize; 3] = [1, 3, 32];
-
 /// Largest sampled matrix: `MAX_ROWS x MAX_LEN` elements are drawn once
 /// and sliced to the sampled shape.
 const MAX_ROWS: usize = 9;
 const MAX_LEN: usize = 24;
 
-/// One long-lived engine per chunk geometry x thread count (worker
-/// pools are built once, not per proptest case), indexed
-/// `[chunk_pick][thread_pick]`.
-fn engine_grid() -> &'static [Vec<BatchEngine>] {
-    static ENGINES: OnceLock<Vec<Vec<BatchEngine>>> = OnceLock::new();
+/// One long-lived engine per thread count (worker pools are built
+/// once, not per proptest case).
+fn engines() -> &'static [BatchEngine] {
+    static ENGINES: OnceLock<Vec<BatchEngine>> = OnceLock::new();
     ENGINES.get_or_init(|| {
-        CHUNK_ROWS
+        THREAD_COUNTS
             .iter()
-            .map(|&rows| {
-                THREAD_COUNTS
-                    .iter()
-                    .map(|&t| {
-                        BatchEngine::new(ServeConfig::new(t).with_chunk_rows(rows))
-                            .expect("valid config")
-                    })
-                    .collect()
-            })
+            .map(|&t| BatchEngine::new(ServeConfig::new(t)).expect("valid config"))
             .collect()
     })
 }
@@ -86,28 +69,25 @@ fn bits(values: &[f64]) -> Vec<u64> {
 
 proptest! {
     /// Engine output is bit-identical to sequential execution for all 8
-    /// registered kernels at every thread count and a drawn chunk
-    /// geometry, over arbitrary shapes (rows may be 0: the empty matrix,
-    /// or 1: a single row).
+    /// registered kernels at every thread count, over arbitrary shapes
+    /// (rows may be 0: the empty matrix, or 1: a single row).
     #[test]
     fn engine_is_bit_identical_to_sequential(
         values in vec(-20.0f64..20.0, MAX_ROWS * MAX_LEN..MAX_ROWS * MAX_LEN + 1),
         n_rows in 0usize..MAX_ROWS + 1,
         row_len in 1usize..MAX_LEN + 1,
-        chunk_pick in 0usize..CHUNK_ROWS.len(),
     ) {
         let matrix = &values[..n_rows * row_len];
         for kernel in &KernelRegistry::with_builtins() {
             let want = sequential(kernel.as_ref(), matrix, row_len);
-            for engine in &engine_grid()[chunk_pick] {
+            for engine in engines() {
                 let got = serve(engine, kernel, matrix, row_len, None).expect("valid matrix");
                 prop_assert_eq!(
                     bits(&got),
                     bits(&want),
-                    "{} diverged at {} thread(s), {}-row chunks, {}x{}",
+                    "{} diverged at {} thread(s), {}x{}",
                     kernel.name(),
                     engine.config().threads,
-                    engine.config().chunk_rows,
                     n_rows,
                     row_len
                 );
@@ -115,31 +95,28 @@ proptest! {
         }
     }
 
-    /// Streamed jobs (one `StreamSession` per worker per job) are
-    /// bit-identical to sequential execution for all 8 kernels at every
-    /// thread count, a drawn chunk geometry and arbitrary push-chunk
-    /// sizes.
+    /// Streamed jobs (one `StreamSession` per job) are bit-identical to
+    /// sequential execution for all 8 kernels at every thread count and
+    /// arbitrary push-chunk sizes.
     #[test]
     fn streamed_engine_is_bit_identical_to_sequential(
         values in vec(-20.0f64..20.0, MAX_ROWS * MAX_LEN..MAX_ROWS * MAX_LEN + 1),
         n_rows in 0usize..MAX_ROWS + 1,
         row_len in 1usize..MAX_LEN + 1,
         chunk in 1usize..MAX_LEN + 2,
-        chunk_pick in 0usize..CHUNK_ROWS.len(),
     ) {
         let matrix = &values[..n_rows * row_len];
         for kernel in &KernelRegistry::with_builtins() {
             let want = sequential(kernel.as_ref(), matrix, row_len);
-            for engine in &engine_grid()[chunk_pick] {
+            for engine in engines() {
                 let got =
                     serve(engine, kernel, matrix, row_len, Some(chunk)).expect("valid matrix");
                 prop_assert_eq!(
                     bits(&got),
                     bits(&want),
-                    "{} streamed diverged at {} thread(s), {}-row chunks, {}x{} chunk {}",
+                    "{} streamed diverged at {} thread(s), {}x{} chunk {}",
                     kernel.name(),
                     engine.config().threads,
-                    engine.config().chunk_rows,
                     n_rows,
                     row_len,
                     chunk
@@ -157,7 +134,7 @@ fn registry_has_all_eight_kernels_under_test() {
 #[test]
 fn empty_and_single_row_matrices_at_every_thread_count() {
     for kernel in &KernelRegistry::with_builtins() {
-        for engine in engine_grid().iter().flatten() {
+        for engine in engines() {
             // Empty matrix: no rows, nothing to do, no error.
             assert_eq!(
                 serve(engine, kernel, &[], 7, None).expect("empty matrix"),
@@ -165,7 +142,7 @@ fn empty_and_single_row_matrices_at_every_thread_count() {
                 "{} empty matrix",
                 kernel.name()
             );
-            // Single row: one chunk, most workers idle, still identical.
+            // Single row: one job, most workers idle, still identical.
             let row = [1.5, -2.25, 0.5, 3.0, 2.75];
             let got = serve(engine, kernel, &row, 5, None).expect("one row");
             assert_eq!(
@@ -180,15 +157,17 @@ fn empty_and_single_row_matrices_at_every_thread_count() {
 }
 
 #[test]
-fn default_paper_chunk_geometry_is_also_deterministic() {
-    // The proptest matrices fit in one default chunk; cross-check the
-    // default (32-row PE-derived) geometry on a matrix of several chunks
-    // with an uneven tail.
-    let engine = BatchEngine::new(ServeConfig::new(4)).expect("valid config");
+fn a_large_request_is_also_deterministic() {
+    // The proptest matrices are small; cross-check one 100 x 48 request
+    // on a 4-thread engine, batch and streamed.
+    let engine = &engines()[2];
+    assert_eq!(engine.config().threads, 4);
     let matrix = softermax_serve::traffic::synthetic_matrix(100, 48, 2.5, 9);
     for kernel in &KernelRegistry::with_builtins() {
         let want = sequential(kernel.as_ref(), &matrix, 48);
-        let got = serve(&engine, kernel, &matrix, 48, None).expect("valid");
+        let got = serve(engine, kernel, &matrix, 48, None).expect("valid");
         assert_eq!(bits(&got), bits(&want), "{}", kernel.name());
+        let streamed = serve(engine, kernel, &matrix, 48, Some(13)).expect("valid");
+        assert_eq!(bits(&streamed), bits(&want), "{} streamed", kernel.name());
     }
 }

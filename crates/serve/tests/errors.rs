@@ -1,6 +1,6 @@
 //! Error propagation through the serving layer: a failing row anywhere in
-//! a multi-chunk job fails the whole request, at every thread count,
-//! without wedging the engine.
+//! a request fails the whole request, at every thread count, without
+//! wedging the engine.
 
 use std::sync::Arc;
 
@@ -75,9 +75,8 @@ fn serve(
 fn a_failing_row_fails_the_batch_and_the_engine_survives() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
     for threads in [1, 2, 4] {
-        let engine =
-            BatchEngine::new(ServeConfig::new(threads).with_chunk_rows(2)).expect("valid config");
-        // 16 rows of 4; a NaN in row 11 (an arbitrary mid-batch chunk).
+        let engine = BatchEngine::new(ServeConfig::new(threads)).expect("valid config");
+        // 16 rows of 4; a NaN in row 11 (an arbitrary mid-batch row).
         let mut matrix = vec![0.5f64; 16 * 4];
         matrix[11 * 4 + 2] = f64::NAN;
         let err =
@@ -97,13 +96,9 @@ fn a_failing_row_fails_the_batch_and_the_engine_survives() {
         assert_eq!(s.rows, 8);
         assert_eq!(s.elements, 32);
         assert_eq!(s.latency.len(), 1, "failures stay out of the window");
-        // Partial progress of the failed batch is visible, but apart: at
-        // most 15 of its 16 rows can have completed.
-        assert!(
-            s.failed_rows <= 15,
-            "failed-row accounting off: {} rows",
-            s.failed_rows
-        );
+        // A failed batch-path call reports no partial progress, so the
+        // failed batch credits no rows.
+        assert_eq!(s.failed_rows, 0);
     }
 }
 
@@ -111,8 +106,7 @@ fn a_failing_row_fails_the_batch_and_the_engine_survives() {
 fn a_failing_row_fails_the_streamed_dispatch_too() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
     for threads in [1, 2, 4] {
-        let engine =
-            BatchEngine::new(ServeConfig::new(threads).with_chunk_rows(2)).expect("valid config");
+        let engine = BatchEngine::new(ServeConfig::new(threads)).expect("valid config");
         let mut matrix = vec![0.5f64; 16 * 4];
         matrix[11 * 4 + 2] = f64::NAN;
         let err = serve(&engine, &kernel, &matrix, 4, Some(3))
@@ -127,12 +121,11 @@ fn a_failing_row_fails_the_streamed_dispatch_too() {
 }
 
 #[test]
-fn batch_path_credits_chunks_completed_before_the_error() {
+fn batch_path_credits_no_rows_to_a_failed_call() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
-    // One worker, 2-row chunks, NaN in row 11: chunks 0..4 (rows 0..10)
-    // complete in order, chunk 5 (rows 10..12) fails, chunks 6..7 are
-    // abandoned — deterministic on a single thread.
-    let engine = BatchEngine::new(ServeConfig::new(1).with_chunk_rows(2)).expect("valid config");
+    // NaN in row 11: the request's one `forward_batch_into` call fails,
+    // and that call reports no partial progress, so no row is credited.
+    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
     let mut matrix = vec![0.5f64; 16 * 4];
     matrix[11 * 4 + 2] = f64::NAN;
     serve(&engine, &kernel, &matrix, 4, None).expect_err("NaN row must fail the batch");
@@ -141,17 +134,16 @@ fn batch_path_credits_chunks_completed_before_the_error() {
     assert_eq!(s.batches, 0);
     assert_eq!(s.failed_batches, 1);
     assert_eq!(s.rows, 0);
-    assert_eq!(s.failed_rows, 10);
+    assert_eq!(s.failed_rows, 0);
 }
 
 #[test]
 fn streamed_path_credits_rows_completed_before_the_error() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
-    // One worker, 4-row chunks, NaN in row 11: chunks 0..2 (rows 0..8)
-    // complete, and the streamed path serves chunk 2 row by row, so rows
-    // 8..11 complete before the error too — exactly 11 rows, per-row
-    // credit the chunk-granular batch path (8 rows here) cannot give.
-    let engine = BatchEngine::new(ServeConfig::new(1).with_chunk_rows(4)).expect("valid config");
+    // NaN in row 11: the streamed path serves the request row by row,
+    // so rows 0..11 complete before the error — exactly 11 rows, per-row
+    // credit the batch path (0 rows here) cannot give.
+    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
     let mut matrix = vec![0.5f64; 16 * 4];
     matrix[11 * 4 + 2] = f64::NAN;
     serve(&engine, &kernel, &matrix, 4, Some(3)).expect_err("NaN row must fail the streamed batch");

@@ -75,11 +75,10 @@ proptest! {
             .with_delay(Duration::from_micros(200));
         let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
 
-        // Small chunks so chunks interleave; a generous respawn budget
-        // (no plan here can schedule more panics than forward calls) and
-        // a default breaker that may well trip mid-run — routing must
-        // stay live either way.
-        let config = ServeConfig::new(2).with_chunk_rows(2).with_queue_depth(8);
+        // A generous respawn budget (no plan here can schedule more
+        // panics than forward calls) and a default breaker that may well
+        // trip mid-run — routing must stay live either way.
+        let config = ServeConfig::new(2).with_queue_depth(8);
         let router =
             ShardedRouter::new(n_shards, config, RoutePolicy::Adaptive).expect("valid config");
 
@@ -128,10 +127,9 @@ proptest! {
 }
 
 /// The gate's schedule: 30 requests of 32 rows x 64 from one closed-loop
-/// client, through 2 shards x 4 workers. A request is exactly one
-/// scheduling chunk (`chunk_rows` 32), so the client's forward calls
-/// form one strictly sequential stream and the schedule's outcome is a
-/// function of the seed alone. Faults (rate 0.02 per row, 2 ms delays)
+/// client, through 2 shards x 4 workers. One worker serves each request
+/// whole, so the client's forward calls form one strictly sequential
+/// stream and the schedule's outcome is a function of the seed alone. Faults (rate 0.02 per row, 2 ms delays)
 /// are confined to calls 320..640, the middle third of the run: the
 /// first ten requests take exactly 32 calls each, so none straddles the
 /// window's start.
@@ -181,9 +179,7 @@ fn chaos_run(
     // all of them.
     let config = ServeConfig {
         respawn_cap: 4096,
-        ..ServeConfig::new(CHAOS_WORKERS)
-            .with_chunk_rows(CHAOS_ROWS)
-            .with_queue_depth(32)
+        ..ServeConfig::new(CHAOS_WORKERS).with_queue_depth(32)
     };
     let router =
         ShardedRouter::new(CHAOS_SHARDS, config, RoutePolicy::Adaptive).expect("valid config");

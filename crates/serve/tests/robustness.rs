@@ -149,10 +149,6 @@ impl SoftmaxKernel for NanRejectingKernel {
     }
 }
 
-fn single_row_config() -> ServeConfig {
-    ServeConfig::new(1).with_chunk_rows(1)
-}
-
 /// The PR's headline liveness fix: a ticket whose engine is dropped with
 /// the request still queued must resolve with
 /// [`SoftmaxError::EngineShutdown`] — never hang its waiter.
@@ -160,7 +156,7 @@ fn single_row_config() -> ServeConfig {
 fn dropping_the_engine_resolves_outstanding_tickets() {
     let gate = Arc::new(Gate::default());
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
-    let engine = BatchEngine::new(single_row_config()).expect("valid config");
+    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
 
     // Request A is *executing* (parked inside the gate); request B is
     // queued behind it on the only worker — deterministically, because
@@ -193,7 +189,7 @@ fn dropping_the_engine_resolves_outstanding_tickets() {
 fn wait_timeout_hands_the_ticket_back_while_in_flight() {
     let gate = Arc::new(Gate::default());
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
-    let engine = BatchEngine::new(single_row_config()).expect("valid config");
+    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
     let ticket = engine.submit(&kernel, vec![0.5, 1.5], 2).expect("submit");
     gate.wait_entered(1);
     // The request is parked inside the kernel: a bounded wait must come
@@ -211,7 +207,7 @@ fn wait_timeout_hands_the_ticket_back_while_in_flight() {
 #[test]
 fn expired_deadline_is_rejected_at_admission() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
-    let engine = BatchEngine::new(single_row_config()).expect("valid config");
+    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
     let submission = Submission::new(&kernel, vec![1.0, 2.0], 2).with_deadline(Duration::ZERO);
     let err = engine
         .submit_request(submission, Admission::Fail)
@@ -228,7 +224,7 @@ fn expired_deadline_is_rejected_at_admission() {
 fn deadline_passed_in_queue_expires_at_dequeue() {
     let gate = Arc::new(Gate::default());
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
-    let engine = BatchEngine::new(single_row_config()).expect("valid config");
+    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
 
     // A parks the only worker; B sits in the queue with a 5 ms deadline.
     let ticket_a = engine.submit(&kernel, vec![1.0, 2.0], 2).expect("submit A");
@@ -269,7 +265,7 @@ fn blocking_admission_is_bounded() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
     let config = ServeConfig {
         admission_timeout: Duration::from_millis(20),
-        ..single_row_config().with_queue_depth(1)
+        ..ServeConfig::new(1).with_queue_depth(1)
     };
     let engine = BatchEngine::new(config).expect("valid config");
 
@@ -410,6 +406,55 @@ fn losing_the_last_worker_fails_the_engine_honestly() {
     assert!(matches!(err, SoftmaxError::EngineShutdown), "{err:?}");
 }
 
+/// Admission and queueing are one intake critical section: a request
+/// submitted while the only worker dies past its respawn budget is
+/// either rejected or queued in time for the worker-loss path to drain
+/// it — never queued on a pool with no workers, where its ticket would
+/// never resolve. Each round races a submitting thread against that
+/// death.
+#[test]
+fn submissions_racing_the_last_worker_loss_all_resolve() {
+    const ROUNDS: usize = 200;
+    quiet_panics();
+    let inner = KernelRegistry::global().get("softermax").expect("built-in");
+    let config = ServeConfig {
+        respawn_cap: 0,
+        ..ServeConfig::new(1)
+    };
+    for round in 0..ROUNDS {
+        // The first forward call panics, which kills the only worker.
+        let plan = FaultPlan::new(13, 1.0)
+            .with_kinds(vec![FaultKind::Panic])
+            .with_window(0..1);
+        let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
+        let engine = BatchEngine::new(config.clone()).expect("valid config");
+        let tickets = std::thread::scope(|scope| {
+            let submitter = scope.spawn(|| {
+                let mut tickets = Vec::new();
+                // Submit until the worker is seen dead, then once more.
+                loop {
+                    let dead = engine.live_workers() == 0;
+                    if let Ok(ticket) = engine.submit(&faulty, vec![1.0, 2.0], 2) {
+                        tickets.push(ticket);
+                    }
+                    if dead {
+                        return tickets;
+                    }
+                }
+            });
+            let first = engine.submit(&faulty, vec![1.0, 2.0], 2);
+            let mut tickets = submitter.join().expect("submitter thread");
+            tickets.extend(first);
+            tickets
+        });
+        for ticket in tickets {
+            if let TicketPoll::Pending(_) = ticket.wait_timeout(Duration::from_secs(5)) {
+                panic!("round {round}: a ticket admitted around the worker's death never resolved");
+            }
+        }
+    }
+}
+
 #[test]
 fn breaker_trips_on_failures_and_recovers_through_a_probe() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
@@ -421,7 +466,7 @@ fn breaker_trips_on_failures_and_recovers_through_a_probe() {
     };
     let config = ServeConfig {
         breaker,
-        ..single_row_config()
+        ..ServeConfig::new(1)
     };
     let engine = BatchEngine::new(config).expect("valid");
 
@@ -503,7 +548,7 @@ fn router_routes_around_an_open_shard() {
     };
     let config = ServeConfig {
         breaker,
-        ..single_row_config()
+        ..ServeConfig::new(1)
     };
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
@@ -551,7 +596,7 @@ fn router_refuses_honestly_when_every_breaker_is_open() {
     };
     let config = ServeConfig {
         breaker,
-        ..single_row_config()
+        ..ServeConfig::new(1)
     };
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
     for shard in 0..router.n_shards() {

@@ -144,11 +144,10 @@ impl SoftmaxKernel for NanRejectingKernel {
     }
 }
 
-/// One worker, one chunk per job: a parked worker lets the test stage
-/// both class queues exactly, and the recorded service order then *is*
-/// the dequeue order.
+/// One worker: a parked worker lets the test stage both class queues
+/// exactly, and the recorded service order then *is* the dequeue order.
 fn staged_engine() -> (ShardedRouter, Arc<Gate>, Arc<Mutex<Vec<i64>>>) {
-    let config = ServeConfig::new(1).with_chunk_rows(1).with_queue_depth(64);
+    let config = ServeConfig::new(1).with_queue_depth(64);
     let router = ShardedRouter::new(1, config, RoutePolicy::Adaptive).expect("valid config");
     let gate = Arc::new(Gate::default());
     let order = Arc::new(Mutex::new(Vec::new()));
@@ -331,9 +330,7 @@ fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
     // One gate per shard, so each pin can be lifted independently.
     let gates: Vec<Arc<Gate>> = (0..2).map(|_| Arc::new(Gate::default())).collect();
     let order = Arc::new(Mutex::new(Vec::new()));
-    // One-row chunks: each stolen 3-row job is served as three chunks on
-    // the thief, whose output segments are gathered in row order.
-    let config = ServeConfig::new(1).with_chunk_rows(1).with_queue_depth(16);
+    let config = ServeConfig::new(1).with_queue_depth(16);
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
     // Pin both shards' workers, then backlog shard 0 directly.
@@ -395,7 +392,7 @@ fn expired_jobs_are_left_for_the_victim_to_account() {
     // One gate per shard, so each pin can be lifted independently.
     let gates: Vec<Arc<Gate>> = (0..2).map(|_| Arc::new(Gate::default())).collect();
     let order = Arc::new(Mutex::new(Vec::new()));
-    let config = ServeConfig::new(1).with_chunk_rows(4).with_queue_depth(16);
+    let config = ServeConfig::new(1).with_queue_depth(16);
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
     // Pin *both* shards' workers so nothing moves while staging.
@@ -472,7 +469,7 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
     };
     let config = ServeConfig {
         breaker,
-        ..ServeConfig::new(1).with_chunk_rows(4).with_queue_depth(16)
+        ..ServeConfig::new(1).with_queue_depth(16)
     };
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
