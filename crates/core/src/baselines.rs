@@ -106,23 +106,31 @@ impl LutSoftmax {
         if row.is_empty() {
             return Err(SoftmaxError::EmptyInput);
         }
-        let steps = Steps::new(self.step);
-        // Pass 1: quantize once, staging each score on the grid in `out`,
-        // and the explicit max. `f64::max` skips a NaN score, which fails
-        // `q > max` too, and a ±0 tie gives the same indices either way.
-        let mut max = f64::NEG_INFINITY;
-        for (o, &v) in out.iter_mut().zip(row) {
-            let q = steps.quantize(v);
-            *o = q;
-            if q > max {
-                max = q;
-            }
+        let step = self.step;
+        match exact_recip(step) {
+            Some(r) => self.forward_by(row, out, |v| v * r),
+            None => self.forward_by(row, out, |v| v / step),
         }
+    }
+
+    /// [`forward_into`](Self::forward_into) with the quotient `v / step`
+    /// fixed for the row, so no pass branches on the step per element.
+    #[inline(always)]
+    fn forward_by(
+        &self,
+        row: &[f64],
+        out: &mut [f64],
+        quotient: impl Fn(f64) -> f64 + Copy,
+    ) -> Result<()> {
+        // Pass 1: quantize once, staging each score on the grid in `out`,
+        // and the explicit max.
+        quantize_row(row, out, self.step, quotient);
+        let max = row_max(out);
         // Pass 2: LUT exponentials (staged in `out`; Q0.16 entries are
         // exact in f64) and integer sum.
         let mut sum: u64 = 0;
         for o in out.iter_mut() {
-            let e = self.table[steps.index(max - *o)];
+            let e = self.table[lut_index(quotient(max - *o))];
             sum += u64::from(e);
             *o = f64::from(e);
         }
@@ -130,11 +138,12 @@ impl LutSoftmax {
             return Err(SoftmaxError::DivisionByZero);
         }
         // Pass 3: integer division to 16-bit probabilities, as one
-        // multiply by the row's invariant divisor.
+        // multiply by the row's invariant divisor. An entry is at most
+        // 2^16 and a probability at most 2^16, so both casts are exact.
         let div = InvariantDivisor::new(sum);
         for o in out.iter_mut() {
-            let p16 = div.divide((*o as u64) << LUT_FRAC_BITS);
-            *o = p16 as f64 / f64::from(1u32 << LUT_FRAC_BITS);
+            let p16 = div.divide(u64::from(*o as u32) << LUT_FRAC_BITS);
+            *o = p16 as i64 as f64 / f64::from(1u32 << LUT_FRAC_BITS);
         }
         Ok(())
     }
@@ -149,53 +158,69 @@ impl LutSoftmax {
     }
 }
 
-/// The quantization maps of [`LutSoftmax`] for one step, rounding with
-/// [`round_ties_away`]: `f64::round` is a libm call on baseline x86-64.
+/// `1 / step` when it is exact, i.e. `step` and it are both normal
+/// powers of two: then `v / step` and `v * (1 / step)` are the same exact
+/// quotient rounded once, to the same `f64`, subnormals and overflow
+/// included, and the row loops multiply. Any other step keeps the divide.
+fn exact_recip(step: f64) -> Option<f64> {
+    let recip = 1.0 / step;
+    let pow2 = |v: f64| v.is_normal() && v.to_bits() & ((1 << 52) - 1) == 0;
+    (pow2(step) && pow2(recip)).then_some(recip)
+}
+
+/// Pass 1 of [`LutSoftmax`]: `out[i] = round(row[i] / step) * step`, the
+/// score on the quantization grid, given `quotient(v) = v / step`.
 ///
-/// A division by a power-of-two step is a multiply by its reciprocal.
-/// That reciprocal is exact, so `v / step` and `v * (1 / step)` are the
-/// same exact quotient rounded once, to the same `f64`, subnormals and
-/// overflow included. Any other step keeps the divide.
-#[derive(Debug, Clone, Copy)]
-struct Steps {
-    step: f64,
-    /// `1 / step` when it is exact, i.e. `step` and it are both normal
-    /// powers of two.
-    recip: Option<f64>,
-}
-
-impl Steps {
-    fn new(step: f64) -> Self {
-        let recip = 1.0 / step;
-        let pow2 = |v: f64| v.is_normal() && v.to_bits() & ((1 << 52) - 1) == 0;
-        Self {
-            step,
-            recip: (pow2(step) && pow2(recip)).then_some(recip),
+/// Every quotient is rounded with [`round_ties_away`], with no branch, so
+/// the loop vectorizes; a quotient beyond its range (at least 2^51 in
+/// magnitude, ±∞ or NaN) clears a flag instead, and a row that cleared it
+/// is quantized again with [`round_score`], which equals the fast
+/// rounding wherever the flag stays set.
+#[inline(always)]
+fn quantize_row(row: &[f64], out: &mut [f64], step: f64, quotient: impl Fn(f64) -> f64) {
+    let mut in_range = true;
+    for (o, &v) in out.iter_mut().zip(row) {
+        let u = quotient(v);
+        in_range &= u.abs() < FAST_ROUND;
+        *o = round_ties_away(u).copysign(u) * step;
+    }
+    if !in_range {
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o = round_score(quotient(v)) * step;
         }
     }
+}
 
-    /// `v / step`.
-    #[inline]
-    fn quotient(&self, v: f64) -> f64 {
-        match self.recip {
-            Some(r) => v * r,
-            None => v / self.step,
+/// The explicit max of a non-empty row of quantized scores, from -∞:
+/// four compare-and-select chains of every fourth score, merged, since a
+/// chain is a dependency on the previous compare. A NaN score fails every
+/// `x > max`, as it fails `f64::max`'s, and the sign of a zero max gives
+/// the same indices either way.
+fn row_max(row: &[f64]) -> f64 {
+    let pick = |max: &mut f64, x: f64| {
+        if x > *max {
+            *max = x;
+        }
+    };
+    let mut chains = [f64::NEG_INFINITY; 4];
+    let mut quads = row.chunks_exact(4);
+    for quad in &mut quads {
+        for (max, &x) in chains.iter_mut().zip(quad) {
+            pick(max, x);
         }
     }
-
-    /// `round(v / step) * step`: the score on the quantization grid.
-    #[inline]
-    fn quantize(&self, v: f64) -> f64 {
-        round_score(self.quotient(v)) * self.step
+    for &x in quads.remainder() {
+        pick(&mut chains[0], x);
     }
-
-    /// `round(d / step).clamp(0, 255) as usize`: the LUT index of a
-    /// distance `d = max - q` from the row max.
-    #[inline]
-    fn index(&self, d: f64) -> usize {
-        lut_index(self.quotient(d))
+    let mut max = chains[0];
+    for &x in &chains[1..] {
+        pick(&mut max, x);
     }
+    max
 }
+
+/// The magnitude below which [`round_ties_away`] rounds.
+const FAST_ROUND: f64 = (1u64 << 51) as f64;
 
 /// `v.round()`, ties away from zero, keeping the sign of a zero result.
 /// Below 2^51 in magnitude, which covers every score a step in use
@@ -203,8 +228,7 @@ impl Steps {
 /// infinities, it is the libm `round`.
 #[inline]
 fn round_score(v: f64) -> f64 {
-    const FAST: f64 = (1u64 << 51) as f64;
-    if v.abs() < FAST {
+    if v.abs() < FAST_ROUND {
         round_ties_away(v).copysign(v)
     } else {
         v.round()
@@ -273,49 +297,115 @@ mod tests {
     /// both as `u · step` and as `u / (1 / step)`, each with its
     /// neighbours up to 2 ulps away; plus NaN, ±∞, ±0,
     /// subnormals, the extremes and the edges of the fast rounding range.
+    /// Pass 1 runs as the kernel runs it: the quotients within the fast
+    /// rounding's range as one row, the others as another.
     #[test]
     #[ignore = "exhaustive sweep; run in release with --include-ignored"]
     fn quantize_and_index_match_the_round_formula_at_every_boundary() {
         let pow2_steps = [0.25, 0.125, 1.0, 2f64.powi(-30), 2f64.powi(1000)];
         let other_steps = [0.1, 0.3, 3.0, 1e-300, 2f64.powi(-1030)];
         for step in pow2_steps.into_iter().chain(other_steps) {
-            let steps = Steps::new(step);
-            assert_eq!(steps.recip.is_some(), pow2_steps.contains(&step));
-            let check = |v: f64| {
+            let recip = exact_recip(step);
+            assert_eq!(recip.is_some(), pow2_steps.contains(&step));
+            match recip {
+                Some(r) => sweep_step(step, |v| v * r),
+                None => sweep_step(step, |v| v / step),
+            }
+        }
+    }
+
+    fn sweep_step(step: f64, quotient: impl Fn(f64) -> f64 + Copy) {
+        let mut values = Vec::new();
+        let fast_edge = 2f64.powi(51);
+        for v in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.0,
+            fast_edge * step,
+            2.0 * fast_edge * step,
+        ] {
+            for d in -2i64..=2 {
+                let w = f64::from_bits(v.to_bits().wrapping_add_signed(d));
+                values.extend([w, -w]);
+            }
+        }
+        for k in -600..=600 {
+            let u = f64::from(k) / 2.0;
+            for point in [u * step, u / quotient(1.0)] {
+                for d in -2i64..=2 {
+                    values.push(f64::from_bits(point.to_bits().wrapping_add_signed(d)));
+                }
+            }
+        }
+        let (fast, slow): (Vec<f64>, Vec<f64>) = values
+            .iter()
+            .partition(|&&v| quotient(v).abs() < FAST_ROUND);
+        assert!(!fast.is_empty() && !slow.is_empty(), "step {step:e}");
+        for row in [fast, slow] {
+            let mut got = vec![0.0; row.len()];
+            quantize_row(&row, &mut got, step, quotient);
+            for (&v, &got) in row.iter().zip(&got) {
                 let want = (v / step).round() * step;
-                let got = steps.quantize(v);
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
                     "quantize({v:e}) at step {step:e}"
                 );
                 let want = (v / step).round().clamp(0.0, 255.0) as usize;
-                assert_eq!(steps.index(v), want, "index({v:e}) at step {step:e}");
-            };
-            let fast_edge = 2f64.powi(51);
-            for v in [
-                f64::NAN,
-                f64::INFINITY,
-                f64::MAX,
-                f64::MIN_POSITIVE,
-                5e-324,
-                0.0,
-                fast_edge * step,
-                2.0 * fast_edge * step,
-            ] {
-                for d in -2i64..=2 {
-                    let w = f64::from_bits(v.to_bits().wrapping_add_signed(d));
-                    check(w);
-                    check(-w);
-                }
+                assert_eq!(
+                    lut_index(quotient(v)),
+                    want,
+                    "index({v:e}) at step {step:e}"
+                );
             }
-            for k in -600..=600 {
-                let u = f64::from(k) / 2.0;
-                for point in [u * step, u / steps.quotient(1.0)] {
-                    for d in -2i64..=2 {
-                        check(f64::from_bits(point.to_bits().wrapping_add_signed(d)));
-                    }
-                }
+        }
+    }
+
+    /// lut8 against the `f64::round` formula it replaces, spelled out
+    /// here as its oracle, on rows whose quotients leave the fast
+    /// rounding's range (NaN, ±∞, ±1e300, odd integers and halves above
+    /// 2^51, which `round_ties_away` would round to even) or stay in it,
+    /// at a power-of-two step and another one.
+    #[test]
+    fn extreme_rows_match_the_round_formula() {
+        let formula = |lut: &LutSoftmax, row: &[f64]| -> Vec<u64> {
+            let step = lut.step();
+            let q: Vec<f64> = row.iter().map(|&v| (v / step).round() * step).collect();
+            let max = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let e: Vec<u64> = q
+                .iter()
+                .map(|&x| {
+                    let index = ((max - x) / step).round().clamp(0.0, 255.0) as usize;
+                    u64::from(lut.table[index])
+                })
+                .collect();
+            let sum: u64 = e.iter().sum();
+            e.iter()
+                .map(|&e| (((e << LUT_FRAC_BITS) / sum) as f64 / 65536.0).to_bits())
+                .collect()
+        };
+        for step in [0.25, 0.1] {
+            let lut = LutSoftmax::new(step).unwrap();
+            let edge = 2f64.powi(51) * step;
+            let rows: [&[f64]; 6] = [
+                &[1.0, f64::NAN, -2.0, 3.0],
+                &[f64::INFINITY, 0.5, -1.0, f64::NEG_INFINITY],
+                &[1e300, -1e300, 2.0],
+                &[edge + step, edge, edge + 0.5 * step, -edge, 0.25],
+                &[2.0 * edge + step, 2.0 * edge, 1.0],
+                &[2.0, -0.375, 0.125, 7.5, -8.0, 0.0, -0.0],
+            ];
+            for row in rows {
+                let got: Vec<u64> = lut
+                    .forward(row)
+                    .unwrap()
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect();
+                assert_eq!(got, formula(&lut, row), "{row:?} at step {step}");
             }
         }
     }

@@ -143,7 +143,9 @@ impl Softermax {
     /// `i128`. The row is swept three times:
     ///
     /// 1. **Stage 0** quantizes each score with integer rounding, applies
-    ///    the base-e pre-scale and requantizes into the max format.
+    ///    the base-e pre-scale and requantizes into the max format; at
+    ///    base 2 with the input's fraction bits in the max format (the
+    ///    paper's), that is one clamp and one rounding.
     /// 2. **Per hardware slice**, the IntMax unit takes one ceiling of the
     ///    slice's raw max; each element then reads its Power-of-Two output
     ///    from a table indexed by `max − x`, overwriting its lane in place,
@@ -178,20 +180,35 @@ impl Softermax {
         if row.is_empty() {
             return Err(SoftmaxError::EmptyInput);
         }
+        scratch.lanes_a.clear();
         self.compiled.quantize_lanes(row, &mut scratch.lanes_a);
         let mut running = None;
         scratch.runs.clear();
-        let mut start = 0;
-        while start < row.len() {
-            let end = (start + self.config.slice_width).min(row.len());
-            let local_max = self
-                .compiled
-                .slice_stages(&mut scratch.lanes_a[start..end], &mut running);
-            scratch.runs.push((local_max, end));
-            start = end;
-        }
+        self.run_slices(&mut scratch.lanes_a, &mut scratch.runs, &mut running, true);
         let running = running.expect("row is non-empty");
         self.normalize_row(&scratch.runs, &scratch.lanes_a, running, out)
+    }
+
+    /// The slice stages over the lanes after the last recorded run: every
+    /// full hardware slice, and with `tail` the shorter one left at the
+    /// end of a row, each rewritten in place as unnormed numerators and
+    /// recorded as a `(reference max, end)` run. Shared by the one-shot
+    /// and streaming datapaths, so they cannot drift from each other.
+    fn run_slices(
+        &self,
+        lanes: &mut [i64],
+        runs: &mut Vec<(i64, usize)>,
+        running: &mut Option<(i64, i64)>,
+        tail: bool,
+    ) {
+        let width = self.config.slice_width;
+        let mut begin = runs.last().map_or(0, |&(_, end)| end);
+        while begin < lanes.len() && (tail || lanes.len() - begin >= width) {
+            let end = (begin + width).min(lanes.len());
+            let local_max = self.compiled.slice_stages(&mut lanes[begin..end], running);
+            runs.push((local_max, end));
+            begin = end;
+        }
     }
 
     /// The Normalization unit over a completed row of unnormed lanes: one
@@ -268,10 +285,7 @@ impl Softermax {
     pub fn stream(&self) -> SoftermaxStream<'_> {
         SoftermaxStream {
             sm: self,
-            pending: Vec::new(),
-            stage: Vec::new(),
-            count: 0,
-            unnormed: Vec::new(),
+            lanes: Vec::new(),
             runs: Vec::new(),
             running: None,
         }
@@ -364,16 +378,10 @@ pub(crate) fn round_ties_away(s: f64) -> f64 {
 struct Compiled {
     /// `2^f` of the input format: scales a score to quantization steps.
     in_scale: f64,
-    /// The input rails as `f64`.
-    in_rails: (f64, f64),
-    /// The pre-scale: `log2(e)` at [`LOG2_E_FRAC`] fraction bits in base
-    /// e, exactly 1.0 in base 2.
-    prescale: f64,
-    /// Input → max format: `2^(max frac − input frac)`.
-    max_scale: f64,
-    /// The max-format rails, as the top raw encoding and as `f64`.
+    /// Stage 0 after the scale, in the shape the configuration needs.
+    stage0: Stage0,
+    /// The top raw encoding of the max format.
     max_hi: i64,
-    max_rails: (f64, f64),
     max_frac: u32,
     /// `2^f − 1` of the max format under the integer max (the IntMax
     /// ceiling), `None` under the float-max ablation.
@@ -395,6 +403,55 @@ struct Compiled {
     unnormed_hi: i64,
 }
 
+/// The shape of stage 0 after the scale to input steps, chosen once per
+/// configuration by [`Compiled::new`].
+#[derive(Debug, Clone, Copy)]
+enum Stage0 {
+    /// Base 2 with a max format of the input's fraction bits: the
+    /// pre-scale and the requantize would multiply by exactly 1.0, and a
+    /// rounded encoding is an integer, so their roundings change nothing.
+    /// What remains is one clamp, to the rails both formats share (both
+    /// hold 0, so clamping to one and then the other is clamping to their
+    /// intersection), and one round.
+    Single { rails: (f64, f64) },
+    /// Every other configuration: the input rounding, the pre-scale and
+    /// the requantize, each one multiply, one [`round_ties_away`] and one
+    /// clamp. Every product is exact in `f64` (an encoding below 2^31
+    /// times the pre-scale mantissa below 2^16, or times a power of two),
+    /// so each step rounds once, as the pre-scale's `round_shift` of the
+    /// product and the requantize's shift (rounding to nearest when it is
+    /// to the right) do.
+    Chain {
+        /// The input rails as `f64`.
+        in_rails: (f64, f64),
+        /// The pre-scale: `log2(e)` at [`LOG2_E_FRAC`] fraction bits in
+        /// base e, exactly 1.0 in base 2.
+        prescale: f64,
+        /// Input → max format: `2^(max frac − input frac)`.
+        max_scale: f64,
+        /// The max-format rails as `f64`.
+        max_rails: (f64, f64),
+    },
+}
+
+/// `x` clamped to `[lo, hi]`, with NaN landing on `hi`.
+#[inline(always)]
+fn clamp_to(x: f64, (lo, hi): (f64, f64)) -> f64 {
+    let x = if x < hi { x } else { hi };
+    if x > lo {
+        x
+    } else {
+        lo
+    }
+}
+
+/// The integer of an integral `m` below 2^31 in magnitude, out of the
+/// bit pattern of `m + ROUNDER`: a saturating cast would not vectorize.
+#[inline(always)]
+fn to_lane(m: f64) -> i64 {
+    (m + ROUNDER).to_bits() as i64 - ROUNDER.to_bits() as i64
+}
+
 impl Compiled {
     fn new(cfg: &SoftermaxConfig, pow2: &Pow2Unit, log2_e: Fixed, wide_fmt: QFormat) -> Self {
         let (input, max) = (cfg.input_format, cfg.max_format);
@@ -414,13 +471,25 @@ impl Compiled {
                 factor.map(|f| f.raw())
             })
             .collect();
+        let in_rails = (input.min_raw() as f64, input.max_raw() as f64);
+        let max_rails = (max.min_raw() as f64, max.max_raw() as f64);
+        let max_scale = (f64::from(max_frac) - f64::from(in_frac)).exp2();
+        let stage0 = if prescale == 1.0 && max_scale == 1.0 {
+            Stage0::Single {
+                rails: (in_rails.0.max(max_rails.0), in_rails.1.min(max_rails.1)),
+            }
+        } else {
+            Stage0::Chain {
+                in_rails,
+                prescale,
+                max_scale,
+                max_rails,
+            }
+        };
         Self {
             in_scale: f64::from(in_frac).exp2(),
-            in_rails: (input.min_raw() as f64, input.max_raw() as f64),
-            prescale,
-            max_scale: (f64::from(max_frac) - f64::from(in_frac)).exp2(),
+            stage0,
             max_hi: max.max_raw(),
-            max_rails: (max.min_raw() as f64, max.max_raw() as f64),
             max_frac,
             ceil_mask: match cfg.max_mode {
                 MaxMode::Integer => Some((1i64 << max_frac) - 1),
@@ -437,55 +506,55 @@ impl Compiled {
         }
     }
 
-    /// Stage 0 over `values` into max-format lanes (replacing `lanes`):
+    /// Stage 0 over `values`, appended to `lanes` as max-format lanes:
     /// [`Fixed::from_f64`] → pre-scale → max-format requantize, all
-    /// rounding to nearest with ties away from zero.
-    fn quantize_lanes(&self, values: &[f64], lanes: &mut Vec<i64>) {
-        lanes.clear();
-        lanes.extend(values.iter().map(|&v| self.quantize_one(v)));
-    }
-
-    /// One element of [`Compiled::quantize_lanes`]: the same operations
-    /// for every configuration, all in `f64`, so the loop vectorizes.
+    /// rounding to nearest with ties away from zero, in `f64` operations
+    /// only. Each [`Stage0`] shape is one loop with no per-element
+    /// branch, so it vectorizes.
     ///
-    /// The score is scaled to quantization steps and clamped to the input
-    /// rails (NaN fails the first compare and lands on the top one, as in
-    /// [`Fixed::from_f64`]). The rails are integers and rounding is
+    /// Each score is scaled to quantization steps and clamped to the
+    /// input rails (NaN fails the first compare and lands on the top one,
+    /// as in [`Fixed::from_f64`]). The rails are integers and rounding is
     /// monotone, so clamping before [`round_ties_away`] equals saturating
-    /// the rounded encoding after. Every later value is exact in `f64`:
-    /// an encoding below 2^31 times the pre-scale mantissa below 2^16, or
-    /// times a power of two. So the pre-scale (`round_shift` of the
-    /// product) and the requantize into the max format (a shift, rounding
-    /// to nearest when it is to the right) are each one multiply and one
-    /// [`round_ties_away`]. At base 2 the pre-scale multiplies by exactly
-    /// 1.0, and with the max format equal to the input format the
-    /// requantize multiplies by exactly 1.0.
-    #[inline(always)]
-    fn quantize_one(&self, v: f64) -> i64 {
-        let clamp = |x: f64, (lo, hi): (f64, f64)| {
-            let x = if x < hi { x } else { hi };
-            if x > lo {
-                x
-            } else {
-                lo
+    /// the rounded encoding after.
+    fn quantize_lanes(&self, values: &[f64], lanes: &mut Vec<i64>) {
+        let scale = self.in_scale;
+        match self.stage0 {
+            Stage0::Single { rails } => {
+                lanes.extend(
+                    values
+                        .iter()
+                        .map(|&v| to_lane(round_ties_away(clamp_to(v * scale, rails)))),
+                );
             }
-        };
-        let q = round_ties_away(clamp(v * self.in_scale, self.in_rails));
-        let p = clamp(round_ties_away(q * self.prescale), self.in_rails);
-        let m = clamp(round_ties_away(p * self.max_scale), self.max_rails);
-        // `m` is integral and below 2^31 in magnitude: its integer comes
-        // out of the bit pattern, as a saturating cast would not vectorize.
-        (m + ROUNDER).to_bits() as i64 - ROUNDER.to_bits() as i64
+            Stage0::Chain {
+                in_rails,
+                prescale,
+                max_scale,
+                max_rails,
+            } => {
+                lanes.extend(values.iter().map(|&v| {
+                    let q = round_ties_away(clamp_to(v * scale, in_rails));
+                    let p = clamp_to(round_ties_away(q * prescale), in_rails);
+                    to_lane(clamp_to(round_ties_away(p * max_scale), max_rails))
+                }));
+            }
+        }
     }
 
     /// The Unnormed Softmax unit for one slice of max-format lanes,
     /// rewritten in place as unnormed numerators, then the Reduction-unit
     /// merge into `running`. Returns the slice's reference max.
-    ///
-    /// Shared by the one-shot and streaming datapaths, so they
-    /// cannot drift from each other.
     fn slice_stages(&self, lanes: &mut [i64], running: &mut Option<(i64, i64)>) -> i64 {
-        let top = lanes.iter().copied().max().expect("slice is non-empty");
+        // Max-format encodings are at most 32 bits wide and signed, so
+        // the max is taken over `i32`s, which baseline x86-64 compares in
+        // vector registers; it has no 64-bit vector compare.
+        let top = lanes
+            .iter()
+            .map(|&x| x as i32)
+            .max()
+            .expect("slice is non-empty");
+        let top = i64::from(top);
         // IntMax: `ceil` and saturation are monotone, so one ceiling of
         // the raw max equals the max of the ceilings.
         let local_max = match self.ceil_mask {
@@ -494,12 +563,14 @@ impl Compiled {
         };
         // `local_max − x ≥ 0` is `−d` before the max-format saturation;
         // the table's last entry covers every `d` at or below `−K`.
-        let last = self.pow2.len() - 1;
+        let table = &self.pow2[..];
+        assert!(!table.is_empty(), "the Power-of-Two table holds k = 0");
+        let last = table.len() - 1;
         // Summation tree: the terms are non-negative, so the per-add
         // saturation of the wide accumulator is one clamp of the total.
         let mut acc = 0i64;
         for x in lanes.iter_mut() {
-            let u = self.pow2[((local_max - *x) as usize).min(last)];
+            let u = table[((local_max - *x) as usize).min(last)];
             *x = u;
             acc += (u >> self.sum_shift).min(self.wide_hi);
         }
@@ -865,9 +936,9 @@ impl<'a> SoftermaxAccumulator<'a> {
 ///
 /// Scores arrive in arbitrary chunks ([`push_chunk`](Self::push_chunk));
 /// each chunk runs stage 0 of [`Softermax::forward_into`] (integer
-/// quantization into max-format lanes), and the lanes are grouped into
-/// full hardware slices of the configured `slice_width`. Each slice runs
-/// the same compiled slice stages as the one-shot path — the IntMax
+/// quantization into max-format lanes) appended to the row's lanes, and
+/// every hardware slice of the configured `slice_width` completed so far
+/// runs the same compiled slice stages as the one-shot path — the IntMax
 /// ceiling, the Power-of-Two table, the summation tree and the raw
 /// `(max, sum)` merge — so the result is **bit-identical** with
 /// [`Softermax::forward_into`] and the scalar oracle for *any* chunking.
@@ -876,25 +947,17 @@ impl<'a> SoftermaxAccumulator<'a> {
 /// internal buffer for the next row: one session serves an arbitrary
 /// number of rows with zero steady-state allocations.
 ///
-/// Retained state per row is the unnormed numerator lanes — the hardware
-/// retains exactly these for its own Normalization pass — plus at most
-/// one sub-slice tail of quantized inputs: O(row), never the O(row²) a
-/// materialized score matrix would cost the caller.
+/// Retained state per row is one lane per score: the unnormed numerators
+/// of the completed slices — the hardware retains exactly these for its
+/// own Normalization pass — then the max-format lanes of at most one
+/// sub-slice tail. O(row), never the O(row²) a materialized score matrix
+/// would cost the caller.
 #[derive(Debug, Clone)]
 pub struct SoftermaxStream<'a> {
     sm: &'a Softermax,
-    /// Max-format lanes (stage 0 output) still awaiting a
-    /// full hardware slice (always shorter than `slice_width`; consumed
-    /// lanes are dropped).
-    pending: Vec<i64>,
-    /// Staging buffer for the stage-0 sweep over one incoming chunk.
-    stage: Vec<i64>,
-    /// Scores absorbed since the last reset.
-    count: usize,
-    /// Retained unnormed numerator lanes of the whole row; completed
-    /// slices are appended as max-format lanes and rewritten in place by
-    /// the slice stages.
-    unnormed: Vec<i64>,
+    /// One lane per score absorbed since the last reset: unnormed
+    /// numerators up to the end of the last run, max-format lanes after.
+    lanes: Vec<i64>,
     /// Per-slice `(reference max raw, end index)` runs.
     runs: Vec<(i64, usize)>,
     /// Raw running `(max, renormalized sum)` of the Reduction unit.
@@ -906,10 +969,8 @@ impl SoftermaxStream<'_> {
     /// buffer. `row_hint` is the expected row length (0 if unknown) and
     /// only sizes reservations.
     pub fn reset(&mut self, row_hint: usize) {
-        self.pending.clear();
-        self.count = 0;
-        self.unnormed.clear();
-        self.unnormed.reserve(row_hint);
+        self.lanes.clear();
+        self.lanes.reserve(row_hint);
         self.runs.clear();
         self.running = None;
     }
@@ -917,69 +978,28 @@ impl SoftermaxStream<'_> {
     /// Number of scores absorbed since the last reset.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.count
+        self.lanes.len()
     }
 
     /// Whether no score has been absorbed since the last reset.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// The slice stages for one completed slice of max-format lanes: the
-    /// lanes are appended to the retained row buffer and rewritten **in
-    /// place** as unnormed numerators by the shared `slice_stages`,
-    /// recording the run boundary.
-    fn process_slice(&mut self, xs: &[i64]) {
-        let begin = self.unnormed.len();
-        self.unnormed.extend_from_slice(xs);
-        let local_max = self
-            .sm
-            .compiled
-            .slice_stages(&mut self.unnormed[begin..], &mut self.running);
-        self.runs.push((local_max, self.unnormed.len()));
+        self.lanes.is_empty()
     }
 
     /// Absorbs a chunk of scores: runs stage 0 (quantize → optional
-    /// pre-scale → max-format lanes) and the slice stages over every
-    /// hardware slice completed so far — full slices
-    /// are consumed straight out of the staging buffer, so only a
-    /// sub-slice tail is ever retained as candidate lanes. An empty chunk
-    /// is a no-op.
+    /// pre-scale → max-format lanes) over it and the slice stages over
+    /// every hardware slice completed so far. An empty chunk is a no-op.
     pub fn push_chunk(&mut self, chunk: &[f64]) {
-        if chunk.is_empty() {
-            return;
-        }
-        let mut stage = std::mem::take(&mut self.stage);
-        self.sm.compiled.quantize_lanes(chunk, &mut stage);
-        self.count += chunk.len();
-        let width = self.sm.config.slice_width;
-        let mut xs: &[i64] = &stage;
-        if !self.pending.is_empty() {
-            let take = (width - self.pending.len()).min(xs.len());
-            let (head, rest) = xs.split_at(take);
-            self.pending.extend_from_slice(head);
-            xs = rest;
-            if self.pending.len() == width {
-                let pending = std::mem::take(&mut self.pending);
-                self.process_slice(&pending);
-                self.pending = pending;
-                self.pending.clear();
-            }
-        }
-        while xs.len() >= width {
-            let (slice, rest) = xs.split_at(width);
-            self.process_slice(slice);
-            xs = rest;
-        }
-        self.pending.extend_from_slice(xs);
-        self.stage = stage;
+        self.sm.compiled.quantize_lanes(chunk, &mut self.lanes);
+        self.sm
+            .run_slices(&mut self.lanes, &mut self.runs, &mut self.running, false);
     }
 
-    /// Completes the row: flushes the tail slice (shorter than the
-    /// hardware width, exactly as the one-shot pipeline's last slice) and
-    /// runs the Normalization unit into `out`. Call [`reset`](Self::reset)
-    /// before reusing the session for another row.
+    /// Completes the row: runs the tail slice (shorter than the hardware
+    /// width, exactly as the one-shot pipeline's last slice) and the
+    /// Normalization unit into `out`. Call [`reset`](Self::reset) before
+    /// reusing the session for another row.
     ///
     /// # Errors
     ///
@@ -991,16 +1011,11 @@ impl SoftermaxStream<'_> {
     ///
     /// Panics if `out.len() != self.len()`.
     pub fn finish_into(&mut self, out: &mut [f64]) -> Result<()> {
-        assert_eq!(out.len(), self.count, "output buffer length mismatch");
-        if !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            self.process_slice(&pending);
-            self.pending = pending;
-            self.pending.clear();
-        }
-        let running = self.running.ok_or(SoftmaxError::EmptyInput)?;
+        assert_eq!(out.len(), self.lanes.len(), "output buffer length mismatch");
         self.sm
-            .normalize_row(&self.runs, &self.unnormed, running, out)
+            .run_slices(&mut self.lanes, &mut self.runs, &mut self.running, true);
+        let running = self.running.ok_or(SoftmaxError::EmptyInput)?;
+        self.sm.normalize_row(&self.runs, &self.lanes, running, out)
     }
 }
 
@@ -1260,52 +1275,80 @@ mod tests {
         configs
     }
 
-    /// Stage 0 of the compiled datapath against the scalar units it
-    /// replaces, `Fixed::from_f64` → pre-scale → max-format requantize,
-    /// at every input encoding and every rounding boundary between two,
-    /// each with its `f64` neighbours up to 2 ulps away, from two steps
-    /// below the bottom rail to two above the top one; plus NaN, ±∞, ±0,
-    /// subnormals and the extremes.
-    #[test]
-    #[ignore = "exhaustive sweep; run in release with --include-ignored"]
-    fn stage0_matches_the_scalar_units_at_every_rounding_boundary() {
-        for cfg in stage0_configs() {
-            let sm = Softermax::new(cfg.clone());
-            let input = cfg.input_format;
-            let check = |v: f64| {
-                let x = Fixed::from_f64(v, input, Rounding::Nearest);
-                let want = sm
-                    .prescale(x)
-                    .requantize(cfg.max_format, Rounding::Nearest)
-                    .raw();
-                assert_eq!(
-                    sm.compiled.quantize_one(v),
-                    want,
-                    "stage 0 of {v:e} ({:#018x}) under {cfg:?}",
-                    v.to_bits()
-                );
-            };
-            for v in [
-                f64::NAN,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                f64::MAX,
-                f64::MIN,
-                f64::MIN_POSITIVE,
-                5e-324,
-            ] {
-                check(v);
-                check(-v);
-            }
-            let res = input.resolution();
-            for raw in input.min_raw() - 2..=input.max_raw() + 2 {
-                for point in [raw as f64 * res, (raw as f64 + 0.5) * res] {
-                    for d in -2i64..=2 {
-                        check(f64::from_bits(point.to_bits().wrapping_add_signed(d)));
-                    }
+    /// Asserts stage 0 of the compiled datapath, one
+    /// [`Compiled::quantize_lanes`] sweep in whichever [`Stage0`] shape
+    /// `cfg` compiles to, equals the scalar units it replaces,
+    /// `Fixed::from_f64` → pre-scale → max-format requantize: at each
+    /// input encoding in `raws` and at the rounding boundary above it,
+    /// each with its `f64` neighbours up to 2 ulps away, plus NaN, ±∞,
+    /// ±0, subnormals and the extremes.
+    fn assert_stage0_matches(cfg: &SoftermaxConfig, raws: std::ops::RangeInclusive<i64>) {
+        let sm = Softermax::new(cfg.clone());
+        let input = cfg.input_format;
+        let mut values = Vec::new();
+        for v in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.0,
+        ] {
+            values.extend([v, -v]);
+        }
+        let res = input.resolution();
+        for raw in raws {
+            for point in [raw as f64 * res, (raw as f64 + 0.5) * res] {
+                for d in -2i64..=2 {
+                    values.push(f64::from_bits(point.to_bits().wrapping_add_signed(d)));
                 }
             }
         }
+        let mut lanes = Vec::new();
+        sm.compiled.quantize_lanes(&values, &mut lanes);
+        assert_eq!(lanes.len(), values.len());
+        for (&v, &lane) in values.iter().zip(&lanes) {
+            let x = Fixed::from_f64(v, input, Rounding::Nearest);
+            let want = sm
+                .prescale(x)
+                .requantize(cfg.max_format, Rounding::Nearest)
+                .raw();
+            assert_eq!(
+                lane,
+                want,
+                "stage 0 of {v:e} ({:#018x}) under {cfg:?} ({:?})",
+                v.to_bits(),
+                sm.compiled.stage0
+            );
+        }
+    }
+
+    /// Stage 0 at the paper configuration, which compiles to the
+    /// single-round shape: every input encoding (256 codes) and every
+    /// boundary between two, with 2 ulps either side.
+    #[test]
+    fn stage0_matches_the_scalar_units_at_the_paper_config() {
+        let cfg = SoftermaxConfig::paper();
+        let sm = Softermax::new(cfg.clone());
+        assert!(matches!(sm.compiled.stage0, Stage0::Single { .. }));
+        let input = cfg.input_format;
+        assert_eq!(input.max_raw() - input.min_raw() + 1, 256);
+        assert_stage0_matches(&cfg, input.min_raw()..=input.max_raw());
+    }
+
+    /// Stage 0 under every `stage0_configs` entry, both shapes, from two
+    /// encodings below the bottom rail to two above the top one.
+    #[test]
+    #[ignore = "exhaustive sweep; run in release with --include-ignored"]
+    fn stage0_matches_the_scalar_units_at_every_rounding_boundary() {
+        let mut shapes = [0; 2];
+        for cfg in stage0_configs() {
+            let sm = Softermax::new(cfg.clone());
+            shapes[usize::from(matches!(sm.compiled.stage0, Stage0::Chain { .. }))] += 1;
+            let input = cfg.input_format;
+            assert_stage0_matches(&cfg, input.min_raw() - 2..=input.max_raw() + 2);
+        }
+        assert_eq!(shapes, [6, 14], "configs per stage-0 shape (single, chain)");
     }
 
     #[test]

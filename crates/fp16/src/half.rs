@@ -37,6 +37,9 @@ const F64_MIN_NORMAL_EXP: u32 = F64_EXP_BIAS + 1 - EXP_BIAS;
 const F64_SUBNORMAL_SHIFT: u32 = F64_EXP_BIAS + F64_MANT_BITS - (EXP_BIAS + MANT_BITS - 1);
 /// The binary16 subnormal step, 2^-24.
 const TWO_POW_M24: f64 = 1.0 / (1u32 << 24) as f64;
+/// Subtracting this from an `f64` pattern rebiases its exponent to
+/// binary16's.
+const F64_REBIAS: u64 = ((F64_EXP_BIAS - EXP_BIAS) as u64) << F64_MANT_BITS;
 /// Bits of 2^-14, the smallest binary16 normal.
 const F64_MIN_NORMAL: u64 = (F64_MIN_NORMAL_EXP as u64) << F64_MANT_BITS;
 /// 2^28, whose binade [2^28, 2^29) has an `f64` ULP of 2^-24.
@@ -45,8 +48,8 @@ const TWO_POW_28: f64 = (1u32 << 28) as f64;
 const F64_DROPPED_BITS: u32 = F64_MANT_BITS - MANT_BITS;
 
 /// `e^x` for the non-positive binary16 inputs, indexed by magnitude bits
-/// (see [`Half::exp`]).
-static EXP_NON_POSITIVE: OnceLock<Box<[u16]>> = OnceLock::new();
+/// and already widened (see [`exp_non_positive`]).
+static EXP_NON_POSITIVE: OnceLock<Box<[f32]>> = OnceLock::new();
 
 /// Shifts `v` right by `shift` (1..=63) bits with round-to-nearest-even:
 /// adding `half - 1` plus the kept LSB carries exactly when the dropped
@@ -66,77 +69,156 @@ fn round_shift(v: u64, shift: u32) -> u64 {
 /// Below 2^-14 the sum `|v| + 2^28` rounds `|v|` onto the 2^-24 subnormal
 /// grid, ties to even, and subtracting 2^28 again is exact. Below 65520
 /// the normal rounding drops the low 42 bits of the `f64` pattern with
-/// [`round_shift`]. Larger magnitudes and NaN take [`Half::from_f64`].
+/// [`round_shift`]. From 65520 up the result is ±inf, and NaN becomes
+/// the NaN of [`Half::to_f64`]. Every case is computed and one picked
+/// with masks from `f64` compares, not branches: the quotients of a long
+/// softmax row straddle 2^-14, where a branch mispredicts, and a loop of
+/// masks and 64-bit adds and shifts vectorizes on baseline x86-64.
 #[inline]
 pub(crate) fn round_to_half(v: f64) -> f64 {
     let bits = v.to_bits();
     let sign = bits & F64_SIGN;
     let mag = bits & !F64_SIGN;
-    if mag < F64_MIN_NORMAL {
-        let q = (f64::from_bits(mag) + TWO_POW_28) - TWO_POW_28;
-        return f64::from_bits(sign | q.to_bits());
-    }
-    if mag < F64_OVERFLOW {
-        return f64::from_bits(sign | round_shift(mag, F64_DROPPED_BITS) << F64_DROPPED_BITS);
-    }
-    Half::from_f64(v).to_f64()
+    let a = f64::from_bits(mag);
+    let mask = |b: bool| u64::from(b).wrapping_neg();
+    let subnormal = ((a + TWO_POW_28) - TWO_POW_28).to_bits();
+    let normal = round_shift(mag, F64_DROPPED_BITS) << F64_DROPPED_BITS;
+    let tiny = mask(a < f64::from_bits(F64_MIN_NORMAL));
+    let finite = sign | (subnormal & tiny) | (normal & !tiny);
+    let over = mask(a >= f64::from_bits(F64_OVERFLOW));
+    let nan = mask(a.is_nan());
+    let rounded = (finite & !over) | ((sign | F64_INF) & over);
+    f64::from_bits((rounded & !nan) | (f64::NAN.to_bits() & nan))
 }
 
-/// The [`EXP_NON_POSITIVE`] table, built on first use, for
-/// [`exp_widened`]: a row loop fetches it once instead of once per
-/// element through [`Half::exp`].
-pub(crate) fn exp_non_positive() -> &'static [u16] {
+/// The table of `e^x` for the non-positive binary16 inputs, built on
+/// first use: entry `m` is `Half::from_bits(0x8000 | m).exp()` as an
+/// `f32`, for -0, -2^-24, ... up to and including the first magnitude
+/// whose result is +0 (about -17.33, 19.5K entries). `e^x` falls as the
+/// magnitude grows, so every later one is +0 too.
+///
+/// Every binary16 value, subnormals included, is a normal `f32`, so
+/// `f64::from` of an entry is the binary16 result exactly widened: a row
+/// loop reads it with one load and one conversion ([`exp_non_positive_at`])
+/// and [`Half::exp`] with [`Half::from_f64`] on top.
+pub(crate) fn exp_non_positive() -> &'static [f32] {
     EXP_NON_POSITIVE.get_or_init(exp_non_positive_table)
 }
 
-/// `Half::from_bits(bits).exp().to_f64()`, given the table of
-/// [`exp_non_positive`].
+/// `Half::from_f64(d).exp().to_f64()` for a `d` that is at most +0 or
+/// NaN, as every difference `x − max` of a softmax row is, given the
+/// table of [`exp_non_positive`].
 ///
-/// The non-positive inputs, -0 to -inf, and +0 read the table as
-/// [`Half::exp`] does. The index is clamped to the last entry, which is
-/// +0 like the result of every larger magnitude, instead of
-/// bounds-checked, and the entry is widened by [`widen_non_negative`].
-/// Positive inputs and NaN take [`Half::exp`].
+/// The table index is `|d|` rounded onto the binary16 grid, without the
+/// branches of [`Half::from_f64`]: the normal rounding of `from_f64`
+/// (rebias the `f64` exponent, then [`round_shift`] off 42 bits), with
+/// the rebias saturating at 0. A magnitude below 2^-14 then lands on an
+/// index at most 0x400 instead of its subnormal encoding, but every entry
+/// there is 1.0, as `e^x` rounds to 1.0 for any `|x| < 2^-12`. A
+/// magnitude of 65520 or more, -inf included, lands past the table and is
+/// clamped to its last entry, +0. NaN gives NaN.
 #[inline]
-pub(crate) fn exp_widened(table: &[u16], bits: u16) -> f64 {
-    if bits == 0 || (0x8000..=0xFC00).contains(&bits) {
-        let last = table.len() - 1;
-        widen_non_negative(table[usize::from(bits & 0x7FFF).min(last)])
+pub(crate) fn exp_non_positive_at(table: &[f32], d: f64) -> f64 {
+    debug_assert!(d <= 0.0 || d.is_nan(), "positive exponent {d}");
+    let rebiased = (d.to_bits() & !F64_SIGN).saturating_sub(F64_REBIAS);
+    let index = round_shift(rebiased, F64_DROPPED_BITS) as usize;
+    let e = f64::from(table[index.min(table.len() - 1)]);
+    if d.is_nan() {
+        f64::NAN
     } else {
-        Half(bits).exp().to_f64()
+        e
     }
 }
 
-/// `Half::from_bits(bits).to_f64()` for the non-negative finite patterns
-/// (`bits < 0x7C00`), with no branch between subnormals and normals: the
-/// branch of [`Half::to_f64`] mispredicts on a row whose exponentials
-/// straddle 2^-14.
+/// The sequential binary16 sum `s = round_to_half(s + e)` of
+/// non-negative terms, starting at +0, with one `f64` add per term.
 ///
-/// A subnormal `frac · 2^-24` is assembled as if its exponent field were
-/// 1, giving `2^-14 + frac · 2^-24`, and 2^-14 is then subtracted. Both
-/// terms lie in `[2^-14, 2^-13)`, so the difference is exact, and for a
-/// normal the subtrahend is +0.
-#[inline]
-fn widen_non_negative(bits: u16) -> f64 {
-    let exp = u64::from(bits >> MANT_BITS);
-    let frac = u64::from(bits & 0x3FF);
-    let assembled = f64::from_bits(
-        ((exp.max(1) + u64::from(F64_EXP_BIAS - EXP_BIAS)) << F64_MANT_BITS)
-            | (frac << (F64_MANT_BITS - MANT_BITS)),
-    );
-    assembled - f64::from_bits(F64_MIN_NORMAL * u64::from(exp == 0))
+/// While `s` stays in its binary16 binade `[2^k, 2^(k+1))`, the state is
+/// `acc = C + s` with the anchor `C = 1.5 · 2^(k+42)`. In `C`'s binade
+/// the `f64` spacing is `2^(k−10)`, exactly the binary16 ULP there, and
+/// `C` is an even number of ULPs, so `acc + e` rounds `s + e` onto the
+/// binary16 grid ties to even, exactly as [`round_to_half`] does. Below
+/// 2^-13 the binary16 grid is 2^-24 throughout (subnormals and the first
+/// normal binade), and the anchor is `1.5 · 2^28`, as in
+/// [`round_to_half`].
+///
+/// A rounded sum of `C + 2^(k+1)` or more has left the binade, where the
+/// grid is coarser; so has an infinite or NaN one. Then the add is redone
+/// with [`round_to_half`] and the state re-anchored to the new binade.
+/// An infinite or NaN sum keeps an anchor of 0 and a limit of -inf, so
+/// every later term takes that path and the sum stays inf or NaN as the
+/// chain's does.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HalfSum {
+    /// `anchor + s`.
+    acc: f64,
+    /// `C` of the binade of `s`, or 0 once `s` is not finite.
+    anchor: f64,
+    /// `C + 2^(k+1)`: a sum that rounds to this leaves the binade.
+    limit: f64,
 }
 
-/// Builds the [`EXP_NON_POSITIVE`] table: `from_f64(to_f64().exp())` for
-/// -0, -2^-24, ... up to and including the first magnitude whose result
-/// is +0. `e^x` falls as the magnitude grows, so every later one is +0.
+impl HalfSum {
+    /// The empty sum, +0.
+    pub(crate) fn new() -> Self {
+        Self::anchored(0.0)
+    }
+
+    /// `s = round_to_half(s + e)` for a non-negative binary16 `e` (or
+    /// +inf or NaN).
+    #[inline]
+    pub(crate) fn add(&mut self, e: f64) {
+        let acc = self.acc + e;
+        if acc < self.limit {
+            self.acc = acc;
+        } else {
+            self.carry(e);
+        }
+    }
+
+    /// The binade crossing of [`HalfSum::add`].
+    #[cold]
+    #[inline(never)]
+    fn carry(&mut self, e: f64) {
+        *self = Self::anchored(round_to_half(self.value() + e));
+    }
+
+    /// The sum `s`. `acc` and `anchor` lie within a factor of 2 of each
+    /// other, so their difference is exact.
+    #[inline]
+    pub(crate) fn value(self) -> f64 {
+        self.acc - self.anchor
+    }
+
+    /// The state holding the binary16 value `s ≥ +0`.
+    fn anchored(s: f64) -> Self {
+        if !s.is_finite() {
+            return Self {
+                acc: s,
+                anchor: 0.0,
+                limit: f64::NEG_INFINITY,
+            };
+        }
+        // Biased `f64` exponent of the binade, 2^-14's for the bottom one.
+        let exp = (s.to_bits() >> F64_MANT_BITS).max(u64::from(F64_MIN_NORMAL_EXP));
+        let anchor =
+            f64::from_bits(((exp + u64::from(F64_DROPPED_BITS)) << F64_MANT_BITS) | 1 << 51);
+        Self {
+            acc: anchor + s,
+            anchor,
+            limit: anchor + f64::from_bits((exp + 1) << F64_MANT_BITS),
+        }
+    }
+}
+
+/// Builds the [`EXP_NON_POSITIVE`] table.
 #[cold]
-fn exp_non_positive_table() -> Box<[u16]> {
+fn exp_non_positive_table() -> Box<[f32]> {
     let mut table = Vec::new();
     for mag in 0..0x7C00u16 {
-        let e = Half::from_f64(Half(0x8000 | mag).to_f64().exp()).0;
-        table.push(e);
-        if e == 0 {
+        let e = Half::from_f64(Half(0x8000 | mag).to_f64().exp());
+        table.push(e.to_f32());
+        if e.0 == 0 {
             break;
         }
     }
@@ -194,7 +276,7 @@ impl Half {
             // Normal: rebias the exponent in place, then drop 42 mantissa
             // bits. A mantissa that rounds up to 2.0 carries into the
             // exponent field by itself.
-            let rebiased = mag - (u64::from(F64_EXP_BIAS - EXP_BIAS) << F64_MANT_BITS);
+            let rebiased = mag - F64_REBIAS;
             return Half(sign | round_shift(rebiased, F64_DROPPED_BITS) as u16);
         }
         // Subnormal (or zero): value = q * 2^-24, q = significand >>
@@ -294,10 +376,10 @@ impl Half {
     /// `Half::from_f64(self.to_f64().exp())`.
     ///
     /// Non-positive inputs read a table of exactly that expression, built
-    /// once on first use: it runs from ±0 down to the first input whose
-    /// result is +0 (about -17.33), and every more negative input, -inf
-    /// included, is +0 too. Positive inputs and NaN evaluate the
-    /// expression.
+    /// once on first use and stored widened to `f32`: it runs from ±0
+    /// down to the first input whose result is +0 (about -17.33), and
+    /// every more negative input, -inf included, is +0 too. Positive
+    /// inputs and NaN evaluate the expression.
     #[inline]
     #[must_use]
     pub fn exp(self) -> Half {
@@ -305,8 +387,8 @@ impl Half {
         if (self.0 & 0x8000 == 0 && mag != 0) || self.is_nan() {
             return Half::from_f64(self.to_f64().exp());
         }
-        let table = EXP_NON_POSITIVE.get_or_init(exp_non_positive_table);
-        Half(table.get(mag).copied().unwrap_or(0))
+        let e = exp_non_positive().get(mag).copied().unwrap_or(0.0);
+        Half::from_f64(f64::from(e))
     }
 
     /// `2^self` (same SFU model).
@@ -559,25 +641,106 @@ mod tests {
         }
     }
 
+    /// The widened `exp` table against the oracle: every entry, and the
+    /// row path's lookup at every non-positive or NaN pattern and at
+    /// every rounding boundary between two negative binary16 values, each
+    /// with its `f64` neighbours up to 2 ulps away.
     #[test]
-    fn hoisted_exp_lookup_matches_exp_on_every_pattern() {
+    fn widened_exp_table_matches_oracle_on_every_pattern() {
         let table = exp_non_positive();
-        assert_eq!(table.last(), Some(&0), "the table must end at +0");
+        assert_eq!(table.last(), Some(&0.0), "the table must end at +0");
+        assert!(table[..table.len() - 1].iter().all(|&e| e > 0.0));
+        let widened = |bits: u16| oracle::to_f64(oracle::exp(bits)).to_bits();
+        for (mag, &e) in (0..).zip(table) {
+            assert_eq!(
+                f64::from(e).to_bits(),
+                widened(0x8000 | mag),
+                "entry {mag:#06x}"
+            );
+        }
+        let lookup = |d: f64| exp_non_positive_at(table, d).to_bits();
         for bits in 0..=0xFFFFu16 {
             let h = Half::from_bits(bits);
-            assert_eq!(
-                exp_widened(table, bits).to_bits(),
-                h.exp().to_f64().to_bits(),
-                "exp({bits:#06x})"
-            );
-            if bits < 0x7C00 {
-                assert_eq!(
-                    widen_non_negative(bits).to_bits(),
-                    h.to_f64().to_bits(),
-                    "widen({bits:#06x})"
-                );
+            if h.is_nan() || h.to_f64() <= 0.0 {
+                assert_eq!(lookup(h.to_f64()), widened(bits), "exp({bits:#06x})");
             }
         }
+        for mag in 0..0x7C00u16 {
+            let lo = oracle::to_f64(0x8000 | mag);
+            let mid = (lo + oracle::to_f64(0x8000 | (mag + 1))) / 2.0;
+            for d in -2i64..=2 {
+                let x = f64::from_bits(mid.to_bits().wrapping_add_signed(d));
+                if x <= 0.0 {
+                    assert_eq!(
+                        lookup(x),
+                        widened(oracle::from_f64(x)),
+                        "exp({x:e}) = from_bits({:#018x})",
+                        x.to_bits()
+                    );
+                }
+            }
+        }
+        for x in [-65520.0, -1e300, f64::MIN, f64::NEG_INFINITY, -5e-324] {
+            assert_eq!(lookup(x), widened(oracle::from_f64(x)), "exp({x:e})");
+        }
+    }
+
+    /// Runs `terms` through [`HalfSum`] and through the `round_to_half`
+    /// chain from +0, comparing the two after every term.
+    fn check_half_sum(terms: &[f64]) {
+        let (mut sum, mut chain) = (HalfSum::new(), 0.0f64);
+        assert_eq!(sum.value().to_bits(), chain.to_bits(), "+0 start");
+        for (i, &e) in terms.iter().enumerate() {
+            sum.add(e);
+            chain = round_to_half(chain + e);
+            assert_eq!(
+                sum.value().to_bits(),
+                chain.to_bits(),
+                "after term {i} ({e:e}): {} against the chain's {chain:e}",
+                sum.value()
+            );
+        }
+    }
+
+    #[test]
+    fn half_sum_matches_the_round_to_half_chain() {
+        let h = |bits: u16| Half::from_bits(bits).to_f64();
+        check_half_sum(&[]);
+        check_half_sum(&[0.0, 0.0]);
+        // Powers of two from 2^-24 to 2^15 cross every binade: the sum
+        // stays one unit below a power of two until it rounds up onto
+        // one, and after the last term it overflows. With 2^-24 twice
+        // first, the sum doubles exactly and 2^15 + 2^15 = 65536 is inf.
+        let powers: Vec<f64> = (-24..=15).map(|j| 2f64.powi(j)).collect();
+        check_half_sum(&powers);
+        check_half_sum(&[&powers[..1], &powers[..]].concat());
+        // At each binade boundary 2^j: from the largest value below it,
+        // add a zero, a quarter, a half (the tie, up to even 2^j), three
+        // quarters and one ULP, then the same above it.
+        for boundary in 0x0400..=0x7C00u16 {
+            if boundary & 0x3FF != 0 {
+                continue;
+            }
+            let (below, ulp) = (h(boundary - 1), h(boundary - 1) - h(boundary - 2));
+            for step in [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0] {
+                let e = Half::from_f64(step * ulp).to_f64();
+                check_half_sum(&[below, e, e, e, e]);
+            }
+        }
+        // Sums sticking at a tie: 1.0 sticks at 2048 (ULP 2), 0.5 at
+        // 1024, 2^-10 at 2.0.
+        for (term, n) in [(1.0, 3000), (0.5, 2100), (h(0x1400), 2100)] {
+            check_half_sum(&vec![term; n]);
+        }
+        // Overflow at 65520 (the tie rounds up to 65536 = inf); 65519.
+        check_half_sum(&[65504.0, 16.0, 1.0]);
+        check_half_sum(&[65504.0, 15.0, 8.0, 8.0]);
+        check_half_sum(&[32768.0, 32768.0]);
+        // NaN and +inf terms, and NaN after inf.
+        check_half_sum(&[1.0, f64::NAN, 1.0]);
+        check_half_sum(&[1.0, f64::INFINITY, 1.0, f64::NAN, 2.0]);
+        check_half_sum(&[f64::NAN]);
+        check_half_sum(&[f64::INFINITY, 65504.0]);
     }
 
     #[test]
@@ -639,6 +802,25 @@ mod tests {
                     Half::from_f64(x).to_f64().to_bits()
                 );
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random sequences of non-negative binary16 terms up to 5,000
+        /// long: each sequence draws its terms below a random exponent
+        /// field `top` (so some sums stay in low binades), all
+        /// exponents, inf and NaN included, at `top = 31`.
+        #[test]
+        fn half_sum_matches_the_chain_on_random_terms(
+            top in 0u16..=31,
+            bits in proptest::collection::vec(proptest::strategy::any::<u16>(), 0..5000),
+        ) {
+            let limit = (u32::from(top) + 1) << MANT_BITS;
+            let terms: Vec<f64> = bits
+                .iter()
+                .map(|&b| Half((u32::from(b) % limit) as u16).to_f64())
+                .collect();
+            check_half_sum(&terms);
         }
     }
 

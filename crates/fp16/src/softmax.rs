@@ -4,7 +4,7 @@
 //! it (explicit max pass with FP comparators, exponential pass with FP16
 //! SFUs and an FP16 accumulation tree, division pass with FP16 dividers).
 
-use crate::half::{exp_non_positive, exp_widened, round_to_half};
+use crate::half::{exp_non_positive, exp_non_positive_at, round_to_half, HalfSum};
 use crate::Half;
 
 /// Three-pass FP16 softmax over a row of scores.
@@ -77,41 +77,73 @@ pub fn softmax_fp16(scores: &[f64]) -> Option<Vec<f64>> {
 /// ```
 pub fn softmax_fp16_into(scores: &[f64], out: &mut [f64]) -> Option<()> {
     assert_eq!(out.len(), scores.len(), "output buffer length mismatch");
-    let (&first, rest) = scores.split_first()?;
+    if scores.is_empty() {
+        return None;
+    }
 
     // Sweep 1: conversion and explicit max (FP comparator tree). The
-    // compare-and-select skips a NaN that `Half::max` propagates, unless
-    // the NaN comes first, and keeps the first zero of a ±0 tie; neither
+    // conversion is its own loop, which vectorizes; the max runs four
+    // compare-and-select chains, each seeded with the first score, and
+    // merges them. A compare-and-select skips a NaN that `Half::max`
+    // propagates, unless the NaN comes first (then every chain holds it),
+    // and keeps the first zero of a ±0 tie within its chain; neither
     // shows in the output. A NaN score makes its exponential, so the sum
     // and every quotient, NaN whatever the max, and `x - max` for a zero
     // max differs only in the sign of a zero difference, whose
     // exponential is 1 either way. Unlike `f64::max`, the select carries
     // no NaN fix-up from one element to the next.
-    let mut max = round_to_half(first);
-    out[0] = max;
-    for (o, &v) in out[1..].iter_mut().zip(rest) {
+    for (o, &v) in out.iter_mut().zip(scores) {
         *o = round_to_half(v);
-        if *o > max {
-            max = *o;
-        }
     }
+    let max = row_max(out);
 
     // Sweep 2: exponentials and their FP16 sum. The difference of two
     // binary16 values is exact in f64, as in `Half`'s `-`. Every
     // difference is at most +0, or NaN, so `Half::exp` would read its
-    // table of non-positive inputs: the row fetches that table once.
+    // table of non-positive inputs: the row fetches that table once and
+    // reads each exponential already widened. The sequential sum adds
+    // each term with one f64 add while it stays in its binade.
     let table = exp_non_positive();
-    let mut sum = 0.0;
+    let mut sum = HalfSum::new();
     for o in out.iter_mut() {
-        *o = exp_widened(table, Half::from_f64(*o - max).to_bits());
-        sum = round_to_half(sum + *o);
+        *o = exp_non_positive_at(table, *o - max);
+        sum.add(*o);
     }
+    let sum = sum.value();
 
     // Sweep 3: FP16 division.
     for o in out.iter_mut() {
         *o = round_to_half(*o / sum);
     }
     Some(())
+}
+
+/// The compare-and-select max of a non-empty row, `max = x` whenever
+/// `x > max`, seeded with `row[0]`, in four chains of every fourth
+/// element after the first, merged in chain order: a chain is a
+/// dependency on the previous compare, so four of them run in parallel.
+/// The result equals the one-chain max up to the sign of a zero.
+fn row_max(row: &[f64]) -> f64 {
+    let pick = |max: &mut f64, x: f64| {
+        if x > *max {
+            *max = x;
+        }
+    };
+    let mut chains = [row[0]; 4];
+    let mut quads = row[1..].chunks_exact(4);
+    for quad in &mut quads {
+        for (max, &x) in chains.iter_mut().zip(quad) {
+            pick(max, x);
+        }
+    }
+    for &x in quads.remainder() {
+        pick(&mut chains[0], x);
+    }
+    let mut max = chains[0];
+    for &x in &chains[1..] {
+        pick(&mut max, x);
+    }
+    max
 }
 
 #[cfg(test)]
@@ -197,22 +229,44 @@ mod tests {
         /// The staged path matches the `Half` oracle bit for bit on rows
         /// mixing NaN, signed zeros, infinities, ties at the max and
         /// scores whose exponentials underflow to subnormals or zero.
+        /// Rows run up to 3,000 scores, scaled by 1, 0 (a flat row of
+        /// ±0) or a small factor (a near-flat one), so the sum also
+        /// crosses 1024 and 2048 and sticks there; NaN and ±inf are
+        /// planted into at most three positions afterwards.
         #[test]
         fn into_path_is_bit_identical_on_special_values(
             row in proptest::collection::vec(
                 proptest::prop_oneof![
-                    proptest::strategy::Just(f64::NAN),
                     proptest::strategy::Just(0.0),
                     proptest::strategy::Just(-0.0),
-                    proptest::strategy::Just(f64::INFINITY),
-                    proptest::strategy::Just(f64::NEG_INFINITY),
                     proptest::strategy::Just(4.0),
                     -20.0f64..20.0,
                     -1e-4f64..1e-4,
                 ],
-                1..40,
+                1..3000,
+            ),
+            scale in proptest::prop_oneof![
+                proptest::strategy::Just(1.0),
+                proptest::strategy::Just(0.0),
+                0.0f64..1e-2,
+            ],
+            specials in proptest::collection::vec(
+                (
+                    proptest::strategy::any::<usize>(),
+                    proptest::prop_oneof![
+                        proptest::strategy::Just(f64::NAN),
+                        proptest::strategy::Just(f64::INFINITY),
+                        proptest::strategy::Just(f64::NEG_INFINITY),
+                    ],
+                ),
+                0..4,
             ),
         ) {
+            let mut row: Vec<f64> = row.iter().map(|v| v * scale).collect();
+            let len = row.len();
+            for (at, v) in specials {
+                row[at % len] = v;
+            }
             let want = softmax_fp16(&row).expect("non-empty");
             let mut got = vec![0.0; row.len()];
             softmax_fp16_into(&row, &mut got).expect("non-empty");
