@@ -9,12 +9,11 @@
 //!   the scalar oracle `forward` vs the row path `forward_into` (the
 //!   `fused` column), at row lengths {64, 256, 1024, 4096}. Before any
 //!   kernel is timed the harness measures the machine's ceilings — a
-//!   STREAM-style triad sweep for sustainable memory bandwidth, a
-//!   TSC-vs-monotonic-clock calibration so nanoseconds convert to
-//!   cycles, and the per-element cost of libm `exp`/`exp2` (the float
-//!   reference kernels' compute ceiling). Each kernel × row-length cell
-//!   then gets elems/cycle, an analytic bytes-swept-per-element model,
-//!   the achieved fraction of the memory ceiling, and a bound
+//!   STREAM-style triad sweep for sustainable memory bandwidth and the
+//!   per-element cost of libm `exp`/`exp2` (the float reference
+//!   kernels' compute ceiling). Each kernel × row-length cell then gets
+//!   an analytic bytes-swept-per-element model, the achieved fraction
+//!   of the memory ceiling, and a bound
 //!   classification (`memory-bound`, `float-compute-bound`, or
 //!   `fixed-compute-bound`); written to `BENCH_PR6.json`.
 //!
@@ -68,9 +67,7 @@
 //! `crates/serve/tests/faults.rs`; `BENCH_PR7.json` is the record of the
 //! chaos mode it replaced.
 
-// Unsafe is audited (docs/UNSAFE_INVENTORY.md); inside `unsafe fn`,
-// each unsafe operation still needs its own explicit block.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -83,9 +80,7 @@ use softermax::kernel::{ScratchBuffers, SoftmaxKernel};
 use softermax::SoftmaxError;
 use softermax_bench::{attention_scores, print_header, print_row, registry};
 use softermax_serve::traffic::synthetic_matrix;
-use softermax_serve::{
-    Admission, BatchEngine, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission,
-};
+use softermax_serve::{Admission, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission};
 use softermax_transformer::attention::{
     attention_head_materialized, attention_head_streamed, head_scratch_estimates, KernelSoftmax,
 };
@@ -306,18 +301,12 @@ fn roofline_harness(
 
     // The machine's ceilings, measured before any kernel is timed.
     let triad_bytes_per_s = measure_triad_bandwidth(smoke);
-    let tsc_per_ns = tsc_per_ns();
     let (exp_ns_per_elem, exp2_ns_per_elem) = measure_float_exp_ns(warmup, budget);
-    let bytes_per_cycle = tsc_per_ns.map(|t| triad_bytes_per_s / 1e9 / t);
     println!("# Per-kernel roofline: scalar forward vs row path forward_into\n");
     println!(
-        "measured ceilings: triad {:.2} GB/s{}, libm exp {exp_ns_per_elem:.2} ns/elem, \
+        "measured ceilings: triad {:.2} GB/s, libm exp {exp_ns_per_elem:.2} ns/elem, \
          exp2 {exp2_ns_per_elem:.2} ns/elem\n",
         triad_bytes_per_s / 1e9,
-        match (tsc_per_ns, bytes_per_cycle) {
-            (Some(t), Some(b)) => format!(" ({b:.2} B/cycle at {t:.2} GHz TSC)"),
-            _ => String::new(),
-        },
     );
     print_header(&[
         "kernel",
@@ -325,7 +314,6 @@ fn roofline_harness(
         "scalar ns/row",
         "fused ns/row",
         "fused vs scalar",
-        "fused elems/cyc",
         "B/elem",
         "% mem ceiling",
         "bound",
@@ -362,7 +350,6 @@ fn roofline_harness(
             });
 
             let fused_ns_per_elem = fused.ns_per_iter / len as f64;
-            let elems_per_cycle = tsc_per_ns.map(|t| 1.0 / (fused_ns_per_elem * t));
             let bytes_per_elem = fused_bytes_per_elem(kernel.name());
             let achieved_bytes_per_s = bytes_per_elem * 1e9 / fused_ns_per_elem;
             let pct_of_mem_ceiling = achieved_bytes_per_s / triad_bytes_per_s;
@@ -391,7 +378,6 @@ fn roofline_harness(
                 format!("{:.0}", scalar.ns_per_iter),
                 format!("{:.0}", fused.ns_per_iter),
                 softermax_bench::fmt_ratio(fused_vs_scalar),
-                elems_per_cycle.map_or("n/a".to_string(), |e| format!("{e:.3}")),
                 format!("{bytes_per_elem:.0}"),
                 format!("{:.1}", pct_of_mem_ceiling * 100.0),
                 classification.to_string(),
@@ -403,7 +389,6 @@ fn roofline_harness(
                 "fused_ns_per_row": fused.ns_per_iter,
                 "fused_speedup_vs_scalar": fused_vs_scalar,
                 "fused_melem_per_s": len as f64 / fused.ns_per_iter * 1e3,
-                "fused_elems_per_cycle": elems_per_cycle,
                 "fused_bytes_per_elem": bytes_per_elem,
                 "fused_achieved_gb_per_s": achieved_bytes_per_s / 1e9,
                 "pct_of_mem_ceiling": pct_of_mem_ceiling,
@@ -424,8 +409,6 @@ fn roofline_harness(
         "ceilings": {
             "triad_gb_per_s": triad_bytes_per_s / 1e9,
             "triad_elems_per_array": if smoke { TRIAD_ELEMS_SMOKE } else { TRIAD_ELEMS },
-            "tsc_ghz": tsc_per_ns,
-            "mem_bytes_per_cycle": bytes_per_cycle,
             "libm_exp_ns_per_elem": exp_ns_per_elem,
             "libm_exp2_ns_per_elem": exp2_ns_per_elem,
         },
@@ -460,32 +443,6 @@ fn measure_triad_bandwidth(smoke: bool) -> f64 {
         best_s = best_s.min(t0.elapsed().as_secs_f64().max(1e-12));
     }
     (n * 24) as f64 / best_s
-}
-
-/// TSC increments per nanosecond, calibrated against the monotonic clock
-/// over a 25 ms spin (`None` off x86_64): converts measured nanoseconds
-/// into cycles without trusting a nominal frequency.
-#[cfg(target_arch = "x86_64")]
-fn tsc_per_ns() -> Option<f64> {
-    use std::arch::x86_64::_rdtsc;
-    let t0 = std::time::Instant::now();
-    // SAFETY: `_rdtsc` reads the timestamp counter; it has no memory
-    // or alignment preconditions and is available on every x86_64
-    // (this whole function is gated on that target_arch).
-    let c0 = unsafe { _rdtsc() };
-    while t0.elapsed() < Duration::from_millis(25) {
-        std::hint::spin_loop();
-    }
-    // SAFETY: as above — no preconditions on x86_64.
-    let c1 = unsafe { _rdtsc() };
-    let dt_ns = t0.elapsed().as_nanos() as f64;
-    let cycles = c1.wrapping_sub(c0) as f64;
-    (cycles > 0.0).then(|| cycles / dt_ns)
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn tsc_per_ns() -> Option<f64> {
-    None
 }
 
 /// Measured per-element cost of libm `exp` and `exp2` over in-range
@@ -841,10 +798,11 @@ fn ol_config() -> ServeConfig {
 /// included — the dispatcher pays that clone at run time too) of one
 /// request through a single dedicated worker.
 fn ol_calibrate(kernel: &Arc<dyn SoftmaxKernel>, payloads: &[Vec<f64>], smoke: bool) -> Duration {
-    let engine = BatchEngine::new(ol_config()).expect("calibration engine");
+    let router =
+        ShardedRouter::new(1, ol_config(), RoutePolicy::Adaptive).expect("calibration router");
     let reps = if smoke { 12 } else { 48 };
     for payload in payloads.iter().take(2) {
-        engine
+        router
             .submit_wait(kernel, payload.clone(), OL_ROW_LEN)
             .expect("calibration warmup")
             .wait()
@@ -852,7 +810,7 @@ fn ol_calibrate(kernel: &Arc<dyn SoftmaxKernel>, payloads: &[Vec<f64>], smoke: b
     }
     let t0 = Instant::now();
     for i in 0..reps {
-        engine
+        router
             .submit_wait(kernel, payloads[i % OL_VARIANTS].clone(), OL_ROW_LEN)
             .expect("calibration request")
             .wait()

@@ -289,6 +289,7 @@ impl InvariantDivisor {
 mod tests {
     use super::*;
     use crate::{metrics, reference};
+    use proptest::strategy::Strategy;
 
     /// lut8's quantize and index maps against the `f64::round` formula
     /// they replace, at power-of-two steps (multiplied by the exact
@@ -364,29 +365,54 @@ mod tests {
         }
     }
 
-    /// lut8 against the `f64::round` formula it replaces, spelled out
-    /// here as its oracle, on rows whose quotients leave the fast
-    /// rounding's range (NaN, ±∞, ±1e300, odd integers and halves above
-    /// 2^51, which `round_ties_away` would round to even) or stay in it,
-    /// at a power-of-two step and another one.
+    /// lut8's output bits by the `f64::round` formula its fast path
+    /// replaces, spelled out as its oracle: quantize, max, LUT index, sum
+    /// and integer divide, each as the scheme defines it.
+    fn formula(lut: &LutSoftmax, row: &[f64]) -> Vec<u64> {
+        let step = lut.step();
+        let q: Vec<f64> = row.iter().map(|&v| (v / step).round() * step).collect();
+        let max = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let e: Vec<u64> = q
+            .iter()
+            .map(|&x| {
+                let index = ((max - x) / step).round().clamp(0.0, 255.0) as usize;
+                u64::from(lut.table[index])
+            })
+            .collect();
+        let sum: u64 = e.iter().sum();
+        e.iter()
+            .map(|&e| (((e << LUT_FRAC_BITS) / sum) as f64 / 65536.0).to_bits())
+            .collect()
+    }
+
+    fn forward_bits(lut: &LutSoftmax, row: &[f64]) -> Vec<u64> {
+        lut.forward(row)
+            .unwrap()
+            .iter()
+            .map(|p| p.to_bits())
+            .collect()
+    }
+
+    /// The scores [`formula`] must hold at beyond the drawn range, in
+    /// three families: NaN, ±∞ and ±1e300; quotients at the edge of the
+    /// fast rounding's range (2^51 steps), with the odd integer and the
+    /// half there that `round_ties_away` alone would round to even; and
+    /// quotients at 2^52 steps. A row takes its specials from one family,
+    /// so the edges are not always drowned out by a larger max.
+    fn specials(step: f64) -> [Vec<f64>; 3] {
+        let edge = 2f64.powi(51) * step;
+        [
+            vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300],
+            vec![edge, edge + step, edge + 0.5 * step, -edge],
+            vec![2.0 * edge, 2.0 * edge + step, -(2.0 * edge + step)],
+        ]
+    }
+
+    /// lut8 against [`formula`] on rows whose quotients leave the fast
+    /// rounding's range or stay in it, at a power-of-two step and another
+    /// one.
     #[test]
     fn extreme_rows_match_the_round_formula() {
-        let formula = |lut: &LutSoftmax, row: &[f64]| -> Vec<u64> {
-            let step = lut.step();
-            let q: Vec<f64> = row.iter().map(|&v| (v / step).round() * step).collect();
-            let max = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let e: Vec<u64> = q
-                .iter()
-                .map(|&x| {
-                    let index = ((max - x) / step).round().clamp(0.0, 255.0) as usize;
-                    u64::from(lut.table[index])
-                })
-                .collect();
-            let sum: u64 = e.iter().sum();
-            e.iter()
-                .map(|&e| (((e << LUT_FRAC_BITS) / sum) as f64 / 65536.0).to_bits())
-                .collect()
-        };
         for step in [0.25, 0.1] {
             let lut = LutSoftmax::new(step).unwrap();
             let edge = 2f64.powi(51) * step;
@@ -399,13 +425,46 @@ mod tests {
                 &[2.0, -0.375, 0.125, 7.5, -8.0, 0.0, -0.0],
             ];
             for row in rows {
-                let got: Vec<u64> = lut
-                    .forward(row)
-                    .unwrap()
-                    .iter()
-                    .map(|p| p.to_bits())
-                    .collect();
-                assert_eq!(got, formula(&lut, row), "{row:?} at step {step}");
+                assert_eq!(
+                    forward_bits(&lut, row),
+                    formula(&lut, row),
+                    "{row:?} at step {step}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// lut8 against [`formula`] on drawn rows at both steps: 1–300
+        /// scores in ±64, half of them on the 1/8 grid (rounding ties at
+        /// step 0.25), with up to eight [`specials`] of one family planted.
+        #[test]
+        fn drawn_rows_match_the_round_formula(
+            scores in proptest::collection::vec(
+                proptest::prop_oneof![
+                    -64.0f64..64.0,
+                    (-512i32..=512).prop_map(|k| f64::from(k) / 8.0),
+                ],
+                1..301,
+            ),
+            family in 0usize..3,
+            plants in proptest::collection::vec((0usize..300, 0usize..5), 0..9),
+        ) {
+            for step in [0.25, 0.1] {
+                let lut = LutSoftmax::new(step).unwrap();
+                let specials = &specials(step)[family];
+                let mut row = scores.clone();
+                for &(at, which) in &plants {
+                    let len = row.len();
+                    row[at % len] = specials[which % specials.len()];
+                }
+                proptest::prop_assert_eq!(
+                    forward_bits(&lut, &row),
+                    formula(&lut, &row),
+                    "{:?} at step {}",
+                    row,
+                    step
+                );
             }
         }
     }

@@ -9,7 +9,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use softermax::kernel::{check_batch_geometry, ScratchBuffers, SoftmaxKernel, StreamSession};
+use softermax::kernel::{check_batch_geometry, ScratchBuffers, SoftmaxKernel};
 use softermax::{Result, SoftmaxError};
 
 use crate::config::{ServeConfig, INTERACTIVE_WEIGHT};
@@ -30,45 +30,23 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A fixed pool of worker threads serving whole score matrices through
 /// any [`SoftmaxKernel`].
 ///
-/// One engine is built once and serves many matrices (and many kernels)
-/// **concurrently**: callers enqueue ticketed submissions
-/// ([`BatchEngine::submit_request`]) onto one shared intake queue. A
-/// request is the engine's one unit of work: a worker pops the front job,
-/// serves every row of it, and returns for the next, so the pool's
-/// threads work in parallel across requests.
+/// Engines are the shards of a [`ShardedRouter`](crate::ShardedRouter),
+/// which builds them and is the one submission front door
+/// ([`ShardedRouter::submit_request`](crate::ShardedRouter::submit_request));
+/// a single-engine pool is `ShardedRouter::new(1, ..)`. One engine serves
+/// many matrices (and many kernels) **concurrently** from one shared
+/// intake queue. A request is the engine's one unit of work: a worker
+/// pops the front job, runs every row of it through the kernel's
+/// [`forward_batch_into`](SoftmaxKernel::forward_batch_into), and returns
+/// for the next, so the pool's threads work in parallel across requests.
 ///
 /// Admission is bounded by [`ServeConfig::queue_depth`]: a full engine
 /// rejects non-blocking submissions with [`SoftmaxError::QueueFull`] and
 /// blocks the blocking ones — for at most
 /// [`ServeConfig::admission_timeout`] — until a slot frees: backpressure
 /// instead of unbounded queueing, and bounded waits instead of hangs.
-///
-/// # Fault tolerance
-///
-/// * Requests may carry a **deadline**
-///   ([`Submission::with_deadline`](crate::Submission::with_deadline)):
-///   work whose deadline passed is dropped honestly — at admission, while
-///   waiting for a slot, or at dequeue — resolved as
-///   [`SoftmaxError::DeadlineExceeded`] and counted into
-///   [`KernelServeStats::expired_requests`].
-/// * A **circuit breaker** ([`ServeConfig::breaker`]) watches the
-///   engine's recent outcomes; an unhealthy engine stops admitting
-///   non-blocking submissions (so routers fail over) until a half-open
-///   probe succeeds.
-/// * A worker whose kernel **panics** fails the request it was serving
-///   and is respawned, up to [`ServeConfig::respawn_cap`] times; past the
-///   budget the worker is lost, and when the last one goes every queued
-///   request resolves with [`SoftmaxError::EngineShutdown`] instead of
-///   hanging its waiter.
-/// * **Shutdown** (dropping the engine) resolves every not-yet-started
-///   request with [`SoftmaxError::EngineShutdown`]; requests already
-///   executing finish first, so buffers are never abandoned mid-write.
-///
-/// Output is **bit-identical** to sequential row-at-a-time execution at
-/// any thread count and any interleaving of concurrent callers: rows
-/// never interact, each request is written by exactly one worker, and
-/// the kernels' batch paths are bit-exact with their row paths by
-/// contract.
+/// Deadlines, the circuit breaker, worker respawns, shutdown and the
+/// bit-identity contract are described in the crate docs.
 pub struct BatchEngine {
     config: ServeConfig,
     shared: Arc<Shared>,
@@ -85,7 +63,7 @@ impl BatchEngine {
     /// spawned — in which case the partially spawned pool is shut down
     /// and joined before returning, so no worker thread outlives the
     /// failed constructor.
-    pub fn new(config: ServeConfig) -> Result<Self> {
+    pub(crate) fn new(config: ServeConfig) -> Result<Self> {
         config.validate()?;
         let shared = Arc::new(Shared::new(&config));
         let mut workers = Vec::with_capacity(config.threads);
@@ -243,7 +221,15 @@ impl BatchEngine {
         if job.n_rows == 0 && !job.expired(Instant::now()) {
             // Nothing to schedule: the ticket is complete already, and
             // still counted.
-            self.shared.record(name, Outcome::Success, 0, 0, 0, 0);
+            self.shared.record(
+                name,
+                Outcome::Success {
+                    rows: 0,
+                    elements: 0,
+                },
+                0,
+                0,
+            );
             return Ok(());
         }
         let admitted = self.shared.admit(job, admit);
@@ -297,7 +283,12 @@ fn elapsed_ns(since: Instant) -> u64 {
 /// How one finished batch is classified in the stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
-    Success,
+    /// Served whole: the request's rows and score elements (both 0 for
+    /// an empty no-op).
+    Success {
+        rows: u64,
+        elements: u64,
+    },
     Failed,
     Expired,
 }
@@ -540,19 +531,11 @@ impl Shared {
 
     /// Accounts one finished batch. Successes feed the throughput and
     /// latency counters; failures and expiries are counted apart (with
-    /// their partial row progress and their wall time) so they can never
-    /// inflate the success counters or the latency percentiles; zero-row
-    /// no-ops are counted apart too (`empty_batches`). Every non-empty
-    /// outcome also feeds the circuit breaker.
-    fn record(
-        &self,
-        kernel: &str,
-        outcome: Outcome,
-        rows: u64,
-        elements: u64,
-        busy_ns: u64,
-        wall_ns: u64,
-    ) {
+    /// their wall time) so they can never inflate the success counters or
+    /// the latency percentiles; zero-row no-ops are counted apart too
+    /// (`empty_batches`). Every non-empty outcome also feeds the circuit
+    /// breaker.
+    fn record(&self, kernel: &str, outcome: Outcome, busy_ns: u64, wall_ns: u64) {
         {
             let mut stats = lock(&self.stats);
             let entry = match stats.get_mut(kernel) {
@@ -563,16 +546,14 @@ impl Shared {
             match outcome {
                 Outcome::Failed => {
                     entry.failed_batches += 1;
-                    entry.failed_rows += rows;
                     entry.failed_wall_ns += wall_ns;
                 }
                 Outcome::Expired => {
                     entry.expired_requests += 1;
-                    entry.failed_rows += rows;
                     entry.failed_wall_ns += wall_ns;
                 }
-                Outcome::Success if rows == 0 => entry.empty_batches += 1,
-                Outcome::Success => {
+                Outcome::Success { rows: 0, .. } => entry.empty_batches += 1,
+                Outcome::Success { rows, elements } => {
                     entry.batches += 1;
                     entry.rows += rows;
                     entry.elements += elements;
@@ -582,8 +563,9 @@ impl Shared {
             }
         }
         // Empty no-ops say nothing about health; everything else does.
-        if !(outcome == Outcome::Success && rows == 0) {
-            lock(&self.breaker).on_outcome(outcome != Outcome::Success, Instant::now());
+        if !matches!(outcome, Outcome::Success { rows: 0, .. }) {
+            let failed = !matches!(outcome, Outcome::Success { .. });
+            lock(&self.breaker).on_outcome(failed, Instant::now());
         }
     }
 
@@ -616,9 +598,6 @@ pub(crate) struct Job {
     input: Vec<f64>,
     row_len: usize,
     n_rows: usize,
-    /// `Some(scores_per_push)` routes the job through the
-    /// chunked-streaming path instead of the batch path.
-    stream_chunk: Option<usize>,
     /// Serve-by time: a job dequeued after this instant is dropped and
     /// resolves as [`SoftmaxError::DeadlineExceeded`].
     deadline: Option<Instant>,
@@ -657,7 +636,6 @@ impl Job {
     ///
     /// # Errors
     ///
-    /// [`SoftmaxError::InvalidConfig`] for a zero streaming chunk,
     /// [`SoftmaxError::EmptyInput`] for a non-empty matrix with
     /// `row_len == 0`.
     pub(crate) fn new(submission: Submission, started: Instant) -> Result<Arc<Self>> {
@@ -665,21 +643,14 @@ impl Job {
             kernel,
             rows,
             row_len,
-            stream_chunk,
             deadline,
             priority,
         } = submission;
-        if stream_chunk == Some(0) {
-            return Err(SoftmaxError::InvalidConfig(
-                "streaming chunk must be positive".to_string(),
-            ));
-        }
         let n_rows = check_batch_geometry(rows.len(), row_len, rows.len())?;
         Ok(Arc::new(Self {
             kernel,
             row_len,
             n_rows,
-            stream_chunk,
             deadline: deadline.map(|d| started + d),
             priority,
             state: Mutex::new(JobState {
@@ -737,72 +708,22 @@ impl Job {
     pub(crate) fn is_complete(&self) -> bool {
         lock(&self.state).complete
     }
-
-    /// Runs every row through the kernel's batch path. A failed call
-    /// credits no rows: the batch path reports no partial progress.
-    fn run_batch(&self, out: &mut [f64], scratch: &mut ScratchBuffers) -> (u64, Result<()>) {
-        match self
-            .kernel
-            .forward_batch_into(&self.input, self.row_len, out, scratch)
-        {
-            Ok(()) => (self.n_rows as u64, Ok(())),
-            Err(e) => (0, Err(e)),
-        }
-    }
-
-    /// Runs every row through a streaming session: `reset` per row,
-    /// `chunk_elems`-score pushes, allocation-free finish. Stops at the
-    /// first failing row; the rows before it are credited.
-    fn run_streamed(
-        &self,
-        out: &mut [f64],
-        session: &mut dyn StreamSession,
-        chunk_elems: usize,
-    ) -> (u64, Result<()>) {
-        let mut completed = 0u64;
-        for (row, out_row) in self
-            .input
-            .chunks_exact(self.row_len)
-            .zip(out.chunks_exact_mut(self.row_len))
-        {
-            session.reset(self.row_len);
-            for piece in row.chunks(chunk_elems) {
-                session.push_chunk(piece);
-            }
-            if let Err(e) = session.finish_into(out_row) {
-                return (completed, Err(e));
-            }
-            completed += 1;
-        }
-        (completed, Ok(()))
-    }
 }
 
 /// Resolves `job` with `result`: records it into the stats, returns its
 /// admission slot when this shard holds one, and wakes everyone waiting
 /// on it. Stats and the slot go first: anyone woken by the completion
 /// may immediately read them.
-fn finish(
-    shared: &Shared,
-    job: &Job,
-    result: Result<Vec<f64>>,
-    rows: u64,
-    busy_ns: u64,
-    holds_slot: bool,
-) {
+fn finish(shared: &Shared, job: &Job, result: Result<Vec<f64>>, busy_ns: u64, holds_slot: bool) {
     let outcome = match &result {
-        Ok(_) => Outcome::Success,
+        Ok(_) => Outcome::Success {
+            rows: job.n_rows as u64,
+            elements: job.cost(),
+        },
         Err(SoftmaxError::DeadlineExceeded) => Outcome::Expired,
         Err(_) => Outcome::Failed,
     };
-    shared.record(
-        job.kernel.name(),
-        outcome,
-        rows,
-        rows * job.row_len as u64,
-        busy_ns,
-        elapsed_ns(job.started),
-    );
+    shared.record(job.kernel.name(), outcome, busy_ns, elapsed_ns(job.started));
     if holds_slot {
         shared.release(job.cost());
     }
@@ -825,7 +746,6 @@ fn abort(shared: &Shared, job: &Job, holds_slot: bool) {
         shared,
         job,
         Err(SoftmaxError::EngineShutdown),
-        0,
         0,
         holds_slot,
     );
@@ -950,8 +870,8 @@ impl ActiveJob {
 }
 
 /// The worker body: pop jobs off the shared intake until the engine
-/// hangs up, serving each whole, with one scratch space kept alive
-/// across every job.
+/// hangs up, serving each whole through the kernel's batch path, with
+/// one scratch space kept alive across every job.
 fn worker_loop(shared: &Shared, active: &ActiveJob) {
     let mut scratch = ScratchBuffers::default();
     loop {
@@ -992,26 +912,23 @@ fn worker_loop(shared: &Shared, active: &ActiveJob) {
             }
         };
         // Publish the job before any kernel code can run, so a panic
-        // (even in `stream_session`) leaves the supervisor enough to
-        // resolve it.
+        // leaves the supervisor enough to resolve it.
         active.set(&job);
         let t0 = Instant::now();
         let mut out = std::mem::take(&mut lock(&job.state).output);
-        let (rows, result) = if job.expired(t0) {
+        let result = if job.expired(t0) {
             // Deadline check at dequeue: late work is dropped, not
             // computed.
-            (0, Err(SoftmaxError::DeadlineExceeded))
-        } else if let Some(chunk_elems) = job.stream_chunk {
-            let mut session = job.kernel.stream_session();
-            job.run_streamed(&mut out, session.as_mut(), chunk_elems)
+            Err(SoftmaxError::DeadlineExceeded)
         } else {
-            job.run_batch(&mut out, &mut scratch)
+            job.kernel
+                .forward_batch_into(&job.input, job.row_len, &mut out, &mut scratch)
         };
         let busy_ns = elapsed_ns(t0);
         // Take the job back before resolving it: the worker and the
         // supervisor must never both resolve one job.
         active.take();
-        finish(shared, &job, result.map(|()| out), rows, busy_ns, true);
+        finish(shared, &job, result.map(|()| out), busy_ns, true);
     }
 }
 
@@ -1055,7 +972,7 @@ fn supervised_worker(shared: &Arc<Shared>) {
                 job.kernel.name(),
                 job.n_rows
             ));
-            finish(shared, &job, Err(error), 0, 0, true);
+            finish(shared, &job, Err(error), 0, true);
         }
         if !respawn {
             return;
@@ -1067,15 +984,17 @@ fn supervised_worker(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Admission, Submission};
+    use crate::{Admission, RoutePolicy, ShardedRouter, Submission};
     use softermax::KernelRegistry;
 
-    fn engine(threads: usize) -> BatchEngine {
-        BatchEngine::new(ServeConfig::new(threads)).expect("valid config")
+    /// A one-shard router: the front door every engine is reached through.
+    fn router(threads: usize) -> ShardedRouter {
+        ShardedRouter::new(1, ServeConfig::new(threads), RoutePolicy::Adaptive)
+            .expect("valid config")
     }
 
     fn serve(
-        engine: &BatchEngine,
+        router: &ShardedRouter,
         kernel: &Arc<dyn SoftmaxKernel>,
         rows: &[f64],
         row_len: usize,
@@ -1085,7 +1004,7 @@ mod tests {
         if let Some(chunk) = stream_chunk {
             submission = submission.streamed(chunk);
         }
-        engine.submit_request(submission, Admission::Block)?.wait()
+        router.submit_request(submission, Admission::Block)?.wait()
     }
 
     #[test]
@@ -1098,8 +1017,8 @@ mod tests {
         let registry = KernelRegistry::global();
         let kernel = registry.get("softermax").expect("built-in");
         let rows: Vec<f64> = (0..37 * 5).map(|i| f64::from(i % 13) / 2.0 - 3.0).collect();
-        let engine = engine(3);
-        let got = serve(&engine, &kernel, &rows, 5, None).expect("serve");
+        let router = router(3);
+        let got = serve(&router, &kernel, &rows, 5, None).expect("serve");
         for (row, got_row) in rows.chunks_exact(5).zip(got.chunks_exact(5)) {
             assert_eq!(got_row.to_vec(), kernel.forward(row).expect("row"));
         }
@@ -1110,9 +1029,9 @@ mod tests {
         let kernel = KernelRegistry::global()
             .get("reference-e")
             .expect("built-in");
-        let engine = engine(2);
-        serve(&engine, &kernel, &[], 0, None).expect("empty matrix is fine");
-        let stats = engine.stats();
+        let router = router(2);
+        serve(&router, &kernel, &[], 0, None).expect("empty matrix is fine");
+        let stats = router.stats();
         let s = stats.kernel("reference-e").expect("recorded");
         // No-ops are visible, but apart: they must not dilute the
         // latency means/percentiles real batches feed.
@@ -1128,20 +1047,20 @@ mod tests {
         let kernel = KernelRegistry::global()
             .get("reference-e")
             .expect("built-in");
-        let engine = engine(2);
-        assert!(serve(&engine, &kernel, &[1.0, 2.0], 0, None).is_err());
+        let router = router(2);
+        assert!(serve(&router, &kernel, &[1.0, 2.0], 0, None).is_err());
     }
 
     #[test]
     fn stats_accumulate_per_kernel() {
         let registry = KernelRegistry::global();
-        let engine = engine(2);
+        let router = router(2);
         let rows: Vec<f64> = (0..64 * 8).map(|i| f64::from(i % 7) - 3.0).collect();
         for name in ["softermax", "reference-2", "softermax"] {
             let kernel = registry.get(name).expect("built-in");
-            serve(&engine, &kernel, &rows, 8, None).expect("serve");
+            serve(&router, &kernel, &rows, 8, None).expect("serve");
         }
-        let stats = engine.stats();
+        let stats = router.stats();
         let sm = stats.kernel("softermax").expect("served");
         assert_eq!(sm.batches, 2);
         assert_eq!(sm.failed_batches, 0);
@@ -1159,72 +1078,69 @@ mod tests {
         // Exact wall times through the accounting entry point: only
         // non-empty successes reach a kernel's latency window and its
         // success wall time.
-        let engine = engine(1);
-        let shared = &engine.shared;
-        shared.record("a", Outcome::Success, 4, 16, 1, 100);
-        shared.record("a", Outcome::Failed, 2, 8, 1, 90_000);
-        shared.record("a", Outcome::Expired, 0, 0, 0, 80_000);
-        shared.record("a", Outcome::Success, 0, 0, 0, 70_000);
-        shared.record("a", Outcome::Success, 1, 4, 1, 500);
+        let router = router(1);
+        let shared = &router.shard(0).shared;
+        let served = |rows, elements| Outcome::Success { rows, elements };
+        shared.record("a", served(4, 16), 1, 100);
+        shared.record("a", Outcome::Failed, 1, 90_000);
+        shared.record("a", Outcome::Expired, 0, 80_000);
+        shared.record("a", served(0, 0), 0, 70_000);
+        shared.record("a", served(1, 4), 1, 500);
         shared.record_admission_expired("a");
-        let stats = engine.stats();
+        let stats = router.stats();
         let a = stats.kernel("a").expect("recorded");
         assert_eq!(a.latency.samples().collect::<Vec<_>>(), vec![100, 500]);
         assert_eq!((a.wall_ns, a.failed_wall_ns), (600, 170_000));
         assert_eq!((a.batches, a.failed_batches, a.empty_batches), (2, 1, 1));
+        assert_eq!((a.rows, a.elements), (5, 20));
         assert_eq!(a.expired_requests, 2);
     }
 
+    /// `Submission::streamed` is a no-op: a request that names a chunk,
+    /// zero included, runs the batch path, so its bits are the batch
+    /// request's, and an empty matrix is still a no-op.
     #[test]
     fn streamed_dispatch_matches_batch_dispatch_bitwise() {
         let registry = KernelRegistry::global();
         let rows: Vec<f64> = (0..23 * 6).map(|i| f64::from(i % 11) / 2.0 - 2.5).collect();
-        let engine = engine(3);
+        let router = router(3);
         for name in ["softermax", "online-intmax", "reference-e", "fp16"] {
             let kernel = registry.get(name).expect("built-in");
-            let batch = serve(&engine, &kernel, &rows, 6, None).expect("serve");
-            for chunk in [1, 4, 6, 64] {
+            let batch = serve(&router, &kernel, &rows, 6, None).expect("serve");
+            for chunk in [0, 1, 4, 6, 64] {
                 let streamed =
-                    serve(&engine, &kernel, &rows, 6, Some(chunk)).expect("streamed serve");
+                    serve(&router, &kernel, &rows, 6, Some(chunk)).expect("streamed serve");
                 assert_eq!(streamed, batch, "{name} chunk {chunk}");
             }
+            let empty = serve(&router, &kernel, &[], 4, Some(8)).expect("empty matrix");
+            assert!(empty.is_empty());
         }
-    }
-
-    #[test]
-    fn streamed_dispatch_rejects_zero_chunk_and_accepts_empty_matrix() {
-        let kernel = KernelRegistry::global().get("online-2").expect("built-in");
-        let engine = engine(2);
-        assert!(serve(&engine, &kernel, &[1.0, 2.0], 2, Some(0)).is_err());
-        assert_eq!(
-            serve(&engine, &kernel, &[], 4, Some(8)).expect("empty matrix"),
-            Vec::<f64>::new()
-        );
     }
 
     #[test]
     fn more_threads_than_jobs_is_fine() {
         let kernel = KernelRegistry::global().get("online-2").expect("built-in");
-        let engine = engine(8);
+        let router = router(8);
         // One job: one worker is woken, the other seven must stay
         // parked (and the engine must still complete).
-        let got = serve(&engine, &kernel, &[1.0, 2.0, 3.0], 3, None).expect("serve");
+        let got = serve(&router, &kernel, &[1.0, 2.0, 3.0], 3, None).expect("serve");
         assert_eq!(got, kernel.forward(&[1.0, 2.0, 3.0]).expect("row"));
     }
 
     #[test]
     fn load_and_inflight_return_to_zero() {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-        let engine = engine(2);
+        let router = router(2);
         let rows: Vec<f64> = (0..16 * 4).map(|i| f64::from(i % 5) - 2.0).collect();
-        serve(&engine, &kernel, &rows, 4, None).expect("serve");
-        assert_eq!(engine.load_cost(), 0);
-        assert_eq!(engine.inflight(), 0);
+        serve(&router, &kernel, &rows, 4, None).expect("serve");
+        assert_eq!(router.shard(0).load_cost(), 0);
+        assert_eq!(router.shard(0).inflight(), 0);
     }
 
     #[test]
     fn fresh_engine_reports_healthy() {
-        let engine = engine(2);
+        let router = router(2);
+        let engine = router.shard(0);
         assert_eq!(engine.breaker_state(), BreakerState::Closed);
         assert_eq!(engine.breaker_trips(), 0);
         assert!(engine.is_admitting());

@@ -181,18 +181,11 @@ impl Breaker {
     /// half-open (the caller must guarantee every admission eventually
     /// reports an outcome, or the probe slot would leak).
     pub(crate) fn admit(&mut self, now: Instant) -> bool {
-        match self.state_at(now) {
-            BreakerState::Closed => true,
-            BreakerState::Open => false,
-            BreakerState::HalfOpen => {
-                if self.probe_inflight {
-                    false
-                } else {
-                    self.probe_inflight = true;
-                    true
-                }
-            }
+        let admitted = self.admitting(now);
+        if admitted && self.state == BreakerState::HalfOpen {
+            self.probe_inflight = true;
         }
+        admitted
     }
 
     /// Feeds one finished request into the outcome window.

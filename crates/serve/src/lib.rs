@@ -9,24 +9,23 @@
 //! model, from matrix-at-a-time batching up to request-level concurrency
 //! (std threads and sync primitives only, no external runtime):
 //!
-//! * [`BatchEngine`] — a fixed pool of worker threads pulling whole
-//!   requests from one shared, **bounded** intake queue, so many
-//!   matrices from many callers are in flight at once, one per worker;
-//!   a request runs through the kernel's
+//! * [`ShardedRouter`] — the one front door: spreads submissions across
+//!   N independent engine shards by least in-flight element cost, lets
+//!   idle shards steal from busy ones, fails over on full shards and
+//!   merges per-shard stats (a single pool is `ShardedRouter::new(1, ..)`);
+//! * [`BatchEngine`] — one shard: a fixed pool of worker threads pulling
+//!   whole requests from one shared, **bounded** intake queue, so many
+//!   matrices from many callers are in flight at once, one per worker.
+//!   Every request runs through the kernel's
 //!   [`forward_batch_into`](softermax::SoftmaxKernel::forward_batch_into),
-//!   its row fast path applied to every row (or a
-//!   [`StreamSession`](softermax::StreamSession) for streamed requests);
+//!   its row fast path applied to every row; there is no second runner;
 //! * [`Submission`] / [`Ticket`] — owned-buffer asynchronous requests:
-//!   [`BatchEngine::submit`] returns immediately with a ticket,
+//!   [`ShardedRouter::submit`] returns immediately with a ticket,
 //!   [`Ticket::wait`]/[`Ticket::wait_timeout`] collect the probabilities;
 //!   admission is bounded by [`ServeConfig::queue_depth`]
 //!   ([`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull)
-//!   on a full engine, or blocking backpressure via
-//!   [`BatchEngine::submit_wait`]);
-//! * [`ShardedRouter`] — spreads submissions across N independent
-//!   engine shards by least in-flight element cost, lets idle shards
-//!   steal from busy ones, fails over on full shards and merges
-//!   per-shard stats;
+//!   when every shard is full, or blocking backpressure via
+//!   [`ShardedRouter::submit_wait`]);
 //! * [`ServeConfig`] — engine geometry: worker count, admission bound
 //!   and the fault-tolerance knobs;
 //! * [`EngineStats`] / [`KernelServeStats`] — per-kernel raw counters
@@ -93,32 +92,33 @@
 //! # Determinism
 //!
 //! Scheduling is free-running (workers pull whatever job is at the front
-//! of the intake), but results are not: every kernel's batch path is
-//! **bit-identical** with its sequential row-at-a-time path, each
-//! request is written by exactly one worker, and no reduction crosses
-//! rows — so engine output is bit-identical to
+//! of the intake), but results are not: every request runs the kernel's
+//! batch path, which is **bit-identical** with its sequential
+//! row-at-a-time path, each request is written by exactly one worker,
+//! and no reduction crosses rows — so served output is bit-identical to
 //! sequential execution at every thread count and under any
-//! interleaving of concurrent submitters. The property tests in
-//! `tests/determinism.rs` and `tests/concurrency.rs` hold all
-//! registered kernels to that contract.
+//! interleaving of concurrent submitters, whatever chunk a request
+//! names. The property tests in `tests/determinism.rs` and
+//! `tests/concurrency.rs` hold all registered kernels to that contract.
 //!
 //! # Example
 //!
 //! ```
 //! use softermax::KernelRegistry;
-//! use softermax_serve::{BatchEngine, ServeConfig};
+//! use softermax_serve::{RoutePolicy, ServeConfig, ShardedRouter};
 //!
-//! let engine = BatchEngine::new(ServeConfig::new(2))?;
+//! // One shard of two workers.
+//! let router = ShardedRouter::new(1, ServeConfig::new(2), RoutePolicy::Adaptive)?;
 //! let kernel = KernelRegistry::global().get("softermax").expect("built-in");
 //! // Two rows of three scores, flattened row-major, submitted as an
 //! // owned-buffer request; the ticket collects the probabilities.
 //! let rows = vec![2.0, 1.0, 3.0, 0.0, 0.5, -0.5];
-//! let ticket = engine.submit(&kernel, rows, 3)?;
+//! let ticket = router.submit(&kernel, rows, 3)?;
 //! let probs = ticket.wait()?;
 //! assert_eq!(probs.len(), 6);
 //! let first_row_mass: f64 = probs[..3].iter().sum();
 //! assert!((first_row_mass - 1.0).abs() < 0.05);
-//! let stats = engine.stats();
+//! let stats = router.stats();
 //! assert_eq!(stats.kernel("softermax").expect("served").rows, 2);
 //! # Ok::<(), softermax::SoftmaxError>(())
 //! ```

@@ -3,21 +3,10 @@
 //!
 //! Each shard owns its worker pool, admission queue, and stats, so
 //! shards never contend on a lock — the router is a thin routing layer
-//! on top and holds no lock of its own. The scheduler has one path and
-//! no knob:
-//!
-//! * **Least-cost routing** — a submission goes to the admitting shard
-//!   with the least in-flight element cost ([`BatchEngine::load_cost`],
-//!   rows × row length, so long-row jobs count for what they hold). The
-//!   pick reads each shard's health and cost once, in one pass, and
-//!   allocates nothing.
-//! * **Work stealing** — a router with more than one shard links them as
-//!   siblings at construction: a shard whose own queue runs dry pulls
-//!   whole pending jobs from the most-backlogged sibling instead of
-//!   idling, correcting routing mistakes after the fact. See
-//!   [`BatchEngine::jobs_stolen`] / [`BatchEngine::jobs_donated`] for
-//!   the per-shard counters and the engine docs for the invariants
-//!   (queued jobs only, deadlines and breaker state honored).
+//! on top and holds no lock of its own. Its one scheduler (least-cost
+//! routing plus work stealing) is described in the crate docs; the
+//! pick reads each shard's health and cost ([`BatchEngine::load_cost`])
+//! once, in one pass, and allocates nothing.
 //!
 //! On a full shard, a non-blocking submission *fails over*: the router
 //! retries every other shard (offering the same built job, no copy) before
@@ -97,8 +86,7 @@ impl ShardedRouter {
         self.shards.len()
     }
 
-    /// One shard's engine (direct access for stats or blocking
-    /// dispatch).
+    /// One shard's engine: its stats, health and scheduling counters.
     ///
     /// # Panics
     ///
@@ -209,8 +197,10 @@ impl ShardedRouter {
     /// # Errors
     ///
     /// [`SoftmaxError::QueueFull`] when **every** shard's admission
-    /// queue is full, plus the submission errors of
-    /// [`BatchEngine::submit`].
+    /// queue is full (or not admitting),
+    /// [`SoftmaxError::DeadlineExceeded`] for a submission whose deadline
+    /// has already passed, and [`SoftmaxError::EmptyInput`] when
+    /// `row_len == 0` and the matrix is non-empty.
     ///
     /// # Panics
     ///
@@ -243,8 +233,8 @@ impl ShardedRouter {
         self.submit_request(Submission::new(kernel, rows, row_len), Admission::Block)
     }
 
-    /// Routes a full [`Submission`] (batch or streamed) under the given
-    /// [`Admission`] behaviour.
+    /// Routes a full [`Submission`] under the given [`Admission`]
+    /// behaviour: the one path into the serving layer.
     ///
     /// # Errors
     ///
@@ -338,32 +328,6 @@ fn least_cost(shards: impl IntoIterator<Item = (bool, u64)>) -> usize {
 mod tests {
     use super::*;
     use softermax::KernelRegistry;
-    use std::sync::{Mutex, PoisonError};
-
-    /// Polls `done` every 100 µs for about a second, then gives up.
-    fn wait_for(what: &str, done: impl Fn() -> bool) {
-        for _ in 0..10_000 {
-            if done() {
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        panic!("{what} never happened");
-    }
-
-    /// Blocks until every worker of `shard` is parked. A job then
-    /// submitted straight to it stays there: its own worker takes it,
-    /// and a parked sibling is never woken to pull it over.
-    fn wait_idle(shard: &BatchEngine) {
-        wait_for("shard going idle", || {
-            shard.idle_workers() == shard.config().threads
-        });
-    }
-
-    /// [`wait_idle`] on every shard, so no sibling is mid-sweep either.
-    fn wait_all_idle(router: &ShardedRouter) {
-        (0..router.n_shards()).for_each(|index| wait_idle(router.shard(index)));
-    }
 
     #[test]
     fn zero_shards_is_rejected() {
@@ -407,105 +371,5 @@ mod tests {
         // Nothing admitting: the least-cost shard overall.
         assert_eq!(least_cost([(false, 9), (false, 3), (false, 5)]), 1);
         assert_eq!(least_cost([]), 0);
-    }
-
-    /// Runs `inner`, but every forward call first takes `hold`: while
-    /// the test holds the lock, a job of it keeps its shard's admission
-    /// slot taken.
-    #[derive(Debug)]
-    struct HeldKernel {
-        inner: Arc<dyn SoftmaxKernel>,
-        hold: Arc<Mutex<()>>,
-    }
-
-    impl SoftmaxKernel for HeldKernel {
-        fn descriptor(&self) -> &softermax::kernel::KernelDescriptor {
-            self.inner.descriptor()
-        }
-
-        fn forward(&self, row: &[f64]) -> Result<Vec<f64>> {
-            let _held = self.hold.lock().unwrap_or_else(PoisonError::into_inner);
-            self.inner.forward(row)
-        }
-
-        fn stream_session(&self) -> Box<dyn softermax::kernel::StreamSession + '_> {
-            Box::new(softermax::kernel::BufferedSession::new(self))
-        }
-    }
-
-    #[test]
-    fn full_shards_fail_over_before_rejecting() {
-        let fast = KernelRegistry::global().get("softermax").expect("built-in");
-        let hold = Arc::new(Mutex::new(()));
-        let held: Arc<dyn SoftmaxKernel> = Arc::new(HeldKernel {
-            inner: Arc::clone(&fast),
-            hold: Arc::clone(&hold),
-        });
-        let config = ServeConfig::new(1).with_queue_depth(2);
-        let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
-        let small = vec![1.0, 2.0, 3.0, 4.0];
-        let large: Vec<f64> = (0..40).map(f64::from).collect();
-        let guard = hold.lock().expect("hold");
-        // Each held job goes to a parked shard (its sibling is parked or
-        // busy, so it stays home) and is waited on until its worker has
-        // taken it: a started job is never stolen, and a worker blocked
-        // in a held job steals nothing either.
-        wait_all_idle(&router);
-        let stage = |index: usize, row: &[f64]| {
-            wait_idle(router.shard(index));
-            let ticket = router
-                .shard(index)
-                .submit(&held, row.to_vec(), row.len())
-                .expect("admit");
-            wait_for("held job starting", || {
-                router.shard(index).queued_jobs() == 0
-            });
-            ticket
-        };
-        // Shard 1 holds one large job (cost 40) and has a free slot.
-        let large1 = stage(1, &large);
-        // Shard 0 holds two small jobs: full at depth 2, cost 8. Its
-        // worker is busy, so the second one stays queued at home.
-        let small0 = stage(0, &small);
-        let queued0 = router
-            .shard(0)
-            .submit(&held, small.clone(), 4)
-            .expect("admit");
-        assert_eq!(
-            (router.shard(0).load_cost(), router.shard(1).load_cost()),
-            (8, 40)
-        );
-        assert_eq!(router.pick(), 0, "the pick is the full shard");
-
-        // The routed job must fail over to shard 1, not reject.
-        let routed = router
-            .submit(&fast, small.clone(), 4)
-            .expect("fail-over to shard 1");
-        assert_eq!(
-            router.shard(1).inflight(),
-            2,
-            "the routed job is on shard 1"
-        );
-        assert_eq!(router.shard(1).load_cost(), 44);
-
-        // Both shards full: a non-blocking submission must reject.
-        let err = router
-            .submit(&fast, small.clone(), 4)
-            .expect_err("every shard is full");
-        assert!(matches!(err, SoftmaxError::QueueFull), "{err:?}");
-        drop(guard);
-        assert_eq!(
-            routed.wait().expect("serve"),
-            fast.forward(&small).expect("row")
-        );
-        for ticket in [large1, small0, queued0] {
-            ticket.wait().expect("serve");
-        }
-        // Drained router: submissions flow again.
-        router
-            .submit(&fast, small, 4)
-            .expect("submit after drain")
-            .wait()
-            .expect("serve");
     }
 }

@@ -109,10 +109,10 @@ impl LatencyWindow {
 /// completion) over **successful** batches only; `busy_ns` is the sum of
 /// worker compute time over every batch (failed ones included — the
 /// workers really were busy). One worker serves each request, so a
-/// request's busy time is its wall time less its queue wait. Failed batches are counted apart
-/// (`failed_batches`, with their completed rows in `failed_rows`) so
-/// errors can never inflate `rows`, `wall_ns` or the latency window, and
-/// so a rate a reader derives from them describes successful work only.
+/// request's busy time is its wall time less its queue wait. Failed
+/// batches are counted apart (`failed_batches`) so errors can never
+/// inflate `rows`, `wall_ns` or the latency window, and so a rate a
+/// reader derives from them describes successful work only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelServeStats {
     /// Matrices served to completion (at least one row each).
@@ -132,11 +132,6 @@ pub struct KernelServeStats {
     pub expired_requests: u64,
     /// Softmax rows computed by successful batches.
     pub rows: u64,
-    /// Rows that completed inside batches which then failed: the rows a
-    /// streamed request finished before its failing row (a failed
-    /// batch-path call reports none). Real work, but excluded from the
-    /// throughput rates.
-    pub failed_rows: u64,
     /// Score elements consumed by successful batches.
     pub elements: u64,
     /// Summed worker busy time, nanoseconds (all batches).
@@ -173,7 +168,6 @@ impl KernelServeStats {
         self.failed_batches += other.failed_batches;
         self.expired_requests += other.expired_requests;
         self.rows += other.rows;
-        self.failed_rows += other.failed_rows;
         self.elements += other.elements;
         self.busy_ns += other.busy_ns;
         self.wall_ns += other.wall_ns;
@@ -208,7 +202,6 @@ impl serde::Serialize for KernelServeStats {
             ("failed_batches".into(), self.failed_batches.to_value()),
             ("expired_requests".into(), self.expired_requests.to_value()),
             ("rows".into(), self.rows.to_value()),
-            ("failed_rows".into(), self.failed_rows.to_value()),
             ("elements".into(), self.elements.to_value()),
             ("busy_ns".into(), self.busy_ns.to_value()),
             ("wall_ns".into(), self.wall_ns.to_value()),
@@ -298,8 +291,8 @@ mod tests {
             .iter()
             .map(|(k, _)| &**k)
             .collect();
-        let want = "batches empty_batches failed_batches expired_requests rows failed_rows \
-                    elements busy_ns wall_ns failed_wall_ns availability latency";
+        let want = "batches empty_batches failed_batches expired_requests rows elements \
+                    busy_ns wall_ns failed_wall_ns availability latency";
         assert_eq!(keys, want.split_whitespace().collect::<Vec<_>>());
         assert_eq!(v.get("busy_ns"), Some(&1_500_000u64.to_value()));
         let latency = v.get("latency").expect("latency");
@@ -516,10 +509,9 @@ mod tests {
             ..Default::default()
         };
         s.latency.push(1_000_000);
-        // A failed batch with partial progress moves its own counters and
-        // availability, never the success counters or the latency window.
+        // A failed batch moves its own counters and availability, never
+        // the success counters or the latency window.
         s.failed_batches += 1;
-        s.failed_rows += 37;
         s.failed_wall_ns += 5_000_000;
         let v = s.to_value();
         assert_eq!(v.get("rows"), Some(&100u64.to_value()));
@@ -546,7 +538,7 @@ mod tests {
             batches: 2,
             failed_batches: 1,
             rows: 20,
-            failed_rows: 3,
+            failed_wall_ns: 3,
             elements: 200,
             busy_ns: 6,
             wall_ns: 8,
@@ -561,7 +553,7 @@ mod tests {
         assert_eq!(total.batches, 3);
         assert_eq!(total.failed_batches, 1);
         assert_eq!(total.rows, 30);
-        assert_eq!(total.failed_rows, 3);
+        assert_eq!(total.failed_wall_ns, 3);
         assert_eq!(total.elements, 300);
         assert_eq!(total.wall_ns, 15);
         assert_eq!(total.latency.len(), 3);

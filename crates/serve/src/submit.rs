@@ -1,19 +1,19 @@
 //! Request-level submission: owned-buffer [`Submission`]s, bounded
 //! admission with backpressure, and [`Ticket`]s that let many matrices
-//! from many callers be safely in flight on one engine at once.
+//! from many callers be safely in flight at once.
 //!
-//! A [`Submission`] *owns* its score matrix: [`submit`] hands it to the
-//! engine and immediately returns a [`Ticket`], so a client can keep
+//! A [`Submission`] *owns* its score matrix: [`submit`] hands it to a
+//! shard and immediately returns a [`Ticket`], so a client can keep
 //! several requests in flight (or several client threads can share one
-//! engine) and collect each result with [`Ticket::wait`] or bound the
+//! router) and collect each result with [`Ticket::wait`] or bound the
 //! wait with [`Ticket::wait_timeout`]. Admission is bounded by
 //! [`ServeConfig::queue_depth`](crate::ServeConfig): [`submit`] rejects
-//! on a full engine with [`SoftmaxError::QueueFull`], while
+//! when every shard is full with [`SoftmaxError::QueueFull`], while
 //! [`submit_wait`] blocks for a slot — backpressure instead of unbounded
 //! queueing.
 //!
-//! [`submit`]: crate::BatchEngine::submit
-//! [`submit_wait`]: crate::BatchEngine::submit_wait
+//! [`submit`]: crate::ShardedRouter::submit
+//! [`submit_wait`]: crate::ShardedRouter::submit_wait
 //! [`SoftmaxError::QueueFull`]: softermax::SoftmaxError::QueueFull
 
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use softermax::kernel::SoftmaxKernel;
 use softermax::Result;
 
-use crate::engine::{AdmitMode, BatchEngine, Job};
+use crate::engine::Job;
 
 /// The scheduling class of a [`Submission`]: which intake queue it
 /// joins and how the weighted fair dequeue treats it.
@@ -64,40 +64,39 @@ pub enum Admission {
 }
 
 /// One self-contained softmax request: a kernel, an owned flattened
-/// row-major score matrix, and the execution path (batch by default,
-/// chunked-streaming via [`Submission::streamed`]).
+/// row-major score matrix, and its scheduling (deadline, priority). Every
+/// request runs the kernel's batch path.
 #[derive(Debug, Clone)]
 pub struct Submission {
     pub(crate) kernel: Arc<dyn SoftmaxKernel>,
     pub(crate) rows: Vec<f64>,
     pub(crate) row_len: usize,
-    pub(crate) stream_chunk: Option<usize>,
     pub(crate) deadline: Option<Duration>,
     pub(crate) priority: Priority,
 }
 
 impl Submission {
-    /// A batch-path request over `rows` (flattened row-major,
-    /// `row_len`-score rows).
+    /// A request over `rows` (flattened row-major, `row_len`-score rows).
     #[must_use]
     pub fn new(kernel: &Arc<dyn SoftmaxKernel>, rows: Vec<f64>, row_len: usize) -> Self {
         Self {
             kernel: Arc::clone(kernel),
             rows,
             row_len,
-            stream_chunk: None,
             deadline: None,
             priority: Priority::default(),
         }
     }
 
-    /// Routes the request through the chunked-streaming path: every row
-    /// is served through a [`StreamSession`](softermax::StreamSession)
-    /// in `chunk`-score pushes. Bit-identical to the batch path by the
-    /// session contract.
+    /// A no-op, kept because the repository benchmark names it. A
+    /// served request arrives as whole rows, so re-chunking it through a
+    /// kernel's streaming session would only repeat the batch path's bits
+    /// at more cost: every request, `chunk` or not, runs
+    /// [`forward_batch_into`](softermax::SoftmaxKernel::forward_batch_into).
+    /// Streaming lives where scores are produced tile by tile (the tiled
+    /// attention of `softermax-transformer`).
     #[must_use]
-    pub fn streamed(mut self, chunk: usize) -> Self {
-        self.stream_chunk = Some(chunk);
+    pub fn streamed(self, _chunk: usize) -> Self {
         self
     }
 
@@ -121,24 +120,6 @@ impl Submission {
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self
-    }
-
-    /// The request's kernel.
-    #[must_use]
-    pub fn kernel(&self) -> &Arc<dyn SoftmaxKernel> {
-        &self.kernel
-    }
-
-    /// The request's scheduling class.
-    #[must_use]
-    pub fn priority(&self) -> Priority {
-        self.priority
-    }
-
-    /// Number of rows in the request's matrix.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.rows.len().checked_div(self.row_len).unwrap_or(0)
     }
 }
 
@@ -177,8 +158,7 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// The kernel's error for the request (a streamed request stops at
-    /// its first failing row);
+    /// The kernel's error for the request;
     /// [`SoftmaxError::DeadlineExceeded`](softermax::SoftmaxError::DeadlineExceeded)
     /// when the request's deadline passed before it started executing;
     /// [`SoftmaxError::EngineShutdown`](softermax::SoftmaxError::EngineShutdown)
@@ -210,89 +190,23 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
-impl BatchEngine {
-    /// Submits an owned score matrix for asynchronous serving and
-    /// returns a [`Ticket`] for the result, rejecting immediately when
-    /// the engine is at [`queue_depth`](crate::ServeConfig::queue_depth).
-    ///
-    /// # Errors
-    ///
-    /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull)
-    /// when the admission queue is full,
-    /// [`SoftmaxError::EmptyInput`](softermax::SoftmaxError::EmptyInput)
-    /// when `row_len == 0` and the matrix is non-empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of `row_len`.
-    pub fn submit(
-        &self,
-        kernel: &Arc<dyn SoftmaxKernel>,
-        rows: Vec<f64>,
-        row_len: usize,
-    ) -> Result<Ticket> {
-        self.submit_request(Submission::new(kernel, rows, row_len), Admission::Fail)
-    }
-
-    /// Like [`BatchEngine::submit`], but blocks for an admission slot
-    /// instead of rejecting when the engine is full — for at most the
-    /// config's [`admission_timeout`](crate::ServeConfig::admission_timeout).
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchEngine::submit`];
-    /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull)
-    /// here means no slot freed up within the admission timeout.
-    pub fn submit_wait(
-        &self,
-        kernel: &Arc<dyn SoftmaxKernel>,
-        rows: Vec<f64>,
-        row_len: usize,
-    ) -> Result<Ticket> {
-        self.submit_request(Submission::new(kernel, rows, row_len), Admission::Block)
-    }
-
-    /// Submits a full [`Submission`] (batch or streamed) under the given
-    /// [`Admission`] behaviour.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchEngine::submit`] for [`Admission::Fail`]; blocking
-    /// admission ([`Admission::Block`] / [`Admission::BlockFor`])
-    /// returns
-    /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull)
-    /// once its wait budget runs out without a free slot.
-    /// A streamed submission with a zero chunk is
-    /// [`SoftmaxError::InvalidConfig`](softermax::SoftmaxError::InvalidConfig).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the submission's matrix is not a whole number of rows.
-    pub fn submit_request(&self, submission: Submission, admission: Admission) -> Result<Ticket> {
-        let now = Instant::now();
-        let admit = match admission {
-            Admission::Fail => AdmitMode::NonBlocking,
-            Admission::Block => AdmitMode::BlockUntil(now + self.config().admission_timeout),
-            Admission::BlockFor(wait) => AdmitMode::BlockUntil(now + wait),
-        };
-        let job = Job::new(submission, now)?;
-        self.enqueue(&job, admit)?;
-        Ok(Ticket::new(job))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ServeConfig;
+    use crate::{RoutePolicy, ServeConfig, ShardedRouter};
     use softermax::{KernelRegistry, SoftmaxError};
+
+    fn router(threads: usize) -> ShardedRouter {
+        ShardedRouter::new(1, ServeConfig::new(threads), RoutePolicy::Adaptive)
+            .expect("valid config")
+    }
 
     #[test]
     fn a_submission_round_trips_bit_identically() {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-        let engine = BatchEngine::new(ServeConfig::new(2)).expect("valid config");
+        let router = router(2);
         let rows: Vec<f64> = (0..9 * 4).map(|i| f64::from(i % 7) / 2.0 - 1.5).collect();
-        let ticket = engine.submit(&kernel, rows.clone(), 4).expect("submit");
+        let ticket = router.submit(&kernel, rows.clone(), 4).expect("submit");
         let got = ticket.wait().expect("serve");
         for (row, got_row) in rows.chunks_exact(4).zip(got.chunks_exact(4)) {
             assert_eq!(got_row.to_vec(), kernel.forward(row).expect("row"));
@@ -302,7 +216,7 @@ mod tests {
     #[test]
     fn many_tickets_in_flight_resolve_independently() {
         let registry = KernelRegistry::global();
-        let engine = BatchEngine::new(ServeConfig::new(2)).expect("valid config");
+        let router = router(2);
         let matrices: Vec<Vec<f64>> = (0..8)
             .map(|m| (0..6 * 3).map(|i| f64::from((i + m) % 9) - 4.0).collect())
             .collect();
@@ -315,7 +229,7 @@ mod tests {
                     .get(m % registry.len())
                     .expect("built-in")
                     .clone();
-                engine.submit(&kernel, rows.clone(), 3).expect("submit")
+                router.submit(&kernel, rows.clone(), 3).expect("submit")
             })
             .collect();
         // Collect in reverse order: completion order must not matter.
@@ -333,44 +247,19 @@ mod tests {
     }
 
     #[test]
-    fn streamed_submissions_match_batch_submissions() {
-        let kernel = KernelRegistry::global()
-            .get("online-intmax")
-            .expect("built-in");
-        let engine = BatchEngine::new(ServeConfig::new(2)).expect("valid config");
-        let rows: Vec<f64> = (0..7 * 5).map(|i| f64::from(i % 11) / 3.0 - 1.0).collect();
-        let batch = engine
-            .submit(&kernel, rows.clone(), 5)
-            .expect("submit")
-            .wait()
-            .expect("serve");
-        for chunk in [1, 2, 5, 64] {
-            let streamed = engine
-                .submit_request(
-                    Submission::new(&kernel, rows.clone(), 5).streamed(chunk),
-                    Admission::Fail,
-                )
-                .expect("submit")
-                .wait()
-                .expect("serve");
-            assert_eq!(streamed, batch, "chunk {chunk}");
-        }
-    }
-
-    #[test]
     fn empty_submission_is_ready_immediately() {
         let kernel = KernelRegistry::global()
             .get("reference-2")
             .expect("built-in");
-        let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
-        let ticket = engine.submit(&kernel, Vec::new(), 4).expect("submit");
+        let router = router(1);
+        let ticket = router.submit(&kernel, Vec::new(), 4).expect("submit");
         assert!(ticket.is_done());
         match ticket.wait_timeout(Duration::ZERO) {
             TicketPoll::Ready(Ok(out)) => assert!(out.is_empty()),
             other => panic!("expected ready empty output, got {other:?}"),
         }
         assert_eq!(
-            engine
+            router
                 .stats()
                 .kernel("reference-2")
                 .expect("recorded")
@@ -384,38 +273,31 @@ mod tests {
         let kernel = KernelRegistry::global()
             .get("reference-e")
             .expect("built-in");
-        let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
+        let router = router(1);
         assert!(matches!(
-            engine.submit(&kernel, vec![1.0, 2.0], 0),
+            router.submit(&kernel, vec![1.0, 2.0], 0),
             Err(SoftmaxError::EmptyInput)
-        ));
-        assert!(matches!(
-            engine.submit_request(
-                Submission::new(&kernel, vec![1.0, 2.0], 2).streamed(0),
-                Admission::Fail,
-            ),
-            Err(SoftmaxError::InvalidConfig(_))
         ));
     }
 
     #[test]
     fn dropped_tickets_still_complete_and_account() {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
-        let engine = BatchEngine::new(ServeConfig::new(2)).expect("valid config");
+        let router = router(2);
         let rows: Vec<f64> = (0..4 * 4).map(|i| f64::from(i % 3) - 1.0).collect();
-        drop(engine.submit(&kernel, rows, 4).expect("submit"));
+        drop(router.submit(&kernel, rows, 4).expect("submit"));
         // The work is not abandoned with the ticket: the batch drains,
         // the admission slot frees, and the stats record it.
         for _ in 0..2000 {
-            if engine.inflight() == 0 {
+            if router.shard(0).inflight() == 0 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert_eq!(engine.inflight(), 0);
-        assert_eq!(engine.load_cost(), 0);
+        assert_eq!(router.shard(0).inflight(), 0);
+        assert_eq!(router.load_cost(), 0);
         assert_eq!(
-            engine
+            router
                 .stats()
                 .kernel("softermax")
                 .expect("recorded")

@@ -136,18 +136,20 @@ pub struct InjectedPanic {
     pub call: u64,
 }
 
-/// Installs a panic hook that swallows the default "thread panicked"
-/// report for [`InjectedPanic`] payloads — injected chaos is expected
-/// noise — while forwarding every other panic to the previous hook
-/// untouched. Call once per process (e.g. behind a `std::sync::Once` in a
-/// fault-injection test).
+/// Installs, once per process, a panic hook that swallows the default
+/// "thread panicked" report for [`InjectedPanic`] payloads — injected
+/// chaos is expected noise — while forwarding every other panic to the
+/// previous hook untouched.
 pub fn silence_injected_panics() {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if info.payload().downcast_ref::<InjectedPanic>().is_none() {
-            previous(info);
-        }
-    }));
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<InjectedPanic>().is_none() {
+                previous(info);
+            }
+        }));
+    });
 }
 
 /// A [`SoftmaxKernel`] wrapper that executes a [`FaultPlan`]: every

@@ -1,65 +1,43 @@
 //! Request-level concurrency: M client threads submitting interleaved
-//! matrices (mixed kernels, batch + streamed paths) through the
-//! submission/router API produce **bit-identical** outputs to sequential
+//! matrices (mixed kernels and priorities) through the router produce **bit-identical** outputs to sequential
 //! row-at-a-time execution — and a full admission queue applies
 //! backpressure ([`SoftmaxError::QueueFull`] or blocking) without ever
 //! deadlocking.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::kernels::SlowKernel;
+use common::{bits, one_shard, sequential};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use softermax::kernel::{
-    BaseKind, BufferedSession, KernelDescriptor, NormalizationKind, ScratchBuffers, SoftmaxKernel,
-    StreamSession, StreamingClass,
-};
-use softermax::{reference, KernelRegistry, Result, SoftmaxError};
+use softermax::kernel::SoftmaxKernel;
+use softermax::{KernelRegistry, SoftmaxError};
 use softermax_serve::{
-    Admission, BatchEngine, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket,
-    TicketPoll,
+    Admission, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
 };
 
 /// Element pool each sampled request slices its matrix from.
 const POOL: usize = 64;
 
 /// One client's planned request: kernel, owned matrix, row length,
-/// streaming chunk (`None` = batch path), and the sequential ground
-/// truth.
+/// priority, and the sequential ground truth.
 struct PlannedRequest {
     kernel: Arc<dyn SoftmaxKernel>,
     matrix: Vec<f64>,
     row_len: usize,
-    stream_chunk: Option<usize>,
     priority: Priority,
     want: Vec<f64>,
 }
 
-fn sequential(kernel: &dyn SoftmaxKernel, matrix: &[f64], row_len: usize) -> Vec<f64> {
-    let mut out = vec![0.0; matrix.len()];
-    let mut scratch = ScratchBuffers::default();
-    for (row, out_row) in matrix
-        .chunks_exact(row_len)
-        .zip(out.chunks_exact_mut(row_len))
-    {
-        kernel
-            .forward_into(row, out_row, &mut scratch)
-            .expect("non-empty row");
-    }
-    out
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
 proptest! {
     /// M client threads, each submitting several requests (mixed kernels,
-    /// mixed batch/streamed paths, mixed interactive/batch priorities)
-    /// and holding them all in flight before collecting, through a
-    /// sharded router at 1–2 shards (work stealing between the two):
-    /// every output is bit-identical to sequential execution of the same
-    /// matrix.
+    /// mixed interactive/batch priorities) and holding them all in flight
+    /// before collecting, through a sharded router at 1–2 shards (work
+    /// stealing between the two): every output is bit-identical to
+    /// sequential execution of the same matrix.
     #[test]
     fn concurrent_submitters_are_bit_identical_to_sequential(
         values in vec(-15.0f64..15.0, POOL..POOL + 1),
@@ -68,7 +46,6 @@ proptest! {
         n_rows in 1usize..6,
         row_len in 1usize..8,
         n_shards in 1usize..3,
-        stream_chunk in 1usize..10,
         salt in 0usize..1000,
     ) {
         let kernels = KernelRegistry::with_builtins();
@@ -86,14 +63,12 @@ proptest! {
                             % (POOL - elems + 1);
                         let matrix = values[offset..offset + elems].to_vec();
                         let want = sequential(kernel.as_ref(), &matrix, row_len);
-                        let stream_chunk =
-                            ((client + request) % 2 == 0).then_some(stream_chunk);
                         let priority = if (salt + client + request) % 3 == 0 {
                             Priority::Batch
                         } else {
                             Priority::Interactive
                         };
-                        PlannedRequest { kernel, matrix, row_len, stream_chunk, priority, want }
+                        PlannedRequest { kernel, matrix, row_len, priority, want }
                     })
                     .collect()
             })
@@ -116,15 +91,12 @@ proptest! {
                         let tickets: Vec<Ticket> = requests
                             .iter()
                             .map(|plan| {
-                                let mut submission = Submission::new(
+                                let submission = Submission::new(
                                     &plan.kernel,
                                     plan.matrix.clone(),
                                     plan.row_len,
-                                );
-                                if let Some(chunk) = plan.stream_chunk {
-                                    submission = submission.streamed(chunk);
-                                }
-                                submission = submission.with_priority(plan.priority);
+                                )
+                                .with_priority(plan.priority);
                                 router
                                     .submit_request(submission, Admission::Block)
                                     .expect("blocking submission")
@@ -148,11 +120,10 @@ proptest! {
                 prop_assert_eq!(
                     bits(out),
                     bits(&plan.want),
-                    "client {} request {} ({}, {:?}, {:?}) diverged at {} shard(s)",
+                    "client {} request {} ({}, {:?}) diverged at {} shard(s)",
                     client,
                     request,
                     plan.kernel.name(),
-                    plan.stream_chunk,
                     plan.priority,
                     n_shards
                 );
@@ -163,52 +134,10 @@ proptest! {
     }
 }
 
-/// A kernel that sleeps per row — slow enough to hold the admission
-/// queue full while the test probes backpressure.
-#[derive(Debug)]
-struct SlowKernel {
-    descriptor: KernelDescriptor,
-    per_row: Duration,
-}
-
-impl SlowKernel {
-    fn new(per_row: Duration) -> Self {
-        Self {
-            descriptor: KernelDescriptor {
-                name: "slow".to_string(),
-                aliases: vec![],
-                base: BaseKind::E,
-                normalization: NormalizationKind::ThreePass,
-                bitwidth: None,
-                input_passes: 2,
-                streaming: StreamingClass::Buffered,
-                mass_tol_abs: 1e-9,
-                mass_tol_per_element: 0.0,
-            },
-            per_row,
-        }
-    }
-}
-
-impl SoftmaxKernel for SlowKernel {
-    fn descriptor(&self) -> &KernelDescriptor {
-        &self.descriptor
-    }
-
-    fn forward(&self, row: &[f64]) -> Result<Vec<f64>> {
-        std::thread::sleep(self.per_row);
-        reference::softmax(row)
-    }
-
-    fn stream_session(&self) -> Box<dyn StreamSession + '_> {
-        Box::new(BufferedSession::new(self))
-    }
-}
-
 #[test]
 fn full_admission_queue_rejects_and_never_deadlocks() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(SlowKernel::new(Duration::from_millis(60)));
-    let engine = BatchEngine::new(ServeConfig::new(1).with_queue_depth(1)).expect("valid config");
+    let engine = one_shard(ServeConfig::new(1).with_queue_depth(1));
     let rows = vec![0.25f64; 2 * 3];
 
     // Admit one slow batch (~120ms of worker time): the engine is full.
@@ -251,13 +180,13 @@ fn full_admission_queue_rejects_and_never_deadlocks() {
     let s = stats.kernel("slow").expect("recorded");
     assert_eq!(s.batches, 5);
     assert_eq!(s.failed_batches, 0);
-    assert_eq!(engine.inflight(), 0);
+    assert_eq!(engine.shard(0).inflight(), 0);
 }
 
 #[test]
 fn tickets_poll_pending_then_ready() {
     let slow: Arc<dyn SoftmaxKernel> = Arc::new(SlowKernel::new(Duration::from_millis(40)));
-    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
+    let engine = one_shard(ServeConfig::new(1));
     let rows = vec![0.5f64; 4];
     let mut ticket = engine.submit(&slow, rows.clone(), 4).expect("submit");
     assert!(!ticket.is_done());

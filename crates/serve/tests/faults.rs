@@ -16,36 +16,18 @@
 mod common;
 
 use std::ops::Range;
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::Duration;
 
 use common::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel, InjectedPanic};
+use common::sequential;
 use proptest::prelude::*;
-use softermax::kernel::{ScratchBuffers, SoftmaxKernel};
+use softermax::kernel::SoftmaxKernel;
 use softermax::KernelRegistry;
 use softermax_serve::traffic::synthetic_matrix;
 use softermax_serve::{
     Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
 };
-
-fn quiet_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(silence_injected_panics);
-}
-
-fn sequential(kernel: &dyn SoftmaxKernel, matrix: &[f64], row_len: usize) -> Vec<f64> {
-    let mut out = vec![0.0; matrix.len()];
-    let mut scratch = ScratchBuffers::default();
-    for (row, out_row) in matrix
-        .chunks_exact(row_len)
-        .zip(out.chunks_exact_mut(row_len))
-    {
-        kernel
-            .forward_into(row, out_row, &mut scratch)
-            .expect("non-empty row");
-    }
-    out
-}
 
 fn kinds_from_mask(mask: usize) -> Vec<FaultKind> {
     let all = [FaultKind::Panic, FaultKind::Error, FaultKind::Delay];
@@ -68,7 +50,7 @@ proptest! {
         n_rows in 1usize..4,
         row_len in 1usize..6,
     ) {
-        quiet_panics();
+        silence_injected_panics();
         let inner = KernelRegistry::global().get("softermax").expect("built-in");
         let plan = FaultPlan::new(seed, rate)
             .with_kinds(kinds_from_mask(kinds_mask))
@@ -239,7 +221,7 @@ fn chaos_run(
 /// pool heals through both panics.
 #[test]
 fn seeded_chaos_schedule_is_deterministic_exact_and_available() {
-    quiet_panics();
+    silence_injected_panics();
     let requests: Vec<Vec<f64>> = (0..CHAOS_REQUESTS)
         .map(|r| synthetic_matrix(CHAOS_ROWS, CHAOS_LEN, 2.5, 1_000 + r as u64))
         .collect();

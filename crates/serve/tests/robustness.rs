@@ -8,155 +8,29 @@
 //! [`FaultPlan`]s, and the few sleeps that remain only *guarantee* an
 //! already-certain fact (e.g. that a 5 ms deadline has passed).
 
-// This suite uses only part of the fault module.
-#[allow(dead_code)]
 mod common;
 
-use std::sync::{Arc, Condvar, Mutex, Once};
+use std::sync::Arc;
 use std::time::Duration;
 
 use common::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel};
-use softermax::kernel::{
-    BaseKind, BufferedSession, KernelDescriptor, NormalizationKind, SoftmaxKernel, StreamSession,
-    StreamingClass,
-};
-use softermax::{reference, KernelRegistry, Result, SoftmaxError};
+use common::kernels::{Gate, GatedKernel, NanRejectingKernel};
+use common::{one_shard, wait_all_idle};
+use softermax::kernel::SoftmaxKernel;
+use softermax::{reference, KernelRegistry, SoftmaxError};
 use softermax_serve::{
-    Admission, BatchEngine, BreakerConfig, BreakerState, RoutePolicy, ServeConfig, ShardedRouter,
-    Submission, TicketPoll,
+    Admission, BreakerConfig, BreakerState, RoutePolicy, ServeConfig, ShardedRouter, Submission,
+    TicketPoll,
 };
 
-fn quiet_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(silence_injected_panics);
-}
-
-fn descriptor(name: &str) -> KernelDescriptor {
-    KernelDescriptor {
-        name: name.to_string(),
-        aliases: vec![],
-        base: BaseKind::E,
-        normalization: NormalizationKind::ThreePass,
-        bitwidth: None,
-        input_passes: 2,
-        streaming: StreamingClass::Buffered,
-        mass_tol_abs: 1e-9,
-        mass_tol_per_element: 0.0,
-    }
-}
-
-/// A kernel whose forward calls park on a shared gate until released —
-/// the tool that makes "request A is executing while B is queued"
-/// deterministic instead of timing-dependent.
-#[derive(Debug, Default)]
-struct Gate {
-    inner: Mutex<GateInner>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct GateInner {
-    entered: usize,
-    released: bool,
-}
-
-impl Gate {
-    /// Blocks until `n` forward calls have entered the gate.
-    fn wait_entered(&self, n: usize) {
-        let mut g = self.inner.lock().expect("gate");
-        while g.entered < n {
-            g = self.cv.wait(g).expect("gate");
-        }
-    }
-
-    /// Lets every parked (and future) forward call through.
-    fn release(&self) {
-        let mut g = self.inner.lock().expect("gate");
-        g.released = true;
-        self.cv.notify_all();
-    }
-
-    /// Called from inside the kernel: announce entry, park until release.
-    fn pass(&self) {
-        let mut g = self.inner.lock().expect("gate");
-        g.entered += 1;
-        self.cv.notify_all();
-        while !g.released {
-            g = self.cv.wait(g).expect("gate");
-        }
-    }
-}
-
-#[derive(Debug)]
-struct GatedKernel {
-    descriptor: KernelDescriptor,
-    gate: Arc<Gate>,
-}
-
-impl GatedKernel {
-    fn new(gate: &Arc<Gate>) -> Self {
-        Self {
-            descriptor: descriptor("gated"),
-            gate: Arc::clone(gate),
-        }
-    }
-}
-
-impl SoftmaxKernel for GatedKernel {
-    fn descriptor(&self) -> &KernelDescriptor {
-        &self.descriptor
-    }
-
-    fn forward(&self, row: &[f64]) -> Result<Vec<f64>> {
-        self.gate.pass();
-        reference::softmax(row)
-    }
-
-    fn stream_session(&self) -> Box<dyn StreamSession + '_> {
-        Box::new(BufferedSession::new(self))
-    }
-}
-
-/// Errors on rows whose first score is NaN; serves the rest normally.
-/// Lets one test drive failures and successes from the input alone.
-#[derive(Debug)]
-struct NanRejectingKernel {
-    descriptor: KernelDescriptor,
-}
-
-impl NanRejectingKernel {
-    fn new() -> Self {
-        Self {
-            descriptor: descriptor("nan-rejecting"),
-        }
-    }
-}
-
-impl SoftmaxKernel for NanRejectingKernel {
-    fn descriptor(&self) -> &KernelDescriptor {
-        &self.descriptor
-    }
-
-    fn forward(&self, row: &[f64]) -> Result<Vec<f64>> {
-        if row.iter().any(|v| v.is_nan()) {
-            return Err(SoftmaxError::InvalidConfig("NaN score".to_string()));
-        }
-        reference::softmax(row)
-    }
-
-    fn stream_session(&self) -> Box<dyn StreamSession + '_> {
-        Box::new(BufferedSession::new(self))
-    }
-}
-
-/// The PR's headline liveness fix: a ticket whose engine is dropped with
+/// The headline liveness guarantee: a ticket whose engine is dropped with
 /// the request still queued must resolve with
 /// [`SoftmaxError::EngineShutdown`] — never hang its waiter.
 #[test]
 fn dropping_the_engine_resolves_outstanding_tickets() {
     let gate = Arc::new(Gate::default());
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
-    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
+    let engine = one_shard(ServeConfig::new(1));
 
     // Request A is *executing* (parked inside the gate); request B is
     // queued behind it on the only worker — deterministically, because
@@ -189,7 +63,7 @@ fn dropping_the_engine_resolves_outstanding_tickets() {
 fn wait_timeout_hands_the_ticket_back_while_in_flight() {
     let gate = Arc::new(Gate::default());
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
-    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
+    let engine = one_shard(ServeConfig::new(1));
     let ticket = engine.submit(&kernel, vec![0.5, 1.5], 2).expect("submit");
     gate.wait_entered(1);
     // The request is parked inside the kernel: a bounded wait must come
@@ -207,7 +81,7 @@ fn wait_timeout_hands_the_ticket_back_while_in_flight() {
 #[test]
 fn expired_deadline_is_rejected_at_admission() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
-    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
+    let engine = one_shard(ServeConfig::new(1));
     let submission = Submission::new(&kernel, vec![1.0, 2.0], 2).with_deadline(Duration::ZERO);
     let err = engine
         .submit_request(submission, Admission::Fail)
@@ -224,7 +98,7 @@ fn expired_deadline_is_rejected_at_admission() {
 fn deadline_passed_in_queue_expires_at_dequeue() {
     let gate = Arc::new(Gate::default());
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
-    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
+    let engine = one_shard(ServeConfig::new(1));
 
     // A parks the only worker; B sits in the queue with a 5 ms deadline.
     let ticket_a = engine.submit(&kernel, vec![1.0, 2.0], 2).expect("submit A");
@@ -252,7 +126,7 @@ fn deadline_passed_in_queue_expires_at_dequeue() {
     assert_eq!(s.expired_requests, 1);
     assert_eq!(s.batches, 1, "only A succeeded");
     // The worker never computed B: exactly one forward call happened.
-    let gate_entries = gate.inner.lock().expect("gate").entered;
+    let gate_entries = gate.entered();
     assert_eq!(
         gate_entries, 1,
         "expired work must be dropped, not computed"
@@ -267,7 +141,7 @@ fn blocking_admission_is_bounded() {
         admission_timeout: Duration::from_millis(20),
         ..ServeConfig::new(1).with_queue_depth(1)
     };
-    let engine = BatchEngine::new(config).expect("valid config");
+    let engine = one_shard(config);
 
     // The only admission slot is held by a parked request.
     let ticket = engine.submit(&kernel, vec![1.0, 2.0], 2).expect("submit");
@@ -295,14 +169,14 @@ fn blocking_admission_is_bounded() {
 
 #[test]
 fn a_panicking_worker_is_respawned_and_serving_continues() {
-    quiet_panics();
+    silence_injected_panics();
     let inner = KernelRegistry::global().get("softermax").expect("built-in");
     // Exactly the first forward call panics; everything after is clean.
     let plan = FaultPlan::new(7, 1.0)
         .with_kinds(vec![FaultKind::Panic])
         .with_window(0..1);
     let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
-    let engine = BatchEngine::new(ServeConfig::new(1)).expect("valid config");
+    let engine = one_shard(ServeConfig::new(1));
 
     let err = engine
         .submit(&faulty, vec![1.0, 2.0, 3.0], 3)
@@ -320,9 +194,13 @@ fn a_panicking_worker_is_respawned_and_serving_continues() {
         .wait()
         .expect("respawned worker serves");
     assert_eq!(probs, inner.forward(&[1.0, 2.0, 3.0]).expect("row"));
-    assert_eq!(engine.worker_panics(), 1);
-    assert_eq!(engine.worker_respawns(), 1);
-    assert_eq!(engine.live_workers(), 1, "the pool must not shrink");
+    assert_eq!(engine.shard(0).worker_panics(), 1);
+    assert_eq!(engine.shard(0).worker_respawns(), 1);
+    assert_eq!(
+        engine.shard(0).live_workers(),
+        1,
+        "the pool must not shrink"
+    );
     let stats = engine.stats();
     let s = stats.kernel("softermax").expect("recorded");
     assert_eq!(s.failed_batches, 1);
@@ -336,7 +214,7 @@ fn a_panicking_worker_is_respawned_and_serving_continues() {
 #[test]
 fn health_counters_are_current_when_a_panicked_request_resolves() {
     const ROUNDS: u64 = 2_000;
-    quiet_panics();
+    silence_injected_panics();
     let inner = KernelRegistry::global().get("softermax").expect("built-in");
     // Every forward call panics.
     let plan = FaultPlan::new(3, 1.0).with_kinds(vec![FaultKind::Panic]);
@@ -345,7 +223,7 @@ fn health_counters_are_current_when_a_panicked_request_resolves() {
         respawn_cap: ROUNDS as usize,
         ..ServeConfig::new(1)
     };
-    let engine = BatchEngine::new(config).expect("valid config");
+    let engine = one_shard(config);
     for round in 1..=ROUNDS {
         // Blocking admission: the breaker, open after the first few
         // panics, does not turn these away.
@@ -360,9 +238,9 @@ fn health_counters_are_current_when_a_panicked_request_resolves() {
         assert!(matches!(err, SoftmaxError::InvalidConfig(_)), "{err:?}");
         // Respawns first: the counter a late supervisor would move last.
         let counters = (
-            engine.worker_respawns(),
-            engine.worker_panics(),
-            engine.live_workers(),
+            engine.shard(0).worker_respawns(),
+            engine.shard(0).worker_panics(),
+            engine.shard(0).live_workers(),
         );
         assert_eq!(
             counters,
@@ -374,7 +252,7 @@ fn health_counters_are_current_when_a_panicked_request_resolves() {
 
 #[test]
 fn losing_the_last_worker_fails_the_engine_honestly() {
-    quiet_panics();
+    silence_injected_panics();
     let inner = KernelRegistry::global().get("softermax").expect("built-in");
     let plan = FaultPlan::new(11, 1.0)
         .with_kinds(vec![FaultKind::Panic])
@@ -385,7 +263,7 @@ fn losing_the_last_worker_fails_the_engine_honestly() {
         respawn_cap: 0,
         ..ServeConfig::new(1)
     };
-    let engine = BatchEngine::new(config).expect("valid config");
+    let engine = one_shard(config);
 
     let err = engine
         .submit(&faulty, vec![1.0, 2.0], 2)
@@ -395,9 +273,12 @@ fn losing_the_last_worker_fails_the_engine_honestly() {
     assert!(matches!(err, SoftmaxError::InvalidConfig(_)), "{err:?}");
 
     // The supervisor retires the worker before it resolves the batch.
-    assert_eq!(engine.live_workers(), 0);
-    assert_eq!(engine.worker_respawns(), 0);
-    assert!(!engine.is_admitting(), "a dead pool must not admit work");
+    assert_eq!(engine.shard(0).live_workers(), 0);
+    assert_eq!(engine.shard(0).worker_respawns(), 0);
+    assert!(
+        !engine.shard(0).is_admitting(),
+        "a dead pool must not admit work"
+    );
 
     // Submissions fail with an honest error instead of queueing forever.
     let err = engine
@@ -415,7 +296,7 @@ fn losing_the_last_worker_fails_the_engine_honestly() {
 #[test]
 fn submissions_racing_the_last_worker_loss_all_resolve() {
     const ROUNDS: usize = 200;
-    quiet_panics();
+    silence_injected_panics();
     let inner = KernelRegistry::global().get("softermax").expect("built-in");
     let config = ServeConfig {
         respawn_cap: 0,
@@ -427,13 +308,13 @@ fn submissions_racing_the_last_worker_loss_all_resolve() {
             .with_kinds(vec![FaultKind::Panic])
             .with_window(0..1);
         let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
-        let engine = BatchEngine::new(config.clone()).expect("valid config");
+        let engine = one_shard(config.clone());
         let tickets = std::thread::scope(|scope| {
             let submitter = scope.spawn(|| {
                 let mut tickets = Vec::new();
                 // Submit until the worker is seen dead, then once more.
                 loop {
-                    let dead = engine.live_workers() == 0;
+                    let dead = engine.shard(0).live_workers() == 0;
                     if let Ok(ticket) = engine.submit(&faulty, vec![1.0, 2.0], 2) {
                         tickets.push(ticket);
                     }
@@ -468,7 +349,7 @@ fn breaker_trips_on_failures_and_recovers_through_a_probe() {
         breaker,
         ..ServeConfig::new(1)
     };
-    let engine = BatchEngine::new(config).expect("valid");
+    let engine = one_shard(config);
 
     // Two failing batches trip the breaker (2/2 = 100% >= 50%).
     for _ in 0..2 {
@@ -479,9 +360,9 @@ fn breaker_trips_on_failures_and_recovers_through_a_probe() {
             .expect_err("NaN row fails");
         assert!(matches!(err, SoftmaxError::InvalidConfig(_)), "{err:?}");
     }
-    assert_eq!(engine.breaker_state(), BreakerState::Open);
-    assert_eq!(engine.breaker_trips(), 1);
-    assert!(!engine.is_admitting());
+    assert_eq!(engine.shard(0).breaker_state(), BreakerState::Open);
+    assert_eq!(engine.shard(0).breaker_trips(), 1);
+    assert!(!engine.shard(0).is_admitting());
     // Open breaker: non-blocking admission is refused even though the
     // queue is empty — that refusal is what lets a router fail over.
     let err = engine
@@ -492,42 +373,24 @@ fn breaker_trips_on_failures_and_recovers_through_a_probe() {
     // Guarantee the cooldown has elapsed, then recover through the
     // half-open probe: one clean success closes the breaker.
     std::thread::sleep(Duration::from_millis(40));
-    assert_eq!(engine.breaker_state(), BreakerState::HalfOpen);
+    assert_eq!(engine.shard(0).breaker_state(), BreakerState::HalfOpen);
     engine
         .submit(&kernel, vec![1.0, 2.0], 2)
         .expect("half-open admits one probe")
         .wait()
         .expect("clean probe succeeds");
-    assert_eq!(engine.breaker_state(), BreakerState::Closed);
-    assert!(engine.is_admitting());
+    assert_eq!(engine.shard(0).breaker_state(), BreakerState::Closed);
+    assert!(engine.shard(0).is_admitting());
 }
 
-/// Blocks until every worker of every shard is parked. A batch then
-/// submitted straight to one shard stays there: its parked home worker
-/// takes it, and a parked sibling wakes only for its own shard's work.
-fn wait_idle(router: &ShardedRouter) {
-    for index in 0..router.n_shards() {
-        let shard = router.shard(index);
-        for _ in 0..10_000 {
-            if shard.idle_workers() == shard.config().threads {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        assert_eq!(
-            shard.idle_workers(),
-            shard.config().threads,
-            "shard {index} workers never went idle"
-        );
-    }
-}
-
-/// Poisons `shard` with NaN batches until its breaker opens.
+/// Poisons `shard` with NaN batches until its breaker opens. On an idle
+/// router every shard costs 0, so a submission routes to the lowest
+/// admitting index: `shard` must be that one, i.e. every shard below it
+/// is already open.
 fn trip(router: &ShardedRouter, shard: usize, kernel: &Arc<dyn SoftmaxKernel>) {
     for _ in 0..2 {
-        wait_idle(router);
+        wait_all_idle(router);
         router
-            .shard(shard)
             .submit(kernel, vec![f64::NAN, 1.0], 2)
             .expect("admitted while closed")
             .wait()
@@ -552,7 +415,7 @@ fn router_routes_around_an_open_shard() {
     };
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
-    // Trip shard 0 directly (bypassing the router's spreading).
+    // Trip shard 0 (the pick of an idle router).
     trip(&router, 0, &kernel);
     assert!(router.shard(1).is_admitting());
 
@@ -618,4 +481,68 @@ fn router_refuses_honestly_when_every_breaker_is_open() {
         .expect("half-open probe admits")
         .wait()
         .expect("clean probe succeeds");
+}
+
+/// A non-blocking submission whose least-cost pick is full fails over to
+/// the other shard before it is refused, and is refused only when every
+/// shard is full.
+#[test]
+fn full_shards_fail_over_before_rejecting() {
+    let fast = KernelRegistry::global().get("softermax").expect("built-in");
+    let gate = Arc::new(Gate::default());
+    let held: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
+    let router = ShardedRouter::new(
+        2,
+        ServeConfig::new(1).with_queue_depth(2),
+        RoutePolicy::Adaptive,
+    )
+    .expect("valid config");
+    let small = vec![1.0, 2.0, 3.0, 4.0];
+    let large: Vec<f64> = (0..40).map(f64::from).collect();
+    // Each held job routes to the least-cost shard, whose worker is
+    // parked (its sibling is parked or busy, so the job stays home), and
+    // is waited on until that worker is inside the gate: a started job
+    // is never stolen, and a worker held in a gate steals nothing.
+    wait_all_idle(&router);
+    // Shard 0, the lower index of two empty shards, holds one large job
+    // (cost 40) and has a free slot.
+    let large0 = router.submit(&held, large, 40).expect("admit");
+    gate.wait_entered(1);
+    // Shard 1 holds two small jobs: full at depth 2, cost 8. Its worker
+    // is busy, so the second one stays queued at home.
+    let small1 = router.submit(&held, small.clone(), 4).expect("admit");
+    gate.wait_entered(2);
+    let queued1 = router.submit(&held, small.clone(), 4).expect("admit");
+    assert_eq!(
+        (router.shard(0).load_cost(), router.shard(1).load_cost()),
+        (40, 8),
+        "the least-cost pick, shard 1, is the full one"
+    );
+    assert_eq!(router.shard(1).inflight(), 2);
+
+    // The routed job must fail over to shard 0, not reject.
+    let routed = router
+        .submit(&fast, small.clone(), 4)
+        .expect("fail-over to shard 0");
+    let placed = (router.shard(0).inflight(), router.shard(0).load_cost());
+    // Both shards full: a non-blocking submission must reject.
+    let refused = router.submit(&fast, small.clone(), 4);
+    // Release before asserting, so a failing run cannot hang.
+    gate.release();
+    assert_eq!(placed, (2, 44), "the routed job is on shard 0");
+    let err = refused.expect_err("every shard is full");
+    assert!(matches!(err, SoftmaxError::QueueFull), "{err:?}");
+    assert_eq!(
+        routed.wait().expect("serve"),
+        fast.forward(&small).expect("row")
+    );
+    for ticket in [large0, small1, queued1] {
+        ticket.wait().expect("serve");
+    }
+    // Drained router: submissions flow again.
+    router
+        .submit(&fast, small, 4)
+        .expect("submit after drain")
+        .wait()
+        .expect("serve");
 }

@@ -7,71 +7,24 @@
 //!
 //! Every ordering here is made deterministic the same way as in
 //! `robustness.rs`: a gate kernel parks a worker on purpose so queues
-//! can be staged exactly, and only then is the gate released.
+//! can be staged exactly, and only then is the gate released. Every job
+//! enters through the router, so a test places a job on a shard by the
+//! router's own rule: the least in-flight element cost, ties to the
+//! lower index.
 
-use std::sync::{Arc, Condvar, Mutex};
+mod common;
+
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use softermax::kernel::{
-    BaseKind, BufferedSession, KernelDescriptor, NormalizationKind, SoftmaxKernel, StreamSession,
-    StreamingClass,
-};
+use common::kernels::{descriptor, Gate, NanRejectingKernel};
+use common::{bits, one_shard, wait_all_idle, wait_idle};
+use softermax::kernel::{BufferedSession, KernelDescriptor, SoftmaxKernel, StreamSession};
 use softermax::{reference, KernelRegistry, Result, SoftmaxError};
 use softermax_serve::{
     Admission, BreakerConfig, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission,
     Ticket, TicketPoll, INTERACTIVE_WEIGHT,
 };
-
-fn descriptor(name: &str) -> KernelDescriptor {
-    KernelDescriptor {
-        name: name.to_string(),
-        aliases: vec![],
-        base: BaseKind::E,
-        normalization: NormalizationKind::ThreePass,
-        bitwidth: None,
-        input_passes: 2,
-        streaming: StreamingClass::Buffered,
-        mass_tol_abs: 1e-9,
-        mass_tol_per_element: 0.0,
-    }
-}
-
-/// Parks forward calls until released (see `robustness.rs`).
-#[derive(Debug, Default)]
-struct Gate {
-    inner: Mutex<GateInner>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct GateInner {
-    entered: usize,
-    released: bool,
-}
-
-impl Gate {
-    fn wait_entered(&self, n: usize) {
-        let mut g = self.inner.lock().expect("gate");
-        while g.entered < n {
-            g = self.cv.wait(g).expect("gate");
-        }
-    }
-
-    fn release(&self) {
-        let mut g = self.inner.lock().expect("gate");
-        g.released = true;
-        self.cv.notify_all();
-    }
-
-    fn pass(&self) {
-        let mut g = self.inner.lock().expect("gate");
-        g.entered += 1;
-        self.cv.notify_all();
-        while !g.released {
-            g = self.cv.wait(g).expect("gate");
-        }
-    }
-}
 
 /// Records the tag (`row[0]`) of every row it serves, in service order.
 /// Rows with a negative tag additionally park on the gate — that is the
@@ -113,42 +66,10 @@ impl SoftmaxKernel for OrderKernel {
     }
 }
 
-/// Errors on NaN scores — drives breaker trips from the input alone.
-#[derive(Debug)]
-struct NanRejectingKernel {
-    descriptor: KernelDescriptor,
-}
-
-impl NanRejectingKernel {
-    fn new() -> Self {
-        Self {
-            descriptor: descriptor("nan-rejecting"),
-        }
-    }
-}
-
-impl SoftmaxKernel for NanRejectingKernel {
-    fn descriptor(&self) -> &KernelDescriptor {
-        &self.descriptor
-    }
-
-    fn forward(&self, row: &[f64]) -> Result<Vec<f64>> {
-        if row.iter().any(|v| v.is_nan()) {
-            return Err(SoftmaxError::InvalidConfig("NaN score".to_string()));
-        }
-        reference::softmax(row)
-    }
-
-    fn stream_session(&self) -> Box<dyn StreamSession + '_> {
-        Box::new(BufferedSession::new(self))
-    }
-}
-
 /// One worker: a parked worker lets the test stage both class queues
 /// exactly, and the recorded service order then *is* the dequeue order.
 fn staged_engine() -> (ShardedRouter, Arc<Gate>, Arc<Mutex<Vec<i64>>>) {
-    let config = ServeConfig::new(1).with_queue_depth(64);
-    let router = ShardedRouter::new(1, config, RoutePolicy::Adaptive).expect("valid config");
+    let router = one_shard(ServeConfig::new(1).with_queue_depth(64));
     let gate = Arc::new(Gate::default());
     let order = Arc::new(Mutex::new(Vec::new()));
     (router, gate, order)
@@ -159,42 +80,43 @@ fn tagged(tag: i64) -> Vec<f64> {
     vec![tag as f64, 0.5]
 }
 
-/// Blocks until every worker of the given shard is parked. A starting
-/// worker sweeps its own queue and tries one steal before it parks;
-/// once parked it wakes only for its own shard's work. So a pin job
-/// staged on an all-idle router lands on its home shard instead of
-/// racing a sibling's startup steal attempt.
-fn wait_idle(router: &ShardedRouter, shard: usize) {
-    let engine = router.shard(shard);
-    for _ in 0..10_000 {
-        if engine.idle_workers() == engine.config().threads {
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(100));
-    }
-    panic!("shard {shard} workers never went idle");
+/// Element cost of the pin job on shard `shard` of [`pin_each_shard`]:
+/// each pin outweighs everything the tests queue on the shards before
+/// it, so jobs routed after the pins land on shard 0.
+const PIN_COST: usize = 256;
+
+/// A one-row pin job of `len` scores, tagged -1 so it parks on its gate.
+fn pin_row(len: usize) -> Vec<f64> {
+    let mut row = tagged(-1);
+    row.resize(len, 0.5);
+    row
 }
 
 /// Parks shard `i`'s lone worker inside `gates[i]`, for every shard.
-/// After the idle waits each pin stays on its home shard: a parked
-/// worker wakes only for its own shard's work, and a pinned one is
-/// inside its gate and cannot steal.
+/// Pin `i` costs `2 + i * PIN_COST` elements, so it routes to shard `i`,
+/// the one shard still at cost 0, and every later job that costs less
+/// than `PIN_COST` in all routes to shard 0. After the idle waits each
+/// pin stays on its home shard: a parked worker wakes only for its own
+/// shard's work, and a pinned one is inside its gate and cannot steal.
 fn pin_each_shard(
     router: &ShardedRouter,
     gates: &[Arc<Gate>],
     order: &Arc<Mutex<Vec<i64>>>,
 ) -> Vec<Ticket> {
-    (0..gates.len()).for_each(|shard| wait_idle(router, shard));
+    wait_all_idle(router);
     gates
         .iter()
         .enumerate()
         .map(|(shard, gate)| {
             let gated: Arc<dyn SoftmaxKernel> = Arc::new(OrderKernel::new(gate, order));
-            let pin = router
-                .shard(shard)
-                .submit(&gated, tagged(-1), 2)
-                .expect("pin job");
+            let len = 2 + shard * PIN_COST;
+            let pin = router.submit(&gated, pin_row(len), len).expect("pin job");
             gate.wait_entered(1);
+            assert_eq!(
+                router.shard(shard).load_cost(),
+                len as u64,
+                "pin {shard} is home"
+            );
             pin
         })
         .collect()
@@ -307,8 +229,7 @@ fn one_request_in_flight_is_never_stolen() {
     let kernel = KernelRegistry::global().get("softermax").expect("built-in");
     let router =
         ShardedRouter::new(2, ServeConfig::new(1), RoutePolicy::Adaptive).expect("valid config");
-    wait_idle(&router, 0);
-    wait_idle(&router, 1);
+    wait_all_idle(&router);
     // Sequential requests never build a backlog: each one finds both
     // shards empty, and a parked worker is never woken for its
     // sibling's job. So no job may change shards, however the home
@@ -333,7 +254,7 @@ fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
     let config = ServeConfig::new(1).with_queue_depth(16);
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
-    // Pin both shards' workers, then backlog shard 0 directly.
+    // Pin both shards' workers, then backlog shard 0, the cheaper one.
     let pins = pin_each_shard(&router, &gates, &order);
     let matrices: Vec<Vec<f64>> = (0..4)
         .map(|m| {
@@ -346,11 +267,15 @@ fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
         .iter()
         .map(|rows| {
             router
-                .shard(0)
                 .submit(&kernel, rows.clone(), 4)
                 .expect("queued on the pinned shard")
         })
         .collect();
+    assert_eq!(
+        router.shard(0).queued_jobs(),
+        4,
+        "the backlog is on shard 0"
+    );
 
     // Unpin shard 1 only: each time its queue runs dry, its worker pulls
     // one job from shard 0, which stays parked — so only steals can
@@ -376,10 +301,11 @@ fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
         };
         let got = got.expect("stolen job served");
         for (row, got_row) in rows.chunks_exact(4).zip(got.chunks_exact(4)) {
-            let want = kernel.forward(row).expect("row");
-            let got_bits: Vec<u64> = got_row.iter().map(|v| v.to_bits()).collect();
-            let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got_bits, want_bits, "stolen job diverged from sequential");
+            assert_eq!(
+                bits(got_row),
+                bits(&kernel.forward(row).expect("row")),
+                "stolen job diverged from sequential"
+            );
         }
     }
     assert_eq!(counts, (4, 4), "thief and victim counts");
@@ -399,9 +325,8 @@ fn expired_jobs_are_left_for_the_victim_to_account() {
     let pins = pin_each_shard(&router, &gates, &order);
 
     // A doomed job (1 ms deadline) and then a fresh job, both queued on
-    // shard 0; sleep the doomed job's deadline away.
+    // shard 0, the cheaper one; sleep the doomed job's deadline away.
     let doomed = router
-        .shard(0)
         .submit_request(
             Submission::new(&kernel, vec![0.5; 4], 4).with_deadline(Duration::from_millis(1)),
             Admission::Fail,
@@ -409,9 +334,9 @@ fn expired_jobs_are_left_for_the_victim_to_account() {
         .expect("doomed job admitted");
     let fresh_rows = vec![1.0, 2.0, 3.0, 4.0];
     let fresh = router
-        .shard(0)
         .submit(&kernel, fresh_rows.clone(), 4)
         .expect("fresh job admitted");
+    assert_eq!(router.shard(0).queued_jobs(), 2, "both jobs are on shard 0");
     std::thread::sleep(Duration::from_millis(10));
 
     // Unpin shard 1 only: its worker steals the *fresh* job — never the
@@ -455,11 +380,13 @@ fn expired_jobs_are_left_for_the_victim_to_account() {
 
 #[test]
 fn a_shard_with_an_open_breaker_does_not_steal() {
-    let nan: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
     let kernel = KernelRegistry::global().get("softermax").expect("built-in");
     let gate = Arc::new(Gate::default());
     let order = Arc::new(Mutex::new(Vec::new()));
     let gated: Arc<dyn SoftmaxKernel> = Arc::new(OrderKernel::new(&gate, &order));
+    let nan: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
+    let nan_gate = Arc::new(Gate::default());
+    let gated_nan: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::gated(&nan_gate));
     let breaker = BreakerConfig {
         window: 4,
         min_samples: 2,
@@ -473,50 +400,49 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
     };
     let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
 
-    // Pin shard 0 first so its idle worker cannot steal the poisoned
-    // jobs meant to trip shard 1's breaker (after the idle wait, the
-    // pin deterministically lands on shard 0 itself).
-    wait_idle(&router, 0);
-    wait_idle(&router, 1);
-    let pin = router
-        .shard(0)
-        .submit(&gated, tagged(-1), 2)
-        .expect("pin job");
+    // Pin shard 0 first so its worker cannot steal what is queued below
+    // (after the idle waits, the pin lands on shard 0 itself).
+    wait_all_idle(&router);
+    let pin = router.submit(&gated, tagged(-1), 2).expect("pin job");
     gate.wait_entered(1);
-    for _ in 0..2 {
-        router
-            .shard(1)
-            .submit(&nan, vec![f64::NAN, 1.0], 2)
-            .expect("admitted while closed")
-            .wait()
-            .expect_err("NaN fails");
-    }
-    assert!(!router.shard(1).is_admitting(), "breaker must be open");
+    // Shard 1 is the cheaper shard: one NaN batch fails there, and a
+    // second, heavy one parks its worker in `nan_gate` with the breaker
+    // one failure short of tripping.
+    router
+        .submit(&nan, vec![f64::NAN, 1.0], 2)
+        .expect("admitted while closed")
+        .wait()
+        .expect_err("NaN fails");
+    let mut heavy = vec![0.5; PIN_COST];
+    heavy[0] = f64::NAN;
+    let tripping = router
+        .submit(&gated_nan, heavy, PIN_COST)
+        .expect("admitted while closed");
+    nan_gate.wait_entered(1);
 
-    // Backlog the pinned shard 0 while shard 1's worker is parked.
+    // Backlog the pinned shard 0, now the cheaper one.
     let tickets: Vec<_> = (0..3)
         .map(|_| {
             router
-                .shard(0)
                 .submit(&kernel, vec![0.25; 4], 4)
                 .expect("queued on the pinned shard")
         })
         .collect();
-    // Wake shard 1 with a job of its own. Blocking admission does not
-    // consult the breaker, so the job is admitted and served; then the
-    // worker's queue runs dry with its breaker open, and the steal it
-    // tries before parking must refuse shard 0's backlog.
-    router
-        .shard(1)
-        .submit_wait(&kernel, vec![0.5; 4], 4)
-        .expect("blocking admission ignores the breaker")
-        .wait()
-        .expect("served on shard 1");
+    let backlog_before = router.shard(0).queued_jobs();
+    // Release shard 1's worker: its batch fails and trips the breaker
+    // before the worker looks for more work; then its queue is dry with
+    // its breaker open, and the steal it tries before parking must
+    // refuse shard 0's backlog.
+    nan_gate.release();
+    tripping.wait().expect_err("NaN fails");
     wait_idle(&router, 1);
+    let admitting = router.shard(1).is_admitting();
     let stolen = router.jobs_stolen();
     let backlog = router.shard(0).queued_jobs();
     // Unpin shard 0 before asserting, so a failing run cannot hang.
     gate.release();
+    assert_eq!(backlog_before, 3, "the backlog is on shard 0");
+    assert!(!admitting, "breaker must be open");
     assert_eq!(
         stolen, 0,
         "an open-breaker shard must not pull work onto itself"

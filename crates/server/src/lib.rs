@@ -264,6 +264,8 @@ enum WriterMsg {
 struct Shared {
     router: ShardedRouter,
     registry: &'static KernelRegistry,
+    /// Starts every connection thread.
+    spawn: Spawn,
     config: ServerConfig,
     /// Accept loops stop when set.
     shutdown: AtomicBool,
@@ -295,10 +297,30 @@ impl Shared {
     }
 }
 
-/// One listener an accept thread drives.
+/// One listener an accept thread drives. A Unix listener removes its
+/// socket file when dropped: at the end of its accept loop, or when the
+/// server fails to start.
 enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener, PathBuf),
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let Listener::Unix(_, path) = self {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// Starts a named thread running `body`, or reports why the OS refused
+/// one. Each server thread is started through one, so the refusal paths
+/// can be driven in tests without exhausting the host's threads.
+type Spawn = fn(String, Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>;
+
+/// The production [`Spawn`]: a named [`thread::Builder`] spawn.
+fn spawn_thread(name: String, body: Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>> {
+    thread::Builder::new().name(name).spawn(body)
 }
 
 /// A running server: listeners bound, accept threads live. Drive it
@@ -316,8 +338,34 @@ impl Server {
     ///
     /// [`ServerError::NoListeners`] with an empty `binds`;
     /// [`ServerError::Config`] when the router rejects the geometry;
-    /// [`ServerError::Io`] when a bind fails.
+    /// [`ServerError::Io`] when a bind fails or the OS refuses an accept
+    /// thread (accept threads already running are stopped and joined).
     pub fn start(config: ServerConfig, binds: &[Bind]) -> Result<Server, ServerError> {
+        Self::start_with_registry(config, binds, KernelRegistry::global())
+    }
+
+    /// [`Server::start`] serving the kernels of `registry` instead of the
+    /// built-in registry.
+    ///
+    /// # Errors
+    ///
+    /// As [`Server::start`].
+    pub fn start_with_registry(
+        config: ServerConfig,
+        binds: &[Bind],
+        registry: &'static KernelRegistry,
+    ) -> Result<Server, ServerError> {
+        Self::start_with(config, binds, registry, spawn_thread)
+    }
+
+    /// [`Server::start`] serving the kernels of `registry`, with every
+    /// server thread started by `spawn`.
+    fn start_with(
+        config: ServerConfig,
+        binds: &[Bind],
+        registry: &'static KernelRegistry,
+        spawn: Spawn,
+    ) -> Result<Server, ServerError> {
         if binds.is_empty() {
             return Err(ServerError::NoListeners);
         }
@@ -326,7 +374,8 @@ impl Server {
             .map_err(ServerError::Config)?;
         let shared = Arc::new(Shared {
             router,
-            registry: KernelRegistry::global(),
+            registry,
+            spawn,
             config,
             shutdown: AtomicBool::new(false),
             draining: Mutex::new(false),
@@ -334,10 +383,12 @@ impl Server {
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(1),
         });
-        let mut accepters = Vec::with_capacity(binds.len());
+        // Bind everything before any thread starts, so a failed bind
+        // leaves nothing running.
+        let mut listeners = Vec::with_capacity(binds.len());
         let mut endpoints = Vec::with_capacity(binds.len());
         for bind in binds {
-            let listener = match bind {
+            listeners.push(match bind {
                 Bind::Tcp(addr) => {
                     let l = TcpListener::bind(addr.as_str())?;
                     l.set_nonblocking(true)?;
@@ -352,11 +403,27 @@ impl Server {
                     endpoints.push(format!("unix:{}", path.display()));
                     Listener::Unix(l, path.clone())
                 }
-            };
+            });
+        }
+        let mut accepters = Vec::with_capacity(listeners.len());
+        for (index, listener) in listeners.into_iter().enumerate() {
             let shared_for_accept = Arc::clone(&shared);
-            accepters.push(thread::spawn(move || {
-                accept_loop(&shared_for_accept, &listener)
-            }));
+            let spawned = spawn(
+                format!("softermax-accept-{index}"),
+                Box::new(move || accept_loop(&shared_for_accept, &listener)),
+            );
+            match spawned {
+                Ok(handle) => accepters.push(handle),
+                Err(e) => {
+                    // The refused closure, and the listener in it, is
+                    // dropped; stop the accept loops already running.
+                    shared.shutdown.store(true, Ordering::SeqCst);
+                    for handle in accepters {
+                        let _ = handle.join();
+                    }
+                    return Err(ServerError::Io(e));
+                }
+            }
         }
         Ok(Server {
             shared,
@@ -436,9 +503,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
             Err(_) => thread::sleep(ACCEPT_POLL),
         }
     }
-    if let Listener::Unix(_, path) = listener {
-        let _ = std::fs::remove_file(path);
-    }
 }
 
 fn spawn_connection(shared: &Arc<Shared>, conn: Conn) {
@@ -468,10 +532,25 @@ fn spawn_connection(shared: &Arc<Shared>, conn: Conn) {
     let (tx, rx) = channel::<WriterMsg>();
     let reader_shared = Arc::clone(shared);
     let reader_window = Arc::clone(&window);
-    let reader = thread::spawn(move || {
-        reader_loop(&reader_shared, conn_id, read_half, &reader_window, &tx);
-    });
-    let writer = thread::spawn(move || writer_loop(write_half, &rx, &window));
+    // A thread the OS refuses drops the connection, never the accept
+    // loop. The writer goes first: if the reader is then refused, its
+    // dropped closure drops `tx`, the writer's `recv` fails, and the
+    // writer exits at once and is joined.
+    let Ok(writer) = (shared.spawn)(
+        format!("softermax-conn-{conn_id}-writer"),
+        Box::new(move || writer_loop(write_half, &rx, &window)),
+    ) else {
+        return;
+    };
+    let Ok(reader) = (shared.spawn)(
+        format!("softermax-conn-{conn_id}-reader"),
+        Box::new(move || {
+            reader_loop(&reader_shared, conn_id, read_half, &reader_window, &tx);
+        }),
+    ) else {
+        let _ = writer.join();
+        return;
+    };
     let mut conns = lock(&shared.conns);
     conns.insert(
         conn_id,
@@ -630,11 +709,10 @@ fn handle_submit(shared: &Arc<Shared>, request: SubmitRequest, received_at: Inst
             format!("kernel '{}' is not registered", request.kernel),
         ));
     };
+    // `stream_chunk` is validated by the codec and otherwise ignored:
+    // every request runs the batch path, with the same bits.
     let rows = softermax_wire::types::scores_to_f64(&request.scores);
     let mut submission = Submission::new(&kernel, rows, request.row_len.as_usize());
-    if let Some(chunk) = request.stream_chunk {
-        submission = submission.streamed(chunk.as_usize());
-    }
     submission = submission.with_priority(match request.priority {
         WirePriority::Interactive => Priority::Interactive,
         WirePriority::Batch => Priority::Batch,
@@ -787,6 +865,88 @@ mod tests {
         assert!(!t.is_finished(), "third acquire must block at window 2");
         w.release();
         assert!(t.join().expect("acquire thread"));
+    }
+
+    /// A [`Spawn`] that refuses every thread whose name ends with
+    /// `refused` and starts the others.
+    fn refusing(
+        refused: &str,
+        name: String,
+        body: Box<dyn FnOnce() + Send>,
+    ) -> io::Result<JoinHandle<()>> {
+        if name.ends_with(refused) {
+            return Err(io::Error::other(format!("refused {name}")));
+        }
+        spawn_thread(name, body)
+    }
+
+    fn socket_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "softermax-refused-{}-{tag}.sock",
+            std::process::id()
+        ))
+    }
+
+    /// Starts a server whose threads `spawn` starts and connects to it
+    /// twice: each connection is dropped (the client reads end of stream,
+    /// which it sees only once no server thread holds a half of the
+    /// socket), and the accept loop lives on to take the next one.
+    fn assert_connections_dropped(tag: &str, spawn: Spawn) {
+        let path = socket_path(tag);
+        let bind = [Bind::Unix(path.clone())];
+        let server = Server::start_with(
+            ServerConfig::default(),
+            &bind,
+            KernelRegistry::global(),
+            spawn,
+        )
+        .expect("server start");
+        for _ in 0..2 {
+            let mut client = UnixStream::connect(&path).expect("the accept loop is alive");
+            client
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            assert_eq!(client.read(&mut [0u8; 1]).expect("end of stream"), 0);
+        }
+        server.shared.begin_drain();
+        assert_eq!(server.run(), 0, "no connection was registered");
+    }
+
+    #[test]
+    fn a_refused_writer_drops_only_the_connection() {
+        assert_connections_dropped("writer", |name, body| refusing("-writer", name, body));
+    }
+
+    /// The writer starts first; the refused reader's dropped closure
+    /// drops the channel's sending end, so the writer exits and lets go
+    /// of its half of the socket.
+    #[test]
+    fn a_refused_reader_stops_the_writer_and_drops_the_connection() {
+        assert_connections_dropped("reader", |name, body| refusing("-reader", name, body));
+    }
+
+    #[test]
+    fn a_refused_accept_thread_fails_start_and_stops_the_others() {
+        let paths = [socket_path("accept-0"), socket_path("accept-1")];
+        let binds: Vec<Bind> = paths.iter().cloned().map(Bind::Unix).collect();
+        // The first accept thread starts; the second is refused.
+        let started = Server::start_with(
+            ServerConfig::default(),
+            &binds,
+            KernelRegistry::global(),
+            |name, body| refusing("-1", name, body),
+        );
+        assert!(
+            matches!(started, Err(ServerError::Io(_))),
+            "{:?}",
+            started.err()
+        );
+        // Each listener removes its socket file when dropped: the refused
+        // one with its closure, the running one at the end of its accept
+        // loop, which start stopped and joined.
+        for path in &paths {
+            assert!(!path.exists(), "{} left behind", path.display());
+        }
     }
 
     #[test]

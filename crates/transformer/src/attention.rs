@@ -20,54 +20,11 @@ use softermax::KernelRegistry;
 use crate::nn::Linear;
 use crate::tensor::Matrix;
 
-/// A row-wise softmax implementation for attention scores.
-///
-/// Implementations must be usable behind `Arc` so one backend instance can
-/// be shared by every layer of a model.
-pub trait AttentionSoftmax: fmt::Debug + Send + Sync {
-    /// Backend name (for reports).
-    fn name(&self) -> &str;
-
-    /// Row-wise softmax of a score matrix.
-    fn forward(&self, scores: &Matrix) -> Matrix;
-
-    /// Scale factor of the softmax Jacobian: `1` for base-e, `ln 2` for
-    /// base-2 (since `d b^x/dx = ln(b)·b^x`).
-    fn grad_scale(&self) -> f32 {
-        1.0
-    }
-
-    /// The kernel behind this backend, when it has one: the handle the
-    /// tiled streaming attention path needs to open per-head
-    /// [`softermax::StreamSession`]s. Backends without a kernel (custom
-    /// test doubles) return `None` and fall back to the materialized
-    /// path.
-    fn stream_kernel(&self) -> Option<&dyn SoftmaxKernel> {
-        None
-    }
-
-    /// Row-wise softmax backward: given the forward output `probs` and
-    /// `dL/dprobs`, returns `dL/dscores` using the analytic Jacobian
-    /// `dS = scale · P ⊙ (dP − (dP·P))` (straight-through across any
-    /// quantization the forward applied).
-    fn backward(&self, probs: &Matrix, grad_probs: &Matrix) -> Matrix {
-        let mut grad = Matrix::zeros(probs.rows(), probs.cols());
-        for r in 0..probs.rows() {
-            let p = probs.row(r);
-            let gp = grad_probs.row(r);
-            let dot: f32 = p.iter().zip(gp).map(|(&a, &b)| a * b).sum();
-            for c in 0..probs.cols() {
-                grad.set(r, c, self.grad_scale() * p[c] * (gp[c] - dot));
-            }
-        }
-        grad
-    }
-}
-
 /// Adapter from any [`SoftmaxKernel`] to an attention backend: the one
-/// path every model configuration goes through. The gradient scale is
-/// derived from the kernel's descriptor (its exponential base), and the
-/// forward pass dispatches row-wise through the trait.
+/// path every model configuration goes through. One instance is shared
+/// behind `Arc` by every layer of a model. The gradient scale is derived
+/// from the kernel's descriptor (its exponential base), and the forward
+/// pass dispatches row-wise through the kernel trait.
 ///
 /// # Example
 ///
@@ -76,16 +33,15 @@ pub trait AttentionSoftmax: fmt::Debug + Send + Sync {
 ///
 /// let backend = KernelSoftmax::by_name("softermax").expect("built-in");
 /// assert_eq!(backend.grad_scale(), std::f32::consts::LN_2);
-/// # use softermax_transformer::attention::AttentionSoftmax;
-/// # let _ = backend.name();
+/// assert_eq!(backend.name(), "softermax");
 /// ```
 pub struct KernelSoftmax {
     kernel: Arc<dyn SoftmaxKernel>,
     /// Persistent working memory for the batch dispatch: flattened
     /// score/probability staging plus the kernel's [`ScratchBuffers`], all
     /// at steady-state capacity after the first matrix. Behind a `Mutex`
-    /// because the [`AttentionSoftmax`] surface is `&self` and shared
-    /// across layers; contention is nil (one forward at a time per
+    /// because [`KernelSoftmax::forward`] takes `&self` on an instance
+    /// shared across layers; contention is nil (one forward at a time per
     /// backend instance).
     scratch: Mutex<AttnScratch>,
 }
@@ -96,13 +52,6 @@ struct AttnScratch {
     batch: ScratchBuffers,
     rows: Vec<f64>,
     probs: Vec<f64>,
-}
-
-impl Clone for KernelSoftmax {
-    fn clone(&self) -> Self {
-        // Scratch is working memory, not state: clones start empty.
-        Self::from_kernel(Arc::clone(&self.kernel))
-    }
 }
 
 impl fmt::Debug for KernelSoftmax {
@@ -154,14 +103,20 @@ impl KernelSoftmax {
     pub fn kernel(&self) -> &Arc<dyn SoftmaxKernel> {
         &self.kernel
     }
-}
 
-impl AttentionSoftmax for KernelSoftmax {
-    fn name(&self) -> &str {
+    /// Backend name (for reports): the kernel's registry name.
+    #[must_use]
+    pub fn name(&self) -> &str {
         self.kernel.name()
     }
 
-    fn forward(&self, scores: &Matrix) -> Matrix {
+    /// Row-wise softmax of a score matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scores` has no columns (attention rows are non-empty).
+    #[must_use]
+    pub fn forward(&self, scores: &Matrix) -> Matrix {
         // Poisoning is irrelevant here: the scratch is pure working memory
         // that every use resizes/overwrites, so recover the guard rather
         // than masking a caller's panic with a lock error.
@@ -172,12 +127,30 @@ impl AttentionSoftmax for KernelSoftmax {
         batched(scores, self.kernel.as_ref(), &mut scratch)
     }
 
-    fn grad_scale(&self) -> f32 {
+    /// Scale factor of the softmax Jacobian: `1` for base-e, `ln 2` for
+    /// base-2 (since `d b^x/dx = ln(b)·b^x`).
+    #[must_use]
+    pub fn grad_scale(&self) -> f32 {
         self.kernel.descriptor().base.grad_scale() as f32
     }
 
-    fn stream_kernel(&self) -> Option<&dyn SoftmaxKernel> {
-        Some(self.kernel.as_ref())
+    /// Row-wise softmax backward: given the forward output `probs` and
+    /// `dL/dprobs`, returns `dL/dscores` using the analytic Jacobian
+    /// `dS = scale · P ⊙ (dP − (dP·P))` (straight-through across any
+    /// quantization the forward applied).
+    #[must_use]
+    pub fn backward(&self, probs: &Matrix, grad_probs: &Matrix) -> Matrix {
+        let scale = self.grad_scale();
+        let mut grad = Matrix::zeros(probs.rows(), probs.cols());
+        for r in 0..probs.rows() {
+            let p = probs.row(r);
+            let gp = grad_probs.row(r);
+            let dot: f32 = p.iter().zip(gp).map(|(&a, &b)| a * b).sum();
+            for c in 0..probs.cols() {
+                grad.set(r, c, scale * p[c] * (gp[c] - dot));
+            }
+        }
+        grad
     }
 }
 
@@ -242,7 +215,7 @@ pub fn head_scratch_estimates(
 /// is held bit-identical to.
 #[must_use]
 pub fn attention_head_materialized(
-    softmax: &dyn AttentionSoftmax,
+    softmax: &KernelSoftmax,
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
@@ -343,7 +316,7 @@ pub struct MultiHeadAttention {
     wo: Linear,
     n_heads: usize,
     d_head: usize,
-    softmax: Arc<dyn AttentionSoftmax>,
+    softmax: Arc<KernelSoftmax>,
     cache: Vec<HeadCache>,
 }
 
@@ -364,12 +337,7 @@ impl MultiHeadAttention {
     ///
     /// Panics if `d` is not divisible by `n_heads`.
     #[must_use]
-    pub fn new<R: Rng>(
-        d: usize,
-        n_heads: usize,
-        softmax: Arc<dyn AttentionSoftmax>,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new<R: Rng>(d: usize, n_heads: usize, softmax: Arc<KernelSoftmax>, rng: &mut R) -> Self {
         assert!(d.is_multiple_of(n_heads), "d_model must divide by n_heads");
         Self {
             wq: Linear::new(d, d, rng),
@@ -384,7 +352,7 @@ impl MultiHeadAttention {
     }
 
     /// Swaps the softmax backend (e.g. exact → Softermax for fine-tuning).
-    pub fn set_softmax(&mut self, softmax: Arc<dyn AttentionSoftmax>) {
+    pub fn set_softmax(&mut self, softmax: Arc<KernelSoftmax>) {
         self.softmax = softmax;
     }
 
@@ -432,9 +400,7 @@ impl MultiHeadAttention {
     /// kernel-backed softmax backends. Inference-only: the backward cache
     /// is not populated (calling [`backward`](Self::backward) afterwards
     /// panics), since caching probabilities is exactly the O(n²)
-    /// materialization this path removes. Backends that expose no kernel
-    /// ([`AttentionSoftmax::stream_kernel`] returns `None`) fall back to
-    /// the materialized head.
+    /// materialization this path removes.
     ///
     /// # Panics
     ///
@@ -453,10 +419,14 @@ impl MultiHeadAttention {
             let qh = q.col_slice(h * self.d_head, self.d_head);
             let kh = k.col_slice(h * self.d_head, self.d_head);
             let vh = v.col_slice(h * self.d_head, self.d_head);
-            head_outputs.push(match self.softmax.stream_kernel() {
-                Some(kernel) => attention_head_streamed(kernel, &qh, &kh, &vh, inv_sqrt, tile),
-                None => attention_head_materialized(self.softmax.as_ref(), &qh, &kh, &vh, inv_sqrt),
-            });
+            head_outputs.push(attention_head_streamed(
+                self.softmax.kernel().as_ref(),
+                &qh,
+                &kh,
+                &vh,
+                inv_sqrt,
+                tile,
+            ));
         }
         let concat = Matrix::hcat(&head_outputs.iter().collect::<Vec<_>>());
         self.wo.forward(&concat)

@@ -7,11 +7,10 @@
 //!
 //! * a from-scratch Transformer encoder classifier with **manual
 //!   backprop** ([`model`], [`attention`], [`nn`], [`tensor`]);
-//! * a **pluggable attention softmax** ([`attention::AttentionSoftmax`]),
-//!   backed by any backend of the `softermax::kernel` registry via
-//!   [`attention::KernelSoftmax`] — exact base-e, exact base-2, or the
-//!   full fixed-point Softermax pipeline with a straight-through
-//!   estimator;
+//! * a **pluggable attention softmax** ([`attention::KernelSoftmax`]),
+//!   backed by any backend of the `softermax::kernel` registry — exact
+//!   base-e, exact base-2, or the full fixed-point Softermax pipeline
+//!   with a straight-through estimator;
 //! * the paper's **int8 quantization-aware training** with a
 //!   99.999-percentile calibrator ([`quant`]);
 //! * **synthetic attention-bound tasks** ([`tasks`]) standing in for

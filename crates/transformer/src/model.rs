@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::attention::{AttentionSoftmax, KernelSoftmax, MultiHeadAttention};
+use crate::attention::{KernelSoftmax, MultiHeadAttention};
 use crate::nn::{Dropout, LayerNorm, Linear, Relu};
 use crate::quant::FakeQuant;
 use crate::tensor::Matrix;
@@ -86,7 +86,7 @@ struct EncoderLayer {
 }
 
 impl EncoderLayer {
-    fn new<R: Rng>(cfg: &ModelConfig, softmax: Arc<dyn AttentionSoftmax>, rng: &mut R) -> Self {
+    fn new<R: Rng>(cfg: &ModelConfig, softmax: Arc<KernelSoftmax>, rng: &mut R) -> Self {
         let d = cfg.d_model;
         let h = d * cfg.ffn_mult;
         Self {
@@ -184,11 +184,7 @@ impl TransformerClassifier {
 
     /// Builds a model with an explicit softmax backend.
     #[must_use]
-    pub fn with_softmax(
-        config: ModelConfig,
-        softmax: Arc<dyn AttentionSoftmax>,
-        seed: u64,
-    ) -> Self {
+    pub fn with_softmax(config: ModelConfig, softmax: Arc<KernelSoftmax>, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let embed = Matrix::xavier(config.vocab_size, config.d_model, &mut rng);
         let pos = Matrix::xavier(config.max_seq_len, config.d_model, &mut rng);
@@ -221,7 +217,7 @@ impl TransformerClassifier {
     }
 
     /// Swaps the attention softmax in every layer (pretrain → fine-tune).
-    pub fn set_softmax(&mut self, softmax: Arc<dyn AttentionSoftmax>) {
+    pub fn set_softmax(&mut self, softmax: Arc<KernelSoftmax>) {
         for layer in &mut self.layers {
             layer.mha.set_softmax(Arc::clone(&softmax));
         }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::attention::AttentionSoftmax;
+use crate::attention::KernelSoftmax;
 use crate::model::TransformerClassifier;
 use crate::nn::cross_entropy;
 use crate::tasks::Example;
@@ -214,7 +214,7 @@ pub fn evaluate(model: &mut TransformerClassifier, data: &[Example]) -> f64 {
 /// fine-tuning report.
 pub fn finetune_with_softmax(
     model: &mut TransformerClassifier,
-    softmax: Arc<dyn AttentionSoftmax>,
+    softmax: Arc<KernelSoftmax>,
     data: &[Example],
     cfg: &TrainConfig,
 ) -> TrainReport {
@@ -226,7 +226,6 @@ pub fn finetune_with_softmax(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::KernelSoftmax;
     use crate::model::{ModelConfig, TransformerClassifier};
     use crate::tasks::Task;
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use softermax_transformer::attention::{AttentionSoftmax, KernelSoftmax, MultiHeadAttention};
+use softermax_transformer::attention::{KernelSoftmax, MultiHeadAttention};
 use softermax_transformer::nn::{cross_entropy, Linear};
 use softermax_transformer::quant::FakeQuant;
 use softermax_transformer::tensor::Matrix;
@@ -31,7 +31,7 @@ proptest! {
     /// [0, 1+ε], for any score matrix.
     #[test]
     fn backends_produce_distributions(scores in arb_matrix(4, 6)) {
-        let backends: Vec<Arc<dyn AttentionSoftmax>> = vec![
+        let backends: Vec<Arc<KernelSoftmax>> = vec![
             Arc::new(KernelSoftmax::exact()),
             Arc::new(KernelSoftmax::base2()),
             Arc::new(KernelSoftmax::softermax_paper()),

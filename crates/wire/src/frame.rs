@@ -219,8 +219,9 @@ pub struct SubmitRequest {
     /// The flattened row-major matrix; exactly `n_rows × row_len`
     /// validated finite scores (enforced at construction and decode).
     pub scores: Vec<Score>,
-    /// Route through the chunked-streaming path with this many scores
-    /// per push; `None` takes the batch path.
+    /// A streaming chunk hint, validated and carried on the wire; the
+    /// server serves every request on the batch path, so it changes
+    /// neither the path nor the bits.
     pub stream_chunk: Option<ChunkLen>,
     /// End-to-end deadline budget, measured from the moment the server
     /// decodes the frame; `None` means no deadline.
@@ -263,8 +264,8 @@ impl SubmitRequest {
         })
     }
 
-    /// Routes the request through the streaming path (builder-style,
-    /// like `Submission::streamed`).
+    /// Sets the streaming chunk hint (builder-style, like
+    /// `Submission::streamed`; neither changes the served bits).
     ///
     /// # Errors
     ///

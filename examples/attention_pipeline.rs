@@ -8,19 +8,16 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use softermax_transformer::attention::{AttentionSoftmax, KernelSoftmax, MultiHeadAttention};
+use softermax_transformer::attention::{KernelSoftmax, MultiHeadAttention};
 use softermax_transformer::tensor::Matrix;
 
 fn main() {
     const SEQ: usize = 24;
     const D: usize = 32;
 
-    let backends: Vec<Arc<dyn AttentionSoftmax>> = ["reference-e", "reference-2", "softermax"]
+    let backends: Vec<Arc<KernelSoftmax>> = ["reference-e", "reference-2", "softermax"]
         .iter()
-        .map(|name| {
-            Arc::new(KernelSoftmax::by_name(name).expect("built-in kernel"))
-                as Arc<dyn AttentionSoftmax>
-        })
+        .map(|name| Arc::new(KernelSoftmax::by_name(name).expect("built-in kernel")))
         .collect();
 
     // Same weights for every backend: rebuild the block from the same seed.

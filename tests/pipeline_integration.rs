@@ -12,7 +12,7 @@ use softermax_hw::pe::PeConfig;
 use softermax_hw::tech::TechParams;
 use softermax_hw::units::{BaselineUnnormedUnit, UnnormedSoftmaxUnit};
 use softermax_hw::workload::AttentionShape;
-use softermax_transformer::attention::{AttentionSoftmax, KernelSoftmax, MultiHeadAttention};
+use softermax_transformer::attention::{KernelSoftmax, MultiHeadAttention};
 use softermax_transformer::tensor::Matrix;
 
 /// The full software stack agrees on the paper's worked example.
@@ -46,7 +46,7 @@ fn attention_outputs_track_exact_base2() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    let build = |backend: Arc<dyn AttentionSoftmax>| {
+    let build = |backend: Arc<KernelSoftmax>| {
         let mut rng = StdRng::seed_from_u64(1234);
         let mut mha = MultiHeadAttention::new(16, 2, backend, &mut rng);
         let x = Matrix::xavier(12, 16, &mut rng);
