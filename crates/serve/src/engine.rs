@@ -993,18 +993,14 @@ mod tests {
             .expect("valid config")
     }
 
+    /// Serves `rows` through `router` with blocking admission.
     fn serve(
         router: &ShardedRouter,
         kernel: &Arc<dyn SoftmaxKernel>,
         rows: &[f64],
         row_len: usize,
-        stream_chunk: Option<usize>,
     ) -> Result<Vec<f64>> {
-        let mut submission = Submission::new(kernel, rows.to_vec(), row_len);
-        if let Some(chunk) = stream_chunk {
-            submission = submission.streamed(chunk);
-        }
-        router.submit_request(submission, Admission::Block)?.wait()
+        router.submit_wait(kernel, rows.to_vec(), row_len)?.wait()
     }
 
     #[test]
@@ -1018,7 +1014,7 @@ mod tests {
         let kernel = registry.get("softermax").expect("built-in");
         let rows: Vec<f64> = (0..37 * 5).map(|i| f64::from(i % 13) / 2.0 - 3.0).collect();
         let router = router(3);
-        let got = serve(&router, &kernel, &rows, 5, None).expect("serve");
+        let got = serve(&router, &kernel, &rows, 5).expect("serve");
         for (row, got_row) in rows.chunks_exact(5).zip(got.chunks_exact(5)) {
             assert_eq!(got_row.to_vec(), kernel.forward(row).expect("row"));
         }
@@ -1030,7 +1026,7 @@ mod tests {
             .get("reference-e")
             .expect("built-in");
         let router = router(2);
-        serve(&router, &kernel, &[], 0, None).expect("empty matrix is fine");
+        serve(&router, &kernel, &[], 0).expect("empty matrix is fine");
         let stats = router.stats();
         let s = stats.kernel("reference-e").expect("recorded");
         // No-ops are visible, but apart: they must not dilute the
@@ -1048,7 +1044,7 @@ mod tests {
             .get("reference-e")
             .expect("built-in");
         let router = router(2);
-        assert!(serve(&router, &kernel, &[1.0, 2.0], 0, None).is_err());
+        assert!(serve(&router, &kernel, &[1.0, 2.0], 0).is_err());
     }
 
     #[test]
@@ -1058,7 +1054,7 @@ mod tests {
         let rows: Vec<f64> = (0..64 * 8).map(|i| f64::from(i % 7) - 3.0).collect();
         for name in ["softermax", "reference-2", "softermax"] {
             let kernel = registry.get(name).expect("built-in");
-            serve(&router, &kernel, &rows, 8, None).expect("serve");
+            serve(&router, &kernel, &rows, 8).expect("serve");
         }
         let stats = router.stats();
         let sm = stats.kernel("softermax").expect("served");
@@ -1106,14 +1102,16 @@ mod tests {
         let router = router(3);
         for name in ["softermax", "online-intmax", "reference-e", "fp16"] {
             let kernel = registry.get(name).expect("built-in");
-            let batch = serve(&router, &kernel, &rows, 6, None).expect("serve");
+            let streamed = |rows: &[f64], row_len, chunk| {
+                let submission = Submission::new(&kernel, rows.to_vec(), row_len).streamed(chunk);
+                router.submit_request(submission, Admission::Block)?.wait()
+            };
+            let batch = serve(&router, &kernel, &rows, 6).expect("serve");
             for chunk in [0, 1, 4, 6, 64] {
-                let streamed =
-                    serve(&router, &kernel, &rows, 6, Some(chunk)).expect("streamed serve");
-                assert_eq!(streamed, batch, "{name} chunk {chunk}");
+                let got = streamed(&rows, 6, chunk).expect("streamed serve");
+                assert_eq!(got, batch, "{name} chunk {chunk}");
             }
-            let empty = serve(&router, &kernel, &[], 4, Some(8)).expect("empty matrix");
-            assert!(empty.is_empty());
+            assert!(streamed(&[], 4, 8).expect("empty matrix").is_empty());
         }
     }
 
@@ -1123,7 +1121,7 @@ mod tests {
         let router = router(8);
         // One job: one worker is woken, the other seven must stay
         // parked (and the engine must still complete).
-        let got = serve(&router, &kernel, &[1.0, 2.0, 3.0], 3, None).expect("serve");
+        let got = serve(&router, &kernel, &[1.0, 2.0, 3.0], 3).expect("serve");
         assert_eq!(got, kernel.forward(&[1.0, 2.0, 3.0]).expect("row"));
     }
 
@@ -1132,7 +1130,7 @@ mod tests {
         let kernel = KernelRegistry::global().get("softermax").expect("built-in");
         let router = router(2);
         let rows: Vec<f64> = (0..16 * 4).map(|i| f64::from(i % 5) - 2.0).collect();
-        serve(&router, &kernel, &rows, 4, None).expect("serve");
+        serve(&router, &kernel, &rows, 4).expect("serve");
         assert_eq!(router.shard(0).load_cost(), 0);
         assert_eq!(router.shard(0).inflight(), 0);
     }

@@ -181,11 +181,18 @@ impl Breaker {
     /// half-open (the caller must guarantee every admission eventually
     /// reports an outcome, or the probe slot would leak).
     pub(crate) fn admit(&mut self, now: Instant) -> bool {
-        let admitted = self.admitting(now);
-        if admitted && self.state == BreakerState::HalfOpen {
-            self.probe_inflight = true;
+        match self.state_at(now) {
+            BreakerState::Closed => true,
+            BreakerState::Open => false,
+            BreakerState::HalfOpen => {
+                if self.probe_inflight {
+                    false
+                } else {
+                    self.probe_inflight = true;
+                    true
+                }
+            }
         }
-        admitted
     }
 
     /// Feeds one finished request into the outcome window.

@@ -73,38 +73,6 @@ impl Gate {
     }
 }
 
-/// The exact base-e reference behind a [`Gate`]: every forward call
-/// parks until the gate is released.
-#[derive(Debug)]
-pub struct GatedKernel {
-    descriptor: KernelDescriptor,
-    gate: Arc<Gate>,
-}
-
-impl GatedKernel {
-    pub fn new(gate: &Arc<Gate>) -> Self {
-        Self {
-            descriptor: descriptor("gated"),
-            gate: Arc::clone(gate),
-        }
-    }
-}
-
-impl SoftmaxKernel for GatedKernel {
-    fn descriptor(&self) -> &KernelDescriptor {
-        &self.descriptor
-    }
-
-    fn forward(&self, row: &[f64]) -> Result<Vec<f64>> {
-        self.gate.pass();
-        reference::softmax(row)
-    }
-
-    fn stream_session(&self) -> Box<dyn StreamSession + '_> {
-        Box::new(BufferedSession::new(self))
-    }
-}
-
 /// Errors on rows holding a NaN score and serves the rest with the
 /// exact base-e reference, so a test drives failures and successes from
 /// the input alone. With a gate, every call first parks on it.

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel};
-use common::kernels::{Gate, GatedKernel, NanRejectingKernel};
+use common::kernels::{Gate, NanRejectingKernel};
 use common::{one_shard, wait_all_idle};
 use softermax::kernel::SoftmaxKernel;
 use softermax::{reference, KernelRegistry, SoftmaxError};
@@ -29,7 +29,7 @@ use softermax_serve::{
 #[test]
 fn dropping_the_engine_resolves_outstanding_tickets() {
     let gate = Arc::new(Gate::default());
-    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
+    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::gated(&gate));
     let engine = one_shard(ServeConfig::new(1));
 
     // Request A is *executing* (parked inside the gate); request B is
@@ -62,7 +62,7 @@ fn dropping_the_engine_resolves_outstanding_tickets() {
 #[test]
 fn wait_timeout_hands_the_ticket_back_while_in_flight() {
     let gate = Arc::new(Gate::default());
-    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
+    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::gated(&gate));
     let engine = one_shard(ServeConfig::new(1));
     let ticket = engine.submit(&kernel, vec![0.5, 1.5], 2).expect("submit");
     gate.wait_entered(1);
@@ -97,7 +97,7 @@ fn expired_deadline_is_rejected_at_admission() {
 #[test]
 fn deadline_passed_in_queue_expires_at_dequeue() {
     let gate = Arc::new(Gate::default());
-    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
+    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::gated(&gate));
     let engine = one_shard(ServeConfig::new(1));
 
     // A parks the only worker; B sits in the queue with a 5 ms deadline.
@@ -122,7 +122,7 @@ fn deadline_passed_in_queue_expires_at_dequeue() {
     let probs = ticket_a.wait().expect("A was on time");
     assert_eq!(probs, reference::softmax(&[1.0, 2.0]).expect("row"));
     let stats = engine.stats();
-    let s = stats.kernel("gated").expect("recorded");
+    let s = stats.kernel("nan-rejecting").expect("recorded");
     assert_eq!(s.expired_requests, 1);
     assert_eq!(s.batches, 1, "only A succeeded");
     // The worker never computed B: exactly one forward call happened.
@@ -136,7 +136,7 @@ fn deadline_passed_in_queue_expires_at_dequeue() {
 #[test]
 fn blocking_admission_is_bounded() {
     let gate = Arc::new(Gate::default());
-    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
+    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::gated(&gate));
     let config = ServeConfig {
         admission_timeout: Duration::from_millis(20),
         ..ServeConfig::new(1).with_queue_depth(1)
@@ -490,7 +490,7 @@ fn router_refuses_honestly_when_every_breaker_is_open() {
 fn full_shards_fail_over_before_rejecting() {
     let fast = KernelRegistry::global().get("softermax").expect("built-in");
     let gate = Arc::new(Gate::default());
-    let held: Arc<dyn SoftmaxKernel> = Arc::new(GatedKernel::new(&gate));
+    let held: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::gated(&gate));
     let router = ShardedRouter::new(
         2,
         ServeConfig::new(1).with_queue_depth(2),

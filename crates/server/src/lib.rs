@@ -341,21 +341,7 @@ impl Server {
     /// [`ServerError::Io`] when a bind fails or the OS refuses an accept
     /// thread (accept threads already running are stopped and joined).
     pub fn start(config: ServerConfig, binds: &[Bind]) -> Result<Server, ServerError> {
-        Self::start_with_registry(config, binds, KernelRegistry::global())
-    }
-
-    /// [`Server::start`] serving the kernels of `registry` instead of the
-    /// built-in registry.
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::start`].
-    pub fn start_with_registry(
-        config: ServerConfig,
-        binds: &[Bind],
-        registry: &'static KernelRegistry,
-    ) -> Result<Server, ServerError> {
-        Self::start_with(config, binds, registry, spawn_thread)
+        Self::start_with(config, binds, KernelRegistry::global(), spawn_thread)
     }
 
     /// [`Server::start`] serving the kernels of `registry`, with every
@@ -813,6 +799,8 @@ fn health_body(shared: &Arc<Shared>) -> serde::Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use softermax::kernel::{KernelDescriptor, ScratchBuffers, SoftmaxKernel, StreamSession};
+    use softermax_client::{Client, ClientConfig, Endpoint};
 
     #[test]
     fn remaining_budget_subtracts_elapsed_time() {
@@ -947,6 +935,91 @@ mod tests {
         for path in &paths {
             assert!(!path.exists(), "{} left behind", path.display());
         }
+    }
+
+    /// A built-in kernel whose stream session must never open: serving is
+    /// the batch path alone.
+    #[derive(Debug)]
+    struct Sessionless(Arc<dyn SoftmaxKernel>);
+
+    impl SoftmaxKernel for Sessionless {
+        fn descriptor(&self) -> &KernelDescriptor {
+            self.0.descriptor()
+        }
+
+        fn forward(&self, row: &[f64]) -> softermax::Result<Vec<f64>> {
+            self.0.forward(row)
+        }
+
+        fn forward_into(
+            &self,
+            row: &[f64],
+            out: &mut [f64],
+            scratch: &mut ScratchBuffers,
+        ) -> softermax::Result<()> {
+            self.0.forward_into(row, out, scratch)
+        }
+
+        fn stream_session(&self) -> Box<dyn StreamSession + '_> {
+            panic!("a served request opened a stream session")
+        }
+    }
+
+    /// Requests that name a streaming chunk — a `.streamed(16)` submission
+    /// to the router, and a `stream_chunk` frame to a live server — are
+    /// served bit-identically to sequential `forward_into`, and no stream
+    /// session is opened on the way: every kernel here panics in
+    /// `stream_session`, which would fail the request.
+    #[test]
+    fn streamed_requests_are_served_without_a_stream_session() {
+        const LEN: usize = 40;
+        let mut registry = KernelRegistry::new();
+        for kernel in KernelRegistry::global().kernels() {
+            registry.register(Arc::new(Sessionless(Arc::clone(kernel))));
+        }
+        let registry: &'static KernelRegistry = Box::leak(Box::new(registry));
+        let scores: Vec<f64> = (0..4 * LEN)
+            .map(|i| (i as f64 * 0.37 - 17.6).sin() * 6.5)
+            .collect();
+        let router = ShardedRouter::new(2, ServeConfig::new(1), RoutePolicy::Adaptive)
+            .expect("valid config");
+        let path = socket_path("sessionless");
+        let server = Server::start_with(
+            ServerConfig::default(),
+            &[Bind::Unix(path.clone())],
+            registry,
+            spawn_thread,
+        )
+        .expect("server start");
+        let mut client =
+            Client::connect(Endpoint::Unix(path), ClientConfig::default()).expect("client connect");
+        let mut scratch = ScratchBuffers::default();
+        for kernel in registry.kernels() {
+            let mut want = vec![0.0; scores.len()];
+            for (row, out) in scores.chunks(LEN).zip(want.chunks_mut(LEN)) {
+                kernel
+                    .forward_into(row, out, &mut scratch)
+                    .expect("sequential forward_into");
+            }
+            let submission = Submission::new(kernel, scores.clone(), LEN).streamed(16);
+            let routed = router
+                .submit_request(submission, Admission::Block)
+                .and_then(Ticket::wait)
+                .expect("served through the router");
+            let request = SubmitRequest::build(0, kernel.name(), &scores, LEN)
+                .and_then(|request| request.streamed(16))
+                .expect("valid request");
+            client.submit(request).expect("submit");
+            let served = client.next_reply().expect("reply").1.expect("served");
+            for (path, got) in [("router", &routed), ("server", &served)] {
+                let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+                let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{} through the {path}", kernel.name());
+            }
+        }
+        client.shutdown_server().expect("shutdown ack");
+        drop(client);
+        let _ = server.run();
     }
 
     #[test]

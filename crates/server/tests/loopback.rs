@@ -6,14 +6,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use softermax::kernel::{
-    KernelDescriptor, KernelRegistry, ScratchBuffers, SoftmaxKernel, StreamSession,
-};
+use softermax::kernel::{KernelRegistry, ScratchBuffers};
 use softermax_client::{Client, ClientConfig, Endpoint};
-use softermax_serve::{Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket};
 use softermax_server::{Bind, Server, ServerConfig};
 use softermax_wire::{
     encode_frame, read_frame, ErrorCode, Frame, Hello, SubmitReply, SubmitRequest, WireError,
@@ -395,74 +391,4 @@ fn version_below_minimum_is_refused() {
         other => panic!("expected error frame, got {other:?}"),
     }
     stop(server, &tcp);
-}
-
-/// A built-in kernel whose stream session must never open: serving is
-/// the batch path alone.
-#[derive(Debug)]
-struct Sessionless(Arc<dyn SoftmaxKernel>);
-
-impl SoftmaxKernel for Sessionless {
-    fn descriptor(&self) -> &KernelDescriptor {
-        self.0.descriptor()
-    }
-
-    fn forward(&self, row: &[f64]) -> softermax::Result<Vec<f64>> {
-        self.0.forward(row)
-    }
-
-    fn forward_into(
-        &self,
-        row: &[f64],
-        out: &mut [f64],
-        scratch: &mut ScratchBuffers,
-    ) -> softermax::Result<()> {
-        self.0.forward_into(row, out, scratch)
-    }
-
-    fn stream_session(&self) -> Box<dyn StreamSession + '_> {
-        panic!("a served request opened a stream session")
-    }
-}
-
-/// Requests that name a streaming chunk — a `.streamed(16)` submission
-/// to the router, and a `stream_chunk` frame to a live server — are
-/// served bit-identically to sequential `forward_into`, and no stream
-/// session is opened on the way: every kernel here panics in
-/// `stream_session`, which would fail the request.
-#[test]
-fn streamed_requests_are_served_without_a_stream_session() {
-    const LEN: usize = 40;
-    let mut registry = KernelRegistry::new();
-    for kernel in KernelRegistry::global().kernels() {
-        registry.register(Arc::new(Sessionless(Arc::clone(kernel))));
-    }
-    let registry: &'static KernelRegistry = Box::leak(Box::new(registry));
-    let scores = test_scores(4, LEN);
-    let router =
-        ShardedRouter::new(2, ServeConfig::new(1), RoutePolicy::Adaptive).expect("valid config");
-    let server = Server::start_with_registry(
-        ServerConfig::default(),
-        &[Bind::Unix(unique_socket_path("sessionless"))],
-        registry,
-    )
-    .expect("server start");
-    let endpoint = Endpoint::parse(&server.endpoints()[0]).expect("endpoint spec");
-    let mut client = connect(&endpoint);
-    for kernel in registry.kernels() {
-        let want = ground_truth(kernel.name(), &scores, LEN);
-        let submission = Submission::new(kernel, scores.clone(), LEN).streamed(16);
-        let got = router
-            .submit_request(submission, Admission::Block)
-            .and_then(Ticket::wait)
-            .expect("served through the router");
-        assert_bits_equal(kernel.name(), "router", &got, &want);
-        let request = SubmitRequest::build(0, kernel.name(), &scores, LEN)
-            .and_then(|request| request.streamed(16))
-            .expect("valid request");
-        let got = call(&mut client, request).expect("served over the wire");
-        assert_bits_equal(kernel.name(), "unix", &got, &want);
-    }
-    drop(client);
-    stop(server, &endpoint);
 }
