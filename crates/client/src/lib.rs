@@ -26,58 +26,18 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::io::Write;
 use std::thread;
 use std::time::Duration;
 
 use serde::Value;
+// Re-exported so a caller can name a server without depending on
+// `softermax-wire`.
+pub use softermax_wire::Endpoint;
 use softermax_wire::{
-    read_frame, write_frame, Frame, FrameError, Hello, SubmitRequest, WireError, PROTOCOL_VERSION,
+    read_frame, write_frame, Frame, FrameError, Hello, Stream, SubmitRequest, WireError,
+    PROTOCOL_VERSION,
 };
-
-/// Where a server lives. Parsed from `tcp:HOST:PORT` or `unix:PATH`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Endpoint {
-    /// A TCP address, e.g. `127.0.0.1:7070`.
-    Tcp(String),
-    /// A Unix-domain socket path.
-    Unix(PathBuf),
-}
-
-impl Endpoint {
-    /// Parses an endpoint spec: `tcp:HOST:PORT` or `unix:PATH`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::BadEndpoint`] on any other shape.
-    pub fn parse(spec: &str) -> Result<Self, ClientError> {
-        if let Some(addr) = spec.strip_prefix("tcp:") {
-            if addr.is_empty() {
-                return Err(ClientError::BadEndpoint(spec.to_string()));
-            }
-            Ok(Endpoint::Tcp(addr.to_string()))
-        } else if let Some(path) = spec.strip_prefix("unix:") {
-            if path.is_empty() {
-                return Err(ClientError::BadEndpoint(spec.to_string()));
-            }
-            Ok(Endpoint::Unix(PathBuf::from(path)))
-        } else {
-            Err(ClientError::BadEndpoint(spec.to_string()))
-        }
-    }
-}
-
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Tcp(addr) => write!(f, "tcp:{addr}"),
-            Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
-        }
-    }
-}
 
 /// Capped exponential reconnect backoff: attempt `n` sleeps
 /// `min(base × 2ⁿ, cap)` before retrying, for at most `attempts` tries.
@@ -131,8 +91,6 @@ impl Default for ClientConfig {
 /// Everything a client call can fail with.
 #[derive(Debug)]
 pub enum ClientError {
-    /// The endpoint spec did not parse.
-    BadEndpoint(String),
     /// Connecting failed after every backoff attempt.
     Connect {
         /// The endpoint that refused us.
@@ -162,9 +120,6 @@ pub enum ClientError {
 impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClientError::BadEndpoint(s) => {
-                write!(f, "bad endpoint '{s}' (want tcp:HOST:PORT or unix:PATH)")
-            }
             ClientError::Connect {
                 endpoint,
                 attempts,
@@ -189,52 +144,6 @@ impl std::error::Error for ClientError {}
 impl From<FrameError> for ClientError {
     fn from(e: FrameError) -> Self {
         ClientError::Frame(e)
-    }
-}
-
-/// One connected transport stream.
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn connect(endpoint: &Endpoint) -> std::io::Result<Self> {
-        match endpoint {
-            Endpoint::Tcp(addr) => {
-                let s = TcpStream::connect(addr.as_str())?;
-                // Frames are whole messages: waiting for Nagle
-                // coalescing only adds latency between them.
-                s.set_nodelay(true)?;
-                Ok(Stream::Tcp(s))
-            }
-            Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
     }
 }
 
@@ -502,6 +411,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     #[test]
     fn endpoints_parse_and_render() {

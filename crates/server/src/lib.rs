@@ -9,11 +9,11 @@
 //!   decodes frames and submits through the router without ever
 //!   waiting on results; the writer resolves tickets and writes
 //!   replies in submission order, so the connection pipeline is FIFO
-//!   by construction. A bounded per-connection **in-flight window**
-//!   ([`ServerConfig::inflight_window`]) makes the reader stop pulling
-//!   new frames when too many replies are owed — backpressure travels
-//!   to the client through TCP flow control instead of unbounded
-//!   server-side queueing.
+//!   by construction. The reader hands the writer its replies over a
+//!   channel of [`ServerConfig::inflight_window`] slots: a reader whose
+//!   writer is that far behind blocks and stops pulling new frames, so
+//!   a connection owes at most `inflight_window + 2` replies and
+//!   backpressure travels to the client through TCP flow control.
 //!
 //! **End-to-end deadlines.** A wire deadline budget starts the moment
 //! the request frame is decoded ([`Instant::now`] in the reader). Both
@@ -24,8 +24,9 @@
 //!
 //! **Graceful drain.** A `Shutdown` frame (the protocol's
 //! SIGTERM equivalent, since signal handling needs crates this
-//! offline build does not have) flips the server into draining: the
-//! accept loops close their listeners, every connection's read half is
+//! offline build does not have) sets the server's one draining flag and
+//! wakes [`Server::run`] through a channel: the accept loops see the
+//! flag and close their listeners, every connection's read half is
 //! shut down (readers see EOF and stop taking new work), writers
 //! resolve the tickets already in flight and flush their replies, and
 //! only then does [`Server::run`] return. No accepted request is
@@ -44,13 +45,13 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown as SockShutdown, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{self, Write};
+use std::net::TcpListener;
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -60,11 +61,11 @@ use softermax_serve::{
     Admission, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
 };
 use softermax_wire::{
-    read_frame_capped, write_frame, ErrorCode, Frame, FrameError, HelloAck, SubmitReply,
-    SubmitRequest, WireError, WirePriority, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    read_frame_capped, write_frame, Endpoint, ErrorCode, Frame, FrameError, HelloAck, Stream,
+    SubmitReply, SubmitRequest, WireError, WirePriority, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 
-/// How often a non-blocking accept loop re-checks the shutdown flag.
+/// How often a non-blocking accept loop re-checks the draining flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Server-side configuration: router geometry plus connection limits.
@@ -78,8 +79,11 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Bounded intake depth per shard.
     pub queue_depth: usize,
-    /// Max replies owed per connection before its reader stops pulling
-    /// frames (per-connection in-flight window).
+    /// Slots in each connection's reader-to-writer reply channel (0 is
+    /// valid). A reader that finds it full stops reading, so a
+    /// connection has at most `inflight_window + 2` frames read and not
+    /// yet answered, and at most as many requests in the router: this
+    /// many queued, one the writer is answering, one the reader holds.
     pub inflight_window: usize,
     /// Server name reported in `HelloAck`.
     pub name: String,
@@ -97,17 +101,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where to listen.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Bind {
-    /// A TCP address (port 0 picks an ephemeral port, reported by
-    /// [`Server::endpoints`]).
-    Tcp(String),
-    /// A Unix-socket path (any stale file at the path is replaced; the
-    /// file is removed again on drain).
-    Unix(PathBuf),
-}
-
 /// Startup/runtime failures.
 #[derive(Debug)]
 pub enum ServerError {
@@ -115,7 +108,7 @@ pub enum ServerError {
     Io(io::Error),
     /// The router configuration was rejected.
     Config(SoftmaxError),
-    /// No [`Bind`] was given.
+    /// No [`Endpoint`] was given to listen on.
     NoListeners,
 }
 
@@ -149,56 +142,6 @@ pub fn remaining_budget(budget: Duration, received_at: Instant, now: Instant) ->
     budget.saturating_sub(now.saturating_duration_since(received_at))
 }
 
-/// One live transport stream (the server side's `Read + Write` twin of
-/// the client's).
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-        }
-    }
-
-    /// Shuts the read half so a blocked reader thread sees EOF (the
-    /// drain mechanism).
-    fn shutdown_read(&self) {
-        let _ = match self {
-            Conn::Tcp(s) => s.shutdown(SockShutdown::Read),
-            Conn::Unix(s) => s.shutdown(SockShutdown::Read),
-        };
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// Locks with poison recovery: a panicking thread elsewhere must not
 /// cascade a panic into every connection that touches the same lock.
 /// All server state stays coherent under recovery (counters are
@@ -210,54 +153,17 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The bounded per-connection in-flight window: the reader acquires a
-/// slot per submission, the writer releases it once the reply is on
-/// the wire.
-struct Window {
-    max: usize,
-    open: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl Window {
-    fn new(max: usize) -> Self {
-        Self {
-            max: max.max(1),
-            open: Mutex::new(0),
-            freed: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) {
-        let mut n = lock(&self.open);
-        while *n >= self.max {
-            n = self.freed.wait(n).unwrap_or_else(PoisonError::into_inner);
-        }
-        *n += 1;
-    }
-
-    fn release(&self) {
-        let mut n = lock(&self.open);
-        *n = n.saturating_sub(1);
-        drop(n);
-        self.freed.notify_one();
-    }
-}
-
 /// What the reader hands the writer, in reply order.
 enum WriterMsg {
     /// An already-built frame (handshake, control reply, immediate
-    /// error reply). `releases_slot` is true for data-plane replies
-    /// that hold a window slot.
-    Frame { frame: Frame, releases_slot: bool },
-    /// An in-flight ticket to resolve and answer. Holds a window slot.
+    /// error reply).
+    Frame(Frame),
+    /// An in-flight ticket to resolve and answer.
     Pending {
         id: u64,
         ticket: Ticket,
         deadline: Option<(Instant, Duration)>,
     },
-    /// Flush and exit (reader is done).
-    Close,
 }
 
 /// Shared server state.
@@ -267,33 +173,30 @@ struct Shared {
     /// Starts every connection thread.
     spawn: Spawn,
     config: ServerConfig,
-    /// Accept loops stop when set.
-    shutdown: AtomicBool,
-    /// Drain trigger: becomes true once, wakes [`Server::run`].
-    draining: Mutex<bool>,
-    drain_bell: Condvar,
+    /// Set by the first `Shutdown` frame: accept loops stop, and a
+    /// connection that ends after it leaves its entry for the drain.
+    draining: AtomicBool,
+    /// Wakes [`Server::run`] once `draining` is set.
+    drain_bell: Sender<()>,
     conns: Mutex<HashMap<u64, ConnEntry>>,
     next_conn: AtomicU64,
 }
 
 struct ConnEntry {
     /// A clone used only to shut the read half during drain.
-    stream: Conn,
-    reader: Option<JoinHandle<()>>,
-    writer: Option<JoinHandle<()>>,
+    stream: Stream,
+    reader: JoinHandle<()>,
+    writer: JoinHandle<()>,
 }
 
 impl Shared {
     fn begin_drain(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let mut draining = lock(&self.draining);
-        *draining = true;
-        drop(draining);
-        self.drain_bell.notify_all();
+        self.draining.store(true, Ordering::SeqCst);
+        let _ = self.drain_bell.send(());
     }
 
     fn is_draining(&self) -> bool {
-        *lock(&self.draining)
+        self.draining.load(Ordering::SeqCst)
     }
 }
 
@@ -328,65 +231,70 @@ fn spawn_thread(name: String, body: Box<dyn FnOnce() + Send>) -> io::Result<Join
 pub struct Server {
     shared: Arc<Shared>,
     accepters: Vec<JoinHandle<()>>,
-    endpoints: Vec<String>,
+    endpoints: Vec<Endpoint>,
+    /// Receives [`Shared::begin_drain`]'s ring.
+    drain_bell: Receiver<()>,
 }
 
 impl Server {
     /// Builds the router, binds every listener, and starts accepting.
+    /// TCP port 0 picks an ephemeral port ([`Server::endpoints`] reports
+    /// it); a stale file at a Unix path is replaced, and the file is
+    /// removed again on drain.
     ///
     /// # Errors
     ///
-    /// [`ServerError::NoListeners`] with an empty `binds`;
+    /// [`ServerError::NoListeners`] with no `endpoints`;
     /// [`ServerError::Config`] when the router rejects the geometry;
     /// [`ServerError::Io`] when a bind fails or the OS refuses an accept
     /// thread (accept threads already running are stopped and joined).
-    pub fn start(config: ServerConfig, binds: &[Bind]) -> Result<Server, ServerError> {
-        Self::start_with(config, binds, KernelRegistry::global(), spawn_thread)
+    pub fn start(config: ServerConfig, endpoints: &[Endpoint]) -> Result<Server, ServerError> {
+        Self::start_with(config, endpoints, KernelRegistry::global(), spawn_thread)
     }
 
     /// [`Server::start`] serving the kernels of `registry`, with every
     /// server thread started by `spawn`.
     fn start_with(
         config: ServerConfig,
-        binds: &[Bind],
+        endpoints: &[Endpoint],
         registry: &'static KernelRegistry,
         spawn: Spawn,
     ) -> Result<Server, ServerError> {
-        if binds.is_empty() {
+        if endpoints.is_empty() {
             return Err(ServerError::NoListeners);
         }
         let serve_config = ServeConfig::new(config.threads).with_queue_depth(config.queue_depth);
         let router = ShardedRouter::new(config.shards, serve_config, RoutePolicy::Adaptive)
             .map_err(ServerError::Config)?;
+        let (bell, drain_bell) = mpsc::channel();
         let shared = Arc::new(Shared {
             router,
             registry,
             spawn,
             config,
-            shutdown: AtomicBool::new(false),
-            draining: Mutex::new(false),
-            drain_bell: Condvar::new(),
+            draining: AtomicBool::new(false),
+            drain_bell: bell,
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(1),
         });
         // Bind everything before any thread starts, so a failed bind
         // leaves nothing running.
-        let mut listeners = Vec::with_capacity(binds.len());
-        let mut endpoints = Vec::with_capacity(binds.len());
-        for bind in binds {
-            listeners.push(match bind {
-                Bind::Tcp(addr) => {
+        let mut listeners = Vec::with_capacity(endpoints.len());
+        let mut bound = Vec::with_capacity(endpoints.len());
+        for endpoint in endpoints {
+            listeners.push(match endpoint {
+                Endpoint::Tcp(addr) => {
                     let l = TcpListener::bind(addr.as_str())?;
                     l.set_nonblocking(true)?;
-                    endpoints.push(format!("tcp:{}", l.local_addr()?));
+                    bound.push(Endpoint::Tcp(l.local_addr()?.to_string()));
                     Listener::Tcp(l)
                 }
-                Bind::Unix(path) => {
+                Endpoint::Unix(path) => {
                     // Replace a stale socket file from a dead process.
                     let _ = std::fs::remove_file(path);
                     let l = UnixListener::bind(path)?;
                     l.set_nonblocking(true)?;
-                    endpoints.push(format!("unix:{}", path.display()));
+                    bound.push(endpoint.clone());
                     Listener::Unix(l, path.clone())
                 }
             });
@@ -403,7 +311,7 @@ impl Server {
                 Err(e) => {
                     // The refused closure, and the listener in it, is
                     // dropped; stop the accept loops already running.
-                    shared.shutdown.store(true, Ordering::SeqCst);
+                    shared.draining.store(true, Ordering::SeqCst);
                     for handle in accepters {
                         let _ = handle.join();
                     }
@@ -414,14 +322,14 @@ impl Server {
         Ok(Server {
             shared,
             accepters,
-            endpoints,
+            endpoints: bound,
+            drain_bell,
         })
     }
 
-    /// The bound endpoints, in `tcp:ADDR` / `unix:PATH` spec form
-    /// (ephemeral TCP ports resolved).
+    /// The bound endpoints, with ephemeral TCP ports resolved.
     #[must_use]
-    pub fn endpoints(&self) -> &[String] {
+    pub fn endpoints(&self) -> &[Endpoint] {
         &self.endpoints
     }
 
@@ -431,16 +339,8 @@ impl Server {
     /// returns the number of connections drained.
     #[must_use = "the drained-connection count is the drain's receipt"]
     pub fn run(self) -> usize {
-        {
-            let mut draining = lock(&self.shared.draining);
-            while !*draining {
-                draining = self
-                    .shared
-                    .drain_bell
-                    .wait(draining)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
+        // `shared` holds the sending end, so this returns only on a ring.
+        let _ = self.drain_bell.recv();
         // 1. Stop accepting: flag is set; accept loops notice and exit
         //    (closing listeners and removing unix socket files).
         for handle in self.accepters {
@@ -449,113 +349,88 @@ impl Server {
         // 2. EOF every live connection's read half so its reader stops
         //    taking new frames. Accept threads are joined, so no new
         //    entries can appear behind this sweep.
-        let entries: Vec<ConnEntry> = {
-            let mut conns = lock(&self.shared.conns);
-            conns.drain().map(|(_, e)| e).collect()
-        };
+        let entries: Vec<ConnEntry> = lock(&self.shared.conns).drain().map(|(_, e)| e).collect();
         for entry in &entries {
-            entry.stream.shutdown_read();
+            let _ = entry.stream.shutdown_read();
         }
-        // 3. Readers exit on EOF and hand their writers a Close; the
-        //    writers resolve every in-flight ticket first (FIFO queue),
-        //    flush, and exit. Joining in that order is the drain.
+        // 3. Readers exit on EOF and drop their senders; the writers
+        //    answer every reply already queued (FIFO), flush, and exit.
+        //    Joining in that order is the drain.
         let drained = entries.len();
-        for mut entry in entries {
-            if let Some(h) = entry.reader.take() {
-                let _ = h.join();
-            }
-            if let Some(h) = entry.writer.take() {
-                let _ = h.join();
-            }
+        for entry in entries {
+            let _ = entry.reader.join();
+            let _ = entry.writer.join();
         }
         drained
     }
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let accepted: io::Result<Conn> = match listener {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-            Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
+    while !shared.is_draining() {
+        // The accepted socket must block again: accept() inherits the
+        // listener's non-blocking flag on some platforms.
+        let accepted = match listener {
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
+                s.set_nonblocking(false)?;
+                Stream::tcp(s)
+            }),
+            Listener::Unix(l, _) => l.accept().and_then(|(s, _)| {
+                s.set_nonblocking(false)?;
+                Ok(Stream::Unix(s))
+            }),
         };
         match accepted {
-            Ok(conn) => spawn_connection(shared, conn),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            // Transient accept failure (e.g. aborted connection):
-            // breathe and keep listening.
+            Ok(stream) => spawn_connection(shared, stream),
+            // Nothing pending, or a transient failure (e.g. an aborted
+            // connection): breathe and keep listening.
             Err(_) => thread::sleep(ACCEPT_POLL),
         }
     }
 }
 
-fn spawn_connection(shared: &Arc<Shared>, conn: Conn) {
-    // The accepted socket must block again: accept() inherits the
-    // listener's non-blocking flag on some platforms.
-    match &conn {
-        Conn::Tcp(s) => {
-            // Frames are whole messages — disable Nagle coalescing so
-            // a reply hits the wire the moment it is written.
-            if s.set_nonblocking(false).is_err() || s.set_nodelay(true).is_err() {
-                return;
-            }
-        }
-        Conn::Unix(s) => {
-            if s.set_nonblocking(false).is_err() {
-                return;
-            }
-        }
-    }
-    let (Ok(read_half), Ok(write_half), Ok(drain_half)) =
-        (conn.try_clone(), conn.try_clone(), conn.try_clone())
-    else {
+fn spawn_connection(shared: &Arc<Shared>, stream: Stream) {
+    let (Ok(read_half), Ok(drain_half)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
     let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
-    let window = Arc::new(Window::new(shared.config.inflight_window));
-    let (tx, rx) = channel::<WriterMsg>();
+    let (tx, rx) = mpsc::sync_channel(shared.config.inflight_window);
     let reader_shared = Arc::clone(shared);
-    let reader_window = Arc::clone(&window);
     // A thread the OS refuses drops the connection, never the accept
     // loop. The writer goes first: if the reader is then refused, its
     // dropped closure drops `tx`, the writer's `recv` fails, and the
     // writer exits at once and is joined.
     let Ok(writer) = (shared.spawn)(
         format!("softermax-conn-{conn_id}-writer"),
-        Box::new(move || writer_loop(write_half, &rx, &window)),
+        Box::new(move || writer_loop(stream, &rx)),
     ) else {
         return;
     };
+    // Hold the registry across the reader's start: a reader that sees
+    // end of stream at once removes its entry, which must be there
+    // already, or it would stay until the drain.
+    let mut conns = lock(&shared.conns);
     let Ok(reader) = (shared.spawn)(
         format!("softermax-conn-{conn_id}-reader"),
-        Box::new(move || {
-            reader_loop(&reader_shared, conn_id, read_half, &reader_window, &tx);
-        }),
+        Box::new(move || reader_loop(&reader_shared, conn_id, read_half, tx)),
     ) else {
+        drop(conns);
         let _ = writer.join();
         return;
     };
-    let mut conns = lock(&shared.conns);
     conns.insert(
         conn_id,
         ConnEntry {
             stream: drain_half,
-            reader: Some(reader),
-            writer: Some(writer),
+            reader,
+            writer,
         },
     );
 }
 
-/// Decodes frames and submits; never waits on a result.
-fn reader_loop(
-    shared: &Arc<Shared>,
-    conn_id: u64,
-    mut stream: Conn,
-    window: &Arc<Window>,
-    tx: &Sender<WriterMsg>,
-) {
+/// Decodes frames and submits; never waits on a result. Returning drops
+/// `tx`, which ends the writer once it has answered what is queued.
+fn reader_loop(shared: &Arc<Shared>, conn_id: u64, mut stream: Stream, tx: SyncSender<WriterMsg>) {
+    let reply = |frame| tx.send(WriterMsg::Frame(frame));
     let mut greeted = false;
     loop {
         let frame = match read_frame_capped(&mut stream, MAX_FRAME_BYTES) {
@@ -564,10 +439,7 @@ fn reader_loop(
             Err(e) => {
                 // Best-effort error frame; after a fatal framing error
                 // the stream cannot be re-synced, so close.
-                let _ = tx.send(WriterMsg::Frame {
-                    frame: Frame::Error(WireError::protocol(e.to_string())),
-                    releases_slot: false,
-                });
+                let _ = reply(Frame::Error(WireError::protocol(e.to_string())));
                 if e.is_fatal() {
                     break;
                 }
@@ -577,42 +449,31 @@ fn reader_loop(
         match frame {
             Frame::Hello(hello) => {
                 if greeted {
-                    let _ = tx.send(WriterMsg::Frame {
-                        frame: Frame::Error(WireError::protocol("duplicate hello")),
-                        releases_slot: false,
-                    });
+                    let _ = reply(Frame::Error(WireError::protocol("duplicate hello")));
                     break;
                 }
                 if hello.max_version < PROTOCOL_VERSION {
-                    let _ = tx.send(WriterMsg::Frame {
-                        frame: Frame::Error(WireError::protocol(format!(
-                            "client max_version {} below server version {PROTOCOL_VERSION}",
-                            hello.max_version
-                        ))),
-                        releases_slot: false,
-                    });
+                    let _ = reply(Frame::Error(WireError::protocol(format!(
+                        "client max_version {} below server version {PROTOCOL_VERSION}",
+                        hello.max_version
+                    ))));
                     break;
                 }
                 greeted = true;
-                let _ = tx.send(WriterMsg::Frame {
-                    frame: Frame::HelloAck(HelloAck {
-                        version: PROTOCOL_VERSION,
-                        server: shared.config.name.clone(),
-                        max_frame_bytes: MAX_FRAME_BYTES,
-                    }),
-                    releases_slot: false,
-                });
+                let _ = reply(Frame::HelloAck(HelloAck {
+                    version: PROTOCOL_VERSION,
+                    server: shared.config.name.clone(),
+                    max_frame_bytes: MAX_FRAME_BYTES,
+                }));
             }
             _ if !greeted => {
-                let _ = tx.send(WriterMsg::Frame {
-                    frame: Frame::Error(WireError::protocol("first frame must be hello")),
-                    releases_slot: false,
-                });
+                let _ = reply(Frame::Error(WireError::protocol(
+                    "first frame must be hello",
+                )));
                 break;
             }
             Frame::Submit(request) => {
                 let received_at = Instant::now();
-                window.acquire();
                 if tx
                     .send(handle_submit(shared, request, received_at))
                     .is_err()
@@ -621,31 +482,19 @@ fn reader_loop(
                 }
             }
             Frame::Health => {
-                let _ = tx.send(WriterMsg::Frame {
-                    frame: Frame::HealthReply(health_body(shared)),
-                    releases_slot: false,
-                });
+                let _ = reply(Frame::HealthReply(health_body(shared)));
             }
             Frame::Stats => {
-                let _ = tx.send(WriterMsg::Frame {
-                    frame: Frame::StatsReply(shared.router.control_snapshot()),
-                    releases_slot: false,
-                });
+                let _ = reply(Frame::StatsReply(shared.router.control_snapshot()));
             }
             Frame::ListKernels => {
-                let _ = tx.send(WriterMsg::Frame {
-                    frame: Frame::KernelsReply(shared.registry.names()),
-                    releases_slot: false,
-                });
+                let _ = reply(Frame::KernelsReply(shared.registry.names()));
             }
             Frame::Shutdown => {
                 // Ack first (it queues behind every pending reply on
                 // this connection), then trip the drain — which will
                 // EOF this very reader via its read-half clone.
-                let _ = tx.send(WriterMsg::Frame {
-                    frame: Frame::ShutdownAck,
-                    releases_slot: false,
-                });
+                let _ = reply(Frame::ShutdownAck);
                 shared.begin_drain();
             }
             Frame::HelloAck(_)
@@ -655,39 +504,32 @@ fn reader_loop(
             | Frame::KernelsReply(_)
             | Frame::ShutdownAck
             | Frame::Error(_) => {
-                let _ = tx.send(WriterMsg::Frame {
-                    frame: Frame::Error(WireError::protocol(format!(
-                        "'{}' is a server->client frame",
-                        frame.tag()
-                    ))),
-                    releases_slot: false,
-                });
+                let _ = reply(Frame::Error(WireError::protocol(format!(
+                    "'{}' is a server->client frame",
+                    frame.tag()
+                ))));
                 break;
             }
         }
     }
-    let _ = tx.send(WriterMsg::Close);
     // A naturally-finished connection cleans its registry entry up
     // (dropping the JoinHandles detaches the already-exiting threads);
     // during a drain the entry stays put for Server::run to join.
     if !shared.is_draining() {
-        let mut conns = lock(&shared.conns);
-        conns.remove(&conn_id);
+        lock(&shared.conns).remove(&conn_id);
     }
 }
 
 /// Builds the submission, propagates priority and the *remaining*
 /// deadline budget, and submits. Returns the writer message carrying
-/// either the in-flight ticket or an immediate error reply; the window
-/// slot the reader acquired travels with it either way.
+/// either the in-flight ticket or an immediate error reply.
 fn handle_submit(shared: &Arc<Shared>, request: SubmitRequest, received_at: Instant) -> WriterMsg {
     let id = request.id;
-    let reply_err = |err: WireError| WriterMsg::Frame {
-        frame: Frame::SubmitReply(SubmitReply {
+    let reply_err = |err: WireError| {
+        WriterMsg::Frame(Frame::SubmitReply(SubmitReply {
             id,
             result: Err(err),
-        }),
-        releases_slot: true,
+        }))
     };
     let Some(kernel) = shared.registry.get(&request.kernel) else {
         return reply_err(WireError::new(
@@ -710,8 +552,8 @@ fn handle_submit(shared: &Arc<Shared>, request: SubmitRequest, received_at: Inst
     if let Some((received_at, budget)) = deadline {
         let remaining = remaining_budget(budget, received_at, Instant::now());
         if remaining.is_zero() {
-            // The budget was consumed before admission (decode and
-            // window wait count against it): honest expiry, no submit.
+            // The budget was consumed before admission (decode counts
+            // against it): honest expiry, no submit.
             return reply_err(WireError::from(&SoftmaxError::DeadlineExceeded));
         }
         submission = submission.with_deadline(remaining);
@@ -726,30 +568,19 @@ fn handle_submit(shared: &Arc<Shared>, request: SubmitRequest, received_at: Inst
     }
 }
 
-/// Resolves tickets and writes replies in FIFO order.
-fn writer_loop(mut stream: Conn, rx: &Receiver<WriterMsg>, window: &Arc<Window>) {
-    let mut wire_up = true;
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WriterMsg::Frame {
-                frame,
-                releases_slot,
-            } => {
-                if wire_up && write_frame(&mut stream, &frame).is_err() {
-                    wire_up = false;
-                }
-                if releases_slot {
-                    window.release();
-                }
-            }
+/// Resolves tickets and writes replies in FIFO order until the reader
+/// drops its sender and every queued reply is out.
+fn writer_loop(mut stream: Stream, rx: &Receiver<WriterMsg>) {
+    for msg in rx {
+        let frame = match msg {
+            WriterMsg::Frame(frame) => frame,
             WriterMsg::Pending {
                 id,
                 ticket,
                 deadline,
             } => {
-                // Satellite fix (end-to-end deadlines): wait only the
-                // budget that is left *now*, not the full wire budget —
-                // admission already consumed part of it.
+                // Wait only the budget that is left *now*, not the full
+                // wire budget: admission already consumed part of it.
                 let result = match deadline {
                     None => ticket.wait(),
                     Some((received_at, budget)) => {
@@ -770,13 +601,13 @@ fn writer_loop(mut stream: Conn, rx: &Receiver<WriterMsg>, window: &Arc<Window>)
                     },
                     Err(e) => Err(WireError::from(&e)),
                 };
-                let frame = Frame::SubmitReply(SubmitReply { id, result });
-                if wire_up && write_frame(&mut stream, &frame).is_err() {
-                    wire_up = false;
-                }
-                window.release();
+                Frame::SubmitReply(SubmitReply { id, result })
             }
-            WriterMsg::Close => break,
+        };
+        // The peer takes no more replies: stop. Dropping `rx` fails the
+        // reader's next submit, which ends the connection.
+        if write_frame(&mut stream, &frame).is_err() {
+            break;
         }
     }
     let _ = stream.flush();
@@ -800,7 +631,10 @@ fn health_body(shared: &Arc<Shared>) -> serde::Value {
 mod tests {
     use super::*;
     use softermax::kernel::{KernelDescriptor, ScratchBuffers, SoftmaxKernel, StreamSession};
-    use softermax_client::{Client, ClientConfig, Endpoint};
+    use softermax_client::{Client, ClientConfig};
+    use std::io::Read;
+    use std::net::Shutdown;
+    use std::os::unix::net::UnixStream;
 
     #[test]
     fn remaining_budget_subtracts_elapsed_time() {
@@ -839,22 +673,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn window_blocks_at_capacity_and_frees_on_release() {
-        let w = Arc::new(Window::new(2));
-        w.acquire();
-        w.acquire();
-        let w2 = Arc::clone(&w);
-        let t = thread::spawn(move || {
-            w2.acquire(); // blocks until a release
-            true
-        });
-        thread::sleep(Duration::from_millis(20));
-        assert!(!t.is_finished(), "third acquire must block at window 2");
-        w.release();
-        assert!(t.join().expect("acquire thread"));
-    }
-
     /// A [`Spawn`] that refuses every thread whose name ends with
     /// `refused` and starts the others.
     fn refusing(
@@ -876,21 +694,23 @@ mod tests {
     }
 
     /// Starts a server whose threads `spawn` starts and connects to it
-    /// twice: each connection is dropped (the client reads end of stream,
-    /// which it sees only once no server thread holds a half of the
+    /// twice, closing the client's write half at once: each connection
+    /// is let go (the client reads end of stream, which it sees only
+    /// once no server thread or registry entry holds a half of the
     /// socket), and the accept loop lives on to take the next one.
     fn assert_connections_dropped(tag: &str, spawn: Spawn) {
         let path = socket_path(tag);
-        let bind = [Bind::Unix(path.clone())];
+        let endpoint = [Endpoint::Unix(path.clone())];
         let server = Server::start_with(
             ServerConfig::default(),
-            &bind,
+            &endpoint,
             KernelRegistry::global(),
             spawn,
         )
         .expect("server start");
         for _ in 0..2 {
             let mut client = UnixStream::connect(&path).expect("the accept loop is alive");
+            client.shutdown(Shutdown::Write).expect("half-close");
             client
                 .set_read_timeout(Some(Duration::from_secs(10)))
                 .expect("timeout");
@@ -916,11 +736,11 @@ mod tests {
     #[test]
     fn a_refused_accept_thread_fails_start_and_stops_the_others() {
         let paths = [socket_path("accept-0"), socket_path("accept-1")];
-        let binds: Vec<Bind> = paths.iter().cloned().map(Bind::Unix).collect();
+        let endpoints: Vec<Endpoint> = paths.iter().cloned().map(Endpoint::Unix).collect();
         // The first accept thread starts; the second is refused.
         let started = Server::start_with(
             ServerConfig::default(),
-            &binds,
+            &endpoints,
             KernelRegistry::global(),
             |name, body| refusing("-1", name, body),
         );
@@ -937,18 +757,37 @@ mod tests {
         }
     }
 
-    /// A built-in kernel whose stream session must never open: serving is
-    /// the batch path alone.
-    #[derive(Debug)]
-    struct Sessionless(Arc<dyn SoftmaxKernel>);
+    /// A connection that ends before its reader is registered leaves no
+    /// registry entry: this spawner sleeps after starting each reader,
+    /// so the reader sees end of stream and finishes first.
+    #[test]
+    fn a_connection_closed_at_once_leaves_no_registry_entry() {
+        assert_connections_dropped("closed-at-once", |name, body| {
+            let slow = name.ends_with("-reader");
+            let started = spawn_thread(name, body);
+            if slow {
+                thread::sleep(Duration::from_millis(50));
+            }
+            started
+        });
+    }
 
-    impl SoftmaxKernel for Sessionless {
+    /// A built-in kernel that serves a row only once its gate is open,
+    /// and whose stream session must never open: serving is the batch
+    /// path alone.
+    #[derive(Debug)]
+    struct Gated {
+        inner: Arc<dyn SoftmaxKernel>,
+        open: Arc<AtomicBool>,
+    }
+
+    impl SoftmaxKernel for Gated {
         fn descriptor(&self) -> &KernelDescriptor {
-            self.0.descriptor()
+            self.inner.descriptor()
         }
 
         fn forward(&self, row: &[f64]) -> softermax::Result<Vec<f64>> {
-            self.0.forward(row)
+            self.inner.forward(row)
         }
 
         fn forward_into(
@@ -957,12 +796,55 @@ mod tests {
             out: &mut [f64],
             scratch: &mut ScratchBuffers,
         ) -> softermax::Result<()> {
-            self.0.forward_into(row, out, scratch)
+            while !self.open.load(Ordering::SeqCst) {
+                thread::sleep(Duration::from_millis(1));
+            }
+            self.inner.forward_into(row, out, scratch)
         }
 
         fn stream_session(&self) -> Box<dyn StreamSession + '_> {
             panic!("a served request opened a stream session")
         }
+    }
+
+    /// Serves `kernels` with `config` on a fresh Unix socket and connects
+    /// a client to it.
+    fn serve(
+        config: ServerConfig,
+        kernels: impl IntoIterator<Item = Gated>,
+        tag: &str,
+    ) -> (Server, Client) {
+        let mut registry = KernelRegistry::new();
+        for kernel in kernels {
+            registry.register(Arc::new(kernel));
+        }
+        let path = socket_path(tag);
+        let endpoint = [Endpoint::Unix(path.clone())];
+        let server = Server::start_with(
+            config,
+            &endpoint,
+            Box::leak(Box::new(registry)),
+            spawn_thread,
+        )
+        .expect("server start");
+        let client =
+            Client::connect(Endpoint::Unix(path), ClientConfig::default()).expect("client connect");
+        (server, client)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The bits of `kernel`'s sequential `forward_into`, row by row.
+    fn sequential(kernel: &dyn SoftmaxKernel, scores: &[f64], len: usize) -> Vec<u64> {
+        let mut out = vec![0.0; scores.len()];
+        for (row, out) in scores.chunks(len).zip(out.chunks_mut(len)) {
+            kernel
+                .forward_into(row, out, &mut ScratchBuffers::default())
+                .expect("sequential forward_into");
+        }
+        bits(&out)
     }
 
     /// Requests that name a streaming chunk — a `.streamed(16)` submission
@@ -973,34 +855,21 @@ mod tests {
     #[test]
     fn streamed_requests_are_served_without_a_stream_session() {
         const LEN: usize = 40;
-        let mut registry = KernelRegistry::new();
-        for kernel in KernelRegistry::global().kernels() {
-            registry.register(Arc::new(Sessionless(Arc::clone(kernel))));
-        }
-        let registry: &'static KernelRegistry = Box::leak(Box::new(registry));
+        let kernels = KernelRegistry::global()
+            .kernels()
+            .iter()
+            .map(|kernel| Gated {
+                inner: Arc::clone(kernel),
+                open: Arc::new(AtomicBool::new(true)),
+            });
+        let (server, mut client) = serve(ServerConfig::default(), kernels, "sessionless");
         let scores: Vec<f64> = (0..4 * LEN)
             .map(|i| (i as f64 * 0.37 - 17.6).sin() * 6.5)
             .collect();
         let router = ShardedRouter::new(2, ServeConfig::new(1), RoutePolicy::Adaptive)
             .expect("valid config");
-        let path = socket_path("sessionless");
-        let server = Server::start_with(
-            ServerConfig::default(),
-            &[Bind::Unix(path.clone())],
-            registry,
-            spawn_thread,
-        )
-        .expect("server start");
-        let mut client =
-            Client::connect(Endpoint::Unix(path), ClientConfig::default()).expect("client connect");
-        let mut scratch = ScratchBuffers::default();
-        for kernel in registry.kernels() {
-            let mut want = vec![0.0; scores.len()];
-            for (row, out) in scores.chunks(LEN).zip(want.chunks_mut(LEN)) {
-                kernel
-                    .forward_into(row, out, &mut scratch)
-                    .expect("sequential forward_into");
-            }
+        for kernel in server.shared.registry.kernels() {
+            let want = sequential(kernel.as_ref(), &scores, LEN);
             let submission = Submission::new(kernel, scores.clone(), LEN).streamed(16);
             let routed = router
                 .submit_request(submission, Admission::Block)
@@ -1012,9 +881,7 @@ mod tests {
             client.submit(request).expect("submit");
             let served = client.next_reply().expect("reply").1.expect("served");
             for (path, got) in [("router", &routed), ("server", &served)] {
-                let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
-                let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, want, "{} through the {path}", kernel.name());
+                assert_eq!(bits(got), want, "{} through the {path}", kernel.name());
             }
         }
         client.shutdown_server().expect("shutdown ack");
@@ -1022,12 +889,62 @@ mod tests {
         let _ = server.run();
     }
 
+    /// A connection holds at most `inflight_window + 2` requests in the
+    /// router, and reaches that bound: a client pipelines 10 submits to
+    /// a kernel that serves nothing until its gate opens. Once it opens,
+    /// all 10 replies arrive in submission order, bit-identical to
+    /// sequential `forward_into`. A window of 0 does not deadlock.
     #[test]
-    fn zero_window_is_clamped_to_one() {
-        // A misconfigured window of 0 would deadlock every submission;
-        // the constructor clamps it.
-        let w = Window::new(0);
-        w.acquire();
-        w.release();
+    fn a_connection_holds_at_most_its_window_plus_two_requests() {
+        const LEN: usize = 8;
+        let inner = KernelRegistry::global().get("softermax").expect("builtin");
+        let scores: Vec<f64> = (0..2 * LEN)
+            .map(|i| (i as f64 * 0.37).sin() * 6.5)
+            .collect();
+        let want = sequential(inner.as_ref(), &scores, LEN);
+        for window in [0, 2] {
+            let open = Arc::new(AtomicBool::new(false));
+            let gated = Gated {
+                inner: Arc::clone(&inner),
+                open: Arc::clone(&open),
+            };
+            let config = ServerConfig {
+                shards: 1,
+                threads: 1,
+                inflight_window: window,
+                ..ServerConfig::default()
+            };
+            let (server, mut client) = serve(config, [gated], &format!("window-{window}"));
+            let ids: Vec<u64> = (0..10)
+                .map(|_| {
+                    let request = SubmitRequest::build(0, "softermax", &scores, LEN);
+                    client
+                        .submit(request.expect("valid request"))
+                        .expect("submit")
+                })
+                .collect();
+            let bound = window + 2;
+            let held = || server.shared.router.shard(0).inflight();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while held() < bound {
+                assert!(
+                    Instant::now() < deadline,
+                    "window {window}: {} held",
+                    held()
+                );
+                thread::sleep(Duration::from_millis(2));
+            }
+            // Give a reader that ignores its bound time to read on.
+            thread::sleep(Duration::from_millis(50));
+            assert_eq!(held(), bound, "window {window}: read past the bound");
+            open.store(true, Ordering::SeqCst);
+            for id in ids {
+                let (got, result) = client.next_reply().expect("reply");
+                assert_eq!(got, id, "window {window}: replies in submission order");
+                assert_eq!(bits(&result.expect("served")), want, "window {window}");
+            }
+            client.shutdown_server().expect("shutdown ack");
+            let _ = server.run();
+        }
     }
 }

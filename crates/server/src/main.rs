@@ -26,7 +26,8 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use softermax_server::{Bind, Server, ServerConfig, ServerError};
+use softermax_server::{Server, ServerConfig, ServerError};
+use softermax_wire::Endpoint;
 
 fn usage() -> String {
     [
@@ -48,12 +49,12 @@ fn usage() -> String {
 }
 
 struct Args {
-    binds: Vec<Bind>,
+    endpoints: Vec<Endpoint>,
     config: ServerConfig,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut binds = Vec::new();
+    let mut endpoints = Vec::new();
     let mut config = ServerConfig::default();
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -63,8 +64,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         match flag.as_str() {
-            "--tcp" => binds.push(Bind::Tcp(value("--tcp")?)),
-            "--unix" => binds.push(Bind::Unix(value("--unix")?.into())),
+            "--tcp" => endpoints.push(Endpoint::Tcp(value("--tcp")?)),
+            "--unix" => endpoints.push(Endpoint::Unix(value("--unix")?.into())),
             "--shards" => {
                 config.shards = value("--shards")?
                     .parse()
@@ -94,13 +95,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),
         }
     }
-    if binds.is_empty() {
+    if endpoints.is_empty() {
         return Err(format!(
             "at least one of --tcp/--unix is required\n\n{}",
             usage()
         ));
     }
-    Ok(Args { binds, config })
+    Ok(Args { endpoints, config })
 }
 
 fn main() -> ExitCode {
@@ -112,7 +113,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let server = match Server::start(args.config, &args.binds) {
+    let server = match Server::start(args.config, &args.endpoints) {
         Ok(server) => server,
         Err(e @ (ServerError::Io(_) | ServerError::Config(_) | ServerError::NoListeners)) => {
             eprintln!("softermax-server: {e}");
@@ -123,7 +124,7 @@ fn main() -> ExitCode {
     // endpoints — write errors (EPIPE) must not take the server down.
     let mut stdout = std::io::stdout();
     for endpoint in server.endpoints() {
-        // Parsed by parent processes: one "listening <spec>" per bind.
+        // Parsed by parent processes: one "listening <spec>" per listener.
         let _ = writeln!(stdout, "listening {endpoint}");
         let _ = stdout.flush();
     }
@@ -146,7 +147,7 @@ mod tests {
         let args =
             parse("--unix P --shards 2 --threads 1 --queue-depth 64 --policy adaptive --window 32")
                 .expect("valid command line");
-        assert_eq!(args.binds, vec![Bind::Unix("P".into())]);
+        assert_eq!(args.endpoints, vec![Endpoint::Unix("P".into())]);
         assert_eq!(args.config.shards, 2);
         assert_eq!(args.config.threads, 1);
         assert_eq!(args.config.queue_depth, 64);

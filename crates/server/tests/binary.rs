@@ -4,8 +4,12 @@
 //! a `Shutdown` frame with exit 0, a `drained` line and its socket file
 //! removed.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
+
+use common::within;
 
 use softermax::kernel::{KernelRegistry, ScratchBuffers};
 use softermax_client::{Client, ClientConfig, Endpoint};
@@ -35,15 +39,18 @@ fn binary_serves_every_kernel_bit_identically_and_drains() {
             .expect("spawn softermax-server"),
     );
     let mut stdout = BufReader::new(server.0.stdout.take().expect("stdout piped"));
-    let mut endpoints = Vec::new();
-    while endpoints.len() < 2 {
-        let mut line = String::new();
-        let read = stdout.read_line(&mut line).expect("read server stdout");
-        assert!(read > 0, "server exited before announcing both listeners");
-        if let Some(spec) = line.trim_end().strip_prefix("listening ") {
-            endpoints.push(Endpoint::parse(spec).expect("endpoint spec"));
+    let (mut stdout, endpoints) = within("the server announces both listeners", move || {
+        let mut endpoints = Vec::new();
+        while endpoints.len() < 2 {
+            let mut line = String::new();
+            let read = stdout.read_line(&mut line).expect("read server stdout");
+            assert!(read > 0, "server exited before announcing both listeners");
+            if let Some(spec) = line.trim_end().strip_prefix("listening ") {
+                endpoints.push(Endpoint::parse(spec).expect("endpoint spec"));
+            }
         }
-    }
+        (stdout, endpoints)
+    });
     assert!(endpoints.iter().any(|e| matches!(e, Endpoint::Tcp(_))));
     assert!(endpoints.iter().any(|e| matches!(e, Endpoint::Unix(_))));
 
@@ -76,11 +83,18 @@ fn binary_serves_every_kernel_bit_identically_and_drains() {
         .expect("client connect")
         .shutdown_server()
         .expect("shutdown acknowledged");
-    let mut rest = String::new();
-    stdout
-        .read_to_string(&mut rest)
-        .expect("read server stdout");
-    let status = server.0.wait().expect("server exit status");
+    let rest = within("the server drains and closes its stdout", move || {
+        let mut rest = String::new();
+        stdout
+            .read_to_string(&mut rest)
+            .expect("read server stdout");
+        rest
+    });
+    // A timeout above drops `server` here, which kills the process. Its
+    // stdout is closed by now, so it is exiting: the wait can take it.
+    let status = within("the server exits", move || {
+        server.0.wait().expect("server exit status")
+    });
     assert!(status.success(), "server exited with {status}");
     assert!(
         rest.lines().any(|line| line.starts_with("drained ")),

@@ -2,15 +2,18 @@
 //! driven by the real [`softermax_client::Client`] — plus one hostile
 //! raw-socket client the codec must survive.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use common::within;
 use softermax::kernel::{KernelRegistry, ScratchBuffers};
 use softermax_client::{Client, ClientConfig, Endpoint};
-use softermax_server::{Bind, Server, ServerConfig};
+use softermax_server::{Server, ServerConfig};
 use softermax_wire::{
     encode_frame, read_frame, ErrorCode, Frame, Hello, SubmitReply, SubmitRequest, WireError,
     WirePriority, MAX_FRAME_BYTES, PROTOCOL_VERSION,
@@ -30,18 +33,17 @@ fn start_server(config: ServerConfig, tag: &str) -> (Server, Endpoint, Endpoint,
     let server = Server::start(
         config,
         &[
-            Bind::Tcp("127.0.0.1:0".to_string()),
-            Bind::Unix(path.clone()),
+            Endpoint::Tcp("127.0.0.1:0".to_string()),
+            Endpoint::Unix(path.clone()),
         ],
     )
     .expect("server start");
     let mut tcp = None;
     let mut unix = None;
-    for spec in server.endpoints() {
-        let ep = Endpoint::parse(spec).expect("endpoint spec");
-        match &ep {
-            Endpoint::Tcp(_) => tcp = Some(ep),
-            Endpoint::Unix(_) => unix = Some(ep),
+    for ep in server.endpoints() {
+        match ep {
+            Endpoint::Tcp(_) => tcp = Some(ep.clone()),
+            Endpoint::Unix(_) => unix = Some(ep.clone()),
         }
     }
     (
@@ -65,7 +67,7 @@ fn call(client: &mut Client, req: SubmitRequest) -> Result<Vec<f64>, WireError> 
 /// Drains `server` through the protocol's `Shutdown` frame.
 fn stop(server: Server, endpoint: &Endpoint) {
     connect(endpoint).shutdown_server().expect("shutdown ack");
-    let _ = server.run();
+    let _ = within("the server drains", move || server.run());
 }
 
 /// Sequential in-process ground truth: `forward_into` row by row.
@@ -133,7 +135,7 @@ fn every_kernel_bit_identical_over_tcp_and_unix() {
     }
     let mut closer = connect(&tcp);
     closer.shutdown_server().expect("shutdown ack");
-    let drained = server.run();
+    let drained = within("the server drains", move || server.run());
     assert!(drained >= 1, "drain must cover the live connection(s)");
     assert!(!path.exists(), "unix socket file must be removed on drain");
 }

@@ -8,9 +8,9 @@
 //! separate process can drive the
 //! [`ShardedRouter`](../softermax_serve/struct.ShardedRouter.html)
 //! through a socket with the same semantics (and the same bit-exact
-//! results) as an in-process caller. The crate is transport-agnostic:
-//! it knows about `Read`/`Write` streams, not sockets; `softermax-server`
-//! and `softermax-client` put it on TCP and Unix sockets.
+//! results) as an in-process caller. The codec reads and writes any
+//! `Read`/`Write` stream; [`net`] is the one socket type, TCP or Unix,
+//! that `softermax-server` and `softermax-client` share.
 //!
 //! Three layers, bottom up:
 //!
@@ -43,6 +43,7 @@
 
 pub mod codec;
 pub mod frame;
+pub mod net;
 pub mod types;
 
 pub use codec::{
@@ -52,4 +53,5 @@ pub use codec::{
 pub use frame::{
     ErrorCode, Frame, Hello, HelloAck, SubmitReply, SubmitRequest, WireError, WirePriority,
 };
+pub use net::{Endpoint, Stream};
 pub use types::{BoundsError, BudgetMs, ChunkLen, RowCount, RowLen, Score, MAX_BUDGET_MS, MAX_DIM};
