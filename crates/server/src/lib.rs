@@ -473,9 +473,8 @@ fn reader_loop(shared: &Arc<Shared>, conn_id: u64, mut stream: Stream, tx: SyncS
                 break;
             }
             Frame::Submit(request) => {
-                let received_at = Instant::now();
                 if tx
-                    .send(handle_submit(shared, request, received_at))
+                    .send(handle_submit(shared, request, Instant::now()))
                     .is_err()
                 {
                     break;
@@ -545,10 +544,9 @@ fn handle_submit(shared: &Arc<Shared>, request: SubmitRequest, received_at: Inst
         WirePriority::Interactive => Priority::Interactive,
         WirePriority::Batch => Priority::Batch,
     });
-    let deadline = request.deadline_ms.map(|budget| {
-        let budget = budget.as_duration();
-        (received_at, budget)
-    });
+    let deadline = request
+        .deadline_ms
+        .map(|budget| (received_at, budget.as_duration()));
     if let Some((received_at, budget)) = deadline {
         let remaining = remaining_budget(budget, received_at, Instant::now());
         if remaining.is_zero() {
@@ -633,8 +631,8 @@ mod tests {
     use softermax::kernel::{KernelDescriptor, ScratchBuffers, SoftmaxKernel, StreamSession};
     use softermax_client::{Client, ClientConfig};
     use std::io::Read;
-    use std::net::Shutdown;
     use std::os::unix::net::UnixStream;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn remaining_budget_subtracts_elapsed_time() {
@@ -694,9 +692,8 @@ mod tests {
     }
 
     /// Starts a server whose threads `spawn` starts and connects to it
-    /// twice, closing the client's write half at once: each connection
-    /// is let go (the client reads end of stream, which it sees only
-    /// once no server thread or registry entry holds a half of the
+    /// twice: each connection is dropped (the client reads end of stream,
+    /// which it sees only once no server thread holds a half of the
     /// socket), and the accept loop lives on to take the next one.
     fn assert_connections_dropped(tag: &str, spawn: Spawn) {
         let path = socket_path(tag);
@@ -710,7 +707,6 @@ mod tests {
         .expect("server start");
         for _ in 0..2 {
             let mut client = UnixStream::connect(&path).expect("the accept loop is alive");
-            client.shutdown(Shutdown::Write).expect("half-close");
             client
                 .set_read_timeout(Some(Duration::from_secs(10)))
                 .expect("timeout");
@@ -757,19 +753,44 @@ mod tests {
         }
     }
 
+    /// Readers of the test below that have returned.
+    static READERS_DONE: AtomicUsize = AtomicUsize::new(0);
+
     /// A connection that ends before its reader is registered leaves no
     /// registry entry: this spawner sleeps after starting each reader,
     /// so the reader sees end of stream and finishes first.
     #[test]
     fn a_connection_closed_at_once_leaves_no_registry_entry() {
-        assert_connections_dropped("closed-at-once", |name, body| {
-            let slow = name.ends_with("-reader");
-            let started = spawn_thread(name, body);
-            if slow {
+        let path = socket_path("closed-at-once");
+        let server = Server::start_with(
+            ServerConfig::default(),
+            &[Endpoint::Unix(path.clone())],
+            KernelRegistry::global(),
+            |name, body| {
+                if !name.ends_with("-reader") {
+                    return spawn_thread(name, body);
+                }
+                let counted = move || {
+                    body();
+                    READERS_DONE.fetch_add(1, Ordering::SeqCst);
+                };
+                let started = spawn_thread(name, Box::new(counted));
                 thread::sleep(Duration::from_millis(50));
-            }
-            started
-        });
+                started
+            },
+        )
+        .expect("server start");
+        for _ in 0..5 {
+            drop(UnixStream::connect(&path).expect("the accept loop is alive"));
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while READERS_DONE.load(Ordering::SeqCst) < 5 {
+            assert!(Instant::now() < deadline, "the readers did not finish");
+            thread::sleep(Duration::from_millis(1));
+        }
+        // The drain joins the accept loop before it counts the entries.
+        server.shared.begin_drain();
+        assert_eq!(server.run(), 0, "registry entries left");
     }
 
     /// A built-in kernel that serves a row only once its gate is open,
@@ -915,13 +936,10 @@ mod tests {
                 ..ServerConfig::default()
             };
             let (server, mut client) = serve(config, [gated], &format!("window-{window}"));
+            let request =
+                SubmitRequest::build(0, "softermax", &scores, LEN).expect("valid request");
             let ids: Vec<u64> = (0..10)
-                .map(|_| {
-                    let request = SubmitRequest::build(0, "softermax", &scores, LEN);
-                    client
-                        .submit(request.expect("valid request"))
-                        .expect("submit")
-                })
+                .map(|_| client.submit(request.clone()).expect("submit"))
                 .collect();
             let bound = window + 2;
             let held = || server.shared.router.shard(0).inflight();

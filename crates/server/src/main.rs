@@ -26,7 +26,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use softermax_server::{Server, ServerConfig, ServerError};
+use softermax_server::{Server, ServerConfig};
 use softermax_wire::Endpoint;
 
 fn usage() -> String {
@@ -58,39 +58,24 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut config = ServerConfig::default();
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+                .ok_or_else(|| format!("{flag} needs a value"))
         };
+        let number = |v: String| v.parse().map_err(|e| format!("{flag}: {e}"));
         match flag.as_str() {
-            "--tcp" => endpoints.push(Endpoint::Tcp(value("--tcp")?)),
-            "--unix" => endpoints.push(Endpoint::Unix(value("--unix")?.into())),
-            "--shards" => {
-                config.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-            }
-            "--threads" => {
-                config.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--queue-depth" => {
-                config.queue_depth = value("--queue-depth")?
-                    .parse()
-                    .map_err(|e| format!("--queue-depth: {e}"))?;
-            }
-            "--policy" => match value("--policy")?.as_str() {
+            "--tcp" => endpoints.push(Endpoint::Tcp(value()?)),
+            "--unix" => endpoints.push(Endpoint::Unix(value()?.into())),
+            "--shards" => config.shards = number(value()?)?,
+            "--threads" => config.threads = number(value()?)?,
+            "--queue-depth" => config.queue_depth = number(value()?)?,
+            "--policy" => match value()?.as_str() {
                 "adaptive" => {}
                 other => return Err(format!("--policy: unknown policy '{other}'")),
             },
-            "--window" => {
-                config.inflight_window = value("--window")?
-                    .parse()
-                    .map_err(|e| format!("--window: {e}"))?;
-            }
-            "--name" => config.name = value("--name")?,
+            "--window" => config.inflight_window = number(value()?)?,
+            "--name" => config.name = value()?,
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),
         }
@@ -115,7 +100,7 @@ fn main() -> ExitCode {
     };
     let server = match Server::start(args.config, &args.endpoints) {
         Ok(server) => server,
-        Err(e @ (ServerError::Io(_) | ServerError::Config(_) | ServerError::NoListeners)) => {
+        Err(e) => {
             eprintln!("softermax-server: {e}");
             return ExitCode::FAILURE;
         }

@@ -8,8 +8,10 @@ mod common;
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
+use std::thread;
+use std::time::{Duration, Instant};
 
-use common::within;
+use common::{within, LIMIT};
 
 use softermax::kernel::{KernelRegistry, ScratchBuffers};
 use softermax_client::{Client, ClientConfig, Endpoint};
@@ -90,11 +92,19 @@ fn binary_serves_every_kernel_bit_identically_and_drains() {
             .expect("read server stdout");
         rest
     });
-    // A timeout above drops `server` here, which kills the process. Its
-    // stdout is closed by now, so it is exiting: the wait can take it.
-    let status = within("the server exits", move || {
-        server.0.wait().expect("server exit status")
-    });
+    // Polled here, not waited on in `within`'s thread: a timeout then
+    // drops `server`, which kills the process.
+    let deadline = Instant::now() + LIMIT;
+    let status = loop {
+        if let Some(status) = server.0.try_wait().expect("server exit status") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the server exits: not within {LIMIT:?}"
+        );
+        thread::sleep(Duration::from_millis(10));
+    };
     assert!(status.success(), "server exited with {status}");
     assert!(
         rest.lines().any(|line| line.starts_with("drained ")),

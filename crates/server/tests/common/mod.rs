@@ -7,7 +7,7 @@ use std::thread;
 use std::time::Duration;
 
 /// How long a suite waits on the server before it fails the test.
-const LIMIT: Duration = Duration::from_secs(20);
+pub const LIMIT: Duration = Duration::from_secs(20);
 
 /// Runs the blocking call `f` on a thread of its own and returns its
 /// result; fails the test, naming `what`, when `f` panics or has not
