@@ -26,7 +26,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::thread;
 use std::time::Duration;
 
@@ -35,9 +35,14 @@ use serde::Value;
 // `softermax-wire`.
 pub use softermax_wire::Endpoint;
 use softermax_wire::{
-    read_frame, write_frame, Frame, FrameError, Hello, Stream, SubmitRequest, WireError,
+    read_frame, write_frame, Frame, FrameError, Hello, Scores, Stream, SubmitRequest, WireError,
     PROTOCOL_VERSION,
 };
+
+/// Bytes the client buffers from its socket: several pipelined replies
+/// of a few thousand scores each, so a reply's header and body usually
+/// come from one `read` call.
+const READ_BUFFER: usize = 64 * 1024;
 
 /// Capped exponential reconnect backoff: attempt `n` sleeps
 /// `min(base × 2ⁿ, cap)` before retrying, for at most `attempts` tries.
@@ -149,7 +154,9 @@ impl From<FrameError> for ClientError {
 
 /// A blocking, pipelining connection to one softmax server.
 pub struct Client {
-    stream: Stream,
+    /// The connection: reads go through the buffer, writes straight to
+    /// the socket underneath it.
+    stream: BufReader<Stream>,
     endpoint: Endpoint,
     config: ClientConfig,
     next_id: u64,
@@ -178,11 +185,14 @@ impl Client {
         Ok(client)
     }
 
-    fn connect_stream(endpoint: &Endpoint, backoff: &Backoff) -> Result<Stream, ClientError> {
+    fn connect_stream(
+        endpoint: &Endpoint,
+        backoff: &Backoff,
+    ) -> Result<BufReader<Stream>, ClientError> {
         let mut last = String::from("no attempts made");
         for attempt in 0..backoff.attempts {
             match Stream::connect(endpoint) {
-                Ok(s) => return Ok(s),
+                Ok(s) => return Ok(BufReader::with_capacity(READ_BUFFER, s)),
                 Err(e) => {
                     last = e.to_string();
                     if attempt + 1 < backoff.attempts {
@@ -243,8 +253,9 @@ impl Client {
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, frame)?;
-        self.stream.flush().map_err(FrameError::Io)?;
+        let stream = self.stream.get_mut();
+        write_frame(stream, frame)?;
+        stream.flush().map_err(FrameError::Io)?;
         Ok(())
     }
 
@@ -315,12 +326,7 @@ impl Client {
                     )));
                 }
                 self.pending.pop_front();
-                Ok((
-                    reply.id,
-                    reply
-                        .result
-                        .map(|s| softermax_wire::types::scores_to_f64(&s)),
-                ))
+                Ok((reply.id, reply.result.map(Scores::into_vec)))
             }
             Frame::Error(e) => Err(ClientError::Server(e)),
             other => Err(ClientError::Protocol(format!(

@@ -6,10 +6,12 @@
 //! * one **accept thread per listener**, polling a non-blocking
 //!   accept so shutdown can interrupt it;
 //! * one **reader/writer thread pair per connection**. The reader
-//!   decodes frames and submits through the router without ever
-//!   waiting on results; the writer resolves tickets and writes
-//!   replies in submission order, so the connection pipeline is FIFO
-//!   by construction. The reader hands the writer its replies over a
+//!   decodes frames (through one read buffer per connection, moving
+//!   each request's scores into its job) and submits through the
+//!   router without ever waiting on results; the writer resolves
+//!   tickets and writes replies (each from its job's output) in
+//!   submission order, so the connection pipeline is FIFO by
+//!   construction. The reader hands the writer its replies over a
 //!   channel of [`ServerConfig::inflight_window`] slots: a reader whose
 //!   writer is that far behind blocks and stops pulling new frames, so
 //!   a connection owes at most `inflight_window + 2` replies and
@@ -30,7 +32,10 @@
 //! shut down (readers see EOF and stop taking new work), writers
 //! resolve the tickets already in flight and flush their replies, and
 //! only then does [`Server::run`] return. No accepted request is
-//! dropped on the floor.
+//! dropped on the floor, except to a peer that stops reading: every
+//! accepted socket's writes time out, and a writer whose write fails
+//! ends its connection, so such a peer holds the drain for at most one
+//! write timeout.
 //!
 //! Malformed input never panics the server: the codec returns typed
 //! errors, non-fatal ones (a well-framed but bogus body) get an
@@ -45,7 +50,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -61,12 +66,22 @@ use softermax_serve::{
     Admission, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
 };
 use softermax_wire::{
-    read_frame_capped, write_frame, Endpoint, ErrorCode, Frame, FrameError, HelloAck, Stream,
-    SubmitReply, SubmitRequest, WireError, WirePriority, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    read_frame_capped, write_frame, Endpoint, ErrorCode, Frame, FrameError, HelloAck, Scores,
+    Stream, SubmitReply, SubmitRequest, WireError, WirePriority, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 
 /// How often a non-blocking accept loop re-checks the draining flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// How long one reply write may block on a peer that reads nothing.
+/// The write then fails and the connection ends, so a never-reading
+/// client cannot hold the drain (or its threads) for longer.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bytes each connection's reader buffers: several pipelined frames of
+/// a few thousand scores each, so a frame's header and body usually come
+/// from one `read` call.
+const READ_BUFFER: usize = 64 * 1024;
 
 /// Server-side configuration: router geometry plus connection limits.
 /// The router always schedules by least-cost routing plus work
@@ -172,6 +187,8 @@ struct Shared {
     registry: &'static KernelRegistry,
     /// Starts every connection thread.
     spawn: Spawn,
+    /// Set on every accepted socket: [`WRITE_TIMEOUT`] outside tests.
+    write_timeout: Duration,
     config: ServerConfig,
     /// Set by the first `Shutdown` frame: accept loops stop, and a
     /// connection that ends after it leaves its entry for the drain.
@@ -249,16 +266,24 @@ impl Server {
     /// [`ServerError::Io`] when a bind fails or the OS refuses an accept
     /// thread (accept threads already running are stopped and joined).
     pub fn start(config: ServerConfig, endpoints: &[Endpoint]) -> Result<Server, ServerError> {
-        Self::start_with(config, endpoints, KernelRegistry::global(), spawn_thread)
+        Self::start_with(
+            config,
+            endpoints,
+            KernelRegistry::global(),
+            spawn_thread,
+            WRITE_TIMEOUT,
+        )
     }
 
     /// [`Server::start`] serving the kernels of `registry`, with every
-    /// server thread started by `spawn`.
+    /// server thread started by `spawn` and every reply write bounded by
+    /// `write_timeout`.
     fn start_with(
         config: ServerConfig,
         endpoints: &[Endpoint],
         registry: &'static KernelRegistry,
         spawn: Spawn,
+        write_timeout: Duration,
     ) -> Result<Server, ServerError> {
         if endpoints.is_empty() {
             return Err(ServerError::NoListeners);
@@ -271,6 +296,7 @@ impl Server {
             router,
             registry,
             spawn,
+            write_timeout,
             config,
             draining: AtomicBool::new(false),
             drain_bell: bell,
@@ -368,7 +394,9 @@ impl Server {
 fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
     while !shared.is_draining() {
         // The accepted socket must block again: accept() inherits the
-        // listener's non-blocking flag on some platforms.
+        // listener's non-blocking flag on some platforms. Its writes are
+        // bounded from the start: a write already blocked would not see
+        // a timeout set later, at drain.
         let accepted = match listener {
             Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
                 s.set_nonblocking(false)?;
@@ -378,7 +406,11 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
                 s.set_nonblocking(false)?;
                 Ok(Stream::Unix(s))
             }),
-        };
+        }
+        .and_then(|stream| {
+            stream.set_write_timeout(Some(shared.write_timeout))?;
+            Ok(stream)
+        });
         match accepted {
             Ok(stream) => spawn_connection(shared, stream),
             // Nothing pending, or a transient failure (e.g. an aborted
@@ -429,7 +461,8 @@ fn spawn_connection(shared: &Arc<Shared>, stream: Stream) {
 
 /// Decodes frames and submits; never waits on a result. Returning drops
 /// `tx`, which ends the writer once it has answered what is queued.
-fn reader_loop(shared: &Arc<Shared>, conn_id: u64, mut stream: Stream, tx: SyncSender<WriterMsg>) {
+fn reader_loop(shared: &Arc<Shared>, conn_id: u64, stream: Stream, tx: SyncSender<WriterMsg>) {
+    let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     let reply = |frame| tx.send(WriterMsg::Frame(frame));
     let mut greeted = false;
     loop {
@@ -523,30 +556,36 @@ fn reader_loop(shared: &Arc<Shared>, conn_id: u64, mut stream: Stream, tx: SyncS
 /// deadline budget, and submits. Returns the writer message carrying
 /// either the in-flight ticket or an immediate error reply.
 fn handle_submit(shared: &Arc<Shared>, request: SubmitRequest, received_at: Instant) -> WriterMsg {
-    let id = request.id;
+    let SubmitRequest {
+        id,
+        kernel,
+        row_len,
+        scores,
+        deadline_ms,
+        priority,
+        ..
+    } = request;
     let reply_err = |err: WireError| {
         WriterMsg::Frame(Frame::SubmitReply(SubmitReply {
             id,
             result: Err(err),
         }))
     };
-    let Some(kernel) = shared.registry.get(&request.kernel) else {
+    let Some(kernel) = shared.registry.get(&kernel) else {
         return reply_err(WireError::new(
             ErrorCode::UnknownKernel,
-            format!("kernel '{}' is not registered", request.kernel),
+            format!("kernel '{kernel}' is not registered"),
         ));
     };
+    // The decoded scores become the job's input without a copy.
     // `stream_chunk` is validated by the codec and otherwise ignored:
     // every request runs the batch path, with the same bits.
-    let rows = softermax_wire::types::scores_to_f64(&request.scores);
-    let mut submission = Submission::new(&kernel, rows, request.row_len.as_usize());
-    submission = submission.with_priority(match request.priority {
+    let mut submission = Submission::new(&kernel, scores.into_vec(), row_len.as_usize());
+    submission = submission.with_priority(match priority {
         WirePriority::Interactive => Priority::Interactive,
         WirePriority::Batch => Priority::Batch,
     });
-    let deadline = request
-        .deadline_ms
-        .map(|budget| (received_at, budget.as_duration()));
+    let deadline = deadline_ms.map(|budget| (received_at, budget.as_duration()));
     if let Some((received_at, budget)) = deadline {
         let remaining = remaining_budget(budget, received_at, Instant::now());
         if remaining.is_zero() {
@@ -592,11 +631,11 @@ fn writer_loop(mut stream: Stream, rx: &Receiver<WriterMsg>) {
                         }
                     }
                 };
+                // The job's output becomes the reply without a copy; a
+                // kernel that wrote a NaN or ±∞ fails this one request.
                 let result = match result {
-                    Ok(rows) => match softermax_wire::types::scores_from_f64(&rows) {
-                        Ok(scores) => Ok(scores),
-                        Err(e) => Err(WireError::new(ErrorCode::Internal, e.to_string())),
-                    },
+                    Ok(rows) => Scores::try_from(rows)
+                        .map_err(|e| WireError::new(ErrorCode::Internal, e.to_string())),
                     Err(e) => Err(WireError::from(&e)),
                 };
                 Frame::SubmitReply(SubmitReply { id, result })
@@ -630,6 +669,7 @@ mod tests {
     use super::*;
     use softermax::kernel::{KernelDescriptor, ScratchBuffers, SoftmaxKernel, StreamSession};
     use softermax_client::{Client, ClientConfig};
+    use softermax_wire::{encode_frame, Hello};
     use std::io::Read;
     use std::os::unix::net::UnixStream;
     use std::sync::atomic::AtomicUsize;
@@ -703,6 +743,7 @@ mod tests {
             &endpoint,
             KernelRegistry::global(),
             spawn,
+            WRITE_TIMEOUT,
         )
         .expect("server start");
         for _ in 0..2 {
@@ -739,6 +780,7 @@ mod tests {
             &endpoints,
             KernelRegistry::global(),
             |name, body| refusing("-1", name, body),
+            WRITE_TIMEOUT,
         );
         assert!(
             matches!(started, Err(ServerError::Io(_))),
@@ -778,6 +820,7 @@ mod tests {
                 thread::sleep(Duration::from_millis(50));
                 started
             },
+            WRITE_TIMEOUT,
         )
         .expect("server start");
         for _ in 0..5 {
@@ -800,6 +843,13 @@ mod tests {
     struct Gated {
         inner: Arc<dyn SoftmaxKernel>,
         open: Arc<AtomicBool>,
+    }
+
+    impl Gated {
+        /// `inner` behind the gate `open`, ready to register.
+        fn wrap(inner: Arc<dyn SoftmaxKernel>, open: Arc<AtomicBool>) -> Arc<dyn SoftmaxKernel> {
+            Arc::new(Self { inner, open })
+        }
     }
 
     impl SoftmaxKernel for Gated {
@@ -828,16 +878,48 @@ mod tests {
         }
     }
 
+    /// A built-in kernel that serves a row and then overwrites its first
+    /// probability with a NaN, which no reply may carry.
+    #[derive(Debug)]
+    struct Poisoned(Arc<dyn SoftmaxKernel>);
+
+    impl SoftmaxKernel for Poisoned {
+        fn descriptor(&self) -> &KernelDescriptor {
+            self.0.descriptor()
+        }
+
+        fn forward(&self, row: &[f64]) -> softermax::Result<Vec<f64>> {
+            self.0.forward(row)
+        }
+
+        fn forward_into(
+            &self,
+            row: &[f64],
+            out: &mut [f64],
+            scratch: &mut ScratchBuffers,
+        ) -> softermax::Result<()> {
+            self.0.forward_into(row, out, scratch)?;
+            if let Some(first) = out.first_mut() {
+                *first = f64::NAN;
+            }
+            Ok(())
+        }
+
+        fn stream_session(&self) -> Box<dyn StreamSession + '_> {
+            panic!("a served request opened a stream session")
+        }
+    }
+
     /// Serves `kernels` with `config` on a fresh Unix socket and connects
     /// a client to it.
     fn serve(
         config: ServerConfig,
-        kernels: impl IntoIterator<Item = Gated>,
+        kernels: impl IntoIterator<Item = Arc<dyn SoftmaxKernel>>,
         tag: &str,
     ) -> (Server, Client) {
         let mut registry = KernelRegistry::new();
         for kernel in kernels {
-            registry.register(Arc::new(kernel));
+            registry.register(kernel);
         }
         let path = socket_path(tag);
         let endpoint = [Endpoint::Unix(path.clone())];
@@ -846,6 +928,7 @@ mod tests {
             &endpoint,
             Box::leak(Box::new(registry)),
             spawn_thread,
+            WRITE_TIMEOUT,
         )
         .expect("server start");
         let client =
@@ -879,10 +962,7 @@ mod tests {
         let kernels = KernelRegistry::global()
             .kernels()
             .iter()
-            .map(|kernel| Gated {
-                inner: Arc::clone(kernel),
-                open: Arc::new(AtomicBool::new(true)),
-            });
+            .map(|kernel| Gated::wrap(Arc::clone(kernel), Arc::new(AtomicBool::new(true))));
         let (server, mut client) = serve(ServerConfig::default(), kernels, "sessionless");
         let scores: Vec<f64> = (0..4 * LEN)
             .map(|i| (i as f64 * 0.37 - 17.6).sin() * 6.5)
@@ -925,10 +1005,7 @@ mod tests {
         let want = sequential(inner.as_ref(), &scores, LEN);
         for window in [0, 2] {
             let open = Arc::new(AtomicBool::new(false));
-            let gated = Gated {
-                inner: Arc::clone(&inner),
-                open: Arc::clone(&open),
-            };
+            let gated = Gated::wrap(Arc::clone(&inner), Arc::clone(&open));
             let config = ServerConfig {
                 shards: 1,
                 threads: 1,
@@ -964,5 +1041,127 @@ mod tests {
             client.shutdown_server().expect("shutdown ack");
             let _ = server.run();
         }
+    }
+
+    /// A kernel whose output holds a NaN fails only its own request: the
+    /// reply's finiteness check answers it with `Internal`, and the next
+    /// request on the same connection is served bit-identical to
+    /// sequential `forward_into`.
+    #[test]
+    fn a_nan_output_fails_only_its_request() {
+        const LEN: usize = 16;
+        let builtin = |name| KernelRegistry::global().get(name).expect("builtin");
+        let healthy = builtin("softermax");
+        let kernels: [Arc<dyn SoftmaxKernel>; 2] = [
+            Arc::new(Poisoned(builtin("reference-e"))),
+            Arc::clone(&healthy),
+        ];
+        let (server, mut client) = serve(ServerConfig::default(), kernels, "nan-output");
+        let scores: Vec<f64> = (0..3 * LEN)
+            .map(|i| (i as f64 * 0.61 - 5.0).cos() * 9.0)
+            .collect();
+        let request = |kernel| SubmitRequest::build(0, kernel, &scores, LEN).expect("valid");
+        client.submit(request("reference-e")).expect("submit");
+        let err = client
+            .next_reply()
+            .expect("reply")
+            .1
+            .expect_err("NaN output");
+        assert_eq!(err.code, ErrorCode::Internal, "{err}");
+        assert!(err.message.contains("finite"), "{err}");
+        client.submit(request("softermax")).expect("submit");
+        let served = client.next_reply().expect("reply").1.expect("served");
+        assert_eq!(bits(&served), sequential(healthy.as_ref(), &scores, LEN));
+        client.shutdown_server().expect("shutdown ack");
+        drop(client);
+        let _ = server.run();
+    }
+
+    /// Runs `server.run()` on a thread of its own and returns its drain
+    /// count with the time it took; fails the test when it has not
+    /// returned within `limit`.
+    fn run_within(server: Server, limit: Duration) -> (usize, Duration) {
+        let (tx, rx) = mpsc::channel();
+        let started = Instant::now();
+        thread::spawn(move || {
+            let _ = tx.send(server.run());
+        });
+        let drained = rx
+            .recv_timeout(limit)
+            .unwrap_or_else(|e| panic!("Server::run did not return within {limit:?} ({e})"));
+        (drained, started.elapsed())
+    }
+
+    /// A peer that pipelines large submits and never reads a reply cannot
+    /// hold the drain: its writer blocks on the full socket until the
+    /// write timeout fails the write, which drops the channel, which ends
+    /// the reader blocked handing over the next reply, and `Server::run`
+    /// returns.
+    #[test]
+    fn a_never_reading_peer_does_not_stall_the_drain() {
+        const ROWS: usize = 64;
+        const LEN: usize = 1024;
+        const TIMEOUT: Duration = Duration::from_millis(1500);
+        let path = socket_path("never-reads");
+        let config = ServerConfig {
+            shards: 1,
+            threads: 1,
+            inflight_window: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start_with(
+            config,
+            &[Endpoint::Unix(path.clone())],
+            KernelRegistry::global(),
+            spawn_thread,
+            TIMEOUT,
+        )
+        .expect("server start");
+        let scores: Vec<f64> = (0..ROWS * LEN)
+            .map(|i| (i as f64 * 0.37).sin() * 6.5)
+            .collect();
+        let hello = encode_frame(&Frame::Hello(Hello {
+            max_version: PROTOCOL_VERSION,
+            client: "never-reads".to_string(),
+        }))
+        .expect("hello");
+        let submit = encode_frame(&Frame::Submit(
+            SubmitRequest::build(1, "reference-e", &scores, LEN).expect("valid"),
+        ))
+        .expect("submit");
+        // Each 512 KiB reply outgrows the socket's buffer. With a window
+        // of 1, the writer blocks on the first, one reply waits in the
+        // channel and the reader blocks handing over the third; the
+        // peer's own writes block on the fourth, so they run on a thread.
+        let peer = UnixStream::connect(&path).expect("peer connect");
+        let mut pushing = peer.try_clone().expect("clone");
+        let pusher = thread::spawn(move || {
+            let _ = pushing.write_all(&hello);
+            for _ in 0..4 {
+                if pushing.write_all(&submit).is_err() {
+                    break;
+                }
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while lock(&server.shared.conns).is_empty() {
+            assert!(Instant::now() < deadline, "the peer was not accepted");
+            thread::sleep(Duration::from_millis(2));
+        }
+        // Let the pipeline fill: the drain starts while the writer is
+        // blocked, well inside its timeout.
+        thread::sleep(Duration::from_millis(100));
+        let mut client =
+            Client::connect(Endpoint::Unix(path), ClientConfig::default()).expect("client connect");
+        client.shutdown_server().expect("shutdown ack");
+        let (drained, took) = run_within(server, Duration::from_secs(20));
+        assert_eq!(drained, 2, "the peer and the client");
+        assert!(
+            took < TIMEOUT + Duration::from_secs(5),
+            "drain took {took:?}"
+        );
+        // The server closed its end: the peer's blocked write fails.
+        pusher.join().expect("pusher");
+        drop(peer);
     }
 }

@@ -148,8 +148,9 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, FrameError> {
 }
 
 /// Encodes a frame against an explicit body cap. The body is written
-/// straight into the returned buffer behind a placeholder header, which
-/// is filled in once the body length is known.
+/// straight into the returned buffer, allocated once at its final size
+/// for a data-plane frame, behind a placeholder header that is filled
+/// in once the body length is known.
 ///
 /// # Errors
 ///
@@ -157,7 +158,8 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, FrameError> {
 /// [`FrameError::BadShape`] when a field does not fit its binary length
 /// prefix.
 pub fn encode_frame_capped(frame: &Frame, cap: u32) -> Result<Vec<u8>, FrameError> {
-    let mut out = vec![0; HEADER_BYTES];
+    let mut out = Vec::with_capacity(HEADER_BYTES + frame.body_capacity());
+    out.resize(HEADER_BYTES, 0);
     frame.encode_body(&mut out)?;
     let body = out.len() - HEADER_BYTES;
     let len = u32::try_from(body)
@@ -366,8 +368,8 @@ mod tests {
         let got = round_trip(&sent);
         assert_eq!(got, sent);
         if let (Frame::Submit(a), Frame::Submit(b)) = (&sent, &got) {
-            for (x, y) in a.scores.iter().zip(&b.scores) {
-                assert_eq!(x.get().to_bits(), y.get().to_bits());
+            for (x, y) in a.scores.as_slice().iter().zip(b.scores.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits());
             }
         }
         // Frame bytes are the payload plus a fixed overhead: header,

@@ -26,7 +26,8 @@ use softermax::SoftmaxError;
 
 use crate::codec::FrameError;
 use crate::types::{
-    put_scores, scores_from_le_bytes, BoundsError, BudgetMs, ChunkLen, RowCount, RowLen, Score,
+    put_scores, scores_from_f64, scores_from_le_bytes, BoundsError, BudgetMs, ChunkLen, RowCount,
+    RowLen, Scores,
 };
 
 /// The first body byte of each binary data-plane frame. The values are
@@ -218,7 +219,7 @@ pub struct SubmitRequest {
     pub row_len: RowLen,
     /// The flattened row-major matrix; exactly `n_rows × row_len`
     /// validated finite scores (enforced at construction and decode).
-    pub scores: Vec<Score>,
+    pub scores: Scores,
     /// A streaming chunk hint, validated and carried on the wire; the
     /// server serves every request on the batch path, so it changes
     /// neither the path nor the bits.
@@ -257,7 +258,7 @@ impl SubmitRequest {
             kernel: kernel.into(),
             n_rows,
             row_len,
-            scores: crate::types::scores_from_f64(scores)?,
+            scores: scores_from_f64(scores)?,
             stream_chunk: None,
             deadline_ms: None,
             priority: WirePriority::default(),
@@ -292,6 +293,11 @@ impl SubmitRequest {
         self
     }
 
+    /// The exact length of this request's binary body.
+    fn body_len(&self) -> usize {
+        SUBMIT_FIXED_BYTES + self.kernel.len() + 8 * self.scores.as_slice().len()
+    }
+
     /// `kind | id | priority | n_rows | row_len | stream_chunk |
     /// deadline_ms | kernel_len | kernel | scores`, little-endian; an
     /// absent chunk or deadline is 0 (both newtypes start at 1).
@@ -303,7 +309,6 @@ impl SubmitRequest {
                 u16::MAX
             ))
         })?;
-        out.reserve(SUBMIT_FIXED_BYTES + self.kernel.len() + 8 * self.scores.len());
         out.push(kind::SUBMIT);
         out.extend_from_slice(&self.id.to_le_bytes());
         out.push(match self.priority {
@@ -316,7 +321,7 @@ impl SubmitRequest {
         out.extend_from_slice(&self.deadline_ms.map_or(0, BudgetMs::get).to_le_bytes());
         out.extend_from_slice(&kernel_len.to_le_bytes());
         out.extend_from_slice(self.kernel.as_bytes());
-        put_scores(&self.scores, out);
+        put_scores(self.scores.as_slice(), out);
         Ok(())
     }
 
@@ -360,7 +365,7 @@ pub struct SubmitReply {
     /// The request's correlation id, echoed.
     pub id: u64,
     /// The probabilities, or why there are none.
-    pub result: Result<Vec<Score>, WireError>,
+    pub result: Result<Scores, WireError>,
 }
 
 /// `SubmitReply` status byte: the scores tail follows.
@@ -371,7 +376,19 @@ const STATUS_ERROR: u8 = 1;
 /// Bytes of a binary `Submit` body before the kernel name.
 const SUBMIT_FIXED_BYTES: usize = 1 + 8 + 1 + 4 * 4 + 2;
 
+/// Bytes of a binary `SubmitReply` body before its ok or error tail.
+const REPLY_FIXED_BYTES: usize = 1 + 8 + 1;
+
 impl SubmitReply {
+    /// The exact length of this reply's binary body.
+    fn body_len(&self) -> usize {
+        REPLY_FIXED_BYTES
+            + match &self.result {
+                Ok(scores) => 4 + 8 * scores.as_slice().len(),
+                Err(e) => 2 + 4 + e.message.len(),
+            }
+    }
+
     /// `kind | id | status`, then `count | count × f64` (ok) or
     /// `code | msg_len | message` (error), little-endian.
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
@@ -379,9 +396,9 @@ impl SubmitReply {
         out.extend_from_slice(&self.id.to_le_bytes());
         match &self.result {
             Ok(scores) => {
+                let scores = scores.as_slice();
                 let count = u32::try_from(scores.len())
                     .map_err(|_| shape(format!("{} reply scores exceed u32", scores.len())))?;
-                out.reserve(4 + 8 * scores.len());
                 out.push(STATUS_OK);
                 out.extend_from_slice(&count.to_le_bytes());
                 put_scores(scores, out);
@@ -557,6 +574,17 @@ impl Frame {
             Frame::Shutdown => "shutdown",
             Frame::ShutdownAck => "shutdown_ack",
             Frame::Error(_) => "error",
+        }
+    }
+
+    /// The bytes to reserve for the frame's body: exact for the binary
+    /// data plane; none for a JSON control body, which grows as it is
+    /// written.
+    pub(crate) fn body_capacity(&self) -> usize {
+        match self {
+            Frame::Submit(s) => s.body_len(),
+            Frame::SubmitReply(r) => r.body_len(),
+            _ => 0,
         }
     }
 

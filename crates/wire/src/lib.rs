@@ -15,10 +15,12 @@
 //! Three layers, bottom up:
 //!
 //! * [`types`] — `try_from` newtypes for every numeric field
-//!   ([`RowLen`], [`RowCount`], [`ChunkLen`], [`BudgetMs`], [`Score`]).
-//!   Invalid states (NaN scores, zero-length rows, matrices larger than
-//!   a frame can carry) are not representable: construction and decode
-//!   both go through the same range checks.
+//!   ([`RowLen`], [`RowCount`], [`ChunkLen`], [`BudgetMs`]) and one
+//!   validated score block, [`Scores`] (a `Vec<f64>` checked finite
+//!   once, which the server moves into the job and the client hands to
+//!   its caller). Invalid states (NaN scores, zero-length rows, matrices
+//!   larger than a frame can carry) are not representable: construction
+//!   and decode both go through the same checks.
 //! * [`frame`] — the [`Frame`] enum and each frame's body codec:
 //!   `Hello`/`HelloAck` version negotiation, the `Submit`/`SubmitReply`
 //!   data plane (the full [`SoftmaxError`](softermax::SoftmaxError)
@@ -54,4 +56,6 @@ pub use frame::{
     ErrorCode, Frame, Hello, HelloAck, SubmitReply, SubmitRequest, WireError, WirePriority,
 };
 pub use net::{Endpoint, Stream};
-pub use types::{BoundsError, BudgetMs, ChunkLen, RowCount, RowLen, Score, MAX_BUDGET_MS, MAX_DIM};
+pub use types::{
+    BoundsError, BudgetMs, ChunkLen, RowCount, RowLen, Scores, MAX_BUDGET_MS, MAX_DIM,
+};

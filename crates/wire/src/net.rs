@@ -6,6 +6,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Where a server lives. Parsed from `tcp:HOST:PORT` or `unix:PATH`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,6 +75,17 @@ impl Stream {
         match self {
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
             Stream::Unix(s) => s.try_clone().map(Stream::Unix),
+        }
+    }
+
+    /// Bounds every later write on this socket, through any handle: a
+    /// write that cannot finish within `timeout` fails instead of
+    /// blocking (`None` blocks without bound). A write already blocked
+    /// keeps the bound it started with.
+    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(timeout),
+            Stream::Unix(s) => s.set_write_timeout(timeout),
         }
     }
 

@@ -114,62 +114,94 @@ impl BudgetMs {
     }
 }
 
-/// One finite score or probability. NaN and ±∞ are rejected at
-/// construction and at decode (a bulk pass over the raw bit patterns),
-/// so a decoded matrix is always arithmetic-safe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Score(f64);
+/// A block of finite scores or probabilities: the flattened matrix a
+/// `Submit` carries and a `SubmitReply` answers with. NaN and ±∞ are
+/// rejected once, when the block is built (from a caller's `Vec<f64>`
+/// or slice, or by the decoder from the raw wire words), and the field
+/// is private, so a `Scores` value is always arithmetic-safe.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scores(Vec<f64>);
 
-impl Score {
-    /// The validated value.
+impl Scores {
+    /// The validated values.
     #[must_use]
-    pub fn get(self) -> f64 {
+    pub fn as_slice(&self) -> &[f64] {
+        &self.0
+    }
+
+    /// The validated values, handed over without a copy.
+    #[must_use]
+    pub fn into_vec(self) -> Vec<f64> {
         self.0
     }
 }
 
-impl TryFrom<f64> for Score {
+impl TryFrom<Vec<f64>> for Scores {
     type Error = BoundsError;
 
-    fn try_from(v: f64) -> Result<Self, BoundsError> {
-        if v.is_finite() {
-            Ok(Self(v))
-        } else {
-            Err(BoundsError::new(format!("score must be finite, got {v}")))
+    /// Checks every value and keeps the `Vec` it was given: no copy.
+    fn try_from(values: Vec<f64>) -> Result<Self, BoundsError> {
+        check_finite(&values)?;
+        Ok(Self(values))
+    }
+}
+
+/// The one finiteness check every [`Scores`] passes, naming the first
+/// NaN or ±∞ it finds.
+fn check_finite(values: &[f64]) -> Result<(), BoundsError> {
+    if all_finite(values) {
+        return Ok(());
+    }
+    match values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+        None => Ok(()),
+        Some((i, v)) => Err(BoundsError::new(format!(
+            "score {i} must be finite, got {v}"
+        ))),
+    }
+}
+
+/// Whether every value is finite, in a loop that vectorizes (a search
+/// for the first failure does not): `v * 0.0` is ±0 for a finite `v`
+/// and NaN for NaN and ±∞, and a NaN survives every later add, so eight
+/// independent lane sums stay finite exactly when all values are.
+fn all_finite(values: &[f64]) -> bool {
+    let (blocks, tail) = values.as_chunks::<8>();
+    let mut lanes = [0.0f64; 8];
+    for block in blocks {
+        for (lane, v) in lanes.iter_mut().zip(block) {
+            *lane += v * 0.0;
+        }
+    }
+    lanes.iter().chain(tail).all(|v| v.is_finite())
+}
+
+/// Copies a caller's raw `f64` slice into a validated block (one
+/// allocation, made only once every value has passed).
+///
+/// # Errors
+///
+/// Returns [`BoundsError`] naming the first non-finite element.
+pub fn scores_from_f64(raw: &[f64]) -> Result<Scores, BoundsError> {
+    check_finite(raw)?;
+    Ok(Scores(raw.to_vec()))
+}
+
+/// Appends each score as its 8 little-endian bytes, into one region
+/// sized up front.
+pub(crate) fn put_scores(scores: &[f64], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + 8 * scores.len(), 0);
+    if let Some(region) = out.get_mut(start..) {
+        for (word, s) in region.as_chunks_mut::<8>().0.iter_mut().zip(scores) {
+            *word = s.to_le_bytes();
         }
     }
 }
 
-/// Converts a caller's raw `f64` slice into validated wire scores.
-///
-/// # Errors
-///
-/// Returns [`BoundsError`] on the first non-finite element.
-pub fn scores_from_f64(raw: &[f64]) -> Result<Vec<Score>, BoundsError> {
-    raw.iter().map(|&v| Score::try_from(v)).collect()
-}
-
-/// Flattens validated wire scores back into raw `f64`s (bit-identical:
-/// `Score` stores the value it was built from).
-#[must_use]
-pub fn scores_to_f64(scores: &[Score]) -> Vec<f64> {
-    scores.iter().map(|s| s.get()).collect()
-}
-
-/// The exponent field of an IEEE-754 double; all ones is NaN or ±∞.
-const F64_EXPONENT: u64 = 0x7FF0_0000_0000_0000;
-
-/// Appends each score as its 8 little-endian bytes.
-pub(crate) fn put_scores(scores: &[Score], out: &mut Vec<u8>) {
-    for s in scores {
-        out.extend_from_slice(&s.0.to_le_bytes());
-    }
-}
-
-/// Decodes a block of little-endian `f64` words into validated scores.
-/// One bulk pass over the raw bits rejects NaN and ±∞ before anything
-/// is allocated.
-pub(crate) fn scores_from_le_bytes(bytes: &[u8]) -> Result<Vec<Score>, BoundsError> {
+/// Decodes a block of little-endian `f64` words straight into a
+/// validated block: one allocation of the exact size, then the same
+/// finiteness check as construction.
+pub(crate) fn scores_from_le_bytes(bytes: &[u8]) -> Result<Scores, BoundsError> {
     let (words, tail) = bytes.as_chunks::<8>();
     if !tail.is_empty() {
         return Err(BoundsError::new(format!(
@@ -177,17 +209,12 @@ pub(crate) fn scores_from_le_bytes(bytes: &[u8]) -> Result<Vec<Score>, BoundsErr
             bytes.len()
         )));
     }
-    let non_finite = |w: &[u8; 8]| u64::from_le_bytes(*w) & F64_EXPONENT == F64_EXPONENT;
-    if let Some((i, w)) = words.iter().enumerate().find(|(_, w)| non_finite(w)) {
-        return Err(BoundsError::new(format!(
-            "score {i} must be finite, got {}",
-            f64::from_le_bytes(*w)
-        )));
-    }
-    Ok(words
-        .iter()
-        .map(|w| Score(f64::from_le_bytes(*w)))
-        .collect())
+    Scores::try_from(
+        words
+            .iter()
+            .map(|w| f64::from_le_bytes(*w))
+            .collect::<Vec<f64>>(),
+    )
 }
 
 #[cfg(test)]
@@ -237,15 +264,16 @@ mod tests {
 
     #[test]
     fn scores_must_be_finite() {
-        assert!(Score::try_from(f64::NAN).is_err());
-        assert!(Score::try_from(f64::INFINITY).is_err());
-        assert!(Score::try_from(f64::NEG_INFINITY).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(Scores::try_from(vec![bad]).is_err());
+            assert!(scores_from_f64(&[bad]).is_err());
+        }
         assert_eq!(
-            Score::try_from(-0.0).unwrap().get().to_bits(),
+            Scores::try_from(vec![-0.0]).unwrap().as_slice()[0].to_bits(),
             (-0.0f64).to_bits()
         );
-        // Every NaN payload and both infinities fail the bulk bit check
-        // at decode — NaN cannot cross the wire even maliciously.
+        // Every NaN payload and both infinities fail the check at decode
+        // too — NaN cannot cross the wire even maliciously.
         for bad in [
             f64::NAN.to_bits(),
             0xFFF8_0000_0000_0001,
@@ -254,9 +282,11 @@ mod tests {
             f64::NEG_INFINITY.to_bits(),
         ] {
             let mut bytes = Vec::new();
-            put_scores(&scores_from_f64(&[1.0]).unwrap(), &mut bytes);
+            put_scores(&[1.0], &mut bytes);
             bytes.extend_from_slice(&bad.to_le_bytes());
             let err = scores_from_le_bytes(&bytes).unwrap_err();
+            assert!(err.to_string().starts_with("score 1 "), "{err}");
+            let err = Scores::try_from(vec![1.0, f64::from_bits(bad)]).unwrap_err();
             assert!(err.to_string().starts_with("score 1 "), "{err}");
         }
         assert!(scores_from_le_bytes(&[0; 7]).is_err());
@@ -265,20 +295,32 @@ mod tests {
     #[test]
     fn score_round_trip_is_bit_exact() {
         let raw = [0.0, -0.0, 1.5, -31.999_999_999, 1e-300, 123_456.75, 5e-324];
-        let mut bytes = Vec::new();
-        put_scores(&scores_from_f64(&raw).unwrap(), &mut bytes);
-        assert_eq!(bytes.len(), 8 * raw.len());
-        let back = scores_from_le_bytes(&bytes).unwrap();
-        for (b, v) in back.iter().zip(raw) {
-            assert_eq!(b.get().to_bits(), v.to_bits());
-        }
+        let mut bytes = vec![0xAA];
+        put_scores(scores_from_f64(&raw).unwrap().as_slice(), &mut bytes);
+        assert_eq!(bytes.len(), 1 + 8 * raw.len());
+        // The words land after what the buffer already held.
+        assert_eq!(bytes[0], 0xAA);
+        let back = scores_from_le_bytes(&bytes[1..]).unwrap();
+        assert_eq!(bits(back.as_slice()), bits(&raw));
     }
 
     #[test]
     fn score_slice_conversions_round_trip() {
         let raw = vec![1.0, -2.5, 0.25];
         let scores = scores_from_f64(&raw).unwrap();
-        assert_eq!(scores_to_f64(&scores), raw);
+        assert_eq!(scores.as_slice(), raw.as_slice());
+        assert_eq!(scores.clone().into_vec(), raw);
+        // `try_from` keeps the caller's allocation.
+        let at = raw.as_ptr();
+        let kept = Scores::try_from(raw).unwrap();
+        assert_eq!(kept.as_slice().as_ptr(), at);
+        let back = kept.into_vec();
+        assert_eq!(back.as_ptr(), at);
+        assert_eq!(scores, scores_from_f64(&[1.0, -2.5, 0.25]).unwrap());
         assert!(scores_from_f64(&[1.0, f64::NAN]).is_err());
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 }

@@ -9,8 +9,9 @@ use proptest::prelude::*;
 use proptest::strategy::boxed;
 
 use softermax_wire::frame::kind;
+use softermax_wire::types::scores_from_f64;
 use softermax_wire::{
-    encode_frame, read_frame, ErrorCode, Frame, FrameError, Hello, HelloAck, SubmitReply,
+    encode_frame, read_frame, ErrorCode, Frame, FrameError, Hello, HelloAck, Scores, SubmitReply,
     SubmitRequest, WireError, WirePriority, HEADER_BYTES, MAGIC, MAX_DIM, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
 };
@@ -20,6 +21,38 @@ const N_ROWS_AT: usize = 10;
 const ROW_LEN_AT: usize = 14;
 const KERNEL_LEN_AT: usize = 26;
 const KERNEL_AT: usize = 28;
+
+/// The exponent field of an IEEE-754 double: all ones is NaN or ±∞.
+const EXPONENT: u64 = 0x7FF0_0000_0000_0000;
+
+/// Finite values at the edges of the format: both zeros, the smallest
+/// and largest subnormals, the smallest normal, and both extremes.
+const FINITE_EDGES: [f64; 7] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+    f64::MIN_POSITIVE,
+    f64::MAX,
+    f64::MIN,
+];
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A finite bit pattern from a sign, an exponent below all ones and a
+/// mantissa: every finite double is reachable.
+fn finite_bits() -> impl Strategy<Value = u64> {
+    (0u64..2, 0u64..0x7FF, 0u64..1 << 52)
+        .prop_map(|(sign, exponent, mantissa)| sign << 63 | exponent << 52 | mantissa)
+}
+
+/// An exponent-all-ones bit pattern: ±∞ (mantissa 0) or a NaN of any
+/// payload.
+fn non_finite_bits() -> impl Strategy<Value = u64> {
+    (0u64..2, 0u64..1 << 52).prop_map(|(sign, mantissa)| sign << 63 | EXPONENT | mantissa)
+}
 
 /// A valid header wrapped around an arbitrary body.
 fn framed(body: &[u8]) -> Vec<u8> {
@@ -106,7 +139,7 @@ fn any_submit() -> impl Strategy<Value = SubmitRequest> {
 fn any_reply() -> impl Strategy<Value = SubmitReply> {
     (0u64..u64::MAX, vec(-32.0f64..32.0, 0..64), 1u64..10).prop_map(|(id, scores, code)| {
         let result = if code % 2 == 0 {
-            Ok(softermax_wire::types::scores_from_f64(&scores).expect("finite"))
+            Ok(scores_from_f64(&scores).expect("finite"))
         } else {
             #[allow(clippy::cast_possible_truncation)]
             Err(WireError::new(ErrorCode::from_u16(code as u16), "err"))
@@ -124,15 +157,60 @@ proptest! {
         let back = read_frame(&mut &bytes[..]).expect("decodable");
         prop_assert_eq!(&back, &frame);
         if let (Frame::Submit(a), Frame::Submit(b)) = (&frame, &back) {
-            for (x, y) in a.scores.iter().zip(&b.scores) {
-                prop_assert_eq!(x.get().to_bits(), y.get().to_bits());
-            }
+            prop_assert_eq!(bits(a.scores.as_slice()), bits(b.scores.as_slice()));
         }
         // And the stream is left exactly at the frame boundary: a
         // second read sees a clean close, not leftover bytes.
         let mut cursor = &bytes[..];
         let _ = read_frame(&mut cursor).expect("decodable");
         prop_assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
+    }
+
+    /// Every finite bit pattern — the format's edges always among them —
+    /// crosses the wire bit for bit, in a submit and in a reply; every
+    /// exponent-all-ones pattern is refused by `scores_from_f64`, by
+    /// `Scores::try_from` and by decode, wherever it sits.
+    #[test]
+    fn finite_bits_cross_and_non_finite_bits_are_refused(
+        drawn in vec(finite_bits(), 0..64),
+        bad in non_finite_bits(),
+        pick in 0u64..u64::MAX,
+    ) {
+        let values: Vec<f64> = FINITE_EDGES
+            .iter()
+            .copied()
+            .chain(drawn.iter().map(|&b| f64::from_bits(b)))
+            .collect();
+        let submit = Frame::Submit(SubmitRequest::build(1, "k", &values, 1).expect("finite"));
+        let reply = Frame::SubmitReply(SubmitReply {
+            id: 1,
+            result: Ok(Scores::try_from(values.clone()).expect("finite")),
+        });
+        for frame in [&submit, &reply] {
+            let bytes = encode_frame(frame).expect("encodable");
+            let back = match read_frame(&mut &bytes[..]).expect("decodable") {
+                Frame::Submit(req) => req.scores,
+                Frame::SubmitReply(SubmitReply { result, .. }) => result.expect("ok arm"),
+                other => panic!("decoded {other:?}"),
+            };
+            prop_assert_eq!(bits(back.as_slice()), bits(&values));
+        }
+
+        #[allow(clippy::cast_possible_truncation)]
+        let at = (pick % values.len() as u64) as usize;
+        let mut poisoned = values.clone();
+        poisoned[at] = f64::from_bits(bad);
+        prop_assert!(scores_from_f64(&poisoned).is_err());
+        prop_assert!(Scores::try_from(poisoned).is_err());
+        for frame in [&submit, &reply] {
+            let mut bytes = encode_frame(frame).expect("encodable");
+            let word = bytes.len() - 8 * (values.len() - at);
+            bytes[word..word + 8].copy_from_slice(&bad.to_le_bytes());
+            match read_frame(&mut &bytes[..]) {
+                Err(FrameError::BadShape(msg)) => prop_assert!(msg.contains("finite"), "{msg}"),
+                other => panic!("{:#x} at {at}: expected BadShape, got {other:?}", bad),
+            }
+        }
     }
 
     /// Any truncation of a valid frame is a typed error, never a panic
@@ -214,10 +292,11 @@ proptest! {
             }
             // NaN (any payload) or ±∞ bits at a random score index.
             2 => {
-                if req.scores.is_empty() {
+                let n = req.scores.as_slice().len();
+                if n == 0 {
                     return;
                 }
-                let i = (pick % req.scores.len() as u64) as usize;
+                let i = (pick % n as u64) as usize;
                 let bits = match pick % 3 {
                     0 => 0x7FF0_0000_0000_0000 | (pick >> 12).max(1),
                     1 => f64::INFINITY.to_bits(),
