@@ -34,8 +34,9 @@
 //! only then does [`Server::run`] return. No accepted request is
 //! dropped on the floor, except to a peer that stops reading: every
 //! accepted socket's writes time out, and a writer whose write fails
-//! ends its connection, so such a peer holds the drain for at most one
-//! write timeout.
+//! ends its connection, so such a peer holds the drain for about two
+//! write timeouts (one `write` call can send what the socket buffer
+//! takes and then wait out a timeout; the next waits out another).
 //!
 //! Malformed input never panics the server: the codec returns typed
 //! errors, non-fatal ones (a well-framed but bogus body) get an
@@ -73,9 +74,10 @@ use softermax_wire::{
 /// How often a non-blocking accept loop re-checks the draining flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// How long one reply write may block on a peer that reads nothing.
-/// The write then fails and the connection ends, so a never-reading
-/// client cannot hold the drain (or its threads) for longer.
+/// How long one `write` call may block on a peer that reads nothing.
+/// A reply's writes then fail and the connection ends, so a
+/// never-reading client cannot hold the drain (or its threads) for more
+/// than about two of these.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Bytes each connection's reader buffers: several pipelined frames of
@@ -1143,21 +1145,25 @@ mod tests {
                 }
             }
         });
+        // Three served requests mean the reader has handed over its
+        // third reply, so the drain below starts with the reader blocked
+        // in `send` and the writer in `write`, well inside its timeout.
+        let served = || server.shared.router.shard(0).stats().total().batches;
         let deadline = Instant::now() + Duration::from_secs(10);
-        while lock(&server.shared.conns).is_empty() {
-            assert!(Instant::now() < deadline, "the peer was not accepted");
+        while served() < 3 {
+            assert!(Instant::now() < deadline, "{} requests served", served());
             thread::sleep(Duration::from_millis(2));
         }
-        // Let the pipeline fill: the drain starts while the writer is
-        // blocked, well inside its timeout.
-        thread::sleep(Duration::from_millis(100));
         let mut client =
             Client::connect(Endpoint::Unix(path), ClientConfig::default()).expect("client connect");
         client.shutdown_server().expect("shutdown ack");
         let (drained, took) = run_within(server, Duration::from_secs(20));
         assert_eq!(drained, 2, "the peer and the client");
+        // `write_all`'s first call sends what the socket buffer takes and
+        // then waits out one timeout before it reports the partial write;
+        // the next call waits out another and fails.
         assert!(
-            took < TIMEOUT + Duration::from_secs(5),
+            took < 2 * TIMEOUT + Duration::from_secs(2),
             "drain took {took:?}"
         );
         // The server closed its end: the peer's blocked write fails.

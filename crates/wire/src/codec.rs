@@ -379,6 +379,32 @@ mod tests {
     }
 
     #[test]
+    fn data_plane_frames_are_encoded_into_one_exact_allocation() {
+        let frames = [
+            Frame::Submit(
+                SubmitRequest::build(1, "softermax", &[0.5; 48], 16)
+                    .unwrap()
+                    .with_deadline_ms(9)
+                    .unwrap(),
+            ),
+            Frame::SubmitReply(SubmitReply {
+                id: 2,
+                result: Ok(crate::types::scores_from_f64(&[0.25; 48]).unwrap()),
+            }),
+            Frame::SubmitReply(SubmitReply {
+                id: 3,
+                result: Err(WireError::new(ErrorCode::QueueFull, "full")),
+            }),
+        ];
+        for frame in &frames {
+            // Capacity equals length only when the reservation was the
+            // exact frame size: a short one grows the buffer on a push.
+            let bytes = encode_frame(frame).unwrap();
+            assert_eq!(bytes.capacity(), bytes.len(), "{}", frame.tag());
+        }
+    }
+
+    #[test]
     fn reply_frames_round_trip_both_arms() {
         let ok = Frame::SubmitReply(SubmitReply {
             id: 7,
