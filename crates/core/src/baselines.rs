@@ -79,24 +79,50 @@ impl LutSoftmax {
         self.table.len() as u32 * (LUT_FRAC_BITS + 1)
     }
 
-    /// Three-pass integer softmax.
+    /// Three-pass integer softmax, element by element as the scheme
+    /// defines it: round each score to the grid, take the max, index the
+    /// LUT by the rounded distance to it, sum the entries and divide each
+    /// by the sum in integers. This is the scalar oracle of
+    /// [`forward_into`](Self::forward_into), which shares none of its code.
     ///
     /// # Errors
     ///
-    /// Returns [`SoftmaxError::EmptyInput`] for an empty row.
+    /// Returns [`SoftmaxError::EmptyInput`] for an empty row and
+    /// [`SoftmaxError::DivisionByZero`] when every entry is zero.
     pub fn forward(&self, row: &[f64]) -> Result<Vec<f64>> {
-        let mut out = vec![0.0; row.len()];
-        self.forward_into(row, &mut out)?;
-        Ok(out)
+        if row.is_empty() {
+            return Err(SoftmaxError::EmptyInput);
+        }
+        let step = self.step;
+        let grid: Vec<f64> = row.iter().map(|&v| (v / step).round() * step).collect();
+        let max = grid.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let entries: Vec<u64> = grid
+            .iter()
+            .map(|&x| {
+                let index = ((max - x) / step).round().clamp(0.0, 255.0) as usize;
+                u64::from(self.table[index])
+            })
+            .collect();
+        let sum: u64 = entries.iter().sum();
+        if sum == 0 {
+            return Err(SoftmaxError::DivisionByZero);
+        }
+        let one = f64::from(1u32 << LUT_FRAC_BITS);
+        Ok(entries
+            .iter()
+            .map(|&e| ((e << LUT_FRAC_BITS) / sum) as f64 / one)
+            .collect())
     }
 
-    /// Allocation-free [`forward`](Self::forward): the LUT exponentials are
-    /// staged in the output buffer (they fit `f64` exactly), so no
-    /// intermediate vector is needed.
+    /// The allocation-free fast path, bit-identical with
+    /// [`forward`](Self::forward): the LUT exponentials are staged in the
+    /// output buffer (they fit `f64` exactly), rounding avoids the libm
+    /// call and the division is a multiply by the row's invariant divisor.
     ///
     /// # Errors
     ///
-    /// Returns [`SoftmaxError::EmptyInput`] for an empty row.
+    /// Returns [`SoftmaxError::EmptyInput`] for an empty row and
+    /// [`SoftmaxError::DivisionByZero`] when every entry is zero.
     ///
     /// # Panics
     ///
@@ -366,31 +392,17 @@ mod tests {
     }
 
     /// lut8's output bits by the `f64::round` formula its fast path
-    /// replaces, spelled out as its oracle: quantize, max, LUT index, sum
-    /// and integer divide, each as the scheme defines it.
+    /// replaces: its scalar oracle, [`LutSoftmax::forward`].
     fn formula(lut: &LutSoftmax, row: &[f64]) -> Vec<u64> {
-        let step = lut.step();
-        let q: Vec<f64> = row.iter().map(|&v| (v / step).round() * step).collect();
-        let max = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let e: Vec<u64> = q
-            .iter()
-            .map(|&x| {
-                let index = ((max - x) / step).round().clamp(0.0, 255.0) as usize;
-                u64::from(lut.table[index])
-            })
-            .collect();
-        let sum: u64 = e.iter().sum();
-        e.iter()
-            .map(|&e| (((e << LUT_FRAC_BITS) / sum) as f64 / 65536.0).to_bits())
-            .collect()
+        let probs = lut.forward(row).unwrap();
+        probs.iter().map(|p| p.to_bits()).collect()
     }
 
-    fn forward_bits(lut: &LutSoftmax, row: &[f64]) -> Vec<u64> {
-        lut.forward(row)
-            .unwrap()
-            .iter()
-            .map(|p| p.to_bits())
-            .collect()
+    /// lut8's output bits by its fast path, [`LutSoftmax::forward_into`].
+    fn fast_path_bits(lut: &LutSoftmax, row: &[f64]) -> Vec<u64> {
+        let mut out = vec![0.0; row.len()];
+        lut.forward_into(row, &mut out).unwrap();
+        out.iter().map(|p| p.to_bits()).collect()
     }
 
     /// The scores [`formula`] must hold at beyond the drawn range, in
@@ -426,7 +438,7 @@ mod tests {
             ];
             for row in rows {
                 assert_eq!(
-                    forward_bits(&lut, row),
+                    fast_path_bits(&lut, row),
                     formula(&lut, row),
                     "{row:?} at step {step}"
                 );
@@ -459,7 +471,7 @@ mod tests {
                     row[at % len] = specials[which % specials.len()];
                 }
                 proptest::prop_assert_eq!(
-                    forward_bits(&lut, &row),
+                    fast_path_bits(&lut, &row),
                     formula(&lut, &row),
                     "{:?} at step {}",
                     row,

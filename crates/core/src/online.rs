@@ -165,7 +165,15 @@ impl OnlineNormalizer {
             }
             self.running_max = new_max;
         }
-        self.normalizer += self.pow(x - self.running_max);
+        let term = self.pow(x - self.running_max);
+        // When the sum and the term are both NaN, which of the two an add
+        // returns depends on the operand order code generation picks; the
+        // select returns the term's, whatever the order.
+        self.normalizer = if term.is_nan() {
+            term
+        } else {
+            self.normalizer + term
+        };
         self.count += 1;
     }
 
@@ -198,8 +206,11 @@ impl OnlineNormalizer {
             return;
         }
         let new_max = self.running_max.max(other.running_max);
-        self.normalizer = self.normalizer * self.pow(self.running_max - new_max)
-            + other.normalizer * self.pow(other.running_max - new_max);
+        let own = self.normalizer * self.pow(self.running_max - new_max);
+        let later = other.normalizer * self.pow(other.running_max - new_max);
+        // As in `push`: a NaN from the later values wins, whatever operand
+        // order code generation picks for the add.
+        self.normalizer = if later.is_nan() { later } else { own + later };
         self.running_max = new_max;
         self.count += other.count;
     }
@@ -314,10 +325,9 @@ impl OnlineRow {
             self.last_raise = self.count;
         }
         let term = ((x - self.running_max) * ln_b).exp();
-        // When the sum and the term are both NaN, which of the two an add
-        // returns depends on the operand order code generation picks. The
-        // oracle's `d += b^(x - m)` returns the term's (the golden online
-        // checksum pins it); the select does so whatever the order.
+        // The same select as the oracle's: when the sum and the term are
+        // both NaN, the term's NaN wins whatever the operand order (the
+        // golden online checksum pins it).
         self.normalizer = if term.is_nan() {
             term
         } else {
@@ -457,6 +467,29 @@ mod tests {
         assert!((left.normalizer() - seq.normalizer()).abs() < 1e-12);
         assert_eq!(left.running_max(), seq.running_max());
         assert_eq!(left.len(), seq.len());
+    }
+
+    /// A NaN sum meeting a NaN term of the other sign keeps the term's
+    /// bits, in `push` and in `merge`, whatever operand order the add is
+    /// compiled with.
+    #[test]
+    fn a_nan_term_replaces_a_nan_sum_of_the_other_sign() {
+        let mut n = OnlineNormalizer::base2();
+        n.push(1.0);
+        let term = n.pow(f64::NAN - n.running_max());
+        assert!(term.is_nan());
+        n.normalizer = -term;
+        n.push(f64::NAN);
+        assert_eq!(n.normalizer().to_bits(), term.to_bits());
+
+        let mut later = OnlineNormalizer::base2();
+        later.push(1.0);
+        later.normalizer = -f64::NAN;
+        let mut own = OnlineNormalizer::base2();
+        own.push(1.0);
+        own.normalizer = f64::NAN;
+        own.merge(&later);
+        assert_eq!(own.normalizer().to_bits(), (-f64::NAN).to_bits());
     }
 
     #[test]

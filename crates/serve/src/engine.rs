@@ -37,8 +37,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// many matrices (and many kernels) **concurrently** from one shared
 /// intake queue. A request is the engine's one unit of work: a worker
 /// pops the front job, runs every row of it through the kernel's
-/// [`forward_batch_into`](SoftmaxKernel::forward_batch_into), and returns
-/// for the next, so the pool's threads work in parallel across requests.
+/// [`forward_into`](SoftmaxKernel::forward_into), writing the
+/// probabilities over the submitted scores, and returns for the next, so
+/// the pool's threads work in parallel across requests.
 ///
 /// Admission is bounded by [`ServeConfig::queue_depth`]: a full engine
 /// rejects non-blocking submissions with [`SoftmaxError::QueueFull`] and
@@ -588,14 +589,15 @@ fn kernel_entry<'a>(
     per_kernel.entry(kernel.to_owned()).or_default()
 }
 
-/// One admitted matrix: the kernel, the owned input rows, the output
-/// buffer and the completion protocol. One worker serves the whole job.
+/// One admitted matrix: the kernel, its geometry and scheduling, and the
+/// completion protocol around the one buffer the job owns, the submitted
+/// rows. One worker serves the whole job, writing the probabilities over
+/// the scores.
 ///
 /// A job belongs to no shard until admitted, so a router builds it once
 /// and offers the same job to each shard in turn.
 pub(crate) struct Job {
     kernel: Arc<dyn SoftmaxKernel>,
-    input: Vec<f64>,
     row_len: usize,
     n_rows: usize,
     /// Serve-by time: a job dequeued after this instant is dropped and
@@ -612,9 +614,9 @@ pub(crate) struct Job {
 }
 
 struct JobState {
-    /// Allocated at submission, lent to the worker while it runs the
-    /// job, then holding the probabilities.
-    output: Vec<f64>,
+    /// The submitted scores, lent to the worker while it runs the job,
+    /// then holding the probabilities it wrote over them.
+    rows: Vec<f64>,
     complete: bool,
     error: Option<SoftmaxError>,
 }
@@ -624,15 +626,16 @@ impl JobState {
     fn take_outcome(&mut self) -> Result<Vec<f64>> {
         match self.error.take() {
             Some(e) => Err(e),
-            None => Ok(std::mem::take(&mut self.output)),
+            None => Ok(std::mem::take(&mut self.rows)),
         }
     }
 }
 
 impl Job {
-    /// Builds the job `submission` describes, submitted at `started`,
-    /// with its output buffer. A zero-row job is complete before it is
-    /// ever queued.
+    /// Builds the job `submission` describes, submitted at `started`.
+    /// The submitted rows are the job's only buffer: no output is
+    /// allocated, and the probabilities come back in the same `Vec`. A
+    /// zero-row job is complete before it is ever queued.
     ///
     /// # Errors
     ///
@@ -654,13 +657,12 @@ impl Job {
             deadline: deadline.map(|d| started + d),
             priority,
             state: Mutex::new(JobState {
-                output: vec![0.0; rows.len()],
+                rows,
                 complete: n_rows == 0,
                 error: None,
             }),
             done: Condvar::new(),
             started,
-            input: rows,
         }))
     }
 
@@ -730,7 +732,7 @@ fn finish(shared: &Shared, job: &Job, result: Result<Vec<f64>>, busy_ns: u64, ho
     {
         let mut state = lock(&job.state);
         match result {
-            Ok(output) => state.output = output,
+            Ok(probabilities) => state.rows = probabilities,
             Err(e) => state.error = Some(e),
         }
         state.complete = true;
@@ -869,11 +871,45 @@ impl ActiveJob {
     }
 }
 
+/// A worker's buffers, kept alive across every job it serves: the
+/// kernel's scratch and one row of scores. Each grows to the longest row
+/// the worker has served; a job whose rows are no longer allocates
+/// nothing in the worker.
+#[derive(Default)]
+struct WorkerBuffers {
+    row: Vec<f64>,
+    scratch: ScratchBuffers,
+}
+
+/// Runs a job's rows in place: each row of scores is copied into the
+/// worker's row buffer and the kernel writes its probabilities over the
+/// scores. The kernel sees the same rows in the same order as
+/// [`SoftmaxKernel::forward_batch_into`] would, so the bits are the same.
+/// The first row that fails stops the job with its error.
+fn serve_rows(
+    kernel: &dyn SoftmaxKernel,
+    rows: &mut [f64],
+    row_len: usize,
+    buffers: &mut WorkerBuffers,
+) -> Result<()> {
+    // An empty matrix may name row length 0, which no row can be split
+    // by (zero-row jobs complete at submission, before any worker).
+    if rows.is_empty() {
+        return Ok(());
+    }
+    for out in rows.chunks_exact_mut(row_len) {
+        buffers.row.clear();
+        buffers.row.extend_from_slice(out);
+        kernel.forward_into(&buffers.row, out, &mut buffers.scratch)?;
+    }
+    Ok(())
+}
+
 /// The worker body: pop jobs off the shared intake until the engine
-/// hangs up, serving each whole through the kernel's batch path, with
-/// one scratch space kept alive across every job.
+/// hangs up, serving each whole in place ([`serve_rows`]), with one set
+/// of buffers kept alive across every job.
 fn worker_loop(shared: &Shared, active: &ActiveJob) {
-    let mut scratch = ScratchBuffers::default();
+    let mut buffers = WorkerBuffers::default();
     loop {
         let job = {
             let mut intake = lock(&shared.intake);
@@ -915,20 +951,19 @@ fn worker_loop(shared: &Shared, active: &ActiveJob) {
         // leaves the supervisor enough to resolve it.
         active.set(&job);
         let t0 = Instant::now();
-        let mut out = std::mem::take(&mut lock(&job.state).output);
+        let mut rows = std::mem::take(&mut lock(&job.state).rows);
         let result = if job.expired(t0) {
             // Deadline check at dequeue: late work is dropped, not
             // computed.
             Err(SoftmaxError::DeadlineExceeded)
         } else {
-            job.kernel
-                .forward_batch_into(&job.input, job.row_len, &mut out, &mut scratch)
+            serve_rows(job.kernel.as_ref(), &mut rows, job.row_len, &mut buffers)
         };
         let busy_ns = elapsed_ns(t0);
         // Take the job back before resolving it: the worker and the
         // supervisor must never both resolve one job.
         active.take();
-        finish(shared, &job, result.map(|()| out), busy_ns, true);
+        finish(shared, &job, result.map(|()| rows), busy_ns, true);
     }
 }
 

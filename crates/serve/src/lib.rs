@@ -16,9 +16,10 @@
 //! * [`BatchEngine`] — one shard: a fixed pool of worker threads pulling
 //!   whole requests from one shared, **bounded** intake queue, so many
 //!   matrices from many callers are in flight at once, one per worker.
-//!   Every request runs through the kernel's
-//!   [`forward_batch_into`](softermax::SoftmaxKernel::forward_batch_into),
-//!   its row fast path applied to every row; there is no second runner;
+//!   Every request runs row by row through the kernel's fast path,
+//!   [`forward_into`](softermax::SoftmaxKernel::forward_into), which
+//!   writes each row's probabilities over its scores in the submitted
+//!   buffer; there is no second runner;
 //! * [`Submission`] / [`Ticket`] — owned-buffer asynchronous requests:
 //!   [`ShardedRouter::submit`] returns immediately with a ticket,
 //!   [`Ticket::wait`]/[`Ticket::wait_timeout`] collect the probabilities;

@@ -65,7 +65,9 @@ pub enum Admission {
 
 /// One self-contained softmax request: a kernel, an owned flattened
 /// row-major score matrix, and its scheduling (deadline, priority). Every
-/// request runs the kernel's batch path.
+/// request runs row by row through the kernel's
+/// [`forward_into`](softermax::SoftmaxKernel::forward_into), which writes
+/// each row's probabilities over its scores.
 #[derive(Debug, Clone)]
 pub struct Submission {
     pub(crate) kernel: Arc<dyn SoftmaxKernel>,
@@ -77,6 +79,8 @@ pub struct Submission {
 
 impl Submission {
     /// A request over `rows` (flattened row-major, `row_len`-score rows).
+    /// `rows` is the request's only buffer: the probabilities are written
+    /// over the scores, and [`Ticket::wait`] returns this same `Vec`.
     #[must_use]
     pub fn new(kernel: &Arc<dyn SoftmaxKernel>, rows: Vec<f64>, row_len: usize) -> Self {
         Self {
@@ -90,9 +94,9 @@ impl Submission {
 
     /// A no-op, kept because the repository benchmark names it. A
     /// served request arrives as whole rows, so re-chunking it through a
-    /// kernel's streaming session would only repeat the batch path's bits
-    /// at more cost: every request, `chunk` or not, runs
-    /// [`forward_batch_into`](softermax::SoftmaxKernel::forward_batch_into).
+    /// kernel's streaming session would only repeat the row path's bits
+    /// at more cost: every request, `chunk` or not, runs row by row
+    /// through [`forward_into`](softermax::SoftmaxKernel::forward_into).
     /// Streaming lives where scores are produced tile by tile (the tiled
     /// attention of `softermax-transformer`).
     #[must_use]
@@ -154,7 +158,9 @@ impl Ticket {
     }
 
     /// Blocks until the request completes and returns its probabilities
-    /// (flattened row-major, same shape as the submitted matrix).
+    /// (flattened row-major, same shape as the submitted matrix) in the
+    /// `Vec` that was submitted: the same allocation, holding the
+    /// probabilities in place of the scores.
     ///
     /// # Errors
     ///

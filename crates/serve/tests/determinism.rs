@@ -2,17 +2,20 @@
 //! to sequential row-at-a-time execution for every registered kernel on
 //! one shard of {1, 2, 4, 8} threads, over arbitrary matrix shapes —
 //! including the empty matrix and single-row matrices — whatever
-//! streaming chunk a request names.
+//! streaming chunk a request names. A reply is the submitted allocation,
+//! with the probabilities written over the scores.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use softermax::KernelRegistry;
-use softermax_serve::{ServeConfig, ShardedRouter};
+use softermax::kernel::SoftmaxKernel;
+use softermax::{KernelRegistry, Result, SoftmaxError};
+use softermax_serve::{Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission};
 
 mod common;
 
+use common::kernels::NanRejectingKernel;
 use common::{bits, one_shard, sequential, serve};
 
 /// Thread counts the determinism contract is held at.
@@ -118,4 +121,88 @@ fn a_large_request_is_also_deterministic() {
         let streamed = serve(engine, kernel, &matrix, 48, Some(13)).expect("valid");
         assert_eq!(bits(&streamed), bits(&want), "{} streamed", kernel.name());
     }
+}
+
+/// Submits `matrix` and waits for it; a successful reply must be the very
+/// allocation submitted, same pointer and same capacity.
+fn serve_owned(
+    router: &ShardedRouter,
+    kernel: &Arc<dyn SoftmaxKernel>,
+    matrix: Vec<f64>,
+    row_len: usize,
+) -> Result<Vec<f64>> {
+    let submitted = (matrix.as_ptr(), matrix.capacity());
+    let ticket =
+        router.submit_request(Submission::new(kernel, matrix, row_len), Admission::Block)?;
+    let reply = ticket.wait()?;
+    assert_eq!(
+        (reply.as_ptr(), reply.capacity()),
+        submitted,
+        "{}: the reply is not the submitted allocation",
+        kernel.name()
+    );
+    Ok(reply)
+}
+
+#[test]
+fn a_reply_is_the_submitted_allocation_holding_sequential_bits() {
+    let routers = [
+        one_shard(ServeConfig::new(2)),
+        ShardedRouter::new(2, ServeConfig::new(1), RoutePolicy::Adaptive).expect("valid config"),
+    ];
+    let edge = vec![
+        1.5,
+        f64::NAN,
+        -2.0,
+        f64::INFINITY,
+        0.25,
+        f64::NEG_INFINITY,
+        3.0,
+        -0.0,
+        1e300,
+    ];
+    let cases = [
+        (edge.clone(), 3),
+        (edge, 1),
+        (
+            softermax_serve::traffic::synthetic_matrix(12, 33, 2.5, 5),
+            33,
+        ),
+    ];
+    for router in &routers {
+        for kernel in &KernelRegistry::with_builtins() {
+            for (matrix, row_len) in &cases {
+                let want = sequential(kernel.as_ref(), matrix, *row_len);
+                let got =
+                    serve_owned(router, kernel, matrix.clone(), *row_len).expect("valid matrix");
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} on {} shard(s), row_len {row_len}",
+                    kernel.name(),
+                    router.n_shards()
+                );
+            }
+            // Zero rows: the empty allocation comes back, capacity and all.
+            let empty = serve_owned(router, kernel, Vec::with_capacity(16), 4).expect("zero rows");
+            assert!(empty.is_empty());
+        }
+    }
+}
+
+#[test]
+fn a_row_error_mid_matrix_fails_only_its_request() {
+    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
+    let router =
+        ShardedRouter::new(2, ServeConfig::new(1), RoutePolicy::Adaptive).expect("valid config");
+    let mut failing = vec![0.5f64; 16 * 4];
+    failing[11 * 4 + 2] = f64::NAN;
+    let clean = softermax_serve::traffic::synthetic_matrix(16, 4, 2.5, 3);
+    let want = sequential(kernel.as_ref(), &clean, 4);
+    let failed = router
+        .submit_request(Submission::new(&kernel, failing, 4), Admission::Block)
+        .expect("admitted");
+    let served = serve_owned(&router, &kernel, clean, 4).expect("clean request");
+    assert!(matches!(failed.wait(), Err(SoftmaxError::InvalidConfig(_))));
+    assert_eq!(bits(&served), bits(&want));
 }

@@ -50,8 +50,8 @@ fn a_failing_row_fails_the_streamed_dispatch_too() {
 #[test]
 fn batch_path_credits_no_rows_to_a_failed_call() {
     let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
-    // NaN in row 11: the request's one `forward_batch_into` call fails,
-    // and that call reports no partial progress, so no row is credited.
+    // NaN in row 11: the request's row loop stops there with the error,
+    // and the request reports no partial progress, so no row is credited.
     let engine = one_shard(ServeConfig::new(1));
     let mut matrix = vec![0.5f64; 16 * 4];
     matrix[11 * 4 + 2] = f64::NAN;
