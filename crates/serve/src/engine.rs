@@ -885,18 +885,15 @@ struct WorkerBuffers {
 /// worker's row buffer and the kernel writes its probabilities over the
 /// scores. The kernel sees the same rows in the same order as
 /// [`SoftmaxKernel::forward_batch_into`] would, so the bits are the same.
-/// The first row that fails stops the job with its error.
+/// The first row that fails stops the job with its error. A job that
+/// reaches a worker has at least one row, so `row_len` is not zero:
+/// zero-row jobs complete at submission and are never queued.
 fn serve_rows(
     kernel: &dyn SoftmaxKernel,
     rows: &mut [f64],
     row_len: usize,
     buffers: &mut WorkerBuffers,
 ) -> Result<()> {
-    // An empty matrix may name row length 0, which no row can be split
-    // by (zero-row jobs complete at submission, before any worker).
-    if rows.is_empty() {
-        return Ok(());
-    }
     for out in rows.chunks_exact_mut(row_len) {
         buffers.row.clear();
         buffers.row.extend_from_slice(out);

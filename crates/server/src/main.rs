@@ -95,8 +95,8 @@ const TRIM_BLOCK: usize = 1 << 20;
 /// Keeps the allocator from handing a thread's freed heap back to the
 /// OS while the server runs.
 ///
-/// A connection's reader allocates each request's score and output
-/// blocks, and the worker and the writer free them. glibc's malloc
+/// A connection's reader allocates each request's score block, which the
+/// job's probabilities overwrite, and the writer frees it. glibc's malloc
 /// trims a thread's heap when a free leaves more than 128 KiB at its top
 /// unused, so the reader's heap can shrink and grow again with the
 /// requests in flight, and the reader then takes its pages back by page
