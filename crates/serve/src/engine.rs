@@ -539,10 +539,7 @@ impl Shared {
     fn record(&self, kernel: &str, outcome: Outcome, busy_ns: u64, wall_ns: u64) {
         {
             let mut stats = lock(&self.stats);
-            let entry = match stats.get_mut(kernel) {
-                Some(entry) => entry,
-                None => kernel_entry(&mut stats, kernel),
-            };
+            let entry = kernel_entry(&mut stats, kernel);
             entry.busy_ns += busy_ns;
             match outcome {
                 Outcome::Failed => {
@@ -559,7 +556,7 @@ impl Shared {
                     entry.rows += rows;
                     entry.elements += elements;
                     entry.wall_ns += wall_ns;
-                    entry.latency.push(wall_ns);
+                    entry.latency.record(wall_ns);
                 }
             }
         }
@@ -579,14 +576,16 @@ impl Shared {
     }
 }
 
-/// A kernel's stats entry, inserted under an owned key when absent.
-/// The key allocates on every call, so `record` looks up by `&str`
-/// first and comes here only on a kernel's first completion.
+/// A kernel's stats entry, looked up by `&str`: the owned key
+/// allocates, so it is made only on a kernel's first entry.
 fn kernel_entry<'a>(
     per_kernel: &'a mut BTreeMap<String, KernelServeStats>,
     kernel: &str,
 ) -> &'a mut KernelServeStats {
-    per_kernel.entry(kernel.to_owned()).or_default()
+    if !per_kernel.contains_key(kernel) {
+        per_kernel.insert(kernel.to_owned(), KernelServeStats::default());
+    }
+    per_kernel.get_mut(kernel).expect("inserted above")
 }
 
 /// One admitted matrix: the kernel, its geometry and scheduling, and the
@@ -1016,7 +1015,7 @@ fn supervised_worker(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Admission, RoutePolicy, ShardedRouter, Submission};
+    use crate::{Admission, LatencyHistogram, RoutePolicy, ShardedRouter, Submission};
     use softermax::KernelRegistry;
 
     /// A one-shard router: the front door every engine is reached through.
@@ -1067,7 +1066,7 @@ mod tests {
         assert_eq!(s.batches, 0);
         assert_eq!(s.rows, 0);
         assert_eq!(s.wall_ns, 0);
-        assert!(s.latency.is_empty());
+        assert_eq!(s.latency.count(), 0);
     }
 
     #[test]
@@ -1095,8 +1094,10 @@ mod tests {
         assert_eq!(sm.rows, 128);
         assert_eq!(sm.elements, 1024);
         assert!(sm.wall_ns > 0);
-        assert_eq!(sm.latency.len(), 2);
-        assert!(sm.latency.percentiles_ns(&[0.50])[0] > 0);
+        // One latency per batch; the longer of the two is at least half
+        // their sum.
+        assert_eq!(sm.latency.count(), sm.batches);
+        assert!(sm.latency.quantile_ns(1.0) >= sm.wall_ns / 2);
         assert_eq!(stats.kernel("reference-2").expect("served").rows, 64);
         assert_eq!(stats.total().rows, 192);
     }
@@ -1104,7 +1105,7 @@ mod tests {
     #[test]
     fn failed_and_empty_batches_stay_out_of_the_latency_window() {
         // Exact wall times through the accounting entry point: only
-        // non-empty successes reach a kernel's latency window and its
+        // non-empty successes reach a kernel's latency histogram and its
         // success wall time.
         let router = router(1);
         let shared = &router.shard(0).shared;
@@ -1117,11 +1118,39 @@ mod tests {
         shared.record_admission_expired("a");
         let stats = router.stats();
         let a = stats.kernel("a").expect("recorded");
-        assert_eq!(a.latency.samples().collect::<Vec<_>>(), vec![100, 500]);
+        let mut want = LatencyHistogram::default();
+        want.record(100);
+        want.record(500);
+        assert_eq!(a.latency, want);
         assert_eq!((a.wall_ns, a.failed_wall_ns), (600, 170_000));
         assert_eq!((a.batches, a.failed_batches, a.empty_batches), (2, 1, 1));
         assert_eq!((a.rows, a.elements), (5, 20));
         assert_eq!(a.expired_requests, 2);
+    }
+
+    #[test]
+    fn shard_histograms_merge_into_one_histogram_of_every_sample() {
+        // Latencies recorded on two shards read back through the router
+        // as one histogram of them all, count for count.
+        let router = ShardedRouter::new(2, ServeConfig::new(1), RoutePolicy::Adaptive)
+            .expect("valid config");
+        let served = Outcome::Success {
+            rows: 1,
+            elements: 4,
+        };
+        let mut want = LatencyHistogram::default();
+        for i in 0..1_000u64 {
+            let wall_ns = i * i * 7_919 % 50_000_000 + i;
+            router
+                .shard((i % 2) as usize)
+                .shared
+                .record("a", served, 1, wall_ns);
+            want.record(wall_ns);
+        }
+        let stats = router.stats();
+        let a = stats.kernel("a").expect("recorded");
+        assert_eq!(a.latency, want);
+        assert_eq!(a.batches, 1_000);
     }
 
     /// `Submission::streamed` is a no-op: a request that names a chunk,

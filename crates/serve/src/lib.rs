@@ -31,10 +31,11 @@
 //!   and the fault-tolerance knobs;
 //! * [`EngineStats`] / [`KernelServeStats`] — per-kernel raw counters
 //!   (rows, elements, worker busy time, request wall time), **p50/p95/p99
-//!   latency percentiles** over a sliding [`LatencyWindow`], and honest
-//!   failure counters (failed batches never reach the success counters or
-//!   the window); [`ShardedRouter::control_snapshot`] serializes them for
-//!   the network `Stats` reply;
+//!   latency percentiles** from a [`LatencyHistogram`] of every
+//!   successful request (within 1/16, merged exactly across shards), and
+//!   honest failure counters (failed batches never reach the success
+//!   counters or the histogram); [`ShardedRouter::control_snapshot`]
+//!   serializes them for the network `Stats` reply;
 //! * [`traffic`] — deterministic synthetic attention-score traffic for
 //!   load generation (the `throughput` harness and the fault-injection
 //!   tests drive the engine with it).
@@ -141,5 +142,5 @@ pub use config::{
 pub use engine::BatchEngine;
 pub use health::{BreakerConfig, BreakerState};
 pub use router::{RoutePolicy, ShardedRouter};
-pub use stats::{EngineStats, KernelServeStats, LatencyWindow, LATENCY_WINDOW};
+pub use stats::{EngineStats, KernelServeStats, LatencyHistogram};
 pub use submit::{Admission, Priority, Submission, Ticket, TicketPoll};

@@ -298,9 +298,9 @@ impl ShardedRouter {
         }
     }
 
-    /// Serving counters merged across every shard (latency windows
-    /// included, so the percentiles describe the whole router's recent
-    /// traffic).
+    /// Serving counters merged across every shard (latency histograms
+    /// included: the merge is exact, so the percentiles are those of
+    /// one histogram of the whole router's traffic).
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         let mut merged = EngineStats::default();

@@ -1,105 +1,90 @@
 //! Per-kernel serving accounting: raw work and time counters, latency
 //! percentiles, and honest failure counters.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-/// Capacity of the per-kernel sliding latency window: percentiles are
-/// computed over the most recent `LATENCY_WINDOW` completed batches.
-pub const LATENCY_WINDOW: usize = 4096;
+/// Sub-buckets per power of two, as a bit count: 16 sub-buckets.
+const SUB_BITS: u32 = 4;
+const SUB: usize = 1 << SUB_BITS;
+/// The largest latency told apart, 2^40 − 1 ns (about 18 minutes);
+/// longer ones count in the last bucket.
+const MAX_NS: u64 = (1 << 40) - 1;
+/// Buckets up to and including [`MAX_NS`]'s: 592, 4,736 bytes of counts.
+const BUCKETS: usize = bucket(MAX_NS) + 1;
 
-/// A sliding window of per-batch latencies (nanoseconds), bounded at
-/// [`LATENCY_WINDOW`] samples: old samples fall out as new batches
-/// complete, so percentiles always describe recent traffic rather than
-/// the whole process lifetime.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyWindow {
-    samples: VecDeque<u64>,
+/// The bucket of `ns`: values below 32 get one bucket each; above, each
+/// power of two splits into 16 equal sub-buckets, so a bucket is
+/// narrower than 1/16 of any value in it.
+const fn bucket(ns: u64) -> usize {
+    let v = if ns > MAX_NS { MAX_NS } else { ns };
+    let shift = (u64::BITS - v.leading_zeros()).saturating_sub(SUB_BITS + 1);
+    shift as usize * SUB + (v >> shift) as usize
 }
 
-impl LatencyWindow {
-    /// Records one completed batch's end-to-end latency.
-    pub fn push(&mut self, ns: u64) {
-        if self.samples.len() == LATENCY_WINDOW {
-            self.samples.pop_front();
+/// The largest value that falls in `bucket`.
+fn upper_ns(bucket: usize) -> u64 {
+    let shift = (bucket / SUB).saturating_sub(1);
+    let top = (bucket - shift * SUB) as u64;
+    ((top + 1) << shift) - 1
+}
+
+/// A log-linear histogram of request latencies (nanoseconds) over the
+/// process lifetime, in a fixed inline array: recording adds one to a
+/// bucket, and merging adds two histograms bucket by bucket, so a merge
+/// equals recording the union, whatever the order.
+///
+/// A quantile reports the upper bound of the bucket holding the exact
+/// nearest-rank sample: never below that sample and less than 1/16 of
+/// it above (exact below 32 ns).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LatencyHistogram {
+    counts: [u64; BUCKETS],
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self {
+            counts: [0; BUCKETS],
         }
-        self.samples.push_back(ns);
+    }
+}
+
+impl LatencyHistogram {
+    /// Records one completed request's end-to-end latency.
+    pub fn record(&mut self, ns: u64) {
+        self.counts[bucket(ns)] += 1;
     }
 
-    /// Number of samples currently in the window.
+    /// Number of latencies recorded.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
+    pub fn count(&self) -> u64 {
+        self.counts.iter().sum()
     }
 
-    /// Whether the window holds no samples yet.
+    /// The `q`-quantile latency in nanoseconds, `q` clamped into
+    /// `[0, 1]`: the upper bound of the bucket holding the nearest-rank
+    /// sample. 0 when empty.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The `qs`-quantile latencies (nearest-rank over the window), in
-    /// nanoseconds, from a single sorted copy of the window; each `q` is
-    /// clamped into `[0, 1]`. All 0 for an empty window.
-    #[must_use]
-    pub fn percentiles_ns(&self, qs: &[f64]) -> Vec<u64> {
-        if self.samples.is_empty() {
-            return vec![0; qs.len()];
-        }
-        let mut sorted: Vec<u64> = self.samples.iter().copied().collect();
-        sorted.sort_unstable();
-        qs.iter()
-            .map(|&q| {
-                let q = q.clamp(0.0, 1.0);
-                // Nearest-rank: the smallest sample with at least a `q`
-                // fraction of the window at or below it.
-                let rank = (sorted.len() as f64 * q).ceil() as usize;
-                sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        // Nearest rank: the smallest sample with at least a `q`
+        // fraction of the samples at or below it. No bucket reaches
+        // rank 1 when empty.
+        let rank = ((self.count() as f64 * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
+        let mut seen = 0;
+        self.counts
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
             })
-            .collect()
+            .map_or(0, upper_ns)
     }
 
-    /// The window's samples, oldest first, in nanoseconds.
-    pub fn samples(&self) -> impl Iterator<Item = u64> + '_ {
-        self.samples.iter().copied()
-    }
-
-    /// Folds another window's samples into this one. When the combined
-    /// sample count exceeds the bounded capacity, each side keeps a
-    /// share proportional to its size (newest samples first), so merging
-    /// two full windows — e.g. a router folding its shards together —
-    /// represents both instead of letting the second evict the first
-    /// wholesale.
-    ///
-    /// # Subsampling bias
-    ///
-    /// The kept share is a **recency-biased subsample**, not a uniform
-    /// one: each side contributes its *newest* `len × (LATENCY_WINDOW /
-    /// total)` samples and drops its oldest wholesale. That is the same
-    /// bias `push` applies to a single overflowing window — percentiles
-    /// describe *recent* traffic — but it means a merged window's
-    /// quantiles can drift from the exact quantiles of the full union
-    /// when either side's latency trended over time: the merged p99
-    /// reflects where each shard's latency *ended up*, not its whole
-    /// history. For stationary traffic the drift is bounded by the
-    /// truncation itself (each side's kept share is within one sample
-    /// of proportional), which `tests` pins with an explicit
-    /// quantile-drift bound.
-    pub fn absorb(&mut self, other: &LatencyWindow) {
-        let total = self.samples.len() + other.samples.len();
-        if total <= LATENCY_WINDOW {
-            self.samples.extend(other.samples.iter().copied());
-            return;
+    /// Adds another histogram's counts into this one, bucket by bucket.
+    pub fn absorb(&mut self, other: &LatencyHistogram) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
         }
-        let other_keep = (LATENCY_WINDOW * other.samples.len() / total).min(other.samples.len());
-        let self_keep = (LATENCY_WINDOW - other_keep).min(self.samples.len());
-        self.samples.drain(..self.samples.len() - self_keep);
-        self.samples.extend(
-            other
-                .samples
-                .iter()
-                .skip(other.samples.len() - other_keep)
-                .copied(),
-        );
     }
 }
 
@@ -111,7 +96,7 @@ impl LatencyWindow {
 /// workers really were busy). One worker serves each request, so a
 /// request's busy time is its wall time less its queue wait. Failed
 /// batches are counted apart (`failed_batches`) so errors can never
-/// inflate `rows`, `wall_ns` or the latency window, and so a rate a
+/// inflate `rows`, `wall_ns` or the latency histogram, and so a rate a
 /// reader derives from them describes successful work only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelServeStats {
@@ -142,8 +127,8 @@ pub struct KernelServeStats {
     /// of the rates and latency statistics, but part of the utilization
     /// capacity (the workers really were busy on them).
     pub failed_wall_ns: u64,
-    /// Sliding window of recent successful-batch latencies.
-    pub latency: LatencyWindow,
+    /// Latencies of every successful batch: one sample per `batches`.
+    pub latency: LatencyHistogram,
 }
 
 impl KernelServeStats {
@@ -176,17 +161,15 @@ impl KernelServeStats {
     }
 }
 
-impl serde::Serialize for LatencyWindow {
-    /// One honest percentile snapshot: the sample count plus
-    /// p50/p95/p99 from a single sorted pass (the raw window is not
-    /// shipped — it can be 4096 samples per kernel per snapshot).
+impl serde::Serialize for LatencyHistogram {
+    /// The sample count plus p50/p95/p99 (the buckets are not shipped).
     fn to_value(&self) -> serde::Value {
-        let ps = self.percentiles_ns(&[0.50, 0.95, 0.99]);
+        let q = |q: f64| serde::Serialize::to_value(&self.quantile_ns(q));
         serde::Value::Object(vec![
-            ("samples".into(), serde::Serialize::to_value(&self.len())),
-            ("p50_ns".into(), serde::Serialize::to_value(&ps[0])),
-            ("p95_ns".into(), serde::Serialize::to_value(&ps[1])),
-            ("p99_ns".into(), serde::Serialize::to_value(&ps[2])),
+            ("samples".into(), serde::Serialize::to_value(&self.count())),
+            ("p50_ns".into(), q(0.50)),
+            ("p95_ns".into(), q(0.95)),
+            ("p99_ns".into(), q(0.99)),
         ])
     }
 }
@@ -242,8 +225,8 @@ impl EngineStats {
         self.per_kernel.get(name)
     }
 
-    /// Counters summed across every kernel (latency windows merged, so
-    /// the percentiles describe all kernels' recent batches together).
+    /// Counters summed across every kernel (latency histograms merged,
+    /// so the percentiles describe all kernels' batches together).
     #[must_use]
     pub fn total(&self) -> KernelServeStats {
         let mut total = KernelServeStats::default();
@@ -268,12 +251,19 @@ impl EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use serde::Serialize;
+
+    /// The histogram's promise: `got` is the exact value `want` or
+    /// above it by less than 1/16 of it.
+    fn within_a_16th(got: u64, want: u64) -> bool {
+        got >= want && got - want <= want / 16
+    }
 
     #[test]
     fn rates_and_latency() {
         // The snapshot carries the raw inputs of every rate a reader
-        // derives and the window's percentiles, under the keys of the
+        // derives and the histogram's percentiles, under the keys of the
         // `Stats` frame.
         let mut s = KernelServeStats {
             batches: 2,
@@ -282,8 +272,8 @@ mod tests {
             wall_ns: 1_000_000,
             ..Default::default()
         };
-        s.latency.push(400_000);
-        s.latency.push(600_000);
+        s.latency.record(400_000);
+        s.latency.record(600_000);
         let v = s.to_value();
         let keys: Vec<&str> = v
             .as_object()
@@ -296,8 +286,11 @@ mod tests {
         assert_eq!(keys, want.split_whitespace().collect::<Vec<_>>());
         assert_eq!(v.get("busy_ns"), Some(&1_500_000u64.to_value()));
         let latency = v.get("latency").expect("latency");
-        assert_eq!(latency.get("p50_ns"), Some(&400_000u64.to_value()));
-        assert_eq!(latency.get("p99_ns"), Some(&600_000u64.to_value()));
+        assert_eq!(latency.get("samples"), Some(&2u64.to_value()));
+        for (key, q) in [("p50_ns", 0.50), ("p99_ns", 0.99)] {
+            let want = s.latency.quantile_ns(q).to_value();
+            assert_eq!(latency.get(key), Some(&want), "{key}");
+        }
     }
 
     #[test]
@@ -311,74 +304,110 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_are_nearest_rank() {
-        let mut w = LatencyWindow::default();
-        for ns in 1..=100 {
-            w.push(ns);
+    fn buckets_tile_the_range_narrower_than_a_16th() {
+        // Every bucket starts one past its predecessor's upper bound and
+        // spans less than 1/16 of its lowest value, so a reported upper
+        // bound is within 1/16 of anything in the bucket.
+        let mut lower = 0;
+        for b in 0..BUCKETS {
+            let upper = upper_ns(b);
+            assert_eq!((bucket(lower), bucket(upper)), (b, b), "bucket {b}");
+            assert!(within_a_16th(upper, lower), "bucket {b}: {lower}..={upper}");
+            lower = upper + 1;
         }
-        assert_eq!(w.len(), 100);
-        assert_eq!(w.percentiles_ns(&[0.50])[0], 50);
-        assert_eq!(w.percentiles_ns(&[0.95])[0], 95);
-        assert_eq!(w.percentiles_ns(&[0.99])[0], 99);
-        assert_eq!(w.percentiles_ns(&[0.0])[0], 1);
-        assert_eq!(w.percentiles_ns(&[1.0])[0], 100);
+        assert_eq!(lower, MAX_NS + 1);
+        assert_eq!(bucket(u64::MAX), BUCKETS - 1, "longer latencies clamp");
+        assert!(std::mem::size_of::<LatencyHistogram>() <= 8 * 1024);
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        // Below 32 ns every value has its own bucket: exact.
+        let mut h = LatencyHistogram::default();
+        for ns in 1..=30 {
+            h.record(ns);
+        }
+        assert_eq!(h.count(), 30);
+        assert_eq!(h.quantile_ns(0.50), 15);
+        assert_eq!(h.quantile_ns(0.95), 29);
+        assert_eq!(h.quantile_ns(0.99), 30);
+        assert_eq!(h.quantile_ns(0.0), 1);
+        assert_eq!(h.quantile_ns(1.0), 30);
         // Out-of-range quantiles clamp instead of panicking.
-        assert_eq!(w.percentiles_ns(&[7.0])[0], 100);
-        assert_eq!(w.percentiles_ns(&[-1.0])[0], 1);
+        assert_eq!(h.quantile_ns(7.0), 30);
+        assert_eq!(h.quantile_ns(-1.0), 1);
+        assert_eq!(h.quantile_ns(f64::NAN), 1);
     }
 
     #[test]
     fn empty_window_returns_zero_at_every_quantile() {
-        let w = LatencyWindow::default();
-        assert!(w.is_empty());
-        assert_eq!(w.len(), 0);
+        let h = LatencyHistogram::default();
+        assert_eq!(h.count(), 0);
         for q in [-1.0, 0.0, 0.5, 1.0, 7.0] {
-            assert_eq!(w.percentiles_ns(&[q])[0], 0, "q={q}");
+            assert_eq!(h.quantile_ns(q), 0, "q={q}");
         }
-        assert_eq!(w.percentiles_ns(&[0.0, 0.5, 1.0]), vec![0, 0, 0]);
     }
 
     #[test]
     fn single_sample_is_every_quantile() {
-        let mut w = LatencyWindow::default();
-        w.push(42);
-        assert_eq!(w.len(), 1);
+        let mut h = LatencyHistogram::default();
+        h.record(42);
+        assert_eq!(h.count(), 1);
         for q in [-0.5, 0.0, 0.01, 0.5, 0.99, 1.0, 2.0] {
-            assert_eq!(w.percentiles_ns(&[q])[0], 42, "q={q}");
+            // 42 shares the bucket 42..=43.
+            assert_eq!(h.quantile_ns(q), 43, "q={q}");
         }
-    }
-
-    #[test]
-    fn exact_capacity_wraparound_evicts_exactly_one() {
-        let mut w = LatencyWindow::default();
-        for ns in 0..LATENCY_WINDOW as u64 {
-            w.push(ns);
-        }
-        // Exactly full: nothing evicted yet, the oldest sample survives.
-        assert_eq!(w.len(), LATENCY_WINDOW);
-        assert_eq!(w.percentiles_ns(&[0.0])[0], 0);
-        assert_eq!(w.percentiles_ns(&[1.0])[0], LATENCY_WINDOW as u64 - 1);
-        // One more push wraps: exactly the single oldest sample falls out.
-        w.push(LATENCY_WINDOW as u64);
-        assert_eq!(w.len(), LATENCY_WINDOW);
-        assert_eq!(w.percentiles_ns(&[0.0])[0], 1);
-        assert_eq!(w.percentiles_ns(&[1.0])[0], LATENCY_WINDOW as u64);
     }
 
     #[test]
     fn quantiles_clamp_at_p0_and_p100() {
-        let mut w = LatencyWindow::default();
+        let mut h = LatencyHistogram::default();
         for ns in [30, 10, 20] {
-            w.push(ns);
+            h.record(ns);
         }
         // p0 and p100 hit the extremes; anything beyond [0, 1] clamps to
-        // them instead of indexing out of bounds.
-        assert_eq!(w.percentiles_ns(&[0.0])[0], 10);
-        assert_eq!(w.percentiles_ns(&[1.0])[0], 30);
-        assert_eq!(w.percentiles_ns(&[-1e9])[0], 10);
-        assert_eq!(w.percentiles_ns(&[1e9])[0], 30);
-        assert_eq!(w.percentiles_ns(&[f64::NEG_INFINITY])[0], 10);
-        assert_eq!(w.percentiles_ns(&[f64::INFINITY])[0], 30);
+        // them.
+        assert_eq!(h.quantile_ns(0.0), 10);
+        assert_eq!(h.quantile_ns(1.0), 30);
+        assert_eq!(h.quantile_ns(-1e9), 10);
+        assert_eq!(h.quantile_ns(1e9), 30);
+        assert_eq!(h.quantile_ns(f64::NEG_INFINITY), 10);
+        assert_eq!(h.quantile_ns(f64::INFINITY), 30);
+    }
+
+    proptest! {
+        /// Two histograms of a sample set split at random merge into the
+        /// histogram of the whole set, count for count, in either order,
+        /// and its p50/p95/p99 lie within 1/16 above the exact
+        /// nearest-rank quantiles. Samples spread over every magnitude
+        /// from 0 to 2^40 − 1 ns.
+        #[test]
+        fn merge_equals_the_union_and_quantiles_are_within_a_16th(
+            draws in proptest::collection::vec((any::<bool>(), 0u32..41, any::<u64>()), 1..400),
+        ) {
+            let mut left = LatencyHistogram::default();
+            let mut right = LatencyHistogram::default();
+            let mut union = LatencyHistogram::default();
+            let mut all = Vec::new();
+            for &(to_left, bits, raw) in &draws {
+                let ns = raw & ((1 << bits) - 1);
+                (if to_left { &mut left } else { &mut right }).record(ns);
+                union.record(ns);
+                all.push(ns);
+            }
+            let mut reversed = right.clone();
+            reversed.absorb(&left);
+            left.absorb(&right);
+            prop_assert_eq!(&left, &union);
+            prop_assert_eq!(&reversed, &union);
+            prop_assert_eq!(union.count(), all.len() as u64);
+            all.sort_unstable();
+            for q in [0.50, 0.95, 0.99] {
+                let nearest_rank = (all.len() as f64 * q).ceil() as usize;
+                let (got, want) = (union.quantile_ns(q), all[nearest_rank - 1]);
+                prop_assert!(within_a_16th(got, want), "q={}: {} vs exact {}", q, got, want);
+            }
+        }
     }
 
     #[test]
@@ -396,93 +425,6 @@ mod tests {
         let mut merged = KernelServeStats::default();
         merged.absorb(&s);
         assert_eq!(merged.expired_requests, 2);
-    }
-
-    #[test]
-    fn window_is_bounded_and_keeps_recent_samples() {
-        let mut w = LatencyWindow::default();
-        for ns in 0..(LATENCY_WINDOW as u64 + 100) {
-            w.push(ns);
-        }
-        assert_eq!(w.len(), LATENCY_WINDOW);
-        // The 100 oldest samples fell out: the minimum is now 100.
-        assert_eq!(w.percentiles_ns(&[0.0])[0], 100);
-    }
-
-    #[test]
-    fn merging_full_windows_keeps_both_sides() {
-        let mut a = LatencyWindow::default();
-        let mut b = LatencyWindow::default();
-        for _ in 0..LATENCY_WINDOW {
-            a.push(1_000);
-            b.push(2_000);
-        }
-        a.absorb(&b);
-        assert_eq!(a.len(), LATENCY_WINDOW);
-        // Proportional shares: half the merged window from each source,
-        // not the second source evicting the first wholesale.
-        assert_eq!(a.percentiles_ns(&[0.25])[0], 1_000);
-        assert_eq!(a.percentiles_ns(&[0.75])[0], 2_000);
-    }
-
-    #[test]
-    fn absorb_overflow_keeps_proportional_recent_shares_with_bounded_drift() {
-        // An asymmetric merge that must overflow: 3/4 of a window of
-        // low latencies vs a full window of high latencies. The merge
-        // keeps each side's newest samples in proportional shares, so
-        // the merged quantiles must stay close to the exact quantiles
-        // of the full union.
-        let mut a = LatencyWindow::default();
-        let mut b = LatencyWindow::default();
-        let a_len = LATENCY_WINDOW * 3 / 4;
-        for i in 0..a_len {
-            a.push(1_000 + i as u64); // oldest 1_000, newest ~1_003_071
-        }
-        for i in 0..LATENCY_WINDOW {
-            b.push(2_000_000 + i as u64);
-        }
-        let union: Vec<u64> = a.samples().chain(b.samples()).collect();
-        a.absorb(&b);
-        assert_eq!(a.len(), LATENCY_WINDOW);
-        // Proportional shares, within one sample of exact: a holds
-        // 3/7 of the merged window, b holds 4/7.
-        let total = a_len + LATENCY_WINDOW;
-        let want_b = LATENCY_WINDOW * LATENCY_WINDOW / total;
-        let got_b = a.samples().filter(|&ns| ns >= 2_000_000).count();
-        assert_eq!(got_b, want_b);
-        assert_eq!(a.len() - got_b, LATENCY_WINDOW - want_b);
-        // Each side kept its NEWEST samples (recency bias, documented):
-        // the oldest low-latency samples fell out.
-        let min_kept = a.samples().min().expect("non-empty");
-        assert!(min_kept > 1_000, "oldest samples must be dropped first");
-        // Quantile drift bound: against the exact union quantiles, the
-        // merged window's nearest-rank quantiles may shift by at most
-        // the truncation share (each side within one sample of
-        // proportional) — for this stationary two-level distribution
-        // that means every checked quantile lands on the same level
-        // (low vs high) as the exact union, and the p50/p99 drift is
-        // bounded at 1% of rank.
-        let exact = |q: f64| -> u64 {
-            let mut sorted = union.clone();
-            sorted.sort_unstable();
-            let rank = (sorted.len() as f64 * q).ceil() as usize;
-            sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-        };
-        for q in [0.25, 0.50, 0.75, 0.99] {
-            let got = a.percentiles_ns(&[q])[0];
-            let want = exact(q);
-            let same_level = (got < 2_000_000) == (want < 2_000_000);
-            assert!(same_level, "q={q}: merged {got} vs exact {want}");
-        }
-        // The low/high boundary sits at the a-share: 3/7 ≈ 0.4286. The
-        // merged boundary may drift by at most 1/LATENCY_WINDOW of
-        // rank from the exact boundary.
-        let boundary_exact = a_len as f64 / total as f64;
-        let low_share = (a.len() - got_b) as f64 / a.len() as f64;
-        assert!(
-            (low_share - boundary_exact).abs() <= 1.0 / LATENCY_WINDOW as f64,
-            "kept share {low_share} drifted past one sample from {boundary_exact}"
-        );
     }
 
     #[test]
@@ -508,9 +450,9 @@ mod tests {
             wall_ns: 1_000_000,
             ..Default::default()
         };
-        s.latency.push(1_000_000);
+        s.latency.record(1_000_000);
         // A failed batch moves its own counters and availability, never
-        // the success counters or the latency window.
+        // the success counters or the latency histogram.
         s.failed_batches += 1;
         s.failed_wall_ns += 5_000_000;
         let v = s.to_value();
@@ -518,8 +460,10 @@ mod tests {
         assert_eq!(v.get("wall_ns"), Some(&1_000_000u64.to_value()));
         assert_eq!(v.get("availability"), Some(&0.5f64.to_value()));
         let latency = v.get("latency").expect("latency");
-        assert_eq!(latency.get("samples"), Some(&1usize.to_value()));
-        assert_eq!(latency.get("p50_ns"), Some(&1_000_000u64.to_value()));
+        assert_eq!(latency.get("samples"), Some(&1u64.to_value()));
+        let p50 = s.latency.quantile_ns(0.50);
+        assert!(within_a_16th(p50, 1_000_000));
+        assert_eq!(latency.get("p50_ns"), Some(&p50.to_value()));
     }
 
     #[test]
@@ -533,7 +477,7 @@ mod tests {
             wall_ns: 7,
             ..Default::default()
         };
-        a.latency.push(7);
+        a.latency.record(7);
         let mut b = KernelServeStats {
             batches: 2,
             failed_batches: 1,
@@ -544,8 +488,8 @@ mod tests {
             wall_ns: 8,
             ..Default::default()
         };
-        b.latency.push(3);
-        b.latency.push(5);
+        b.latency.record(3);
+        b.latency.record(5);
         map.insert("a".to_string(), a);
         map.insert("b".to_string(), b);
         let stats = EngineStats::from_map(map);
@@ -556,8 +500,8 @@ mod tests {
         assert_eq!(total.failed_wall_ns, 3);
         assert_eq!(total.elements, 300);
         assert_eq!(total.wall_ns, 15);
-        assert_eq!(total.latency.len(), 3);
-        assert_eq!(total.latency.percentiles_ns(&[0.50])[0], 5);
+        assert_eq!(total.latency.count(), 3);
+        assert_eq!(total.latency.quantile_ns(0.50), 5);
     }
 
     #[test]

@@ -11,7 +11,29 @@ use std::time::Duration;
 
 use softermax::kernel::{ScratchBuffers, SoftmaxKernel};
 use softermax::Result;
-use softermax_serve::{Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission};
+use softermax_serve::{
+    Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
+};
+
+/// How long a test waits on one ticket before it fails.
+pub const LIMIT: Duration = Duration::from_secs(20);
+
+/// The one wait on a ticket in the serving suites: a request that never
+/// resolves fails its test within [`LIMIT`] instead of hanging the suite.
+pub trait BoundedWait {
+    /// [`Ticket::wait`], panicking if the request is still pending after
+    /// [`LIMIT`].
+    fn wait_bounded(self) -> Result<Vec<f64>>;
+}
+
+impl BoundedWait for Ticket {
+    fn wait_bounded(self) -> Result<Vec<f64>> {
+        match self.wait_timeout(LIMIT) {
+            TicketPoll::Ready(outcome) => outcome,
+            TicketPoll::Pending(_) => panic!("request not resolved within {LIMIT:?}"),
+        }
+    }
+}
 
 /// One shard built from `config`: the single-engine pool.
 pub fn one_shard(config: ServeConfig) -> ShardedRouter {
@@ -31,7 +53,9 @@ pub fn serve(
     if let Some(chunk) = stream_chunk {
         submission = submission.streamed(chunk);
     }
-    router.submit_request(submission, Admission::Block)?.wait()
+    router
+        .submit_request(submission, Admission::Block)?
+        .wait_bounded()
 }
 
 /// Sequential ground truth: the kernel's row-at-a-time `forward_into`.

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::kernels::SlowKernel;
-use common::{bits, one_shard, sequential};
+use common::{bits, one_shard, sequential, BoundedWait};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use softermax::kernel::SoftmaxKernel;
@@ -104,7 +104,7 @@ proptest! {
                             .collect();
                         tickets
                             .into_iter()
-                            .map(|t| t.wait().expect("request"))
+                            .map(|t| t.wait_bounded().expect("request"))
                             .collect::<Vec<Vec<f64>>>()
                     })
                 })
@@ -152,8 +152,8 @@ fn full_admission_queue_rejects_and_never_deadlocks() {
     let second = engine
         .submit_wait(&kernel, rows.clone(), 3)
         .expect("backpressure");
-    first.wait().expect("first batch");
-    second.wait().expect("second batch");
+    first.wait_bounded().expect("first batch");
+    second.wait_bounded().expect("second batch");
 
     // Several blocked submitters at once all drain through the one slot.
     std::thread::scope(|scope| {
@@ -166,7 +166,7 @@ fn full_admission_queue_rejects_and_never_deadlocks() {
                     engine
                         .submit_wait(kernel, rows, 3)
                         .expect("blocking submission")
-                        .wait()
+                        .wait_bounded()
                         .expect("batch")
                 })
             })

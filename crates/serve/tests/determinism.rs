@@ -16,7 +16,7 @@ use softermax_serve::{Admission, RoutePolicy, ServeConfig, ShardedRouter, Submis
 mod common;
 
 use common::kernels::NanRejectingKernel;
-use common::{bits, one_shard, sequential, serve};
+use common::{bits, one_shard, sequential, serve, BoundedWait};
 
 /// Thread counts the determinism contract is held at.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -134,7 +134,7 @@ fn serve_owned(
     let submitted = (matrix.as_ptr(), matrix.capacity());
     let ticket =
         router.submit_request(Submission::new(kernel, matrix, row_len), Admission::Block)?;
-    let reply = ticket.wait()?;
+    let reply = ticket.wait_bounded()?;
     assert_eq!(
         (reply.as_ptr(), reply.capacity()),
         submitted,
@@ -203,6 +203,9 @@ fn a_row_error_mid_matrix_fails_only_its_request() {
         .submit_request(Submission::new(&kernel, failing, 4), Admission::Block)
         .expect("admitted");
     let served = serve_owned(&router, &kernel, clean, 4).expect("clean request");
-    assert!(matches!(failed.wait(), Err(SoftmaxError::InvalidConfig(_))));
+    assert!(matches!(
+        failed.wait_bounded(),
+        Err(SoftmaxError::InvalidConfig(_))
+    ));
     assert_eq!(bits(&served), bits(&want));
 }

@@ -33,7 +33,11 @@ fn a_failing_row_fails_the_request(chunk: Option<usize>) {
         assert_eq!(s.batches, 1, "only the clean request is a success");
         assert_eq!(s.failed_batches, 1);
         assert_eq!((s.rows, s.elements), (8, 32));
-        assert_eq!(s.latency.len(), 1, "failures stay out of the window");
+        assert_eq!(s.latency.count(), 1, "failures stay out of the histogram");
+        // The one sample is the clean request's wall time, reported
+        // within 1/16 above it.
+        let p50 = s.latency.quantile_ns(0.5);
+        assert!(p50 >= s.wall_ns && p50 - s.wall_ns <= s.wall_ns / 16);
     }
 }
 

@@ -20,14 +20,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel, InjectedPanic};
-use common::sequential;
+use common::{sequential, BoundedWait};
 use proptest::prelude::*;
 use softermax::kernel::SoftmaxKernel;
 use softermax::KernelRegistry;
 use softermax_serve::traffic::synthetic_matrix;
-use softermax_serve::{
-    Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
-};
+use softermax_serve::{Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket};
 
 fn kinds_from_mask(mask: usize) -> Vec<FaultKind> {
     let all = [FaultKind::Panic, FaultKind::Error, FaultKind::Delay];
@@ -89,20 +87,13 @@ proptest! {
         for (matrix, ticket) in matrices.iter().zip(tickets) {
             let Some(ticket) = ticket else { continue };
             // The liveness property: a bounded wait far above any real
-            // serving time must never come back Pending.
-            match ticket.wait_timeout(Duration::from_secs(30)) {
-                TicketPoll::Pending(_) => {
-                    panic!("a submitted request never terminated under chaos")
-                }
-                TicketPoll::Ready(Ok(probs)) => {
-                    // Survivors are exact: fault injection may kill a
-                    // request, but it must never corrupt one.
-                    let want = sequential(inner.as_ref(), matrix, row_len);
-                    prop_assert_eq!(&probs, &want);
-                }
-                // Injected errors, panicked batches, expiries, shutdown
-                // of a dead shard: all honest terminations.
-                TicketPoll::Ready(Err(_)) => {}
+            // serving time must never come back pending. Injected errors,
+            // panicked batches, expiries, shutdown of a dead shard are all
+            // honest terminations; survivors are exact: fault injection
+            // may kill a request, but it must never corrupt one.
+            if let Ok(probs) = ticket.wait_bounded() {
+                let want = sequential(inner.as_ref(), matrix, row_len);
+                prop_assert_eq!(&probs, &want);
             }
         }
     }

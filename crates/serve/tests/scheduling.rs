@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use common::kernels::{descriptor, Gate, NanRejectingKernel};
-use common::{bits, one_shard, wait_all_idle, wait_idle};
+use common::{bits, one_shard, wait_all_idle, wait_idle, BoundedWait};
 use softermax::kernel::{BufferedSession, KernelDescriptor, SoftmaxKernel, StreamSession};
 use softermax::{reference, KernelRegistry, Result, SoftmaxError};
 use softermax_serve::{
@@ -153,9 +153,9 @@ fn interactive_is_never_starved_behind_a_deep_batch_queue() {
 
     gate.release();
     for ticket in interactive.into_iter().chain(batch) {
-        ticket.wait().expect("served");
+        ticket.wait_bounded().expect("served");
     }
-    pin.wait().expect("pin served");
+    pin.wait_bounded().expect("pin served");
 
     // All three interactive jobs started before any batch job, despite
     // being queued last: 3 consecutive interactive starts are within the
@@ -206,9 +206,9 @@ fn batch_is_never_fully_starved_by_interactive_pressure() {
 
     gate.release();
     for ticket in interactive.into_iter().chain(batch) {
-        ticket.wait().expect("served");
+        ticket.wait_bounded().expect("served");
     }
-    pin.wait().expect("pin served");
+    pin.wait_bounded().expect("pin served");
 
     // While batch work waits, at most `INTERACTIVE_WEIGHT` (4)
     // interactive starts may pass over it before a batch start — so each
@@ -239,7 +239,7 @@ fn one_request_in_flight_is_never_stolen() {
         router
             .submit(&kernel, rows.clone(), 128)
             .expect("admitted")
-            .wait()
+            .wait_bounded()
             .expect("served");
     }
     assert_eq!(router.jobs_stolen(), 0, "a job moved with no backlog");
@@ -292,7 +292,7 @@ fn stolen_jobs_complete_bit_identical_on_the_thief_shard() {
     );
     gates[0].release();
     for pin in pins {
-        pin.wait().expect("pin served");
+        pin.wait_bounded().expect("pin served");
     }
 
     for (rows, poll) in matrices.iter().zip(served) {
@@ -359,10 +359,12 @@ fn expired_jobs_are_left_for_the_victim_to_account() {
     assert_eq!(stolen, 1);
     assert_eq!(donated, 1);
 
-    let err = doomed.wait().expect_err("deadline must have passed");
+    let err = doomed
+        .wait_bounded()
+        .expect_err("deadline must have passed");
     assert!(matches!(err, SoftmaxError::DeadlineExceeded), "{err:?}");
     for pin in pins {
-        pin.wait().expect("pin served");
+        pin.wait_bounded().expect("pin served");
     }
     let expired_on_victim = router
         .shard(0)
@@ -411,7 +413,7 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
     router
         .submit(&nan, vec![f64::NAN, 1.0], 2)
         .expect("admitted while closed")
-        .wait()
+        .wait_bounded()
         .expect_err("NaN fails");
     let mut heavy = vec![0.5; PIN_COST];
     heavy[0] = f64::NAN;
@@ -434,7 +436,7 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
     // its breaker open, and the steal it tries before parking must
     // refuse shard 0's backlog.
     nan_gate.release();
-    tripping.wait().expect_err("NaN fails");
+    tripping.wait_bounded().expect_err("NaN fails");
     wait_idle(&router, 1);
     let admitting = router.shard(1).is_admitting();
     let stolen = router.jobs_stolen();
@@ -451,8 +453,8 @@ fn a_shard_with_an_open_breaker_does_not_steal() {
 
     // Released, shard 0 serves its own backlog.
     for ticket in tickets {
-        ticket.wait().expect("served on the home shard");
+        ticket.wait_bounded().expect("served on the home shard");
     }
-    pin.wait().expect("pin served");
+    pin.wait_bounded().expect("pin served");
     assert_eq!(router.jobs_stolen(), 0);
 }
