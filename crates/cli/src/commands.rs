@@ -44,6 +44,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("softmax") => cmd_softmax(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
+        // `kernels` and `config` take no flags, so anything after them is
+        // an unknown one, as it is for `hw` and `attention`.
+        Some("kernels" | "config") if args.len() > 1 => Err(format!("unknown flag '{}'", args[1])),
         Some("kernels") => {
             cmd_kernels();
             Ok(())
@@ -51,7 +54,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Some("attention") => cmd_attention(&args[1..]),
         Some("hw") => cmd_hw(&args[1..]),
         Some("config") => {
-            cmd_config();
+            println!("{}", config_json().to_json_pretty());
             Ok(())
         }
         Some(other) => Err(format!("unknown command '{other}'")),
@@ -301,21 +304,14 @@ fn cmd_hw(args: &[String]) -> Result<(), String> {
     let mut seq = 384usize;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--width" => {
-                width = it
-                    .next()
-                    .ok_or_else(|| "--width needs a value".to_string())?
+                width = value("--width")?
                     .parse()
                     .map_err(|_| "--width must be 16 or 32".to_string())?;
             }
-            "--seq" => {
-                seq = it
-                    .next()
-                    .ok_or_else(|| "--seq needs a value".to_string())?
-                    .parse()
-                    .map_err(|_| "--seq must be a positive integer".to_string())?;
-            }
+            "--seq" => seq = parse_count(value("--seq")?, "--seq")?,
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -324,9 +320,6 @@ fn cmd_hw(args: &[String]) -> Result<(), String> {
         32 => PeConfig::paper_32(),
         _ => return Err("--width must be 16 or 32".to_string()),
     };
-    if seq == 0 {
-        return Err("--seq must be positive".to_string());
-    }
     let ours = Accelerator::softermax_default(pe.clone(), 1);
     let theirs = Accelerator::baseline_default(pe, 1);
     let shape = AttentionShape::bert_large().with_seq_len(seq);
@@ -354,12 +347,10 @@ fn cmd_hw(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_config() {
-    let cfg = SoftermaxConfig::paper();
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&cfg).expect("config serializes")
-    );
+/// The paper configuration (`SoftermaxConfig::paper`) as the `config`
+/// command prints it.
+fn config_json() -> serde_json::Value {
+    serde_json::to_value(&SoftermaxConfig::paper())
 }
 
 #[cfg(test)]
@@ -438,6 +429,12 @@ mod tests {
     }
 
     #[test]
+    fn kernels_rejects_any_argument() {
+        assert!(run(&s(&["kernels", "--bogus"])).is_err());
+        assert!(run(&s(&["kernels", "extra"])).is_err());
+    }
+
+    #[test]
     fn attention_demo_runs_and_guards_parity() {
         assert!(run(&s(&[
             "attention",
@@ -490,6 +487,20 @@ mod tests {
     #[test]
     fn config_prints() {
         assert!(run(&s(&["config"])).is_ok());
+    }
+
+    #[test]
+    fn config_rejects_any_argument() {
+        assert!(run(&s(&["config", "--width", "32"])).is_err());
+        assert!(run(&s(&["config", "extra"])).is_err());
+    }
+
+    /// `softermax config`'s exact output: Table I's formats, segment
+    /// counts and slice width, with the enums as their variant names.
+    #[test]
+    fn config_json_matches_the_golden_bytes() {
+        let printed = format!("{}\n", config_json().to_json_pretty());
+        assert_eq!(printed, include_str!("../tests/config.golden.json"));
     }
 
     #[test]
