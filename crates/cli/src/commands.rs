@@ -10,7 +10,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use softermax::kernel::{BaseKind, KernelRegistry, ScratchBuffers, SoftmaxKernel};
-use softermax::{metrics, SoftermaxConfig};
+use softermax::{metrics, Base, MaxMode, SoftermaxConfig};
+use softermax_fixed::QFormat;
 use softermax_hw::accel::Accelerator;
 use softermax_hw::pe::PeConfig;
 use softermax_hw::workload::AttentionShape;
@@ -350,7 +351,33 @@ fn cmd_hw(args: &[String]) -> Result<(), String> {
 /// The paper configuration (`SoftermaxConfig::paper`) as the `config`
 /// command prints it.
 fn config_json() -> serde_json::Value {
-    serde_json::to_value(&SoftermaxConfig::paper())
+    fn format(q: QFormat) -> serde_json::Value {
+        serde_json::json!({
+            "int_bits": q.int_bits(),
+            "frac_bits": q.frac_bits(),
+            "signed": q.is_signed(),
+        })
+    }
+    let cfg = SoftermaxConfig::paper();
+    serde_json::json!({
+        "input_format": format(cfg.input_format),
+        "max_format": format(cfg.max_format),
+        "unnormed_format": format(cfg.unnormed_format),
+        "pow_sum_format": format(cfg.pow_sum_format),
+        "recip_format": format(cfg.recip_format),
+        "output_format": format(cfg.output_format),
+        "pow2_segments": cfg.pow2_segments,
+        "recip_segments": cfg.recip_segments,
+        "slice_width": cfg.slice_width,
+        "max_mode": match cfg.max_mode {
+            MaxMode::Integer => "Integer",
+            MaxMode::Float => "Float",
+        },
+        "base": match cfg.base {
+            Base::Two => "Two",
+            Base::E => "E",
+        },
+    })
 }
 
 #[cfg(test)]

@@ -9,8 +9,6 @@
 //! experiments can compare Softermax against the strongest software-only
 //! alternative while `softermax-hw` shows why it buys no hardware.
 
-use serde::{Deserialize, Serialize};
-
 use crate::softermax::round_ties_away;
 use crate::{Result, SoftmaxError};
 
@@ -30,7 +28,7 @@ use crate::{Result, SoftmaxError};
 /// assert!((p.iter().sum::<f64>() - 1.0).abs() < 0.01);
 /// # Ok::<(), softermax::SoftmaxError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LutSoftmax {
     table: Vec<u32>,
     step: f64,

@@ -7,8 +7,6 @@
 //! calibration run and maps the chosen percentile onto the top of the
 //! integer grid.
 
-use serde::{Deserialize, Serialize};
-
 /// Collects magnitudes and produces a percentile-based quantization scale.
 ///
 /// # Example
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let scale = cal.scale(127.0);
 /// assert!((scale - 990.0 / 127.0).abs() / scale < 0.02);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PercentileCalibrator {
     percentile: f64,
     magnitudes: Vec<f64>,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use softermax_fixed::{formats, QFormat};
 
 use crate::{Result, SoftmaxError};
@@ -11,7 +10,7 @@ const MAX_COMPILED_TABLE_ENTRIES: i64 = 65_536;
 /// `Two` is the Softermax co-design choice; `E` models the conventional
 /// base by inserting the `log2(e)` pre-scaling multiply that hardware needs
 /// to map `e^x` onto a power-of-two unit (paper §III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Base {
     /// Base-2 exponentials: renormalization is a bare shift.
     #[default]
@@ -21,7 +20,7 @@ pub enum Base {
 }
 
 /// How the running maximum is computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MaxMode {
     /// Softermax integer max (`ceil`): renorm exponents are integers, so
     /// renormalization hardware is a shifter.
@@ -49,7 +48,7 @@ pub enum MaxMode {
 /// assert_eq!(ablated.pow2_segments, 8);
 /// # Ok::<(), softermax::SoftmaxError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct SoftermaxConfig {
     /// Format of quantized softmax inputs (paper: signed `Q(6,2)`).

@@ -17,7 +17,6 @@
 //! [`QuantizedLpwTable`] holds the LUT entries in fixed point and evaluates
 //! bit-exactly the way the hardware does.
 
-use serde::{Deserialize, Serialize};
 use softermax_fixed::{Fixed, QFormat, Rounding};
 
 /// A real-valued linear piece-wise approximation of a function on `[0, 1)`,
@@ -33,7 +32,7 @@ use softermax_fixed::{Fixed, QFormat, Rounding};
 /// assert_eq!(pow2.eval(0.0), 1.0);              // exact at segment starts
 /// assert!((pow2.eval(0.5) - 0.5f64.exp2()).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LpwTable {
     m: Vec<f64>,
     c: Vec<f64>,
@@ -109,7 +108,7 @@ impl LpwTable {
 ///
 /// The number of segments must be a power of two: the hardware selects the
 /// segment with the top `log2(N)` fraction bits of the input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedLpwTable {
     m: Vec<Fixed>,
     c: Vec<Fixed>,

@@ -6,7 +6,6 @@
 //! the input is always `x - max ≤ 0`, so the shift is a right shift and the
 //! result lies in `(0, 1]`, fitting the unsigned `Q(1,15)` unnormed format.
 
-use serde::{Deserialize, Serialize};
 use softermax_fixed::{Fixed, QFormat, Rounding};
 
 use crate::lpw::{pow2_table, QuantizedLpwTable};
@@ -23,7 +22,7 @@ use crate::lpw::{pow2_table, QuantizedLpwTable};
 /// let x = Fixed::from_f64(-1.0, formats::INPUT, Rounding::Nearest);
 /// assert_eq!(unit.eval(x).to_f64(), 0.5); // 2^-1, exact
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pow2Unit {
     table: QuantizedLpwTable,
     out_format: QFormat,

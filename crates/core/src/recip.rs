@@ -11,7 +11,6 @@
 //! 3. the division `u / d` becomes `u · mantissa`, followed by a right
 //!    shift of `e` (a shifter, thanks to the base-2 design).
 
-use serde::{Deserialize, Serialize};
 use softermax_fixed::{clamp_i128, floor_shift, nearest_shift, Fixed, QFormat, Rounding};
 
 use crate::lpw::{recip_table, QuantizedLpwTable};
@@ -19,7 +18,7 @@ use crate::{Result, SoftmaxError};
 
 /// A reciprocal in mantissa/exponent form: `1/x ≈ mantissa · 2^-exponent`
 /// with `mantissa ∈ (0.5, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reciprocal {
     /// Reciprocal mantissa in the unit's output format (paper: `Q(1,7)`).
     pub mantissa: Fixed,
@@ -49,7 +48,7 @@ impl Reciprocal {
 /// assert!((r.to_f64() - 1.0 / 1.75).abs() < 0.01);
 /// # Ok::<(), softermax::SoftmaxError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecipUnit {
     table: QuantizedLpwTable,
     mantissa_format: QFormat,

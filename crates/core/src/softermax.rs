@@ -14,7 +14,6 @@
 
 use std::borrow::Cow;
 
-use serde::{Deserialize, Serialize};
 use softermax_fixed::{Fixed, QFormat, Rounding};
 
 use crate::config::{Base, MaxMode, SoftermaxConfig};
@@ -726,7 +725,7 @@ fn requantize_nearest(raw: i64, src_frac: u32, dst: QFormat) -> i64 {
 
 /// Result of one Softermax row: output probabilities plus the
 /// intermediates a hardware implementation would expose.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SoftermaxRowOutput {
     /// Output probabilities in the configured output format.

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A runtime fixed-point format descriptor, `Q(integer_bits, fractional_bits)`.
 ///
 /// The integer field includes the sign bit for signed formats, matching the
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(q62.min_raw(), -128);
 /// assert_eq!(q62.resolution(), 0.25);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QFormat {
     int_bits: u32,
     frac_bits: u32,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Rounding mode applied when a real value (or a wider fixed-point value) is
 /// quantized onto a coarser grid.
 ///
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Fixed::from_f64(1.5, q, Rounding::Nearest).to_f64(), 2.0);
 /// assert_eq!(Fixed::from_f64(-1.5, q, Rounding::TowardZero).to_f64(), -1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rounding {
     /// Round toward negative infinity (truncation of the two's-complement
     /// encoding; the cheapest option in hardware).

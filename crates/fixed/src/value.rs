@@ -1,8 +1,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FixedError, QFormat, Result, Rounding};
 
 /// A fixed-point value: a raw two's-complement encoding paired with its
@@ -24,7 +22,7 @@ use crate::{FixedError, QFormat, Result, Rounding};
 /// assert_eq!(sum.to_f64(), 3.75);
 /// # Ok::<(), softermax_fixed::FixedError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fixed {
     raw: i64,
     format: QFormat,
@@ -560,15 +558,6 @@ mod tests {
         let neg = Fixed::from_f64(-0.25, Q62, Rounding::Nearest); // raw -1
         assert_eq!(format!("{neg:b}"), "11111111");
         assert_eq!(format!("{neg:X}"), "FF");
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_bits() {
-        let x = Fixed::from_f64(-3.75, Q62, Rounding::Nearest);
-        let json = serde_json::to_string(&x).expect("serializes");
-        let back: Fixed = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back.raw(), x.raw());
-        assert_eq!(back.format(), x.format());
     }
 
     #[test]

@@ -3,8 +3,6 @@ use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 /// An IEEE 754 binary16 value: 1 sign bit, 5 exponent bits (bias 15),
 /// 10 mantissa bits. Supports subnormals, infinities and NaN.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Half::MAX.to_f64(), 65504.0);
 /// assert!((Half::from_f64(0.1).to_f64() - 0.1).abs() < 1e-4);
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Half(u16);
 
 const EXP_BIAS: u32 = 15;

@@ -1,7 +1,6 @@
 //! Accelerator-level composition: multiple PEs plus shared Normalization
 //! units between the PE array and the global buffer (paper Figure 4c).
 
-use serde::{Deserialize, Serialize};
 use softermax::SoftermaxConfig;
 
 use crate::pe::{Pe, PeConfig, SoftmaxImpl};
@@ -22,8 +21,8 @@ pub struct Accelerator {
     output_bits: u64,
 }
 
-/// Serializable description of an accelerator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Description of an accelerator configuration.
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
     /// PE datapath configuration.
     pub pe: PeConfig,

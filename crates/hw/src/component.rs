@@ -5,12 +5,10 @@
 //! would, and tests can assert structural properties ("the Softermax
 //! normalization path contains no divider").
 
-use serde::{Deserialize, Serialize};
-
 use crate::tech::TechParams;
 
 /// The kind of hardware primitive a [`Component`] models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ComponentKind {
     /// Integer adder / subtractor.
@@ -54,7 +52,7 @@ impl ComponentKind {
 
 /// A named, costed hardware block: `count` instances, each with an area
 /// and a per-operation energy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Descriptive instance name (e.g. `"pow2 c-LUT"`).
     pub name: String,

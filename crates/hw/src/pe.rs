@@ -1,7 +1,6 @@
 //! MAGNet-style processing element (PE) with an integrated softmax unit
 //! in its post-processing stage (paper §IV-C, Table II).
 
-use serde::{Deserialize, Serialize};
 use softermax::SoftermaxConfig;
 
 use crate::tech::TechParams;
@@ -18,7 +17,7 @@ use crate::units::{BaselineUnnormedUnit, UnnormedSoftmaxUnit};
 /// assert_eq!(p.macs_per_cycle(), 1024);
 /// assert_eq!(p.weight_buf_bytes, 128 * 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeConfig {
     /// Vector (dot-product) width of each MAC lane.
     pub vector_size: usize,
@@ -83,7 +82,7 @@ impl PeConfig {
 }
 
 /// Which softmax implementation sits in the PE's post-processing unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SoftmaxImpl {
     /// The paper's proposal (with its full pipeline configuration).
     Softermax(SoftermaxConfig),
@@ -92,7 +91,7 @@ pub enum SoftmaxImpl {
 }
 
 /// Per-category area breakdown of a PE, µm².
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeAreaBreakdown {
     /// Vector MAC array.
     pub mac_array_um2: f64,

@@ -3,10 +3,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An area/energy measurement of one unit under one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitReport {
     /// Unit name.
     pub name: String,
@@ -17,7 +15,7 @@ pub struct UnitReport {
 }
 
 /// A Softermax-vs-baseline comparison (one row of the paper's Table IV).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// What is being compared (e.g. "Unnormed Softmax Unit").
     pub name: String,
@@ -70,7 +68,7 @@ impl fmt::Display for Comparison {
 }
 
 /// Energy breakdown for an attention+softmax workload on a PE, pJ.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// MAC datapath + operand fetch.
     pub mac_pj: f64,
@@ -103,7 +101,7 @@ impl EnergyBreakdown {
 }
 
 /// Cycle-count breakdown for a Transformer layer (Figure 1's quantity).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RuntimeBreakdown {
     /// Cycles spent in matrix multiplies.
     pub matmul_cycles: u64,

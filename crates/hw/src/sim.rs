@@ -17,14 +17,13 @@
 //! case); [`UnnormedEvents::renorm_shifts`] counts real occurrences, enabling
 //! an activity-based energy refinement.
 
-use serde::{Deserialize, Serialize};
 use softermax::{Softermax, SoftermaxAccumulator, SoftermaxConfig, SoftmaxError};
 use softermax_fixed::Fixed;
 #[cfg(test)]
 use softermax_fixed::Rounding;
 
 /// Per-slice architectural trace of the Unnormed Softmax unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceTrace {
     /// Cycle index (one slice per cycle).
     pub cycle: u64,
@@ -45,7 +44,7 @@ pub struct SliceTrace {
 }
 
 /// Event counters for activity-based energy accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UnnormedEvents {
     /// Elements processed (ceil + subtract + pow2 lane each).
     pub elements: u64,
@@ -194,7 +193,7 @@ fn assert_figure4(cfg: &SoftermaxConfig) {
 }
 
 /// Output of the Normalization unit plus the whole row's event record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct NormalizationResult {
     /// Final probabilities in the output format.

@@ -26,8 +26,6 @@
 //! `EXPERIMENTS.md` records how the resulting ratios compare with Table IV
 //! and Figure 5 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Process/voltage-dependent constants used by every component model.
 ///
 /// # Example
@@ -39,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(t.int_add_energy_pj(8) < t.int_mul_energy_pj(8, 8));
 /// assert!(t.fp16_exp_energy_pj() > t.fp16_add_energy_pj());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechParams {
     /// Human-readable node name.
     pub node: String,

@@ -6,8 +6,6 @@
 //! tree), and a division pass (FP16 dividers). The paper calls this an
 //! *optimistic* baseline — contemporary accelerators used FP32.
 
-use serde::{Deserialize, Serialize};
-
 use crate::component::{total_area_um2, Component, ComponentLib};
 use crate::tech::TechParams;
 
@@ -18,7 +16,7 @@ use crate::tech::TechParams;
 /// Because the max is found in a *separate explicit pass*, this unit reads
 /// its input twice ([`BaselineUnnormedUnit::input_passes`] = 2); the extra
 /// buffer traffic is charged at the PE level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineUnnormedUnit {
     width: usize,
     components: Vec<Component>,
@@ -113,7 +111,7 @@ impl BaselineUnnormedUnit {
 
 /// FP16 equivalent of the Normalization unit: one DesignWare divider per
 /// output stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineNormalizationUnit {
     components: Vec<Component>,
     per_element_energy_pj: f64,

@@ -1,7 +1,5 @@
 //! The IntMax unit: parallel ceiling + comparator tree (paper §IV-A).
 
-use serde::{Deserialize, Serialize};
-
 use crate::component::{total_area_um2, Component, ComponentLib};
 use crate::tech::TechParams;
 
@@ -19,7 +17,7 @@ use crate::tech::TechParams;
 /// assert!(u.area_um2() > 0.0);
 /// assert!(u.energy_per_slice_pj() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntMaxUnit {
     width: usize,
     value_bits: u32,

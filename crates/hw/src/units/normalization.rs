@@ -1,7 +1,6 @@
 //! The Normalization unit: numerator renormalization shifter, LPW
 //! reciprocal, and the final integer multiply (paper Figure 4b).
 
-use serde::{Deserialize, Serialize};
 use softermax::SoftermaxConfig;
 
 use crate::component::{total_area_um2, Component, ComponentLib};
@@ -12,7 +11,7 @@ use crate::tech::TechParams;
 /// the integer max — then multiply by the reciprocal mantissa and shift by
 /// its exponent. One reciprocal (leading-one detect + LPW lookup) is
 /// computed per row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NormalizationUnit {
     components: Vec<Component>,
     per_row_energy_pj: f64,

@@ -1,6 +1,5 @@
 //! The Power-of-Two unit datapath (paper §IV-A).
 
-use serde::{Deserialize, Serialize};
 use softermax_fixed::QFormat;
 
 use crate::component::{total_area_um2, Component, ComponentLib};
@@ -28,7 +27,7 @@ use crate::tech::TechParams;
 /// let fine = Pow2UnitHw::new(&t, QFormat::signed(6, 6), QFormat::unsigned(1, 15), 4);
 /// assert!(fine.has_multiplier());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pow2UnitHw {
     input_format: QFormat,
     output_format: QFormat,

@@ -1,7 +1,6 @@
 //! The Reduction unit: summation tree, running-max merge and the
 //! shift-based running-sum renormalization (paper §IV-A).
 
-use serde::{Deserialize, Serialize};
 use softermax_fixed::QFormat;
 
 use crate::component::{total_area_um2, Component, ComponentLib};
@@ -11,7 +10,7 @@ use crate::tech::TechParams;
 /// an adder tree over the slice, a comparison of the local max against the
 /// row max, a **shifter** renormalizing whichever running sum is stale
 /// (the co-design payoff: no multiplier), and the merge add.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReductionUnit {
     width: usize,
     unnormed_format: QFormat,

@@ -1,7 +1,6 @@
 //! The Unnormed Softmax unit: IntMax + Power-of-Two lanes + Reduction
 //! (paper Figure 4a).
 
-use serde::{Deserialize, Serialize};
 use softermax::SoftermaxConfig;
 
 use crate::component::Component;
@@ -24,7 +23,7 @@ use crate::units::{IntMaxUnit, Pow2UnitHw, ReductionUnit};
 /// assert!(u.area_um2() > 0.0);
 /// assert!(u.energy_per_row_pj(384) > u.energy_per_row_pj(64));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnnormedSoftmaxUnit {
     width: usize,
     intmax: IntMaxUnit,

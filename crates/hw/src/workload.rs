@@ -2,8 +2,6 @@
 //! layers, driving the runtime-breakdown (Figure 1) and energy-sweep
 //! (Figure 5) experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of a multi-head self-attention layer.
 ///
 /// # Example
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(bert.d_head(), 64);
 /// assert_eq!(bert.softmax_elements(), 16 * 384 * 384);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AttentionShape {
     /// Sequence length (tokens).
     pub seq_len: usize,
@@ -76,7 +74,7 @@ impl AttentionShape {
 }
 
 /// Operation counts for one full Transformer layer (attention + FFN).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerOps {
     /// Q/K/V projection MACs.
     pub qkv_proj_macs: u64,

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::attention::{KernelSoftmax, MultiHeadAttention};
 use crate::nn::{Dropout, LayerNorm, Linear, Relu};
@@ -20,7 +19,7 @@ use crate::quant::FakeQuant;
 use crate::tensor::Matrix;
 
 /// Model hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Vocabulary size.
     pub vocab_size: usize,

@@ -6,14 +6,13 @@
 //! [`crate::train`] can update it.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::quant::FakeQuant;
 use crate::tensor::Matrix;
 
 /// A fully-connected layer `y = x·W + b`, with optional int8
 /// fake-quantization of weights and activations (the paper's 8-bit QAT).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     w: Matrix,
     b: Matrix,
@@ -114,7 +113,7 @@ impl Linear {
 }
 
 /// Layer normalization over the last dimension, with learned gain/bias.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerNorm {
     gamma: Matrix,
     beta: Matrix,
@@ -223,7 +222,7 @@ impl LayerNorm {
 }
 
 /// ReLU activation with cached mask.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Relu {
     mask: Option<Matrix>,
 }

@@ -7,7 +7,6 @@
 //! gradients, so `Linear::backward` simply uses the cached fake-quantized
 //! input).
 
-use serde::{Deserialize, Serialize};
 use softermax::calibrate::PercentileCalibrator;
 
 use crate::tensor::Matrix;
@@ -28,7 +27,7 @@ use crate::tensor::Matrix;
 /// assert!((xq.get(0, 0) - 0.5).abs() < 0.01);
 /// assert!(xq.get(0, 2) <= 1.28);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FakeQuant {
     weight_scale: f32,
     act_scale: f32,

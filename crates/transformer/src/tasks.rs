@@ -8,13 +8,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One labelled example: token ids and a class label.
 pub type Example = (Vec<usize>, usize);
 
 /// The synthetic task families of the accuracy experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Task {
     /// Label = which of tokens {0, 1} occurs more often (distractors from
     /// the rest of the vocabulary are ignored).

@@ -3,7 +3,6 @@
 //! shape mismatches (these are programmer errors in a fixed architecture).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major `rows × cols` matrix of `f32`.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.matmul(&b), a);
 /// assert_eq!(a.transpose().get(0, 1), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

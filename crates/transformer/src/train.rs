@@ -4,15 +4,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::attention::KernelSoftmax;
 use crate::model::TransformerClassifier;
 use crate::nn::cross_entropy;
 use crate::tasks::Example;
 
 /// Training hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Learning rate.
     pub lr: f32,
@@ -33,7 +31,7 @@ impl Default for TrainConfig {
 }
 
 /// Result of a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
     /// Mean loss of the final epoch.
     pub final_loss: f32,
@@ -50,7 +48,7 @@ pub trait Optimizer {
 }
 
 /// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,

@@ -499,6 +499,11 @@ mod tests {
         assert!(matches!(decode_err(&non_json), FrameError::BadJson(_)));
         let wrong_shape = craft(br#"{"type":"no_such_frame"}"#);
         assert!(matches!(decode_err(&wrong_shape), FrameError::BadShape(_)));
+        // A control frame with a field missing, or of the wrong type.
+        let no_field = craft(br#"{"type":"hello","client":"c"}"#);
+        assert!(matches!(decode_err(&no_field), FrameError::BadShape(_)));
+        let wrong_type = craft(br#"{"type":"hello","max_version":"2","client":"c"}"#);
+        assert!(matches!(decode_err(&wrong_type), FrameError::BadShape(_)));
         // A JSON body cannot carry the data plane.
         let v1_submit = craft(
             br#"{"type":"submit","id":1,"kernel":"k","n_rows":1,"row_len":1,"scores":[0.5],"stream_chunk":null,"deadline_ms":null,"priority":"interactive"}"#,

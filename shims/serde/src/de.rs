@@ -41,7 +41,7 @@ pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
 }
 
-/// Helper used by the derive macro: fetch and deserialize an object field.
+/// Fetches and deserializes one field of an object.
 ///
 /// # Errors
 ///
@@ -71,32 +71,6 @@ macro_rules! impl_de_int {
 
 impl_de_int!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
 
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Float(f) => Ok(*f),
-            Value::Int(i) => Ok(*i as f64),
-            Value::UInt(u) => Ok(*u as f64),
-            other => Err(DeError::expected("number", other)),
-        }
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        f64::from_value(v).map(|f| f as f32)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::expected("bool", other)),
-        }
-    }
-}
-
 impl Deserialize for String {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
@@ -121,38 +95,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-macro_rules! impl_de_tuple {
-    ($n:literal, $($name:ident . $idx:tt),+) => {
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let items = v
-                    .as_array()
-                    .ok_or_else(|| DeError::expected("array", v))?;
-                if items.len() != $n {
-                    return Err(DeError::new(format!(
-                        "expected a {}-tuple, got {} elements", $n, items.len()
-                    )));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
-            }
-        }
-    };
-}
-
-impl_de_tuple!(1, A.0);
-impl_de_tuple!(2, A.0, B.1);
-impl_de_tuple!(3, A.0, B.1, C.2);
-impl_de_tuple!(4, A.0, B.1, C.2, D.3);
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,12 +105,6 @@ mod tests {
         assert!(u8::from_value(&Value::Int(300)).is_err());
         assert!(u8::from_value(&Value::Str("no".into())).is_err());
         assert_eq!(i64::from_value(&Value::Int(-5)), Ok(-5));
-    }
-
-    #[test]
-    fn floats_accept_integers() {
-        assert_eq!(f64::from_value(&Value::Int(3)), Ok(3.0));
-        assert_eq!(f64::from_value(&Value::Float(0.5)), Ok(0.5));
     }
 
     #[test]

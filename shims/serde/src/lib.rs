@@ -1,15 +1,14 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! This build environment has no access to crates.io, so the workspace
-//! ships a minimal self-contained replacement with the same import paths
-//! the source code uses (`serde::{Serialize, Deserialize}` plus the derive
-//! macros). Instead of serde's visitor architecture, serialization goes
-//! through a concrete JSON-like [`Value`] tree:
+//! ships a minimal self-contained replacement under the `serde` name.
+//! Instead of serde's visitor architecture, serialization goes through a
+//! concrete JSON-like [`Value`] tree, and every impl is written by hand
+//! (there are no derive macros):
 //!
 //! * [`Serialize::to_value`] converts a type into a [`Value`];
-//! * [`Deserialize::from_value`] reconstructs the type from a [`Value`];
-//! * the derive macros (re-exported from `serde_derive`) generate both for
-//!   plain structs and enums — the only shapes this workspace uses.
+//! * [`Deserialize::from_value`] reconstructs the type from a [`Value`],
+//!   with [`field`] fetching one object field.
 //!
 //! Rendering/parsing of the `Value` tree as JSON text lives in the
 //! sibling `serde_json` shim.
@@ -24,5 +23,4 @@ mod value;
 
 pub use de::{field, DeError, Deserialize};
 pub use ser::Serialize;
-pub use serde_derive::{Deserialize, Serialize};
 pub use value::Value;

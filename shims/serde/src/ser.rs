@@ -4,8 +4,8 @@ use crate::Value;
 
 /// A type that can be represented as a [`Value`] tree.
 ///
-/// Implemented by the derive macro for structs and enums, and manually
-/// below for primitives and standard containers.
+/// Implemented below for primitives and standard containers; other types
+/// implement it by hand.
 pub trait Serialize {
     /// Converts `self` into a [`Value`].
     fn to_value(&self) -> Value;
@@ -103,21 +103,6 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
-
-macro_rules! impl_ser_tuple {
-    ($($name:ident . $idx:tt),+) => {
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-    };
-}
-
-impl_ser_tuple!(A.0);
-impl_ser_tuple!(A.0, B.1);
-impl_ser_tuple!(A.0, B.1, C.2);
-impl_ser_tuple!(A.0, B.1, C.2, D.3);
 
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {

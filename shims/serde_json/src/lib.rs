@@ -1,5 +1,5 @@
 //! Offline stand-in for the `serde_json` crate, over the serde shim's
-//! [`Value`] tree: `to_string` / `to_string_pretty` / `from_str`, plus a
+//! [`Value`] tree: `to_string` / `to_string_pretty` / `from_str_value`, plus a
 //! [`json!`] macro covering the literal-keyed object/array forms this
 //! workspace uses.
 
@@ -13,7 +13,7 @@ pub use parse::from_str_value;
 pub use serde::DeError as Error;
 pub use serde::Value;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -39,15 +39,6 @@ pub fn to_string<T: Serialize + ?Sized>(v: &T) -> Result<String> {
 /// Never fails in this shim; the `Result` mirrors serde_json's API.
 pub fn to_string_pretty<T: Serialize + ?Sized>(v: &T) -> Result<String> {
     Ok(v.to_value().to_json_pretty())
-}
-
-/// Parses JSON text into any deserializable type.
-///
-/// # Errors
-///
-/// Returns [`Error`] on malformed JSON or a shape mismatch.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    T::from_value(&from_str_value(s)?)
 }
 
 /// Builds a [`Value`] from JSON-shaped syntax.
@@ -179,7 +170,7 @@ mod tests {
     fn round_trip_through_text() {
         let v = json!({ "k": [1, -2.5, true, null], "s": "x\"y" });
         let text = to_string(&v).unwrap();
-        let back: Value = from_str(&text).unwrap();
+        let back = from_str_value(&text).unwrap();
         assert_eq!(back, v);
     }
 
