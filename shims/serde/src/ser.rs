@@ -38,21 +38,9 @@ impl Serialize for usize {
     }
 }
 
-impl Serialize for isize {
-    fn to_value(&self) -> Value {
-        Value::Int(*self as i64)
-    }
-}
-
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
     }
 }
 
@@ -92,27 +80,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,9 +89,7 @@ mod tests {
         assert_eq!(5u32.to_value(), Value::Int(5));
         assert_eq!(u64::MAX.to_value(), Value::UInt(u64::MAX));
         assert_eq!((-1i64).to_value(), Value::Int(-1));
-        assert_eq!(1.5f32.to_value(), Value::Float(1.5));
         assert_eq!("hi".to_value(), Value::Str("hi".into()));
-        assert_eq!(None::<u8>.to_value(), Value::Null);
     }
 
     #[test]
