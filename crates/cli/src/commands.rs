@@ -349,7 +349,7 @@ fn cmd_hw(args: &[String]) -> Result<(), String> {
 /// The paper configuration (`SoftermaxConfig::paper`) as the `config`
 /// command prints it.
 fn config_json() -> serde_json::Value {
-    fn format(q: QFormat) -> serde_json::Value {
+    fn q_format(q: QFormat) -> serde_json::Value {
         serde_json::json!({
             "int_bits": q.int_bits(),
             "frac_bits": q.frac_bits(),
@@ -358,12 +358,12 @@ fn config_json() -> serde_json::Value {
     }
     let cfg = SoftermaxConfig::paper();
     serde_json::json!({
-        "input_format": format(cfg.input_format),
-        "max_format": format(cfg.max_format),
-        "unnormed_format": format(cfg.unnormed_format),
-        "pow_sum_format": format(cfg.pow_sum_format),
-        "recip_format": format(cfg.recip_format),
-        "output_format": format(cfg.output_format),
+        "input_format": q_format(cfg.input_format),
+        "max_format": q_format(cfg.max_format),
+        "unnormed_format": q_format(cfg.unnormed_format),
+        "pow_sum_format": q_format(cfg.pow_sum_format),
+        "recip_format": q_format(cfg.recip_format),
+        "output_format": q_format(cfg.output_format),
         "pow2_segments": cfg.pow2_segments,
         "recip_segments": cfg.recip_segments,
         "slice_width": cfg.slice_width,
