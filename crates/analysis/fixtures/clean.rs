@@ -5,6 +5,14 @@
 //! This file never compiles as part of the workspace — the source
 //! walker skips `crates/analysis/fixtures` — it only needs to lex.
 
+/// Every lock the fixture manifest lists, declared by a field of its
+/// kind: no manifest entry is stale.
+struct Shared {
+    first: Mutex<u32>,
+    second: Mutex<Vec<u32>>,
+    work: Condvar,
+}
+
 fn predicate_loops(shared: &Shared) {
     // The correct condvar idiom: the wait sits directly in a `while`
     // (or `loop`) body, so the predicate is re-tested on every wakeup.

@@ -7,6 +7,12 @@
 //! This file never compiles as part of the workspace — the source
 //! walker skips `crates/analysis/fixtures` — it only needs to lex.
 
+struct Shared {
+    first: Mutex<u32>,
+    second: Mutex<u32>,
+    work: Condvar,
+}
+
 fn covered(r: Result<u32, ()>, xs: &[u32]) -> u32 {
     // analysis:allow(panic-surface): fixture shows the line-above suppression form
     let a = r.unwrap();

@@ -14,7 +14,7 @@
 //! | `unsafe-audit` | `unsafe` without a `// SAFETY:` comment; drift against `docs/UNSAFE_INVENTORY.md` |
 //! | `panic-surface` | `unwrap`/`expect`/panicking macros/indexing in no-panic zones |
 //! | `hot-path-alloc` | allocating calls inside manifest-listed hot functions |
-//! | `lock-discipline` | undeclared locks, out-of-order acquisition, condvar waits outside `while`/`loop` |
+//! | `lock-discipline` | undeclared or stale locks, out-of-order acquisition, condvar waits outside `while`/`loop` |
 //! | `wire-stability` | frame tags / error codes unmatched by `docs/PROTOCOL.md` |
 //! | `dead-pub` | a library `pub` item whose name no non-test code uses |
 //! | `bad-suppression` | `analysis:allow` without a lint name and reason |
@@ -165,6 +165,16 @@ pub fn analyze_sources(
         }
 
         apply_suppressions(file, &mut violations);
+    }
+    for scope in &manifest.lock_scopes {
+        let in_scope: Vec<&SourceFile> = files
+            .iter()
+            .filter(|file| file.rel_path.starts_with(&scope.scope))
+            .collect();
+        // A scope none of whose files is analyzed here is not judged.
+        if !in_scope.is_empty() {
+            lock_discipline::stale_entries(&in_scope, scope, &mut violations);
+        }
     }
 
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));

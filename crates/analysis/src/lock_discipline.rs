@@ -2,8 +2,10 @@
 //! checks.
 //!
 //! 1. **Declared locks only** — every `Mutex`/`Condvar` field and
-//!    every acquisition receiver must appear in the manifest, so the
-//!    manifest cannot silently rot as the code grows.
+//!    every acquisition receiver must appear in the manifest, and every
+//!    manifest entry must be declared by a field of its kind somewhere
+//!    in the scope ([`stale_entries`]), so the manifest cannot silently
+//!    rot as the code grows or shrinks.
 //! 2. **Acquisition order** — while a guard is held (let-bound), any
 //!    further acquisition must be of a lock strictly *later* in the
 //!    declared total order. Statement-level temporaries
@@ -153,6 +155,41 @@ pub fn run(file: &SourceFile, scope: &LockScope, out: &mut Vec<Violation>) {
             _ => {}
         }
         i += 1;
+    }
+}
+
+/// Flags the entries of `scope` that no field in its `files` declares:
+/// an `order` name with no `Mutex` field, a `condvars` name with no
+/// `Condvar` field. Matching goes by kind, so a `Mutex` field does not
+/// keep a stale condvar entry of the same name alive. The manifest has
+/// no lines of its own, so findings are anchored at the scope, line 1.
+pub fn stale_entries(files: &[&SourceFile], scope: &LockScope, out: &mut Vec<Violation>) {
+    let fields: Vec<(&str, &str)> = files
+        .iter()
+        .flat_map(|file| {
+            (0..file.tokens.len())
+                .filter(|&i| !file.mask[i])
+                .filter_map(|i| Some((file.tokens[i].ident()?, field_decl_type(&file.tokens, i)?)))
+        })
+        .collect();
+    for (kind, list, names) in [
+        ("Mutex", "order", &scope.order),
+        ("Condvar", "condvars", &scope.condvars),
+    ] {
+        for name in names {
+            if !fields.contains(&(name.as_str(), kind)) {
+                out.push(Violation {
+                    lint: Lint::LockDiscipline,
+                    file: scope.scope.clone(),
+                    line: 1,
+                    message: format!(
+                        "the manifest's {list} list names `{name}`, but no `{name}: {kind}` \
+                         field is declared in `{}`: drop or rename the stale manifest entry",
+                        scope.scope
+                    ),
+                });
+            }
+        }
     }
 }
 

@@ -13,6 +13,7 @@ use softermax_analysis::{analyze_sources, Lint};
 const VIOLATIONS: &str = include_str!("../fixtures/violations.rs");
 const CLEAN: &str = include_str!("../fixtures/clean.rs");
 const SUPPRESSED: &str = include_str!("../fixtures/suppressed.rs");
+const STALE_LOCKS: &str = include_str!("../fixtures/stale_locks.rs");
 const WIRE_FRAME: &str = include_str!("../fixtures/wire_frame.rs");
 const WIRE_PROTOCOL: &str = include_str!("../fixtures/wire_protocol.md");
 
@@ -177,6 +178,44 @@ fn suppressed_fixture_survives_with_zero_findings() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+/// Manifest entries that no field of their kind declares are findings,
+/// anchored at the scope: the `gone` lock, and the `slot` condvar even
+/// though a `slot` mutex exists.
+#[test]
+fn stale_lock_manifest_entries_are_flagged_by_kind() {
+    let manifest = Manifest::from_json(
+        r#"{
+            "no_panic_zones": [],
+            "hot_paths": [],
+            "lock_scopes": [
+                {"scope": "fixtures", "order": ["intake", "slot", "gone"],
+                 "condvars": ["work", "slot"]}
+            ]
+        }"#,
+    )
+    .expect("stale-lock manifest parses");
+    let sources = vec![("fixtures/stale_locks.rs".to_owned(), STALE_LOCKS.to_owned())];
+    let analysis = analyze_sources(&sources, &manifest, None);
+    let found: Vec<String> = analysis
+        .violations
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    let findings = found.join("\n");
+    assert_eq!(found.len(), 2, "findings:\n{findings}");
+    for v in &analysis.violations {
+        assert_eq!(
+            (v.file.as_str(), v.line, v.lint),
+            ("fixtures", 1, Lint::LockDiscipline)
+        );
+    }
+    assert!(findings.contains("`gone: Mutex`"), "findings:\n{findings}");
+    assert!(
+        findings.contains("`slot: Condvar`"),
+        "findings:\n{findings}"
     );
 }
 

@@ -803,7 +803,7 @@ fn ol_calibrate(kernel: &Arc<dyn SoftmaxKernel>, payloads: &[Vec<f64>], smoke: b
     let reps = if smoke { 12 } else { 48 };
     for payload in payloads.iter().take(2) {
         router
-            .submit_wait(kernel, payload.clone(), OL_ROW_LEN)
+            .submit(kernel, payload.clone(), OL_ROW_LEN)
             .expect("calibration warmup")
             .wait()
             .expect("calibration warmup");
@@ -811,7 +811,7 @@ fn ol_calibrate(kernel: &Arc<dyn SoftmaxKernel>, payloads: &[Vec<f64>], smoke: b
     let t0 = Instant::now();
     for i in 0..reps {
         router
-            .submit_wait(kernel, payloads[i % OL_VARIANTS].clone(), OL_ROW_LEN)
+            .submit(kernel, payloads[i % OL_VARIANTS].clone(), OL_ROW_LEN)
             .expect("calibration request")
             .wait()
             .expect("calibration request");

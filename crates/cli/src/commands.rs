@@ -27,13 +27,24 @@ pub const USAGE: &str = "usage:
                       [--tile N] [--seed N] [--streaming]
                                                     attention demo; --streaming
                                                     adds the tiled no-score-
-                                                    matrix path + parity check
-  softermax hw [--width 16|32] [--seq N]            hardware comparison report
+                                                    matrix path + parity check;
+                                                    --seq and --dim at most 4096
+  softermax hw [--width 16|32] [--seq N]            hardware comparison report;
+                                                    --seq at most 1048576
   softermax config                                  print the paper configuration
 
 backends: every name/alias in `softermax kernels`, e.g.
   reference-e (exact) | reference-2 (base2) | online-2 (online) |
   online-intmax (intmax) | fp16 | lut8 (lut) | softermax (default)";
+
+/// The largest `attention --seq` and `--dim`: Fig. 5's longest sequence
+/// (`fig5_seqlen_sweep`). The demo holds a seq × seq score matrix per
+/// head, so much larger sizes cannot be allocated.
+const MAX_ATTENTION_SIZE: usize = 4096;
+
+/// The largest `hw --seq`: 2^20, the serving stack's longest row
+/// (`softermax_wire::MAX_DIM`).
+const MAX_HW_SEQ: usize = 1 << 20;
 
 /// Parses and executes one CLI invocation.
 ///
@@ -187,9 +198,9 @@ fn cmd_attention(args: &[String]) -> Result<(), String> {
         };
         match flag.as_str() {
             "--backend" => backend = value("--backend")?,
-            "--seq" => seq = parse_count(&value("--seq")?, "--seq")?,
+            "--seq" => seq = parse_size(&value("--seq")?, "--seq", MAX_ATTENTION_SIZE)?,
             "--heads" => heads = parse_count(&value("--heads")?, "--heads")?,
-            "--dim" => dim = parse_count(&value("--dim")?, "--dim")?,
+            "--dim" => dim = parse_size(&value("--dim")?, "--dim", MAX_ATTENTION_SIZE)?,
             "--tile" => tile = parse_count(&value("--tile")?, "--tile")?,
             "--seed" => {
                 seed = value("--seed")?
@@ -298,6 +309,14 @@ fn parse_count(text: &str, flag: &str) -> Result<usize, String> {
     }
 }
 
+/// [`parse_count`], bounded above by `max`.
+fn parse_size(text: &str, flag: &str, max: usize) -> Result<usize, String> {
+    match parse_count(text, flag)? {
+        n if n <= max => Ok(n),
+        _ => Err(format!("{flag} must be at most {max}")),
+    }
+}
+
 fn cmd_hw(args: &[String]) -> Result<(), String> {
     let mut width = 32usize;
     let mut seq = 384usize;
@@ -310,7 +329,7 @@ fn cmd_hw(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--width must be 16 or 32".to_string())?;
             }
-            "--seq" => seq = parse_count(value("--seq")?, "--seq")?,
+            "--seq" => seq = parse_size(value("--seq")?, "--seq", MAX_HW_SEQ)?,
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -496,6 +515,25 @@ mod tests {
         assert!(run(&s(&["attention", "--bogus"])).is_err());
     }
 
+    /// A sequence past the bound is a usage error, not an allocation
+    /// that aborts the process.
+    #[test]
+    fn attention_rejects_a_seq_past_the_bound() {
+        let err = run(&s(&["attention", "--seq", "4097"])).expect_err("too long");
+        assert_eq!(err, "--seq must be at most 4096");
+        let err = run(&s(&["attention", "--seq", "100000"])).expect_err("too long");
+        assert_eq!(err, "--seq must be at most 4096");
+    }
+
+    #[test]
+    fn attention_rejects_a_dim_past_the_bound() {
+        let err = run(&s(&["attention", "--dim", "4097"])).expect_err("too wide");
+        assert_eq!(err, "--dim must be at most 4096");
+        let err =
+            run(&s(&["attention", "--dim", "1000000000", "--heads", "1"])).expect_err("too wide");
+        assert_eq!(err, "--dim must be at most 4096");
+    }
+
     #[test]
     fn hw_flags_parse() {
         assert!(run(&s(&["hw"])).is_ok());
@@ -503,6 +541,15 @@ mod tests {
         assert!(run(&s(&["hw", "--width", "8"])).is_err());
         assert!(run(&s(&["hw", "--seq", "0"])).is_err());
         assert!(run(&s(&["hw", "--bogus"])).is_err());
+    }
+
+    #[test]
+    fn hw_seq_is_bounded_at_the_longest_served_row() {
+        assert!(run(&s(&["hw", "--seq", "1048576"])).is_ok());
+        let err = run(&s(&["hw", "--seq", "1048577"])).expect_err("too long");
+        assert_eq!(err, "--seq must be at most 1048576");
+        let max = u64::MAX.to_string();
+        assert!(run(&s(&["hw", "--seq", &max])).is_err());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! softermax softmax  [--backend <kernel-name>] 2 1 3
 //! softermax compare  2 1 3            # every registered backend side by side
 //! softermax kernels                   # list the SoftmaxKernel registry
-//! softermax attention [--seq 64] [--streaming]   # tiled vs materialized attention
-//! softermax hw       [--width 16|32] [--seq 384]
+//! softermax attention [--seq 64] [--streaming]   # tiled vs materialized; seq, dim <= 4096
+//! softermax hw       [--width 16|32] [--seq 384]   # seq <= 2^20
 //! softermax config                    # print the paper configuration
 //! ```
 

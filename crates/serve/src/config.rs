@@ -1,8 +1,5 @@
 //! Engine geometry: thread count, admission bound, and the
-//! fault-tolerance knobs (admission timeout, worker respawn budget,
-//! circuit breaker).
-
-use std::time::Duration;
+//! fault-tolerance knobs (worker respawn budget, circuit breaker).
 
 use softermax::{Result, SoftmaxError};
 
@@ -26,14 +23,9 @@ pub struct ServeConfig {
     /// Number of worker threads in the fixed pool.
     pub threads: usize,
     /// Admission bound: the maximum number of batches in flight (queued
-    /// or executing) at once. A full engine rejects non-blocking
-    /// submissions with [`SoftmaxError::QueueFull`] and blocks the
-    /// blocking ones until a slot frees up.
+    /// or executing) at once. A full engine refuses submissions with
+    /// [`SoftmaxError::QueueFull`].
     pub queue_depth: usize,
-    /// Upper bound on how long a *blocking* admission may wait for a
-    /// slot before giving up with [`SoftmaxError::QueueFull`] — a
-    /// permanently full engine must never hang its submitters.
-    pub admission_timeout: Duration,
     /// How many times the pool may respawn a worker whose kernel
     /// panicked before declaring the engine dead. Each panic fails the
     /// panicking batch and revives the worker; past this budget the
@@ -47,9 +39,6 @@ pub struct ServeConfig {
 /// Default admission bound of a [`ServeConfig`]: how many batches may be
 /// in flight on one engine before submissions see backpressure.
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
-
-/// Default bound on blocking admission waits.
-pub const DEFAULT_ADMISSION_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Default worker respawn budget per engine.
 pub const DEFAULT_RESPAWN_CAP: usize = 64;
@@ -69,7 +58,6 @@ impl ServeConfig {
         Self {
             threads,
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            admission_timeout: DEFAULT_ADMISSION_TIMEOUT,
             respawn_cap: DEFAULT_RESPAWN_CAP,
             breaker: BreakerConfig::default(),
         }
@@ -119,7 +107,6 @@ mod tests {
     fn scheduling_knobs_default_and_validate() {
         let cfg = ServeConfig::new(2);
         assert_eq!(cfg.queue_depth, DEFAULT_QUEUE_DEPTH);
-        assert_eq!(cfg.admission_timeout, DEFAULT_ADMISSION_TIMEOUT);
         assert_eq!(cfg.respawn_cap, DEFAULT_RESPAWN_CAP);
         assert!(cfg.validate().is_ok());
     }
@@ -136,11 +123,9 @@ mod tests {
         };
         assert!(cfg.validate().is_err());
         let cfg = ServeConfig {
-            admission_timeout: Duration::from_millis(5),
             respawn_cap: 0,
             ..ServeConfig::new(1)
         };
         assert!(cfg.validate().is_ok(), "zero respawn budget is legal");
-        assert_eq!(cfg.admission_timeout, Duration::from_millis(5));
     }
 }

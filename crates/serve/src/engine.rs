@@ -42,10 +42,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// the pool's threads work in parallel across requests.
 ///
 /// Admission is bounded by [`ServeConfig::queue_depth`]: a full engine
-/// rejects non-blocking submissions with [`SoftmaxError::QueueFull`] and
-/// blocks the blocking ones — for at most
-/// [`ServeConfig::admission_timeout`] — until a slot frees: backpressure
-/// instead of unbounded queueing, and bounded waits instead of hangs.
+/// refuses a submission at once with [`SoftmaxError::QueueFull`] —
+/// backpressure instead of unbounded queueing, and never a wait.
 /// Deadlines, the circuit breaker, worker respawns, shutdown and the
 /// bit-identity contract are described in the crate docs.
 pub struct BatchEngine {
@@ -130,7 +128,7 @@ impl BatchEngine {
         lock(&self.shared.breaker).trips()
     }
 
-    /// Whether a non-blocking submission would currently be considered:
+    /// Whether a submission would currently be considered:
     /// the engine is alive (not shut down, has live workers) and its
     /// breaker is closed or has a free half-open probe slot. The
     /// [`ShardedRouter`](crate::ShardedRouter) routes around shards
@@ -213,11 +211,9 @@ impl BatchEngine {
     }
 
     /// Admits a built job, the one path behind the public submission
-    /// API ([`crate::Submission`]). `admit` selects the behaviour at a
-    /// full queue: fail fast with [`SoftmaxError::QueueFull`] (the job
-    /// stays with the caller, so a router can offer it to another shard
-    /// without copying), or block for a slot until a wait deadline.
-    pub(crate) fn enqueue(&self, job: &Arc<Job>, admit: AdmitMode) -> Result<()> {
+    /// API ([`crate::Submission`]). A refused job stays with the caller,
+    /// so a router can offer it to another shard without copying.
+    pub(crate) fn enqueue(&self, job: &Arc<Job>) -> Result<()> {
         let name = job.kernel.name();
         if job.n_rows == 0 && !job.expired(Instant::now()) {
             // Nothing to schedule: the ticket is complete already, and
@@ -233,7 +229,7 @@ impl BatchEngine {
             );
             return Ok(());
         }
-        let admitted = self.shared.admit(job, admit);
+        let admitted = self.shared.admit(job);
         if let Err(SoftmaxError::DeadlineExceeded) = admitted {
             self.shared.record_admission_expired(name);
         }
@@ -268,15 +264,6 @@ impl std::fmt::Debug for BatchEngine {
     }
 }
 
-/// Admission behaviour of the crate-internal enqueue path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum AdmitMode {
-    /// Reject immediately when the queue is full (or the breaker open).
-    NonBlocking,
-    /// Block for a slot, but never past the given wait deadline.
-    BlockUntil(Instant),
-}
-
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -301,8 +288,6 @@ struct Shared {
     intake: Mutex<Intake>,
     /// Workers wait here for jobs.
     work: Condvar,
-    /// Submitters wait here for admission slots.
-    slot: Condvar,
     /// The per-kernel serving counters.
     stats: Mutex<BTreeMap<String, KernelServeStats>>,
     breaker: Mutex<Breaker>,
@@ -409,7 +394,6 @@ impl Shared {
                 respawn_budget: config.respawn_cap,
             }),
             work: Condvar::new(),
-            slot: Condvar::new(),
             stats: Mutex::new(BTreeMap::new()),
             breaker: Mutex::new(Breaker::new(config.breaker.clone())),
             load_cost: AtomicU64::new(0),
@@ -427,49 +411,29 @@ impl Shared {
     /// Takes an admission slot for `job` and queues it, in one intake
     /// critical section: the engine cannot fail between the liveness
     /// check and the push, so an admitted job is always either served or
-    /// drained by the shutdown and worker-loss paths. Non-blocking
-    /// admission is refused as [`SoftmaxError::QueueFull`] by a full
-    /// queue, an open breaker or a dead engine. Blocking admission skips
-    /// the breaker (the submitter chose this engine knowingly) and waits
-    /// for a slot, never past `until` nor past the job's own deadline.
+    /// drained by the shutdown and worker-loss paths. The checks run in
+    /// order: an expired job is refused with
+    /// [`SoftmaxError::DeadlineExceeded`], a shut-down or dead engine with
+    /// [`SoftmaxError::EngineShutdown`], and a full queue or an open
+    /// breaker with [`SoftmaxError::QueueFull`].
     ///
     /// Only this shard's workers are woken, one per job. Siblings are
     /// never told: one of their workers takes the job only if its own
     /// queue runs dry first (see [`try_steal`]).
-    fn admit(&self, job: &Arc<Job>, mode: AdmitMode) -> Result<()> {
+    fn admit(&self, job: &Arc<Job>) -> Result<()> {
         let mut intake = lock(&self.intake);
-        loop {
-            let now = Instant::now();
-            if job.expired(now) {
-                return Err(SoftmaxError::DeadlineExceeded);
-            }
-            if intake.shutdown || intake.failed {
-                return Err(match mode {
-                    AdmitMode::NonBlocking => SoftmaxError::QueueFull,
-                    AdmitMode::BlockUntil(_) => SoftmaxError::EngineShutdown,
-                });
-            }
-            let AdmitMode::BlockUntil(until) = mode else {
-                // Breaker after the capacity check, so a claimed
-                // half-open probe slot is always matched by a real
-                // admission (and therefore by an eventual outcome).
-                if intake.inflight >= self.depth || !lock(&self.breaker).admit(now) {
-                    return Err(SoftmaxError::QueueFull);
-                }
-                break;
-            };
-            if intake.inflight < self.depth {
-                break;
-            }
-            if now >= until {
-                return Err(SoftmaxError::QueueFull);
-            }
-            let wake = job.deadline.map_or(until, |d| d.min(until));
-            let (guard, _timed_out) = self
-                .slot
-                .wait_timeout(intake, wake.saturating_duration_since(now))
-                .unwrap_or_else(PoisonError::into_inner);
-            intake = guard;
+        let now = Instant::now();
+        if job.expired(now) {
+            return Err(SoftmaxError::DeadlineExceeded);
+        }
+        if intake.shutdown || intake.failed {
+            return Err(SoftmaxError::EngineShutdown);
+        }
+        // Breaker after the capacity check, so a claimed half-open probe
+        // slot is always matched by a real admission (and therefore by
+        // an eventual outcome).
+        if intake.inflight >= self.depth || !lock(&self.breaker).admit(now) {
+            return Err(SoftmaxError::QueueFull);
         }
         intake.inflight += 1;
         intake.queue_mut(job.priority).push_back(Arc::clone(job));
@@ -482,12 +446,8 @@ impl Shared {
 
     /// Returns a completed job's admission slot and load contribution.
     fn release(&self, cost: u64) {
-        {
-            let mut intake = lock(&self.intake);
-            intake.inflight -= 1;
-        }
+        lock(&self.intake).inflight -= 1;
         self.load_cost.fetch_sub(cost, Ordering::Relaxed);
-        self.slot.notify_all();
     }
 
     fn shutdown(&self) {
@@ -498,7 +458,6 @@ impl Shared {
             intake.drain_all()
         };
         self.work.notify_all();
-        self.slot.notify_all();
         // Not-yet-started jobs resolve with an error instead of hanging
         // their waiters; jobs already executing complete through their
         // workers as usual.
@@ -523,8 +482,6 @@ impl Shared {
                 intake.drain_all()
             }
         };
-        // Blocked submitters must observe `failed` and error out.
-        self.slot.notify_all();
         for job in orphans {
             abort(self, &job, true);
         }
@@ -823,8 +780,6 @@ fn steal_from(victim: &Shared) -> Option<Arc<Job>> {
     drop(intake);
     victim.load_cost.fetch_sub(job.cost(), Ordering::Relaxed);
     victim.jobs_donated.fetch_add(1, Ordering::Relaxed);
-    // An admission slot freed: blocked submitters may proceed.
-    victim.slot.notify_all();
     Some(job)
 }
 
@@ -1024,14 +979,14 @@ mod tests {
             .expect("valid config")
     }
 
-    /// Serves `rows` through `router` with blocking admission.
+    /// Serves `rows` through `router`.
     fn serve(
         router: &ShardedRouter,
         kernel: &Arc<dyn SoftmaxKernel>,
         rows: &[f64],
         row_len: usize,
     ) -> Result<Vec<f64>> {
-        router.submit_wait(kernel, rows.to_vec(), row_len)?.wait()
+        router.submit(kernel, rows.to_vec(), row_len)?.wait()
     }
 
     #[test]
@@ -1165,7 +1120,7 @@ mod tests {
             let kernel = registry.get(name).expect("built-in");
             let streamed = |rows: &[f64], row_len, chunk| {
                 let submission = Submission::new(&kernel, rows.to_vec(), row_len).streamed(chunk);
-                router.submit_request(submission, Admission::Block)?.wait()
+                router.submit_request(submission, Admission::Fail)?.wait()
             };
             let batch = serve(&router, &kernel, &rows, 6).expect("serve");
             for chunk in [0, 1, 4, 6, 64] {

@@ -9,7 +9,7 @@
 //!   request into a bounded outcome window. When the window holds at
 //!   least [`BreakerConfig::min_samples`] outcomes and the failure share
 //!   reaches [`BreakerConfig::failure_pct`], the breaker *trips*.
-//! * **Open** — the engine stops admitting non-blocking submissions
+//! * **Open** — the engine stops admitting submissions
 //!   (they fail fast as queue-full, so a
 //!   [`ShardedRouter`](crate::ShardedRouter) fails over to healthy
 //!   shards instead of feeding a failing one). After a cool-down —
@@ -91,7 +91,7 @@ impl BreakerConfig {
 pub enum BreakerState {
     /// Healthy: traffic flows and outcomes are being judged.
     Closed,
-    /// Tripped: non-blocking admissions fail fast until the cool-down
+    /// Tripped: admissions fail fast until the cool-down
     /// passes.
     Open,
     /// Cooled down: exactly one probe request may test the waters.

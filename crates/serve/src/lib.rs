@@ -23,10 +23,9 @@
 //! * [`Submission`] / [`Ticket`] — owned-buffer asynchronous requests:
 //!   [`ShardedRouter::submit`] returns immediately with a ticket,
 //!   [`Ticket::wait`]/[`Ticket::wait_timeout`] collect the probabilities;
-//!   admission is bounded by [`ServeConfig::queue_depth`]
-//!   ([`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull)
-//!   when every shard is full, or blocking backpressure via
-//!   [`ShardedRouter::submit_wait`]);
+//!   admission is bounded by [`ServeConfig::queue_depth`] and never
+//!   waits ([`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull)
+//!   when every shard is full);
 //! * [`ServeConfig`] — engine geometry: worker count, admission bound
 //!   and the fault-tolerance knobs;
 //! * [`EngineStats`] / [`KernelServeStats`] — per-kernel raw counters
@@ -53,9 +52,8 @@
 //!   side the same way.
 //! * **Circuit breaker** — each engine tracks a sliding window of
 //!   outcomes ([`BreakerConfig`]); an unhealthy shard
-//!   stops admitting non-blocking work (closed → open → half-open
-//!   probe), so the [`ShardedRouter`] fails over around it and retries
-//!   with exponential backoff.
+//!   stops admitting work (closed → open → half-open probe), so the
+//!   [`ShardedRouter`] fails over around it.
 //! * **Self-healing workers** — a worker whose kernel panics fails only
 //!   the batch it was serving and is respawned (up to
 //!   [`ServeConfig::respawn_cap`]); engine shutdown or total worker
@@ -135,10 +133,7 @@ mod stats;
 mod submit;
 pub mod traffic;
 
-pub use config::{
-    ServeConfig, DEFAULT_ADMISSION_TIMEOUT, DEFAULT_QUEUE_DEPTH, DEFAULT_RESPAWN_CAP,
-    INTERACTIVE_WEIGHT,
-};
+pub use config::{ServeConfig, DEFAULT_QUEUE_DEPTH, DEFAULT_RESPAWN_CAP, INTERACTIVE_WEIGHT};
 pub use engine::BatchEngine;
 pub use health::{BreakerConfig, BreakerState};
 pub use router::{RoutePolicy, ShardedRouter};

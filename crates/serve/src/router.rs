@@ -8,35 +8,27 @@
 //! pick reads each shard's health and cost ([`BatchEngine::load_cost`])
 //! once, in one pass, and allocates nothing.
 //!
-//! On a full shard, a non-blocking submission *fails over*: the router
-//! retries every other shard (offering the same built job, no copy) before
-//! reporting [`SoftmaxError::QueueFull`] — so backpressure means "the
-//! whole router is full", not "one shard got unlucky".
+//! Admission never waits. On a full shard a submission *fails over*:
+//! the router offers the same built job (no copy) to every other shard
+//! before refusing — so [`SoftmaxError::QueueFull`] means "the whole
+//! router is full", not "one shard got unlucky".
 //!
 //! Routing is **health-aware**: a shard whose circuit breaker is open
 //! (see [`BreakerConfig`](crate::BreakerConfig)), or that lost its last
 //! worker, is never the routing pick while another shard admits, and it
-//! rejects non-blocking admissions instantly — so the fail-over sweep
-//! routes around unhealthy shards at no extra cost. Blocking submissions
-//! retry with exponential backoff: short bounded waits on the same
-//! least-cost pick, re-sweeping everyone between waits, so one stuck
-//! shard never absorbs the whole wait budget.
+//! refuses admission instantly — so the fail-over sweep routes around
+//! unhealthy shards at no extra cost.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use softermax::kernel::SoftmaxKernel;
 use softermax::{Result, SoftmaxError};
 
-use crate::engine::{AdmitMode, BatchEngine, Job};
+use crate::engine::{BatchEngine, Job};
 use crate::stats::EngineStats;
 use crate::submit::{Admission, Submission, Ticket};
 use crate::ServeConfig;
-
-/// First bounded wait of the blocking retry loop; doubles per miss.
-const RETRY_BACKOFF_FLOOR: Duration = Duration::from_micros(100);
-/// Cap on one bounded wait of the blocking retry loop.
-const RETRY_BACKOFF_CEIL: Duration = Duration::from_millis(5);
 
 /// How a [`ShardedRouter`] picks the shard for the next submission.
 /// There is one policy; the enum remains so callers that name it keep
@@ -192,15 +184,17 @@ impl ShardedRouter {
     }
 
     /// Routes an owned score matrix to a shard and returns its
-    /// [`Ticket`], failing over across shards before rejecting.
+    /// [`Ticket`], failing over across shards before refusing.
     ///
     /// # Errors
     ///
-    /// [`SoftmaxError::QueueFull`] when **every** shard's admission
-    /// queue is full (or not admitting),
-    /// [`SoftmaxError::DeadlineExceeded`] for a submission whose deadline
-    /// has already passed, and [`SoftmaxError::EmptyInput`] when
-    /// `row_len == 0` and the matrix is non-empty.
+    /// [`SoftmaxError::QueueFull`] when no shard admits and at least one
+    /// of them is full or has its breaker open,
+    /// [`SoftmaxError::EngineShutdown`] when every shard is shut down or
+    /// has lost its last worker, [`SoftmaxError::DeadlineExceeded`] for
+    /// a submission whose deadline has already passed, and
+    /// [`SoftmaxError::EmptyInput`] when `row_len == 0` and the matrix is
+    /// non-empty.
     ///
     /// # Panics
     ///
@@ -214,88 +208,38 @@ impl ShardedRouter {
         self.submit_request(Submission::new(kernel, rows, row_len), Admission::Fail)
     }
 
-    /// Like [`ShardedRouter::submit`], but when every shard is full it
-    /// blocks for a slot — bounded waits with exponential backoff on the
-    /// least-cost admitting shard, re-sweeping all shards between
-    /// waits — for at most the config's
-    /// [`admission_timeout`](crate::ServeConfig::admission_timeout).
+    /// Routes a full [`Submission`]: the one path into the serving
+    /// layer. The job is built once and offered to every shard, starting
+    /// from the least-cost pick; full, breaker-open and dead shards
+    /// refuse instantly. [`Admission`] has the one value
+    /// [`Admission::Fail`], so `_admission` is ignored.
     ///
     /// # Errors
     ///
-    /// As [`ShardedRouter::submit`]; [`SoftmaxError::QueueFull`] here
-    /// means no shard freed a slot within the whole wait budget.
-    pub fn submit_wait(
-        &self,
-        kernel: &Arc<dyn SoftmaxKernel>,
-        rows: Vec<f64>,
-        row_len: usize,
-    ) -> Result<Ticket> {
-        self.submit_request(Submission::new(kernel, rows, row_len), Admission::Block)
-    }
-
-    /// Routes a full [`Submission`] under the given [`Admission`]
-    /// behaviour: the one path into the serving layer.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedRouter::submit`] for [`Admission::Fail`]; blocking
-    /// admission ([`Admission::Block`] / [`Admission::BlockFor`])
-    /// retries with backoff across the shards until its wait budget
-    /// runs out, then reports [`SoftmaxError::QueueFull`].
+    /// As [`ShardedRouter::submit`].
     ///
     /// # Panics
     ///
     /// Panics if the submission's matrix is not a whole number of rows.
-    pub fn submit_request(&self, submission: Submission, admission: Admission) -> Result<Ticket> {
-        let started = Instant::now();
-        let wait_until = match admission {
-            Admission::Fail => None,
-            Admission::Block => Some(started + self.shards[0].config().admission_timeout),
-            Admission::BlockFor(wait) => Some(started + wait),
-        };
-        // One job for every attempt: a rejecting shard leaves it with the
+    pub fn submit_request(&self, submission: Submission, _admission: Admission) -> Result<Ticket> {
+        // One job for every shard: a refusing shard leaves it with the
         // router, so failing over copies nothing.
-        let job = Job::new(submission, started)?;
-        let mut backoff = RETRY_BACKOFF_FLOOR;
-        loop {
-            // One pick per retry iteration serves both the sweep's
-            // starting shard and the blocking fallback below. The sweep
-            // is non-blocking over every shard: full, dead, and
-            // breaker-open shards reject instantly, so it fails over
-            // around trouble at no extra cost.
-            let first = self.pick();
-            let n = self.shards.len();
-            for offset in 0..n {
-                let shard = &self.shards[(first + offset) % n];
-                match shard.enqueue(&job, AdmitMode::NonBlocking) {
-                    Ok(()) => return Ok(Ticket::new(job)),
-                    Err(SoftmaxError::QueueFull) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            let Some(until) = wait_until else {
-                return Err(SoftmaxError::QueueFull);
-            };
-            let now = Instant::now();
-            if now >= until {
-                return Err(SoftmaxError::QueueFull);
-            }
-            // Every shard rejected: block briefly on the pick — the
-            // admitting shard with the least work left, so the one most
-            // likely to free a slot first — then re-sweep. The backoff
-            // slice doubles per miss so a congested router converges to
-            // few, longer waits, while the re-sweep keeps one stuck
-            // shard from absorbing the whole wait budget.
-            let slice = (now + backoff).min(until);
-            let shard = &self.shards[first];
-            match shard.enqueue(&job, AdmitMode::BlockUntil(slice)) {
+        let job = Job::new(submission, Instant::now())?;
+        let first = self.pick();
+        let n = self.shards.len();
+        // A dead shard refuses with `EngineShutdown`, which the router
+        // reports only when every shard is dead: a full one may admit
+        // later.
+        let mut refusal = SoftmaxError::EngineShutdown;
+        for offset in 0..n {
+            match self.shards[(first + offset) % n].enqueue(&job) {
                 Ok(()) => return Ok(Ticket::new(job)),
-                Err(SoftmaxError::QueueFull) => {
-                    backoff = (backoff * 2).min(RETRY_BACKOFF_CEIL);
-                }
+                Err(SoftmaxError::QueueFull) => refusal = SoftmaxError::QueueFull,
+                Err(SoftmaxError::EngineShutdown) => {}
                 Err(e) => return Err(e),
             }
         }
+        Err(refusal)
     }
 
     /// Serving counters merged across every shard (latency histograms
@@ -345,11 +289,7 @@ mod tests {
             .collect();
         let tickets: Vec<Ticket> = matrices
             .iter()
-            .map(|rows| {
-                router
-                    .submit_wait(&kernel, rows.clone(), 4)
-                    .expect("submit")
-            })
+            .map(|rows| router.submit(&kernel, rows.clone(), 4).expect("submit"))
             .collect();
         for (rows, ticket) in matrices.iter().zip(tickets) {
             let got = ticket.wait().expect("serve");

@@ -7,13 +7,12 @@
 //! several requests in flight (or several client threads can share one
 //! router) and collect each result with [`Ticket::wait`] or bound the
 //! wait with [`Ticket::wait_timeout`]. Admission is bounded by
-//! [`ServeConfig::queue_depth`](crate::ServeConfig): [`submit`] rejects
-//! when every shard is full with [`SoftmaxError::QueueFull`], while
-//! [`submit_wait`] blocks for a slot — backpressure instead of unbounded
-//! queueing.
+//! [`ServeConfig::queue_depth`](crate::ServeConfig) and never waits:
+//! [`submit`] refuses with [`SoftmaxError::QueueFull`] when every shard
+//! is full — backpressure instead of unbounded queueing. A caller that
+//! wants to wait for room retries.
 //!
 //! [`submit`]: crate::ShardedRouter::submit
-//! [`submit_wait`]: crate::ShardedRouter::submit_wait
 //! [`SoftmaxError::QueueFull`]: softermax::SoftmaxError::QueueFull
 
 use std::sync::Arc;
@@ -47,20 +46,14 @@ pub enum Priority {
     Batch,
 }
 
-/// Admission behaviour when the engine's bounded queue is full.
+/// Admission behaviour when every shard's bounded queue is full. There
+/// is one behaviour; the enum remains so callers that name it keep
+/// compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// Reject immediately with
+    /// Refuse immediately with
     /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull).
     Fail,
-    /// Block until a slot frees up (backpressure on the submitter) — at
-    /// most [`ServeConfig::admission_timeout`](crate::ServeConfig), then
-    /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull).
-    Block,
-    /// Block for at most this long, then
-    /// [`SoftmaxError::QueueFull`](softermax::SoftmaxError::QueueFull) —
-    /// an explicit per-request admission bound.
-    BlockFor(Duration),
 }
 
 /// One self-contained softmax request: a kernel, an owned flattened
@@ -106,7 +99,7 @@ impl Submission {
 
     /// Gives the request a serve-by deadline, measured from submission.
     /// Work whose deadline passes before it starts executing is dropped
-    /// honestly — at admission, while blocked for a slot, or at dequeue —
+    /// honestly — at admission or at dequeue —
     /// and resolves as
     /// [`SoftmaxError::DeadlineExceeded`](softermax::SoftmaxError::DeadlineExceeded),
     /// counted into

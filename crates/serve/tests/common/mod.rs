@@ -7,16 +7,21 @@ pub mod fault;
 pub mod kernels;
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use softermax::kernel::{ScratchBuffers, SoftmaxKernel};
-use softermax::Result;
+use softermax::{Result, SoftmaxError};
 use softermax_serve::{
     Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
 };
 
-/// How long a test waits on one ticket before it fails.
+/// How long a test waits on one ticket, thread or admission before it
+/// fails.
 pub const LIMIT: Duration = Duration::from_secs(20);
+
+/// How long [`submit_retrying`] sleeps between refused attempts.
+const RETRY: Duration = Duration::from_micros(100);
 
 /// The one wait on a ticket in the serving suites: a request that never
 /// resolves fails its test within [`LIMIT`] instead of hanging the suite.
@@ -35,13 +40,42 @@ impl BoundedWait for Ticket {
     }
 }
 
+/// Joins `handle`, panicking if the thread is still running after
+/// [`LIMIT`]: a hung thread fails its test instead of hanging the suite.
+pub fn join_bounded<T>(handle: JoinHandle<T>) -> T {
+    let until = Instant::now() + LIMIT;
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < until,
+            "thread not finished within {LIMIT:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.join().expect("thread panicked")
+}
+
+/// Submits `submission`, retrying every 100 µs while the router refuses
+/// it with [`SoftmaxError::QueueFull`], for at most [`LIMIT`]: room to
+/// submit for tests that hold more requests in flight than the queues
+/// admit. Any other outcome, and a refusal past [`LIMIT`], is returned.
+pub fn submit_retrying(router: &ShardedRouter, submission: &Submission) -> Result<Ticket> {
+    let until = Instant::now() + LIMIT;
+    loop {
+        match router.submit_request(submission.clone(), Admission::Fail) {
+            Err(SoftmaxError::QueueFull) if Instant::now() < until => std::thread::sleep(RETRY),
+            outcome => return outcome,
+        }
+    }
+}
+
 /// One shard built from `config`: the single-engine pool.
 pub fn one_shard(config: ServeConfig) -> ShardedRouter {
     ShardedRouter::new(1, config, RoutePolicy::Adaptive).expect("valid config")
 }
 
-/// Serves `matrix` through the router (blocking admission), naming
-/// `stream_chunk` when given (it does not change the path).
+/// Serves `matrix` through the router, retrying admission while the
+/// router is full, naming `stream_chunk` when given (it does not change
+/// the path).
 pub fn serve(
     router: &ShardedRouter,
     kernel: &Arc<dyn SoftmaxKernel>,
@@ -53,9 +87,7 @@ pub fn serve(
     if let Some(chunk) = stream_chunk {
         submission = submission.streamed(chunk);
     }
-    router
-        .submit_request(submission, Admission::Block)?
-        .wait_bounded()
+    submit_retrying(router, &submission)?.wait_bounded()
 }
 
 /// Sequential ground truth: the kernel's row-at-a-time `forward_into`.

@@ -1,8 +1,7 @@
 //! Request-level concurrency: M client threads submitting interleaved
 //! matrices (mixed kernels and priorities) through the router produce **bit-identical** outputs to sequential
 //! row-at-a-time execution — and a full admission queue applies
-//! backpressure ([`SoftmaxError::QueueFull`] or blocking) without ever
-//! deadlocking.
+//! backpressure ([`SoftmaxError::QueueFull`]) without ever deadlocking.
 
 mod common;
 
@@ -10,13 +9,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::kernels::SlowKernel;
-use common::{bits, one_shard, sequential, BoundedWait};
+use common::{bits, join_bounded, one_shard, sequential, submit_retrying, BoundedWait};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use softermax::kernel::SoftmaxKernel;
 use softermax::{KernelRegistry, SoftmaxError};
 use softermax_serve::{
-    Admission, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
+    Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket, TicketPoll,
 };
 
 /// Element pool each sampled request slices its matrix from.
@@ -75,45 +74,40 @@ proptest! {
             .collect();
 
         // A deliberately tight engine: a queue depth the clients can
-        // collectively exceed, so blocking admission is exercised too.
+        // collectively exceed, so refused admissions are retried too.
         let config = ServeConfig::new(2).with_queue_depth(4);
-        let router =
-            ShardedRouter::new(n_shards, config, RoutePolicy::Adaptive).expect("valid config");
+        let router = Arc::new(
+            ShardedRouter::new(n_shards, config, RoutePolicy::Adaptive).expect("valid config"),
+        );
 
-        let outputs: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = plans
-                .iter()
-                .map(|requests| {
-                    let router = &router;
-                    scope.spawn(move || {
-                        // Submit everything first — many tickets in
-                        // flight per client — then collect in order.
-                        let tickets: Vec<Ticket> = requests
-                            .iter()
-                            .map(|plan| {
-                                let submission = Submission::new(
-                                    &plan.kernel,
-                                    plan.matrix.clone(),
-                                    plan.row_len,
-                                )
-                                .with_priority(plan.priority);
-                                router
-                                    .submit_request(submission, Admission::Block)
-                                    .expect("blocking submission")
-                            })
-                            .collect();
-                        tickets
-                            .into_iter()
-                            .map(|t| t.wait_bounded().expect("request"))
-                            .collect::<Vec<Vec<f64>>>()
+        let handles: Vec<_> = plans
+            .iter()
+            .map(|requests| {
+                let router = Arc::clone(&router);
+                let submissions: Vec<Submission> = requests
+                    .iter()
+                    .map(|plan| {
+                        Submission::new(&plan.kernel, plan.matrix.clone(), plan.row_len)
+                            .with_priority(plan.priority)
                     })
+                    .collect();
+                std::thread::spawn(move || {
+                    // Submit everything first — many tickets in flight
+                    // per client — then collect in order.
+                    let tickets: Vec<Ticket> = submissions
+                        .iter()
+                        .map(|submission| {
+                            submit_retrying(&router, submission).expect("admitted")
+                        })
+                        .collect();
+                    tickets
+                        .into_iter()
+                        .map(|t| t.wait_bounded().expect("request"))
+                        .collect::<Vec<Vec<f64>>>()
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .collect()
-        });
+            })
+            .collect();
+        let outputs: Vec<Vec<Vec<f64>>> = handles.into_iter().map(join_bounded).collect();
 
         for (client, (requests, got)) in plans.iter().zip(&outputs).enumerate() {
             for (request, (plan, out)) in requests.iter().zip(got).enumerate() {
@@ -146,39 +140,18 @@ fn full_admission_queue_rejects_and_never_deadlocks() {
         engine.submit(&kernel, rows.clone(), 3),
         Err(SoftmaxError::QueueFull)
     ));
-
-    // Blocking admission applies backpressure instead: it waits for the
-    // slot and gets through — no deadlock, both batches complete.
-    let second = engine
-        .submit_wait(&kernel, rows.clone(), 3)
-        .expect("backpressure");
     first.wait_bounded().expect("first batch");
-    second.wait_bounded().expect("second batch");
 
-    // Several blocked submitters at once all drain through the one slot.
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let engine = &engine;
-                let kernel = &kernel;
-                let rows = rows.clone();
-                scope.spawn(move || {
-                    engine
-                        .submit_wait(kernel, rows, 3)
-                        .expect("blocking submission")
-                        .wait_bounded()
-                        .expect("batch")
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("submitter thread");
-        }
-    });
+    // The slot freed: the engine admits again — no deadlock.
+    engine
+        .submit(&kernel, rows, 3)
+        .expect("admitted after the slot freed")
+        .wait_bounded()
+        .expect("second batch");
 
     let stats = engine.stats();
     let s = stats.kernel("slow").expect("recorded");
-    assert_eq!(s.batches, 5);
+    assert_eq!(s.batches, 2);
     assert_eq!(s.failed_batches, 0);
     assert_eq!(engine.shard(0).inflight(), 0);
 }

@@ -133,7 +133,7 @@ fn serve_owned(
 ) -> Result<Vec<f64>> {
     let submitted = (matrix.as_ptr(), matrix.capacity());
     let ticket =
-        router.submit_request(Submission::new(kernel, matrix, row_len), Admission::Block)?;
+        router.submit_request(Submission::new(kernel, matrix, row_len), Admission::Fail)?;
     let reply = ticket.wait_bounded()?;
     assert_eq!(
         (reply.as_ptr(), reply.capacity()),
@@ -200,7 +200,7 @@ fn a_row_error_mid_matrix_fails_only_its_request() {
     let clean = softermax_serve::traffic::synthetic_matrix(16, 4, 2.5, 3);
     let want = sequential(kernel.as_ref(), &clean, 4);
     let failed = router
-        .submit_request(Submission::new(&kernel, failing, 4), Admission::Block)
+        .submit_request(Submission::new(&kernel, failing, 4), Admission::Fail)
         .expect("admitted");
     let served = serve_owned(&router, &kernel, clean, 4).expect("clean request");
     assert!(matches!(

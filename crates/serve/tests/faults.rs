@@ -20,12 +20,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel, InjectedPanic};
-use common::{sequential, BoundedWait};
+use common::{sequential, submit_retrying, BoundedWait};
 use proptest::prelude::*;
 use softermax::kernel::SoftmaxKernel;
 use softermax::KernelRegistry;
 use softermax_serve::traffic::synthetic_matrix;
-use softermax_serve::{Admission, RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket};
+use softermax_serve::{RoutePolicy, ServeConfig, ShardedRouter, Submission, Ticket};
 
 fn kinds_from_mask(mask: usize) -> Vec<FaultKind> {
     let all = [FaultKind::Panic, FaultKind::Error, FaultKind::Delay];
@@ -73,14 +73,9 @@ proptest! {
         let tickets: Vec<Option<Ticket>> = matrices
             .iter()
             .map(|matrix| {
-                // An honest rejection (breaker open everywhere, dead
-                // shards, bounded wait expired) *is* termination.
-                router
-                    .submit_request(
-                        Submission::new(&faulty, matrix.clone(), row_len),
-                        Admission::BlockFor(Duration::from_secs(10)),
-                    )
-                    .ok()
+                // An honest refusal (dead shards, no room within the
+                // retry bound) *is* termination.
+                submit_retrying(&router, &Submission::new(&faulty, matrix.clone(), row_len)).ok()
             })
             .collect();
 
@@ -133,11 +128,11 @@ struct ChaosCounters {
 }
 
 /// One run of the schedule against a fresh `FaultyKernel` and a fresh
-/// router, so the call index and every counter start at zero. Blocking
-/// admission bypasses the circuit breaker: an open breaker re-routes
-/// work instead of refusing it, which keeps the counters independent of
-/// its timed cooldown. Panics unless every survivor is bit-identical to
-/// `wants`.
+/// router, so the call index and every counter start at zero. Each
+/// request is retried while every shard refuses it (an open breaker
+/// refuses until its timed cooldown passes), so every request is served
+/// once, one at a time, and the counters stay independent of the
+/// breaker. Panics unless every survivor is bit-identical to `wants`.
 fn chaos_run(
     kernel: &Arc<dyn SoftmaxKernel>,
     requests: &[Vec<f64>],
@@ -164,12 +159,8 @@ fn chaos_run(
         let calls = faulty.calls();
         let phase =
             usize::from(calls >= CHAOS_WINDOW.start) + usize::from(calls >= CHAOS_WINDOW.end);
-        let outcome = router
-            .submit_request(
-                Submission::new(&serve_kernel, matrix.clone(), CHAOS_LEN),
-                Admission::Block,
-            )
-            .and_then(Ticket::wait);
+        let submission = Submission::new(&serve_kernel, matrix.clone(), CHAOS_LEN);
+        let outcome = submit_retrying(&router, &submission).and_then(Ticket::wait_bounded);
         match outcome {
             Ok(probs) => {
                 assert!(

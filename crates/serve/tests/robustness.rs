@@ -1,6 +1,6 @@
 //! Fault-tolerance regressions for the serving layer: tickets always
 //! resolve (engine drop, dead workers), deadlines drop work honestly,
-//! blocking admission is bounded, panicking workers respawn, and the
+//! panicking workers respawn, dead shards refuse honestly, and the
 //! circuit breaker takes unhealthy shards out of rotation and back.
 //!
 //! None of these tests sleeps *hoping* to hit a window: gates make the
@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use common::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyKernel};
 use common::kernels::{Gate, NanRejectingKernel};
-use common::{one_shard, wait_all_idle, BoundedWait};
+use common::{join_bounded, one_shard, wait_all_idle, BoundedWait};
 use softermax::kernel::SoftmaxKernel;
 use softermax::{reference, KernelRegistry, SoftmaxError};
 use softermax_serve::{
@@ -44,7 +44,7 @@ fn dropping_the_engine_resolves_outstanding_tickets() {
     // on its own thread; the shutdown sweep must resolve B *before* the
     // join completes — that is exactly what the waiter observes.
     let dropper = std::thread::spawn(move || drop(engine));
-    let outcome = waiter.join().expect("waiter thread");
+    let outcome = join_bounded(waiter);
     assert!(
         matches!(outcome, Err(SoftmaxError::EngineShutdown)),
         "queued ticket must resolve with EngineShutdown, got {outcome:?}"
@@ -54,7 +54,7 @@ fn dropping_the_engine_resolves_outstanding_tickets() {
     // though the engine is shutting down — in-flight work is never
     // abandoned mid-write.
     gate.release();
-    dropper.join().expect("dropper thread");
+    join_bounded(dropper);
     let probs = ticket_a
         .wait_bounded()
         .expect("in-flight request completes");
@@ -136,40 +136,6 @@ fn deadline_passed_in_queue_expires_at_dequeue() {
 }
 
 #[test]
-fn blocking_admission_is_bounded() {
-    let gate = Arc::new(Gate::default());
-    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::gated(&gate));
-    let config = ServeConfig {
-        admission_timeout: Duration::from_millis(20),
-        ..ServeConfig::new(1).with_queue_depth(1)
-    };
-    let engine = one_shard(config);
-
-    // The only admission slot is held by a parked request.
-    let ticket = engine.submit(&kernel, vec![1.0, 2.0], 2).expect("submit");
-    gate.wait_entered(1);
-
-    // `submit_wait` blocks for a slot but must give up at the config's
-    // admission timeout instead of hanging forever.
-    let err = engine
-        .submit_wait(&kernel, vec![3.0, 4.0], 2)
-        .expect_err("full engine must bound the blocking wait");
-    assert!(matches!(err, SoftmaxError::QueueFull), "{err:?}");
-
-    // An explicit per-request bound works too.
-    let err = engine
-        .submit_request(
-            Submission::new(&kernel, vec![3.0, 4.0], 2),
-            Admission::BlockFor(Duration::from_millis(5)),
-        )
-        .expect_err("bounded wait must expire");
-    assert!(matches!(err, SoftmaxError::QueueFull), "{err:?}");
-
-    gate.release();
-    ticket.wait_bounded().expect("parked request completes");
-}
-
-#[test]
 fn a_panicking_worker_is_respawned_and_serving_continues() {
     silence_injected_panics();
     let inner = KernelRegistry::global().get("softermax").expect("built-in");
@@ -221,19 +187,22 @@ fn health_counters_are_current_when_a_panicked_request_resolves() {
     // Every forward call panics.
     let plan = FaultPlan::new(3, 1.0).with_kinds(vec![FaultKind::Panic]);
     let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
+    // A breaker that never gathers enough samples to judge, so it never
+    // turns a round away: this test is about the respawn counters.
+    let never_judges = ROUNDS as usize + 1;
     let config = ServeConfig {
         respawn_cap: ROUNDS as usize,
+        breaker: BreakerConfig {
+            window: never_judges,
+            min_samples: never_judges,
+            ..BreakerConfig::default()
+        },
         ..ServeConfig::new(1)
     };
     let engine = one_shard(config);
     for round in 1..=ROUNDS {
-        // Blocking admission: the breaker, open after the first few
-        // panics, does not turn these away.
         let err = engine
-            .submit_request(
-                Submission::new(&faulty, vec![1.0, 2.0, 3.0], 3),
-                Admission::Block,
-            )
+            .submit(&faulty, vec![1.0, 2.0, 3.0], 3)
             .expect("submit")
             .wait_bounded()
             .expect_err("every call panics");
@@ -284,8 +253,59 @@ fn losing_the_last_worker_fails_the_engine_honestly() {
 
     // Submissions fail with an honest error instead of queueing forever.
     let err = engine
-        .submit_wait(&faulty, vec![1.0, 2.0], 2)
+        .submit(&faulty, vec![1.0, 2.0], 2)
         .expect_err("dead engine must reject");
+    assert!(matches!(err, SoftmaxError::EngineShutdown), "{err:?}");
+}
+
+/// A dead shard refuses with `EngineShutdown`, but the router reports
+/// it only when every shard is dead: while a live shard is merely full,
+/// the refusal is `QueueFull`, since room may come.
+#[test]
+fn a_router_refuses_with_engine_shutdown_only_when_every_shard_is_dead() {
+    silence_injected_panics();
+    let inner = KernelRegistry::global().get("softermax").expect("built-in");
+    // Every forward call panics; with no respawn budget each panic kills
+    // the one worker of the shard that served it.
+    let plan = FaultPlan::new(5, 1.0).with_kinds(vec![FaultKind::Panic]);
+    let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
+    let gate = Arc::new(Gate::default());
+    let held: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::gated(&gate));
+    let config = ServeConfig {
+        respawn_cap: 0,
+        ..ServeConfig::new(1).with_queue_depth(1)
+    };
+    let router = ShardedRouter::new(2, config, RoutePolicy::Adaptive).expect("valid config");
+    let kill = |shard: usize| {
+        router
+            .submit(&faulty, vec![1.0, 2.0], 2)
+            .expect("a live shard admits")
+            .wait_bounded()
+            .expect_err("the panicking request fails");
+        assert_eq!(router.shard(shard).live_workers(), 0);
+    };
+
+    // Shard 0, the pick of an idle router, dies; its parked sibling
+    // steals nothing.
+    wait_all_idle(&router);
+    kill(0);
+
+    // Shard 1 is alive but full: the refusal is `QueueFull`.
+    let parked = router
+        .submit(&held, vec![1.0, 2.0], 2)
+        .expect("shard 1 admits");
+    gate.wait_entered(1);
+    let refused = router.submit(&held, vec![3.0, 4.0], 2);
+    gate.release();
+    let err = refused.expect_err("no shard has room");
+    assert!(matches!(err, SoftmaxError::QueueFull), "{err:?}");
+    parked.wait_bounded().expect("the parked request completes");
+
+    // Both shards dead: the refusal is `EngineShutdown`.
+    kill(1);
+    let err = router
+        .submit(&held, vec![1.0, 2.0], 2)
+        .expect_err("a dead router refuses");
     assert!(matches!(err, SoftmaxError::EngineShutdown), "{err:?}");
 }
 
@@ -310,9 +330,10 @@ fn submissions_racing_the_last_worker_loss_all_resolve() {
             .with_kinds(vec![FaultKind::Panic])
             .with_window(0..1);
         let faulty: Arc<dyn SoftmaxKernel> = Arc::new(FaultyKernel::new(&inner, plan));
-        let engine = one_shard(config.clone());
-        let tickets = std::thread::scope(|scope| {
-            let submitter = scope.spawn(|| {
+        let engine = Arc::new(one_shard(config.clone()));
+        let submitter = {
+            let (engine, faulty) = (Arc::clone(&engine), Arc::clone(&faulty));
+            std::thread::spawn(move || {
                 let mut tickets = Vec::new();
                 // Submit until the worker is seen dead, then once more.
                 loop {
@@ -324,12 +345,11 @@ fn submissions_racing_the_last_worker_loss_all_resolve() {
                         return tickets;
                     }
                 }
-            });
-            let first = engine.submit(&faulty, vec![1.0, 2.0], 2);
-            let mut tickets = submitter.join().expect("submitter thread");
-            tickets.extend(first);
-            tickets
-        });
+            })
+        };
+        let first = engine.submit(&faulty, vec![1.0, 2.0], 2);
+        let mut tickets = join_bounded(submitter);
+        tickets.extend(first);
         for ticket in tickets {
             // Served or failed, but resolved.
             let _ = ticket.wait_bounded();
@@ -364,7 +384,7 @@ fn breaker_trips_on_failures_and_recovers_through_a_probe() {
     assert_eq!(engine.shard(0).breaker_state(), BreakerState::Open);
     assert_eq!(engine.shard(0).breaker_trips(), 1);
     assert!(!engine.shard(0).is_admitting());
-    // Open breaker: non-blocking admission is refused even though the
+    // Open breaker: admission is refused even though the
     // queue is empty — that refusal is what lets a router fail over.
     let err = engine
         .submit(&kernel, vec![1.0, 2.0], 2)
@@ -446,7 +466,7 @@ fn router_routes_around_an_open_shard() {
 }
 
 /// The fail-over sweep with nowhere left to go: when *every* shard's
-/// breaker is open, a non-blocking submission must be refused honestly
+/// breaker is open, a submission must be refused honestly
 /// (no hang, no silent queueing on a tripped shard) — and once the
 /// cooldown passes, the router recovers through the half-open probes.
 #[test]
@@ -484,7 +504,7 @@ fn router_refuses_honestly_when_every_breaker_is_open() {
         .expect("clean probe succeeds");
 }
 
-/// A non-blocking submission whose least-cost pick is full fails over to
+/// A submission whose least-cost pick is full fails over to
 /// the other shard before it is refused, and is refused only when every
 /// shard is full.
 #[test]
@@ -526,7 +546,7 @@ fn full_shards_fail_over_before_rejecting() {
         .submit(&fast, small.clone(), 4)
         .expect("fail-over to shard 0");
     let placed = (router.shard(0).inflight(), router.shard(0).load_cost());
-    // Both shards full: a non-blocking submission must reject.
+    // Both shards full: a submission must be refused.
     let refused = router.submit(&fast, small.clone(), 4);
     // Release before asserting, so a failing run cannot hang.
     gate.release();

@@ -975,7 +975,7 @@ mod tests {
             let want = sequential(kernel.as_ref(), &scores, LEN);
             let submission = Submission::new(kernel, scores.clone(), LEN).streamed(16);
             let routed = router
-                .submit_request(submission, Admission::Block)
+                .submit_request(submission, Admission::Fail)
                 .and_then(Ticket::wait)
                 .expect("served through the router");
             let request = SubmitRequest::build(0, kernel.name(), &scores, LEN)

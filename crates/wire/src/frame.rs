@@ -65,7 +65,8 @@ pub enum ErrorCode {
     /// [`SoftmaxError::DeadlineExceeded`] — the end-to-end budget ran
     /// out before the result was produced.
     DeadlineExceeded = 5,
-    /// [`SoftmaxError::EngineShutdown`] — the server is draining.
+    /// [`SoftmaxError::EngineShutdown`] — the server is draining, or
+    /// every shard lost its last worker.
     EngineShutdown = 6,
     /// The requested kernel name is not in the server's registry.
     UnknownKernel = 7,
