@@ -6,8 +6,10 @@
 //! per-row path must not allocate, locks must be taken in one declared
 //! order with condvar waits in predicate loops, the wire format's tags
 //! and error codes must match their golden documentation, and public
-//! API must have a caller outside tests. This crate lexes the workspace
-//! honestly (see [`lexer`]) and enforces all six as a lint catalog:
+//! API must have a caller outside tests, and the serving stack must
+//! block on events rather than sleep-poll for them. This crate lexes the
+//! workspace honestly (see [`lexer`]) and enforces all seven as a lint
+//! catalog:
 //!
 //! | lint | what it denies |
 //! |------|----------------|
@@ -17,6 +19,7 @@
 //! | `lock-discipline` | undeclared or stale locks, out-of-order acquisition, condvar waits outside `while`/`loop` |
 //! | `wire-stability` | frame tags / error codes unmatched by `docs/PROTOCOL.md` |
 //! | `dead-pub` | a library `pub` item whose name no non-test code uses |
+//! | `poll-sleep` | `sleep(` calls in no-sleep zones |
 //! | `bad-suppression` | `analysis:allow` without a lint name and reason |
 //!
 //! Findings are suppressed — one at a time, with a mandatory reason —
@@ -34,6 +37,7 @@ pub mod lexer;
 pub mod lock_discipline;
 pub mod manifest;
 pub mod panic_surface;
+pub mod poll_sleep;
 pub mod scan;
 pub mod unsafe_audit;
 pub mod wire_stability;
@@ -53,6 +57,7 @@ pub enum Lint {
     LockDiscipline,
     WireStability,
     DeadPub,
+    PollSleep,
     BadSuppression,
 }
 
@@ -67,6 +72,7 @@ impl Lint {
             Lint::LockDiscipline => "lock-discipline",
             Lint::WireStability => "wire-stability",
             Lint::DeadPub => "dead-pub",
+            Lint::PollSleep => "poll-sleep",
             Lint::BadSuppression => "bad-suppression",
         }
     }
@@ -81,6 +87,7 @@ impl Lint {
             Lint::LockDiscipline,
             Lint::WireStability,
             Lint::DeadPub,
+            Lint::PollSleep,
             Lint::BadSuppression,
         ]
     }
@@ -143,6 +150,9 @@ pub fn analyze_sources(
         unsafe_audit::run(file, &mut unsafe_sites, &mut violations);
         if manifest.in_no_panic_zone(rel) {
             panic_surface::run(file, &mut violations);
+        }
+        if manifest.in_no_sleep_zone(rel) {
+            poll_sleep::run(file, &mut violations);
         }
         if let Some(hot) = manifest.hot_path_for(rel) {
             hot_alloc::run(file, hot, &mut violations);

@@ -1,5 +1,5 @@
-//! The analysis manifest: which paths are no-panic zones, which
-//! functions are hot paths, and what the declared lock order is.
+//! The analysis manifest: which paths are no-panic and no-sleep zones,
+//! which functions are hot paths, and what the declared lock order is.
 //!
 //! The manifest is data, not code, so growing a zone or declaring a
 //! new lock is a one-line JSON edit reviewed like any other invariant
@@ -40,6 +40,8 @@ pub struct Manifest {
     /// Path prefixes where `unwrap`/`expect`/`panic!`/indexing are
     /// denied outside test code.
     pub no_panic_zones: Vec<String>,
+    /// Path prefixes where `sleep(` calls are denied outside test code.
+    pub no_sleep_zones: Vec<String>,
     /// Files × function names where allocation is denied.
     pub hot_paths: Vec<HotPath>,
     /// Lock-order and condvar declarations per path prefix.
@@ -82,6 +84,7 @@ impl Manifest {
     pub fn from_json(text: &str) -> Result<Self, ManifestError> {
         let root = from_str_value(text).map_err(|e| ManifestError(format!("bad JSON: {e:?}")))?;
         let no_panic_zones = string_list(&root, "no_panic_zones")?;
+        let no_sleep_zones = string_list(&root, "no_sleep_zones")?;
 
         let mut hot_paths = Vec::new();
         let hp = root
@@ -120,6 +123,7 @@ impl Manifest {
 
         Ok(Manifest {
             no_panic_zones,
+            no_sleep_zones,
             hot_paths,
             lock_scopes,
         })
@@ -143,6 +147,13 @@ impl Manifest {
     #[must_use]
     pub fn in_no_panic_zone(&self, path: &str) -> bool {
         self.no_panic_zones.iter().any(|z| path.starts_with(z))
+    }
+
+    /// True when `path` (workspace-relative, `/`-separated) lies in a
+    /// declared no-sleep zone.
+    #[must_use]
+    pub fn in_no_sleep_zone(&self, path: &str) -> bool {
+        self.no_sleep_zones.iter().any(|z| path.starts_with(z))
     }
 
     /// The lock scope covering `path`, if any.

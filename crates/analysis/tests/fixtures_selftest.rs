@@ -14,6 +14,7 @@ const VIOLATIONS: &str = include_str!("../fixtures/violations.rs");
 const CLEAN: &str = include_str!("../fixtures/clean.rs");
 const SUPPRESSED: &str = include_str!("../fixtures/suppressed.rs");
 const STALE_LOCKS: &str = include_str!("../fixtures/stale_locks.rs");
+const POLL_SLEEP: &str = include_str!("../fixtures/poll_sleep.rs");
 const WIRE_FRAME: &str = include_str!("../fixtures/wire_frame.rs");
 const WIRE_PROTOCOL: &str = include_str!("../fixtures/wire_protocol.md");
 
@@ -53,6 +54,7 @@ fn fixture_manifest() -> Manifest {
     Manifest::from_json(
         r#"{
             "no_panic_zones": ["fixtures"],
+            "no_sleep_zones": [],
             "hot_paths": [
                 {"file": "fixtures/violations.rs", "functions": ["hot_fn", "gone_fn"]},
                 {"file": "fixtures/clean.rs", "functions": ["hot_fn"]}
@@ -189,6 +191,7 @@ fn stale_lock_manifest_entries_are_flagged_by_kind() {
     let manifest = Manifest::from_json(
         r#"{
             "no_panic_zones": [],
+            "no_sleep_zones": [],
             "hot_paths": [],
             "lock_scopes": [
                 {"scope": "fixtures", "order": ["intake", "slot", "gone"],
@@ -217,6 +220,42 @@ fn stale_lock_manifest_entries_are_flagged_by_kind() {
         findings.contains("`slot: Condvar`"),
         "findings:\n{findings}"
     );
+}
+
+/// Sleeps called outside test code in a no-sleep zone are flagged,
+/// unless suppressed; the same file outside every zone is not judged.
+#[test]
+fn poll_sleep_flags_exactly_the_marked_sleeps() {
+    let manifest = Manifest::from_json(
+        r#"{
+            "no_panic_zones": [],
+            "no_sleep_zones": ["fixtures"],
+            "hot_paths": [],
+            "lock_scopes": []
+        }"#,
+    )
+    .expect("poll-sleep manifest parses");
+    let analyze = |path: &str| {
+        let sources = vec![(path.to_owned(), POLL_SLEEP.to_owned())];
+        analyze_sources(&sources, &manifest, None).violations
+    };
+    let found = analyze("fixtures/poll_sleep.rs");
+    let mut actual: Vec<(u32, String)> = found
+        .iter()
+        .map(|v| (v.line, v.lint.name().to_owned()))
+        .collect();
+    actual.sort();
+    assert_eq!(
+        actual,
+        expected_markers(POLL_SLEEP),
+        "findings:\n{}",
+        found
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    assert!(analyze("elsewhere/poll_sleep.rs").is_empty());
 }
 
 #[test]

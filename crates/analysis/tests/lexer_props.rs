@@ -92,7 +92,7 @@ proptest! {
         // yields exactly one, on the right line.
         let (src, _) = build(&choices);
         let manifest = Manifest::from_json(
-            r#"{"no_panic_zones": ["gen"], "hot_paths": [], "lock_scopes": []}"#,
+            r#"{"no_panic_zones": ["gen"], "no_sleep_zones": [], "hot_paths": [], "lock_scopes": []}"#,
         ).expect("manifest parses");
 
         let clean = vec![("gen/fuzz.rs".to_owned(), src.clone())];

@@ -6,7 +6,7 @@
 //! findings with better formatting.
 
 use softermax_analysis::manifest::Manifest;
-use softermax_analysis::{analyze_workspace, default_root, inventory};
+use softermax_analysis::{analyze_sources, analyze_workspace, default_root, inventory, Lint};
 
 #[test]
 fn workspace_has_zero_violations() {
@@ -46,4 +46,30 @@ fn committed_unsafe_inventory_matches_the_code() {
         "docs/UNSAFE_INVENTORY.md is stale; regenerate with \
          `cargo run -p softermax-analysis -- inventory --write`"
     );
+}
+
+/// A sleep-poll planted in the server's accept loop fails the check:
+/// the server's sources are a no-sleep zone of the workspace manifest.
+#[test]
+fn a_sleep_poll_planted_in_the_accept_loop_is_flagged() {
+    let rel = "crates/server/src/lib.rs";
+    let source = std::fs::read_to_string(default_root().join(rel)).expect("server source");
+    let body = source
+        .find("fn accept_loop(")
+        .and_then(|at| source[at..].find('{').map(|open| at + open + 1))
+        .expect("the accept loop");
+    let planted = format!(
+        "{}\n    thread::sleep(Duration::from_millis(5));{}",
+        &source[..body],
+        &source[body..]
+    );
+    let line = source[..body].lines().count() as u32 + 1;
+    let analysis = analyze_sources(&[(rel.to_owned(), planted)], &Manifest::workspace(), None);
+    let sleeps: Vec<u32> = analysis
+        .violations
+        .iter()
+        .filter(|v| v.lint == Lint::PollSleep)
+        .map(|v| v.line)
+        .collect();
+    assert_eq!(sleeps, [line], "{:?}", analysis.violations);
 }

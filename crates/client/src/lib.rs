@@ -196,6 +196,7 @@ impl Client {
                 Err(e) => {
                     last = e.to_string();
                     if attempt + 1 < backoff.attempts {
+                        // analysis:allow(poll-sleep): the reconnect backoff; nothing signals when a server starts listening
                         thread::sleep(backoff.delay(attempt));
                     }
                 }

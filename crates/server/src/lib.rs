@@ -3,8 +3,12 @@
 //!
 //! Execution model (std threads only, mirroring the serving layer):
 //!
-//! * one **accept thread per listener**, polling a non-blocking
-//!   accept so shutdown can interrupt it;
+//! * one **accept thread per listener**, blocked in `accept` until a
+//!   connection arrives, so it serves each as it comes and an idle
+//!   server does not wake. The drain wakes it by shutting the listening
+//!   socket down, which ends a blocked `accept` on Linux. An `accept`
+//!   that fails otherwise (say, out of file descriptors) is retried
+//!   after a 5 ms backoff;
 //! * one **reader/writer thread pair per connection**. The reader
 //!   decodes frames (through one read buffer per connection, moving
 //!   each request's scores into its job) and submits through the
@@ -27,8 +31,10 @@
 //! **Graceful drain.** A `Shutdown` frame (the protocol's
 //! SIGTERM equivalent, since signal handling needs crates this
 //! offline build does not have) sets the server's one draining flag and
-//! wakes [`Server::run`] through a channel: the accept loops see the
-//! flag and close their listeners, every connection's read half is
+//! wakes [`Server::run`] through a channel: `run` shuts every listening
+//! socket down, which wakes its accept loop to see the flag and close
+//! the listener (a Unix listener removes its socket file only while the
+//! path still names the file it bound), every connection's read half is
 //! shut down (readers see EOF and stop taking new work), writers
 //! resolve the tickets already in flight and flush their replies, and
 //! only then does [`Server::run`] return. No accepted request is
@@ -52,9 +58,11 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufReader, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
+use std::os::unix::fs::MetadataExt;
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -71,8 +79,10 @@ use softermax_wire::{
     Stream, SubmitReply, SubmitRequest, WireError, WirePriority, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 
-/// How often a non-blocking accept loop re-checks the draining flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long an accept loop waits after an `accept` that failed (for
+/// instance with `EMFILE`, which leaves the connection queued) before
+/// it tries again, so a failure that repeats cannot spin the thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// How long one `write` call may block on a peer that reads nothing.
 /// A reply's writes then fail and the connection ends, so a
@@ -220,19 +230,82 @@ impl Shared {
 }
 
 /// One listener an accept thread drives. A Unix listener removes its
-/// socket file when dropped: at the end of its accept loop, or when the
-/// server fails to start.
+/// socket file when dropped (at the end of its accept loop, or when the
+/// server fails to start), but only while the path still names the file
+/// it bound: a server started on the same path since then has replaced
+/// that file with its own.
 enum Listener {
     Tcp(TcpListener),
-    Unix(UnixListener, PathBuf),
+    Unix {
+        listener: UnixListener,
+        path: PathBuf,
+        /// The bound socket file's [`file_id`].
+        file: (u64, u64),
+    },
+}
+
+impl Listener {
+    /// Binds `endpoint`. A stale file at a Unix path is replaced.
+    fn bind(endpoint: &Endpoint) -> io::Result<Listener> {
+        Ok(match endpoint {
+            Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr.as_str())?),
+            Endpoint::Unix(path) => {
+                // Replace a stale socket file from a dead process.
+                let _ = std::fs::remove_file(path);
+                let listener = UnixListener::bind(path)?;
+                Listener::Unix {
+                    file: file_id(path)?,
+                    listener,
+                    path: path.clone(),
+                }
+            }
+        })
+    }
+
+    /// The endpoint this listener is bound to, TCP port resolved.
+    fn endpoint(&self) -> io::Result<Endpoint> {
+        Ok(match self {
+            Listener::Tcp(l) => Endpoint::Tcp(l.local_addr()?.to_string()),
+            Listener::Unix { path, .. } => Endpoint::Unix(path.clone()),
+        })
+    }
+
+    /// A second handle to the listening socket. Its `shutdown_read`
+    /// wakes an `accept` blocked on the listener, and makes every later
+    /// one fail at once.
+    fn waker(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Listener::Tcp(l) => Stream::Tcp(TcpStream::from(OwnedFd::from(l.try_clone()?))),
+            Listener::Unix { listener, .. } => {
+                Stream::Unix(UnixStream::from(OwnedFd::from(listener.try_clone()?)))
+            }
+        })
+    }
+
+    /// Blocks until a connection arrives, or the listener is shut down.
+    fn accept(&self) -> io::Result<Stream> {
+        match self {
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Stream::tcp(s)),
+            Listener::Unix { listener, .. } => listener.accept().map(|(s, _)| Stream::Unix(s)),
+        }
+    }
 }
 
 impl Drop for Listener {
     fn drop(&mut self) {
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
+        if let Listener::Unix { path, file, .. } = self {
+            if file_id(path).is_ok_and(|id| id == *file) {
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
+}
+
+/// The `(device, inode)` pair naming the file at `path` itself, not a
+/// symlink's target.
+fn file_id(path: &Path) -> io::Result<(u64, u64)> {
+    let meta = std::fs::symlink_metadata(path)?;
+    Ok((meta.dev(), meta.ino()))
 }
 
 /// Starts a named thread running `body`, or reports why the OS refused
@@ -250,6 +323,8 @@ fn spawn_thread(name: String, body: Box<dyn FnOnce() + Send>) -> io::Result<Join
 pub struct Server {
     shared: Arc<Shared>,
     accepters: Vec<JoinHandle<()>>,
+    /// One [`Listener::waker`] per accept thread.
+    wakers: Vec<Stream>,
     endpoints: Vec<Endpoint>,
     /// Receives [`Shared::begin_drain`]'s ring.
     drain_bell: Receiver<()>,
@@ -259,7 +334,8 @@ impl Server {
     /// Builds the router, binds every listener, and starts accepting.
     /// TCP port 0 picks an ephemeral port ([`Server::endpoints`] reports
     /// it); a stale file at a Unix path is replaced, and the file is
-    /// removed again on drain.
+    /// removed again on drain unless another server has replaced it by
+    /// then.
     ///
     /// # Errors
     ///
@@ -309,23 +385,12 @@ impl Server {
         // leaves nothing running.
         let mut listeners = Vec::with_capacity(endpoints.len());
         let mut bound = Vec::with_capacity(endpoints.len());
+        let mut wakers = Vec::with_capacity(endpoints.len());
         for endpoint in endpoints {
-            listeners.push(match endpoint {
-                Endpoint::Tcp(addr) => {
-                    let l = TcpListener::bind(addr.as_str())?;
-                    l.set_nonblocking(true)?;
-                    bound.push(Endpoint::Tcp(l.local_addr()?.to_string()));
-                    Listener::Tcp(l)
-                }
-                Endpoint::Unix(path) => {
-                    // Replace a stale socket file from a dead process.
-                    let _ = std::fs::remove_file(path);
-                    let l = UnixListener::bind(path)?;
-                    l.set_nonblocking(true)?;
-                    bound.push(endpoint.clone());
-                    Listener::Unix(l, path.clone())
-                }
-            });
+            let listener = Listener::bind(endpoint)?;
+            bound.push(listener.endpoint()?);
+            wakers.push(listener.waker()?);
+            listeners.push(listener);
         }
         let mut accepters = Vec::with_capacity(listeners.len());
         for (index, listener) in listeners.into_iter().enumerate() {
@@ -340,9 +405,7 @@ impl Server {
                     // The refused closure, and the listener in it, is
                     // dropped; stop the accept loops already running.
                     shared.draining.store(true, Ordering::SeqCst);
-                    for handle in accepters {
-                        let _ = handle.join();
-                    }
+                    stop_accepting(&wakers, accepters);
                     return Err(ServerError::Io(e));
                 }
             }
@@ -350,6 +413,7 @@ impl Server {
         Ok(Server {
             shared,
             accepters,
+            wakers,
             endpoints: bound,
             drain_bell,
         })
@@ -369,11 +433,10 @@ impl Server {
     pub fn run(self) -> usize {
         // `shared` holds the sending end, so this returns only on a ring.
         let _ = self.drain_bell.recv();
-        // 1. Stop accepting: flag is set; accept loops notice and exit
-        //    (closing listeners and removing unix socket files).
-        for handle in self.accepters {
-            let _ = handle.join();
-        }
+        // 1. Stop accepting: the flag is set; shutting the listeners
+        //    down wakes the accept loops, which exit (closing listeners
+        //    and removing their unix socket files).
+        stop_accepting(&self.wakers, self.accepters);
         // 2. EOF every live connection's read half so its reader stops
         //    taking new frames. Accept threads are joined, so no new
         //    entries can appear behind this sweep.
@@ -393,31 +456,42 @@ impl Server {
     }
 }
 
+/// Wakes the accept loops blocked on the listeners that `wakers` are
+/// handles to, and joins them. The draining flag must be set first.
+fn stop_accepting(wakers: &[Stream], accepters: Vec<JoinHandle<()>>) {
+    for waker in wakers {
+        let _ = waker.shutdown_read();
+    }
+    for handle in accepters {
+        let _ = handle.join();
+    }
+}
+
+/// Serves each connection as it arrives, blocked in `accept` between
+/// them, until the drain. The drain sets the draining flag and then
+/// shuts the listening socket down through its [`Listener::waker`]. This
+/// wakes a blocked `accept` on Linux, where it then fails with `EINVAL`:
+/// a Unix listener's accept finds its receive side shut, and a TCP
+/// listener is disconnected. So the flag is checked each time `accept`
+/// returns, before what it returned is used.
 fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
-    while !shared.is_draining() {
-        // The accepted socket must block again: accept() inherits the
-        // listener's non-blocking flag on some platforms. Its writes are
-        // bounded from the start: a write already blocked would not see
-        // a timeout set later, at drain.
-        let accepted = match listener {
-            Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
-                s.set_nonblocking(false)?;
-                Stream::tcp(s)
-            }),
-            Listener::Unix(l, _) => l.accept().and_then(|(s, _)| {
-                s.set_nonblocking(false)?;
-                Ok(Stream::Unix(s))
-            }),
-        }
-        .and_then(|stream| {
+    loop {
+        // The socket's writes are bounded from the start: a write
+        // already blocked would not see a timeout set later, at drain.
+        let accepted = listener.accept().and_then(|stream| {
             stream.set_write_timeout(Some(shared.write_timeout))?;
             Ok(stream)
         });
+        if shared.is_draining() {
+            return;
+        }
         match accepted {
             Ok(stream) => spawn_connection(shared, stream),
-            // Nothing pending, or a transient failure (e.g. an aborted
-            // connection): breathe and keep listening.
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            // An aborted connection, or no descriptor left for it (which
+            // leaves it queued, so the next accept fails the same way):
+            // wait before trying again rather than spin.
+            // analysis:allow(poll-sleep): a backoff after a failed accept, not a poll; the drain's wake does not depend on it
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -756,7 +830,7 @@ mod tests {
             assert_eq!(client.read(&mut [0u8; 1]).expect("end of stream"), 0);
         }
         server.shared.begin_drain();
-        assert_eq!(server.run(), 0, "no connection was registered");
+        assert_eq!(run_within(server).0, 0, "no connection was registered");
     }
 
     #[test]
@@ -776,14 +850,17 @@ mod tests {
     fn a_refused_accept_thread_fails_start_and_stops_the_others() {
         let paths = [socket_path("accept-0"), socket_path("accept-1")];
         let endpoints: Vec<Endpoint> = paths.iter().cloned().map(Endpoint::Unix).collect();
-        // The first accept thread starts; the second is refused.
-        let started = Server::start_with(
-            ServerConfig::default(),
-            &endpoints,
-            KernelRegistry::global(),
-            |name, body| refusing("-1", name, body),
-            WRITE_TIMEOUT,
-        );
+        // The first accept thread starts; the second is refused. Start
+        // joins the first, so it returns only once that thread is woken.
+        let (started, _) = within("Server::start_with", move || {
+            Server::start_with(
+                ServerConfig::default(),
+                &endpoints,
+                KernelRegistry::global(),
+                |name, body| refusing("-1", name, body),
+                WRITE_TIMEOUT,
+            )
+        });
         assert!(
             matches!(started, Err(ServerError::Io(_))),
             "{:?}",
@@ -835,7 +912,7 @@ mod tests {
         }
         // The drain joins the accept loop before it counts the entries.
         server.shared.begin_drain();
-        assert_eq!(server.run(), 0, "registry entries left");
+        assert_eq!(run_within(server).0, 0, "registry entries left");
     }
 
     /// A built-in kernel that serves a row only once its gate is open,
@@ -989,7 +1066,7 @@ mod tests {
         }
         client.shutdown_server().expect("shutdown ack");
         drop(client);
-        let _ = server.run();
+        let _ = run_within(server);
     }
 
     /// A connection holds at most `inflight_window + 2` requests in the
@@ -1041,7 +1118,7 @@ mod tests {
                 assert_eq!(bits(&result.expect("served")), want, "window {window}");
             }
             client.shutdown_server().expect("shutdown ack");
-            let _ = server.run();
+            let _ = run_within(server);
         }
     }
 
@@ -1076,22 +1153,86 @@ mod tests {
         assert_eq!(bits(&served), sequential(healthy.as_ref(), &scores, LEN));
         client.shutdown_server().expect("shutdown ack");
         drop(client);
-        let _ = server.run();
+        let _ = run_within(server);
     }
 
-    /// Runs `server.run()` on a thread of its own and returns its drain
-    /// count with the time it took; fails the test when it has not
-    /// returned within `limit`.
-    fn run_within(server: Server, limit: Duration) -> (usize, Duration) {
+    /// How long a test waits on the server before it fails.
+    const LIMIT: Duration = Duration::from_secs(20);
+
+    /// Runs the blocking call `f` on a thread of its own and returns its
+    /// result with the time it took; fails the test, naming `what`, when
+    /// `f` panics or has not returned within [`LIMIT`].
+    fn within<T: Send + 'static>(
+        what: &str,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> (T, Duration) {
         let (tx, rx) = mpsc::channel();
         let started = Instant::now();
         thread::spawn(move || {
-            let _ = tx.send(server.run());
+            let _ = tx.send(f());
         });
-        let drained = rx
-            .recv_timeout(limit)
-            .unwrap_or_else(|e| panic!("Server::run did not return within {limit:?} ({e})"));
-        (drained, started.elapsed())
+        let result = rx
+            .recv_timeout(LIMIT)
+            .unwrap_or_else(|e| panic!("{what} did not return within {LIMIT:?} ({e})"));
+        (result, started.elapsed())
+    }
+
+    /// Drains `server` within [`LIMIT`]: its drain count and the time
+    /// the drain took.
+    fn run_within(server: Server) -> (usize, Duration) {
+        within("Server::run", move || server.run())
+    }
+
+    /// The voluntary context switches so far of this process's thread
+    /// named `name`, read from `/proc/self/task/<tid>/status`.
+    fn voluntary_switches(name: &str) -> u64 {
+        for task in std::fs::read_dir("/proc/self/task").expect("task list") {
+            let path = task.expect("task entry").path().join("status");
+            // A thread that has exited since the listing has no status.
+            let Ok(status) = std::fs::read_to_string(path) else {
+                continue;
+            };
+            let field = |key| status.lines().find_map(|l| l.strip_prefix(key));
+            if field("Name:").map(str::trim) == Some(name) {
+                let switches = field("voluntary_ctxt_switches:").expect("switch count");
+                return switches.trim().parse().expect("a count");
+            }
+        }
+        panic!("no thread named {name}")
+    }
+
+    /// An idle server's accept threads sleep in `accept`: each takes at
+    /// most one voluntary context switch in 200 ms (a thread polling
+    /// every 5 ms takes about 40). Its listeners, TCP and Unix, never see a connection,
+    /// and the drain still wakes both and completes within the bound.
+    #[test]
+    fn an_idle_server_sleeps_in_accept_and_drains_within_the_bound() {
+        let path = socket_path("idle");
+        let endpoints = [
+            Endpoint::Tcp("127.0.0.1:0".to_string()),
+            Endpoint::Unix(path.clone()),
+        ];
+        // Named apart from every other test's accept threads.
+        let server = Server::start_with(
+            ServerConfig::default(),
+            &endpoints,
+            KernelRegistry::global(),
+            |name, body| spawn_thread(name.replace("softermax-accept", "idle-accept"), body),
+            WRITE_TIMEOUT,
+        )
+        .expect("server start");
+        // Let both threads reach their first `accept`.
+        thread::sleep(Duration::from_millis(50));
+        let names = ["idle-accept-0", "idle-accept-1"];
+        let before = names.map(voluntary_switches);
+        thread::sleep(Duration::from_millis(200));
+        for (name, before) in names.into_iter().zip(before) {
+            let switches = voluntary_switches(name) - before;
+            assert!(switches <= 1, "{name}: {switches} switches in 200 ms");
+        }
+        server.shared.begin_drain();
+        assert_eq!(run_within(server).0, 0);
+        assert!(!path.exists(), "socket file left behind");
     }
 
     /// A peer that pipelines large submits and never reads a reply cannot
@@ -1157,7 +1298,7 @@ mod tests {
         let mut client =
             Client::connect(Endpoint::Unix(path), ClientConfig::default()).expect("client connect");
         client.shutdown_server().expect("shutdown ack");
-        let (drained, took) = run_within(server, Duration::from_secs(20));
+        let (drained, took) = run_within(server);
         assert_eq!(drained, 2, "the peer and the client");
         // `write_all`'s first call sends what the socket buffer takes and
         // then waits out one timeout before it reports the partial write;

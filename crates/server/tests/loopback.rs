@@ -398,3 +398,32 @@ fn version_below_minimum_is_refused() {
     }
     stop(server, &tcp);
 }
+
+/// A server drained after another has replaced its socket file leaves
+/// that file alone: the second server still accepts by path, and its own
+/// drain removes the file. A client connected before the replacement
+/// still reaches the first server, and drains it.
+#[test]
+fn a_drain_keeps_the_socket_file_of_the_server_that_replaced_it() {
+    let path = unique_socket_path("replaced");
+    let listeners = [Endpoint::Unix(path.clone())];
+    let endpoint = &listeners[0];
+    let first = Server::start(ServerConfig::default(), &listeners).expect("first start");
+    let mut first_client = connect(endpoint);
+    let second = Server::start(ServerConfig::default(), &listeners).expect("second start");
+    first_client.shutdown_server().expect("shutdown ack");
+    let _ = within("the first server drains", move || first.run());
+    assert!(path.exists(), "the first drain removed the second's file");
+    let mut client = connect(endpoint);
+    let scores = test_scores(2, 8);
+    let req = SubmitRequest::build(0, "softermax", &scores, 8).expect("build");
+    let got = call(&mut client, req).expect("served by the second server");
+    assert_bits_equal(
+        "softermax",
+        "unix",
+        &got,
+        &ground_truth("softermax", &scores, 8),
+    );
+    stop(second, endpoint);
+    assert!(!path.exists(), "the second drain left its socket file");
+}
